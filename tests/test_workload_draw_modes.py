@@ -1,0 +1,177 @@
+"""Golden digests for the workload generator's draw modes.
+
+The generator has four modes — {interleaved draws on one stream, chunked
+draws on per-type streams} × {tenantless, tenant population with burst
+overrides} — and only the interleaved tenantless one is pinned by
+``tests/test_seed_identity.py``.  This matrix pins all four, on two key
+distributions, with a mix that inserts (tenantless inserts grow the shared
+popularity distribution, tenant inserts only their private key space) and a
+consistency override (so hint dicts are part of what is pinned).
+
+Each digest covers everything the generator hands to the rest of the system:
+the preloaded records, the exact ``(time, kind, key, size, hints)`` sequence
+issued to the cluster, per-tenant issued counts, the labels of the
+generator's own events, the set of RNG streams opened, and the *next* draw of
+every opened stream (so a draw that moved between streams, or an extra draw
+that did not change an issued operation, still shows).
+
+The values were captured at commit f91bc59, before the issue paths were
+merged into one; a change to the generator must not move them.  If one moves
+on purpose (a new scenario mode would use new stream names instead —
+PERFORMANCE.md rule 3), re-capture it and say why in the commit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from collections import Counter
+
+import pytest
+
+from repro.cluster import Cluster, ClusterConfig, NodeConfig
+from repro.cluster.types import ConsistencyLevel
+from repro.simulation import Simulator
+from repro.workload import (
+    WRITE_HEAVY,
+    ConstantLoad,
+    FlashCrowdLoad,
+    TenantSpec,
+    WorkloadGenerator,
+    WorkloadSpec,
+)
+
+GOLDEN = {
+    ("zipfian", "interleaved", "tenantless"): (
+        "183955cb0fa5e46accc24c2494b92e221a1ad9e7ea4beb0b2d74c67ed0730daf"
+    ),
+    ("zipfian", "interleaved", "tenants"): (
+        "1c42d61a8ca881d4ddedbd9a366a52adad34cf6c1266245dc59f3b4e962b1c05"
+    ),
+    ("zipfian", "chunked", "tenantless"): (
+        "9ac7021a8feaf89546a0747414af7bc3cb9dfa4e0786082454465389b6317ea9"
+    ),
+    ("zipfian", "chunked", "tenants"): (
+        "77809bcf822f06eba64befb5400a1826c8a69a1b116144122b425e5a359a6ab3"
+    ),
+    ("hotspot", "interleaved", "tenantless"): (
+        "b3821cd61ba3aae072c1920f061c5d65ac7fb9edd400c032b625cb9afe6784f0"
+    ),
+    ("hotspot", "interleaved", "tenants"): (
+        "759272112fe947b7947d7513199c35189c66a80e5e0ca6cc8b6e0b0f348fbfd1"
+    ),
+    ("hotspot", "chunked", "tenantless"): (
+        "e28aeea143797b1f80757ce93f419ccf70bafd5bcd3bb0dae208573630aa16b2"
+    ),
+    ("hotspot", "chunked", "tenants"): (
+        "5b43d7672adbafc5336a62d059c6a8f1f64826f39a207a22d97a0d895455d70f"
+    ),
+}
+
+
+def _tenant_spec() -> TenantSpec:
+    return TenantSpec(
+        tenants=7,
+        records_per_tenant=30,
+        load_shape_overrides={
+            # Starts quiescent (idle polls, no draw), spikes, then decays
+            # back to quiescent before the run ends.
+            5: FlashCrowdLoad(
+                base_rate=0.0,
+                spike_rate=40.0,
+                spike_start=4.0,
+                ramp_duration=2.0,
+                hold_duration=8.0,
+                decay_duration=3.0,
+            ),
+            2: ConstantLoad(15.0),
+        },
+    )
+
+
+def _hints_view(hints):
+    if hints is None:
+        return None
+    return sorted((name, getattr(value, "value", value)) for name, value in hints.items())
+
+
+def run_cell(distribution: str, draws: str, tenancy: str) -> str:
+    """Run one cell of the matrix and digest everything it emitted."""
+    simulator = Simulator(seed=1234)
+    cluster = Cluster(
+        simulator,
+        ClusterConfig(
+            initial_nodes=3, replication_factor=3, node=NodeConfig(ops_capacity=2000.0)
+        ),
+    )
+    preloaded = []
+    issued = []
+    real_preload, real_read, real_write = cluster.preload, cluster.read, cluster.write
+
+    def preload(items, sizes=None):
+        preloaded.append([(key, len(value), sizes[key]) for key, value in items.items()])
+        return real_preload(items, sizes)
+
+    def read(key, on_complete=None, hints=None):
+        issued.append((simulator.now, "read", key, None, _hints_view(hints)))
+        real_read(key, on_complete=on_complete, hints=hints)
+
+    def write(key, value=b"", size=None, on_complete=None, hints=None):
+        issued.append((simulator.now, "write", key, [len(value), size], _hints_view(hints)))
+        real_write(key, value=value, size=size, on_complete=on_complete, hints=hints)
+
+    cluster.preload, cluster.read, cluster.write = preload, read, write
+
+    spec = WorkloadSpec(
+        record_count=300,
+        key_distribution=distribution,
+        operation_mix=WRITE_HEAVY,
+        load_shape=ConstantLoad(60.0),
+        preload_fraction=0.75,
+        consistency_overrides={"update": ConsistencyLevel.QUORUM},
+        open_loop=(draws == "chunked"),
+        tenants=_tenant_spec() if tenancy == "tenants" else None,
+    )
+    generator = WorkloadGenerator(simulator, cluster, spec, name="golden")
+    labels: Counter = Counter()
+
+    def count_generator_events(_time, label):
+        if label is not None and label.startswith("golden:"):
+            labels[label] += 1
+
+    simulator.add_trace_hook(count_generator_events)
+    loaded = generator.preload()
+    generator.start()
+    simulator.run_until(25.0)
+    generator.stop()
+
+    tenant_stats = generator.stats.tenant_stats
+    streams = simulator.streams.known_streams()
+    payload = {
+        "loaded": loaded,
+        "preloaded": preloaded,
+        "issued": issued,
+        "totals": [generator.stats.reads_issued, generator.stats.writes_issued],
+        "per_tenant": (
+            None
+            if tenant_stats is None
+            else {
+                tenant: [entry.reads_issued, entry.writes_issued]
+                for tenant, entry in sorted(tenant_stats.items())
+            }
+        ),
+        "labels": sorted(labels.items()),
+        "streams": streams,
+        "next_draws": [float(simulator.streams.stream(name).random()) for name in streams],
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("distribution,draws,tenancy", sorted(GOLDEN))
+def test_draw_mode_digest_is_unchanged(distribution, draws, tenancy):
+    assert run_cell(distribution, draws, tenancy) == GOLDEN[(distribution, draws, tenancy)]
+
+
+def test_matrix_cells_are_distinct():
+    """Guards the harness itself: a digest blind to the mode pins nothing."""
+    assert len(set(GOLDEN.values())) == len(GOLDEN)
