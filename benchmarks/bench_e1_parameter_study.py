@@ -1,7 +1,7 @@
 """Benchmark / regeneration target for experiment E1 (parameter study).
 
 Regenerates the table "inconsistency window versus load, cluster size,
-replication factor and read consistency level" (DESIGN.md experiment E1,
+replication factor and read consistency level" (experiment E1,
 paper research-plan task 1).  The assertions check the qualitative shape the
 paper's problem statement predicts: the window grows with load and shrinks
 with added capacity, and quorum reads suppress client-observed staleness.

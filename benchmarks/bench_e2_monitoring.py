@@ -1,7 +1,7 @@
 """Benchmark / regeneration target for experiment E2 (monitoring efficiency).
 
 Regenerates the "accuracy versus overhead of inconsistency-window estimators"
-table (DESIGN.md experiment E2, paper research question 1).  The assertions
+table (experiment E2, paper research question 1).  The assertions
 check the qualitative shape: probing cost scales with the probe rate, the
 passive estimators inject zero extra operations, and every estimator produced
 periodic estimates.

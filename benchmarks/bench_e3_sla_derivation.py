@@ -1,7 +1,7 @@
 """Benchmark / regeneration target for experiment E3 (SLA-derived configuration).
 
 Regenerates the "deriving consistency-related parameters from the SLA" grid
-(DESIGN.md experiment E3, paper research question 2).  The assertions check
+(experiment E3, paper research question 2).  The assertions check
 the qualitative shape: the strict SLA pushes the controller to stricter
 consistency levels (or extra capacity) than the relaxed SLA, and the relaxed
 SLA stays cheap.

@@ -1,7 +1,7 @@
 """Benchmark / regeneration target for experiment E4 (reconfiguration overhead).
 
-Regenerates both E4 tables (DESIGN.md experiment E4, paper research question
-3): the per-action transient-impact table and the stability-guard ablation.
+Regenerates both E4 tables (paper research question 3): the per-action
+transient-impact table and the stability-guard ablation.
 The assertions check the qualitative shape: adding a node eventually lowers
 utilisation but costs something while rebalancing, strengthening the read
 consistency level raises read latency, and the stability guard never executes

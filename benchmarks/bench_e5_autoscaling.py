@@ -1,6 +1,6 @@
 """Benchmark / regeneration target for experiment E5 (policy comparison).
 
-Regenerates the headline end-to-end table (DESIGN.md experiment E5, paper
+Regenerates the headline end-to-end table (experiment E5, paper
 Sections 3-4): static, overprovisioned, reactive, predictive and SLA-driven
 policies serving the same diurnal-plus-flash-crowd day.  The assertions check
 the qualitative claims of the paper: the SLA-driven controller violates the

@@ -1,6 +1,6 @@
 """Benchmark / regeneration target for experiment E6 (predictive scaling).
 
-Regenerates the forecaster-comparison table (DESIGN.md experiment E6, the
+Regenerates the forecaster-comparison table (experiment E6, the
 "smart" half of the paper's title): reactive threshold scaling versus
 forecast-based scaling with EWMA, Holt-Winters and autoregressive
 forecasters on a flash-crowd-heavy trace.  The assertions check the expected

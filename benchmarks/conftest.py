@@ -15,8 +15,8 @@ import sys
 import pytest
 
 #: Scale factor applied to every experiment when run from the benchmark suite.
-#: 1.0 reproduces the durations documented in EXPERIMENTS.md; the default is
-#: reduced so the whole suite completes in a few minutes.
+#: 1.0 runs every experiment at its full duration; the default is reduced so
+#: the whole suite completes in a few minutes.
 BENCH_SCALE = 0.35
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"

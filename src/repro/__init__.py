@@ -16,8 +16,8 @@ Public API highlights
   staleness objectives.
 * :mod:`repro.monitoring` — inconsistency-window estimators (probe,
   piggyback, RTT model) and their overhead accounting.
-* :mod:`repro.experiments` — the E1–E6 experiment harness behind the
-  benchmarks and EXPERIMENTS.md.
+* :mod:`repro.experiments` — the E1–E9 experiment harness behind the
+  benchmarks.
 * :func:`~repro.simulation.sharding.run_sharded` /
   :class:`~repro.simulation.sharding.ShardedReport` — the opt-in sharded
   parallel mode: K independent shard processes merged through exact,

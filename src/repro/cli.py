@@ -192,10 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--open-loop",
         action="store_true",
         help=(
-            "vectorized open-loop arrival mode: gap/mix/key/size draws come "
-            "from dedicated per-type RNG streams consumed in chunks (a new "
-            "scenario mode on new stream names; results differ from the "
-            "classic closed-loop mode by design)"
+            "chunked draws on per-type streams: gap/mix/key/size draws come "
+            "from dedicated per-type RNG streams consumed in chunks instead "
+            "of interleaved on one stream (a new scenario mode on new stream "
+            "names, so results differ by design; arrivals are an open-loop "
+            "Poisson process either way)"
         ),
     )
     run_parser.add_argument(

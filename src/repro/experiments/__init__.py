@@ -2,11 +2,11 @@
 
 The paper is a doctoral-symposium proposal without an evaluation section;
 these experiments operationalise its research questions and research-plan
-tasks (see DESIGN.md section 4 for the mapping).  Each module exposes a
+tasks (each module's docstring says which).  Each module exposes a
 ``run(seed, scale, ...)`` function returning an
 :class:`~repro.experiments.tables.ExperimentResult`; the benchmark suite
 calls them with ``scale < 1`` to bound wall-clock time, and
-``run_all_experiments`` regenerates everything behind EXPERIMENTS.md.
+``run_all_experiments`` regenerates every table.
 """
 
 from typing import Dict, Optional

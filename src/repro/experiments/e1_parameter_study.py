@@ -9,7 +9,7 @@ size, replication factor, read consistency level — and reports the measured
 ground-truth inconsistency window next to client latency and the
 client-observed stale-read fraction.
 
-Expected shape (recorded in EXPERIMENTS.md): the window grows superlinearly
+Expected shape: the window grows superlinearly
 with load, shrinks when nodes are added, grows with the replication factor
 (more replicas must converge), and the *client-observed* staleness collapses
 when the read consistency level reaches quorum even though the server-side

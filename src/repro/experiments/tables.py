@@ -1,10 +1,9 @@
 """Result tables for the experiment harness.
 
 Every experiment produces one or more :class:`ResultTable` objects — ordered
-columns plus one dict per row — that render to aligned ASCII (the "tables"
-EXPERIMENTS.md embeds) and to CSV for further processing.  Keeping the table
-type dumb and uniform means every benchmark prints directly comparable
-output.
+columns plus one dict per row — that render to aligned ASCII and to CSV for
+further processing.  Keeping the table type dumb and uniform means every
+benchmark prints directly comparable output.
 """
 
 from __future__ import annotations

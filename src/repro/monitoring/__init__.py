@@ -11,7 +11,7 @@ from .estimators import (
 )
 from .metrics import MetricsCollector, MetricsConfig, MetricsSnapshot
 from .overhead import MonitoringOverheadAccountant, OverheadReport
-from .percentiles import P2QuantileEstimator, WindowedPercentiles
+from .percentiles import WindowedPercentiles
 
 __all__ = [
     "MetricsCollector",
@@ -26,6 +26,5 @@ __all__ = [
     "RttEstimatorConfig",
     "MonitoringOverheadAccountant",
     "OverheadReport",
-    "P2QuantileEstimator",
     "WindowedPercentiles",
 ]

@@ -25,47 +25,13 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
-
 from ..cluster.cluster import Cluster, ClusterListener
 from ..cluster.types import ReadResult, WriteResult
 from ..simulation.engine import Simulator
+from ..simulation.timeseries import FloatBuffer
 from .percentiles import MergeableHistogramSketch
 
 __all__ = ["BufferedOperationCollector"]
-
-
-class _SampleBuffer:
-    """Append-only float buffer with O(1) amortised growth and cheap reset."""
-
-    __slots__ = ("_data", "_size")
-
-    def __init__(self, initial_capacity: int = 1024) -> None:
-        self._data = np.empty(max(1, initial_capacity), dtype=np.float64)
-        self._size = 0
-
-    def append(self, value: float) -> None:
-        size = self._size
-        data = self._data
-        if size == data.shape[0]:
-            grown = np.empty(size * 2, dtype=np.float64)
-            grown[:size] = data
-            self._data = data = grown
-        data[size] = value
-        self._size = size + 1
-
-    def drain(self) -> np.ndarray:
-        """A view of the buffered samples; the buffer is reset for reuse.
-
-        The view aliases the internal array, so callers must consume it
-        before the next append — which the flush path does immediately.
-        """
-        view = self._data[: self._size]
-        self._size = 0
-        return view
-
-    def __len__(self) -> int:
-        return self._size
 
 
 class _FlushWork:
@@ -104,8 +70,8 @@ class BufferedOperationCollector(ClusterListener):
         self._include_probes = include_probe_operations
         self.read_sketch = MergeableHistogramSketch(accuracy=accuracy)
         self.write_sketch = MergeableHistogramSketch(accuracy=accuracy)
-        self._read_buffer = _SampleBuffer()
-        self._write_buffer = _SampleBuffer()
+        self._read_buffer = FloatBuffer()
+        self._write_buffer = FloatBuffer()
         self.reads_completed = 0
         self.writes_completed = 0
         self.failures = 0

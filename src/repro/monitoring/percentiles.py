@@ -4,8 +4,6 @@ The monitoring subsystem must summarise latency and staleness distributions
 continuously without storing every sample (the paper's first research
 question explicitly counts "the computing power required to process and
 analyse these consistency measurements" as part of the monitoring cost).
-:class:`P2QuantileEstimator` implements the classic Jain & Chlamtac P²
-algorithm — constant memory, one update per observation — and
 :class:`WindowedPercentiles` keeps a small ring of recent samples for exact
 percentiles over a sliding window where that is affordable.
 
@@ -13,8 +11,8 @@ percentiles over a sliding window where that is affordable.
 log-spaced histogram (DDSketch-style) whose merge is *exact* — merging the
 sketches of K shards yields bit-identical counts to one sketch fed the
 concatenated stream, in any order and for any split — while every quantile
-carries a bounded relative error set by the accuracy parameter.  The P² and
-windowed estimators cannot be merged across processes; the sketch can, which
+carries a bounded relative error set by the accuracy parameter.  The
+windowed estimator cannot be merged across processes; the sketch can, which
 is what lets ``run_sharded`` combine per-shard latency distributions into one
 deterministic report.
 """
@@ -26,106 +24,7 @@ from typing import Deque, Dict, Iterable, List, Optional
 
 import numpy as np
 
-__all__ = ["P2QuantileEstimator", "WindowedPercentiles", "MergeableHistogramSketch"]
-
-
-class P2QuantileEstimator:
-    """Jain & Chlamtac's P² single-quantile estimator (constant memory)."""
-
-    def __init__(self, quantile: float) -> None:
-        if not 0.0 < quantile < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-        self._q = quantile
-        self._initial: List[float] = []
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-        self._increments: List[float] = []
-        self._count = 0
-
-    @property
-    def quantile(self) -> float:
-        """The quantile this estimator tracks (e.g. 0.95)."""
-        return self._q
-
-    @property
-    def count(self) -> int:
-        """Number of observations seen."""
-        return self._count
-
-    def observe(self, value: float) -> None:
-        """Feed one observation."""
-        self._count += 1
-        if len(self._initial) < 5:
-            self._initial.append(float(value))
-            if len(self._initial) == 5:
-                self._initial.sort()
-                self._heights = list(self._initial)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                q = self._q
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-                self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-            return
-
-        heights = self._heights
-        positions = self._positions
-        value = float(value)
-
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            for i in range(1, 4):
-                if value < heights[i]:
-                    cell = i - 1
-                    break
-            else:
-                cell = 3
-
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-
-        for i in range(1, 4):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                direction = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, direction)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, direction)
-                positions[i] += direction
-
-    def _parabolic(self, i: int, direction: float) -> float:
-        h = self._heights
-        n = self._positions
-        return h[i] + direction / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + direction) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - direction) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, direction: float) -> float:
-        h = self._heights
-        n = self._positions
-        j = i + int(direction)
-        return h[i] + direction * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """Current quantile estimate (exact while fewer than five samples)."""
-        if self._count == 0:
-            return 0.0
-        if len(self._initial) < 5:
-            data = sorted(self._initial)
-            return float(np.percentile(np.asarray(data), self._q * 100.0))
-        return self._heights[2]
+__all__ = ["WindowedPercentiles", "MergeableHistogramSketch"]
 
 
 class WindowedPercentiles:

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["TimeSeries", "SeriesSummary", "TimeSeriesBundle"]
+__all__ = ["FloatBuffer", "TimeSeries", "SeriesSummary", "TimeSeriesBundle"]
 
 
 @dataclass
@@ -44,6 +44,51 @@ class SeriesSummary:
 
 
 _EMPTY_SUMMARY = SeriesSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+class FloatBuffer:
+    """Append-only ``float64`` buffer with amortised O(1) growth.
+
+    Per-operation recorders (workload latencies, buffered monitoring samples)
+    append here instead of to a Python list: samples live in a numpy array
+    that doubles when full, so reading them back never re-converts an
+    ever-growing list.  :meth:`as_array` reads without consuming (exact
+    end-of-run statistics); :meth:`drain` reads and resets (windowed flushes).
+    """
+
+    __slots__ = ("_data", "_size")
+
+    def __init__(self, initial_capacity: int = 1024) -> None:
+        self._data = np.empty(max(1, initial_capacity), dtype=np.float64)
+        self._size = 0
+
+    def append(self, value: float) -> None:
+        """Append one sample."""
+        size = self._size
+        data = self._data
+        if size == data.shape[0]:
+            grown = np.empty(size * 2, dtype=np.float64)
+            grown[:size] = data
+            self._data = data = grown
+        data[size] = value
+        self._size = size + 1
+
+    def as_array(self) -> np.ndarray:
+        """Zero-copy view of the samples recorded so far."""
+        return self._data[: self._size]
+
+    def drain(self) -> np.ndarray:
+        """A view of the buffered samples; the buffer is reset for reuse.
+
+        The view aliases the internal array, so callers must consume it
+        before the next append.
+        """
+        view = self._data[: self._size]
+        self._size = 0
+        return view
+
+    def __len__(self) -> int:
+        return self._size
 
 
 class TimeSeries:

@@ -5,24 +5,32 @@ stream of operations, the standard way to evaluate storage systems: arrivals
 follow a non-homogeneous Poisson process whose intensity is given by the
 spec's :class:`~repro.workload.load_shapes.LoadShape`, keys are drawn from
 the spec's key distribution, and the read/update/insert decision follows the
-spec's operation mix.  Results are recorded per operation so the harness can
-report client-observed latency, throughput and error rates alongside the
-consistency metrics.
+spec's operation mix.  Arrivals never wait on completions.  Results are
+recorded per operation so the harness can report client-observed latency,
+throughput and error rates alongside the consistency metrics.
+
+One issue routine serves every mode.  What varies is *when* operations
+arrive (one arrival process per load shape), *where the randomness comes from*
+(a draw source: interleaved on one stream, or chunked on one stream per draw
+type) and *on whose behalf* they are issued (an issuer: a tenant's key space,
+or the single tenantless one).  See ARCHITECTURE.md, "Workload generator".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ..cluster.cluster import Cluster
-from ..cluster.types import ConsistencyLevel, OperationType, ReadResult, WriteResult
+from ..cluster.types import ConsistencyLevel, ReadResult, WriteResult
 from ..middleware.base import TENANT_HINT, TENANT_TIER_HINT
 from ..middleware.overrides import CONSISTENCY_HINT
 from ..simulation.engine import Simulator
-from ..simulation.timeseries import TimeSeries
+from ..simulation.randomness import RandomStreams
+from ..simulation.timeseries import FloatBuffer, TimeSeries
 from .distributions import KeyDistribution, make_distribution
 from .load_shapes import ConstantLoad, LoadShape
 from .operations import OperationMix, READ_HEAVY, RecordSizer
@@ -39,81 +47,6 @@ __all__ = [
 #: Operation kinds that accept a per-kind consistency override (the single
 #: source of truth for WorkloadSpec validation and the CLI flag).
 CONSISTENCY_OVERRIDE_KINDS = ("read", "update", "insert")
-
-
-class _ChunkedDraws:
-    """Chunked consumption of one single-consumer RNG stream.
-
-    The vectorized open-loop arrival mode gives every draw type its own
-    dedicated stream (``workload:{name}:gap`` / ``:mix`` / ``:key`` /
-    ``:size``), which makes each stream single-consumer — the precondition
-    under which one chunked draw equals the same draws made sequentially
-    (PERFORMANCE.md rule 1).  This helper refills a chunk when exhausted and
-    hands values out one at a time, so the arrival loop finally claims the
-    ~50× chunked-draw headroom the preload demonstrated.
-    """
-
-    __slots__ = ("_refill", "_buffer", "_position")
-
-    def __init__(self, refill: Callable[[], np.ndarray]) -> None:
-        self._refill = refill
-        self._buffer: Optional[np.ndarray] = None
-        self._position = 0
-
-    def next(self):
-        """The next value, refilling the chunk when exhausted."""
-        buffer = self._buffer
-        position = self._position
-        if buffer is None or position >= buffer.shape[0]:
-            buffer = self._buffer = self._refill()
-            position = 0
-        self._position = position + 1
-        return buffer[position]
-
-
-class _LatencyBuffer:
-    """Append-only float buffer with amortised O(1) growth.
-
-    Replaces the plain Python lists :class:`WorkloadStats` used to keep — a
-    million-operation run re-converted an ever-growing list with
-    ``np.asarray`` on every summary, which made reporting quadratic overall.
-    The buffer stores samples in a numpy array that doubles when full, so
-    :meth:`as_array` is a zero-copy view.  It keeps the small list-like
-    surface (append/len/iter/index) callers relied on.
-    """
-
-    __slots__ = ("_data", "_size")
-
-    def __init__(self, initial_capacity: int = 1024) -> None:
-        self._data = np.empty(max(1, initial_capacity), dtype=np.float64)
-        self._size = 0
-
-    def append(self, value: float) -> None:
-        """Append one sample."""
-        size = self._size
-        data = self._data
-        if size == data.shape[0]:
-            grown = np.empty(size * 2, dtype=np.float64)
-            grown[:size] = data
-            self._data = data = grown
-        data[size] = value
-        self._size = size + 1
-
-    def as_array(self) -> np.ndarray:
-        """Zero-copy ``float64`` view of the samples recorded so far."""
-        return self._data[: self._size]
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    def __iter__(self):
-        return iter(self.as_array())
-
-    def __getitem__(self, index):
-        return self.as_array()[index]
 
 
 @dataclass
@@ -151,25 +84,27 @@ class WorkloadSpec:
     tenantless run never opens (PERFORMANCE.md rule 3)."""
 
     open_loop: bool = False
-    """Opt-in vectorized open-loop arrival mode.  Instead of interleaving
-    gap/mix/key/size draws on the single ``workload:<name>`` stream (which
-    forces every draw to stay scalar — rule 1), each draw type gets its own
-    dedicated stream (``workload:<name>:gap`` / ``:mix`` / ``:key`` /
-    ``:size``) consumed in chunks.  This is a *new scenario mode* on new
-    stream names (rule 3): results differ from the classic mode by design,
-    while the default ``False`` keeps the seed-pinned bitstream untouched.
-    Two semantic differences to be aware of: the preload still draws sizes
-    on the base stream (it was already chunked there), and key indices are
-    pre-drawn a chunk at a time, so inserts only widen the key-popularity
-    distribution for draws in *later* chunks.
+    """Opt-in chunked draws on per-type streams.  Both settings are open-loop
+    Poisson arrivals; the name is historical and is kept because configs and
+    the ``--open-loop`` flag use it.  Instead of interleaving gap/mix/key/size
+    draws on the single ``workload:<name>`` stream (which forces every draw
+    to stay scalar — rule 1), each draw type gets its own dedicated stream
+    (``workload:<name>:gap`` / ``:mix`` / ``:key`` / ``:size``) consumed in
+    chunks.  This is a *new scenario mode* on new stream names (rule 3):
+    results differ from the interleaved mode by design, while the default
+    ``False`` keeps the seed-pinned bitstream untouched.  Two semantic
+    differences to be aware of: the preload still draws sizes on the base
+    stream (it was already chunked there), and key indices are pre-drawn a
+    chunk at a time, so inserts only widen the key-popularity distribution
+    for draws in *later* chunks.
 
     Composes with ``tenants``: main arrivals consume the *same* chunked
-    ``:gap``/``:mix``/``:key``/``:size`` sequences a tenantless open-loop run
+    ``:gap``/``:mix``/``:key``/``:size`` sequences a tenantless chunked run
     does (no draw is reordered — rule 3); the tenant pick is chunked on the
     dedicated ``:tenant`` stream, and each burst override draws from its own
     four chunked ``:tenant:<idx>:gap``/``:mix``/``:key``/``:size`` streams
-    (distinct names from the classic mode's interleaved ``:tenant:<idx>``
-    stream, which a tenant open-loop run never opens)."""
+    (distinct names from the interleaved mode's ``:tenant:<idx>`` stream,
+    which a chunked tenant run never opens)."""
 
     def __post_init__(self) -> None:
         unknown = set(self.consistency_overrides) - set(CONSISTENCY_OVERRIDE_KINDS)
@@ -177,6 +112,14 @@ class WorkloadSpec:
             raise ValueError(
                 f"unknown consistency_overrides keys {sorted(unknown)}; "
                 f"expected a subset of {CONSISTENCY_OVERRIDE_KINDS}"
+            )
+        # Arrival gaps divide by the floored rate, so a floor of zero (or a
+        # negative one, which floors nothing) would crash mid-run instead.
+        if not self.min_rate > 0.0:
+            raise ValueError(f"min_rate must be > 0, got {self.min_rate}")
+        if not 0.0 <= self.preload_fraction <= 1.0:
+            raise ValueError(
+                f"preload_fraction must be in [0, 1], got {self.preload_fraction}"
             )
 
     def build_distribution(self) -> KeyDistribution:
@@ -241,7 +184,7 @@ class TenantOpStats:
         self.writes_rejected = 0
         self.reads_failed = 0
         self.writes_failed = 0
-        self.read_latencies = _LatencyBuffer(initial_capacity=16)
+        self.read_latencies = FloatBuffer(initial_capacity=16)
 
     @property
     def operations_issued(self) -> int:
@@ -273,8 +216,8 @@ class WorkloadStats:
         self.writes_failed = 0
         self.reads_rejected = 0
         self.writes_rejected = 0
-        self.read_latencies = _LatencyBuffer()
-        self.write_latencies = _LatencyBuffer()
+        self.read_latencies = FloatBuffer()
+        self.write_latencies = FloatBuffer()
         self.stale_reads = 0
         self.read_latency_series = TimeSeries("read_latency")
         self.write_latency_series = TimeSeries("write_latency")
@@ -414,90 +357,171 @@ class WorkloadStats:
         }
 
 
-class _TenantRuntime:
-    """Per-tenant hot-path state (hints, insert cursor, stats entry)."""
+#: Draws fetched per refill of a chunked stream: large enough to amortise the
+#: numpy call, small enough not to matter for memory.
+_CHUNK = 4096
+
+#: How often a quiescent arrival process (rate ~0) looks at its shape again.
+_IDLE_POLL = 1.0
+
+
+def _chunked(refill: Callable[[], np.ndarray]) -> Callable[[], object]:
+    """Hand out the values of successive ``refill()`` chunks one at a time.
+
+    Only valid on a single-consumer stream — the precondition under which one
+    chunked draw equals the same draws made sequentially (PERFORMANCE.md
+    rule 1).  A chunk is drawn when the previous one runs out, never ahead of
+    need, and ``tolist`` converts it to native floats/ints once per chunk
+    rather than once per draw.
+    """
+
+    def values():
+        while True:
+            yield from refill().tolist()
+
+    return values().__next__
+
+
+class _InterleavedDraws:
+    """Draw source with all four draw types interleaved on one stream.
+
+    This is the seed-pinned order, so every draw stays scalar (rule 1).  The
+    per-operation draws are partials of the methods the issue routine has
+    always called, which keeps the pinned path free of extra Python frames.
+    """
+
+    __slots__ = ("_exponential", "kind", "key_index", "size")
+
+    def __init__(
+        self,
+        streams: RandomStreams,
+        base: str,
+        mix: OperationMix,
+        distribution: KeyDistribution,
+        sizer: RecordSizer,
+    ) -> None:
+        rng = streams.stream(base)
+        self._exponential = rng.exponential
+        self.kind = partial(mix.choose, rng)
+        self.key_index = partial(distribution.next_index, rng)
+        self.size = partial(sizer.next_size, rng)
+
+    def gap(self, rate: float) -> float:
+        """Seconds until the next arrival at ``rate`` ops/s."""
+        return float(self._exponential(1.0 / rate))
+
+
+class _ChunkedDraws:
+    """Draw source with one dedicated, chunked stream per draw type.
+
+    ``{base}:gap`` / ``:mix`` / ``:key`` / ``:size`` each have this source as
+    their only consumer, so each can be drawn a chunk at a time.  The streams
+    are opened on construction and first drawn from on first use.
+    """
+
+    __slots__ = ("_unit_gap", "_uniform", "_kind_for", "key_index", "size")
+
+    def __init__(
+        self,
+        streams: RandomStreams,
+        base: str,
+        mix: OperationMix,
+        distribution: KeyDistribution,
+        sizer: RecordSizer,
+    ) -> None:
+        gap_rng = streams.stream(f"{base}:gap")
+        mix_rng = streams.stream(f"{base}:mix")
+        key_rng = streams.stream(f"{base}:key")
+        size_rng = streams.stream(f"{base}:size")
+        self._unit_gap = _chunked(lambda: gap_rng.exponential(1.0, size=_CHUNK))
+        self._uniform = _chunked(lambda: mix_rng.random(_CHUNK))
+        self._kind_for = mix.kind_for
+        self.key_index = _chunked(lambda: distribution.next_indices(key_rng, _CHUNK))
+        self.size = _chunked(lambda: sizer.next_sizes(size_rng, _CHUNK))
+
+    def gap(self, rate: float) -> float:
+        """Seconds until the next arrival at ``rate`` ops/s.
+
+        A unit exponential divided by the rate has exactly the
+        ``Exponential(1/rate)`` distribution the interleaved source draws,
+        while keeping the ``:gap`` stream free of the rate and so chunkable.
+        """
+        return self._unit_gap() / rate
+
+    def kind(self) -> str:
+        """The next operation kind."""
+        return self._kind_for(self._uniform())
+
+
+class _Issuer:
+    """On whose behalf operations are issued: a key space and its hints.
+
+    A tenant population has one issuer per tenant.  A tenantless workload is
+    a population of one that owns the key-popularity distribution: its
+    inserts widen the distribution, whereas a tenant's inserts only extend
+    that tenant's private key space — the shared distribution spans one
+    tenant's *initial* key space for every tenant alike.
+    """
 
     __slots__ = (
-        "profile",
         "key_prefix",
         "read_hints",
         "update_hints",
         "insert_hints",
         "next_record_index",
         "stats",
+        "owns_distribution",
     )
 
     def __init__(
         self,
-        profile: TenantProfile,
+        key_prefix: str,
+        records: int,
         overrides: Dict[str, ConsistencyLevel],
-        records_per_tenant: int,
-        stats: TenantOpStats,
+        tenant: Optional[TenantProfile] = None,
+        stats: Optional[TenantOpStats] = None,
     ) -> None:
-        self.profile = profile
-        self.key_prefix = profile.key_prefix
-        base = {TENANT_HINT: profile.tenant_id, TENANT_TIER_HINT: profile.tier.name}
-        self.read_hints = dict(base)
-        self.update_hints = dict(base)
-        self.insert_hints = dict(base)
-        if "read" in overrides:
-            self.read_hints[CONSISTENCY_HINT] = overrides["read"]
-        if "update" in overrides:
-            self.update_hints[CONSISTENCY_HINT] = overrides["update"]
-        if "insert" in overrides:
-            self.insert_hints[CONSISTENCY_HINT] = overrides["insert"]
-        self.next_record_index = records_per_tenant
+        self.key_prefix = key_prefix
+        self.next_record_index = records
         self.stats = stats
+        self.owns_distribution = tenant is None
+        tenant_hints = (
+            {}
+            if tenant is None
+            else {TENANT_HINT: tenant.tenant_id, TENANT_TIER_HINT: tenant.tier.name}
+        )
+
+        def hints_for(kind: str) -> Optional[Dict[str, object]]:
+            if kind in overrides:
+                return {**tenant_hints, CONSISTENCY_HINT: overrides[kind]}
+            # Nothing to say stays None, so the default path allocates and
+            # carries nothing per request.
+            return tenant_hints or None
+
+        self.read_hints = hints_for("read")
+        self.update_hints = hints_for("update")
+        self.insert_hints = hints_for("insert")
 
 
-class _BurstProcess:
-    """One superposed arrival process (a tenant's load-shape override).
+@dataclass(slots=True)
+class _ArrivalProcess:
+    """When operations arrive: one Poisson process following a load shape.
 
-    Draws *all* of its randomness — arrival gaps, operation kinds, key
-    indexes, record sizes — from its own dedicated stream
-    (``workload:<name>:tenant:<idx>``), so adding or removing a burst leaves
-    every other stream's bitstream untouched (PERFORMANCE.md rule 3).
+    ``issuer`` is who every arrival of this process is issued for, or
+    ``None`` for the main process of a tenant population, which picks a
+    tenant per arrival.  Each process owns its draw source, so adding or
+    removing one leaves every other stream's bitstream untouched (rule 3).
     """
 
-    __slots__ = ("runtime", "shape", "rng", "label")
+    shape: LoadShape
+    min_rate: float
+    draws: object
+    issuer: Optional[_Issuer]
+    label: str
 
-    def __init__(self, runtime: "_TenantRuntime", shape: LoadShape, rng, label: str) -> None:
-        self.runtime = runtime
-        self.shape = shape
-        self.rng = rng
-        self.label = label
-
-
-class _OpenLoopBurst:
-    """A tenant's load-shape override in open-loop arrival mode.
-
-    Same superposed process as :class:`_BurstProcess`, but every draw type
-    lives on its own dedicated single-consumer stream
-    (``workload:<name>:tenant:<idx>:gap`` / ``:mix`` / ``:key`` / ``:size``)
-    so each can be consumed in chunks.  The stream names are distinct from
-    the classic mode's interleaved ``workload:<name>:tenant:<idx>`` stream —
-    a new arrival mode draws from new streams (PERFORMANCE.md rule 3).
-    """
-
-    __slots__ = ("runtime", "shape", "label", "gap_draws", "mix_draws", "key_draws", "size_draws")
-
-    def __init__(
-        self,
-        runtime: "_TenantRuntime",
-        shape: LoadShape,
-        label: str,
-        gap_draws: _ChunkedDraws,
-        mix_draws: _ChunkedDraws,
-        key_draws: _ChunkedDraws,
-        size_draws: _ChunkedDraws,
-    ) -> None:
-        self.runtime = runtime
-        self.shape = shape
-        self.label = label
-        self.gap_draws = gap_draws
-        self.mix_draws = mix_draws
-        self.key_draws = key_draws
-        self.size_draws = size_draws
+    def rate(self, now: float) -> float:
+        """Target arrival rate at ``now``: the shape's, floored at ``min_rate``."""
+        return max(self.min_rate, self.shape.rate(now))
 
 
 class WorkloadGenerator:
@@ -512,119 +536,76 @@ class WorkloadGenerator:
     ) -> None:
         self._simulator = simulator
         self._cluster = cluster
-        self.spec = spec or WorkloadSpec()
+        self.spec = spec = spec or WorkloadSpec()
         self.name = name
-        self._rng = simulator.streams.stream(f"workload:{name}")
-        self._distribution = self.spec.build_distribution()
-        self._sizer = RecordSizer(self.spec.mean_record_size, self.spec.record_size_cv)
-        self._mix = self.spec.operation_mix
+        streams = simulator.streams
+        base = f"workload:{name}"
+        # The base stream carries the preload sizes in every mode, and the
+        # main process's draws in the interleaved mode.
+        self._rng = streams.stream(base)
+        self._distribution = distribution = spec.build_distribution()
+        # The distribution spans one issuer's initial key space: the whole
+        # record count, or one tenant's share of it.
+        self._records_per_issuer = records = distribution.record_count
+        self._sizer = sizer = RecordSizer(spec.mean_record_size, spec.record_size_cv)
         self._running = False
-        self._next_record_index = self.spec.record_count
         self.stats = WorkloadStats()
-        self._rate_sample_accumulator = 0
-        # Hot-path constants: the arrival label and key prefix used to be
-        # re-rendered on every single operation.
-        self._arrival_label = f"{name}:arrival"
-        self._key_prefix = self.spec.key_prefix
-        # Per-kind hint dicts are materialised once; the default (no
-        # overrides) keeps them None so the issue path stays allocation-free.
-        overrides = self.spec.consistency_overrides
-        self._read_hints = (
-            {CONSISTENCY_HINT: overrides["read"]} if "read" in overrides else None
-        )
-        self._update_hints = (
-            {CONSISTENCY_HINT: overrides["update"]} if "update" in overrides else None
-        )
-        self._insert_hints = (
-            {CONSISTENCY_HINT: overrides["insert"]} if "insert" in overrides else None
-        )
+        overrides = spec.consistency_overrides
 
-        # Multi-tenant mode.  All tenant-related stochastic choices live on
-        # *new* named streams, so a tenantless run (population is None) opens
-        # none of them and stays bit-identical to seed (rule 3).  The issue
-        # path is bound once so the tenantless hot path keeps its exact shape.
-        tenant_spec = self.spec.tenants
-        if tenant_spec is not None:
-            self.population: Optional[TenantPopulation] = TenantPopulation(tenant_spec)
-            self._tenant_rng = simulator.streams.stream(f"workload:{name}:tenant")
+        def draw_source(stream: str):
+            source = _ChunkedDraws if spec.open_loop else _InterleavedDraws
+            return source(streams, stream, spec.operation_mix, distribution, sizer)
+
+        # Every tenant-related stochastic choice lives on a *new* named
+        # stream, so a tenantless run opens none of them and stays
+        # bit-identical to seed (rule 3).
+        tenant_spec = spec.tenants
+        if tenant_spec is None:
+            self.population: Optional[TenantPopulation] = None
+            self._issuers = [_Issuer(spec.key_prefix, records, overrides)]
+            main_issuer = self._issuers[0]
+            burst_shapes: Dict[int, LoadShape] = {}
+        else:
+            self.population = TenantPopulation(tenant_spec)
+            profiles = self.population.profiles
             tenant_stats = self.stats.enable_tenant_tracking(
-                profile.tenant_id for profile in self.population.profiles
+                profile.tenant_id for profile in profiles
             )
-            self._tenants = [
-                _TenantRuntime(
-                    profile,
+            self._issuers = [
+                _Issuer(
+                    profile.key_prefix,
+                    records,
                     overrides,
-                    tenant_spec.records_per_tenant,
+                    profile,
                     tenant_stats[profile.tenant_id],
                 )
-                for profile in self.population.profiles
+                for profile in profiles
             ]
-            if self.spec.open_loop:
-                # Open-loop bursts are built in the open-loop block below on
-                # their own ``:tenant:<idx>:*`` streams; the classic
-                # interleaved ``:tenant:<idx>`` streams are never opened.
-                self._bursts = []
-            else:
-                self._bursts = [
-                    _BurstProcess(
-                        self._tenants[index],
-                        shape,
-                        simulator.streams.stream(f"workload:{name}:tenant:{index}"),
-                        f"{name}:tenant-burst:{index}",
-                    )
-                    for index, shape in sorted(tenant_spec.load_shape_overrides.items())
-                ]
-            self._issue: Callable[[], None] = self._issue_one_tenant
-        else:
-            self.population = None
-            self._tenant_rng = None
-            self._tenants = []
-            self._bursts = []
-            self._issue = self._issue_one
-
-        # Vectorized open-loop mode: each draw type on its own dedicated
-        # stream, consumed in chunks.  Binding instance attributes here (the
-        # issue callable and a shadowing `_schedule_next_arrival`) keeps the
-        # classic path's code shape untouched when the mode is off.
-        if self.spec.open_loop:
-            chunk = self._OPEN_LOOP_CHUNK
-            gap_rng = simulator.streams.stream(f"workload:{name}:gap")
-            mix_rng = simulator.streams.stream(f"workload:{name}:mix")
-            key_rng = simulator.streams.stream(f"workload:{name}:key")
-            size_rng = simulator.streams.stream(f"workload:{name}:size")
-            self._gap_draws = _ChunkedDraws(
-                lambda: gap_rng.exponential(1.0, size=chunk)
+            main_issuer = None
+            burst_shapes = tenant_spec.load_shape_overrides
+            # The tenant pick is the only extra draw of a main arrival, on
+            # its own stream; kind/key/size stay exactly where a tenantless
+            # run draws them.
+            tenant_rng = streams.stream(f"{base}:tenant")
+            self._tenant_pick: Callable[[], float] = (
+                _chunked(lambda: tenant_rng.random(_CHUNK))
+                if spec.open_loop
+                else tenant_rng.random
             )
-            self._mix_draws = _ChunkedDraws(lambda: mix_rng.random(chunk))
-            self._key_draws = _ChunkedDraws(
-                lambda: self._distribution.next_indices(key_rng, chunk)
+        self._main = _ArrivalProcess(
+            spec.load_shape, spec.min_rate, draw_source(base), main_issuer, f"{name}:arrival"
+        )
+        # A burst has no rate floor: while its shape is quiescent it idles.
+        self._bursts = [
+            _ArrivalProcess(
+                shape,
+                0.0,
+                draw_source(f"{base}:tenant:{index}"),
+                self._issuers[index],
+                f"{name}:tenant-burst:{index}",
             )
-            self._size_draws = _ChunkedDraws(
-                lambda: self._sizer.next_sizes(size_rng, chunk)
-            )
-            self._issue = self._issue_one_open
-            self._schedule_next_arrival = self._schedule_next_arrival_open
-            if self.population is not None:
-                # Tenant dimension on top of open-loop arrivals: the main
-                # process keeps the exact tenantless draw sequences above
-                # (rule 3 — nothing reordered), the tenant pick is chunked
-                # on its dedicated ``:tenant`` stream, and each burst
-                # override gets four chunked streams of its own.
-                tenant_rng = self._tenant_rng
-                self._tenant_draws = _ChunkedDraws(lambda: tenant_rng.random(chunk))
-                self._bursts = [
-                    _OpenLoopBurst(
-                        self._tenants[index],
-                        shape,
-                        f"{name}:tenant-burst:{index}",
-                        *self._make_burst_draws(index),
-                    )
-                    for index, shape in sorted(
-                        tenant_spec.load_shape_overrides.items()
-                    )
-                ]
-                self._issue = self._issue_one_open_tenant
-                self._schedule_burst = self._schedule_burst_open
+            for index, shape in sorted(burst_shapes.items())
+        ]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -633,47 +614,18 @@ class WorkloadGenerator:
         """Insert the initial data set directly into the cluster."""
         if not self.spec.preload:
             return 0
-        if self.population is not None:
-            return self._preload_tenants()
-        count = int(self.spec.record_count * self.spec.preload_fraction)
-        # Sizes are the only draws on the workload stream during preload, so
-        # the whole batch is drawn in one chunk — bitwise-equal to the old
-        # per-record loop (single-consumer stream; see PERFORMANCE.MD).
-        drawn = self._sizer.next_sizes(self._rng, count).tolist()
+        per_issuer = int(self._records_per_issuer * self.spec.preload_fraction)
         key_for = self._distribution.key_for
-        prefix = self._key_prefix
-        items: Dict[str, bytes] = {}
-        sizes: Dict[str, int] = {}
-        for index, size in enumerate(drawn):
-            key = key_for(index, prefix)
-            items[key] = b"\x00" * min(size, 64)
-            sizes[key] = size
-        return self._cluster.preload(items, sizes)
-
-    def _preload_tenants(self) -> int:
-        """Preload every tenant's key space (tenant mode only).
-
-        All record sizes are still drawn in one chunk on the base workload
-        stream — sizes are its only consumer at preload time, exactly like
-        the tenantless path.
-        """
-        per_tenant = int(
-            self.spec.tenants.records_per_tenant * self.spec.preload_fraction
-        )
-        total = per_tenant * len(self._tenants)
-        drawn = self._sizer.next_sizes(self._rng, total).tolist()
-        key_for = self._distribution.key_for
-        items: Dict[str, bytes] = {}
-        sizes: Dict[str, int] = {}
-        cursor = 0
-        for runtime in self._tenants:
-            prefix = runtime.key_prefix
-            for index in range(per_tenant):
-                size = drawn[cursor]
-                cursor += 1
-                key = key_for(index, prefix)
-                items[key] = b"\x00" * min(size, 64)
-                sizes[key] = size
+        keys = [
+            key_for(index, issuer.key_prefix)
+            for issuer in self._issuers
+            for index in range(per_issuer)
+        ]
+        # Sizes are the only draws on the base stream during preload, so the
+        # whole batch is drawn in one chunk — bitwise-equal to a per-record
+        # loop (single-consumer stream; see PERFORMANCE.md).
+        sizes = dict(zip(keys, self._sizer.next_sizes(self._rng, len(keys)).tolist()))
+        items = {key: b"\x00" * min(size, 64) for key, size in sizes.items()}
         return self._cluster.preload(items, sizes)
 
     def start(self) -> None:
@@ -681,9 +633,8 @@ class WorkloadGenerator:
         if self._running:
             return
         self._running = True
-        self._schedule_next_arrival()
-        for burst in self._bursts:
-            self._schedule_burst(burst)
+        for process in (self._main, *self._bursts):
+            self._schedule(process)
         self._simulator.call_every(
             10.0,
             self._sample_offered_rate,
@@ -696,256 +647,71 @@ class WorkloadGenerator:
         self._running = False
 
     # ------------------------------------------------------------------
-    # Arrival process
+    # Arrival processes
     # ------------------------------------------------------------------
     def current_rate(self) -> float:
-        """The target arrival rate right now (ops/second)."""
-        return max(self.spec.min_rate, self.spec.load_shape.rate(self._simulator.now))
+        """The main process's target arrival rate right now (ops/second)."""
+        return self._main.rate(self._simulator.now)
 
-    def _schedule_next_arrival(self) -> None:
+    def _schedule(self, process: _ArrivalProcess) -> None:
         if not self._running:
             return
-        rate = self.current_rate()
-        gap = float(self._rng.exponential(1.0 / rate))
-        self._simulator.schedule_in(gap, self._arrival, label=self._arrival_label)
-
-    def _arrival(self) -> None:
-        if not self._running:
-            return
-        self._issue()
-        self._schedule_next_arrival()
-
-    def _issue_one(self) -> None:
-        rng = self._rng
-        distribution = self._distribution
-        stats = self.stats
-        kind = self._mix.choose(rng)
-        if kind == "read":
-            index = distribution.next_index(rng)
-            key = distribution.key_for(index, self._key_prefix)
-            stats.reads_issued += 1
-            self._cluster.read(
-                key, on_complete=stats.record_read, hints=self._read_hints
-            )
-            return
-        if kind == "insert":
-            index = self._next_record_index
-            self._next_record_index += 1
-            distribution.grow(self._next_record_index)
-            hints = self._insert_hints
-        else:
-            index = distribution.next_index(rng)
-            hints = self._update_hints
-        key = distribution.key_for(index, self._key_prefix)
-        size = self._sizer.next_size(rng)
-        stats.writes_issued += 1
-        self._cluster.write(
-            key,
-            value=b"\x00" * min(size, 64),
-            size=size,
-            on_complete=stats.record_write,
-            hints=hints,
-        )
-
-    # ------------------------------------------------------------------
-    # Vectorized open-loop mode (new streams only; see PERFORMANCE.md)
-    # ------------------------------------------------------------------
-    #: Draws pre-fetched per stream refill; large enough to amortise the
-    #: numpy call, small enough not to matter for memory.
-    _OPEN_LOOP_CHUNK = 4096
-
-    def _schedule_next_arrival_open(self) -> None:
-        """Open-loop arrival scheduling from chunked unit-exponential gaps.
-
-        A unit exponential divided by the current rate has exactly the
-        ``Exponential(1/rate)`` distribution the scalar path draws, while
-        keeping the ``:gap`` stream single-consumer and therefore chunkable.
-        """
-        if not self._running:
-            return
-        rate = self.current_rate()
-        gap = float(self._gap_draws.next()) / rate
-        self._simulator.schedule_in(gap, self._arrival, label=self._arrival_label)
-
-    def _issue_one_open(self) -> None:
-        """One arrival with all randomness consumed from chunked buffers."""
-        stats = self.stats
-        distribution = self._distribution
-        kind = self._mix.kind_for(float(self._mix_draws.next()))
-        if kind == "read":
-            index = int(self._key_draws.next())
-            key = distribution.key_for(index, self._key_prefix)
-            stats.reads_issued += 1
-            self._cluster.read(
-                key, on_complete=stats.record_read, hints=self._read_hints
-            )
-            return
-        if kind == "insert":
-            index = self._next_record_index
-            self._next_record_index += 1
-            distribution.grow(self._next_record_index)
-            hints = self._insert_hints
-        else:
-            index = int(self._key_draws.next())
-            hints = self._update_hints
-        key = distribution.key_for(index, self._key_prefix)
-        size = int(self._size_draws.next())
-        stats.writes_issued += 1
-        self._cluster.write(
-            key,
-            value=b"\x00" * min(size, 64),
-            size=size,
-            on_complete=stats.record_write,
-            hints=hints,
-        )
-
-    def _make_burst_draws(self, index: int):
-        """Chunked draw buffers for one open-loop burst's four streams."""
-        chunk = self._OPEN_LOOP_CHUNK
-        streams = self._simulator.streams
-        base = f"workload:{self.name}:tenant:{index}"
-        gap_rng = streams.stream(f"{base}:gap")
-        mix_rng = streams.stream(f"{base}:mix")
-        key_rng = streams.stream(f"{base}:key")
-        size_rng = streams.stream(f"{base}:size")
-        return (
-            _ChunkedDraws(lambda: gap_rng.exponential(1.0, size=chunk)),
-            _ChunkedDraws(lambda: mix_rng.random(chunk)),
-            _ChunkedDraws(lambda: self._distribution.next_indices(key_rng, chunk)),
-            _ChunkedDraws(lambda: self._sizer.next_sizes(size_rng, chunk)),
-        )
-
-    def _issue_one_open_tenant(self) -> None:
-        """One open-loop main-process arrival in tenant mode.
-
-        The tenant pick is the only extra draw, chunked on the dedicated
-        ``:tenant`` stream; kind/key/size stay on the shared open-loop
-        streams in exactly the tenantless order.
-        """
-        u = float(self._tenant_draws.next())
-        runtime = self._tenants[self.population.choose_index(u)]
-        self._issue_for_open(
-            runtime, self._mix_draws, self._key_draws, self._size_draws
-        )
-
-    def _issue_for_open(
-        self,
-        runtime: _TenantRuntime,
-        mix_draws: _ChunkedDraws,
-        key_draws: _ChunkedDraws,
-        size_draws: _ChunkedDraws,
-    ) -> None:
-        """Issue one operation for ``runtime``'s tenant from chunked buffers.
-
-        Mirrors :meth:`_issue_for` (same draw pattern per operation kind, so
-        the shared streams see the tenantless sequence) with the classic
-        tenant-insert semantics: the tenant's private key space grows, the
-        shared popularity distribution does not.
-        """
-        distribution = self._distribution
-        stats = self.stats
-        entry = runtime.stats
-        kind = self._mix.kind_for(float(mix_draws.next()))
-        if kind == "read":
-            index = int(key_draws.next())
-            key = distribution.key_for(index, runtime.key_prefix)
-            stats.reads_issued += 1
-            entry.reads_issued += 1
-            self._cluster.read(
-                key, on_complete=stats.record_read, hints=runtime.read_hints
-            )
-            return
-        if kind == "insert":
-            index = runtime.next_record_index
-            runtime.next_record_index += 1
-            hints = runtime.insert_hints
-        else:
-            index = int(key_draws.next())
-            hints = runtime.update_hints
-        key = distribution.key_for(index, runtime.key_prefix)
-        size = int(size_draws.next())
-        stats.writes_issued += 1
-        entry.writes_issued += 1
-        self._cluster.write(
-            key,
-            value=b"\x00" * min(size, 64),
-            size=size,
-            on_complete=stats.record_write,
-            hints=hints,
-        )
-
-    def _schedule_burst_open(self, burst: _OpenLoopBurst) -> None:
-        if not self._running:
-            return
-        rate = burst.shape.rate(self._simulator.now)
+        simulator = self._simulator
+        rate = process.rate(simulator.now)
         if rate <= 1e-9:
-            # Quiescent shape: poll without consuming any burst stream,
-            # exactly like the classic burst path.
-            self._simulator.schedule_in(
-                self._BURST_IDLE_POLL,
-                self._burst_tick_open,
-                burst,
-                False,
-                label=burst.label,
+            # Quiescent (e.g. a flash crowd before its spike): poll
+            # deterministically without consuming a draw.
+            simulator.schedule_in(
+                _IDLE_POLL, self._tick, process, False, label=process.label
             )
             return
-        gap = float(burst.gap_draws.next()) / rate
-        self._simulator.schedule_in(
-            gap, self._burst_tick_open, burst, True, label=burst.label
+        simulator.schedule_in(
+            process.draws.gap(rate), self._tick, process, True, label=process.label
         )
 
-    def _burst_tick_open(self, burst: _OpenLoopBurst, issue: bool) -> None:
+    def _tick(self, process: _ArrivalProcess, issue: bool) -> None:
         if not self._running:
             return
         if issue:
-            self._issue_for_open(
-                burst.runtime, burst.mix_draws, burst.key_draws, burst.size_draws
-            )
-        self._schedule_burst_open(burst)
+            issuer = process.issuer
+            if issuer is None:
+                issuer = self._issuers[self.population.choose_index(self._tenant_pick())]
+            self._issue(issuer, process.draws)
+        self._schedule(process)
 
-    # ------------------------------------------------------------------
-    # Tenant mode (new streams only; see PERFORMANCE.md rule 3)
-    # ------------------------------------------------------------------
-    def _issue_one_tenant(self) -> None:
-        """One main-process arrival in tenant mode.
+    def _issue(self, issuer: _Issuer, draws) -> None:
+        """Draw and issue one operation on behalf of ``issuer``.
 
-        The tenant choice is the only extra draw and it happens on the
-        dedicated ``workload:<name>:tenant`` stream; kind/key/size draws stay
-        on the base stream, matching the tenantless interleaving.
+        The draw order per operation kind (kind; key unless inserting; size
+        when writing) is what the seed-pinned bitstream depends on.
         """
-        u = float(self._tenant_rng.random())
-        runtime = self._tenants[self.population.choose_index(u)]
-        self._issue_for(runtime, self._rng)
-
-    def _issue_for(self, runtime: _TenantRuntime, rng) -> None:
-        """Issue one operation on behalf of ``runtime``'s tenant."""
         distribution = self._distribution
         stats = self.stats
-        entry = runtime.stats
-        kind = self._mix.choose(rng)
+        entry = issuer.stats
+        kind = draws.kind()
         if kind == "read":
-            index = distribution.next_index(rng)
-            key = distribution.key_for(index, runtime.key_prefix)
+            key = distribution.key_for(draws.key_index(), issuer.key_prefix)
             stats.reads_issued += 1
-            entry.reads_issued += 1
+            if entry is not None:
+                entry.reads_issued += 1
             self._cluster.read(
-                key, on_complete=stats.record_read, hints=runtime.read_hints
+                key, on_complete=stats.record_read, hints=issuer.read_hints
             )
             return
         if kind == "insert":
-            # Inserts extend the tenant's private key space; the shared
-            # popularity distribution deliberately does not grow — it spans
-            # one tenant's *initial* key space for every tenant alike.
-            index = runtime.next_record_index
-            runtime.next_record_index += 1
-            hints = runtime.insert_hints
+            index = issuer.next_record_index
+            issuer.next_record_index = index + 1
+            if issuer.owns_distribution:
+                distribution.grow(index + 1)
+            hints = issuer.insert_hints
         else:
-            index = distribution.next_index(rng)
-            hints = runtime.update_hints
-        key = distribution.key_for(index, runtime.key_prefix)
-        size = self._sizer.next_size(rng)
+            index = draws.key_index()
+            hints = issuer.update_hints
+        key = distribution.key_for(index, issuer.key_prefix)
+        size = draws.size()
         stats.writes_issued += 1
-        entry.writes_issued += 1
+        if entry is not None:
+            entry.writes_issued += 1
         self._cluster.write(
             key,
             value=b"\x00" * min(size, 64),
@@ -953,35 +719,8 @@ class WorkloadGenerator:
             on_complete=stats.record_write,
             hints=hints,
         )
-
-    _BURST_IDLE_POLL = 1.0
-
-    def _schedule_burst(self, burst: _BurstProcess) -> None:
-        if not self._running:
-            return
-        rate = burst.shape.rate(self._simulator.now)
-        if rate <= 1e-9:
-            # The shape is quiescent (e.g. a flash crowd before its spike):
-            # poll deterministically without consuming the burst stream.
-            self._simulator.schedule_in(
-                self._BURST_IDLE_POLL, self._burst_tick, burst, False, label=burst.label
-            )
-            return
-        gap = float(burst.rng.exponential(1.0 / rate))
-        self._simulator.schedule_in(
-            gap, self._burst_tick, burst, True, label=burst.label
-        )
-
-    def _burst_tick(self, burst: _BurstProcess, issue: bool) -> None:
-        if not self._running:
-            return
-        if issue:
-            self._issue_for(burst.runtime, burst.rng)
-        self._schedule_burst(burst)
 
     def _sample_offered_rate(self) -> None:
-        rate = self.current_rate()
-        if self._bursts:
-            now = self._simulator.now
-            rate += sum(burst.shape.rate(now) for burst in self._bursts)
-        self.stats.offered_rate_series.record(self._simulator.now, rate)
+        now = self._simulator.now
+        rate = self.current_rate() + sum(burst.shape.rate(now) for burst in self._bursts)
+        self.stats.offered_rate_series.record(now, rate)

@@ -54,10 +54,10 @@ class OperationMix:
         """Map a uniform draw in ``[0, 1)`` to an operation kind.
 
         Same thresholds as :meth:`choose`, but the caller supplies the
-        uniform — this is how the vectorized open-loop arrival path consumes
-        chunked draws from its dedicated ``:mix`` stream.  Kept separate from
-        :meth:`choose` (rather than delegating) so the classic scalar path
-        pays no extra call frame.
+        uniform — this is how the generator's chunked draw source consumes
+        draws from its dedicated ``:mix`` stream.  Kept separate from
+        :meth:`choose` (rather than delegating) so the interleaved scalar
+        path pays no extra call frame.
         """
         if draw < self.read_fraction:
             return "read"

@@ -6,40 +6,14 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, NodeConfig
-from repro.monitoring import MetricsCollector, MetricsConfig, P2QuantileEstimator, WindowedPercentiles
+from repro.monitoring import MetricsCollector, MetricsConfig, WindowedPercentiles
 from repro.simulation import Simulator
 from repro.workload import BALANCED, ConstantLoad, WorkloadGenerator, WorkloadSpec
 
 
 # ----------------------------------------------------------------------
-# P2 quantile estimator
+# Windowed percentiles
 # ----------------------------------------------------------------------
-def test_p2_estimator_approximates_true_quantile():
-    rng = np.random.default_rng(1)
-    samples = rng.exponential(1.0, size=20_000)
-    estimator = P2QuantileEstimator(0.95)
-    for sample in samples:
-        estimator.observe(float(sample))
-    true_p95 = float(np.percentile(samples, 95))
-    assert estimator.value() == pytest.approx(true_p95, rel=0.1)
-    assert estimator.count == 20_000
-
-
-def test_p2_estimator_small_sample_exact():
-    estimator = P2QuantileEstimator(0.5)
-    for value in (5.0, 1.0, 3.0):
-        estimator.observe(value)
-    assert estimator.value() == pytest.approx(3.0)
-    assert P2QuantileEstimator(0.5).value() == 0.0
-
-
-def test_p2_estimator_validation():
-    with pytest.raises(ValueError):
-        P2QuantileEstimator(0.0)
-    with pytest.raises(ValueError):
-        P2QuantileEstimator(1.0)
-
-
 def test_windowed_percentiles_basic():
     window = WindowedPercentiles(window=100)
     window.observe_many(float(i) for i in range(1, 101))

@@ -11,7 +11,7 @@ from repro.cluster import ConsistencyLevel, HashRing, StorageEngine, VersionStam
 from repro.cluster.versioning import compare_versions
 from repro.consistency import StalenessModel
 from repro.core.forecasting import EwmaForecaster, HoltWintersForecaster
-from repro.monitoring import P2QuantileEstimator, WindowedPercentiles
+from repro.monitoring import WindowedPercentiles
 from repro.simulation import TimeSeries
 from repro.workload import ZipfianKeys, make_distribution
 
@@ -137,14 +137,6 @@ def test_windowed_percentiles_bounded_by_min_max(values):
     window.observe_many(values)
     for q in (0, 50, 95, 100):
         assert min(values) - 1e-9 <= window.percentile(q) <= max(values) + 1e-9
-
-
-@given(values=st.lists(st.floats(min_value=0.0, max_value=1e3, allow_nan=False), min_size=30, max_size=400))
-def test_p2_estimator_stays_within_range(values):
-    estimator = P2QuantileEstimator(0.9)
-    for value in values:
-        estimator.observe(value)
-    assert min(values) - 1e-9 <= estimator.value() <= max(values) + 1e-9
 
 
 # ----------------------------------------------------------------------

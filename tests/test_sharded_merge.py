@@ -297,19 +297,19 @@ def test_open_loop_accepts_tenant_populations():
     assert spec.open_loop and spec.tenants is not None
 
 
-def test_open_loop_differs_from_closed_loop_but_same_magnitude():
-    closed = Simulation(
+def test_chunked_draws_differ_from_interleaved_but_same_magnitude():
+    interleaved = Simulation(
         short_config(seed=21, duration=60.0,
                      workload=WorkloadSpec(record_count=1_500,
                                            load_shape=ConstantLoad(80.0)))
     ).run()
-    open_ = Simulation(open_loop_config()).run()
-    closed_issued = closed.workload_summary["operations_issued"]
-    open_issued = open_.workload_summary["operations_issued"]
+    chunked = Simulation(open_loop_config()).run()
+    interleaved_issued = interleaved.workload_summary["operations_issued"]
+    chunked_issued = chunked.workload_summary["operations_issued"]
     # Same offered rate, different (dedicated) streams: the realised counts
     # differ but both track rate * duration.
-    assert open_issued != closed_issued
-    assert open_issued == pytest.approx(closed_issued, rel=0.15)
+    assert chunked_issued != interleaved_issued
+    assert chunked_issued == pytest.approx(interleaved_issued, rel=0.15)
 
 
 def test_sharded_open_loop_end_to_end():

@@ -87,3 +87,20 @@ def test_bundle_lazily_creates_series():
     assert bundle.get("missing") is None
     summaries = bundle.summaries()
     assert summaries["b"].count == 1
+
+
+def test_float_buffer_grows_reads_and_drains():
+    from repro.simulation.timeseries import FloatBuffer
+
+    buffer = FloatBuffer(initial_capacity=2)
+    for value in range(5):  # crosses two doublings
+        buffer.append(float(value))
+    assert len(buffer) == 5
+    # as_array reads without consuming ...
+    assert buffer.as_array().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert len(buffer) == 5
+    # ... drain reads and resets, and the buffer is reusable afterwards.
+    assert buffer.drain().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert len(buffer) == 0 and buffer.as_array().shape == (0,)
+    buffer.append(7.0)
+    assert buffer.as_array().tolist() == [7.0]

@@ -191,12 +191,46 @@ def test_inserts_extend_the_key_space():
         ClusterConfig(initial_nodes=3, replication_factor=3, node=NodeConfig(ops_capacity=2000.0)),
     )
     spec = WorkloadSpec(record_count=50, operation_mix=insert_mix, load_shape=ConstantLoad(100.0))
+    written, read = [], []
+    real_write, real_read = cluster.write, cluster.read
+
+    def recording_write(key, **kwargs):
+        written.append(int(key[len("user"):]))
+        real_write(key, **kwargs)
+
+    def recording_read(key, **kwargs):
+        read.append(int(key[len("user"):]))
+        real_read(key, **kwargs)
+
+    cluster.write, cluster.read = recording_write, recording_read
     generator = WorkloadGenerator(simulator, cluster, spec)
     generator.preload()
     generator.start()
     simulator.run_until(10.0)
-    assert generator._next_record_index > 50
-    assert generator.stats.writes_issued > 0
+    # With no updates in the mix every write is an insert: each takes the
+    # next unused record index, starting right after the preloaded 50.
+    assert generator.stats.writes_issued == len(written) > 0
+    assert written == list(range(50, 50 + len(written)))
+    # The popularity distribution grows with them, so reads reach new records.
+    assert max(read) >= 50
+    assert all(index < 50 + len(written) for index in read)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("min_rate", 0.0),
+        ("min_rate", -1.0),
+        ("min_rate", float("nan")),
+        ("preload_fraction", -0.1),
+        ("preload_fraction", 1.5),
+    ],
+)
+def test_spec_rejects_unusable_rates_at_build_time(field, value):
+    # A zero floor under a shape that touches 0 ops/s used to construct fine
+    # and then die in start() with a bare ZeroDivisionError.
+    with pytest.raises(ValueError, match=field):
+        WorkloadSpec(load_shape=ConstantLoad(0.0), **{field: value})
 
 
 def test_offered_rate_sampling_and_current_rate():

@@ -147,25 +147,58 @@ def make_tenant_generator(simulator, tenants=8, rate=100.0, overrides=None):
     return cluster, WorkloadGenerator(simulator, cluster, spec)
 
 
+def _next_draw(simulator, name):
+    return float(simulator.streams.stream(name).random())
+
+
 def test_tenant_draws_use_new_named_streams():
     """PERFORMANCE.md rule 3: tenant stochastic choices live on new streams."""
-    simulator = Simulator(seed=42)
-    _cluster, generator = make_tenant_generator(
-        simulator, tenants=8, overrides={3: FlashCrowdLoad(0.0, 50.0, 10.0, 5.0, 20.0, 5.0)}
-    )
-    # The tenant pick draws from the dedicated stream, not the base one.
-    assert generator._tenant_rng is simulator.streams.stream("workload:workload:tenant")
-    assert generator._tenant_rng is not simulator.streams.stream("workload:workload")
-    # Each burst override owns its own per-index stream.
-    assert len(generator._bursts) == 1
-    assert generator._bursts[0].rng is simulator.streams.stream(
-        "workload:workload:tenant:3"
-    )
+    pick, burst = "workload:workload:tenant", "workload:workload:tenant:3"
+    fresh = Simulator(seed=42)
+    untouched = {name: _next_draw(fresh, name) for name in (pick, burst)}
+
+    def run(until):
+        simulator = Simulator(seed=42)
+        _cluster, generator = make_tenant_generator(
+            simulator,
+            tenants=8,
+            overrides={3: FlashCrowdLoad(0.0, 50.0, 10.0, 5.0, 20.0, 5.0)},
+        )
+        before = set(simulator.streams.known_streams())
+        generator.preload()
+        generator.start()
+        simulator.run_until(until)
+        generator.stop()
+        return simulator, before
+
+    # Both streams exist as soon as the generator does, and running opens no
+    # further workload stream: the burst owns one interleaved per-index
+    # stream, not the chunked mode's four.
+    simulator, before = run(5.0)
+    assert {pick, burst} <= before
+    opened = set(simulator.streams.known_streams())
+    assert {name for name in opened if name.startswith("workload:")} == {
+        "workload:workload",
+        pick,
+        burst,
+    }
+    # The tenant pick draws from its dedicated stream; the burst, still
+    # quiescent before its spike at t=10, has polled without drawing.
+    assert _next_draw(simulator, pick) != untouched[pick]
+    assert _next_draw(simulator, burst) == untouched[burst]
+    # Once the spike starts the burst draws from its own stream.
+    simulator, _before = run(15.0)
+    assert _next_draw(simulator, burst) != untouched[burst]
+
     # A tenantless generator opens none of them.
     plain_sim = Simulator(seed=42)
     _c, plain = make_plain_generator(plain_sim)
-    assert plain._tenant_rng is None
-    assert plain._bursts == []
+    plain.preload()
+    plain.start()
+    plain_sim.run_until(5.0)
+    assert not any(":tenant" in name for name in plain_sim.streams.known_streams())
+    assert plain.population is None
+    assert plain.stats.tenant_stats is None
 
 
 def make_plain_generator(simulator, rate=100.0):
