@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..middleware import (
     DEFAULT_REQUEST_PIPELINE,
@@ -152,7 +152,9 @@ class Cluster:
         self._replication_factor = self.config.replication_factor
         self._read_consistency = self.config.read_consistency
         self._write_consistency = self.config.write_consistency
-        self._known_keys: Set[str] = set()
+        # Insertion-ordered (a dict, not a set): anti-entropy samples and join
+        # catch-up index into this, so its order must not depend on str hashing.
+        self._known_keys: Dict[str, None] = {}
         self._known_keys_cache: Tuple[str, ...] = ()
         self._known_keys_dirty = False
         self._rng = simulator.streams.stream("cluster")
@@ -221,7 +223,7 @@ class Cluster:
         self, key: str, stamp: VersionStamp, ack_time: float, replica_set: Sequence[str]
     ) -> None:
         if key not in self._known_keys:
-            self._known_keys.add(key)
+            self._known_keys[key] = None
             self._known_keys_dirty = True
         for listener in self._listeners:
             listener.on_write_acked(key, stamp, ack_time, replica_set)
@@ -437,7 +439,7 @@ class Cluster:
                 if node is not None and node.is_up:
                     node.storage.apply(key, version)
             self.coordinator.acked_registry.record_ack(key, stamp, now)
-            self._known_keys.add(key)
+            self._known_keys[key] = None
             loaded += 1
         self._known_keys_dirty = True
         return loaded
@@ -456,15 +458,11 @@ class Cluster:
         return node is not None and node.is_up
 
     def _sample_keys(self, count: int) -> Sequence[str]:
-        if self._known_keys_dirty or not self._known_keys_cache:
-            self._known_keys_cache = tuple(self._known_keys)
-            self._known_keys_dirty = False
-        if not self._known_keys_cache:
-            return ()
-        if count >= len(self._known_keys_cache):
-            return self._known_keys_cache
-        indexes = self._rng.choice(len(self._known_keys_cache), size=count, replace=False)
-        return tuple(self._known_keys_cache[int(i)] for i in indexes)
+        keys = self._sample_all_keys()
+        if count >= len(keys):
+            return keys
+        indexes = self._rng.choice(len(keys), size=count, replace=False)
+        return tuple(keys[int(i)] for i in indexes)
 
     def replica_versions(self, key: str) -> Dict[str, Optional[VersionedValue]]:
         """Versions of ``key`` held by its current replica set (None = missing)."""

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,3 +255,43 @@ def test_sharded_fault_merge_is_order_independent():
     # Every event is tagged with the shard that executed it.
     shards_seen = {event["shard"] for event in merged["events"]}
     assert shards_seen <= {0, 1}
+
+
+# ----------------------------------------------------------------------
+# Reports must not depend on str hashing
+# ----------------------------------------------------------------------
+_HASH_ORDER_PROBE = """
+import hashlib, json
+from repro.cluster import FaultPlan
+from repro.runner import Simulation, SimulationConfig
+
+simulation = Simulation(
+    SimulationConfig(
+        seed=7, duration=240.0, faults=FaultPlan.gray_failure_campaign(29, 240.0)
+    )
+)
+report = simulation.run()
+repairs = simulation.cluster.anti_entropy.repairs_sent
+assert repairs > 0, "no anti-entropy repair: the sampled keys were never used"
+blob = json.dumps([report.as_dict(), repairs], sort_keys=True, default=repr)
+print(hashlib.sha256(blob.encode()).hexdigest())
+"""
+
+
+def test_report_is_independent_of_pythonhashseed():
+    """Anti-entropy samples and join catch-up index into the cluster's known
+    keys; kept in a ``set`` their order, and with it the report, moved with
+    ``PYTHONHASHSEED``."""
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _HASH_ORDER_PROBE],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": source},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for hash_seed in ("1", "12345")
+    ]
+    digests = [run.communicate(timeout=120)[0].strip() for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert digests[0] and digests[0] == digests[1]
