@@ -13,7 +13,6 @@ from .errors import (
     ClusterError,
     ConfigurationError,
     TopologyError,
-    UnavailableError,
     UnknownNodeError,
 )
 from .faults import FAULT_KINDS, FaultEvent, FaultInjector, FaultPlan, FaultSpec
@@ -41,7 +40,6 @@ __all__ = [
     "ClusterError",
     "ConfigurationError",
     "TopologyError",
-    "UnavailableError",
     "UnknownNodeError",
     "ConsistencyLevel",
     "NodeState",

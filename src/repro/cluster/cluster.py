@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..middleware import (
     DEFAULT_REQUEST_PIPELINE,
+    TENANT_HINT,
     MiddlewareBuildContext,
     MiddlewarePipeline,
     build_pipeline,
@@ -40,10 +41,20 @@ from .node import NodeConfig, StorageNode
 from .read_repair import ReadRepairConfig, ReadRepairer
 from .rebalance import DataStreamer, StreamingConfig, StreamSession
 from .ring import HashRing
-from .types import ConsistencyLevel, OperationType, ReadResult, WriteResult
+from .types import (
+    ConsistencyLevel,
+    OperationResult,
+    OperationType,
+    ReadResult,
+    WriteResult,
+)
 from .versioning import VersionStamp, VersionedValue, compare_versions
 
 __all__ = ["ClusterConfig", "Cluster", "ClusterListener"]
+
+
+def _discard(result: OperationResult) -> None:
+    """Completion callback for a caller that does not want the result."""
 
 
 @dataclass
@@ -201,6 +212,11 @@ class Cluster:
             params=self.config.middleware_params,
         )
         self.coordinator.set_pipeline(self.pipeline)
+        self._preferred_coordinator = (
+            self.pipeline.preferred_coordinator
+            if self.pipeline.implements("preferred_coordinator")
+            else None
+        )
 
         for _ in range(self.config.initial_nodes):
             self._create_node(initial=True)
@@ -214,10 +230,6 @@ class Cluster:
     def add_listener(self, listener: ClusterListener) -> None:
         """Register an observer of cluster events."""
         self._listeners.append(listener)
-
-    def remove_listener(self, listener: ClusterListener) -> None:
-        """Unregister an observer."""
-        self._listeners = [entry for entry in self._listeners if entry is not listener]
 
     def _handle_write_acked(
         self, key: str, stamp: VersionStamp, ack_time: float, replica_set: Sequence[str]
@@ -292,10 +304,6 @@ class Cluster:
         """Number of nodes currently up (including joining/leaving)."""
         return sum(1 for node in self.nodes.values() if node.is_up)
 
-    def ring_node_count(self) -> int:
-        """Number of nodes owning ranges on the ring."""
-        return self.ring.size
-
     # ------------------------------------------------------------------
     # Configuration state
     # ------------------------------------------------------------------
@@ -323,8 +331,8 @@ class Cluster:
             return None
         # Coordinator choice is a pipeline decision when an RTT-aware routing
         # stage is installed; plain round-robin otherwise.
-        if self.pipeline.prefers_coordinator:
-            preferred = self.pipeline.preferred_coordinator(serving)
+        if self._preferred_coordinator is not None:
+            preferred = self._preferred_coordinator(serving)
             if preferred is not None:
                 return preferred
         self._coordinator_cursor = (self._coordinator_cursor + 1) % len(serving)
@@ -347,32 +355,7 @@ class Cluster:
         reads them they are carried but ignored.
         """
         level = consistency_level or self._write_consistency
-        coordinator_id = self._pick_coordinator()
-        callback = on_complete or (lambda result: None)
-        if coordinator_id is None:
-            result = WriteResult(
-                key=key,
-                operation=operation,
-                issued_at=self._simulator.now,
-                completed_at=self._simulator.now,
-                success=False,
-                error="no serving nodes",
-                consistency_level=level,
-            )
-            self._handle_operation_completed(result)
-            callback(result)
-            return
-        self.coordinator.execute_write(
-            key,
-            value,
-            coordinator_id,
-            self._replication_factor,
-            level,
-            on_complete=callback,
-            operation=operation,
-            size=size,
-            hints=hints,
-        )
+        self._submit(False, key, level, on_complete, operation, hints, value, size)
 
     def read(
         self,
@@ -388,30 +371,52 @@ class Cluster:
         (see :meth:`write`).
         """
         level = consistency_level or self._read_consistency
+        self._submit(True, key, level, on_complete, operation, hints)
+
+    def _submit(
+        self,
+        is_read: bool,
+        key: str,
+        level: ConsistencyLevel,
+        on_complete: Optional[Callable[[OperationResult], None]],
+        operation: OperationType,
+        hints: Optional[Mapping[str, object]],
+        value: bytes = b"",
+        size: Optional[int] = None,
+    ) -> None:
+        """The front door of every client operation: hand it to a coordinator,
+        or fail it here when no node serves requests."""
+        callback = on_complete or _discard
         coordinator_id = self._pick_coordinator()
-        callback = on_complete or (lambda result: None)
-        if coordinator_id is None:
-            result = ReadResult(
-                key=key,
-                operation=operation,
-                issued_at=self._simulator.now,
-                completed_at=self._simulator.now,
-                success=False,
-                error="no serving nodes",
-                consistency_level=level,
+        if coordinator_id is not None:
+            self.coordinator.execute(
+                is_read,
+                key,
+                coordinator_id,
+                self._replication_factor,
+                level,
+                callback,
+                operation,
+                hints,
+                value,
+                size,
             )
-            self._handle_operation_completed(result)
-            callback(result)
             return
-        self.coordinator.execute_read(
-            key,
-            coordinator_id,
-            self._replication_factor,
-            level,
-            on_complete=callback,
+        now = self._simulator.now
+        result = (ReadResult if is_read else WriteResult)(
+            key=key,
             operation=operation,
-            hints=hints,
+            issued_at=now,
+            completed_at=now,
+            success=False,
+            error="no serving nodes",
+            consistency_level=level,
         )
+        if hints is not None:
+            # Per-tenant accounting must see the outage too.
+            result.tenant = hints.get(TENANT_HINT)
+        self._handle_operation_completed(result)
+        callback(result)
 
     def preload(self, items: Dict[str, bytes], sizes: Optional[Dict[str, int]] = None) -> int:
         """Load records directly into every replica, bypassing the data path.

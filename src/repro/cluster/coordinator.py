@@ -33,7 +33,8 @@ The coordinator reports three kinds of events to the cluster's listeners:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..middleware.base import (
     TENANT_HINT,
@@ -49,7 +50,13 @@ from ..simulation.network import NetworkModel
 from .membership import MembershipService
 from .node import ReplicaReadResponse, ReplicaWriteResponse, StorageNode
 from .ring import HashRing
-from .types import ConsistencyLevel, OperationType, ReadResult, WriteResult
+from .types import (
+    ConsistencyLevel,
+    OperationResult,
+    OperationType,
+    ReadResult,
+    WriteResult,
+)
 from .versioning import VersionStamp, VersionedValue, compare_versions
 
 __all__ = ["CoordinatorConfig", "RequestCoordinator", "AckedVersionRegistry"]
@@ -99,43 +106,37 @@ class AckedVersionRegistry:
                 newest = stamp
         return newest
 
-    def newest_acked(self, key: str) -> Optional[VersionStamp]:
-        """Newest stamp acknowledged so far for ``key`` (or ``None``)."""
-        entries = self._acked.get(key)
-        if not entries:
-            return None
-        return max(stamp for _, stamp in entries)
-
-    def tracked_keys(self) -> int:
-        """Number of keys with at least one acknowledged write."""
-        return len(self._acked)
-
 
 @dataclass(slots=True)
-class _WriteContext:
-    """In-flight state of one coordinated write (slotted: one per request)."""
+class _InFlight:
+    """In-flight state of one coordinated request (slotted: one per request)."""
 
-    result: WriteResult
+    result: OperationResult
     request: RequestContext
-    required_acks: int
+    on_complete: Callable[[OperationResult], None]
+    required: int = 1
+    """Replica acks (write) or responses (read) the effective level demands."""
+
+    completed: bool = False
+    """Set once the outcome is decided; later acks, responses and timers are
+    ignored."""
+
+    timeout_handle: Optional[EventHandle] = None
+    version: Optional[VersionedValue] = None
+    """Write only: the version the coordinator stamped on arrival."""
+
     acks: int = 0
-    completed: bool = False
-    timeout_handle: Optional[EventHandle] = None
-    on_complete: Optional[Callable[[WriteResult], None]] = None
-
-
-@dataclass(slots=True)
-class _ReadContext:
-    """In-flight state of one coordinated read (slotted: one per request)."""
-
-    result: ReadResult
-    request: RequestContext
-    required_responses: int
     responses: List[ReplicaReadResponse] = field(default_factory=list)
-    completed: bool = False
-    timeout_handle: Optional[EventHandle] = None
     hedge_handle: Optional[EventHandle] = None
-    on_complete: Optional[Callable[[ReadResult], None]] = None
+
+    def close(self) -> None:
+        """Decide the request: no later event may change its outcome."""
+        self.completed = True
+        if self.timeout_handle is not None:
+            self.timeout_handle.cancel()
+        if self.hedge_handle is not None:
+            self.hedge_handle.cancel()
+            self.hedge_handle = None
 
 
 class RequestCoordinator:
@@ -177,9 +178,7 @@ class RequestCoordinator:
         # the default selection/consistency/staleness/monitoring stack; the
         # Cluster facade replaces it with the registry-built one before any
         # request flows.
-        self._timers: Optional[TimerService] = None
-        self._arm_timer = simulator.schedule_in
-        self._install_pipeline(pipeline or default_coordinator_pipeline(self))
+        self.set_pipeline(pipeline or default_coordinator_pipeline(self))
 
         # Counters used by reports and tests.
         self.writes_started = 0
@@ -210,23 +209,29 @@ class RequestCoordinator:
 
     def set_pipeline(self, pipeline: MiddlewarePipeline) -> None:
         """Install a request pipeline (done once by the cluster facade)."""
-        self._install_pipeline(pipeline)
-
-    def _install_pipeline(self, pipeline: MiddlewarePipeline) -> None:
+        self._pipeline = pipeline
+        # Optional hooks are bound only when a stage implements them, so the
+        # default stack keeps no RTT bookkeeping, arms no hedge timer and
+        # never reorders a fan-out (PERFORMANCE.md rules 6-7).
+        implements = pipeline.implements
+        self._observes_rtt = implements("on_replica_response")
+        self._hedge_read = pipeline.hedge_read if implements("hedge_read") else None
+        self._order_write_targets = (
+            pipeline.order_write_targets if implements("order_write_targets") else None
+        )
         # Timer arms (`write:timeout`, `read:timeout`, `read:hedge`) go
         # through ``self._arm_timer``.  When a stage opts in to amortised
         # timers (PERFORMANCE.md rule 11) that is a TimerService wheel;
         # otherwise it is literally the simulator's ``schedule_in`` bound
         # method — the default stack pays nothing and its event sequence is
         # bit-identical by construction.
-        self._pipeline = pipeline
-        granularity = getattr(pipeline, "timer_granularity", None)
-        if granularity is not None:
-            self._timers = TimerService(self._simulator, granularity=granularity)
+        self._timers: Optional[TimerService] = None
+        self._arm_timer = self._simulator.schedule_in
+        if pipeline.timer_granularity is not None:
+            self._timers = TimerService(
+                self._simulator, granularity=pipeline.timer_granularity
+            )
             self._arm_timer = self._timers.arm
-        else:
-            self._timers = None
-            self._arm_timer = self._simulator.schedule_in
 
     @property
     def timers(self) -> Optional[TimerService]:
@@ -245,12 +250,12 @@ class RequestCoordinator:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _serving_nodes(self) -> List[str]:
-        return sorted(
-            node_id for node_id, node in self._nodes.items() if node.serves_requests
-        )
-
-    def _coordinator_view_alive(self, coordinator_id: str, node_id: str) -> bool:
+    def _replica_alive(self, coordinator_id: str, node_id: str) -> bool:
+        """Whether ``node_id`` serves requests and the coordinator's failure
+        detector believes it up."""
+        node = self._nodes.get(node_id)
+        if node is None or not node.serves_requests:
+            return False
         view = self._membership.view_of(coordinator_id)
         if view is None:
             return self._membership.is_alive(node_id)
@@ -272,27 +277,39 @@ class RequestCoordinator:
             self.on_operation_completed(result)
 
     # ------------------------------------------------------------------
-    # Write path
+    # Request lifecycle (shared by reads and writes)
     # ------------------------------------------------------------------
-    def execute_write(
+    def execute(
         self,
+        is_read: bool,
         key: str,
-        value: bytes,
         coordinator_id: str,
         replication_factor: int,
         consistency_level: ConsistencyLevel,
-        on_complete: Callable[[WriteResult], None],
-        operation: OperationType = OperationType.WRITE,
-        size: Optional[int] = None,
+        on_complete: Callable[[OperationResult], None],
+        operation: OperationType,
         hints: Optional[Mapping[str, object]] = None,
+        value: bytes = b"",
+        size: Optional[int] = None,
     ) -> None:
-        """Coordinate one write; ``on_complete`` receives the client-visible result."""
-        self.writes_started += 1
+        """Coordinate one read or write (``value`` and ``size`` are a write's
+        payload); ``on_complete`` receives the client-visible result.
+
+        The open step every request shares: ``on_request``, then either shed
+        it or send it client -> coordinator, where the fan-out starts.
+        """
+        if is_read:
+            self.reads_started += 1
+            result_type, start = ReadResult, self._start_read
+        else:
+            self.writes_started += 1
+            result_type = WriteResult
+            start = partial(self._start_write, value=value, size=size)
         issued_at = self._simulator.now
         request = RequestContext(
             key=key,
             operation=operation,
-            is_read=False,
+            is_read=is_read,
             coordinator_id=coordinator_id,
             replication_factor=replication_factor,
             requested_level=consistency_level,
@@ -305,7 +322,7 @@ class RequestCoordinator:
                 request.tenant = tenant
                 request.tenant_tier = hints.get(TENANT_TIER_HINT)
         self._pipeline.on_request(request)
-        result = WriteResult(
+        result = result_type(
             key=key,
             operation=operation,
             issued_at=issued_at,
@@ -317,418 +334,273 @@ class RequestCoordinator:
         if request.tenant is not None:
             result.tenant = request.tenant
         request.result = result
-        context = _WriteContext(
-            result=result, request=request, required_acks=1, on_complete=on_complete
-        )
+        context = _InFlight(result, request, on_complete)
         if request.rejection is not None:
-            self._reject_write(context, request.rejection)
-            return
+            self._reject(context, request.rejection)
+        elif not self._network.send(
+            _CLIENT, coordinator_id, partial(start, context), client_facing=True
+        ):
+            self._fail(context, "coordinator unreachable")
 
-        def _start() -> None:
-            self._start_write(context, key, value, coordinator_id, size)
+    def _replicas(self, context: _InFlight) -> Optional[Tuple[Sequence[str], List[str]]]:
+        """Resolve the key's replica set and the quorum it must meet.
 
-        delivered = self._network.send(
-            _CLIENT, coordinator_id, _start, client_facing=True
+        Returns ``(preference list, live replicas)``, or ``None`` once the
+        request has been failed for want of either.
+        """
+        request = context.request
+        preference_list = self._ring.preference_list(
+            request.key, request.replication_factor
         )
-        if not delivered:
-            self._fail_write(context, "coordinator unreachable")
+        if not preference_list:
+            self._fail(context, "no replicas available")
+            return None
+        context.required = self._pipeline.required_acks(request, len(preference_list))
+        if not request.is_read:
+            # A write goes to every replica, directly or as a hint; a read
+            # only to the targets selected below.
+            context.result.replicas_contacted = len(preference_list)
+        coordinator_id = request.coordinator_id
+        live = [
+            node_id
+            for node_id in preference_list
+            if self._replica_alive(coordinator_id, node_id)
+        ]
+        if len(live) < context.required:
+            self.unavailable_errors += 1
+            self._fail(context, "unavailable: not enough live replicas")
+            return None
+        return preference_list, live
 
+    def _timeout(self, context: _InFlight) -> None:
+        if context.completed:
+            return
+        self.timeouts += 1
+        self._fail(context, "timeout")
+
+    def _fail(self, context: _InFlight, error: str) -> None:
+        if context.completed:
+            return
+        context.close()
+        context.result.error = error
+        if context.request.is_read:
+            self.reads_failed += 1
+        else:
+            self.writes_failed += 1
+        self._finish(context, False)
+
+    def _reject(self, context: _InFlight, reason: str) -> None:
+        """Shed one request before fan-out (admission control), not a failure.
+
+        Rejections happen synchronously inside ``execute`` — no timeout is armed
+        and no replica was contacted — so the only bookkeeping is the distinct
+        ``rejected`` accounting and the completion hooks.
+        """
+        context.close()
+        context.result.rejected = True
+        context.result.error = reason
+        if context.request.is_read:
+            self.reads_rejected += 1
+        else:
+            self.writes_rejected += 1
+        self._finish(context, False)
+
+    def _reply(self, context: _InFlight) -> None:
+        """Answer the client; the operation succeeds when the reply arrives
+        (at once if the client link drops it)."""
+        finish = partial(self._finish, context, True)
+        if not self._network.send(
+            context.request.coordinator_id, _CLIENT, finish, client_facing=True
+        ):
+            finish()
+
+    def _finish(self, context: _InFlight, success: bool) -> None:
+        result = context.result
+        result.completed_at = self._simulator.now
+        result.success = success
+        self._pipeline.on_complete(context.request, result)
+        context.on_complete(result)
+
+    # ------------------------------------------------------------------
+    # Write specifics: version stamping, hints, ack counting
+    # ------------------------------------------------------------------
     def _start_write(
-        self,
-        context: _WriteContext,
-        key: str,
-        value: bytes,
-        coordinator_id: str,
-        size: Optional[int],
+        self, context: _InFlight, value: bytes, size: Optional[int]
     ) -> None:
+        request = context.request
+        coordinator_id = request.coordinator_id
         coordinator = self._nodes.get(coordinator_id)
         if coordinator is None or not coordinator.serves_requests:
-            self._fail_write(context, "coordinator down")
+            self._fail(context, "coordinator down")
             return
 
-        request = context.request
         now = self._simulator.now
         self._write_ids += 1
-        stamp = VersionStamp(timestamp=now, sequence=self.next_sequence())
-        version = VersionedValue(
-            stamp=stamp,
+        context.version = version = VersionedValue(
+            stamp=VersionStamp(timestamp=now, sequence=self.next_sequence()),
             value=value,
             write_id=self._write_ids,
             size=size if size is not None else self._config.default_value_size,
         )
-        context.result.version_timestamp = stamp.timestamp
+        context.result.version_timestamp = now
 
-        preference_list = self._ring.preference_list(key, request.replication_factor)
-        if not preference_list:
-            self._fail_write(context, "no replicas available")
+        replicas = self._replicas(context)
+        if replicas is None:
             return
-        effective_rf = len(preference_list)
-        required = self._pipeline.required_acks(request, effective_rf)
-        context.required_acks = required
-        context.result.replicas_contacted = effective_rf
-
-        live: List[str] = []
-        unreachable: List[str] = []
-        for node_id in preference_list:
-            node = self._nodes.get(node_id)
-            if (
-                node is not None
-                and node.serves_requests
-                and self._coordinator_view_alive(coordinator_id, node_id)
-            ):
-                live.append(node_id)
-            else:
-                unreachable.append(node_id)
-
-        if len(live) < required:
-            self.unavailable_errors += 1
-            self._fail_write(context, "unavailable: not enough live replicas")
-            return
-
-        for node_id in unreachable:
-            if self._pipeline.on_unreachable_replica(request, node_id, version):
-                context.result.hinted += 1
-                self.hinted_writes += 1
+        preference_list, live = replicas
+        if len(live) < len(preference_list):
+            for node_id in preference_list:
+                if node_id not in live:
+                    self._hint(context, node_id)
 
         # Fan-out order is a pipeline decision (RTT-aware when that
         # middleware is installed): the first ``required`` acks raced for are
         # the ones from the replicas contacted first.  Same replicas either
         # way — only the send order moves.
-        if self._pipeline.orders_write_targets and len(live) > 1:
-            ordered = self._pipeline.order_write_targets(request, live)
+        if self._order_write_targets is not None and len(live) > 1:
+            ordered = self._order_write_targets(request, live)
             if ordered is not None:
                 live = ordered
 
+        on_done = partial(self._replica_write_done, context)
         for node_id in live:
-            self._send_replica_write(context, coordinator_id, node_id, key, version)
-
+            self._network.send(
+                coordinator_id,
+                node_id,
+                partial(self._nodes[node_id].replica_write, request.key, version, on_done),
+                on_drop=partial(self._hint, context, node_id),
+            )
         context.timeout_handle = self._arm_timer(
-            self._config.operation_timeout,
-            self._write_timeout,
-            context,
-            label="write:timeout",
+            self._config.operation_timeout, self._timeout, context, label="write:timeout"
         )
 
-    def _send_replica_write(
-        self,
-        context: _WriteContext,
-        coordinator_id: str,
-        node_id: str,
-        key: str,
-        version: VersionedValue,
-    ) -> None:
-        node = self._nodes[node_id]
-
-        def _deliver() -> None:
-            node.replica_write(
-                key,
-                version,
-                on_done=lambda response: self._replica_write_done(
-                    context, coordinator_id, key, version, response
-                ),
-            )
-
-        def _dropped() -> None:
-            if self._pipeline.on_unreachable_replica(context.request, node_id, version):
-                context.result.hinted += 1
-                self.hinted_writes += 1
-
-        self._network.send(coordinator_id, node_id, _deliver, on_drop=_dropped)
+    def _hint(self, context: _InFlight, node_id: str) -> None:
+        """The write missed ``node_id``: offer it to the pipeline as a hint."""
+        if self._pipeline.on_unreachable_replica(
+            context.request, node_id, context.version
+        ):
+            context.result.hinted += 1
+            self.hinted_writes += 1
 
     def _replica_write_done(
-        self,
-        context: _WriteContext,
-        coordinator_id: str,
-        key: str,
-        version: VersionedValue,
-        response: ReplicaWriteResponse,
+        self, context: _InFlight, response: ReplicaWriteResponse
     ) -> None:
+        request = context.request
         self._notify_applied(
-            key, version.stamp, response.node_id, response.applied_at, False
+            request.key,
+            context.version.stamp,
+            response.node_id,
+            response.applied_at,
+            False,
+        )
+        self._network.send(
+            response.node_id,
+            request.coordinator_id,
+            partial(self._receive_write_ack, context),
         )
 
-        def _ack() -> None:
-            self._receive_write_ack(context, coordinator_id, key, version)
-
-        self._network.send(response.node_id, coordinator_id, _ack)
-
-    def _receive_write_ack(
-        self,
-        context: _WriteContext,
-        coordinator_id: str,
-        key: str,
-        version: VersionedValue,
-    ) -> None:
+    def _receive_write_ack(self, context: _InFlight) -> None:
         if context.completed:
             return
         context.acks += 1
         context.result.replicas_responded = context.acks
-        if context.acks < context.required_acks:
+        if context.acks < context.required:
             return
 
-        context.completed = True
-        if context.timeout_handle is not None:
-            context.timeout_handle.cancel()
+        context.close()
+        key = context.request.key
+        stamp = context.version.stamp
         ack_time = self._simulator.now
-        self.acked_registry.record_ack(key, version.stamp, ack_time)
+        self.acked_registry.record_ack(key, stamp, ack_time)
         replica_set = self._ring.preference_list(
             key, context.result.replicas_contacted
         )
         if self.on_write_acked is not None:
-            self.on_write_acked(key, version.stamp, ack_time, replica_set)
-
-        def _reply() -> None:
-            context.result.completed_at = self._simulator.now
-            context.result.success = True
-            self._finish_write(context)
-
-        delivered = self._network.send(
-            coordinator_id, _CLIENT, _reply, client_facing=True
-        )
-        if not delivered:
-            context.result.completed_at = self._simulator.now
-            context.result.success = True
-            self._finish_write(context)
-
-    def _write_timeout(self, context: _WriteContext) -> None:
-        if context.completed:
-            return
-        self.timeouts += 1
-        self._fail_write(context, "timeout")
-
-    def _fail_write(self, context: _WriteContext, error: str) -> None:
-        if context.completed:
-            return
-        context.completed = True
-        if context.timeout_handle is not None:
-            context.timeout_handle.cancel()
-        context.result.completed_at = self._simulator.now
-        context.result.success = False
-        context.result.error = error
-        self.writes_failed += 1
-        self._finish_write(context)
-
-    def _reject_write(self, context: _WriteContext, reason: str) -> None:
-        """Shed one write before fan-out (admission control), not a failure.
-
-        Rejections happen synchronously inside ``execute_write`` — no timeout
-        is armed and no replica was contacted — so the only bookkeeping is
-        the distinct ``rejected`` accounting and the completion hooks.
-        """
-        context.completed = True
-        context.result.completed_at = self._simulator.now
-        context.result.success = False
-        context.result.rejected = True
-        context.result.error = reason
-        self.writes_rejected += 1
-        self._finish_write(context)
-
-    def _finish_write(self, context: _WriteContext) -> None:
-        self._pipeline.on_complete(context.request, context.result)
-        if context.on_complete is not None:
-            context.on_complete(context.result)
+            self.on_write_acked(key, stamp, ack_time, replica_set)
+        self._reply(context)
 
     # ------------------------------------------------------------------
-    # Read path
+    # Read specifics: target selection, hedging, response gathering
     # ------------------------------------------------------------------
-    def execute_read(
-        self,
-        key: str,
-        coordinator_id: str,
-        replication_factor: int,
-        consistency_level: ConsistencyLevel,
-        on_complete: Callable[[ReadResult], None],
-        operation: OperationType = OperationType.READ,
-        hints: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        """Coordinate one read; ``on_complete`` receives the client-visible result."""
-        self.reads_started += 1
-        issued_at = self._simulator.now
-        request = RequestContext(
-            key=key,
-            operation=operation,
-            is_read=True,
-            coordinator_id=coordinator_id,
-            replication_factor=replication_factor,
-            requested_level=consistency_level,
-            consistency_level=consistency_level,
-            hints=hints,
-        )
-        if hints is not None:
-            tenant = hints.get(TENANT_HINT)
-            if tenant is not None:
-                request.tenant = tenant
-                request.tenant_tier = hints.get(TENANT_TIER_HINT)
-        self._pipeline.on_request(request)
-        result = ReadResult(
-            key=key,
-            operation=operation,
-            issued_at=issued_at,
-            completed_at=issued_at,
-            success=False,
-            coordinator=coordinator_id,
-            consistency_level=request.consistency_level,
-        )
-        if request.tenant is not None:
-            result.tenant = request.tenant
-        request.result = result
-        context = _ReadContext(
-            result=result, request=request, required_responses=1, on_complete=on_complete
-        )
-        if request.rejection is not None:
-            self._reject_read(context, request.rejection)
-            return
-
-        def _start() -> None:
-            self._start_read(context, key, coordinator_id)
-
-        delivered = self._network.send(
-            _CLIENT, coordinator_id, _start, client_facing=True
-        )
-        if not delivered:
-            self._fail_read(context, "coordinator unreachable")
-
-    def _start_read(
-        self,
-        context: _ReadContext,
-        key: str,
-        coordinator_id: str,
-    ) -> None:
-        coordinator = self._nodes.get(coordinator_id)
-        if coordinator is None or not coordinator.serves_requests:
-            self._fail_read(context, "coordinator down")
-            return
-
+    def _start_read(self, context: _InFlight) -> None:
         request = context.request
-        preference_list = self._ring.preference_list(key, request.replication_factor)
-        if not preference_list:
-            self._fail_read(context, "no replicas available")
+        coordinator = self._nodes.get(request.coordinator_id)
+        if coordinator is None or not coordinator.serves_requests:
+            self._fail(context, "coordinator down")
             return
-        effective_rf = len(preference_list)
-        required = self._pipeline.required_acks(request, effective_rf)
-
-        live = [
-            node_id
-            for node_id in preference_list
-            if self._nodes.get(node_id) is not None
-            and self._nodes[node_id].serves_requests
-            and self._coordinator_view_alive(coordinator_id, node_id)
-        ]
-        if len(live) < required:
-            self.unavailable_errors += 1
-            self._fail_read(context, "unavailable: not enough live replicas")
+        replicas = self._replicas(context)
+        if replicas is None:
             return
+        _, live = replicas
 
         # Replica selection is a pipeline decision (load-balanced random by
         # default, latency-aware when that middleware is installed); the
         # deterministic prefix is the fallback when no stage has an opinion.
+        required = context.required
         targets = self._pipeline.select_read_targets(request, live, required)
         if targets is None:
             targets = live[:required]
-        context.required_responses = required
         context.result.replicas_contacted = len(targets)
 
-        observe_rtt = self._pipeline.observes_replica_rtt
-        if observe_rtt:
+        if self._observes_rtt:
             request.send_times = {}
         for node_id in targets:
-            if observe_rtt:
-                request.send_times[node_id] = self._simulator.now
-            self._send_replica_read(context, coordinator_id, node_id, key)
-
+            self._send_replica_read(context, node_id)
         context.timeout_handle = self._arm_timer(
-            self._config.operation_timeout,
-            self._read_timeout,
-            context,
-            label="read:timeout",
+            self._config.operation_timeout, self._timeout, context, label="read:timeout"
         )
 
         # Speculative (hedged) read: when a hedging stage is installed and
         # spare live replicas exist, arm a timer at the pipeline's latency
         # budget.  If the read completes first the timer is cancelled; if it
         # fires, one backup read goes to the best uncontacted replica.
-        if self._pipeline.hedges_reads and len(live) > len(targets):
-            plan = self._pipeline.hedge_read(request, live, targets)
+        if self._hedge_read is not None and len(live) > len(targets):
+            plan = self._hedge_read(request, live, targets)
             if plan is not None:
                 budget, candidates = plan
                 request.hedge_armed = True
                 context.hedge_handle = self._arm_timer(
-                    budget,
-                    self._fire_hedge,
-                    context,
-                    coordinator_id,
-                    key,
-                    candidates,
-                    label="read:hedge",
+                    budget, self._fire_hedge, context, candidates, label="read:hedge"
                 )
 
-    def _fire_hedge(
-        self,
-        context: _ReadContext,
-        coordinator_id: str,
-        key: str,
-        candidates: Sequence[str],
-    ) -> None:
+    def _fire_hedge(self, context: _InFlight, candidates: Sequence[str]) -> None:
         if context.completed:
             return
         context.hedge_handle = None
         request = context.request
-        backup: Optional[str] = None
-        for node_id in candidates:
-            node = self._nodes.get(node_id)
-            if (
-                node is not None
-                and node.serves_requests
-                and self._coordinator_view_alive(coordinator_id, node_id)
-            ):
-                backup = node_id
-                break
-        if backup is None:
-            return
-        request.hedge_node = backup
-        self.hedged_reads += 1
-        context.result.replicas_contacted += 1
+        for backup in candidates:
+            if self._replica_alive(request.coordinator_id, backup):
+                request.hedge_node = backup
+                self.hedged_reads += 1
+                context.result.replicas_contacted += 1
+                self._send_replica_read(context, backup)
+                return
+
+    def _send_replica_read(self, context: _InFlight, node_id: str) -> None:
+        request = context.request
         if request.send_times is not None:
-            request.send_times[backup] = self._simulator.now
-        self._send_replica_read(context, coordinator_id, backup, key)
-
-    def _send_replica_read(
-        self,
-        context: _ReadContext,
-        coordinator_id: str,
-        node_id: str,
-        key: str,
-    ) -> None:
-        node = self._nodes[node_id]
-
-        def _deliver() -> None:
-            node.replica_read(
-                key,
-                on_done=lambda response: self._replica_read_done(
-                    context, coordinator_id, key, response
-                ),
-            )
-
-        self._network.send(coordinator_id, node_id, _deliver)
+            request.send_times[node_id] = self._simulator.now
+        self._network.send(
+            request.coordinator_id,
+            node_id,
+            partial(
+                self._nodes[node_id].replica_read,
+                request.key,
+                partial(self._replica_read_done, context),
+            ),
+        )
 
     def _replica_read_done(
-        self,
-        context: _ReadContext,
-        coordinator_id: str,
-        key: str,
-        response: ReplicaReadResponse,
+        self, context: _InFlight, response: ReplicaReadResponse
     ) -> None:
-        def _receive() -> None:
-            self._receive_read_response(context, coordinator_id, key, response)
-
-        self._network.send(response.node_id, coordinator_id, _receive)
+        self._network.send(
+            response.node_id,
+            context.request.coordinator_id,
+            partial(self._receive_read_response, context, response),
+        )
 
     def _receive_read_response(
-        self,
-        context: _ReadContext,
-        coordinator_id: str,
-        key: str,
-        response: ReplicaReadResponse,
+        self, context: _InFlight, response: ReplicaReadResponse
     ) -> None:
         request = context.request
         send_times = request.send_times
@@ -740,92 +612,41 @@ class RequestCoordinator:
                 )
         if context.completed:
             return
+        responses = context.responses
         if request.hedge_armed:
             # A hedged read may race two responses from the same replica (the
             # primary send and a later speculative one); count each replica's
             # acknowledgement once so the quorum is never satisfied twice
             # over by one node.
-            if any(r.node_id == response.node_id for r in context.responses):
+            if any(r.node_id == response.node_id for r in responses):
                 return
-        context.responses.append(response)
-        context.result.replicas_responded = len(context.responses)
-        if len(context.responses) < context.required_responses:
+        responses.append(response)
+        result = context.result
+        result.replicas_responded = len(responses)
+        if len(responses) < context.required:
             return
 
-        context.completed = True
-        if context.timeout_handle is not None:
-            context.timeout_handle.cancel()
-        if context.hedge_handle is not None:
-            context.hedge_handle.cancel()
-            context.hedge_handle = None
+        context.close()
         if request.hedge_armed:
             request.completed_by = response.node_id
 
         newest: Optional[VersionedValue] = None
-        for replica_response in context.responses:
+        for replica_response in responses:
             if compare_versions(replica_response.version, newest) > 0:
                 newest = replica_response.version
 
-        mismatch = self._pipeline.inspect_read_responses(request, context.responses)
+        mismatch = self._pipeline.inspect_read_responses(request, responses)
         if mismatch is not None:
-            context.result.digest_mismatch = mismatch
+            result.digest_mismatch = mismatch
 
         if newest is not None:
-            context.result.value = newest.value
-            context.result.version_timestamp = newest.stamp.timestamp
+            result.value = newest.value
+            result.version_timestamp = newest.stamp.timestamp
 
         # Ground-truth staleness annotation and any custom result decoration
         # run as the pipeline's annotation stage.
         self._pipeline.annotate_read(request, newest)
-
-        def _reply() -> None:
-            context.result.completed_at = self._simulator.now
-            context.result.success = True
-            self._finish_read(context)
-
-        delivered = self._network.send(
-            coordinator_id, _CLIENT, _reply, client_facing=True
-        )
-        if not delivered:
-            context.result.completed_at = self._simulator.now
-            context.result.success = True
-            self._finish_read(context)
-
-    def _read_timeout(self, context: _ReadContext) -> None:
-        if context.completed:
-            return
-        self.timeouts += 1
-        self._fail_read(context, "timeout")
-
-    def _fail_read(self, context: _ReadContext, error: str) -> None:
-        if context.completed:
-            return
-        context.completed = True
-        if context.timeout_handle is not None:
-            context.timeout_handle.cancel()
-        if context.hedge_handle is not None:
-            context.hedge_handle.cancel()
-            context.hedge_handle = None
-        context.result.completed_at = self._simulator.now
-        context.result.success = False
-        context.result.error = error
-        self.reads_failed += 1
-        self._finish_read(context)
-
-    def _reject_read(self, context: _ReadContext, reason: str) -> None:
-        """Shed one read before fan-out (admission control), not a failure."""
-        context.completed = True
-        context.result.completed_at = self._simulator.now
-        context.result.success = False
-        context.result.rejected = True
-        context.result.error = reason
-        self.reads_rejected += 1
-        self._finish_read(context)
-
-    def _finish_read(self, context: _ReadContext) -> None:
-        self._pipeline.on_complete(context.request, context.result)
-        if context.on_complete is not None:
-            context.on_complete(context.result)
+        self._reply(context)
 
     # ------------------------------------------------------------------
     # Background writes (hints, repairs, anti-entropy, streaming)

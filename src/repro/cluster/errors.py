@@ -11,10 +11,6 @@ class ConfigurationError(ClusterError):
     """Raised for invalid cluster configuration (e.g. RF larger than cluster)."""
 
 
-class UnavailableError(ClusterError):
-    """Raised when an operation cannot reach enough replicas for its CL."""
-
-
 class UnknownNodeError(ClusterError):
     """Raised when an operation references a node that is not a member."""
 

@@ -33,10 +33,12 @@ stage bias the cluster's client-side coordinator choice (snitch-style), and
 ``on_node_removed`` tells stages holding per-node state (RTT estimates) to
 drop entries for decommissioned nodes.
 
-The pipeline pre-computes, per hook, the subset of middlewares that actually
-override it, so a request through the default stack costs a handful of list
-iterations over one-element lists — the coordinator's hot path stays within
-the benchmark regression gate (see PERFORMANCE.md).
+How the stages implementing one hook combine is written down once, in the
+:data:`HOOKS` table (hook name -> fold rule).  The pipeline binds one
+dispatcher per hook from it at construction, over only the stages that
+override the hook; a hook with a single stage dispatches straight to that
+stage's method, so a request through the default stack pays no dispatch
+frames (see PERFORMANCE.md).
 
 The default stack reproduces the previously hardcoded coordinator behaviour
 bit-identically: the same RNG streams are consumed at the same points, no
@@ -49,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -65,6 +68,7 @@ __all__ = [
     "TENANT_TIER_HINT",
     "RequestContext",
     "RequestMiddleware",
+    "HOOKS",
     "MiddlewarePipeline",
 ]
 
@@ -130,7 +134,7 @@ class RequestMiddleware:
 
     Every hook has a no-op default.  The pipeline detects which hooks a
     subclass actually overrides and only dispatches those, so an unused hook
-    costs nothing per request.
+    costs nothing per request.  Each hook has one row in :data:`HOOKS`.
     """
 
     #: Registry name; instances report it in pipeline descriptions.
@@ -210,94 +214,164 @@ class RequestMiddleware:
         return {"name": self.name}
 
 
-def _overrides(middleware: RequestMiddleware, hook: str) -> bool:
-    return getattr(type(middleware), hook) is not getattr(RequestMiddleware, hook)
+# ----------------------------------------------------------------------
+# Fold rules: how the answers of the stages implementing one hook combine
+# ----------------------------------------------------------------------
+_Hook = Callable[..., object]
+
+
+def _call_each(stages: Sequence[_Hook]) -> _Hook:
+    """Every stage runs, in stack order; nothing is returned."""
+
+    def dispatch(*args: object) -> None:
+        for stage in stages:
+            stage(*args)
+
+    return dispatch
+
+
+def _first_opinion(stages: Sequence[_Hook]) -> _Hook:
+    """Stages are asked in stack order; the first non-``None`` answer wins
+    and later stages are not asked."""
+
+    def dispatch(*args: object) -> object:
+        for stage in stages:
+            answer = stage(*args)
+            if answer is not None:
+                return answer
+        return None
+
+    return dispatch
+
+
+def _any_true(stages: Sequence[_Hook]) -> _Hook:
+    """Every stage runs; ``True`` when any of them returned a true value."""
+
+    def dispatch(*args: object) -> bool:
+        handled = False
+        for stage in stages:
+            if stage(*args):
+                handled = True
+        return handled
+
+    return dispatch
+
+
+def _or_merge(stages: Sequence[_Hook]) -> _Hook:
+    """Every stage runs; ``None`` when none had an opinion, else the OR of
+    the opinions given."""
+
+    def dispatch(*args: object) -> Optional[bool]:
+        verdict: Optional[bool] = None
+        for stage in stages:
+            value = stage(*args)
+            if value is not None:
+                verdict = bool(value) if verdict is None else (verdict or bool(value))
+        return verdict
+
+    return dispatch
+
+
+def _last_opinion_else_quorum(stages: Sequence[_Hook]) -> _Hook:
+    """Every stage runs and the last non-``None`` answer wins; when no stage
+    has an opinion the effective consistency level's own arithmetic applies,
+    so dropping the ``consistency`` stage does not weaken quorums."""
+
+    def dispatch(ctx: RequestContext, effective_rf: int) -> int:
+        required: Optional[int] = None
+        for stage in stages:
+            value = stage(ctx, effective_rf)
+            if value is not None:
+                required = value
+        if required is None:
+            required = ctx.consistency_level.required_acks(effective_rf)
+        return required
+
+    return dispatch
+
+
+#: The hook table: every hook of :class:`RequestMiddleware` and the rule that
+#: folds its stages' answers into the one the coordinator acts on.  A new hook
+#: is a method on :class:`RequestMiddleware` plus a row here.
+HOOKS: Mapping[str, Callable[[Sequence[_Hook]], _Hook]] = {
+    "on_request": _call_each,
+    "required_acks": _last_opinion_else_quorum,
+    "select_read_targets": _first_opinion,
+    "on_unreachable_replica": _any_true,
+    "on_replica_response": _call_each,
+    "hedge_read": _first_opinion,
+    "order_write_targets": _first_opinion,
+    "preferred_coordinator": _first_opinion,
+    "on_node_removed": _call_each,
+    "inspect_read_responses": _or_merge,
+    "annotate_read": _call_each,
+    "on_complete": _call_each,
+}
+
+#: Answers for a hook no stage implements: the protocol's documented defaults.
+_NO_STAGE = RequestMiddleware()
 
 
 class MiddlewarePipeline:
     """An ordered, immutable stack of request middlewares.
 
-    Dispatch lists are pre-computed per hook at construction time so the
-    per-request cost is proportional to the number of middlewares that
-    actually implement each hook, not to the stack length.
+    Each hook in :data:`HOOKS` is an attribute holding that hook's dispatcher,
+    called with the hook's own arguments (``pipeline.on_request(ctx)``).
+    Dispatchers are bound once, at construction, from the stages that
+    actually override the hook: the per-request cost is proportional to the
+    number of stages implementing a hook, not to the stack length.
     """
 
-    __slots__ = (
-        "_middlewares",
-        "_on_request",
-        "_required",
-        "_selectors",
-        "_unreachable",
-        "_responders",
-        "_hedgers",
-        "_write_orderers",
-        "_preferrers",
-        "_removal_watchers",
-        "_inspectors",
-        "_annotators",
-        "_completers",
-        "observes_replica_rtt",
-        "hedges_reads",
-        "orders_write_targets",
-        "prefers_coordinator",
-        "timer_granularity",
-    )
+    __slots__ = ("_middlewares", "_implemented", "timer_granularity", *HOOKS)
 
     def __init__(self, middlewares: Sequence[RequestMiddleware] = ()) -> None:
         self._middlewares: Tuple[RequestMiddleware, ...] = tuple(middlewares)
-        self._on_request = [m for m in self._middlewares if _overrides(m, "on_request")]
-        self._required = [m for m in self._middlewares if _overrides(m, "required_acks")]
-        self._selectors = [
-            m for m in self._middlewares if _overrides(m, "select_read_targets")
-        ]
-        self._unreachable = [
-            m for m in self._middlewares if _overrides(m, "on_unreachable_replica")
-        ]
-        self._responders = [
-            m for m in self._middlewares if _overrides(m, "on_replica_response")
-        ]
-        self._inspectors = [
-            m for m in self._middlewares if _overrides(m, "inspect_read_responses")
-        ]
-        self._hedgers = [m for m in self._middlewares if _overrides(m, "hedge_read")]
-        self._write_orderers = [
-            m for m in self._middlewares if _overrides(m, "order_write_targets")
-        ]
-        self._preferrers = [
-            m for m in self._middlewares if _overrides(m, "preferred_coordinator")
-        ]
-        self._removal_watchers = [
-            m for m in self._middlewares if _overrides(m, "on_node_removed")
-        ]
-        self._annotators = [m for m in self._middlewares if _overrides(m, "annotate_read")]
-        self._completers = [m for m in self._middlewares if _overrides(m, "on_complete")]
-        self.observes_replica_rtt = bool(self._responders)
-        # Per-hook gating flags: the coordinator/cluster check one attribute
-        # before paying for optional hooks, so the default stack schedules no
-        # extra events and runs no extra code (PERFORMANCE.md rule 6).
-        self.hedges_reads = bool(self._hedgers)
-        self.orders_write_targets = bool(self._write_orderers)
-        self.prefers_coordinator = bool(self._preferrers)
+        self._implemented: Dict[str, bool] = {}
+        for hook, fold in HOOKS.items():
+            default = getattr(RequestMiddleware, hook)
+            stages = [
+                getattr(middleware, hook)
+                for middleware in self._middlewares
+                if getattr(type(middleware), hook) is not default
+            ]
+            self._implemented[hook] = bool(stages)
+            if len(stages) > 1 or fold is _last_opinion_else_quorum:
+                dispatcher = fold(stages)
+            else:
+                # One stage's answer is already the folded answer, and with
+                # none the protocol default is: bind the method itself, so
+                # the default stack pays no dispatch frame.  (The quorum
+                # rule is the exception: its fallback applies to a lone
+                # stage's ``None`` too, so it always folds.)
+                dispatcher = stages[0] if stages else getattr(_NO_STAGE, hook)
+            setattr(self, hook, dispatcher)
         # Amortised-timer opt-in: the tightest wheel granularity any stage
         # declares, or ``None`` when no stage does — in which case the
         # coordinator keeps arming timers directly on the heap and no
         # TimerService is ever constructed (the default stack's event
         # sequence stays bit-identical by construction).
-        granularity: Optional[float] = None
-        for middleware in self._middlewares:
-            declared = middleware.timer_wheel_granularity
-            if declared is not None and (granularity is None or declared < granularity):
-                granularity = float(declared)
-        self.timer_granularity = granularity
+        declared = [
+            middleware.timer_wheel_granularity
+            for middleware in self._middlewares
+            if middleware.timer_wheel_granularity is not None
+        ]
+        self.timer_granularity = float(min(declared)) if declared else None
+
+    def implements(self, hook: str) -> bool:
+        """Whether any stage overrides ``hook`` (``KeyError`` for a name that
+        is not in :data:`HOOKS`).
+
+        The coordinator and the cluster ask once, when the pipeline is
+        installed, before paying for an optional hook (RTT bookkeeping, a
+        hedge timer, write ordering, coordinator preference), so the default
+        stack schedules no extra events and runs no extra code
+        (PERFORMANCE.md rule 6).
+        """
+        return self._implemented[hook]
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def middlewares(self) -> Tuple[RequestMiddleware, ...]:
-        """The stack, in execution order."""
-        return self._middlewares
-
     def names(self) -> Tuple[str, ...]:
         """Registry names of the stack, in order."""
         return tuple(m.name for m in self._middlewares)
@@ -312,107 +386,3 @@ class MiddlewarePipeline:
     def describe(self) -> List[Dict[str, object]]:
         """Per-middleware descriptions, in order."""
         return [m.describe() for m in self._middlewares]
-
-    def __len__(self) -> int:
-        return len(self._middlewares)
-
-    def __iter__(self):
-        return iter(self._middlewares)
-
-    # ------------------------------------------------------------------
-    # Hook dispatch (hot path)
-    # ------------------------------------------------------------------
-    def on_request(self, ctx: RequestContext) -> None:
-        """Run the ``on_request`` stage (CL rewriting, admission control)."""
-        for middleware in self._on_request:
-            middleware.on_request(ctx)
-
-    def required_acks(self, ctx: RequestContext, effective_rf: int) -> int:
-        """Required acks for this request; the last opinionated middleware wins."""
-        required: Optional[int] = None
-        for middleware in self._required:
-            value = middleware.required_acks(ctx, effective_rf)
-            if value is not None:
-                required = value
-        if required is None:
-            required = ctx.consistency_level.required_acks(effective_rf)
-        return required
-
-    def select_read_targets(
-        self, ctx: RequestContext, live: Sequence[str], required: int
-    ) -> Optional[List[str]]:
-        """Read replica targets; the first opinionated middleware wins."""
-        for middleware in self._selectors:
-            targets = middleware.select_read_targets(ctx, live, required)
-            if targets is not None:
-                return targets
-        return None
-
-    def on_unreachable_replica(
-        self, ctx: RequestContext, node_id: str, version: object
-    ) -> bool:
-        """Offer a missed write to every handler; ``True`` when any stored it."""
-        handled = False
-        for middleware in self._unreachable:
-            if middleware.on_unreachable_replica(ctx, node_id, version):
-                handled = True
-        return handled
-
-    def on_replica_response(self, ctx: RequestContext, node_id: str, rtt: float) -> None:
-        """Report one replica read round-trip to every observer."""
-        for middleware in self._responders:
-            middleware.on_replica_response(ctx, node_id, rtt)
-
-    def hedge_read(
-        self, ctx: RequestContext, live: Sequence[str], targets: Sequence[str]
-    ) -> Optional[Tuple[float, List[str]]]:
-        """Hedge plan for this read; the first opinionated middleware wins."""
-        for middleware in self._hedgers:
-            plan = middleware.hedge_read(ctx, live, targets)
-            if plan is not None:
-                return plan
-        return None
-
-    def order_write_targets(
-        self, ctx: RequestContext, live: Sequence[str]
-    ) -> Optional[List[str]]:
-        """Write fan-out order; the first opinionated middleware wins."""
-        for middleware in self._write_orderers:
-            ordered = middleware.order_write_targets(ctx, live)
-            if ordered is not None:
-                return ordered
-        return None
-
-    def preferred_coordinator(self, serving: Sequence[str]) -> Optional[str]:
-        """Coordinator preference; the first opinionated middleware wins."""
-        for middleware in self._preferrers:
-            choice = middleware.preferred_coordinator(serving)
-            if choice is not None:
-                return choice
-        return None
-
-    def on_node_removed(self, node_id: str) -> None:
-        """Tell every stage holding per-node state that ``node_id`` is gone."""
-        for middleware in self._removal_watchers:
-            middleware.on_node_removed(node_id)
-
-    def inspect_read_responses(
-        self, ctx: RequestContext, responses: Sequence[object]
-    ) -> Optional[bool]:
-        """Run every inspector; mismatch if any reported one (``None`` = no inspectors)."""
-        verdict: Optional[bool] = None
-        for middleware in self._inspectors:
-            value = middleware.inspect_read_responses(ctx, responses)
-            if value is not None:
-                verdict = bool(value) if verdict is None else (verdict or bool(value))
-        return verdict
-
-    def annotate_read(self, ctx: RequestContext, newest: Optional[object]) -> None:
-        """Run the result-annotation stage (staleness observation)."""
-        for middleware in self._annotators:
-            middleware.annotate_read(ctx, newest)
-
-    def on_complete(self, ctx: RequestContext, result: object) -> None:
-        """Run the completion stage (monitoring hooks)."""
-        for middleware in self._completers:
-            middleware.on_complete(ctx, result)

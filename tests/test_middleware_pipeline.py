@@ -25,6 +25,7 @@ from repro.middleware import (
     build_middleware,
     register_middleware,
 )
+from repro.middleware.base import HOOKS
 from repro.runner import Simulation, SimulationConfig
 from repro.simulation import Simulator
 from repro.workload.generator import WorkloadSpec
@@ -82,16 +83,134 @@ def test_cluster_default_pipeline_and_snapshot():
     assert cluster.pipeline.get("read-repair").repairer is cluster.read_repairer
 
 
-def test_pipeline_dispatch_lists_only_contain_overriders():
+def test_pipeline_dispatches_only_to_overriders():
     class OnlySelect(RequestMiddleware):
         def select_read_targets(self, ctx, live, required):
             return list(live[:required])
 
     pipeline = MiddlewarePipeline([OnlySelect(), RequestMiddleware()])
-    assert not pipeline.observes_replica_rtt
+    assert pipeline.implements("select_read_targets")
+    assert [hook for hook in HOOKS if pipeline.implements(hook)] == ["select_read_targets"]
     assert pipeline.select_read_targets(None, ["a", "b"], 1) == ["a"]
     # No-op hooks fall through to their defaults.
     assert pipeline.inspect_read_responses(None, []) is None
+    assert pipeline.on_unreachable_replica(None, "a", None) is False
+    with pytest.raises(KeyError):
+        pipeline.implements("no_such_hook")
+
+
+def test_hook_table_matches_the_middleware_protocol():
+    """A hook is one ``RequestMiddleware`` method plus one ``HOOKS`` row."""
+    overridable = {
+        name
+        for name, member in vars(RequestMiddleware).items()
+        if callable(member) and not name.startswith("_")
+    } - {"describe"}
+    assert set(HOOKS) == overridable
+    assert len(HOOKS) == 12
+    pipeline = MiddlewarePipeline()
+    for hook in HOOKS:
+        assert callable(getattr(pipeline, hook))
+        assert not pipeline.implements(hook)
+
+
+class _Level:
+    """Stands in for a consistency level in the ``required_acks`` fallback."""
+
+    @staticmethod
+    def required_acks(effective_rf):
+        return effective_rf * 10
+
+
+class _Ctx:
+    consistency_level = _Level()
+
+
+def _stub(hook, label, answer, calls):
+    """A stage overriding ``hook`` alone: logs the call, returns ``answer``."""
+
+    def method(self, *args):
+        calls.append((label, args))
+        return answer
+
+    return type(f"Stub{label}", (RequestMiddleware,), {hook: method})()
+
+
+#: Per fold rule: a hook it governs, that hook's arguments, and one case per
+#: tuple of stage answers: ``(answers, folded result, labels of stages called)``.
+_FOLD_CASES = {
+    "call_each": (
+        "on_complete",
+        (_Ctx(), "result"),
+        [((), None, ""), ((None,), None, "a"), ((None, None), None, "ab")],
+    ),
+    "first_opinion": (
+        "select_read_targets",
+        (_Ctx(), ["n1", "n2"], 1),
+        [
+            ((), None, ""),
+            ((None,), None, "a"),
+            ((["n2"],), ["n2"], "a"),
+            ((None, ["n1"]), ["n1"], "ab"),
+            ((["n2"], ["n1"]), ["n2"], "a"),  # short-circuit: b is never asked
+            ((None, None), None, "ab"),
+        ],
+    ),
+    "last_opinion_else_quorum": (
+        "required_acks",
+        (_Ctx(), 3),
+        [
+            ((), 30, ""),
+            ((None,), 30, "a"),
+            ((2,), 2, "a"),
+            ((2, 1), 1, "ab"),
+            ((2, None), 2, "ab"),
+            ((None, None), 30, "ab"),
+        ],
+    ),
+    "any_true": (
+        "on_unreachable_replica",
+        (_Ctx(), "n1", "version"),
+        [
+            ((), False, ""),
+            ((False,), False, "a"),
+            ((True,), True, "a"),
+            ((True, False), True, "ab"),  # no short-circuit: every store is offered it
+            ((False, False), False, "ab"),
+        ],
+    ),
+    "or_merge": (
+        "inspect_read_responses",
+        (_Ctx(), ["r1", "r2"]),
+        [
+            ((), None, ""),
+            ((None,), None, "a"),
+            ((False,), False, "a"),
+            ((None, None), None, "ab"),
+            ((False, None), False, "ab"),
+            ((False, True), True, "ab"),
+            ((True, False), True, "ab"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_FOLD_CASES))
+def test_fold_rule_with_zero_one_and_two_opinionated_stages(rule):
+    hook, args, cases = _FOLD_CASES[rule]
+    assert HOOKS[hook].__name__ == f"_{rule}"
+    assert {len(answers) for answers, _, _ in cases} == {0, 1, 2}
+    for answers, expected, expected_calls in cases:
+        calls = []
+        stages = [
+            _stub(hook, label, answer, calls) for label, answer in zip("ab", answers)
+        ]
+        # An unopinionated bystander between the stages is never consulted.
+        pipeline = MiddlewarePipeline(stages[:1] + [RequestMiddleware()] + stages[1:])
+        assert pipeline.implements(hook) == bool(answers)
+        assert getattr(pipeline, hook)(*args) == expected, (rule, answers)
+        assert "".join(label for label, _ in calls) == expected_calls, (rule, answers)
+        assert all(seen == args for _, seen in calls)
 
 
 def test_default_pipeline_is_equivalent_to_explicit_names():

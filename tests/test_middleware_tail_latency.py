@@ -26,7 +26,9 @@ from repro.middleware import (
     build_pipeline,
 )
 from repro.middleware.base import RequestContext
+from repro.runner import Simulation, SimulationConfig
 from repro.simulation import Simulator
+from repro.simulation.interference import InterferenceConfig
 
 
 def make_cluster(simulator, middleware=None, middleware_params=None, **overrides):
@@ -386,10 +388,16 @@ def test_hedging_declares_wheel_granularity_and_pipeline_surfaces_it():
 
     hedging = _bare_hedging(timer_granularity=0.025)
     pipeline = MiddlewarePipeline([hedging])
+    assert pipeline.implements("hedge_read")
     assert pipeline.timer_granularity == 0.025
     # Opting out keeps the pipeline on the direct heap path.
     plain = MiddlewarePipeline([_bare_hedging(timer_granularity=None)])
+    assert plain.implements("hedge_read")
     assert plain.timer_granularity is None
+    # The tightest declared granularity wins; no hedging stage, no wheel.
+    tighter = MiddlewarePipeline([hedging, _bare_hedging(timer_granularity=0.01)])
+    assert tighter.timer_granularity == 0.01
+    assert MiddlewarePipeline().timer_granularity is None
 
 
 def test_hedged_cluster_routes_timers_through_the_wheel():
@@ -405,6 +413,37 @@ def test_hedged_cluster_routes_timers_through_the_wheel():
     assert done and done[0].success
     stats = coordinator.timer_stats()
     assert stats["timers_armed"] > 0
+
+
+def test_wheel_and_direct_timers_produce_the_same_report():
+    """The wheel only changes *how* timers reach the heap: survivors fire at
+    the same time and in the same order, so the hedged stack's report is the
+    same with the wheel on and off, apart from the tick events it processes.
+    Guards the ``_arm_timer`` binding made when the pipeline is installed."""
+    reports = {}
+    for label, params in (
+        ("wheel", None),
+        ("direct", {"request-hedging": {"timer_granularity": None}}),
+    ):
+        simulation = Simulation(
+            SimulationConfig(
+                seed=11,
+                duration=60.0,
+                middleware=HEDGED_PIPELINE,
+                middleware_params=params,
+                interference=InterferenceConfig(
+                    noisy_neighbour_probability=0.3, noisy_neighbour_severity=0.25
+                ),
+            )
+        )
+        reports[label] = simulation.run().as_dict()
+        coordinator = simulation.cluster.coordinator
+        assert (coordinator.timers is not None) == (label == "wheel")
+        assert coordinator.hedged_reads > 0
+    assert reports["wheel"].pop("events_processed") > reports["direct"].pop(
+        "events_processed"
+    )
+    assert reports["wheel"] == reports["direct"]
 
 
 def test_default_cluster_never_constructs_a_timer_wheel():

@@ -19,7 +19,7 @@ from repro import (
     SimulationConfig,
     WorkloadSpec,
 )
-from repro.cluster import Cluster, ConsistencyLevel
+from repro.cluster import Cluster, ConsistencyLevel, FaultPlan, FaultSpec
 from repro.cluster.types import OperationType
 from repro.core import (
     AddNodeAction,
@@ -397,7 +397,7 @@ TIGHT_TIERS = (
 )
 
 
-def tenant_simulation(middleware):
+def tenant_simulation(middleware, faults=None):
     config = SimulationConfig(
         seed=21,
         duration=120.0,
@@ -411,6 +411,7 @@ def tenant_simulation(middleware):
         ),
         controller=ControllerConfig(policy="static"),
         middleware=middleware,
+        faults=faults,
     )
     return Simulation(config)
 
@@ -462,3 +463,29 @@ def test_without_admission_stage_nothing_is_rejected():
     assert simulation.tenant_rollup is not None
     assert len(simulation.tenant_rollup.top_tenants(8)) == 8
     assert "admission" not in report.as_dict()["tenants"]
+
+
+def test_full_outage_is_attributed_to_tenants():
+    """With no serving node the cluster fails requests itself, before any
+    coordinator sees them; those results must still carry their tenant."""
+    outage = FaultPlan(
+        tuple(
+            FaultSpec(kind="crash", at=40.0, duration=30.0, node=node)
+            for node in range(3)
+        )
+    )
+    simulation = tenant_simulation(None, faults=outage)
+    simulation.run()
+    stats = simulation.workload.stats
+    assert stats.reads_failed + stats.writes_failed > 1000  # the outage was total
+    rolled_up = {row["tenant"]: row for row in simulation.tenant_rollup.top_tenants(8)}
+    assert set(rolled_up) == set(stats.tenant_stats)
+    for tenant_id, tenant in stats.tenant_stats.items():
+        row = rolled_up[tenant_id]
+        assert row["failed"] == tenant.reads_failed + tenant.writes_failed
+        assert row["operations"] == (
+            row["failed"] + tenant.reads_completed + tenant.writes_completed
+        )
+    assert sum(row["failed"] for row in rolled_up.values()) == (
+        stats.reads_failed + stats.writes_failed
+    )
