@@ -761,20 +761,23 @@ class Cluster:
         )
 
     def crash_node(self, node_id: str) -> None:
-        """Crash-stop a node (fault injection)."""
+        """Crash-stop a node (fault injection); a no-op once it is removed."""
         node = self.nodes.get(node_id)
         if node is None:
             raise UnknownNodeError(f"unknown node {node_id!r}")
-        node.mark_down()
-        self._notify_topology({"event": "node_down", "node": node_id})
+        if node.mark_down():
+            self._notify_topology({"event": "node_down", "node": node_id})
 
     def recover_node(self, node_id: str) -> None:
-        """Recover a crashed node; hinted handoff replays missed writes."""
+        """Recover a crashed node; hinted handoff replays missed writes.
+
+        A no-op for a removed node: decommissioning is final.
+        """
         node = self.nodes.get(node_id)
         if node is None:
             raise UnknownNodeError(f"unknown node {node_id!r}")
-        node.mark_up()
-        self._notify_topology({"event": "node_up", "node": node_id})
+        if node.mark_up():
+            self._notify_topology({"event": "node_up", "node": node_id})
 
     def set_node_fault_factor(self, node_id: str, factor: float) -> None:
         """Scale a node's effective service rate (gray-failure injection).

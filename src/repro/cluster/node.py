@@ -135,15 +135,29 @@ class StorageNode:
         """Whether coordinators may route foreground requests to this node."""
         return self.state.serves_requests
 
-    def mark_down(self) -> None:
-        """Crash-stop the node (fault injection / failure experiments)."""
+    def mark_down(self) -> bool:
+        """Crash-stop the node (fault injection / failure experiments).
+
+        ``REMOVED`` is terminal: a decommissioned node is off the ring and
+        out of gossip, so crashing or recovering it changes nothing.  Returns
+        whether the transition happened.
+        """
+        if self.state is NodeState.REMOVED:
+            return False
         self.state = NodeState.DOWN
         self.stopped_at = self._simulator.now
+        return True
 
-    def mark_up(self) -> None:
-        """Recover the node after a crash; stored data survives (disk)."""
+    def mark_up(self) -> bool:
+        """Recover the node after a crash; stored data survives (disk).
+
+        Returns ``False`` (and changes nothing) for a removed node.
+        """
+        if self.state is NodeState.REMOVED:
+            return False
         self.state = NodeState.NORMAL
         self.stopped_at = None
+        return True
 
     def mark_removed(self) -> None:
         """Final state after decommissioning."""

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, ConsistencyLevel, FaultInjector, NodeConfig
+from repro.cluster import (
+    Cluster,
+    ClusterConfig,
+    ConsistencyLevel,
+    FaultInjector,
+    NodeConfig,
+    NodeState,
+)
 from repro.simulation import Simulator
 
 
@@ -205,3 +212,28 @@ def test_same_pair_partitioned_twice_stays_severed_until_both_heal():
     assert cluster.network.is_partitioned(nodes[0], nodes[1])
     simulator.run_until(60.0)  # second window healed at t=55
     assert not cluster.network.is_partitioned(nodes[0], nodes[1])
+
+
+def test_removed_node_is_not_resurrected_by_a_late_crash_recover_pair():
+    # A FaultPlan resolves node ids up front, so a crash/recover pair can
+    # fire after the autoscaler has decommissioned its target.
+    simulator, cluster, injector = make_setup(nodes=5)
+    node_id = max(cluster.node_ids())
+    injector.crash_node(node_id, at=60.0, duration=10.0)
+    removed, _ = cluster.remove_node()
+    assert removed == node_id
+    simulator.run_until(59.0)
+    node = cluster.nodes[node_id]
+    assert node.state is NodeState.REMOVED
+    stopped_at = node.stopped_at
+    notified = len(cluster.topology_changes)
+
+    simulator.run_until(80.0)
+
+    assert node.state is NodeState.REMOVED
+    assert not node.is_up and not node.serves_requests
+    assert node.stopped_at == stopped_at
+    assert node_id not in cluster.serving_node_ids()
+    assert node_id not in cluster.node_ids()
+    assert cluster.membership.view_of(node_id) is None
+    assert len(cluster.topology_changes) == notified
