@@ -140,6 +140,10 @@ class ClusterListener:
         """A configuration knob changed (CL, RF, ...)."""
 
 
+#: Every hook of :class:`ClusterListener`, in definition order.
+_LISTENER_HOOKS = tuple(name for name in vars(ClusterListener) if name.startswith("on_"))
+
+
 class Cluster:
     """The simulated eventually consistent NoSQL cluster."""
 
@@ -157,7 +161,15 @@ class Cluster:
         self.membership = MembershipService(simulator, self.network, self.config.membership)
         self.ring = HashRing(self.config.virtual_nodes)
         self.nodes: Dict[str, StorageNode] = {}
-        self._listeners: List[ClusterListener] = []
+        # Sorted ids of the nodes that serve requests, or ``None`` when a
+        # node was created or changed state since it was last asked for.
+        self._serving_ids: Optional[Tuple[str, ...]] = None
+        # Per hook, the bound methods of the listeners that override it, in
+        # registration order: a listener is never called for an event it
+        # inherits the no-op for (PERFORMANCE.md rule 12).
+        self._observers: Dict[str, List[Callable[..., None]]] = {
+            hook: [] for hook in _LISTENER_HOOKS
+        }
         self._next_node_index = itertools.count(1)
         self._coordinator_cursor = 0
         self._replication_factor = self.config.replication_factor
@@ -229,7 +241,9 @@ class Cluster:
     # ------------------------------------------------------------------
     def add_listener(self, listener: ClusterListener) -> None:
         """Register an observer of cluster events."""
-        self._listeners.append(listener)
+        for hook, observers in self._observers.items():
+            if getattr(type(listener), hook) is not getattr(ClusterListener, hook):
+                observers.append(getattr(listener, hook))
 
     def _handle_write_acked(
         self, key: str, stamp: VersionStamp, ack_time: float, replica_set: Sequence[str]
@@ -237,32 +251,32 @@ class Cluster:
         if key not in self._known_keys:
             self._known_keys[key] = None
             self._known_keys_dirty = True
-        for listener in self._listeners:
-            listener.on_write_acked(key, stamp, ack_time, replica_set)
+        for observer in self._observers["on_write_acked"]:
+            observer(key, stamp, ack_time, replica_set)
 
     def _handle_replica_applied(
         self, key: str, stamp: VersionStamp, node_id: str, time: float, background: bool
     ) -> None:
-        for listener in self._listeners:
-            listener.on_replica_applied(key, stamp, node_id, time, background)
+        for observer in self._observers["on_replica_applied"]:
+            observer(key, stamp, node_id, time, background)
 
     def _handle_operation_completed(self, result: object) -> None:
-        for listener in self._listeners:
-            listener.on_operation_completed(result)
+        for observer in self._observers["on_operation_completed"]:
+            observer(result)
 
     def _notify_topology(self, change: Dict[str, object]) -> None:
         change = dict(change)
         change["time"] = self._simulator.now
         self.topology_changes.append(change)
-        for listener in self._listeners:
-            listener.on_topology_changed(change)
+        for observer in self._observers["on_topology_changed"]:
+            observer(change)
 
     def _notify_reconfiguration(self, change: Dict[str, object]) -> None:
         change = dict(change)
         change["time"] = self._simulator.now
         self.reconfigurations.append(change)
-        for listener in self._listeners:
-            listener.on_reconfiguration(change)
+        for observer in self._observers["on_reconfiguration"]:
+            observer(change)
 
     # ------------------------------------------------------------------
     # Node management
@@ -275,8 +289,10 @@ class Cluster:
             self._simulator,
             node_id,
             config=node_config or self.config.node,
+            on_state_change=self._node_state_changed,
         )
         self.nodes[node_id] = node
+        self._node_state_changed()
         self.membership.register_node(node_id, is_up=lambda n=node: n.is_up)
         if initial:
             self.ring.add_node(node_id)
@@ -292,13 +308,24 @@ class Cluster:
             )
         )
 
+    def _node_state_changed(self) -> None:
+        """A node was created or changed state: the serving set is stale."""
+        self._serving_ids = None
+
     def serving_node_ids(self) -> Tuple[str, ...]:
-        """Nodes currently able to coordinate and serve requests."""
-        return tuple(
-            sorted(
-                node_id for node_id, node in self.nodes.items() if node.serves_requests
+        """Nodes currently able to coordinate and serve requests.
+
+        Asked once per request, so the tuple is kept until a node is created
+        or its state setter reports a change — the only two ways it can move.
+        """
+        serving = self._serving_ids
+        if serving is None:
+            serving = self._serving_ids = tuple(
+                sorted(
+                    node_id for node_id, node in self.nodes.items() if node.serves_requests
+                )
             )
-        )
+        return serving
 
     def live_node_count(self) -> int:
         """Number of nodes currently up (including joining/leaving)."""

@@ -44,7 +44,7 @@ from ..middleware.base import (
 )
 from ..middleware.builtin import default_coordinator_pipeline
 from ..simulation.engine import Simulator
-from ..simulation.events import EventHandle
+from ..simulation.events import Event
 from ..simulation.timers import TimerService
 from ..simulation.network import NetworkModel
 from .membership import MembershipService
@@ -121,13 +121,13 @@ class _InFlight:
     """Set once the outcome is decided; later acks, responses and timers are
     ignored."""
 
-    timeout_handle: Optional[EventHandle] = None
+    timeout_handle: Optional[Event] = None
     version: Optional[VersionedValue] = None
     """Write only: the version the coordinator stamped on arrival."""
 
     acks: int = 0
     responses: List[ReplicaReadResponse] = field(default_factory=list)
-    hedge_handle: Optional[EventHandle] = None
+    hedge_handle: Optional[Event] = None
 
     def close(self) -> None:
         """Decide the request: no later event may change its outcome."""
@@ -360,12 +360,23 @@ class RequestCoordinator:
             # A write goes to every replica, directly or as a hint; a read
             # only to the targets selected below.
             context.result.replicas_contacted = len(preference_list)
-        coordinator_id = request.coordinator_id
-        live = [
-            node_id
-            for node_id in preference_list
-            if self._replica_alive(coordinator_id, node_id)
-        ]
+        # ``_replica_alive`` for the whole list, with the coordinator's view
+        # and the clock looked up once.  Resolved afresh for every request:
+        # the failure detector's answer depends on the time.
+        nodes = self._nodes
+        view = self._membership.view_of(request.coordinator_id)
+        now = self._simulator.now
+        live = []
+        for node_id in preference_list:
+            node = nodes.get(node_id)
+            if node is None or not node.serves_requests:
+                continue
+            if (
+                view.is_alive(node_id, now)
+                if view is not None
+                else self._membership.is_alive(node_id)
+            ):
+                live.append(node_id)
         if len(live) < context.required:
             self.unavailable_errors += 1
             self._fail(context, "unavailable: not enough live replicas")

@@ -98,11 +98,18 @@ class StorageNode:
         node_id: str,
         config: Optional[NodeConfig] = None,
         state: NodeState = NodeState.NORMAL,
+        on_state_change: Optional[Callable[[], None]] = None,
     ) -> None:
         self._simulator = simulator
         self.node_id = node_id
         self.config = config or NodeConfig()
-        self.state = state
+        # The owner (the cluster) is told of every state change, so whatever
+        # it derives from node states can be kept as data too.  A node is
+        # born in its state: only changes after construction are reported.
+        self._on_state_change: Optional[Callable[[], None]] = None
+        self._state: Optional[NodeState] = None
+        self._enter(state)
+        self._on_state_change = on_state_change
         self.server = QueueingServer(
             simulator,
             name=node_id,
@@ -126,25 +133,43 @@ class StorageNode:
     # State management
     # ------------------------------------------------------------------
     @property
-    def is_up(self) -> bool:
-        """Whether the node is alive (possibly joining/leaving, but not down)."""
-        return self.state not in (NodeState.DOWN, NodeState.REMOVED)
+    def state(self) -> NodeState:
+        """Lifecycle state.  Assigning it keeps :attr:`is_up` and
+        :attr:`serves_requests` in step and notifies the owner; assignments
+        to a ``REMOVED`` node are ignored (decommissioning is final)."""
+        return self._state
 
-    @property
-    def serves_requests(self) -> bool:
+    @state.setter
+    def state(self, state: NodeState) -> None:
+        self._enter(state)
+
+    def _enter(self, state: NodeState) -> bool:
+        """The one place node state changes; returns whether it did.
+
+        ``is_up`` and ``serves_requests`` are read several times per request,
+        so they are plain attributes written here rather than properties
+        derived on every read (PERFORMANCE.md rule 12).  ``REMOVED`` is
+        terminal: a decommissioned node is off the ring and out of gossip,
+        and no crash, recovery or stray assignment brings it back.
+        """
+        if self._state is NodeState.REMOVED:
+            return False
+        self._state = state
+        self.is_up = state is not NodeState.DOWN and state is not NodeState.REMOVED
+        """Whether the node is alive (possibly joining/leaving, but not down)."""
+        self.serves_requests = state.serves_requests
         """Whether coordinators may route foreground requests to this node."""
-        return self.state.serves_requests
+        if self._on_state_change is not None:
+            self._on_state_change()
+        return True
 
     def mark_down(self) -> bool:
         """Crash-stop the node (fault injection / failure experiments).
 
-        ``REMOVED`` is terminal: a decommissioned node is off the ring and
-        out of gossip, so crashing or recovering it changes nothing.  Returns
-        whether the transition happened.
+        Returns whether the transition happened (never for a removed node).
         """
-        if self.state is NodeState.REMOVED:
+        if not self._enter(NodeState.DOWN):
             return False
-        self.state = NodeState.DOWN
         self.stopped_at = self._simulator.now
         return True
 
@@ -153,16 +178,15 @@ class StorageNode:
 
         Returns ``False`` (and changes nothing) for a removed node.
         """
-        if self.state is NodeState.REMOVED:
+        if not self._enter(NodeState.NORMAL):
             return False
-        self.state = NodeState.NORMAL
         self.stopped_at = None
         return True
 
     def mark_removed(self) -> None:
         """Final state after decommissioning."""
-        self.state = NodeState.REMOVED
-        self.stopped_at = self._simulator.now
+        if self._enter(NodeState.REMOVED):
+            self.stopped_at = self._simulator.now
 
     # ------------------------------------------------------------------
     # Demand model

@@ -56,9 +56,8 @@ class HashRing:
         self._nodes: set[str] = set()
         # Replica sets are fully determined by (key, rf) and the current
         # membership, so they are memoised until the next topology change.
-        # The cache stores private copies and hands out fresh lists, so
-        # callers may mutate what they receive.
-        self._preference_cache: Dict[Tuple[str, int], List[str]] = {}
+        # The cache holds tuples and hands them out as they are.
+        self._preference_cache: Dict[Tuple[str, int], Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     # Membership
@@ -116,18 +115,20 @@ class HashRing:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def preference_list(self, key: str, replication_factor: int) -> List[str]:
-        """The ordered replica set for ``key`` (first entry is the primary)."""
+    def preference_list(self, key: str, replication_factor: int) -> Tuple[str, ...]:
+        """The ordered replica set for ``key`` (first entry is the primary).
+
+        A tuple: the memoised answer itself is handed out, not a copy."""
         if replication_factor < 1:
             raise ConfigurationError(
                 f"replication_factor must be >= 1, got {replication_factor}"
             )
         if not self._tokens:
-            return []
+            return ()
         cache_key = (key, replication_factor)
         cached = self._preference_cache.get(cache_key)
         if cached is not None:
-            return cached.copy()
+            return cached
         count = min(replication_factor, len(self._nodes))
         position = hash_key(key)
         start = bisect.bisect_right(self._tokens, position) % len(self._tokens)
@@ -148,8 +149,8 @@ class HashRing:
             # never admits again would silently degrade huge key spaces to
             # the uncached path for the rest of the run.
             self._preference_cache.clear()
-        self._preference_cache[cache_key] = owners.copy()
-        return owners
+        placement = self._preference_cache[cache_key] = tuple(owners)
+        return placement
 
     def primary(self, key: str) -> Optional[str]:
         """The primary owner of ``key`` (first node on its preference list)."""

@@ -113,15 +113,13 @@ class OperationType(enum.Enum):
     PROBE_READ = "probe_read"
     PROBE_WRITE = "probe_write"
 
-    @property
-    def is_probe(self) -> bool:
+    def __init__(self, value: str) -> None:
+        # Plain attributes, computed once per member: every listener asks
+        # ``is_probe`` of every completed operation.
+        self.is_probe: bool = value in ("probe_read", "probe_write")
         """Whether the operation was issued by the monitoring subsystem."""
-        return self in (OperationType.PROBE_READ, OperationType.PROBE_WRITE)
-
-    @property
-    def is_read(self) -> bool:
+        self.is_read: bool = value in ("read", "probe_read")
         """Whether the operation reads data (probe or production)."""
-        return self in (OperationType.READ, OperationType.PROBE_READ)
 
 
 @dataclass

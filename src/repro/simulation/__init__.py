@@ -8,7 +8,7 @@ multi-tenant interference processes and time-series recording.
 
 from .engine import PeriodicTask, Simulator
 from .errors import ResourceError, SchedulingError, SimulationError, SimulationStateError
-from .events import Event, EventHandle, EventQueue
+from .events import Event, EventQueue
 from .interference import (
     InterferenceConfig,
     InterferenceController,
@@ -28,7 +28,6 @@ __all__ = [
     "SimulationStateError",
     "ResourceError",
     "Event",
-    "EventHandle",
     "EventQueue",
     "RandomStreams",
     "QueueingServer",

@@ -18,9 +18,9 @@ Typical usage::
 from __future__ import annotations
 
 import math
-from heapq import heappush
+from heapq import heappop, heappush
 from sys import maxsize
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NoReturn, Optional
 
 from .errors import SchedulingError, SimulationStateError
 from .events import (
@@ -28,7 +28,6 @@ from .events import (
     PRIORITY_LATE,
     PRIORITY_NORMAL,
     Event,
-    EventHandle,
     EventQueue,
 )
 from .randomness import RandomStreams
@@ -64,7 +63,7 @@ class PeriodicTask:
         self._label = label
         self._jitter = max(0.0, float(jitter))
         self._stopped = False
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[Event] = None
         self._invocations = 0
 
     @property
@@ -131,23 +130,24 @@ class Simulator:
     def __init__(
         self, seed: int = 0, start_time: float = 0.0, stream_namespace: str = ""
     ) -> None:
-        self._now = float(start_time)
+        self.now = float(start_time)
+        """Current simulation time in seconds.  A plain attribute, not a
+        property: every layer reads it several times per operation and only
+        the run loop below writes it (PERFORMANCE.md rule 12)."""
         self._start_time = float(start_time)
         self._queue = EventQueue()
         self._streams = RandomStreams(seed, namespace=stream_namespace)
         self._running = False
-        self._stopped = False
+        # Events are accepted strictly before this time: +inf while the
+        # kernel is live, -inf once stopped, so the one comparison the
+        # scheduling fast paths make also rejects NaN and infinite times.
+        self._horizon = math.inf
         self._events_processed = 0
         self._trace_hooks: list[Callable[[float, Optional[str]], None]] = []
 
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     @property
     def start_time(self) -> float:
         """Time the simulation started at (usually ``0.0``)."""
@@ -156,7 +156,7 @@ class Simulator:
     @property
     def elapsed(self) -> float:
         """Simulated seconds elapsed since the start."""
-        return self._now - self._start_time
+        return self.now - self._start_time
 
     @property
     def streams(self) -> RandomStreams:
@@ -183,16 +183,13 @@ class Simulator:
         *args: Any,
         priority: int = PRIORITY_NORMAL,
         label: Optional[str] = None,
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
-        if self._stopped:
-            raise SimulationStateError("cannot schedule events on a stopped simulator")
-        if not math.isfinite(time):
-            raise SchedulingError(f"event time must be finite, got {time}")
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot schedule event at {time:.6f}, current time is {self._now:.6f}"
-            )
+    ) -> Event:
+        """Schedule ``callback(*args)`` at absolute simulation time ``time``.
+
+        Returns the :class:`Event`, whose ``cancel()`` withdraws it.
+        """
+        if not self.now <= time < self._horizon:
+            self._refuse(time)
         return self._queue.push(time, callback, args, priority=priority, label=label)
 
     def schedule_in(
@@ -202,22 +199,19 @@ class Simulator:
         *args: Any,
         priority: int = PRIORITY_NORMAL,
         label: Optional[str] = None,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` ``delay`` seconds from now.
 
         This is the kernel's hottest entry point — every arrival, replica
         hop, timeout and metric flush comes through here — so it is the one
         deliberate inline of :meth:`EventQueue.push`'s body: each avoided
         Python frame is measurable at millions of events.  Keep the two in
-        sync (``tests/test_simulation_events.py`` exercises both paths).
+        sync (``tests/test_simulation_events.py`` compares every scheduling
+        path against ``push``).
         """
-        if delay < 0.0:
-            raise SchedulingError(f"delay must be >= 0, got {delay}")
-        if self._stopped:
-            raise SimulationStateError("cannot schedule events on a stopped simulator")
-        time = self._now + delay
-        if not math.isfinite(time):
-            raise SchedulingError(f"event time must be finite, got {time}")
+        time = self.now + delay
+        if not (delay >= 0.0 and time < self._horizon):
+            self._refuse(time, delay)
         queue = self._queue
         sequence = queue._sequence
         queue._sequence = sequence + 1
@@ -227,7 +221,19 @@ class Simulator:
         heappush(heap, (time, priority, sequence, event))
         if len(heap) > queue._peak_pending:
             queue._peak_pending = len(heap)
-        return EventHandle(event)
+        return event
+
+    def _refuse(self, time: float, delay: float = 0.0) -> NoReturn:
+        """Slow path of ``schedule``/``schedule_in``: name what was wrong."""
+        if delay < 0.0:
+            raise SchedulingError(f"delay must be >= 0, got {delay}")
+        if self._horizon == -math.inf:
+            raise SimulationStateError("cannot schedule events on a stopped simulator")
+        if not math.isfinite(time):
+            raise SchedulingError(f"event time must be finite, got {time}")
+        raise SchedulingError(
+            f"cannot schedule event at {time:.6f}, current time is {self.now:.6f}"
+        )
 
     def call_every(
         self,
@@ -260,16 +266,16 @@ class Simulator:
         event = self._queue.pop()
         if event is None:
             return False
-        if event.time < self._now:
+        if event.time < self.now:
             # Defensive: the queue is ordered, so this indicates a kernel bug.
             raise SimulationStateError(
-                f"event queue returned an event in the past ({event.time} < {self._now})"
+                f"event queue returned an event in the past ({event.time} < {self.now})"
             )
-        self._now = event.time
+        self.now = event.time
         self._events_processed += 1
         if self._trace_hooks:
             for hook in self._trace_hooks:
-                hook(self._now, event.label)
+                hook(self.now, event.label)
         event.callback(*event.args)
         return True
 
@@ -280,48 +286,57 @@ class Simulator:
         only holds later events, so back-to-back ``run_until`` calls compose.
         Returns the number of events executed by this call.
         """
-        if end_time < self._now:
+        if end_time < self.now:
             raise SchedulingError(
-                f"cannot run to {end_time:.6f}, current time is {self._now:.6f}"
+                f"cannot run to {end_time:.6f}, current time is {self.now:.6f}"
             )
         if self._running:
             raise SimulationStateError("run_until is not reentrant")
         self._running = True
         executed = 0
-        # Hot loop: a single queue probe per event (``pop_due`` discards
-        # cancelled heads exactly once, where ``peek_time`` + ``step`` each
-        # rescanned them) and hoisted attribute lookups.  ``_trace_hooks`` is
-        # aliased, not copied, so hooks registered mid-run still fire.
-        pop_due = self._queue.pop_due
+        # Hot loop: the queue probe is written out here rather than called
+        # (one frame per fired event): cancelled heads are discarded exactly
+        # once, and an event beyond ``end_time`` stays in the heap.  The heap
+        # and ``_trace_hooks`` are aliased, not copied, so ``stop()`` and
+        # hooks registered mid-run take effect at once.
+        queue = self._queue
+        heap = queue._heap
         hooks = self._trace_hooks
         # ``sys.maxsize`` rather than ``math.inf`` as the no-budget sentinel:
         # an int/int comparison per event is measurably cheaper here than
         # int/float, and no run can execute that many events.
         limit = maxsize if max_events is None else max_events
         try:
-            while executed < limit:
-                event = pop_due(end_time)
-                if event is None:
+            while executed < limit and heap:
+                head = heap[0]
+                event = head[3]
+                if event.cancelled:
+                    heappop(heap)
+                    queue._cancelled_skipped += 1
+                    continue
+                time = head[0]
+                if time > end_time:
                     break
-                time = event.time
-                if time < self._now:
+                heappop(heap)
+                queue._fired += 1
+                if time < self.now:
                     # Same guard as step(): reachable when a max_events stop
                     # advanced the clock past still-pending events; fail loud
                     # rather than silently rewinding the timeline.
                     raise SimulationStateError(
                         f"event queue returned an event in the past "
-                        f"({time} < {self._now})"
+                        f"({time} < {self.now})"
                     )
-                self._now = time
+                self.now = time
                 self._events_processed += 1
                 executed += 1
                 if hooks:
                     for hook in hooks:
-                        hook(self._now, event.label)
+                        hook(time, event.label)
                 event.callback(*event.args)
         finally:
             self._running = False
-        self._now = max(self._now, end_time)
+        self.now = max(self.now, end_time)
         return executed
 
     def run_until_empty(self, max_events: int = 10_000_000) -> int:
@@ -339,7 +354,7 @@ class Simulator:
 
     def stop(self) -> None:
         """Permanently stop the simulator and drop pending events."""
-        self._stopped = True
+        self._horizon = -math.inf
         self._queue.clear()
 
     def queue_stats(self) -> dict[str, Any]:

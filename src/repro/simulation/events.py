@@ -20,7 +20,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-__all__ = ["Event", "EventQueue", "EventHandle"]
+__all__ = ["Event", "EventQueue"]
 
 #: Default priority for ordinary events.
 PRIORITY_NORMAL = 0
@@ -34,7 +34,10 @@ PRIORITY_LATE = 10
 
 
 class Event:
-    """A single scheduled callback.
+    """A single scheduled callback, and the handle ``schedule`` returns for it.
+
+    Callers keep the event to :meth:`cancel` it or to read its ``time``,
+    ``cancelled`` flag and ``label``; the other attributes are the kernel's.
 
     Attributes
     ----------
@@ -72,7 +75,10 @@ class Event:
         self.label = label
 
     def cancel(self) -> None:
-        """Mark the event as cancelled; it will be skipped when popped."""
+        """Mark the event as cancelled; it will be skipped when popped.
+
+        A no-op once the event has fired.
+        """
         self.cancelled = True
 
     def __lt__(self, other: "Event") -> bool:
@@ -88,38 +94,6 @@ class Event:
             f"Event(time={self.time:.6f}, priority={self.priority}, "
             f"sequence={self.sequence}, {state}, label={self.label!r})"
         )
-
-
-class EventHandle:
-    """Opaque handle returned by ``schedule``; supports cancellation."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """Scheduled firing time of the underlying event."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the underlying event has been cancelled."""
-        return self._event.cancelled
-
-    @property
-    def label(self) -> Optional[str]:
-        """Optional human-readable label attached at scheduling time."""
-        return self._event.label
-
-    def cancel(self) -> None:
-        """Cancel the underlying event (no-op if it already fired)."""
-        self._event.cancel()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(time={self.time:.6f}, {state}, label={self.label!r})"
 
 
 class EventQueue:
@@ -152,8 +126,8 @@ class EventQueue:
         args: tuple = (),
         priority: int = PRIORITY_NORMAL,
         label: Optional[str] = None,
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at ``time`` and return its handle."""
+    ) -> Event:
+        """Schedule ``callback(*args)`` at ``time`` and return the event."""
         sequence = self._sequence
         self._sequence = sequence + 1
         event = Event(time, priority, sequence, callback, args, False, label)
@@ -161,7 +135,7 @@ class EventQueue:
         self._scheduled += 1
         if len(self._heap) > self._peak_pending:
             self._peak_pending = len(self._heap)
-        return EventHandle(event)
+        return event
 
     def reserve_sequence(self) -> int:
         """Allocate a sequence number without pushing an event.
@@ -203,28 +177,6 @@ class EventQueue:
             if event.cancelled:
                 self._cancelled_skipped += 1
                 continue
-            self._fired += 1
-            return event
-        return None
-
-    def pop_due(self, end_time: float) -> Optional[Event]:
-        """Pop the next live event firing at or before ``end_time``.
-
-        A single probe replacing the ``peek_time`` + ``pop`` pair: cancelled
-        heads are discarded exactly once, and an event beyond ``end_time``
-        stays in the heap.  This is the kernel's hot call.
-        """
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            event = head[3]
-            if event.cancelled:
-                heappop(heap)
-                self._cancelled_skipped += 1
-                continue
-            if head[0] > end_time:
-                return None
-            heappop(heap)
             self._fired += 1
             return event
         return None

@@ -76,16 +76,18 @@ class NetworkModel:
         self._link_drops = 0
         self._window_start = simulator.now
         self._window_messages = 0
-        self._congestion_factor = 1.0
         self._messages_sent = 0
         self._messages_dropped = 0
         self._external_load_factor = 1.0
-        # Per-message hot-path caches: the jitter sampler memoises the
-        # CV/mean-derived lognormal constants (the mean only changes when the
-        # congestion factor does), and event labels are rendered once per
-        # (source, destination) pair instead of per message.
+        # Per-message hot-path data, written where it changes
+        # (PERFORMANCE.md rule 12): the latency constants of both message
+        # classes move only with the congestion factor, and event labels are
+        # rendered once per (source, destination) pair instead of per message.
         self._jitter = LognormalSampler(self._config.jitter_cv)
+        self._sigma = self._jitter.sigma
+        self._set_congestion_factor(1.0)
         self._labels: Dict[Tuple[str, str], str] = {}
+        self._schedule_in = simulator.schedule_in
 
     @property
     def config(self) -> NetworkConfig:
@@ -104,7 +106,7 @@ class NetworkModel:
 
     @property
     def messages_dropped(self) -> int:
-        """Messages dropped because of partitions."""
+        """Messages dropped by a partition or a flaky link."""
         return self._messages_dropped
 
     def set_external_load_factor(self, factor: float) -> None:
@@ -234,26 +236,42 @@ class NetworkModel:
     # ------------------------------------------------------------------
     # Latency and delivery
     # ------------------------------------------------------------------
-    def _update_congestion(self) -> None:
-        now = self._simulator.now
-        window = self._config.congestion_window
-        if now - self._window_start >= window:
-            rate = self._window_messages / max(now - self._window_start, 1e-9)
-            rate *= self._external_load_factor
-            overload = rate / self._config.capacity_msgs_per_sec
-            if overload <= 1.0:
-                self._congestion_factor = 1.0
-            else:
-                factor = overload ** self._config.congestion_exponent
-                self._congestion_factor = min(factor, self._config.max_congestion_factor)
-            self._window_start = now
-            self._window_messages = 0
+    def _set_congestion_factor(self, factor: float) -> None:
+        """The one place the congestion factor changes: refresh what hangs off it."""
+        self._congestion_factor = factor
+        self._node_hop = self._hop_constants(self._config.base_latency * factor)
+        self._client_hop = self._hop_constants(self._config.client_latency * factor)
 
-    def sample_latency(self, client_facing: bool = False) -> float:
-        """Draw a one-way latency sample, including congestion effects."""
-        base = self._config.client_latency if client_facing else self._config.base_latency
-        mean = base * self._congestion_factor
-        return self._jitter.sample(self._rng, mean)
+    def _hop_constants(self, mean: float) -> Tuple[float, Optional[float]]:
+        """``(latency, mu)`` of one message class at mean latency ``mean``.
+
+        ``mu`` is the lognormal constant of the jittered draw, memoised by
+        the sampler; ``None`` means no draw is made and ``latency`` is the
+        answer (no jitter configured, or a zero mean) — the cases
+        :meth:`LognormalSampler.sample` settles without touching the stream.
+        """
+        if mean <= 0.0:
+            return 0.0, None
+        if self._jitter.cv <= 0.0:
+            return float(mean), None
+        return mean, self._jitter.mu_for(mean)
+
+    def _roll_congestion_window(self, now: float) -> None:
+        """Close the elapsed window: its message rate sets the next factor."""
+        rate = self._window_messages / max(now - self._window_start, 1e-9)
+        rate *= self._external_load_factor
+        overload = rate / self._config.capacity_msgs_per_sec
+        if overload <= 1.0:
+            factor = 1.0
+        else:
+            factor = min(
+                overload ** self._config.congestion_exponent,
+                self._config.max_congestion_factor,
+            )
+        if factor != self._congestion_factor:
+            self._set_congestion_factor(factor)
+        self._window_start = now
+        self._window_messages = 0
 
     def send(
         self,
@@ -266,13 +284,21 @@ class NetworkModel:
         """Deliver ``deliver()`` at the destination after a latency delay.
 
         Returns ``True`` if the message was scheduled for delivery, ``False``
-        if it was dropped because of a partition (``on_drop`` is then invoked
-        immediately, if provided).
+        if a partition or a flaky link dropped it (``on_drop`` is then
+        invoked immediately, if provided).
+
+        One frame per hop: the window test, the partition test and the
+        jitter draw are written out here, so a message costs this call, the
+        generator's draw and ``schedule_in``.
         """
         self._messages_sent += 1
         self._window_messages += 1
-        self._update_congestion()
-        if self.is_partitioned(source, destination):
+        now = self._simulator.now
+        if now - self._window_start >= self._config.congestion_window:
+            self._roll_congestion_window(now)
+        if self._partitioned_pairs and (
+            frozenset((source, destination)) in self._partitioned_pairs
+        ):
             self._messages_dropped += 1
             if on_drop is not None:
                 on_drop()
@@ -291,7 +317,9 @@ class NetworkModel:
                     if on_drop is not None:
                         on_drop()
                     return False
-        latency = self.sample_latency(client_facing=client_facing)
+        latency, mu = self._client_hop if client_facing else self._node_hop
+        if mu is not None:
+            latency = float(self._rng.lognormal(mean=mu, sigma=self._sigma))
         if link_delay > 0.0:
             latency += link_delay
         pair = (source, destination)
@@ -299,7 +327,7 @@ class NetworkModel:
         if label is None:
             label = f"net:{source}->{destination}"
             self._labels[pair] = label
-        self._simulator.schedule_in(latency, deliver, label=label)
+        self._schedule_in(latency, deliver, label=label)
         return True
 
     def round_trip_estimate(self, client_facing: bool = False) -> float:

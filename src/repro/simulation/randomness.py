@@ -162,7 +162,18 @@ class LognormalSampler:
         """Coefficient of variation the sampler was built with."""
         return self._cv
 
-    def _mu_for(self, mean: float) -> float:
+    @property
+    def sigma(self) -> float:
+        """The lognormal ``sigma`` every draw of this sampler uses."""
+        return self._sigma
+
+    def mu_for(self, mean: float) -> float:
+        """The memoised lognormal ``mu`` of a draw with the given (positive) mean.
+
+        For a caller whose mean changes rarely and that wants to hold the
+        constants itself: ``rng.lognormal(mean=mu_for(m), sigma=sigma)`` is
+        the draw :meth:`sample` makes.
+        """
         mu = self._mu_cache.get(mean)
         if mu is None:
             if len(self._mu_cache) >= self._MU_CACHE_LIMIT:
@@ -177,7 +188,7 @@ class LognormalSampler:
             return 0.0
         if self._cv <= 0.0:
             return float(mean)
-        return float(rng.lognormal(mean=self._mu_for(mean), sigma=self._sigma))
+        return float(rng.lognormal(mean=self.mu_for(mean), sigma=self._sigma))
 
     def sample_many(self, rng: np.random.Generator, mean: float, count: int) -> np.ndarray:
         """Draw ``count`` variates in one chunk.
@@ -192,4 +203,4 @@ class LognormalSampler:
             return np.zeros(count)
         if self._cv <= 0.0:
             return np.full(count, float(mean))
-        return rng.lognormal(mean=self._mu_for(mean), sigma=self._sigma, size=count)
+        return rng.lognormal(mean=self.mu_for(mean), sigma=self._sigma, size=count)

@@ -17,7 +17,7 @@ front of the heap:
   in the same bucket costs a dict lookup and a list append, no heap at all.
 * **cancel** is O(1) and free: it flips the timer's ``cancelled`` flag.  A
   timer cancelled before its bucket ticks is simply skipped at the tick —
-  it never touches the heap and leaves no corpse for ``pop_due`` to sift.
+  it never touches the heap and leaves no corpse for the run loop to sift.
 * **promotion preserves exactness**: at the tick, each surviving timer is
   pushed into the heap at its *precise* deadline carrying the queue
   sequence number *reserved at arm time*.  Heap order is
@@ -46,7 +46,7 @@ import math
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from .errors import SchedulingError
-from .events import PRIORITY_NORMAL, Event, EventHandle
+from .events import PRIORITY_NORMAL, Event
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
     from .engine import Simulator
@@ -68,8 +68,8 @@ class TimerService:
     """Hashed timer wheel with O(1) arm / O(1) lazy cancel over a Simulator.
 
     ``arm`` mirrors :meth:`Simulator.schedule_in`'s signature and returns
-    the same :class:`EventHandle`, so call sites swap between the two by
-    rebinding one attribute.
+    the same cancellable :class:`Event`, so call sites swap between the two
+    by rebinding one attribute.
     """
 
     __slots__ = (
@@ -122,50 +122,51 @@ class TimerService:
         *args: Any,
         priority: int = PRIORITY_NORMAL,
         label: Optional[str] = None,
-    ) -> EventHandle:
+    ) -> Event:
         """Arm ``callback(*args)`` to fire ``delay`` seconds from now.
 
         Semantically identical to ``Simulator.schedule_in`` — same
-        validation, same handle, same firing time/order for survivors —
-        but cancels that land before the bucket tick cost nothing.
+        validation, same returned event, same firing time/order for
+        survivors — but cancels that land before the bucket tick cost nothing.
         """
         self.timers_armed += 1
         simulator = self._simulator
-        granularity = self._granularity
-        deadline = simulator.now + delay
-        if math.isfinite(deadline):
+        now = simulator.now
+        deadline = now + delay
+        # The comparison ``schedule`` makes: finite, not in the past, kernel
+        # live.  Whatever fails it goes to ``schedule_in``, which raises.
+        if now <= deadline < simulator._horizon:
+            granularity = self._granularity
             bucket = int(deadline // granularity)
             tick_time = bucket * granularity
-        else:
-            bucket = 0
-            tick_time = math.nan  # force the fallback; schedule_in raises
-        # Unwheelable: the bucket already started (short delay within the
-        # current bucket, or a negative delay) or float rounding pushed the
-        # tick past the deadline.  Direct scheduling is always exact; let it
-        # also handle the negative/non-finite validation.
-        if not tick_time > simulator.now or tick_time > deadline:
-            self.timers_direct += 1
-            return simulator.schedule_in(
-                delay, callback, *args, priority=priority, label=label
-            )
-        self.timers_wheeled += 1
-        queue = simulator._queue
-        # Reserve the sequence number *now*: if the timer survives to its
-        # tick it enters the heap sorting exactly as if pushed here.
-        event = Event(deadline, priority, queue.reserve_sequence(), callback, args, False, label)
-        timers = self._buckets.get(bucket)
-        if timers is None:
-            self._buckets[bucket] = [event]
-            simulator.schedule(
-                tick_time,
-                self._tick,
-                bucket,
-                priority=PRIORITY_TIMER_TICK,
-                label="timer:tick",
-            )
-        else:
-            timers.append(event)
-        return EventHandle(event)
+            # Wheelable unless the bucket already started (a short delay
+            # inside the current bucket) or float rounding pushed the tick
+            # past the deadline; direct scheduling is always exact.
+            if now < tick_time <= deadline:
+                self.timers_wheeled += 1
+                queue = simulator._queue
+                # Reserve the sequence number *now*: if the timer survives to
+                # its tick it enters the heap sorting exactly as if pushed here.
+                event = Event(
+                    deadline, priority, queue.reserve_sequence(), callback, args, False, label
+                )
+                timers = self._buckets.get(bucket)
+                if timers is None:
+                    self._buckets[bucket] = [event]
+                    simulator.schedule(
+                        tick_time,
+                        self._tick,
+                        bucket,
+                        priority=PRIORITY_TIMER_TICK,
+                        label="timer:tick",
+                    )
+                else:
+                    timers.append(event)
+                return event
+        self.timers_direct += 1
+        return simulator.schedule_in(
+            delay, callback, *args, priority=priority, label=label
+        )
 
     def _tick(self, bucket: int) -> None:
         """Promote a bucket's survivors into the heap at their exact deadlines."""

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import (
     Cluster,
     ClusterConfig,
+    ClusterListener,
     ConsistencyLevel,
     NodeConfig,
     OperationType,
@@ -177,6 +178,67 @@ def test_listener_receives_completed_operations(small_cluster, simulator):
     kinds = {type(result) for result in completed}
     assert WriteResult in kinds
     assert ReadResult in kinds
+
+
+def test_listeners_are_called_only_for_hooks_they_override_in_registration_order(
+    small_cluster, simulator, monkeypatch
+):
+    def inherited_no_op_dispatched(self, *args):
+        raise AssertionError("the cluster called a hook the listener does not override")
+
+    for hook in (
+        "on_write_acked",
+        "on_replica_applied",
+        "on_operation_completed",
+        "on_reconfiguration",
+    ):
+        monkeypatch.setattr(ClusterListener, hook, inherited_no_op_dispatched)
+    calls = []
+
+    class TopologyOnly(ClusterListener):
+        def on_topology_changed(self, change):
+            calls.append(("on_topology_changed", "topology-only"))
+
+    class Everything(ClusterListener):
+        def __init__(self, name):
+            self.name = name
+
+        def on_write_acked(self, *args):
+            calls.append(("on_write_acked", self.name))
+
+        def on_replica_applied(self, *args):
+            calls.append(("on_replica_applied", self.name))
+
+        def on_operation_completed(self, result):
+            calls.append(("on_operation_completed", self.name))
+
+        def on_topology_changed(self, change):
+            calls.append(("on_topology_changed", self.name))
+
+        def on_reconfiguration(self, change):
+            calls.append(("on_reconfiguration", self.name))
+
+    small_cluster.add_listener(Everything("first"))
+    small_cluster.add_listener(TopologyOnly())
+    small_cluster.add_listener(Everything("second"))
+    small_cluster.write("k", b"v")
+    small_cluster.read("k")
+    small_cluster.set_read_consistency(ConsistencyLevel.QUORUM)
+    small_cluster.crash_node(small_cluster.node_ids()[0])
+    simulator.run_until(2.0)
+
+    by_hook = {}
+    for hook, name in calls:
+        by_hook.setdefault(hook, []).append(name)
+    assert by_hook.pop("on_topology_changed") == ["first", "topology-only", "second"]
+    assert sorted(by_hook) == [
+        "on_operation_completed",
+        "on_reconfiguration",
+        "on_replica_applied",
+        "on_write_acked",
+    ]
+    for hook, names in by_hook.items():
+        assert names == ["first", "second"] * (len(names) // 2), hook
 
 
 def test_probe_operations_are_flagged():

@@ -70,7 +70,7 @@ def test_invalid_parameters_rejected():
 
 def test_empty_ring_returns_empty_placement():
     ring = HashRing()
-    assert ring.preference_list("k", 3) == []
+    assert ring.preference_list("k", 3) == ()
     assert ring.primary("k") is None
 
 

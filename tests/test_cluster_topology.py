@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.cluster import (
@@ -10,6 +12,7 @@ from repro.cluster import (
     ConfigurationError,
     ConsistencyLevel,
     NodeConfig,
+    NodeState,
     TopologyError,
 )
 from repro.simulation import Simulator
@@ -217,3 +220,62 @@ def test_config_validation_errors():
         ClusterConfig(initial_nodes=0).validate()
     with pytest.raises(ConfigurationError):
         ClusterConfig(initial_nodes=5, replication_factor=2, max_nodes=3).validate()
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_state_kept_as_data_always_matches_node_state(seed):
+    """Differential oracle for the serving-set cache and the node flags.
+
+    ``serving_node_ids()``, ``node.is_up`` and ``node.serves_requests`` are
+    maintained where node state changes; after every step of a random walk
+    over the topology levers they must equal a recomputation from
+    ``node.state`` alone.
+    """
+    rng = random.Random(seed)
+    simulator = Simulator(seed=seed)
+    cluster = make_cluster(simulator, nodes=4, rf=2, keys=40)
+
+    def check(step):
+        for node_id, node in cluster.nodes.items():
+            state = node.state
+            assert node.is_up == (state not in (NodeState.DOWN, NodeState.REMOVED)), (
+                step,
+                node_id,
+            )
+            assert node.serves_requests == state.serves_requests, (step, node_id)
+        assert cluster.serving_node_ids() == tuple(
+            sorted(
+                node_id
+                for node_id, node in cluster.nodes.items()
+                if node.state.serves_requests
+            )
+        ), step
+
+    def any_node():
+        return cluster.nodes[rng.choice(sorted(cluster.nodes))]
+
+    levers = {
+        "add": cluster.add_node,
+        "remove": cluster.remove_node,
+        "crash": lambda: cluster.crash_node(any_node().node_id),
+        "recover": lambda: cluster.recover_node(any_node().node_id),
+        "mark_down": lambda: any_node().mark_down(),
+        "mark_up": lambda: any_node().mark_up(),
+        "mark_removed": lambda: any_node().mark_removed(),
+        "run": lambda: simulator.run_until(simulator.now + rng.uniform(0.0, 30.0)),
+    }
+    names = sorted(levers)
+    # Crashes and runs dominate; a bare mark_removed (no drain) stays rare.
+    weights = [{"mark_removed": 1, "run": 6}.get(name, 3) for name in names]
+    check("start")
+    seen = set()
+    for step in range(80):
+        name = rng.choices(names, weights)[0]
+        try:
+            levers[name]()
+        except TopologyError:
+            pass  # at min/max size: the lever refused, nothing changed
+        seen.add(name)
+        check((step, name))
+    assert seen == set(names)
+    assert any(node.state is NodeState.REMOVED for node in cluster.nodes.values())

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.simulation import SchedulingError, SimulationStateError, Simulator
 from repro.simulation.events import Event, EventQueue
+from repro.simulation.timers import TimerService
 
 
 def test_push_and_pop_in_time_order():
@@ -97,3 +99,92 @@ def test_stats_counters():
     assert stats["scheduled"] == 2
     assert stats["fired"] == 1
     assert stats["pending"] == 1
+
+
+# ----------------------------------------------------------------------
+# The four scheduling paths stay in step
+# ----------------------------------------------------------------------
+# ``Simulator.schedule_in`` inlines ``EventQueue.push``'s body and
+# ``TimerService.arm`` falls back to it, so every way of scheduling is driven
+# through one script and compared with ``push`` itself.
+
+
+def _scheduler(simulator, path):
+    """``schedule(delay, callback, *args, priority=, label=)`` for one path."""
+    if path == "push":
+        return lambda delay, callback, *args, **options: simulator._queue.push(
+            simulator.now + delay, callback, args, **options
+        )
+    if path == "schedule":
+        return lambda delay, callback, *args, **options: simulator.schedule(
+            simulator.now + delay, callback, *args, **options
+        )
+    if path == "schedule_in":
+        return simulator.schedule_in
+    # One bucket spans the whole test, so every arm takes the direct path.
+    return TimerService(simulator, granularity=1e6).arm
+
+
+def _drive(path):
+    simulator = Simulator(seed=0, start_time=1.0)
+    schedule = _scheduler(simulator, path)
+    fired = []
+    script = [(0.5, 0, "a"), (0.25, -10, "b"), (0.5, 0, "c"), (0.0, 10, None), (2.0, 0, "e")]
+    events = [
+        schedule(delay, fired.append, label, priority=priority, label=label)
+        for delay, priority, label in script
+    ]
+    events[2].cancel()
+    scheduled = [
+        (type(e), e.time, e.priority, e.sequence, e.label, e.cancelled, e.args) for e in events
+    ]
+    before = simulator.queue_stats()
+    simulator.run_until(10.0)
+    return scheduled, before, fired, simulator.queue_stats()
+
+
+@pytest.mark.parametrize("path", ["schedule", "schedule_in", "arm"])
+def test_every_scheduling_path_matches_event_queue_push(path):
+    scheduled, before, fired, after = _drive(path)
+    assert [row[0] for row in scheduled] == [Event] * 5
+    assert [row[3] for row in scheduled] == [0, 1, 2, 3, 4]
+    assert before["scheduled"] == before["peak_pending"] == 5
+    assert fired == [None, "b", "a", "e"]
+    assert after["cancelled_skipped"] == 1
+    assert (scheduled, before, fired, after) == _drive("push")
+
+
+@pytest.mark.parametrize("path", ["schedule", "schedule_in", "arm"])
+@pytest.mark.parametrize(
+    "delay, error",
+    [
+        (-1.0, SchedulingError),
+        (float("nan"), SchedulingError),
+        (float("inf"), SchedulingError),
+        (float("-inf"), SchedulingError),
+    ],
+)
+def test_every_scheduling_path_refuses_bad_times(path, delay, error):
+    simulator = Simulator(seed=0, start_time=1.0)
+    schedule = _scheduler(simulator, path)
+    with pytest.raises(error):
+        schedule(delay, lambda: None)
+    # A refused call consumed nothing: the next event is still number 0.
+    assert simulator.queue_stats()["scheduled"] == 0
+    assert schedule(0.0, lambda: None).sequence == 0
+
+
+@pytest.mark.parametrize("path", ["schedule", "schedule_in", "arm"])
+@pytest.mark.parametrize("delay", [0.5, -1.0, float("nan")])
+def test_every_scheduling_path_refuses_a_stopped_simulator(path, delay):
+    simulator = Simulator(seed=0, start_time=1.0)
+    schedule = _scheduler(simulator, path)
+    schedule(0.5, lambda: None)
+    simulator.stop()
+    # A negative delay is the one complaint that outranks "stopped", and only
+    # where a delay is what the caller passed.
+    negative_first = delay < 0.0 and path != "schedule"
+    with pytest.raises(SchedulingError if negative_first else SimulationStateError):
+        schedule(delay, lambda: None)
+    assert simulator.queue_stats()["scheduled"] == 1
+    assert simulator.pending_events == 0

@@ -22,13 +22,6 @@ def test_send_delivers_after_latency():
     assert delivered[0] == pytest.approx(0.001, rel=0.01)
 
 
-def test_client_facing_latency_is_larger():
-    simulator = Simulator(seed=0)
-    network = make_network(simulator, jitter_cv=0.0, base_latency=0.001, client_latency=0.01)
-    assert network.sample_latency(client_facing=False) == pytest.approx(0.001)
-    assert network.sample_latency(client_facing=True) == pytest.approx(0.01)
-
-
 def test_partition_drops_messages_and_calls_on_drop():
     simulator = Simulator(seed=0)
     network = make_network(simulator)
@@ -117,3 +110,95 @@ def test_messages_sent_counter():
     for _ in range(5):
         network.send("a", "b", lambda: None)
     assert network.messages_sent == 5
+
+
+# ----------------------------------------------------------------------
+# send() is one frame: with jitter off, every number it produces is exact
+# ----------------------------------------------------------------------
+def test_send_without_jitter_is_exact_and_draws_nothing():
+    simulator = Simulator(seed=3)
+    network = make_network(simulator, jitter_cv=0.0, base_latency=0.001, client_latency=0.004)
+    fired = []
+    simulator.add_trace_hook(lambda time, label: fired.append((time, label)))
+    assert network.send("a", "b", lambda: None)
+    assert network.send("client", "a", lambda: None, client_facing=True)
+    simulator.run_until(1.0)
+    assert fired == [(0.001, "net:a->b"), (0.004, "net:client->a")]
+    assert network.messages_sent == 2
+    assert network.messages_dropped == 0
+    # cv 0 means no draw at all, as LognormalSampler.sample has it.
+    untouched = Simulator(seed=3).streams.stream("network")
+    assert simulator.streams.stream("network").random() == untouched.random()
+
+
+def test_congestion_window_rolls_over_at_the_boundary_not_before():
+    simulator = Simulator(seed=0)
+    network = make_network(
+        simulator,
+        jitter_cv=0.0,
+        base_latency=0.001,
+        capacity_msgs_per_sec=5.0,
+        congestion_window=1.0,
+    )
+    delivered = []
+
+    def send():
+        sent_at = simulator.now
+        network.send("a", "b", lambda: delivered.append((sent_at, simulator.now)))
+
+    for _ in range(10):
+        send()
+    just_before = 1.0 - 1e-9
+    simulator.schedule(just_before, send)
+    simulator.schedule(1.0, send)
+    simulator.schedule(1.5, send)
+    simulator.run_until(3.0)
+
+    # 12 messages closed the first window (the one that closes it counts),
+    # over exactly 1.0 s: rate 12/s against a capacity of 5/s.
+    factor = (12 / 1.0 / 5.0) ** 2.0
+    assert network.congestion_factor == factor
+    assert network.round_trip_estimate() == 2.0 * 0.001 * factor
+    by_send_time = dict(delivered[10:])
+    assert [latency_end - sent for sent, latency_end in delivered[:10]] == [0.001] * 10
+    assert by_send_time[just_before] == just_before + 0.001
+    assert by_send_time[1.0] == 1.0 + 0.001 * factor
+    assert by_send_time[1.5] == 1.5 + 0.001 * factor
+    assert network.messages_sent == 13
+
+
+def test_drops_are_honoured_and_counted_without_jitter():
+    simulator = Simulator(seed=0)
+    network = make_network(simulator, jitter_cv=0.0, base_latency=0.001)
+    delivered, dropped = [], []
+
+    def send(source, destination):
+        return network.send(
+            source,
+            destination,
+            lambda: delivered.append((source, destination, simulator.now)),
+            on_drop=lambda: dropped.append((source, destination)),
+        )
+
+    partition = network.partition({"a"}, {"b"})
+    lossy = network.set_link_fault("a", "c", drop_probability=1.0)
+    slow = network.set_link_fault("b", "c", extra_delay=0.25)
+    assert not send("a", "b")
+    assert not send("b", "a")
+    assert not send("c", "a")
+    assert send("c", "b")
+    assert (network.messages_sent, network.messages_dropped, network.link_drops) == (4, 3, 1)
+    assert dropped == [("a", "b"), ("b", "a"), ("c", "a")]
+
+    network.heal_partition(partition)
+    network.clear_link_fault(lossy)
+    network.clear_link_fault(slow)
+    assert send("a", "b") and send("c", "a") and send("b", "c")
+    simulator.run_until(1.0)
+    assert delivered == [
+        ("a", "b", 0.001),
+        ("c", "a", 0.001),
+        ("b", "c", 0.001),
+        ("c", "b", 0.001 + 0.25),
+    ]
+    assert network.messages_dropped == 3

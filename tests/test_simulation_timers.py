@@ -9,7 +9,7 @@ The contract (PERFORMANCE.md rule 11) has two halves:
   randomised arm/cancel/background-event schedules on a lattice of times so
   (time, priority) collisions actually occur.
 * **Lazy cancel is free** — a timer cancelled before its bucket ticks never
-  enters the heap: no push, no cancelled corpse for ``pop_due`` to sift.
+  enters the heap: no push, no cancelled corpse for the run loop to sift.
 """
 
 from __future__ import annotations
