@@ -7,7 +7,13 @@ multi-tenant interference processes and time-series recording.
 """
 
 from .engine import PeriodicTask, Simulator
-from .errors import ResourceError, SchedulingError, SimulationError, SimulationStateError
+from .errors import (
+    ResourceError,
+    SchedulingError,
+    ShardError,
+    SimulationError,
+    SimulationStateError,
+)
 from .events import Event, EventQueue
 from .interference import (
     InterferenceConfig,
@@ -27,6 +33,7 @@ __all__ = [
     "SchedulingError",
     "SimulationStateError",
     "ResourceError",
+    "ShardError",
     "Event",
     "EventQueue",
     "RandomStreams",

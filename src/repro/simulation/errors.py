@@ -32,3 +32,19 @@ class SimulationStateError(SimulationError):
 
 class ResourceError(SimulationError):
     """Raised for invalid resource usage (e.g. negative service demand)."""
+
+
+class ShardError(SimulationError):
+    """Raised by ``run_sharded`` when one shard of a sharded run fails.
+
+    Names the shard, the shard count and the cause (also chained as
+    ``__cause__``): the worker's own exception, or ``BrokenProcessPool`` when
+    the worker process died without raising one.
+    """
+
+    def __init__(self, index: int, shards: int, cause: BaseException) -> None:
+        super().__init__(
+            f"shard {index} of {shards} failed: {type(cause).__name__}: {cause}"
+        )
+        self.index = index
+        self.shards = shards

@@ -41,12 +41,14 @@ from __future__ import annotations
 import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Dict, List, Optional, Sequence
 
 from ..monitoring.percentiles import MergeableHistogramSketch
 from ..workload.load_shapes import ScaledLoad
+from .errors import ShardError
 
 __all__ = [
     "ShardResult",
@@ -299,12 +301,6 @@ def run_shard(shard_config, index: int, shards: int) -> ShardResult:
     )
 
 
-def _run_planned_shard(args) -> ShardResult:
-    """Executor entry point: unpack ``(config, index, shards)``."""
-    shard_config, index, shards = args
-    return run_shard(shard_config, index, shards)
-
-
 def merge_shard_results(results: Sequence[ShardResult]) -> Dict[str, object]:
     """Reduce shard results into the merged figures.
 
@@ -434,24 +430,45 @@ def run_sharded(
     ``parallel=True`` runs shards in spawn-started worker processes (capped
     at ``max_workers``); ``parallel=False`` runs them in this process, in
     ``shard_order`` if given — used by tests to prove the merge is invariant
-    to execution order.  Both paths produce the same merged figures.
+    to execution order.  Both paths produce the same merged figures, and
+    both report a failing shard as a :class:`ShardError` that names it.
     """
     plans = plan_shards(config, shards)
     started = time.perf_counter()
+    results: List[ShardResult] = []
     if parallel and shards > 1:
-        jobs = [(plan, index, shards) for index, plan in enumerate(plans)]
         workers = min(shards, max_workers) if max_workers else shards
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=get_context("spawn")
-        ) as executor:
-            results = list(executor.map(_run_planned_shard, jobs))
+        # One single-worker pool per lane, shards dealt round-robin: a worker
+        # that dies breaks only its own lane, so the first future without a
+        # result is the shard that killed it (one shared pool would fail
+        # every unfinished shard alike).
+        with ExitStack() as stack:
+            lanes = [
+                stack.enter_context(
+                    ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"))
+                )
+                for _ in range(workers)
+            ]
+            futures = [
+                lanes[index % workers].submit(run_shard, plan, index, shards)
+                for index, plan in enumerate(plans)
+            ]
+            for index, future in enumerate(futures):
+                try:
+                    results.append(future.result())
+                except Exception as error:
+                    raise ShardError(index, shards, error) from error
     else:
         order = list(shard_order) if shard_order is not None else list(range(shards))
         if sorted(order) != list(range(shards)):
             raise ValueError(
                 f"shard_order must be a permutation of 0..{shards - 1}, got {order}"
             )
-        results = [run_shard(plans[index], index, shards) for index in order]
+        for index in order:
+            try:
+                results.append(run_shard(plans[index], index, shards))
+            except Exception as error:
+                raise ShardError(index, shards, error) from error
     wall = time.perf_counter() - started
     merged = merge_shard_results(results)
     ordered = sorted(results, key=lambda result: result.index)
