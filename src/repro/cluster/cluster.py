@@ -41,6 +41,7 @@ from .node import NodeConfig, StorageNode
 from .read_repair import ReadRepairConfig, ReadRepairer
 from .rebalance import DataStreamer, StreamingConfig, StreamSession
 from .ring import HashRing
+from .storage import StorageEngine
 from .types import (
     ConsistencyLevel,
     OperationResult,
@@ -130,8 +131,9 @@ class ClusterListener:
     ) -> None:
         """A replica applied a version (foreground or background)."""
 
-    def on_operation_completed(self, result: object) -> None:
-        """A client operation finished (``ReadResult`` or ``WriteResult``)."""
+    def on_operation_completed(self, result: OperationResult) -> None:
+        """A client operation finished (``ReadResult`` or ``WriteResult``;
+        ``result.is_read`` says which)."""
 
     def on_topology_changed(self, change: Dict[str, object]) -> None:
         """A node joined, left, crashed or recovered."""
@@ -192,7 +194,6 @@ class Cluster:
         )
         self.coordinator.on_write_acked = self._handle_write_acked
         self.coordinator.on_replica_applied = self._handle_replica_applied
-        self.coordinator.on_operation_completed = self._handle_operation_completed
 
         self.hinted_handoff = HintedHandoffManager(
             simulator,
@@ -260,7 +261,15 @@ class Cluster:
         for observer in self._observers["on_replica_applied"]:
             observer(key, stamp, node_id, time, background)
 
-    def _handle_operation_completed(self, result: object) -> None:
+    @property
+    def completion_observers(self) -> List[Callable[[OperationResult], None]]:
+        """The live list of ``on_operation_completed`` listeners, in
+        registration order.  The ``monitoring-hooks`` stage iterates it for
+        every operation a coordinator finishes."""
+        return self._observers["on_operation_completed"]
+
+    def _handle_operation_completed(self, result: OperationResult) -> None:
+        """Fan out a result that never reached a coordinator's pipeline."""
         for observer in self._observers["on_operation_completed"]:
             observer(result)
 
@@ -459,19 +468,33 @@ class Cluster:
         sizes = sizes or {}
         default_size = self.config.coordinator.default_value_size
         next_sequence = self.coordinator.next_sequence
+        preference_list = self.ring.preference_list
+        replication_factor = self._replication_factor
+        record_ack = self.coordinator.acked_registry.record_ack
+        known_keys = self._known_keys
+        # Nothing changes state during a load, so the storages of the live
+        # replicas are resolved once per distinct preference list, not once
+        # per record and replica.
+        live_storages: Dict[Tuple[str, ...], Tuple[StorageEngine, ...]] = {}
         for key, value in items.items():
-            stamp = VersionStamp(timestamp=now, sequence=next_sequence())
-            size = sizes.get(key, default_size)
-            version = VersionedValue(stamp=stamp, value=value, write_id=0, size=size)
-            replicas = self.ring.preference_list(key, self._replication_factor)
+            stamp = VersionStamp(now, next_sequence())
+            version = VersionedValue(
+                stamp, value, write_id=0, size=sizes.get(key, default_size)
+            )
+            replicas = preference_list(key, replication_factor)
             if not replicas:
                 continue
-            for node_id in replicas:
-                node = self.nodes.get(node_id)
-                if node is not None and node.is_up:
-                    node.storage.apply(key, version)
-            self.coordinator.acked_registry.record_ack(key, stamp, now)
-            self._known_keys[key] = None
+            storages = live_storages.get(replicas)
+            if storages is None:
+                storages = live_storages[replicas] = tuple(
+                    self.nodes[node_id].storage
+                    for node_id in replicas
+                    if self._node_reachable(node_id)
+                )
+            for storage in storages:
+                storage.apply(key, version)
+            record_ack(key, stamp, now)
+            known_keys[key] = None
             loaded += 1
         self._known_keys_dirty = True
         return loaded

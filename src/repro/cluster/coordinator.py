@@ -19,15 +19,17 @@ ack bookkeeping — while the pipeline owns the *policy*; the default stack
 reproduces the classic hardcoded behaviour bit-identically (see
 ARCHITECTURE.md and tests/test_seed_identity.py).
 
-The coordinator reports three kinds of events to the cluster's listeners:
+The coordinator reports two kinds of events to the cluster's listeners:
 
 * ``on_write_acked(key, stamp, ack_time, replica_set)`` — a write became
   visible to the client; the ground-truth window tracker starts a window.
 * ``on_replica_applied(key, stamp, node_id, time, background)`` — a replica
   applied a version (foreground, hint replay, repair or stream).
-* ``on_operation_completed(result)`` — a read or write finished (successfully
-  or not) from the client's point of view; fired by the pipeline's
-  ``monitoring-hooks`` stage.
+
+The third, ``on_operation_completed(result)`` — a read or write finished
+(successfully or not) from the client's point of view — is not the
+coordinator's to report: the pipeline's ``monitoring-hooks`` stage hands each
+result ``_finish`` completes straight to the cluster's listeners.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .types import (
     ReadResult,
     WriteResult,
 )
-from .versioning import VersionStamp, VersionedValue, compare_versions
+from .versioning import VersionStamp, VersionedValue
 
 __all__ = ["CoordinatorConfig", "RequestCoordinator", "AckedVersionRegistry"]
 
@@ -172,7 +174,6 @@ class RequestCoordinator:
         self.on_replica_applied: Optional[
             Callable[[str, VersionStamp, str, float, bool], None]
         ] = None
-        self.on_operation_completed: Optional[Callable[[object], None]] = None
 
         # The request pipeline.  A standalone coordinator (tests, tools) gets
         # the default selection/consistency/staleness/monitoring stack; the
@@ -266,15 +267,6 @@ class RequestCoordinator:
     ) -> None:
         if self.on_replica_applied is not None:
             self.on_replica_applied(key, stamp, node_id, time, background)
-
-    def notify_completed(self, result: object) -> None:
-        """Forward a completed operation to the cluster's listeners.
-
-        Called by the pipeline's ``monitoring-hooks`` stage; pipelines that
-        drop that stage silence the passive-monitoring feed.
-        """
-        if self.on_operation_completed is not None:
-            self.on_operation_completed(result)
 
     # ------------------------------------------------------------------
     # Request lifecycle (shared by reads and writes)
@@ -427,7 +419,8 @@ class RequestCoordinator:
 
     def _finish(self, context: _InFlight, success: bool) -> None:
         result = context.result
-        result.completed_at = self._simulator.now
+        result.completed_at = now = self._simulator.now
+        result.latency = max(0.0, now - result.issued_at)
         result.success = success
         self._pipeline.on_complete(context.request, result)
         context.on_complete(result)
@@ -641,10 +634,13 @@ class RequestCoordinator:
         if request.hedge_armed:
             request.completed_by = response.node_id
 
+        # Last-writer-wins over the gathered responses (a miss is older than
+        # any version; of equal stamps the first response's is kept).
         newest: Optional[VersionedValue] = None
         for replica_response in responses:
-            if compare_versions(replica_response.version, newest) > 0:
-                newest = replica_response.version
+            version = replica_response.version
+            if version is not None and (newest is None or version.stamp > newest.stamp):
+                newest = version
 
         mismatch = self._pipeline.inspect_read_responses(request, responses)
         if mismatch is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .versioning import VersionHistory, VersionStamp, VersionedValue, compare_versions
+from .versioning import VersionHistory, VersionStamp, VersionedValue
 
 __all__ = ["StorageEngine", "StorageStats"]
 
@@ -77,28 +77,27 @@ class StorageEngine:
         (LWW keeps the newest version only).
         """
         current = self._data.get(key)
-        history = self._history.get(key)
-        if history is None:
-            history = VersionHistory(self._history_depth)
-            self._history[key] = history
-        history.add(version)
-
-        if compare_versions(version, current) <= 0 and current is not None:
-            self.stats.writes_superseded += 1
-            return False
-
-        if current is not None:
-            self.stats.bytes_stored -= current.size
-            if current.is_tombstone:
-                self.stats.tombstones -= 1
+        stats = self.stats
+        if current is None:
+            # The first version of a key (all a bulk load consists of) has
+            # nothing to be compared with.
+            history = self._history[key] = VersionHistory(self._history_depth)
+            history.add(version)
+            stats.keys += 1
         else:
-            self.stats.keys += 1
+            self._history[key].add(version)
+            if version.stamp <= current.stamp:
+                stats.writes_superseded += 1
+                return False
+            stats.bytes_stored -= current.size
+            if current.value is None:
+                stats.tombstones -= 1
 
         self._data[key] = version
-        self.stats.bytes_stored += version.size
-        self.stats.writes_applied += 1
-        if version.is_tombstone:
-            self.stats.tombstones += 1
+        stats.bytes_stored += version.size
+        stats.writes_applied += 1
+        if version.value is None:
+            stats.tombstones += 1
         return True
 
     def remove(self, key: str) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 __all__ = [
     "ConsistencyLevel",
@@ -148,15 +148,25 @@ class OperationResult:
     tenant: Optional[str] = None
     """Issuing tenant's id (``None`` for tenantless workloads)."""
 
-    @property
-    def latency(self) -> float:
-        """End-to-end latency observed by the client, in seconds."""
-        return max(0.0, self.completed_at - self.issued_at)
+    latency: float = field(init=False)
+    """End-to-end latency observed by the client, in seconds:
+    ``max(0.0, completed_at - issued_at)``, written wherever ``completed_at``
+    is (construction, ``RequestCoordinator._finish``, ``Cluster._submit``) and
+    read as data by every observer (PERFORMANCE.md rule 13)."""
+
+    is_read: ClassVar[bool]
+    """Whether this is a read's result; set by each result class, so that
+    observers branch on data instead of on ``isinstance``."""
+
+    def __post_init__(self) -> None:
+        self.latency = max(0.0, self.completed_at - self.issued_at)
 
 
 @dataclass
 class ReadResult(OperationResult):
     """Result of a read operation."""
+
+    is_read: ClassVar[bool] = True
 
     value: Optional[bytes] = None
     version_timestamp: Optional[float] = None
@@ -175,6 +185,8 @@ class ReadResult(OperationResult):
 @dataclass
 class WriteResult(OperationResult):
     """Result of a write operation."""
+
+    is_read: ClassVar[bool] = False
 
     version_timestamp: Optional[float] = None
     """Commit timestamp assigned to this write by its coordinator."""

@@ -10,15 +10,21 @@ was the version this read returned?".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from bisect import insort
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import List, NamedTuple, Optional, Tuple
 
 __all__ = ["VersionStamp", "VersionedValue", "compare_versions"]
 
 
-@dataclass(frozen=True, order=True)
-class VersionStamp:
-    """Totally ordered version identifier: (timestamp, coordinator sequence)."""
+class VersionStamp(NamedTuple):
+    """Totally ordered version identifier: (timestamp, coordinator sequence).
+
+    A tuple, so that ordering, equality and hashing — paid on every read
+    annotation, replica apply and window update — are the interpreter's own
+    tuple operations rather than generated methods (PERFORMANCE.md rule 13).
+    """
 
     timestamp: float
     """Coordinator-assigned commit timestamp (simulation seconds)."""
@@ -30,7 +36,7 @@ class VersionStamp:
         return f"{self.timestamp:.6f}#{self.sequence}"
 
 
-@dataclass
+@dataclass(slots=True)
 class VersionedValue:
     """A value together with its version stamp and write metadata."""
 
@@ -57,15 +63,17 @@ def compare_versions(a: Optional[VersionedValue], b: Optional[VersionedValue]) -
     the same version (or both missing), positive if ``a`` is newer.  A missing
     version is older than any present one.
     """
-    if a is None and b is None:
-        return 0
     if a is None:
-        return -1
+        return 0 if b is None else -1
     if b is None:
         return 1
-    if a.stamp == b.stamp:
+    ours, theirs = a.stamp, b.stamp
+    if ours == theirs:
         return 0
-    return -1 if a.stamp < b.stamp else 1
+    return -1 if ours < theirs else 1
+
+
+_stamp_of = attrgetter("stamp")
 
 
 class VersionHistory:
@@ -84,11 +92,17 @@ class VersionHistory:
         self._max_entries = max_entries
 
     def add(self, version: VersionedValue) -> None:
-        """Insert a version, keeping the list sorted newest-last and bounded."""
-        self._versions.append(version)
-        self._versions.sort(key=lambda v: v.stamp)
-        if len(self._versions) > self._max_entries:
-            del self._versions[0 : len(self._versions) - self._max_entries]
+        """Insert a version, keeping the list sorted newest-last and bounded.
+
+        A version whose stamp equals a retained one goes after it.
+        """
+        versions = self._versions
+        if not versions or version.stamp >= versions[-1].stamp:
+            versions.append(version)
+        else:
+            insort(versions, version, key=_stamp_of)
+        if len(versions) > self._max_entries:
+            del versions[0 : len(versions) - self._max_entries]
 
     @property
     def newest(self) -> Optional[VersionedValue]:

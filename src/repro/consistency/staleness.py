@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..cluster.cluster import ClusterListener
-from ..cluster.types import OperationType, ReadResult
+from ..cluster.types import OperationResult
 from ..simulation.engine import Simulator
 from ..simulation.timeseries import TimeSeries
 
@@ -63,8 +63,8 @@ class StalenessObserver(ClusterListener):
     # ------------------------------------------------------------------
     # ClusterListener hook
     # ------------------------------------------------------------------
-    def on_operation_completed(self, result: object) -> None:
-        if not isinstance(result, ReadResult) or not result.success:
+    def on_operation_completed(self, result: OperationResult) -> None:
+        if not result.is_read or not result.success:
             return
         if result.operation.is_probe and not self._include_probes:
             return

@@ -93,6 +93,10 @@ class InconsistencyWindowTracker(ClusterListener):
         # the W acking replicas applied before the ack by construction), so
         # recent applies are buffered per key until the ack opens the record.
         self._recent_applies: Dict[str, List[Tuple[VersionStamp, str, float]]] = {}
+        # Keys that were ever fed an apply older than the one before it.  The
+        # simulation clock never runs backwards, so a run leaves this empty;
+        # it keeps ``_remember_apply`` exact for a caller that does.
+        self._out_of_order: Set[str] = set()
         self._windows = TimeSeries("inconsistency_window")
         self._samples: List[float] = []
         self.windows_opened = 0
@@ -163,11 +167,24 @@ class InconsistencyWindowTracker(ClusterListener):
     def _remember_apply(
         self, key: str, stamp: VersionStamp, node_id: str, time: float
     ) -> None:
-        entries = self._recent_applies.setdefault(key, [])
+        """Buffer one apply: per key, the entries not older than
+        ``early_apply_retention``, at most the newest 32 of them."""
+        entries = self._recent_applies.get(key)
+        if entries is None:
+            entries = self._recent_applies[key] = []
+        elif entries and time < entries[-1][2]:
+            self._out_of_order.add(key)
         entries.append((stamp, node_id, time))
-        cutoff = self._simulator.now - self._config.early_apply_retention
         if len(entries) > 32:
-            self._recent_applies[key] = [entry for entry in entries if entry[2] >= cutoff][-32:]
+            cutoff = self._simulator.now - self._config.early_apply_retention
+            if entries[1][2] >= cutoff and key not in self._out_of_order:
+                # In time order, a fresh second entry means every later one
+                # is fresh too: the 33rd entry pushes the oldest out.
+                del entries[0]
+            else:
+                self._recent_applies[key] = [
+                    entry for entry in entries if entry[2] >= cutoff
+                ][-32:]
 
     def _record_closed(self, record: WindowRecord) -> None:
         self.windows_closed += 1

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..cluster.cluster import ClusterListener
-from ..cluster.types import ReadResult, WriteResult
+from ..cluster.types import OperationResult
 
 __all__ = ["CompensationRates", "CompensationModel"]
 
@@ -60,24 +60,19 @@ class CompensationModel(ClusterListener):
     # ------------------------------------------------------------------
     # ClusterListener hook
     # ------------------------------------------------------------------
-    def on_operation_completed(self, result: object) -> None:
-        if isinstance(result, ReadResult):
-            if result.operation.is_probe:
-                return
-            if not result.success:
-                self.failed_operations += 1
-                return
+    def on_operation_completed(self, result: OperationResult) -> None:
+        if result.operation.is_probe:
+            return
+        if not result.success:
+            self.failed_operations += 1
+            return
+        if result.is_read:
             self.total_reads += 1
             if result.stale:
                 self.stale_reads += 1
                 if result.staleness >= self.rates.conflict_staleness_threshold:
                     self.conflict_events += 1
-        elif isinstance(result, WriteResult):
-            if result.operation.is_probe:
-                return
-            if not result.success:
-                self.failed_operations += 1
-                return
+        else:
             self.total_writes += 1
 
     # ------------------------------------------------------------------

@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..cluster.coordinator import AckedVersionRegistry, RequestCoordinator
     from ..cluster.hinted_handoff import HintedHandoffManager
     from ..cluster.read_repair import ReadRepairer
+    from ..cluster.types import OperationResult
 
 __all__ = [
     "RandomReplicaSelection",
@@ -153,11 +154,15 @@ class MonitoringHooks(RequestMiddleware):
 
     name = "monitoring-hooks"
 
-    def __init__(self, notify: Callable[[object], None]) -> None:
-        self._notify = notify
+    def __init__(self, observers: Sequence[Callable[["OperationResult"], None]]) -> None:
+        """``observers`` is the cluster's own (live) list of
+        ``on_operation_completed`` listeners, so a completed operation
+        reaches them from this frame, with no forwarding call in between."""
+        self._observers = observers
 
-    def on_complete(self, ctx: RequestContext, result: object) -> None:
-        self._notify(result)
+    def on_complete(self, ctx: RequestContext, result: "OperationResult") -> None:
+        for observer in self._observers:
+            observer(result)
 
 
 # ----------------------------------------------------------------------
@@ -197,18 +202,18 @@ def _build_staleness(ctx: MiddlewareBuildContext) -> StalenessAnnotation:
 
 @register_middleware("monitoring-hooks")
 def _build_monitoring_hooks(ctx: MiddlewareBuildContext) -> MonitoringHooks:
-    if ctx.coordinator is None:
-        raise ValueError("monitoring-hooks middleware requires a coordinator")
-    return MonitoringHooks(ctx.coordinator.notify_completed)
+    if ctx.cluster is None:
+        raise ValueError("monitoring-hooks middleware requires a cluster")
+    return MonitoringHooks(ctx.cluster.completion_observers)
 
 
 def default_coordinator_pipeline(coordinator: "RequestCoordinator"):
     """The stack a standalone coordinator (no cluster facade) runs.
 
     Mirrors the pre-pipeline standalone behaviour: selection, quorum
-    accounting, staleness annotation and listener notification — hinted
-    handoff and read repair are cluster services and join the pipeline only
-    when the :class:`~repro.cluster.cluster.Cluster` builds it.
+    accounting and staleness annotation — hinted handoff, read repair and
+    the listener feed are cluster services and join the pipeline only when
+    the :class:`~repro.cluster.cluster.Cluster` builds it.
     """
     from .base import MiddlewarePipeline
 
@@ -217,6 +222,5 @@ def default_coordinator_pipeline(coordinator: "RequestCoordinator"):
             RandomReplicaSelection(coordinator.simulator.streams.stream("coordinator")),
             ConsistencyEnforcement(),
             StalenessAnnotation(coordinator.acked_registry),
-            MonitoringHooks(coordinator.notify_completed),
         ]
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..cluster.cluster import Cluster, ClusterListener
-from ..cluster.types import ReadResult, WriteResult
+from ..cluster.types import OperationResult
 from ..simulation.engine import Simulator
 from ..simulation.timeseries import FloatBuffer
 from .percentiles import MergeableHistogramSketch
@@ -90,29 +90,21 @@ class BufferedOperationCollector(ClusterListener):
     # ------------------------------------------------------------------
     # ClusterListener hook (hot path: append + counter bump only)
     # ------------------------------------------------------------------
-    def on_operation_completed(self, result: object) -> None:
-        if isinstance(result, ReadResult):
-            if result.operation.is_probe and not self._include_probes:
-                return
-            if result.rejected:
-                self.rejected += 1
-                return
-            if not result.success:
-                self.failures += 1
-                return
+    def on_operation_completed(self, result: OperationResult) -> None:
+        if result.operation.is_probe and not self._include_probes:
+            return
+        if result.rejected:
+            self.rejected += 1
+            return
+        if not result.success:
+            self.failures += 1
+            return
+        if result.is_read:
             self.reads_completed += 1
             self._read_buffer.append(result.latency)
             if result.stale:
                 self.stale_reads += 1
-        elif isinstance(result, WriteResult):
-            if result.operation.is_probe and not self._include_probes:
-                return
-            if result.rejected:
-                self.rejected += 1
-                return
-            if not result.success:
-                self.failures += 1
-                return
+        else:
             self.writes_completed += 1
             self._write_buffer.append(result.latency)
 

@@ -32,7 +32,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..cluster.cluster import Cluster, ClusterListener
-from ..cluster.types import ConsistencyLevel, OperationType, ReadResult, WriteResult
+from ..cluster.types import (
+    ConsistencyLevel,
+    OperationResult,
+    OperationType,
+    ReadResult,
+    WriteResult,
+)
 from ..simulation.engine import PeriodicTask, Simulator
 from ..simulation.timeseries import TimeSeries
 from .percentiles import WindowedPercentiles
@@ -334,11 +340,11 @@ class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
         cluster.add_listener(self)
 
     # -- ClusterListener hooks -------------------------------------------
-    def on_operation_completed(self, result: object) -> None:
-        if isinstance(result, WriteResult):
-            if not result.success or result.version_timestamp is None:
-                return
-            if result.operation.is_probe:
+    def on_operation_completed(self, result: OperationResult) -> None:
+        if not result.success or result.operation.is_probe:
+            return
+        if not result.is_read:
+            if result.version_timestamp is None:
                 return
             current = self._acked.get(result.key)
             if current is None or result.version_timestamp > current[0]:
@@ -346,10 +352,6 @@ class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
                     # Bounded memory: drop an arbitrary old entry.
                     self._acked.pop(next(iter(self._acked)))
                 self._acked[result.key] = (result.version_timestamp, result.completed_at)
-            return
-        if not isinstance(result, ReadResult) or not result.success:
-            return
-        if result.operation.is_probe:
             return
         reference = self._acked.get(result.key)
         if reference is None:
@@ -454,15 +456,13 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
             return {}
         return self._node_tracker.snapshot()
 
-    def on_operation_completed(self, result: object) -> None:
-        if not isinstance(result, (WriteResult, ReadResult)):
-            return
+    def on_operation_completed(self, result: OperationResult) -> None:
         if result.operation.is_probe or not result.success:
             return
-        if isinstance(result, WriteResult):
-            self._write_latencies.observe(result.latency)
-        else:
+        if result.is_read:
             self._read_latencies.observe(result.latency)
+        else:
+            self._write_latencies.observe(result.latency)
 
     def read_latency_percentile(self, q: float) -> float:
         """Observed production read-latency percentile (0.0 before any read).

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..cluster.cluster import Cluster, ClusterListener
-from ..cluster.types import OperationType, ReadResult, WriteResult
+from ..cluster.types import OperationResult
 from ..simulation.engine import Simulator
 from ..simulation.timeseries import TimeSeries, TimeSeriesBundle
 from .percentiles import WindowedPercentiles
@@ -104,6 +104,10 @@ class MetricsCollector(ClusterListener):
         self._cluster = cluster
         self._config = config or MetricsConfig()
         self.series = TimeSeriesBundle()
+        # The two per-operation series, resolved on first use and then held:
+        # a series that exists but is empty would show in ``series.names()``.
+        self._read_latency_series: Optional[TimeSeries] = None
+        self._write_latency_series: Optional[TimeSeries] = None
 
         self._read_latencies = WindowedPercentiles(self._config.latency_window)
         self._write_latencies = WindowedPercentiles(self._config.latency_window)
@@ -137,37 +141,35 @@ class MetricsCollector(ClusterListener):
     # ------------------------------------------------------------------
     # ClusterListener hooks (push path)
     # ------------------------------------------------------------------
-    def on_operation_completed(self, result: object) -> None:
-        if isinstance(result, ReadResult):
-            if result.operation.is_probe and not self._config.include_probe_operations:
-                return
-            self._window_operations += 1
-            if result.rejected:
-                self._window_rejected += 1
-                return
-            if not result.success:
-                self._window_failures += 1
-                return
+    def on_operation_completed(self, result: OperationResult) -> None:
+        if result.operation.is_probe and not self._config.include_probe_operations:
+            return
+        self._window_operations += 1
+        if result.rejected:
+            self._window_rejected += 1
+            return
+        if not result.success:
+            self._window_failures += 1
+            return
+        latency = result.latency
+        if result.is_read:
             self._window_reads += 1
-            self._read_latencies.observe(result.latency)
-            self.series.record("read_latency", self._simulator.now, result.latency)
+            self._read_latencies.observe(latency)
+            series = self._read_latency_series
+            if series is None:
+                series = self._read_latency_series = self.series.series("read_latency")
+            series.record(self._simulator.now, latency)
             if result.stale:
                 self._window_stale_reads += 1
             if result.digest_mismatch:
                 self._window_mismatches += 1
-        elif isinstance(result, WriteResult):
-            if result.operation.is_probe and not self._config.include_probe_operations:
-                return
-            self._window_operations += 1
-            if result.rejected:
-                self._window_rejected += 1
-                return
-            if not result.success:
-                self._window_failures += 1
-                return
+        else:
             self._window_writes += 1
-            self._write_latencies.observe(result.latency)
-            self.series.record("write_latency", self._simulator.now, result.latency)
+            self._write_latencies.observe(latency)
+            series = self._write_latency_series
+            if series is None:
+                series = self._write_latency_series = self.series.series("write_latency")
+            series.record(self._simulator.now, latency)
 
     # ------------------------------------------------------------------
     # Gauge sampling (pull path)
@@ -316,8 +318,8 @@ class TenantMetricsRollup(ClusterListener):
     # ------------------------------------------------------------------
     # ClusterListener hook
     # ------------------------------------------------------------------
-    def on_operation_completed(self, result: object) -> None:
-        tenant = getattr(result, "tenant", None)
+    def on_operation_completed(self, result: OperationResult) -> None:
+        tenant = result.tenant
         if tenant is None:
             return
         self._samples += 1
@@ -331,7 +333,7 @@ class TenantMetricsRollup(ClusterListener):
         if not result.success:
             counters.failed += 1
             return
-        if isinstance(result, ReadResult):
+        if result.is_read:
             tier = self._tier_of.get(tenant, "default")
             window = self._tier_read_latencies.get(tier)
             if window is None:

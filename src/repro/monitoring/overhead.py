@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..cluster.cluster import Cluster, ClusterListener
-from ..cluster.types import ReadResult, WriteResult
+from ..cluster.types import OperationResult
 from ..simulation.engine import Simulator
 from .estimators import ConsistencyEstimator
 
@@ -77,9 +77,7 @@ class MonitoringOverheadAccountant(ClusterListener):
     # ------------------------------------------------------------------
     # ClusterListener hook
     # ------------------------------------------------------------------
-    def on_operation_completed(self, result: object) -> None:
-        if not isinstance(result, (ReadResult, WriteResult)):
-            return
+    def on_operation_completed(self, result: OperationResult) -> None:
         if result.operation.is_probe:
             self.probe_operations += 1
         else:

@@ -240,15 +240,16 @@ class WorkloadStats:
             return
         if result.success:
             self.reads_completed += 1
-            self.read_latencies.append(result.latency)
-            self.read_latency_series.record(result.completed_at, result.latency)
+            latency = result.latency
+            self.read_latencies.append(latency)
+            self.read_latency_series.record(result.completed_at, latency)
             if result.stale:
                 self.stale_reads += 1
             tenants = self.tenant_stats
             if tenants is not None and result.tenant is not None:
                 entry = tenants[result.tenant]
                 entry.reads_completed += 1
-                entry.read_latencies.append(result.latency)
+                entry.read_latencies.append(latency)
         else:
             self.reads_failed += 1
             tenants = self.tenant_stats
@@ -265,8 +266,9 @@ class WorkloadStats:
             return
         if result.success:
             self.writes_completed += 1
-            self.write_latencies.append(result.latency)
-            self.write_latency_series.record(result.completed_at, result.latency)
+            latency = result.latency
+            self.write_latencies.append(latency)
+            self.write_latency_series.record(result.completed_at, latency)
             tenants = self.tenant_stats
             if tenants is not None and result.tenant is not None:
                 tenants[result.tenant].writes_completed += 1
