@@ -41,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Dict, List, Optional, Sequence
@@ -442,13 +441,11 @@ def run_sharded(
         # that dies breaks only its own lane, so the first future without a
         # result is the shard that killed it (one shared pool would fail
         # every unfinished shard alike).
-        with ExitStack() as stack:
-            lanes = [
-                stack.enter_context(
-                    ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"))
-                )
-                for _ in range(workers)
-            ]
+        lanes = [
+            ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"))
+            for _ in range(workers)
+        ]
+        try:
             futures = [
                 lanes[index % workers].submit(run_shard, plan, index, shards)
                 for index, plan in enumerate(plans)
@@ -458,6 +455,13 @@ def run_sharded(
                     results.append(future.result())
                 except Exception as error:
                     raise ShardError(index, shards, error) from error
+        finally:
+            # Tell every lane to wind down before waiting for any of them, so
+            # that the workers exit side by side as those of one pool would.
+            for lane in lanes:
+                lane.shutdown(wait=False, cancel_futures=True)
+            for lane in lanes:
+                lane.shutdown(wait=True)
     else:
         order = list(shard_order) if shard_order is not None else list(range(shards))
         if sorted(order) != list(range(shards)):
