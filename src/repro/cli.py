@@ -263,7 +263,24 @@ def _build_load_shape(args: argparse.Namespace):
 def _parse_middleware(value: Optional[str]) -> Optional[tuple]:
     if not value:
         return None
-    return tuple(name.strip() for name in value.split(",") if name.strip())
+    names = tuple(name.strip() for name in value.split(","))
+    available = available_middlewares()
+    problems = []
+    if "" in names:
+        problems.append("an empty name")
+    distinct = [name for name in dict.fromkeys(names) if name]
+    unknown = [name for name in distinct if name not in available]
+    if unknown:
+        problems.append("unknown " + ", ".join(map(repr, unknown)))
+    repeated = [name for name in distinct if names.count(name) > 1]
+    if repeated:
+        problems.append("more than once " + ", ".join(map(repr, repeated)))
+    if problems:
+        raise SystemExit(
+            f"invalid --middleware {value!r}: {'; '.join(problems)} "
+            f"(available: {', '.join(available)})"
+        )
+    return names
 
 
 def _parse_consistency_overrides(entries: Optional[Sequence[str]]):

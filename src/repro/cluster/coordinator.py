@@ -132,10 +132,17 @@ class _InFlight:
     hedge_handle: Optional[Event] = None
 
     def close(self) -> None:
-        """Decide the request: no later event may change its outcome."""
+        """Decide the request: no later event may change its outcome.
+
+        Each handle is dropped as it is cancelled.  A timer holds this record
+        in its arguments, so a handle kept here would be a reference cycle;
+        without it the record is freed by reference count as soon as the
+        timer's corpse leaves the heap or the wheel (PERFORMANCE.md rule 14).
+        """
         self.completed = True
         if self.timeout_handle is not None:
             self.timeout_handle.cancel()
+            self.timeout_handle = None
         if self.hedge_handle is not None:
             self.hedge_handle.cancel()
             self.hedge_handle = None
@@ -622,8 +629,10 @@ class RequestCoordinator:
             # primary send and a later speculative one); count each replica's
             # acknowledgement once so the quorum is never satisfied twice
             # over by one node.
-            if any(r.node_id == response.node_id for r in responses):
-                return
+            node_id = response.node_id
+            for earlier in responses:
+                if earlier.node_id == node_id:
+                    return
         responses.append(response)
         result = context.result
         result.replicas_responded = len(responses)

@@ -134,7 +134,10 @@ class RequestMiddleware:
 
     Every hook has a no-op default.  The pipeline detects which hooks a
     subclass actually overrides and only dispatches those, so an unused hook
-    costs nothing per request.  Each hook has one row in :data:`HOOKS`.
+    costs nothing per request.  An instance withdraws from a hook its class
+    overrides by setting that attribute to ``None`` (of the stages sharing
+    one RTT tracker, all but the one that feeds it do so for
+    ``on_replica_response``).  Each hook has one row in :data:`HOOKS`.
     """
 
     #: Registry name; instances report it in pipeline descriptions.
@@ -333,6 +336,7 @@ class MiddlewarePipeline:
                 getattr(middleware, hook)
                 for middleware in self._middlewares
                 if getattr(type(middleware), hook) is not default
+                and getattr(middleware, hook) is not None
             ]
             self._implemented[hook] = bool(stages)
             if len(stages) > 1 or fold is _last_opinion_else_quorum:

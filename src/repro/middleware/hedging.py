@@ -110,7 +110,9 @@ class RequestHedging(RequestMiddleware):
         )
         self._min_budget = min(float(min_budget), self._static_budget)
         self._budget_source: Optional[Callable[[], float]] = None
-        self._observe = bool(observe)
+        if not observe:
+            # An earlier stage feeds the shared tracker already.
+            self.on_replica_response = None
         self.timer_wheel_granularity = (
             float(timer_granularity) if timer_granularity is not None else None
         )
@@ -200,19 +202,14 @@ class RequestHedging(RequestMiddleware):
     def hedge_read(
         self, ctx: RequestContext, live: Sequence[str], targets: Sequence[str]
     ) -> Optional[Tuple[float, List[str]]]:
-        targeted = set(targets)
-        spares = [node_id for node_id in live if node_id not in targeted]
+        # The spares, next-best first: the live replicas' ranking minus the
+        # replicas the read already went to; unknown replicas after sampled.
+        ranked, unknown = self._tracker.ranked(live)
+        spares = [pair[1] for pair in ranked if pair[1] not in targets]
+        if unknown:
+            spares += [node_id for node_id in unknown if node_id not in targets]
         if not spares:
             return None
-        estimate_or_none = self._tracker.estimate_or_none
-
-        def rank(node_id: str) -> Tuple[int, float, str]:
-            estimate = estimate_or_none(node_id)
-            if estimate is None:
-                return (1, 0.0, node_id)  # unknown replicas rank after sampled
-            return (0, estimate, node_id)
-
-        spares.sort(key=rank)
         self.hedges_armed += 1
         budget = self.current_budget()
         # Per-key tightening: a key hedging far more often than its peers
@@ -233,9 +230,7 @@ class RequestHedging(RequestMiddleware):
         return (budget, spares)
 
     def on_replica_response(self, ctx: RequestContext, node_id: str, rtt: float) -> None:
-        # Feed the shared tracker only when no earlier stage already does.
-        if self._observe:
-            self._tracker.observe(node_id, rtt)
+        self._tracker.observe(node_id, rtt)
 
     def on_node_removed(self, node_id: str) -> None:
         self._tracker.forget(node_id)

@@ -18,11 +18,17 @@ the RTT estimator's window model is built on.
 Selection is deterministic (EWMA ordering, node id ties): it draws from no
 RNG stream, so adding it to a pipeline never perturbs other streams
 (PERFORMANCE.md rule 3).
+
+The ordering is the tracker's, not each consumer's: it changes only when a
+sample arrives or a node is forgotten, so the tracker keeps one ranking per
+such *generation* and the stages that rank by it — this one, the hedger and
+the write router — filter that ranking by the nodes they were handed
+(:meth:`NodeRttTracker.ranked`; PERFORMANCE.md rule 14).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from .base import RequestContext, RequestMiddleware
 from .registry import MiddlewareBuildContext, register_middleware
@@ -40,8 +46,8 @@ def shared_node_tracker(
 
     Returns ``(tracker, created)``.  The stage whose factory *creates* the
     tracker is responsible for feeding it (``on_replica_response``); stages
-    built later in the same pipeline reuse the estimates without observing
-    samples a second time (which would double-weight every RTT in the EWMA).
+    built later in the same pipeline read the estimates and withdraw from
+    that hook (a second observer would double-weight every RTT in the EWMA).
     ``alpha`` only takes effect for the creating stage.
     """
     tracker = ctx.shared.get(_SHARED_TRACKER_KEY)
@@ -58,7 +64,7 @@ def shared_node_tracker(
 class NodeRttTracker:
     """Per-node EWMA round-trip-time estimates fed by replica responses."""
 
-    __slots__ = ("_alpha", "_estimates", "_samples", "_fallback")
+    __slots__ = ("_alpha", "_estimates", "_samples", "_fallback", "_ranking")
 
     def __init__(
         self,
@@ -71,6 +77,10 @@ class NodeRttTracker:
         self._estimates: Dict[str, float] = {}
         self._samples: Dict[str, int] = {}
         self._fallback = fallback
+        # The sampled nodes as (estimate, node id) pairs, fastest first: a
+        # pure function of ``_estimates``, so ``observe`` and ``forget`` (its
+        # only writers) drop it and ``ranked`` rebuilds it on first use.
+        self._ranking: Optional[List[Tuple[float, str]]] = None
 
     @property
     def alpha(self) -> float:
@@ -85,6 +95,7 @@ class NodeRttTracker:
         else:
             self._estimates[node_id] = current + self._alpha * (rtt - current)
         self._samples[node_id] = self._samples.get(node_id, 0) + 1
+        self._ranking = None
 
     def estimate(self, node_id: str) -> float:
         """Current RTT estimate for ``node_id`` (fallback when unsampled)."""
@@ -95,20 +106,39 @@ class NodeRttTracker:
             return float(self._fallback())
         return 0.0
 
-    def estimate_or_none(self, node_id: str) -> Optional[float]:
-        """Like :meth:`estimate`, but ``None`` when the node is genuinely
-        unknown (no samples and no fallback) instead of a misleading 0.0.
+    def ranked(
+        self, nodes: Collection[str]
+    ) -> Tuple[List[Tuple[float, str]], List[str]]:
+        """Rank the distinct ``nodes`` handed in: ``(ranked, unknown)``.
 
-        Rankings must treat ``None`` as *unknown*, never as infinitely fast:
-        an unsampled replica ranking first would also poison any cutoff
-        computed from the front of the ranking.
+        ``ranked`` holds an ``(estimate, node_id)`` pair per node with an
+        estimate, fastest first, node id breaking ties; ``unknown`` the ids
+        with none, sorted.  A total order restricted to a subset is the
+        subset's order, so the sampled nodes are read off the generation's
+        ranking.  An unsampled node takes the fallback's value *as of this
+        call* (it varies with congestion and is never cached); without a
+        fallback it is genuinely unknown.  Callers must treat unknown as
+        *unknown*, never as infinitely fast: an unsampled replica ranking
+        first would also poison any cutoff computed from the front.
         """
-        estimate = self._estimates.get(node_id)
-        if estimate is not None:
-            return estimate
-        if self._fallback is not None:
-            return float(self._fallback())
-        return None
+        ranking = self._ranking
+        estimates = self._estimates
+        if ranking is None:
+            ranking = self._ranking = sorted(zip(estimates.values(), estimates))
+        ranked = [pair for pair in ranking if pair[1] in nodes]
+        # The steady state: every node handed in has been sampled.
+        for node_id in nodes:
+            if node_id not in estimates:
+                break
+        else:
+            return ranked, []
+        unsampled = sorted(node_id for node_id in nodes if node_id not in estimates)
+        if self._fallback is None:
+            return ranked, unsampled
+        fallback = float(self._fallback())
+        ranked += [(fallback, node_id) for node_id in unsampled]
+        ranked.sort()
+        return ranked, []
 
     def samples(self, node_id: str) -> int:
         """Number of round trips observed for ``node_id``."""
@@ -122,6 +152,7 @@ class NodeRttTracker:
         """Drop a node's estimate (e.g. after decommissioning)."""
         self._estimates.pop(node_id, None)
         self._samples.pop(node_id, None)
+        self._ranking = None
 
 
 class LatencyAwareReplicaSelection(RequestMiddleware):
@@ -158,7 +189,10 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
         self._tracker = tracker
         self._badness_threshold = float(badness_threshold)
         self._explore_every = int(explore_every)
-        self._observe = bool(observe)
+        if not observe:
+            # Another stage feeds the shared tracker: withdraw from the hook,
+            # so the pipeline binds the feeder's method alone.
+            self.on_replica_response = None
         self._rotation = 0
         self._since_explore = 0
         self.selections = 0
@@ -186,54 +220,41 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
         if len(live) <= required:
             return None  # nothing to choose
         self.selections += 1
-        estimate_or_none = self._tracker.estimate_or_none
-        known: List[str] = []
-        unknown: List[str] = []
-        for node_id in live:
-            (unknown if estimate_or_none(node_id) is None else known).append(node_id)
-        if not known:
-            # No RTT signal for any replica: plain rotation over the sorted
-            # live set.  Never avoid (or prefer) a replica on zero information.
-            pool = sorted(live)
-            start = self._rotation % len(pool)
-            self._rotation += 1
-            return [pool[(start + i) % len(pool)] for i in range(required)]
-        estimate = self._tracker.estimate
-        # Node id breaks ties so the ranking is fully deterministic.
-        ranked = sorted(known, key=lambda node_id: (estimate(node_id), node_id))
-        cutoff = estimate(ranked[0]) * (1.0 + self._badness_threshold)
-        healthy = len(ranked)
-        while healthy > 1 and estimate(ranked[healthy - 1]) > cutoff:
-            healthy -= 1
-        if healthy < len(ranked):
-            self.avoidances += 1
-            self._since_explore += 1
-            if self._since_explore >= self._explore_every:
-                # Re-probe the slowest replica so a recovered node's estimate
-                # refreshes and it can rejoin the healthy rotation.
-                self._since_explore = 0
-                self.explorations += 1
-                rest = [n for n in ranked[:-1]] + sorted(unknown)
-                return [ranked[-1]] + rest[: required - 1]
-        # Unsampled replicas are *unknown*, not infinitely fast: they stay in
-        # the healthy rotation (so they get probed) but never define the
-        # cutoff and never push sampled replicas into the avoided set.
-        pool = ranked[:healthy] + sorted(unknown)
-        if len(pool) <= required:
-            # Not enough healthy replicas to choose among: top up with the
-            # fastest of the avoided ones.
-            return (pool + ranked[healthy:])[:required]
+        ranked, unknown = self._tracker.ranked(live)
+        # With no RTT signal for any replica the pool is the sorted live set:
+        # never avoid (or prefer) a replica on zero information.
+        pool = unknown
+        if ranked:
+            cutoff = ranked[0][0] * (1.0 + self._badness_threshold)
+            sampled = healthy = len(ranked)
+            while healthy > 1 and ranked[healthy - 1][0] > cutoff:
+                healthy -= 1
+            ids = [pair[1] for pair in ranked]
+            if healthy < sampled:
+                self.avoidances += 1
+                self._since_explore += 1
+                if self._since_explore >= self._explore_every:
+                    # Re-probe the slowest replica so a recovered node's estimate
+                    # refreshes and it can rejoin the healthy rotation.
+                    self._since_explore = 0
+                    self.explorations += 1
+                    return [ids[-1]] + (ids[:-1] + unknown)[: required - 1]
+            # Unsampled replicas are *unknown*, not infinitely fast: they stay in
+            # the healthy rotation (so they get probed) but never define the
+            # cutoff and never push sampled replicas into the avoided set.
+            pool = ids[:healthy] + unknown
+            if len(pool) <= required:
+                # Not enough healthy replicas to choose among: top up with the
+                # fastest of the avoided ones.
+                return (pool + ids[healthy:])[:required]
         # Rotate among the healthy replicas so none of them is herded.
-        start = self._rotation % len(pool)
+        size = len(pool)
+        start = self._rotation % size
         self._rotation += 1
-        return [pool[(start + i) % len(pool)] for i in range(required)]
+        return [pool[(start + i) % size] for i in range(required)]
 
     def on_replica_response(self, ctx: RequestContext, node_id: str, rtt: float) -> None:
-        # When the tracker is shared across stages, only the stage that
-        # created it feeds it — a second observer would double-weight every
-        # sample in the EWMA.
-        if self._observe:
-            self._tracker.observe(node_id, rtt)
+        self._tracker.observe(node_id, rtt)
 
     def on_node_removed(self, node_id: str) -> None:
         # A decommissioned node must not linger in the ranking (a stale

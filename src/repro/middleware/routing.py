@@ -14,15 +14,16 @@ but two latency levers remain on the request path:
   herds all requests onto a single node.
 
 Both decisions are pure functions of the shared :class:`NodeRttTracker`
-state — EWMA order with node-id ties, unknown nodes kept in rotation — so
-the stage draws from no RNG stream and adding it never perturbs other
-streams (PERFORMANCE.md rule 3).  Message *counts* are unchanged (writes
-still reach every live replica); only ordering and coordinator choice move.
+state — its per-generation ranking (EWMA order with node-id ties) filtered
+by the nodes at hand, unknown nodes kept in rotation — so the stage draws
+from no RNG stream and adding it never perturbs other streams
+(PERFORMANCE.md rule 3).  Message *counts* are unchanged (writes still reach
+every live replica); only ordering and coordinator choice move.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .base import RequestContext, RequestMiddleware
 from .latency import NodeRttTracker, shared_node_tracker
@@ -46,7 +47,9 @@ class RttAwareWriteRouting(RequestMiddleware):
             raise ValueError(f"badness_threshold must be >= 0, got {badness_threshold}")
         self._tracker = tracker
         self._badness_threshold = float(badness_threshold)
-        self._observe = bool(observe)
+        if not observe:
+            # An earlier stage feeds the shared tracker already.
+            self.on_replica_response = None
         self._rotation = 0
         self.writes_ordered = 0
         """Writes whose fan-out order this middleware rewrote."""
@@ -59,49 +62,34 @@ class RttAwareWriteRouting(RequestMiddleware):
         """The per-node RTT estimates backing both decisions."""
         return self._tracker
 
-    def _rank(self, node_id: str) -> Tuple[int, float, str]:
-        estimate = self._tracker.estimate_or_none(node_id)
-        if estimate is None:
-            return (1, 0.0, node_id)  # unknown nodes rank after sampled ones
-        return (0, estimate, node_id)
-
     def order_write_targets(
         self, ctx: RequestContext, live: Sequence[str]
     ) -> Optional[List[str]]:
-        ordered = sorted(live, key=self._rank)
+        ranked, unknown = self._tracker.ranked(live)
         self.writes_ordered += 1
-        return ordered
+        return [pair[1] for pair in ranked] + unknown  # unknown nodes go last
 
     def preferred_coordinator(self, serving: Sequence[str]) -> Optional[str]:
         if len(serving) <= 1:
             return None
-        estimate_or_none = self._tracker.estimate_or_none
-        known: List[str] = []
-        unknown: List[str] = []
-        for node_id in serving:
-            (unknown if estimate_or_none(node_id) is None else known).append(node_id)
-        if not known:
+        ranked, unknown = self._tracker.ranked(serving)
+        if not ranked:
             return None  # no RTT signal at all: leave round-robin alone
-        estimate = self._tracker.estimate
-        ranked = sorted(known, key=lambda node_id: (estimate(node_id), node_id))
-        cutoff = estimate(ranked[0]) * (1.0 + self._badness_threshold)
-        healthy = len(ranked)
-        while healthy > 1 and estimate(ranked[healthy - 1]) > cutoff:
+        cutoff = ranked[0][0] * (1.0 + self._badness_threshold)
+        sampled = healthy = len(ranked)
+        while healthy > 1 and ranked[healthy - 1][0] > cutoff:
             healthy -= 1
-        # Unknown nodes stay in the pool (so they keep serving and get
-        # sampled); only meaningfully-slow sampled nodes are skipped.
-        pool = ranked[:healthy] + sorted(unknown)
-        if len(pool) == len(serving):
+        if healthy == sampled:
             return None  # nobody to avoid: keep the cluster's own rotation
         self.coordinators_preferred += 1
-        choice = pool[self._rotation % len(pool)]
+        # Unknown nodes stay in the pool (so they keep serving and get
+        # sampled); only meaningfully-slow sampled nodes are skipped.
+        index = self._rotation % (healthy + len(unknown))
         self._rotation += 1
-        return choice
+        return ranked[index][1] if index < healthy else unknown[index - healthy]
 
     def on_replica_response(self, ctx: RequestContext, node_id: str, rtt: float) -> None:
-        # Feed the shared tracker only when no earlier stage already does.
-        if self._observe:
-            self._tracker.observe(node_id, rtt)
+        self._tracker.observe(node_id, rtt)
 
     def on_node_removed(self, node_id: str) -> None:
         self._tracker.forget(node_id)

@@ -142,6 +142,27 @@ def test_parser_accepts_middleware_and_overrides():
     }
 
 
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ("replica-selection,consistencyy", r"unknown 'consistencyy'"),
+        ("replica-selection,,consistency", "an empty name"),
+        ("replica-selection,consistency,", "an empty name"),
+        ("consistency,staleness,consistency", r"more than once 'consistency'"),
+        ("hedging,,hedging", r"an empty name; unknown 'hedging'; more than once 'hedging'"),
+    ],
+)
+def test_cli_names_the_bad_middleware_token(spec, named):
+    args = build_parser().parse_args(["run", "--middleware", spec])
+    with pytest.raises(SystemExit) as refusal:
+        build_simulation_config(args)
+    message = str(refusal.value)
+    assert "\n" not in message and repr(spec) in message
+    assert named in message
+    # The names that would have been accepted are listed.
+    assert "(available: admission-control, consistency, " in message
+
+
 def test_cli_rejects_malformed_consistency_override():
     args = build_parser().parse_args(
         ["run", "--consistency-override", "delete=ONE"]

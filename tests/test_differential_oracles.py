@@ -15,6 +15,11 @@ results — not close ones:
   ``compare_versions``.
 * ``Cluster.preload`` resolves the live replicas' storages once per distinct
   preference list; the reference looks every replica up for every record.
+* ``NodeRttTracker`` keeps one ranking per generation and the four stages that
+  rank by RTT filter it; the references re-rank the nodes they are handed
+  from the estimates on every call, as those stages did.  Trackers whose
+  ``observe`` or ``forget`` keeps a stale ranking, or whose fallback is cached,
+  must be caught.
 """
 
 from __future__ import annotations
@@ -29,6 +34,12 @@ from repro.cluster.versioning import VersionHistory, compare_versions
 from repro.consistency.window_tracker import (
     InconsistencyWindowTracker,
     WindowTrackerConfig,
+)
+from repro.middleware import (
+    LatencyAwareReplicaSelection,
+    NodeRttTracker,
+    RequestHedging,
+    RttAwareWriteRouting,
 )
 from repro.simulation import Simulator
 
@@ -283,3 +294,271 @@ def test_preload_agrees_with_apply_per_record_and_replica(seed):
         assert fast.preload(items, item_sizes) == len(items)
         _reference_preload(reference, items, item_sizes or {})
         assert _loaded_state(fast) == _loaded_state(reference)
+
+
+# ----------------------------------------------------------------------
+# The tracker's per-generation ranking against ranking afresh on every call
+# ----------------------------------------------------------------------
+class _ReferenceEstimates:
+    """``estimate``/``estimate_or_none`` as the stages used to call them:
+    straight from the estimates and the fallback, nothing cached."""
+
+    def __init__(self, tracker, fallback):
+        self._estimates = tracker._estimates
+        self._fallback = fallback
+
+    def estimate(self, node_id):
+        estimate = self._estimates.get(node_id)
+        if estimate is not None:
+            return estimate
+        if self._fallback is not None:
+            return float(self._fallback())
+        return 0.0
+
+    def estimate_or_none(self, node_id):
+        estimate = self._estimates.get(node_id)
+        if estimate is not None:
+            return estimate
+        if self._fallback is not None:
+            return float(self._fallback())
+        return None
+
+
+def _reference_select_read_targets(self, ctx, live, required):
+    if len(live) <= required:
+        return None
+    self.selections += 1
+    estimate_or_none = self._tracker.estimate_or_none
+    known, unknown = [], []
+    for node_id in live:
+        (unknown if estimate_or_none(node_id) is None else known).append(node_id)
+    if not known:
+        pool = sorted(live)
+        start = self._rotation % len(pool)
+        self._rotation += 1
+        return [pool[(start + i) % len(pool)] for i in range(required)]
+    estimate = self._tracker.estimate
+    ranked = sorted(known, key=lambda node_id: (estimate(node_id), node_id))
+    cutoff = estimate(ranked[0]) * (1.0 + self._badness_threshold)
+    healthy = len(ranked)
+    while healthy > 1 and estimate(ranked[healthy - 1]) > cutoff:
+        healthy -= 1
+    if healthy < len(ranked):
+        self.avoidances += 1
+        self._since_explore += 1
+        if self._since_explore >= self._explore_every:
+            self._since_explore = 0
+            self.explorations += 1
+            rest = [n for n in ranked[:-1]] + sorted(unknown)
+            return [ranked[-1]] + rest[: required - 1]
+    pool = ranked[:healthy] + sorted(unknown)
+    if len(pool) <= required:
+        return (pool + ranked[healthy:])[:required]
+    start = self._rotation % len(pool)
+    self._rotation += 1
+    return [pool[(start + i) % len(pool)] for i in range(required)]
+
+
+def _reference_rank(self, node_id):
+    estimate = self._tracker.estimate_or_none(node_id)
+    if estimate is None:
+        return (1, 0.0, node_id)
+    return (0, estimate, node_id)
+
+
+def _reference_order_write_targets(self, ctx, live):
+    ordered = sorted(live, key=lambda node_id: _reference_rank(self, node_id))
+    self.writes_ordered += 1
+    return ordered
+
+
+def _reference_preferred_coordinator(self, serving):
+    if len(serving) <= 1:
+        return None
+    estimate_or_none = self._tracker.estimate_or_none
+    known, unknown = [], []
+    for node_id in serving:
+        (unknown if estimate_or_none(node_id) is None else known).append(node_id)
+    if not known:
+        return None
+    estimate = self._tracker.estimate
+    ranked = sorted(known, key=lambda node_id: (estimate(node_id), node_id))
+    cutoff = estimate(ranked[0]) * (1.0 + self._badness_threshold)
+    healthy = len(ranked)
+    while healthy > 1 and estimate(ranked[healthy - 1]) > cutoff:
+        healthy -= 1
+    pool = ranked[:healthy] + sorted(unknown)
+    if len(pool) == len(serving):
+        return None
+    self.coordinators_preferred += 1
+    choice = pool[self._rotation % len(pool)]
+    self._rotation += 1
+    return choice
+
+
+def _reference_hedge_candidates(self, live, targets):
+    """The ranking half of the old ``hedge_read`` (its budget half is as it was)."""
+    targeted = set(targets)
+    spares = [node_id for node_id in live if node_id not in targeted]
+    if not spares:
+        return None
+    spares.sort(key=lambda node_id: _reference_rank(self, node_id))
+    return spares
+
+
+_RANKING_COUNTERS = (
+    "selections",
+    "avoidances",
+    "explorations",
+    "_rotation",
+    "_since_explore",
+    "writes_ordered",
+    "coordinators_preferred",
+    "hedges_armed",
+)
+_UNIVERSE = tuple(f"node-{index}" for index in range(9))
+# Few distinct values, so equal estimates (node-id ties) are common; spread
+# wide enough that some nodes fall beyond any badness cutoff.
+_RTTS = (0.002, 0.002, 0.003, 0.004, 0.010, 0.050, 0.200)
+
+
+def _handed_nodes(rng, tracked):
+    """1-6 distinct nodes: a subset or a superset of the tracked set, disjoint
+    from it, or any mix."""
+    tracked = sorted(tracked)
+    untracked = [node_id for node_id in _UNIVERSE if node_id not in tracked]
+    shape = rng.choice(("subset", "superset", "disjoint", "mixed"))
+    if shape == "superset" and len(tracked) < 6:
+        return tracked + rng.sample(untracked, rng.randrange(1, 7 - len(tracked)))
+    pool = {"subset": tracked, "disjoint": untracked}.get(shape) or list(_UNIVERSE)
+    return rng.sample(pool, min(rng.randrange(1, 7), len(pool)))
+
+
+def _counters(stages):
+    return [
+        (name, getattr(stage, name))
+        for stage in stages
+        for name in _RANKING_COUNTERS
+        if hasattr(stage, name)
+    ]
+
+
+def _drive_ranking_oracle(seed, with_fallback, tracker_type=NodeRttTracker, steps=600):
+    rng = random.Random(seed)
+    congestion = [0.004]
+    fallback = (lambda: congestion[0]) if with_fallback else None
+    tracker = tracker_type(alpha=rng.choice((0.3, 1.0)), fallback=fallback)
+    threshold = rng.choice((0.0, 0.5, 2.0))
+    explore_every = rng.randrange(2, 6)
+
+    def stages(estimates):
+        return (
+            LatencyAwareReplicaSelection(
+                estimates, badness_threshold=threshold, explore_every=explore_every
+            ),
+            RttAwareWriteRouting(estimates, badness_threshold=threshold),
+            RequestHedging(estimates, operation_timeout=1.0),
+        )
+
+    new = selection, routing, hedging = stages(tracker)
+    old = old_selection, old_routing, old_hedging = stages(
+        _ReferenceEstimates(tracker, fallback)
+    )
+    calls = 0
+    for _ in range(steps):
+        action = rng.random()
+        tracked = tracker.snapshot()
+        if action < 0.25:
+            tracker.observe(rng.choice(_UNIVERSE[:7]), rng.choice(_RTTS))
+            continue
+        if action < 0.32:
+            # Sampled or not: forgetting an unknown node is legal.
+            tracker.forget(rng.choice(_UNIVERSE))
+            continue
+        if action < 0.42:
+            congestion[0] = rng.choice((0.001, 0.003, 0.004, 0.020, 0.300))
+            continue
+        nodes = _handed_nodes(rng, tracked)
+        if action < 0.62:
+            required = rng.randrange(1, 4)
+            answer = selection.select_read_targets(None, nodes, required)
+            expected = _reference_select_read_targets(old_selection, None, nodes, required)
+        elif action < 0.77:
+            answer = routing.preferred_coordinator(nodes)
+            expected = _reference_preferred_coordinator(old_routing, nodes)
+        elif action < 0.87:
+            answer = routing.order_write_targets(None, nodes)
+            expected = _reference_order_write_targets(old_routing, None, nodes)
+        else:
+            targets = rng.sample(nodes, rng.randrange(0, len(nodes) + 1))
+            if rng.random() < 0.2:
+                targets.append("node-elsewhere")
+            plan = hedging.hedge_read(None, nodes, targets)
+            answer = plan if plan is None else plan[1]
+            expected = _reference_hedge_candidates(old_hedging, nodes, targets)
+            if expected is not None:
+                old_hedging.hedges_armed += 1
+            assert plan is None or plan[0] == hedging.static_budget
+        assert answer == expected, (seed, nodes, tracked)
+        assert _counters(new) == _counters(old)
+        calls += 1
+    assert calls > steps // 2
+    return selection, routing
+
+
+def test_generation_ranking_agrees_with_ranking_afresh():
+    explorations = preferred = rotations = 0
+    for seed in range(1, 13):
+        for with_fallback in (False, True):
+            selection, routing = _drive_ranking_oracle(seed, with_fallback)
+            explorations += selection.explorations
+            preferred += routing.coordinators_preferred
+            rotations += selection._rotation
+    # The runs must have exercised what they claim to: avoidance with the
+    # exploration period crossed many times, coordinator preference, rotation.
+    assert explorations > 50 and preferred > 50 and rotations > 200
+
+
+class _ObserveKeepsRanking(NodeRttTracker):
+    __slots__ = ()
+
+    def observe(self, node_id, rtt):
+        ranking = self._ranking
+        super().observe(node_id, rtt)
+        self._ranking = ranking
+
+
+class _ForgetKeepsRanking(NodeRttTracker):
+    __slots__ = ()
+
+    def forget(self, node_id):
+        ranking = self._ranking
+        super().forget(node_id)
+        self._ranking = ranking
+
+
+class _CachesFallback(NodeRttTracker):
+    __slots__ = ()
+
+    def __init__(self, alpha, fallback):
+        value = []
+
+        def first_value():
+            if not value:
+                value.append(fallback())
+            return value[0]
+
+        super().__init__(alpha, first_value)
+
+
+@pytest.mark.parametrize(
+    "mutant", (_ObserveKeepsRanking, _ForgetKeepsRanking, _CachesFallback)
+)
+def test_ranking_oracle_catches_a_stale_ranking_and_a_cached_fallback(mutant):
+    caught = 0
+    for seed in range(1, 13):
+        try:
+            _drive_ranking_oracle(seed, with_fallback=True, tracker_type=mutant)
+        except AssertionError:
+            caught += 1
+    assert caught == 12
