@@ -13,7 +13,7 @@ the server-side causes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -54,11 +54,12 @@ class StalenessObserver(ClusterListener):
     def __init__(self, simulator: Simulator, include_probes: bool = False) -> None:
         self._simulator = simulator
         self._include_probes = include_probes
+        # One 0/1 flag per observed read and one age per stale read, both at
+        # the read's completion time; the counters are their whole-run totals.
         self._stale_series = TimeSeries("stale_read")
         self._staleness_series = TimeSeries("staleness_age")
         self.reads_observed = 0
         self.stale_reads = 0
-        self._staleness_values: List[float] = []
 
     # ------------------------------------------------------------------
     # ClusterListener hook
@@ -74,7 +75,6 @@ class StalenessObserver(ClusterListener):
         if result.stale:
             self.stale_reads += 1
             self._staleness_series.record(observed_at, result.staleness)
-            self._staleness_values.append(result.staleness)
 
     # ------------------------------------------------------------------
     # Query API
@@ -89,29 +89,17 @@ class StalenessObserver(ClusterListener):
     def snapshot(self, since: Optional[float] = None) -> StalenessSnapshot:
         """Aggregate staleness figures (optionally restricted to recent reads)."""
         if since is None:
-            stale_flags = list(self._stale_series.values)
-            ages = self._staleness_values
+            reads, stale = self.reads_observed, self.stale_reads
+            ages = self._staleness_series.values
         else:
-            stale_flags = self._stale_series.values_since(since)
+            flags = self._stale_series.values_since(since)
+            reads, stale = flags.size, int(flags.sum())
             ages = self._staleness_series.values_since(since)
-        reads = len(stale_flags)
-        stale = int(sum(stale_flags))
-        ages_arr = np.asarray(ages, dtype=float) if ages else np.asarray([0.0])
         return StalenessSnapshot(
             reads=reads,
             stale_reads=stale,
             stale_fraction=(stale / reads) if reads else 0.0,
-            mean_staleness=float(ages_arr.mean()) if ages else 0.0,
-            p95_staleness=float(np.percentile(ages_arr, 95)) if ages else 0.0,
-            max_staleness=float(ages_arr.max()) if ages else 0.0,
+            mean_staleness=float(ages.mean()) if ages.size else 0.0,
+            p95_staleness=float(np.percentile(ages, 95)) if ages.size else 0.0,
+            max_staleness=float(ages.max()) if ages.size else 0.0,
         )
-
-    @property
-    def stale_series(self) -> TimeSeries:
-        """Per-read stale indicator series (1.0 = stale)."""
-        return self._stale_series
-
-    @property
-    def staleness_series(self) -> TimeSeries:
-        """Ages of the stale versions returned, as a time series."""
-        return self._staleness_series

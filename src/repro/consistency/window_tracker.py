@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..cluster.cluster import ClusterListener
 from ..cluster.versioning import VersionStamp
 from ..simulation.engine import Simulator
@@ -71,9 +69,6 @@ class WindowTrackerConfig:
     expiry_scan_interval: float = 30.0
     """How often the tracker scans for expired open windows."""
 
-    keep_samples: int = 200_000
-    """Maximum number of closed-window samples retained in memory."""
-
     early_apply_retention: float = 120.0
     """How long replica applies without a matching ack are remembered."""
 
@@ -97,8 +92,8 @@ class InconsistencyWindowTracker(ClusterListener):
         # simulation clock never runs backwards, so a run leaves this empty;
         # it keeps ``_remember_apply`` exact for a caller that does.
         self._out_of_order: Set[str] = set()
+        # (closing or expiry time, window size) of every window that ended.
         self._windows = TimeSeries("inconsistency_window")
-        self._samples: List[float] = []
         self.windows_opened = 0
         self.windows_closed = 0
         self.windows_expired = 0
@@ -188,14 +183,7 @@ class InconsistencyWindowTracker(ClusterListener):
 
     def _record_closed(self, record: WindowRecord) -> None:
         self.windows_closed += 1
-        window = record.window or 0.0
-        self._append_sample(window)
-
-    def _append_sample(self, window: float) -> None:
-        self._windows.record(self._simulator.now, window)
-        self._samples.append(window)
-        if len(self._samples) > self._config.keep_samples:
-            del self._samples[0 : len(self._samples) - self._config.keep_samples]
+        self._windows.record(self._simulator.now, record.window or 0.0)
 
     def _expire_stale_windows(self) -> None:
         now = self._simulator.now
@@ -214,7 +202,7 @@ class InconsistencyWindowTracker(ClusterListener):
                 # tracker gave up, so it was *at least* this large.  Dropping
                 # it would make a saturated cluster look artificially
                 # consistent.
-                self._append_sample(now - record.ack_time)
+                self._windows.record(now, now - record.ack_time)
             if not records:
                 del self._open_by_key[key]
 
@@ -239,26 +227,17 @@ class InconsistencyWindowTracker(ClusterListener):
         """Number of windows currently open."""
         return sum(len(records) for records in self._open_by_key.values())
 
-    def window_percentile(self, q: float, since: Optional[float] = None) -> float:
-        """The ``q``-th percentile of closed windows (optionally since a time)."""
-        if since is None:
-            values = self._samples
-        else:
-            values = self._windows.values_since(since)
-        if not values:
-            return 0.0
-        return float(np.percentile(np.asarray(values, dtype=float), q))
+    def window_percentile(self, q: float) -> float:
+        """The ``q``-th percentile of closed windows."""
+        return self._windows.percentile(q)
 
-    def mean_window(self, since: Optional[float] = None) -> float:
-        """Mean closed window size (optionally since a time)."""
-        values = self._samples if since is None else self._windows.values_since(since)
-        if not values:
-            return 0.0
-        return float(np.mean(values))
+    def mean_window(self) -> float:
+        """Mean closed window size."""
+        return self._windows.mean()
 
     def recent_windows(self, since: float) -> List[float]:
         """Window sizes closed at or after ``since``."""
-        return list(self._windows.values_since(since))
+        return self._windows.values_since(since).tolist()
 
     def stats(self) -> Dict[str, float]:
         """Counters and headline statistics for reports."""

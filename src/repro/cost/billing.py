@@ -102,11 +102,6 @@ class BillingModel:
         """Provisioned node-hours over the billed period."""
         return self.node_seconds / 3600.0
 
-    @property
-    def node_count_series(self) -> TimeSeries:
-        """Node count over time (for plots and tables)."""
-        return self._node_count_series
-
     def infrastructure_cost(self) -> float:
         """Node-hour cost only."""
         return self.node_hours * self.rates.node_hour

@@ -59,10 +59,9 @@ def _estimator_accuracy(
     errors: List[float] = []
     previous_time = 0.0
     for estimate in estimator.estimates():
-        truth_values = tracker.series.window(previous_time, estimate.time).values
-        if truth_values:
-            truth_p95 = float(np.percentile(np.asarray(truth_values, dtype=float), 95))
-            errors.append(abs(estimate.p95_window - truth_p95))
+        truth = tracker.series.window(previous_time, estimate.time)
+        if truth:
+            errors.append(abs(estimate.p95_window - truth.percentile(95)))
         previous_time = estimate.time
 
     latest_estimates = estimator.estimates()

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..cluster.types import ConsistencyLevel
 from ..core.stability import StabilityConfig
 from ..runner import Simulation
@@ -58,37 +56,18 @@ _STABILITY_COLUMNS = [
 
 def _phase_stats(simulation: Simulation, start: float, end: float) -> Dict[str, float]:
     """Latency/window/utilisation aggregates over one time slice."""
-    metrics = simulation.metrics.series
-    window_values = simulation.window_tracker.series.window(start, end).values
-    read_latency = metrics.get("read_latency")
-    write_latency = metrics.get("write_latency")
-    utilization = metrics.get("mean_utilization")
+    stats = simulation.workload.stats
 
-    def p95(series, lo: float, hi: float) -> float:
-        if series is None:
-            return 0.0
-        values = series.window(lo, hi).values
-        if not values:
-            return 0.0
-        return float(np.percentile(np.asarray(values, dtype=float), 95))
-
-    def mean(series, lo: float, hi: float) -> float:
-        if series is None:
-            return 0.0
-        values = series.window(lo, hi).values
-        if not values:
-            return 0.0
-        return float(np.mean(np.asarray(values, dtype=float)))
+    def p95_ms(series) -> float:
+        return series.window(start, end).percentile(95) * 1000.0
 
     return {
-        "read_p95_ms": p95(read_latency, start, end) * 1000.0,
-        "write_p95_ms": p95(write_latency, start, end) * 1000.0,
-        "window_p95_ms": (
-            float(np.percentile(np.asarray(window_values, dtype=float), 95)) * 1000.0
-            if window_values
-            else 0.0
+        "read_p95_ms": p95_ms(stats.read_latency_series),
+        "write_p95_ms": p95_ms(stats.write_latency_series),
+        "window_p95_ms": p95_ms(simulation.window_tracker.series),
+        "mean_utilization": (
+            simulation.metrics.series["mean_utilization"].window(start, end).mean()
         ),
-        "mean_utilization": mean(utilization, start, end),
         "phase_duration_s": end - start,
     }
 

@@ -60,8 +60,8 @@ def _seconds_above_ceiling(simulation: Simulation, ceiling: float = 0.75) -> flo
     if series is None or len(series) < 2:
         return 0.0
     seconds = 0.0
-    times = series.times
-    values = series.values
+    times = series.times.tolist()
+    values = series.values.tolist()
     for index in range(len(times) - 1):
         if values[index] > ceiling:
             seconds += times[index + 1] - times[index]

@@ -40,7 +40,6 @@ from ..cluster.types import (
     WriteResult,
 )
 from ..simulation.engine import PeriodicTask, Simulator
-from ..simulation.timeseries import TimeSeries
 from .percentiles import WindowedPercentiles
 
 __all__ = [
@@ -86,7 +85,6 @@ class ConsistencyEstimator(abc.ABC):
         self._simulator = simulator
         self._report_interval = report_interval
         self._estimates: List[WindowEstimate] = []
-        self.estimate_series = TimeSeries(f"{self.name}_window_estimate")
         self._report_task = simulator.call_every(
             report_interval,
             self._emit_estimate,
@@ -99,10 +97,7 @@ class ConsistencyEstimator(abc.ABC):
         """Produce the estimate for the window that just ended."""
 
     def _emit_estimate(self) -> None:
-        now = self._simulator.now
-        estimate = self._build_estimate(now)
-        self._estimates.append(estimate)
-        self.estimate_series.record(now, estimate.p95_window)
+        self._estimates.append(self._build_estimate(self._simulator.now))
 
     # ------------------------------------------------------------------
     # Query API
@@ -167,7 +162,6 @@ class ReadAfterWriteProber(ConsistencyEstimator):
         self._probe_sequence = itertools.count(1)
         self._window_samples = WindowedPercentiles(window=512)
         self._recent_samples: List[float] = []
-        self._recent_unresolved = 0
         self._ops_issued = 0
         self.probes_started = 0
         self.probes_resolved = 0
@@ -210,7 +204,6 @@ class ReadAfterWriteProber(ConsistencyEstimator):
     def _probe_write_done(self, key: str, result: WriteResult) -> None:
         if not result.success or result.version_timestamp is None:
             self.probes_unresolved += 1
-            self._recent_unresolved += 1
             return
         ack_time = result.completed_at
         self._schedule_probe_read(key, result.version_timestamp, ack_time, attempt=0)
@@ -263,7 +256,6 @@ class ReadAfterWriteProber(ConsistencyEstimator):
             return
         if attempt + 1 >= self._config.max_reads:
             self.probes_unresolved += 1
-            self._recent_unresolved += 1
             # Record the censored observation at the probing horizon so the
             # estimator degrades towards "at least this big" rather than
             # silently dropping its worst cases.
@@ -294,7 +286,6 @@ class ReadAfterWriteProber(ConsistencyEstimator):
             samples=len(samples),
         )
         self._recent_samples = []
-        self._recent_unresolved = 0
         return estimate
 
     def stop(self) -> None:
@@ -433,7 +424,7 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
         self._config = config or RttEstimatorConfig()
         ConsistencyEstimator.__init__(self, simulator, self._config.report_interval)
         self._cluster = cluster
-        self._write_latencies = WindowedPercentiles(window=512)
+        self._writes_observed = 0
         self._read_latencies = WindowedPercentiles(window=512)
         self._node_tracker = None
         cluster.add_listener(self)
@@ -462,7 +453,7 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
         if result.is_read:
             self._read_latencies.observe(result.latency)
         else:
-            self._write_latencies.observe(result.latency)
+            self._writes_observed += 1
 
     def read_latency_percentile(self, q: float) -> float:
         """Observed production read-latency percentile (0.0 before any read).
@@ -490,6 +481,6 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
             mean_window=mean_window,
             p95_window=p95_window,
             stale_read_fraction=0.0,
-            samples=self._write_latencies.count,
+            samples=self._writes_observed,
         )
         return estimate

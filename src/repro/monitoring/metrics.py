@@ -104,10 +104,7 @@ class MetricsCollector(ClusterListener):
         self._cluster = cluster
         self._config = config or MetricsConfig()
         self.series = TimeSeriesBundle()
-        # The two per-operation series, resolved on first use and then held:
-        # a series that exists but is empty would show in ``series.names()``.
-        self._read_latency_series: Optional[TimeSeries] = None
-        self._write_latency_series: Optional[TimeSeries] = None
+        """One series per gauge, a sample per ``sample_interval``."""
 
         self._read_latencies = WindowedPercentiles(self._config.latency_window)
         self._write_latencies = WindowedPercentiles(self._config.latency_window)
@@ -151,25 +148,16 @@ class MetricsCollector(ClusterListener):
         if not result.success:
             self._window_failures += 1
             return
-        latency = result.latency
         if result.is_read:
             self._window_reads += 1
-            self._read_latencies.observe(latency)
-            series = self._read_latency_series
-            if series is None:
-                series = self._read_latency_series = self.series.series("read_latency")
-            series.record(self._simulator.now, latency)
+            self._read_latencies.observe(result.latency)
             if result.stale:
                 self._window_stale_reads += 1
             if result.digest_mismatch:
                 self._window_mismatches += 1
         else:
             self._window_writes += 1
-            self._write_latencies.observe(latency)
-            series = self._write_latency_series
-            if series is None:
-                series = self._write_latency_series = self.series.series("write_latency")
-            series.record(self._simulator.now, latency)
+            self._write_latencies.observe(result.latency)
 
     # ------------------------------------------------------------------
     # Gauge sampling (pull path)

@@ -208,8 +208,8 @@ class MergeableHistogramSketch:
 
         Produces exactly the counts the equivalent :meth:`observe` loop
         would — binning goes through the same ``searchsorted`` edges — at a
-        fraction of the cost; this is what the buffered collector calls on
-        each flush window.
+        fraction of the cost; this is what ``run_shard`` calls on each
+        latency column when it hands its result over.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:

@@ -34,7 +34,6 @@ from .monitoring.estimators import (
     ReadAfterWriteProber,
     RttEstimator,
 )
-from .monitoring.buffered import BufferedOperationCollector
 from .monitoring.metrics import MetricsCollector, MetricsConfig, TenantMetricsRollup
 from .monitoring.overhead import MonitoringOverheadAccountant
 from .simulation.engine import Simulator
@@ -54,20 +53,6 @@ class MonitoringOptions:
     enable_piggyback: bool = True
     enable_rtt: bool = True
     report_interval: float = 10.0
-
-    buffered: bool = False
-    """Deploy the :class:`~repro.monitoring.buffered.BufferedOperationCollector`:
-    per-operation latencies are appended to numpy buffers and folded into
-    mergeable percentile sketches on a flush window instead of being analysed
-    inline.  Off by default (the classic stack stays bit-identical); the
-    sharded mode turns it on because the sketches are what shard reports are
-    merged through."""
-
-    buffered_flush_interval: float = 5.0
-    """Simulated seconds between buffered-collector flushes."""
-
-    sketch_accuracy: float = 0.01
-    """Relative-error guarantee of the buffered collector's sketches."""
 
 
 @dataclass
@@ -274,15 +259,6 @@ class Simulation:
             self.simulator, self.cluster, self.config.monitoring.metrics
         )
         self.overhead = MonitoringOverheadAccountant(self.simulator, self.cluster)
-        self.buffered_collector: Optional[BufferedOperationCollector] = None
-        if self.config.monitoring.buffered:
-            self.buffered_collector = BufferedOperationCollector(
-                self.simulator,
-                self.cluster,
-                flush_interval=self.config.monitoring.buffered_flush_interval,
-                accuracy=self.config.monitoring.sketch_accuracy,
-            )
-            self.overhead.register(self.buffered_collector)
         self.estimators: Dict[str, object] = {}
         if self.config.monitoring.enable_probe:
             prober = ReadAfterWriteProber(
@@ -440,10 +416,6 @@ class Simulation:
         double-billing it.
         """
         now = self.simulator.now
-        if self.buffered_collector is not None:
-            # Final (idempotent) flush so the sketches and the flush-billing
-            # surface cover every sample gathered since the last window.
-            self.buffered_collector.flush()
         probe_operations = self.overhead.probe_operations
         self.cost.billing.record_probe_operations(
             probe_operations - self._billed_probe_operations

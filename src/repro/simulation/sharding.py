@@ -93,27 +93,15 @@ class ShardResult:
 
     index: int
     shards: int
-    label: str
-    events_processed: int
     wall_seconds: float
     workload_counters: Dict[str, int]
+    """Per-kind operation counts; the report carries only their totals."""
+
     read_sketch: MergeableHistogramSketch
     write_sketch: MergeableHistogramSketch
-    sla_evaluations: float
-    sla_violation_seconds: float
-    sla_penalty_cost: float
-    staleness_reads: float
-    staleness_stale_reads: float
-    staleness_max: float
-    cost: Dict[str, float]
     report: Dict[str, object]
-    """The shard's full :meth:`SimulationReport.as_dict` for drill-down."""
-
-    fault_counts: Dict[str, int] = field(default_factory=dict)
-    """Injected-fault counts by kind on this shard (merge by addition)."""
-
-    fault_events: List[Dict[str, object]] = field(default_factory=list)
-    """This shard's injected-fault records (kind/target/start/end)."""
+    """The shard's full :meth:`SimulationReport.as_dict`: the merge reads its
+    SLA, staleness, cost, fault and event figures from here."""
 
 
 @dataclass
@@ -230,7 +218,6 @@ def plan_shards(config, shards: int) -> List[object]:
             max_nodes=max(replication, _split_count(cluster.max_nodes, shards, index)),
             min_nodes=max(1, _split_count(cluster.min_nodes, shards, index)),
         )
-        monitoring = dataclasses.replace(config.monitoring, buffered=True)
         # A fault campaign splits with the scenario: each spec lands on
         # exactly one shard (round-robin by position), so the sharded run
         # injects the same faults as the classic one — once each, on a
@@ -243,7 +230,6 @@ def plan_shards(config, shards: int) -> List[object]:
                 config,
                 cluster=shard_cluster,
                 workload=shard_workload,
-                monitoring=monitoring,
                 faults=faults,
                 stream_namespace=f"shard{index}/{shards}",
                 label=f"{config.label}@s{index}",
@@ -267,36 +253,23 @@ def run_shard(shard_config, index: int, shards: int) -> ShardResult:
     simulation = Simulation(shard_config)
     report = simulation.run()
     wall = time.perf_counter() - started
-    collector = simulation.buffered_collector
-    if collector is None:  # pragma: no cover - plan_shards always enables it
-        raise RuntimeError("sharded runs require buffered monitoring")
     stats = simulation.workload.stats
-    counters = {key: int(getattr(stats, key)) for key in _WORKLOAD_COUNTER_KEYS}
-    sla = report.sla_summary
-    staleness = report.staleness
-    cost = report.cost.as_dict()
+    # The latency columns go into the merge format at hand-over, in one
+    # vectorized pass each.
+    read_sketch = MergeableHistogramSketch()
+    read_sketch.observe_many(stats.read_latency_series.values)
+    write_sketch = MergeableHistogramSketch()
+    write_sketch.observe_many(stats.write_latency_series.values)
     return ShardResult(
         index=index,
         shards=shards,
-        label=shard_config.label,
-        events_processed=report.events_processed,
         wall_seconds=wall,
-        workload_counters=counters,
-        read_sketch=collector.read_sketch,
-        write_sketch=collector.write_sketch,
-        sla_evaluations=float(sla.get("evaluations", 0.0)),
-        sla_violation_seconds=float(sla.get("violation_seconds", 0.0)),
-        sla_penalty_cost=float(sla.get("penalty_cost", 0.0)),
-        staleness_reads=float(staleness.get("reads", 0.0)),
-        staleness_stale_reads=float(staleness.get("stale_reads", 0.0)),
-        staleness_max=float(staleness.get("max_staleness", 0.0)),
-        cost={key: float(cost.get(key, 0.0)) for key in _COST_KEYS},
-        report=report.as_dict(),
-        fault_counts={
-            str(kind): int(count)
-            for kind, count in (report.fault_summary.get("by_kind") or {}).items()
+        workload_counters={
+            key: int(getattr(stats, key)) for key in _WORKLOAD_COUNTER_KEYS
         },
-        fault_events=[dict(event) for event in report.fault_summary.get("events") or []],
+        read_sketch=read_sketch,
+        write_sketch=write_sketch,
+        report=report.as_dict(),
     )
 
 
@@ -350,26 +323,29 @@ def merge_shard_results(results: Sequence[ShardResult]) -> Dict[str, object]:
     }
     workload.update({key: float(value) for key, value in counters.items()})
 
-    evaluations = sum(result.sla_evaluations for result in ordered)
-    violation_seconds = sum(result.sla_violation_seconds for result in ordered)
+    reports = [result.report for result in ordered]
+
+    def total(section: str, key: str) -> float:
+        return sum(float(report[section].get(key, 0.0)) for report in reports)
+
     sla: Dict[str, float] = {
-        "evaluations": evaluations,
-        "violation_seconds": violation_seconds,
-        "penalty_cost": sum(result.sla_penalty_cost for result in ordered),
+        "evaluations": total("sla", "evaluations"),
+        "violation_seconds": total("sla", "violation_seconds"),
+        "penalty_cost": total("sla", "penalty_cost"),
     }
 
-    staleness_reads = sum(result.staleness_reads for result in ordered)
-    stale_reads = sum(result.staleness_stale_reads for result in ordered)
+    staleness_reads = total("staleness", "reads")
+    stale_reads = total("staleness", "stale_reads")
     staleness: Dict[str, float] = {
         "reads": staleness_reads,
         "stale_reads": stale_reads,
         "stale_fraction": (stale_reads / staleness_reads) if staleness_reads else 0.0,
-        "max_staleness": max(result.staleness_max for result in ordered),
+        "max_staleness": max(
+            float(report["staleness"].get("max_staleness", 0.0)) for report in reports
+        ),
     }
 
-    cost = {
-        key: sum(result.cost.get(key, 0.0) for result in ordered) for key in _COST_KEYS
-    }
+    cost = {key: total("cost", key) for key in _COST_KEYS}
     cost["total_cost"] = (
         cost["infrastructure_cost"]
         + cost["churn_cost"]
@@ -384,9 +360,10 @@ def merge_shard_results(results: Sequence[ShardResult]) -> Dict[str, object]:
     fault_counts: Dict[str, int] = {}
     fault_events: List[Dict[str, object]] = []
     for result in ordered:
-        for kind, count in result.fault_counts.items():
+        shard_faults = result.report["faults"]  # empty for a fault-free shard
+        for kind, count in shard_faults.get("by_kind", {}).items():
             fault_counts[kind] = fault_counts.get(kind, 0) + count
-        for event in result.fault_events:
+        for event in shard_faults.get("events", ()):
             fault_events.append({**event, "shard": result.index})
     fault_events.sort(
         key=lambda event: (
@@ -407,7 +384,7 @@ def merge_shard_results(results: Sequence[ShardResult]) -> Dict[str, object]:
         "sla": sla,
         "staleness": staleness,
         "cost": cost,
-        "events_processed": sum(result.events_processed for result in ordered),
+        "events_processed": sum(report["events_processed"] for report in reports),
         "faults": faults,
         "sketches": {
             "read": read_sketch.snapshot(),

@@ -8,10 +8,9 @@ into tables.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -46,30 +45,36 @@ class SeriesSummary:
 _EMPTY_SUMMARY = SeriesSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-class FloatBuffer:
-    """Append-only ``float64`` buffer with amortised O(1) growth.
+_INITIAL_CAPACITY = 16
 
-    Per-operation recorders (workload latencies, buffered monitoring samples)
-    append here instead of to a Python list: samples live in a numpy array
-    that doubles when full, so reading them back never re-converts an
-    ever-growing list.  :meth:`as_array` reads without consuming (exact
-    end-of-run statistics); :meth:`drain` reads and resets (windowed flushes).
+
+def _grown(column: np.ndarray) -> np.ndarray:
+    """``column`` copied into the front of an array of twice its capacity."""
+    capacity = column.size
+    grown = np.empty(max(_INITIAL_CAPACITY, capacity * 2), dtype=np.float64)
+    grown[:capacity] = column
+    return grown
+
+
+class FloatBuffer:
+    """Append-only ``float64`` column with amortised O(1) growth.
+
+    Samples live in a numpy array that doubles when full, so reading them
+    back (:meth:`as_array`) never re-converts an ever-growing list.
     """
 
     __slots__ = ("_data", "_size")
 
-    def __init__(self, initial_capacity: int = 1024) -> None:
-        self._data = np.empty(max(1, initial_capacity), dtype=np.float64)
+    def __init__(self) -> None:
+        self._data = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
         self._size = 0
 
     def append(self, value: float) -> None:
         """Append one sample."""
         size = self._size
         data = self._data
-        if size == data.shape[0]:
-            grown = np.empty(size * 2, dtype=np.float64)
-            grown[:size] = data
-            self._data = data = grown
+        if size == data.size:
+            self._data = data = _grown(data)
         data[size] = value
         self._size = size + 1
 
@@ -77,144 +82,158 @@ class FloatBuffer:
         """Zero-copy view of the samples recorded so far."""
         return self._data[: self._size]
 
-    def drain(self) -> np.ndarray:
-        """A view of the buffered samples; the buffer is reset for reuse.
-
-        The view aliases the internal array, so callers must consume it
-        before the next append.
-        """
-        view = self._data[: self._size]
-        self._size = 0
-        return view
-
     def __len__(self) -> int:
         return self._size
 
 
 class TimeSeries:
-    """Append-only ``(time, value)`` series with aggregation helpers."""
+    """Append-only ``(time, value)`` series with aggregation helpers.
 
-    __slots__ = ("name", "_times", "_values")
+    Times and values are two ``float64`` columns that double when full:
+    :attr:`times`, :attr:`values` and :meth:`values_since` are views of them,
+    and the order statistics run on the value column as it stands.
+    """
+
+    __slots__ = ("name", "_times", "_values", "_size", "_last_time")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._times: List[float] = []
-        self._values: List[float] = []
+        self._times = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
+        self._values = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
+        self._size = 0
+        self._last_time = -math.inf
 
     def __len__(self) -> int:
-        return len(self._times)
+        return self._size
 
     def __bool__(self) -> bool:
-        return bool(self._times)
+        return self._size > 0
 
     def record(self, time: float, value: float) -> None:
         """Append a sample; times must be non-decreasing."""
-        if self._times and time < self._times[-1]:
+        if time < self._last_time:
             raise ValueError(
                 f"samples must be appended in time order "
-                f"({time} < {self._times[-1]}) in series {self.name!r}"
+                f"({time} < {float(self._last_time)}) in series {self.name!r}"
             )
-        self._times.append(float(time))
-        self._values.append(float(value))
+        size = self._size
+        times = self._times
+        if size == times.size:
+            self._times = times = _grown(times)
+            self._values = _grown(self._values)
+        times[size] = time
+        self._values[size] = value
+        self._size = size + 1
+        self._last_time = time
 
     @property
-    def times(self) -> Sequence[float]:
-        """All sample times."""
-        return self._times
+    def times(self) -> np.ndarray:
+        """All sample times (a view; do not write to it)."""
+        return self._times[: self._size]
 
     @property
-    def values(self) -> Sequence[float]:
-        """All sample values."""
-        return self._values
+    def values(self) -> np.ndarray:
+        """All sample values (a view; do not write to it)."""
+        return self._values[: self._size]
 
     def last(self, default: float = 0.0) -> float:
         """Most recent value, or ``default`` if the series is empty."""
-        return self._values[-1] if self._values else default
+        return float(self._values[self._size - 1]) if self._size else default
 
     def window(self, start: float, end: float) -> "TimeSeries":
         """Return a new series containing samples with ``start <= t < end``."""
-        lo = bisect.bisect_left(self._times, start)
-        hi = bisect.bisect_left(self._times, end)
+        times = self.times
+        lo, hi = np.searchsorted(times, (start, end), side="left")
         out = TimeSeries(self.name)
-        out._times = self._times[lo:hi]
-        out._values = self._values[lo:hi]
+        if hi > lo:
+            out._times = times[lo:hi].copy()
+            out._values = self._values[lo:hi].copy()
+            out._size = int(hi - lo)
+            out._last_time = float(times[hi - 1])
         return out
 
-    def values_since(self, start: float) -> List[float]:
-        """Values of samples recorded at or after ``start``."""
-        lo = bisect.bisect_left(self._times, start)
-        return self._values[lo:]
+    def values_since(self, start: float) -> np.ndarray:
+        """Values of samples recorded at or after ``start`` (a view)."""
+        lo = np.searchsorted(self.times, start, side="left")
+        return self._values[lo : self._size]
 
     def summary(self) -> SeriesSummary:
         """Summary statistics over the whole series."""
-        if not self._values:
+        if not self._size:
             return _EMPTY_SUMMARY
-        arr = np.asarray(self._values, dtype=float)
+        arr = self.values
+        p50, p95, p99 = np.percentile(arr, (50, 95, 99))
         return SeriesSummary(
-            count=int(arr.size),
+            count=self._size,
             mean=float(arr.mean()),
             minimum=float(arr.min()),
             maximum=float(arr.max()),
-            p50=float(np.percentile(arr, 50)),
-            p95=float(np.percentile(arr, 95)),
-            p99=float(np.percentile(arr, 99)),
+            p50=float(p50),
+            p95=float(p95),
+            p99=float(p99),
         )
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile of the recorded values (0 when empty)."""
-        if not self._values:
+        if not self._size:
             return 0.0
-        return float(np.percentile(np.asarray(self._values, dtype=float), q))
+        return float(np.percentile(self.values, q))
 
     def mean(self) -> float:
         """Arithmetic mean of recorded values (0 when empty)."""
-        if not self._values:
+        if not self._size:
             return 0.0
-        return float(np.mean(self._values))
+        return float(self.values.mean())
 
+    # The time-weighted sums below accumulate left to right in Python floats:
+    # ``node_hours`` and ``total_cost`` are pinned to that order of additions.
     def integrate(self) -> float:
         """Time-weighted integral assuming step interpolation (value holds).
 
         Used for node-hour accounting: integrating a ``node_count`` series
         over the run yields node-seconds.
         """
-        if len(self._times) < 2:
-            return 0.0
+        times = self.times.tolist()
+        values = self.values.tolist()
         total = 0.0
-        for i in range(len(self._times) - 1):
-            dt = self._times[i + 1] - self._times[i]
-            total += self._values[i] * dt
+        for i in range(len(times) - 1):
+            dt = times[i + 1] - times[i]
+            total += values[i] * dt
         return total
 
     def time_weighted_mean(self, end_time: Optional[float] = None) -> float:
         """Time-weighted mean with step interpolation up to ``end_time``."""
-        if not self._times:
+        if not self._size:
             return 0.0
-        end = end_time if end_time is not None else self._times[-1]
-        if len(self._times) == 1 or end <= self._times[0]:
-            return self._values[0]
+        times = self.times.tolist()
+        values = self.values.tolist()
+        end = end_time if end_time is not None else times[-1]
+        if len(times) == 1 or end <= times[0]:
+            return values[0]
         total = 0.0
-        for i in range(len(self._times) - 1):
-            dt = min(self._times[i + 1], end) - self._times[i]
+        for i in range(len(times) - 1):
+            dt = min(times[i + 1], end) - times[i]
             if dt > 0:
-                total += self._values[i] * dt
-        if end > self._times[-1]:
-            total += self._values[-1] * (end - self._times[-1])
-        duration = end - self._times[0]
-        return total / duration if duration > 0 else self._values[-1]
+                total += values[i] * dt
+        if end > times[-1]:
+            total += values[-1] * (end - times[-1])
+        duration = end - times[0]
+        return total / duration if duration > 0 else values[-1]
 
     def resample(self, interval: float, end_time: Optional[float] = None) -> "TimeSeries":
         """Step-resample onto a regular grid (mainly for plotting/tables)."""
         out = TimeSeries(self.name)
-        if not self._times:
+        if not self._size:
             return out
-        end = end_time if end_time is not None else self._times[-1]
-        t = self._times[0]
+        times = self.times.tolist()
+        values = self.values.tolist()
+        end = end_time if end_time is not None else times[-1]
+        t = times[0]
         idx = 0
         while t <= end + 1e-12:
-            while idx + 1 < len(self._times) and self._times[idx + 1] <= t:
+            while idx + 1 < len(times) and times[idx + 1] <= t:
                 idx += 1
-            out.record(t, self._values[idx])
+            out.record(t, values[idx])
             t += interval
         return out
 

@@ -184,7 +184,7 @@ class TenantOpStats:
         self.writes_rejected = 0
         self.reads_failed = 0
         self.writes_failed = 0
-        self.read_latencies = FloatBuffer(initial_capacity=16)
+        self.read_latencies = FloatBuffer()
 
     @property
     def operations_issued(self) -> int:
@@ -216,9 +216,9 @@ class WorkloadStats:
         self.writes_failed = 0
         self.reads_rejected = 0
         self.writes_rejected = 0
-        self.read_latencies = FloatBuffer()
-        self.write_latencies = FloatBuffer()
         self.stale_reads = 0
+        # The one store of each completed operation's (completion time,
+        # latency): the report's percentiles and E4's phase slices read it.
         self.read_latency_series = TimeSeries("read_latency")
         self.write_latency_series = TimeSeries("write_latency")
         self.offered_rate_series = TimeSeries("offered_rate")
@@ -241,7 +241,6 @@ class WorkloadStats:
         if result.success:
             self.reads_completed += 1
             latency = result.latency
-            self.read_latencies.append(latency)
             self.read_latency_series.record(result.completed_at, latency)
             if result.stale:
                 self.stale_reads += 1
@@ -266,9 +265,7 @@ class WorkloadStats:
             return
         if result.success:
             self.writes_completed += 1
-            latency = result.latency
-            self.write_latencies.append(latency)
-            self.write_latency_series.record(result.completed_at, latency)
+            self.write_latency_series.record(result.completed_at, result.latency)
             tenants = self.tenant_stats
             if tenants is not None and result.tenant is not None:
                 tenants[result.tenant].writes_completed += 1
@@ -316,14 +313,12 @@ class WorkloadStats:
     def latency_percentile(self, q: float, kind: str = "read") -> float:
         """Latency percentile in seconds for ``kind`` in {"read", "write", "all"}."""
         if kind == "read":
-            values = self.read_latencies.as_array()
+            values = self.read_latency_series.values
         elif kind == "write":
-            values = self.write_latencies.as_array()
+            values = self.write_latency_series.values
         elif kind == "all":
-            # One allocation for the combined view instead of copy-concatenating
-            # two Python lists per call.
             values = np.concatenate(
-                (self.read_latencies.as_array(), self.write_latencies.as_array())
+                (self.read_latency_series.values, self.write_latency_series.values)
             )
         else:
             raise ValueError(f"unknown latency kind {kind!r}")
@@ -333,8 +328,8 @@ class WorkloadStats:
 
     def summary(self) -> Dict[str, float]:
         """Headline figures for experiment tables."""
-        reads = self.read_latencies.as_array()
-        writes = self.write_latencies.as_array()
+        reads = self.read_latency_series.values
+        writes = self.write_latency_series.values
         # One three-quantile call per side instead of one array conversion
         # per statistic; values are identical to per-quantile calls.
         read_p50, read_p95, read_p99 = (

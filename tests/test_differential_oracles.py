@@ -20,13 +20,18 @@ results — not close ones:
   from the estimates on every call, as those stages did.  Trackers whose
   ``observe`` or ``forget`` keeps a stale ranking, or whose fallback is cached,
   must be caught.
+* ``TimeSeries`` keeps two ``float64`` columns; the reference is the pair of
+  Python lists it kept before, verbatim.  A ``window`` that bisects to the
+  right and an ``integrate`` that sums in numpy's order must be caught.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, StorageEngine, VersionStamp, VersionedValue
@@ -41,7 +46,8 @@ from repro.middleware import (
     RequestHedging,
     RttAwareWriteRouting,
 )
-from repro.simulation import Simulator
+from repro.simulation import Simulator, TimeSeries
+from repro.simulation.timeseries import _EMPTY_SUMMARY, SeriesSummary
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -562,3 +568,238 @@ def test_ranking_oracle_catches_a_stale_ranking_and_a_cached_fallback(mutant):
         except AssertionError:
             caught += 1
     assert caught == 12
+
+
+# ----------------------------------------------------------------------
+# TimeSeries against the two Python lists it replaced
+# ----------------------------------------------------------------------
+class _ListTimeSeries:
+    """The list-backed ``TimeSeries`` as it stood before the columns."""
+
+    def __init__(self, name):
+        self.name = name
+        self._times = []
+        self._values = []
+
+    def __len__(self):
+        return len(self._times)
+
+    def __bool__(self):
+        return bool(self._times)
+
+    def record(self, time, value):
+        if self._times and time < self._times[-1]:
+            raise ValueError(
+                f"samples must be appended in time order "
+                f"({time} < {self._times[-1]}) in series {self.name!r}"
+            )
+        self._times.append(float(time))
+        self._values.append(float(value))
+
+    @property
+    def times(self):
+        return self._times
+
+    @property
+    def values(self):
+        return self._values
+
+    def last(self, default=0.0):
+        return self._values[-1] if self._values else default
+
+    def window(self, start, end):
+        lo = bisect.bisect_left(self._times, start)
+        hi = bisect.bisect_left(self._times, end)
+        out = _ListTimeSeries(self.name)
+        out._times = self._times[lo:hi]
+        out._values = self._values[lo:hi]
+        return out
+
+    def values_since(self, start):
+        lo = bisect.bisect_left(self._times, start)
+        return self._values[lo:]
+
+    def summary(self):
+        if not self._values:
+            return _EMPTY_SUMMARY
+        arr = np.asarray(self._values, dtype=float)
+        return SeriesSummary(
+            count=int(arr.size),
+            mean=float(arr.mean()),
+            minimum=float(arr.min()),
+            maximum=float(arr.max()),
+            p50=float(np.percentile(arr, 50)),
+            p95=float(np.percentile(arr, 95)),
+            p99=float(np.percentile(arr, 99)),
+        )
+
+    def percentile(self, q):
+        if not self._values:
+            return 0.0
+        return float(np.percentile(np.asarray(self._values, dtype=float), q))
+
+    def mean(self):
+        if not self._values:
+            return 0.0
+        return float(np.mean(self._values))
+
+    def integrate(self):
+        if len(self._times) < 2:
+            return 0.0
+        total = 0.0
+        for i in range(len(self._times) - 1):
+            dt = self._times[i + 1] - self._times[i]
+            total += self._values[i] * dt
+        return total
+
+    def time_weighted_mean(self, end_time=None):
+        if not self._times:
+            return 0.0
+        end = end_time if end_time is not None else self._times[-1]
+        if len(self._times) == 1 or end <= self._times[0]:
+            return self._values[0]
+        total = 0.0
+        for i in range(len(self._times) - 1):
+            dt = min(self._times[i + 1], end) - self._times[i]
+            if dt > 0:
+                total += self._values[i] * dt
+        if end > self._times[-1]:
+            total += self._values[-1] * (end - self._times[-1])
+        duration = end - self._times[0]
+        return total / duration if duration > 0 else self._values[-1]
+
+    def resample(self, interval, end_time=None):
+        out = _ListTimeSeries(self.name)
+        if not self._times:
+            return out
+        end = end_time if end_time is not None else self._times[-1]
+        t = self._times[0]
+        idx = 0
+        while t <= end + 1e-12:
+            while idx + 1 < len(self._times) and self._times[idx + 1] <= t:
+                idx += 1
+            out.record(t, self._values[idx])
+            t += interval
+        return out
+
+
+def _same_number(ours, theirs):
+    """Bit-identical and a plain ``float``/``int``, as the lists gave."""
+    assert type(ours) is type(theirs), (ours, theirs)
+    assert ours == theirs
+
+
+def _same_samples(ours, theirs):
+    assert len(ours) == len(theirs) and bool(ours) == bool(theirs)
+    assert ours.times.dtype == ours.values.dtype == np.float64
+    assert ours.times.tolist() == theirs.times
+    assert ours.values.tolist() == theirs.values
+
+
+def _query_bounds(rng, times):
+    """Bounds on, between, before and after the sample times."""
+    bounds = [-1.0, 0.0, 1e9]
+    if times:
+        first, last = times[0], times[-1]
+        picked = rng.sample(times, min(4, len(times)))
+        bounds += [first, last, first - 0.25, last + 0.25, (first + last) / 2.0]
+        bounds += picked + [time + 1e-9 for time in picked]
+    return bounds
+
+
+def _compare_series(rng, ours, theirs):
+    _same_samples(ours, theirs)
+    _same_number(ours.last(), theirs.last())
+    _same_number(ours.last(default=7.5), theirs.last(default=7.5))
+    for q in (0, 50, 95, 99, 100):
+        _same_number(ours.percentile(q), theirs.percentile(q))
+    _same_number(ours.mean(), theirs.mean())
+    assert ours.summary() == theirs.summary()
+    _same_number(ours.integrate(), theirs.integrate())
+    _same_number(ours.time_weighted_mean(), theirs.time_weighted_mean())
+    bounds = _query_bounds(rng, theirs.times)
+    for bound in bounds:
+        assert ours.values_since(bound).tolist() == theirs.values_since(bound)
+        _same_number(ours.time_weighted_mean(bound), theirs.time_weighted_mean(bound))
+    for start in bounds:
+        for end in bounds:
+            window = ours.window(start, end)
+            _same_samples(window, theirs.window(start, end))
+            assert window.name == ours.name
+            assert not np.shares_memory(window.values, ours.values)
+            assert not np.shares_memory(window.times, ours.times)
+    if theirs.times:
+        span = theirs.times[-1] - theirs.times[0]
+        for interval, end in ((max(span, 1.0) / 7.0, None), (0.5, theirs.times[0] + 3.0)):
+            _same_samples(ours.resample(interval, end), theirs.resample(interval, end))
+    else:
+        _same_samples(ours.resample(1.0), theirs.resample(1.0))
+
+
+def _drive_series_oracle(seed, series_type=TimeSeries, samples=150):
+    rng = random.Random(seed)
+    ours, theirs = series_type("oracle"), _ListTimeSeries("oracle")
+    # Empty, one sample, either side of the first growth and of later ones.
+    checkpoints = {0, 1, 2, 15, 16, 17, 32, 33, 65, samples}
+    time = rng.choice((0, 0.0, 2.5))
+    for count in range(samples + 1):
+        if count in checkpoints:
+            _compare_series(rng, ours, theirs)
+            # A window is a series of its own: recording into it leaves the
+            # source alone.
+            window = ours.window(-1.0, 1e9)
+            window.record(2e9, -1.0)
+            _same_samples(ours, theirs)
+        if count and rng.random() < 0.1:
+            late = rng.choice((time - 1, time - 0.5, np.float64(time - 1e-9)))
+            messages = []
+            for series in (ours, theirs):
+                with pytest.raises(ValueError) as error:
+                    series.record(late, 1.0)
+                messages.append(str(error.value))
+            assert messages[0] == messages[1]
+            _same_samples(ours, theirs)
+        # Equal consecutive times, integer and numpy inputs among the floats.
+        time += rng.choice((0, 0.0, 1, rng.random(), np.float64(rng.random() * 3.0)))
+        value = rng.choice(
+            (rng.randrange(-5, 50), rng.uniform(-2.0, 40.0), np.float64(rng.random()))
+        )
+        ours.record(time, value)
+        theirs.record(time, value)
+    assert len(theirs) == samples + 1
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_time_series_agrees_with_the_two_lists_it_replaced(seed):
+    _drive_series_oracle(seed)
+
+
+class _WindowBisectsRight(TimeSeries):
+    __slots__ = ()
+
+    def window(self, start, end):
+        lo, hi = np.searchsorted(self.times, (start, end), side="right")
+        out = TimeSeries(self.name)
+        for time, value in zip(self.times[lo:hi].tolist(), self.values[lo:hi].tolist()):
+            out.record(time, value)
+        return out
+
+
+class _IntegratesInNumpyOrder(TimeSeries):
+    __slots__ = ()
+
+    def integrate(self):
+        if len(self) < 2:
+            return 0.0
+        return float(np.dot(self.values[:-1], np.diff(self.times)))
+
+
+@pytest.mark.parametrize("mutant", (_WindowBisectsRight, _IntegratesInNumpyOrder))
+def test_series_oracle_catches_a_right_bisect_and_a_vectorised_integral(mutant):
+    caught = 0
+    for seed in SEEDS:
+        try:
+            _drive_series_oracle(seed, series_type=mutant)
+        except AssertionError:
+            caught += 1
+    assert caught == len(SEEDS)

@@ -1,5 +1,5 @@
-"""Sharded parallel mode: planning, merge determinism, buffered monitoring,
-and the vectorized open-loop arrival path."""
+"""Sharded parallel mode: planning, merge determinism, the sketches a shard
+hands over, and the vectorized open-loop arrival path."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ import json
 
 import pytest
 
-from repro.monitoring.buffered import BufferedOperationCollector
-from repro.runner import MonitoringOptions, Simulation, SimulationConfig
+from repro.cluster import ClusterListener, FaultPlan
+from repro.monitoring.percentiles import MergeableHistogramSketch
+from repro.runner import Simulation, SimulationConfig
 from repro.simulation.sharding import (
     ShardResult,
     merge_shard_results,
@@ -68,14 +69,11 @@ def test_plan_shards_scales_arrival_share():
     assert all(isinstance(plan.workload.load_shape, ScaledLoad) for plan in plans)
 
 
-def test_plan_shards_forces_buffered_monitoring_and_keeps_seed():
+def test_plan_shards_keeps_seed_and_leaves_the_config_alone():
     config = short_config()
-    assert config.monitoring.buffered is False
     plans = plan_shards(config, 2)
-    assert all(plan.monitoring.buffered for plan in plans)
     assert all(plan.seed == config.seed for plan in plans)
     # Planning never mutates the caller's config.
-    assert config.monitoring.buffered is False
     assert config.stream_namespace == ""
 
 
@@ -166,7 +164,7 @@ def test_shard_results_are_picklable():
     result = run_shard(plan, 0, 2)
     clone = pickle.loads(pickle.dumps(result))
     assert clone.index == 0
-    assert clone.events_processed == result.events_processed
+    assert clone.report["events_processed"] == result.report["events_processed"] > 0
     assert clone.read_sketch.count == result.read_sketch.count
 
 
@@ -182,68 +180,80 @@ def test_parallel_run_matches_serial_run():
 
 
 # ----------------------------------------------------------------------
-# Buffered monitoring
+# The sketches a shard hands over
 # ----------------------------------------------------------------------
-def make_buffered_simulation(**monitoring_overrides) -> Simulation:
-    options = MonitoringOptions(buffered=True, **monitoring_overrides)
-    return Simulation(short_config(duration=60.0, monitoring=options))
+class _SketchPerOperation(ClusterListener):
+    """Reference: one ``observe`` per completed production operation."""
+
+    def __init__(self) -> None:
+        self.read_sketch = MergeableHistogramSketch()
+        self.write_sketch = MergeableHistogramSketch()
+
+    def on_operation_completed(self, result) -> None:
+        if result.operation.is_probe or result.rejected or not result.success:
+            return
+        sketch = self.read_sketch if result.is_read else self.write_sketch
+        sketch.observe(result.latency)
 
 
-def test_buffered_collector_counts_match_workload_stats():
-    simulation = make_buffered_simulation()
-    report = simulation.run()
-    collector = simulation.buffered_collector
-    assert collector is not None
-    stats = simulation.workload.stats
-    assert collector.reads_completed == stats.reads_completed
-    assert collector.writes_completed == stats.writes_completed
-    # Every completed operation's latency reached a sketch.
-    assert collector.read_sketch.count == stats.reads_completed
-    assert collector.write_sketch.count == stats.writes_completed
-    assert collector.flushes > 1
-    assert report.workload_summary["operations_completed"] > 0
+def _sketch_plan(kind: str) -> SimulationConfig:
+    if kind == "tenants":
+        workload = WorkloadSpec(
+            load_shape=ConstantLoad(80.0),
+            tenants=TenantSpec(tenants=12, records_per_tenant=50),
+        )
+        return plan_shards(short_config(duration=60.0, workload=workload), 2)[0]
+    config = short_config(duration=60.0)
+    if kind == "faulted":
+        config.faults = FaultPlan.generate(
+            seed=3, duration=60.0, faults=4, nodes=3, kinds=("crash", "partition")
+        )
+    return plan_shards(config, 2)[0]
 
 
-def test_buffered_collector_percentiles_track_exact_ones():
-    simulation = make_buffered_simulation(sketch_accuracy=0.01)
-    simulation.run()
-    collector = simulation.buffered_collector
-    stats = simulation.workload.stats
-    exact_p95 = stats.latency_percentile(95.0, "read")
-    sketch_p95 = collector.read_sketch.percentile(95.0)
+def _run_observed_shard(monkeypatch, plan):
+    """``run_shard(plan, 0, 2)`` with the reference listening; also returns
+    the shard's simulation and the reference."""
+    seen = []
+
+    class _Observed(Simulation):
+        def __init__(self, config) -> None:
+            super().__init__(config)
+            reference = _SketchPerOperation()
+            self.cluster.add_listener(reference)
+            seen.append((self, reference))
+
+    # ``run_shard`` resolves ``repro.runner.Simulation`` when it is called.
+    monkeypatch.setattr("repro.runner.Simulation", _Observed)
+    result = run_shard(plan, 0, 2)
+    ((simulation, reference),) = seen
+    return result, simulation, reference
+
+
+@pytest.mark.parametrize("kind", ("healthy", "faulted", "tenants"))
+def test_shard_sketches_equal_a_per_operation_reference(kind, monkeypatch):
+    result, _, reference = _run_observed_shard(monkeypatch, _sketch_plan(kind))
+    for name in ("read_sketch", "write_sketch"):
+        ours, theirs = getattr(result, name), getattr(reference, name)
+        assert ours.count == theirs.count > 0
+        assert (ours.bin_counts == theirs.bin_counts).all()
+        assert ours.percentiles((50, 95, 99)) == theirs.percentiles((50, 95, 99))
+        # One pairwise sum against a running one: equal to rounding.
+        assert ours.mean() == pytest.approx(theirs.mean(), rel=1e-12)
+    counters = result.workload_counters
+    assert result.read_sketch.count == counters["reads_completed"]
+    assert result.write_sketch.count == counters["writes_completed"]
+    if kind == "faulted":
+        assert counters["reads_failed"] + counters["writes_failed"] > 0
+
+
+def test_buffered_collector_percentiles_track_exact_ones(monkeypatch):
+    """The sketch a shard hands over, against the exact column it came from."""
+    result, simulation, _ = _run_observed_shard(monkeypatch, _sketch_plan("healthy"))
+    exact_p95 = simulation.workload.stats.latency_percentile(95.0, "read")
     # Sketch rank differs from numpy interpolation by at most one sample, so
     # allow a little beyond the pure relative-error bound.
-    assert sketch_p95 == pytest.approx(exact_p95, rel=0.05)
-
-
-def test_buffered_collector_is_billed_to_monitoring_budget():
-    simulation = make_buffered_simulation()
-    simulation.run()
-    report = simulation.build_report()
-    overhead = report.monitoring_overhead
-    assert "buffered-collector" in overhead
-    entry = overhead["buffered-collector"]
-    assert entry["analysis_cpu_seconds"] > 0.0
-    assert entry["probe_operations"] == 0.0
-
-
-def test_buffered_collector_final_flush_is_idempotent():
-    simulation = make_buffered_simulation()
-    simulation.run()
-    collector = simulation.buffered_collector
-    count_after_run = collector.read_sketch.count
-    assert collector.flush() == 0  # build_report already drained the buffers
-    assert collector.read_sketch.count == count_after_run
-
-
-def test_buffered_collector_off_by_default():
-    simulation = Simulation(short_config(duration=30.0))
-    assert simulation.buffered_collector is None
-
-
-def test_buffered_collector_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        make_buffered_simulation(buffered_flush_interval=0.0)
+    assert result.read_sketch.percentile(95.0) == pytest.approx(exact_p95, rel=0.05)
 
 
 # ----------------------------------------------------------------------
