@@ -42,11 +42,13 @@ do is also available programmatically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional, Sequence
 
 from .cluster.cluster import ClusterConfig
+from .cluster.errors import ConfigurationError
 from .cluster.faults import FaultPlan, FaultSpec
 from .cluster.node import NodeConfig
 from .cluster.types import ConsistencyLevel
@@ -400,6 +402,8 @@ def _build_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
 
 def build_simulation_config(args: argparse.Namespace) -> SimulationConfig:
     """Translate parsed ``run`` arguments into a :class:`SimulationConfig`."""
+    if args.duration <= 0:
+        raise SystemExit(f"--duration must be > 0, got {args.duration}")
     middleware = _parse_middleware(getattr(args, "middleware", None))
     overrides = _parse_consistency_overrides(
         getattr(args, "consistency_override", None)
@@ -476,11 +480,26 @@ def build_simulation_config(args: argparse.Namespace) -> SimulationConfig:
     )
 
 
+@contextlib.contextmanager
+def _refusing_bad_values():
+    """End the program with a validator's message in place of its traceback.
+
+    Wraps building the scenario only: once it runs, a ``ValueError`` is a bug
+    and keeps its traceback.
+    """
+    try:
+        yield
+    except (ValueError, ConfigurationError) as error:
+        raise SystemExit(f"invalid configuration: {error}") from None
+
+
 def _command_run(args: argparse.Namespace) -> int:
     shards = getattr(args, "shards", None)
     if shards is not None:
         return _command_run_sharded(args, shards)
-    report = Simulation(build_simulation_config(args)).run()
+    with _refusing_bad_values():
+        simulation = Simulation(build_simulation_config(args))
+    report = simulation.run()
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, default=str))
         return 0
@@ -499,7 +518,9 @@ def _command_run_sharded(args: argparse.Namespace, shards: int) -> int:
     # that a classic run never needs.
     from .simulation.sharding import run_sharded
 
-    config = build_simulation_config(args)
+    with _refusing_bad_values():
+        config = build_simulation_config(args)
+        config.cluster.validate()
     report = run_sharded(
         config, shards, parallel=not getattr(args, "serial_shards", False)
     )

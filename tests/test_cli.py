@@ -163,6 +163,42 @@ def test_cli_names_the_bad_middleware_token(spec, named):
     assert "(available: admission-control, consistency, " in message
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--node-capacity", "0"], "node.ops_capacity must be > 0, got 0.0"),
+        (["--duration", "-5"], "--duration must be > 0, got -5.0"),
+        (["--nodes", "0"], "initial_nodes must be >= 1"),
+        (["--replication-factor", "0"], "replication_factor must be >= 1"),
+        (["--tenants", "0"], "tenants must be >= 1, got 0"),
+        (["--tenants", "5", "--tenant-skew", "-1"], "popularity_skew must be >= 0, got -1.0"),
+        (
+            ["--hedge-reads", "--hedge-budget-fraction", "7"],
+            "budget_fraction must be in (0, 1], got 7.0",
+        ),
+    ],
+)
+def test_cli_answers_a_bad_number_with_one_line(flags, named):
+    with pytest.raises(SystemExit) as refusal:
+        main(["run", "--duration", "20", *flags])
+    message = str(refusal.value)
+    assert named in message and "\n" not in message
+    # The sharded run refuses what it can check before a shard is planned.
+    if "--hedge-reads" not in flags:
+        with pytest.raises(SystemExit) as refusal:
+            main(["run", "--duration", "20", "--shards", "2", "--serial-shards", *flags])
+        assert named in str(refusal.value)
+
+
+def test_cli_leaves_a_value_error_from_the_run_its_traceback(monkeypatch):
+    def run(self):
+        raise ValueError("raised mid-run")
+
+    monkeypatch.setattr("repro.cli.Simulation.run", run)
+    with pytest.raises(ValueError, match="raised mid-run"):
+        main(["run", "--duration", "20"])
+
+
 def test_cli_rejects_malformed_consistency_override():
     args = build_parser().parse_args(
         ["run", "--consistency-override", "delete=ONE"]
