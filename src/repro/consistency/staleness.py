@@ -12,10 +12,9 @@ the server-side causes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
-
-import numpy as np
 
 from ..cluster.cluster import ClusterListener
 from ..cluster.types import OperationResult
@@ -90,16 +89,17 @@ class StalenessObserver(ClusterListener):
         """Aggregate staleness figures (optionally restricted to recent reads)."""
         if since is None:
             reads, stale = self.reads_observed, self.stale_reads
-            ages = self._staleness_series.values
+            ages = self._staleness_series
         else:
             flags = self._stale_series.values_since(since)
             reads, stale = flags.size, int(flags.sum())
-            ages = self._staleness_series.values_since(since)
+            ages = self._staleness_series.window(since, math.inf)
+        age_summary = ages.summary()
         return StalenessSnapshot(
             reads=reads,
             stale_reads=stale,
             stale_fraction=(stale / reads) if reads else 0.0,
-            mean_staleness=float(ages.mean()) if ages.size else 0.0,
-            p95_staleness=float(np.percentile(ages, 95)) if ages.size else 0.0,
-            max_staleness=float(ages.max()) if ages.size else 0.0,
+            mean_staleness=age_summary.mean,
+            p95_staleness=age_summary.p95,
+            max_staleness=age_summary.maximum,
         )
