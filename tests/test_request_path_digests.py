@@ -4,7 +4,9 @@
 The other four named stacks, and every stack under crashes and partitions,
 were protected only by loose bound assertions.  This matrix is the stack
 axis of ROADMAP item 4's scenario matrix: five stacks, each on a healthy
-cluster and under one generated crash/partition campaign.
+cluster and under one generated crash/partition campaign.  A sixth row,
+``autoscale``, is the autoscaling-on axis: E5's ``sla_driven`` day as the
+ledger's ``autoscale_diurnal`` workload builds it, 240 simulated seconds.
 
 Each digest covers what the request path can change: the run report, the
 pipeline's ``describe()`` (every stage's counters), the coordinator's public
@@ -12,7 +14,9 @@ counters and the timer wheel's.  Each cell also asserts that the mechanism
 it exists for did fire, so that no digest is the digest of a no-op.
 
 The values were captured at the commit that keeps the cluster's known keys
-in insertion order, on an otherwise unmodified request path
+in insertion order (the ``autoscale`` pair at 0469955, before the window
+tracker and the ack registry stopped scanning their histories), on an
+otherwise unmodified request path
 (``Cluster.read/write`` -> ``RequestCoordinator`` -> ``MiddlewarePipeline``);
 a change to that path must not move them.  If one moves on purpose,
 re-capture it and say why in the commit.
@@ -30,7 +34,9 @@ from repro.cluster.types import ConsistencyLevel
 from repro.experiments.e7_tail_latency import _fail_slow_interference
 from repro.experiments.scenarios import (
     build_config,
+    diurnal_with_flash_crowd,
     standard_cluster,
+    standard_sla,
     standard_workload,
     tenant_workload,
 )
@@ -41,10 +47,18 @@ from repro.middleware import (
     LATENCY_AWARE_PIPELINE,
 )
 from repro.runner import Simulation, SimulationConfig
-from repro.workload.operations import READ_HEAVY, WRITE_HEAVY
+from repro.workload.operations import BALANCED, READ_HEAVY, WRITE_HEAVY
 
 DURATION = 60.0
-STACKS = ("default", "latency_aware", "consistency_override", "hedged", "admission")
+AUTOSCALE_DURATION = 240.0
+STACKS = (
+    "default",
+    "latency_aware",
+    "consistency_override",
+    "hedged",
+    "admission",
+    "autoscale",
+)
 
 GOLDEN = {
     ("default", "healthy"): (
@@ -76,6 +90,12 @@ GOLDEN = {
     ),
     ("admission", "faulted"): (
         "55c83daaa83d2986c453abe72f6cb6203dc40fe8cc8a3a92cab6d1d9140318ad"
+    ),
+    ("autoscale", "healthy"): (
+        "5ad57e28d1d2f39308b56480b636150a73f94e787089aa93b4f7c42a4725e565"
+    ),
+    ("autoscale", "faulted"): (
+        "f13e1211bc10bc1de7bd534d572b64e664860b6d072880d1b5e595bf4c82d836"
     ),
 }
 
@@ -123,6 +143,27 @@ def _config(stack: str) -> SimulationConfig:
             middleware=HEDGED_PIPELINE,
             interference=_fail_slow_interference(),
         )
+    if stack == "autoscale":
+        # benchmarks/ledger/workloads.py::_autoscale_diurnal, argument for
+        # argument: the day is compressed into the run, so the flash crowd
+        # lands at 65% of it and the controller has to scale out.
+        shape = diurnal_with_flash_crowd(
+            trough=45.0,
+            peak=135.0,
+            period=AUTOSCALE_DURATION,
+            flash_rate=200.0,
+            flash_start=AUTOSCALE_DURATION * 0.65,
+        )
+        return build_config(
+            label="e5-sla_driven",
+            seed=42,
+            duration=AUTOSCALE_DURATION,
+            cluster=standard_cluster(nodes=3, replication_factor=3),
+            workload=standard_workload(60.0, mix=BALANCED, shape=shape),
+            sla=standard_sla(),
+            policy="sla_driven",
+            evaluation_interval=20.0,
+        )
     assert stack == "admission"
     # E8's scenario, shortened: the least popular tenant (bronze tier by
     # rank) bursts to several times its quota.
@@ -149,7 +190,11 @@ def run_cell(stack: str, health: str):
     config = _config(stack)
     if health == "faulted":
         config.faults = FaultPlan.generate(
-            seed=3, duration=DURATION, faults=5, nodes=3, kinds=("crash", "partition")
+            seed=3,
+            duration=config.duration,
+            faults=5,
+            nodes=3,
+            kinds=("crash", "partition"),
         )
     simulation = Simulation(config)
     report = simulation.run()
@@ -190,6 +235,13 @@ def test_request_path_digest(stack, health):
         assert counters["reads_rejected"] > 0
         noisy = observed["report"]["tenants"]["top_tenants"][0]
         assert noisy["tier"] == "bronze" and noisy["rejected"] > 0
+    elif stack == "autoscale":
+        report = observed["report"]
+        assert report["controller"]["scale_out_actions"] >= 1
+        windows = report["ground_truth_window"]
+        # A positive mean means at least one window closed after its ack.
+        assert windows["windows_closed"] > 0 and windows["mean_window"] > 0.0
+        assert report["staleness"]["stale_reads"] >= 1
 
     if health == "faulted":
         assert observed["report"]["faults"]["count"] == 5
