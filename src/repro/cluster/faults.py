@@ -30,6 +30,7 @@ that can be sampled from a seeded generator (:meth:`FaultPlan.generate`,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -59,6 +60,19 @@ class FaultEvent:
     end_time: Optional[float] = None
 
 
+def _check_window(at: float, duration: Optional[float]) -> None:
+    """A fault's window must be a real interval.
+
+    A negative duration would schedule the recovery before the fault, which
+    then never recovers; NaN compares false against every bound, so both ends
+    are tested as "inside the range", never as "not below it".
+    """
+    if not (0.0 <= at < math.inf):
+        raise ValueError(f"fault time must be finite and >= 0, got {at}")
+    if duration is not None and not (0.0 < duration < math.inf):
+        raise ValueError(f"fault duration must be finite and > 0, got {duration}")
+
+
 class FaultInjector:
     """Schedules node, link and lifecycle faults on a cluster."""
 
@@ -77,6 +91,7 @@ class FaultInjector:
         self, node_id: str, at: float, duration: Optional[float] = None
     ) -> FaultEvent:
         """Crash ``node_id`` at time ``at``; recover after ``duration`` if given."""
+        _check_window(at, duration)
         event = FaultEvent(kind="node_crash", target=node_id, start_time=at)
         self.events.append(event)
 
@@ -115,6 +130,7 @@ class FaultInjector:
         """
         if not (0.0 < factor <= 1.0):
             raise ValueError(f"degrade factor must be in (0, 1], got {factor}")
+        _check_window(at, duration)
         event = FaultEvent(kind="node_degrade", target=node_id, start_time=at)
         self.events.append(event)
 
@@ -160,6 +176,7 @@ class FaultInjector:
         ``faults:links`` stream, opened lazily so fault-free runs never touch
         it — and surviving messages pay ``extra_delay`` extra seconds.
         """
+        _check_window(at, duration)
         label = "|".join(sorted((node_a, node_b)))
         event = FaultEvent(kind="flaky_link", target=label, start_time=at)
         self.events.append(event)
@@ -199,6 +216,7 @@ class FaultInjector:
         Heals only the partition it installed — overlapping partition windows
         compose, and healing one leaves the others severed.
         """
+        _check_window(at, duration)
         label = f"{'|'.join(sorted(group_a))} <-> {'|'.join(sorted(group_b))}"
         event = FaultEvent(kind="partition", target=label, start_time=at)
         self.events.append(event)
@@ -319,8 +337,7 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if self.at < 0.0:
-            raise ValueError(f"fault time must be >= 0, got {self.at}")
+        _check_window(self.at, self.duration)
         # Validate per-kind parameters here so a bad plan fails when it is
         # declared (e.g. at the CLI), not minutes into a simulation.
         if not (0.0 < self.factor <= 1.0):

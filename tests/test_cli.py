@@ -361,6 +361,26 @@ def test_faults_flag_rejects_malformed_specs():
             build_simulation_config(build_parser().parse_args(argv))
 
 
+@pytest.mark.parametrize(
+    "entry, names",
+    [
+        # Used to schedule the heal at t=2, before the partition at t=5.
+        ("partition:node=0,at=5,duration=-3", "duration"),
+        ("degrade:at=5,factor=0.5,duration=0", "duration"),
+        ("crash:at=5,duration=inf", "duration"),
+        # ``nan < 0`` is false: used to die in a SchedulingError traceback.
+        ("crash:node=0,at=nan", "fault time"),
+        ("crash:node=0,at=inf", "fault time"),
+    ],
+)
+def test_faults_flag_rejects_a_window_that_is_not_an_interval(entry, names):
+    argv = ["run", "--duration", "20", "--faults", entry]
+    with pytest.raises(SystemExit) as raised:
+        build_simulation_config(build_parser().parse_args(argv))
+    message = str(raised.value)
+    assert message.startswith(f"invalid --faults {entry!r}") and names in message
+
+
 def test_no_faults_flag_means_no_plan():
     config = build_simulation_config(build_parser().parse_args(["run"]))
     assert config.faults is None

@@ -9,6 +9,7 @@ from repro.cluster import (
     ClusterConfig,
     ConsistencyLevel,
     FaultInjector,
+    FaultSpec,
     NodeConfig,
     NodeState,
 )
@@ -237,3 +238,62 @@ def test_removed_node_is_not_resurrected_by_a_late_crash_recover_pair():
     assert node_id not in cluster.node_ids()
     assert cluster.membership.view_of(node_id) is None
     assert len(cluster.topology_changes) == notified
+
+
+# ----------------------------------------------------------------------
+# A fault's window must be a real interval: finite start, positive length
+# ----------------------------------------------------------------------
+_BAD_DURATIONS = (-3.0, 0.0, float("nan"), float("inf"))
+_BAD_TIMES = (float("nan"), float("inf"), float("-inf"), -1.0)
+
+
+@pytest.mark.parametrize("duration", _BAD_DURATIONS)
+def test_fault_spec_rejects_a_duration_that_is_not_finite_and_positive(duration):
+    # A negative duration used to schedule the heal *before* the fault, which
+    # then never healed: a silently different experiment.
+    with pytest.raises(ValueError, match="duration"):
+        FaultSpec(kind="partition", at=5.0, duration=duration)
+
+
+@pytest.mark.parametrize("at", _BAD_TIMES)
+def test_fault_spec_rejects_a_start_that_is_not_finite_and_non_negative(at):
+    # ``nan < 0.0`` is false: NaN used to pass and die in the engine.
+    with pytest.raises(ValueError, match="fault time"):
+        FaultSpec(kind="crash", at=at)
+
+
+def test_fault_spec_keeps_accepting_an_open_ended_fault():
+    assert FaultSpec(kind="crash", at=0.0).duration is None
+    assert FaultSpec(kind="crash", at=0.0, duration=1e-9).duration == 1e-9
+
+
+def _imperative_calls(injector, nodes, **window):
+    return (
+        lambda: injector.crash_node(nodes[0], **window),
+        lambda: injector.degrade_node(nodes[0], factor=0.5, **window),
+        lambda: injector.flaky_link(nodes[0], nodes[1], **window),
+        lambda: injector.partition([nodes[0]], nodes[1:], **window),
+        lambda: injector.isolate_node(nodes[0], **window),
+    )
+
+
+@pytest.mark.parametrize("duration", _BAD_DURATIONS)
+def test_injector_methods_reject_a_bad_duration_and_schedule_nothing(duration):
+    simulator, cluster, injector = make_setup()
+    pending = simulator.pending_events
+    for call in _imperative_calls(
+        injector, list(cluster.node_ids()), at=5.0, duration=duration
+    ):
+        with pytest.raises(ValueError, match="duration"):
+            call()
+    assert injector.events == [] and simulator.pending_events == pending
+
+
+@pytest.mark.parametrize("at", _BAD_TIMES)
+def test_injector_methods_reject_a_bad_start_and_schedule_nothing(at):
+    simulator, cluster, injector = make_setup()
+    pending = simulator.pending_events
+    for call in _imperative_calls(injector, list(cluster.node_ids()), at=at):
+        with pytest.raises(ValueError, match="fault time"):
+            call()
+    assert injector.events == [] and simulator.pending_events == pending
