@@ -295,6 +295,11 @@ def _parse_consistency_overrides(entries: Optional[Sequence[str]]):
                 f"invalid --consistency-override {entry!r}; expected KIND=LEVEL "
                 f"with KIND in {'/'.join(CONSISTENCY_OVERRIDE_KINDS)}"
             )
+        if kind in overrides:
+            raise SystemExit(
+                f"repeated --consistency-override kind {kind!r} in {entry!r}; "
+                "give each operation kind at most once"
+            )
         try:
             overrides[kind] = ConsistencyLevel(level.strip().upper())
         except ValueError:
@@ -338,6 +343,10 @@ def _parse_fault_entry(entry: str):
             if key not in _FAULT_INT_KEYS and key not in _FAULT_FLOAT_KEYS:
                 raise SystemExit(
                     f"unknown --faults parameter {key!r} in {entry!r}"
+                )
+            if key in params:
+                raise SystemExit(
+                    f"repeated --faults parameter {key!r} in {entry!r}"
                 )
             try:
                 params[key] = (

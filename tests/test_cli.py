@@ -381,6 +381,35 @@ def test_faults_flag_rejects_a_window_that_is_not_an_interval(entry, names):
     assert message.startswith(f"invalid --faults {entry!r}") and names in message
 
 
+@pytest.mark.parametrize(
+    "argv, token, entry",
+    [
+        # Used to crash at 7: the later value silently won.
+        (["--faults", "crash:node=0,at=5,at=7"], "'at'", "'crash:node=0,at=5,at=7'"),
+        (["--faults", "degrade:at=5,factor=0.5, FACTOR =0.2"], "'factor'", "FACTOR"),
+        # Used to read at ALL.
+        (
+            ["--consistency-override", "read=ONE", "--consistency-override", "read=ALL"],
+            "'read'",
+            "'read=ALL'",
+        ),
+        (
+            ["--consistency-override", "update=ONE", "--consistency-override", " Update=ONE"],
+            "'update'",
+            "' Update=ONE'",
+        ),
+    ],
+)
+def test_a_repeated_key_is_an_error_that_names_the_token_and_its_entry(
+    argv, token, entry
+):
+    with pytest.raises(SystemExit) as raised:
+        build_simulation_config(build_parser().parse_args(["run", *argv]))
+    message = str(raised.value)
+    assert "repeated" in message and token in message and entry in message
+    assert "\n" not in message
+
+
 def test_no_faults_flag_means_no_plan():
     config = build_simulation_config(build_parser().parse_args(["run"]))
     assert config.faults is None
