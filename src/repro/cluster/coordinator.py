@@ -87,18 +87,42 @@ class AckedVersionRegistry:
     """
 
     def __init__(self, history: int = 16) -> None:
+        if history < 1:
+            raise ValueError(f"history must be >= 1, got {history}")
         self._history = history
         self._acked: Dict[str, List[tuple[float, VersionStamp]]] = {}
+        # Per key acknowledged more than once: (latest ack time, newest
+        # retained stamp).  A read issued at or after that time -- every read
+        # that does not overlap a write of its own key -- is answered from
+        # here and only an earlier one scans the history.  A key acknowledged
+        # once (every preloaded, never rewritten record) has no entry.
+        self._latest: Dict[str, tuple[float, VersionStamp]] = {}
 
     def record_ack(self, key: str, stamp: VersionStamp, ack_time: float) -> None:
         """Record that ``stamp`` was acknowledged to a client at ``ack_time``."""
-        entries = self._acked.setdefault(key, [])
+        entries = self._acked.get(key)
+        if entries is None:
+            self._acked[key] = [(ack_time, stamp)]
+            return
+        latest, newest = self._latest[key] if key in self._latest else entries[0]
         entries.append((ack_time, stamp))
+        if stamp > newest:
+            newest = stamp
         if len(entries) > self._history:
-            del entries[0 : len(entries) - self._history]
+            evicted = entries[0][1]
+            del entries[0]
+            if evicted == newest:
+                # The newest stamp left with the oldest ack: only now is the
+                # answer re-derived from what is retained.
+                newest = max(retained for _, retained in entries)
+        self._latest[key] = (ack_time if ack_time > latest else latest, newest)
 
     def newest_acked_before(self, key: str, time: float) -> Optional[VersionStamp]:
         """Newest stamp acknowledged at or before ``time`` (or ``None``)."""
+        if key in self._latest:
+            latest, newest = self._latest[key]
+            if time >= latest:
+                return newest
         entries = self._acked.get(key)
         if not entries:
             return None
@@ -174,7 +198,9 @@ class RequestCoordinator:
         self._write_ids = 0
         self.acked_registry = AckedVersionRegistry()
 
-        # Listener hooks, bound by the Cluster facade.
+        # Listener hooks, bound by the Cluster facade.  ``on_replica_applied``
+        # stays ``None`` until a listener overrides that hook, and is that
+        # listener's own bound method while it is the only one.
         self.on_write_acked: Optional[
             Callable[[str, VersionStamp, float, Sequence[str]], None]
         ] = None
@@ -268,12 +294,6 @@ class RequestCoordinator:
         if view is None:
             return self._membership.is_alive(node_id)
         return view.is_alive(node_id, self._simulator.now)
-
-    def _notify_applied(
-        self, key: str, stamp: VersionStamp, node_id: str, time: float, background: bool
-    ) -> None:
-        if self.on_replica_applied is not None:
-            self.on_replica_applied(key, stamp, node_id, time, background)
 
     # ------------------------------------------------------------------
     # Request lifecycle (shared by reads and writes)
@@ -497,13 +517,10 @@ class RequestCoordinator:
         self, context: _InFlight, response: ReplicaWriteResponse
     ) -> None:
         request = context.request
-        self._notify_applied(
-            request.key,
-            context.version.stamp,
-            response.node_id,
-            response.applied_at,
-            False,
-        )
+        if self.on_replica_applied is not None:
+            self.on_replica_applied(
+                request.key, context.version.stamp, response.node_id, response.applied_at, False
+            )
         self._network.send(
             response.node_id,
             request.coordinator_id,
@@ -680,14 +697,15 @@ class RequestCoordinator:
         if node is None or not node.is_up:
             return False
 
-        def _deliver() -> None:
-            node.replica_write(
-                key,
-                version,
-                on_done=lambda response: self._notify_applied(
+        def _applied(response: ReplicaWriteResponse) -> None:
+            # Looked up when the apply lands, not when the write was sent: a
+            # listener registered in between is told.
+            if self.on_replica_applied is not None:
+                self.on_replica_applied(
                     key, version.stamp, response.node_id, response.applied_at, True
-                ),
-                background=True,
-            )
+                )
+
+        def _deliver() -> None:
+            node.replica_write(key, version, on_done=_applied, background=True)
 
         return self._network.send(source, target_node, _deliver)

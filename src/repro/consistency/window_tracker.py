@@ -18,8 +18,8 @@ other experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..cluster.cluster import ClusterListener
 from ..cluster.versioning import VersionStamp
@@ -36,8 +36,11 @@ class WindowRecord:
     key: str
     stamp: VersionStamp
     ack_time: float
-    replica_set: Tuple[str, ...]
-    applied: Set[str] = field(default_factory=set)
+    replica_set: Sequence[str]
+    missing: Set[str]
+    """Replicas that can still serve an older version; the window closes when
+    the last of them applies this stamp or a newer one."""
+
     closed_at: Optional[float] = None
     expired: bool = False
 
@@ -70,7 +73,7 @@ class WindowTrackerConfig:
     """How often the tracker scans for expired open windows."""
 
     early_apply_retention: float = 120.0
-    """How long replica applies without a matching ack are remembered."""
+    """How long a key's replica applies are remembered after the last one."""
 
 
 class InconsistencyWindowTracker(ClusterListener):
@@ -86,12 +89,12 @@ class InconsistencyWindowTracker(ClusterListener):
         self._open_by_key: Dict[str, Dict[VersionStamp, WindowRecord]] = {}
         # Replica applies can arrive before the client ack (the common case:
         # the W acking replicas applied before the ack by construction), so
-        # recent applies are buffered per key until the ack opens the record.
-        self._recent_applies: Dict[str, List[Tuple[VersionStamp, str, float]]] = {}
-        # Keys that were ever fed an apply older than the one before it.  The
-        # simulation clock never runs backwards, so a run leaves this empty;
-        # it keeps ``_remember_apply`` exact for a caller that does.
-        self._out_of_order: Set[str] = set()
+        # each key keeps one high-water mark per replica, the newest stamp
+        # that replica applied: an ack asks a mark "this stamp or a newer one
+        # already?" and never needs the applies behind it.  The time of the
+        # key's last apply says when its marks may be forgotten.
+        self._marks: Dict[str, Dict[str, VersionStamp]] = {}
+        self._last_apply: Dict[str, float] = {}
         # (closing or expiry time, window size) of every window that ended.
         self._windows = TimeSeries("inconsistency_window")
         self.windows_opened = 0
@@ -111,20 +114,18 @@ class InconsistencyWindowTracker(ClusterListener):
     def on_write_acked(
         self, key: str, stamp: VersionStamp, ack_time: float, replica_set: Sequence[str]
     ) -> None:
-        record = WindowRecord(
-            key=key,
-            stamp=stamp,
-            ack_time=ack_time,
-            replica_set=tuple(replica_set),
-        )
         self.windows_opened += 1
 
         # Fold in replica applies that already happened (same or newer stamp).
-        for applied_stamp, node_id, _time in self._recent_applies.get(key, ()):  # noqa: B007
-            if applied_stamp >= stamp and node_id in record.replica_set:
-                record.applied.add(node_id)
+        missing = set(replica_set)
+        marks = self._marks.get(key)
+        if marks is not None:
+            for node_id, newest in marks.items():
+                if newest >= stamp:
+                    missing.discard(node_id)
 
-        if set(record.replica_set) <= record.applied:
+        record = WindowRecord(key, stamp, ack_time, replica_set, missing)
+        if not missing:
             # Every replica had already converged when the ack went out
             # (e.g. CL=ALL): the window is zero.
             record.closed_at = ack_time
@@ -136,7 +137,14 @@ class InconsistencyWindowTracker(ClusterListener):
     def on_replica_applied(
         self, key: str, stamp: VersionStamp, node_id: str, time: float, background: bool
     ) -> None:
-        self._remember_apply(key, stamp, node_id, time)
+        self._last_apply[key] = time
+        marks = self._marks.get(key)
+        if marks is None:
+            self._marks[key] = {node_id: stamp}
+        elif node_id not in marks or stamp > marks[node_id]:
+            # (An older version landing late leaves the mark alone: the
+            # replica keeps serving the newer one.)
+            marks[node_id] = stamp
         open_records = self._open_by_key.get(key)
         if not open_records:
             return
@@ -144,10 +152,10 @@ class InconsistencyWindowTracker(ClusterListener):
         for record_stamp, record in open_records.items():
             # Applying this stamp (or any newer one) means the replica can no
             # longer serve a version older than ``record_stamp``.
-            if stamp < record_stamp or node_id not in record.replica_set:
+            if stamp < record_stamp or node_id not in record.missing:
                 continue
-            record.applied.add(node_id)
-            if set(record.replica_set) <= record.applied:
+            record.missing.remove(node_id)
+            if not record.missing:
                 record.closed_at = max(time, record.ack_time)
                 closed.append(record_stamp)
                 self._record_closed(record)
@@ -159,28 +167,6 @@ class InconsistencyWindowTracker(ClusterListener):
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
-    def _remember_apply(
-        self, key: str, stamp: VersionStamp, node_id: str, time: float
-    ) -> None:
-        """Buffer one apply: per key, the entries not older than
-        ``early_apply_retention``, at most the newest 32 of them."""
-        entries = self._recent_applies.get(key)
-        if entries is None:
-            entries = self._recent_applies[key] = []
-        elif entries and time < entries[-1][2]:
-            self._out_of_order.add(key)
-        entries.append((stamp, node_id, time))
-        if len(entries) > 32:
-            cutoff = self._simulator.now - self._config.early_apply_retention
-            if entries[1][2] >= cutoff and key not in self._out_of_order:
-                # In time order, a fresh second entry means every later one
-                # is fresh too: the 33rd entry pushes the oldest out.
-                del entries[0]
-            else:
-                self._recent_applies[key] = [
-                    entry for entry in entries if entry[2] >= cutoff
-                ][-32:]
-
     def _record_closed(self, record: WindowRecord) -> None:
         self.windows_closed += 1
         self._windows.record(self._simulator.now, record.window or 0.0)
@@ -206,13 +192,11 @@ class InconsistencyWindowTracker(ClusterListener):
             if not records:
                 del self._open_by_key[key]
 
+        # Memory is bounded by the keys written lately, one mark per replica.
         cutoff = now - self._config.early_apply_retention
-        for key in list(self._recent_applies):
-            entries = [entry for entry in self._recent_applies[key] if entry[2] >= cutoff]
-            if entries:
-                self._recent_applies[key] = entries
-            else:
-                del self._recent_applies[key]
+        for key, applied_at in list(self._last_apply.items()):
+            if applied_at < cutoff:
+                del self._last_apply[key], self._marks[key]
 
     # ------------------------------------------------------------------
     # Query API

@@ -192,7 +192,12 @@ class CompositeLoad(LoadShape):
         self._shapes = list(shapes)
 
     def rate(self, t: float) -> float:
-        return sum(shape.rate(t) for shape in self._shapes)
+        # ``sum()`` unrolled: the same additions from the same integer zero in
+        # the same order, without a generator frame per part per arrival.
+        total = 0
+        for shape in self._shapes:
+            total += shape.rate(t)
+        return total
 
 
 class ScaledLoad(LoadShape):

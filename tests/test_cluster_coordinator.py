@@ -241,6 +241,83 @@ def test_listeners_are_called_only_for_hooks_they_override_in_registration_order
         assert names == ["first", "second"] * (len(names) // 2), hook
 
 
+def test_replica_applies_go_straight_to_a_lone_listener_and_fan_out_to_several(
+    small_cluster, simulator
+):
+    from repro.cluster import VersionStamp, VersionedValue
+    from repro.consistency import InconsistencyWindowTracker
+
+    coordinator = small_cluster.coordinator
+    calls = []
+
+    class Applies(ClusterListener):
+        def __init__(self, name):
+            self.name = name
+
+        def on_replica_applied(self, key, stamp, node_id, time, background):
+            calls.append((self.name, key, background))
+
+    class Tracker(InconsistencyWindowTracker):
+        def on_replica_applied(self, key, stamp, node_id, time, background):
+            calls.append(("tracker", key, background))
+            super().on_replica_applied(key, stamp, node_id, time, background)
+
+    class CompletionsOnly(ClusterListener):
+        def on_operation_completed(self, result):
+            pass
+
+        def __getattribute__(self, name):
+            if name == "on_replica_applied":
+                raise AssertionError("asked for a hook the listener does not override")
+            return super().__getattribute__(name)
+
+    def background_write(key):
+        version = VersionedValue(VersionStamp(simulator.now, 10_000), b"repair", 0)
+        nodes = small_cluster.node_ids()
+        assert coordinator.background_write(nodes[0], key, version, source=nodes[1])
+
+    # Nobody listens: no callback at all, and applies are not reported.
+    assert coordinator.on_replica_applied is None
+    small_cluster.add_listener(CompletionsOnly())
+    assert coordinator.on_replica_applied is None
+    small_cluster.write("unheard", b"v")
+    background_write("unheard")
+    simulator.run_until(1.0)
+
+    # One overrider: the coordinator calls the tracker's own method.
+    tracker = Tracker(simulator)
+    small_cluster.add_listener(tracker)
+    assert coordinator.on_replica_applied == tracker.on_replica_applied
+    assert coordinator.on_replica_applied.__self__ is tracker
+    # A listener without the hook does not undo the binding.
+    small_cluster.add_listener(CompletionsOnly())
+    assert coordinator.on_replica_applied.__self__ is tracker
+    small_cluster.write("k", b"v")
+    simulator.run_until(2.0)
+    assert calls == [("tracker", "k", False)] * 3
+    assert tracker.windows_closed == 1 and tracker.open_windows == 0
+
+    # A background write already on its way when the second and third
+    # overriders register is reported to all three when it lands.
+    del calls[:]
+    background_write("in-flight")
+    small_cluster.add_listener(Applies("second"))
+    small_cluster.add_listener(Applies("third"))
+    simulator.run_until(3.0)
+    in_order = ("tracker", "second", "third")
+    assert calls == [(name, "in-flight", True) for name in in_order]
+
+    del calls[:]
+    small_cluster.write("fanned", b"v")
+    simulator.run_until(4.0)
+    assert calls == [(name, "fanned", False) for name in in_order] * 3
+    assert tracker.windows_closed == 2
+    del calls[:]
+    background_write("fanned")
+    simulator.run_until(5.0)
+    assert calls == [(name, "fanned", True) for name in in_order]
+
+
 def test_probe_operations_are_flagged():
     simulator = Simulator(seed=9)
     cluster = make_cluster(simulator)

@@ -98,6 +98,28 @@ def test_expired_windows_are_censored_not_dropped():
     assert tracker.window_percentile(99) >= 50.0
 
 
+def test_marks_are_forgotten_a_retention_after_the_keys_last_apply():
+    simulator = Simulator(seed=0)
+    tracker = make_tracker(
+        simulator, early_apply_retention=40.0, expiry_scan_interval=10.0
+    )
+    for node_id in ("a", "b", "c"):
+        tracker.on_replica_applied("cold", stamp(0.0), node_id, 0.0, False)
+    simulator.run_until(30.0)
+    # One replica of "warm" applied long ago, another just now: the key's
+    # marks stay together for as long as any apply of it is recent.
+    tracker.on_replica_applied("warm", stamp(1.0, 1), "a", 1.0, False)
+    tracker.on_replica_applied("warm", stamp(1.0, 1), "b", 30.0, False)
+    simulator.run_until(55.0)
+    assert set(tracker._marks) == set(tracker._last_apply) == {"warm"}
+    assert set(tracker._marks["warm"]) == {"a", "b"}
+    # An ack inside the retention still finds both applies.
+    tracker.on_write_acked("warm", stamp(1.0, 1), ack_time=55.0, replica_set=["a", "b"])
+    assert tracker.zero_windows == 1
+    simulator.run_until(85.0)
+    assert tracker._marks == {} and tracker._last_apply == {}
+
+
 def test_percentiles_and_stats_shape():
     simulator = Simulator(seed=0)
     tracker = make_tracker(simulator)

@@ -8,8 +8,17 @@ results — not close ones:
   its two fields under every operation the request path uses.
 * ``VersionHistory.add`` appends or bisects; the reference appends and
   stable-sorts the whole history.
-* ``InconsistencyWindowTracker._remember_apply`` drops the oldest entry in
-  place; the reference rebuilds the list by comprehension.
+* ``InconsistencyWindowTracker`` keeps one high-water mark per (key,
+  replica); the reference is the tracker that buffered a key's last 32
+  applies and scanned them on every ack, verbatim.  A mark that keeps the
+  replica's *latest* stamp instead of its *newest* must be caught, and the one
+  documented difference (a hot key's window the capped buffer left open) is
+  pinned by name.
+* ``AckedVersionRegistry`` answers a read issued after the key's last ack
+  from a kept pair; the reference scans the 16-entry history on every query.
+  An eviction that keeps the evicted stamp as the newest must be caught.
+* ``CompositeLoad.rate`` adds its parts in a loop; the reference is the
+  ``sum()`` over a generator it unrolls, bit for bit.
 * ``StorageEngine.apply`` takes a first-version branch and otherwise
   compares the two stamps once; the reference is the general path through
   ``compare_versions``.
@@ -30,11 +39,14 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, StorageEngine, VersionStamp, VersionedValue
+from repro.cluster.coordinator import AckedVersionRegistry
 from repro.cluster.versioning import VersionHistory, compare_versions
 from repro.consistency.window_tracker import (
     InconsistencyWindowTracker,
@@ -46,8 +58,10 @@ from repro.middleware import (
     RequestHedging,
     RttAwareWriteRouting,
 )
+from repro.experiments.scenarios import diurnal_with_flash_crowd
 from repro.simulation import Simulator, TimeSeries
 from repro.simulation.timeseries import _EMPTY_SUMMARY, SeriesSummary
+from repro.workload.load_shapes import CompositeLoad, ConstantLoad
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -197,50 +211,430 @@ def test_storage_apply_agrees_with_the_general_path(seed):
 
 
 # ----------------------------------------------------------------------
-# _remember_apply against the comprehension it replaces
+# The window tracker's per-replica marks against the buffer they replaced
 # ----------------------------------------------------------------------
-def _reference_remember(recent, now, retention, key, stamp, node_id, time):
-    entries = recent.setdefault(key, [])
-    entries.append((stamp, node_id, time))
-    cutoff = now - retention
-    if len(entries) > 32:
-        recent[key] = [entry for entry in entries if entry[2] >= cutoff][-32:]
+@dataclass
+class _ReferenceWindowRecord:
+    key: str
+    stamp: VersionStamp
+    ack_time: float
+    replica_set: tuple
+    applied: set = field(default_factory=set)
+    closed_at: Optional[float] = None
+
+    @property
+    def window(self):
+        if self.closed_at is None:
+            return None
+        return max(0.0, self.closed_at - self.ack_time)
+
+
+class _ListScanningTracker:
+    """The tracker as it stood at 0469955: per key, a buffer of the last 32
+    ``(stamp, node, time)`` applies that every ack scans."""
+
+    def __init__(self, simulator, config):
+        self._simulator = simulator
+        self._config = config
+        self._open_by_key = {}
+        self._recent_applies = {}
+        self._out_of_order = set()
+        self._windows = TimeSeries("inconsistency_window")
+        self.windows_opened = 0
+        self.windows_closed = 0
+        self.windows_expired = 0
+        self.zero_windows = 0
+        simulator.call_every(
+            self._config.expiry_scan_interval,
+            self._expire_stale_windows,
+            label="window-tracker:expiry",
+            priority=Simulator.PRIORITY_LATE,
+        )
+
+    def on_write_acked(self, key, stamp, ack_time, replica_set):
+        record = _ReferenceWindowRecord(
+            key=key,
+            stamp=stamp,
+            ack_time=ack_time,
+            replica_set=tuple(replica_set),
+        )
+        self.windows_opened += 1
+
+        # Fold in replica applies that already happened (same or newer stamp).
+        for applied_stamp, node_id, _time in self._recent_applies.get(key, ()):  # noqa: B007
+            if applied_stamp >= stamp and node_id in record.replica_set:
+                record.applied.add(node_id)
+
+        if set(record.replica_set) <= record.applied:
+            record.closed_at = ack_time
+            self.zero_windows += 1
+            self._record_closed(record)
+            return
+        self._open_by_key.setdefault(key, {})[stamp] = record
+
+    def on_replica_applied(self, key, stamp, node_id, time, background):
+        self._remember_apply(key, stamp, node_id, time)
+        open_records = self._open_by_key.get(key)
+        if not open_records:
+            return
+        closed = []
+        for record_stamp, record in open_records.items():
+            if stamp < record_stamp or node_id not in record.replica_set:
+                continue
+            record.applied.add(node_id)
+            if set(record.replica_set) <= record.applied:
+                record.closed_at = max(time, record.ack_time)
+                closed.append(record_stamp)
+                self._record_closed(record)
+        for record_stamp in closed:
+            del open_records[record_stamp]
+        if not open_records:
+            self._open_by_key.pop(key, None)
+
+    def _remember_apply(self, key, stamp, node_id, time):
+        entries = self._recent_applies.get(key)
+        if entries is None:
+            entries = self._recent_applies[key] = []
+        elif entries and time < entries[-1][2]:
+            self._out_of_order.add(key)
+        entries.append((stamp, node_id, time))
+        if len(entries) > 32:
+            cutoff = self._simulator.now - self._config.early_apply_retention
+            if entries[1][2] >= cutoff and key not in self._out_of_order:
+                del entries[0]
+            else:
+                self._recent_applies[key] = [
+                    entry for entry in entries if entry[2] >= cutoff
+                ][-32:]
+
+    def _record_closed(self, record):
+        self.windows_closed += 1
+        self._windows.record(self._simulator.now, record.window or 0.0)
+
+    def _expire_stale_windows(self):
+        now = self._simulator.now
+        for key in list(self._open_by_key):
+            records = self._open_by_key[key]
+            expired = [
+                stamp
+                for stamp, record in records.items()
+                if now - record.ack_time > self._config.max_open_age
+            ]
+            for stamp in expired:
+                record = records.pop(stamp)
+                self.windows_expired += 1
+                self._windows.record(now, now - record.ack_time)
+            if not records:
+                del self._open_by_key[key]
+
+        cutoff = now - self._config.early_apply_retention
+        for key in list(self._recent_applies):
+            entries = [entry for entry in self._recent_applies[key] if entry[2] >= cutoff]
+            if entries:
+                self._recent_applies[key] = entries
+            else:
+                del self._recent_applies[key]
+
+    @property
+    def series(self):
+        return self._windows
+
+    @property
+    def open_windows(self):
+        return sum(len(records) for records in self._open_by_key.values())
+
+
+def _tracker_state(tracker):
+    return {
+        "times": tracker.series.times.tolist(),
+        "values": tracker.series.values.tolist(),
+        "opened": tracker.windows_opened,
+        "closed": tracker.windows_closed,
+        "expired": tracker.windows_expired,
+        "zero": tracker.zero_windows,
+        "open": tracker.open_windows,
+    }
+
+
+_TRACKED_NODES = ("node-1", "node-2", "node-3", "node-4")
+
+
+def _drive_tracker_oracle(seed, in_order, tracker_type=InconsistencyWindowTracker):
+    """Feed one seeded script of interleaved acks and applies over 6 keys x 3
+    replicas to ``tracker_type`` and to the list-scanning reference, and
+    compare everything a report reads after every step.
+
+    A write's three applies and its ack are delivered in random order among
+    those of up to four other writes in flight on the same key, so applies
+    land before and after their ack, a newer stamp's apply closes an older
+    stamp's window, and an older stamp lands after a newer one on the same
+    replica.  Some replicas never apply (their windows expire at
+    ``max_open_age``), some applies are delivered twice (a repair), and some
+    come from a node outside the replica set.  The script stays inside the
+    reference's two memory bounds -- it ends before ``early_apply_retention``
+    and a write is acked before 32 applies of its key have followed its
+    first one -- because that is where the two must agree.
+    """
+    rng = random.Random(seed)
+    config = WindowTrackerConfig(
+        max_open_age=20.0, expiry_scan_interval=7.0, early_apply_retention=120.0
+    )
+    simulators = Simulator(seed=seed), Simulator(seed=seed)
+    ours = tracker_type(simulators[0], config)
+    reference = _ListScanningTracker(simulators[1], config)
+    keys = [f"k{index}" for index in range(6)]
+    # Per key: the writes in flight, each ``[stamp, replica set, applies still
+    # to deliver, acked?, applies of the key since this write's first]``.
+    in_flight = {key: [] for key in keys}
+    seen = dict.fromkeys(
+        ("early", "late", "superseded", "older_after_newer", "stranger", "zero"), 0
+    )
+    newest_applied = {}
+    sequence = 0
+    while simulators[0].now < 100.0:
+        pause = rng.choices((0.0, 0.002, 0.05, 0.6), (40, 40, 15, 5))[0]
+        for simulator in simulators:
+            simulator.run_until(simulator.now + pause)
+        now = simulators[0].now
+        key = rng.choice(keys)
+        writes = in_flight[key]
+        overdue = [write for write in writes if not write[3] and write[4] >= 30]
+        roll = rng.random()
+        if overdue:
+            write, action = overdue[0], "ack"
+        elif not writes or (roll < 0.25 and len(writes) < 5):
+            sequence += 1
+            replicas = tuple(rng.sample(_TRACKED_NODES, 3))
+            # One write in eight has a replica that never applies it (a newer
+            # write's apply usually closes its window), and node-4 never
+            # applies the last key at all (those windows can only expire).
+            applies = [
+                node_id
+                for node_id in replicas[: 2 if rng.random() < 0.125 else 3]
+                if (key, node_id) != (keys[-1], "node-4")
+            ]
+            if rng.random() < 0.2:
+                applies.append(rng.choice(applies))  # delivered twice
+            rng.shuffle(applies)
+            writes.append([VersionStamp(now, sequence), replicas, applies, False, -1])
+            continue
+        elif roll < 0.35:
+            write, action = rng.choice(writes), "stranger"
+        else:
+            write = rng.choice(writes)
+            action = "ack" if not write[3] and (not write[2] or rng.random() < 0.35) else "apply"
+            if action == "apply" and not write[2]:
+                continue
+        stamp, replicas = write[0], write[1]
+        if action == "ack":
+            write[3] = True
+            seen["early" if write[2] else "zero"] += 1
+            for tracker in (ours, reference):
+                tracker.on_write_acked(key, stamp, now, replicas)
+        else:
+            if action == "stranger":
+                node_id = "node-9"
+                seen["stranger"] += 1
+            else:
+                node_id = write[2].pop()
+                seen["late"] += write[3]
+                known = newest_applied.get((key, node_id))
+                if known is not None and known > stamp:
+                    seen["older_after_newer"] += 1
+                else:
+                    newest_applied[(key, node_id)] = stamp
+                seen["superseded"] += any(
+                    other[3] and other[0] < stamp for other in writes if other is not write
+                )
+            time = now if in_order else now - rng.choice((0.0, 0.0, 0.5, 5.0))
+            for other in writes:
+                if other[4] >= 0 or other is write:
+                    other[4] += 1
+            for tracker in (ours, reference):
+                tracker.on_replica_applied(key, stamp, node_id, time, False)
+        if write[3] and not write[2]:
+            writes.remove(write)
+        assert _tracker_state(ours) == _tracker_state(reference), (seed, now, key)
+    assert all(count > 20 for count in seen.values()), seen
+    assert reference.windows_expired > 20 and reference.open_windows > 0
+    assert reference.series.values.max() > 0.0
 
 
 @pytest.mark.parametrize("in_order", (True, False))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_remember_apply_agrees_with_the_rebuilt_list(seed, in_order):
+def test_replica_marks_agree_with_the_list_scanning_tracker(seed, in_order):
+    _drive_tracker_oracle(seed, in_order)
+
+
+class _MarkKeepsLatestStamp(InconsistencyWindowTracker):
+    """A mark that follows the replica's last apply, not its newest one: an
+    older version landing late makes the replica look behind again."""
+
+    def on_replica_applied(self, key, stamp, node_id, time, background):
+        super().on_replica_applied(key, stamp, node_id, time, background)
+        self._marks[key][node_id] = stamp
+
+
+def test_tracker_oracle_catches_a_mark_that_keeps_the_latest_stamp():
+    with pytest.raises(AssertionError):
+        _drive_tracker_oracle(SEEDS[0], True, _MarkKeepsLatestStamp)
+
+
+def test_a_hot_key_window_closes_where_the_capped_buffer_left_it_open():
+    """The one documented difference: 40 applies of a hot key between a
+    write's applies and its ack push the deciding applies out of the
+    reference's 32-entry buffer, which then leaves a converged window open
+    until the key's next apply.  The marks have no cap to evict from."""
+    config = WindowTrackerConfig()
+    ours = InconsistencyWindowTracker(Simulator(seed=1), config)
+    reference = _ListScanningTracker(Simulator(seed=1), config)
+    replicas = ("node-1", "node-2", "node-3")
+    stamp = VersionStamp(1.0, 100)
+    for tracker in (ours, reference):
+        for node_id in replicas:
+            tracker.on_replica_applied("hot", stamp, node_id, 1.0, False)
+        # Forty older versions of the same key land late on the same replicas.
+        for late in range(40):
+            older = VersionStamp(0.5, late)
+            tracker.on_replica_applied("hot", older, replicas[late % 3], 1.0, False)
+        tracker.on_write_acked("hot", stamp, 1.0, replicas)
+    assert ours.open_windows == 0 and ours.zero_windows == ours.windows_closed == 1
+    assert ours.series.values.tolist() == [0.0]
+    assert reference.open_windows == 1 and reference.windows_closed == 0
+
+
+# ----------------------------------------------------------------------
+# AckedVersionRegistry's kept answer against the scan of the history
+# ----------------------------------------------------------------------
+class _ScanningRegistry:
+    """The registry as it stood at 0469955: every query scans the history."""
+
+    def __init__(self, history=16):
+        self._history = history
+        self._acked = {}
+
+    def record_ack(self, key, stamp, ack_time):
+        entries = self._acked.setdefault(key, [])
+        entries.append((ack_time, stamp))
+        if len(entries) > self._history:
+            del entries[0 : len(entries) - self._history]
+
+    def newest_acked_before(self, key, time):
+        entries = self._acked.get(key)
+        if not entries:
+            return None
+        newest = None
+        for ack_time, stamp in entries:
+            if ack_time <= time and (newest is None or stamp > newest):
+                newest = stamp
+        return newest
+
+
+def _drive_registry_oracle(seed, registry_type=AckedVersionRegistry, history=16):
     rng = random.Random(seed)
-    retention = 50.0
-    simulator = Simulator(seed=seed)
-    tracker = InconsistencyWindowTracker(
-        simulator,
-        # No expiry scan inside the horizon: only _remember_apply touches the buffer.
-        WindowTrackerConfig(early_apply_retention=retention, expiry_scan_interval=1e9),
+    ours, reference = registry_type(history), _ScanningRegistry(history)
+    keys = ("k0", "k1", "k2", "once", "never")
+    clock = 0.0
+    evictions = newest_evicted = out_of_order = overlapping = 0
+    for sequence in range(1, 1500):
+        clock += rng.choice((0.0, 0.01, 0.5))
+        key = rng.choice(keys[:3]) if sequence > 1 else "once"
+        retained = reference._acked.get(key, [])
+        # Mostly the clock; sometimes an ack that is reported late.
+        ack_time = clock - rng.choice((0.0, 0.0, 0.0, 0.3, 2.0))
+        out_of_order += bool(retained) and ack_time < retained[-1][0]
+        # Mostly a newer stamp; one in ten jumps far ahead, so that it is the
+        # newest for as long as it is retained and leaves by eviction.
+        timestamp = clock + (50.0 if rng.random() < 0.1 else 0.0)
+        stamp = VersionStamp(timestamp, sequence)
+        if len(retained) == history:
+            evictions += 1
+            newest_evicted += retained[0][1] == max(entry[1] for entry in retained)
+        for registry in (ours, reference):
+            registry.record_ack(key, stamp, ack_time)
+        assert ours._acked == reference._acked
+
+        for queried in keys:
+            retained = reference._acked.get(queried, [])
+            times = sorted({entry[0] for entry in retained})
+            probes = [-math.inf, math.inf, clock, clock + 1.0, rng.uniform(-3.0, clock + 3.0)]
+            if times:
+                probes += [times[0] - 0.1, times[0], times[-1], times[-1] + 0.1]
+                probes += [rng.choice(times), (rng.choice(times) + rng.choice(times)) / 2.0]
+                overlapping += sum(probe < times[-1] for probe in probes)
+            for probe in probes:
+                expected = reference.newest_acked_before(queried, probe)
+                assert ours.newest_acked_before(queried, probe) == expected, (
+                    seed, sequence, queried, probe,
+                )
+    assert len(reference._acked["once"]) == 1 and "never" not in reference._acked
+    assert evictions > 10 * history and newest_evicted > 20
+    assert out_of_order > 50 and overlapping > 1000
+
+
+@pytest.mark.parametrize("history", (1, 2, 16))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_acked_registry_agrees_with_the_scanning_registry(seed, history):
+    _drive_registry_oracle(seed, history=history)
+
+
+class _EvictionKeepsNewest(AckedVersionRegistry):
+    """Skips the re-derivation: the kept stamp only ever grows, so it
+    outlives the ack that carried it."""
+
+    def record_ack(self, key, stamp, ack_time):
+        before = self._latest.get(key)
+        super().record_ack(key, stamp, ack_time)
+        if before is not None:
+            self._latest[key] = (self._latest[key][0], max(before[1], stamp))
+
+
+def test_registry_oracle_catches_an_eviction_that_keeps_the_evicted_stamp():
+    with pytest.raises(AssertionError):
+        _drive_registry_oracle(SEEDS[0], _EvictionKeepsNewest)
+
+
+def test_acked_registry_refuses_a_history_it_cannot_answer_from():
+    with pytest.raises(ValueError, match="history"):
+        AckedVersionRegistry(history=0)
+
+
+# ----------------------------------------------------------------------
+# CompositeLoad.rate's loop against the sum() it unrolls
+# ----------------------------------------------------------------------
+def test_composite_load_adds_its_parts_as_sum_does():
+    # E5's day (benchmarks/ledger/workloads.py::_autoscale_diurnal at 8 s).
+    duration = 480.0
+    noisy = diurnal_with_flash_crowd(
+        trough=45.0,
+        peak=135.0,
+        period=duration,
+        flash_rate=200.0,
+        flash_start=duration * 0.65,
     )
-    reference = {}
-    keys = ("k0", "k1", "k2")
-    # Mostly bursts, which fill a key's buffer with fresh entries; the rare
-    # long pauses let one, several or all of them age out.
-    pauses, weights = (0.0, 0.05, 0.4, 3.0, 20.0, 70.0), (500, 300, 150, 40, 7, 3)
-    pushed_out = aged_out = 0
-    for sequence in range(3000):
-        simulator.run_until(simulator.now + rng.choices(pauses, weights)[0])
-        now = simulator.now
-        time = now if in_order else now - rng.choice((0.0, 0.0, 1.0, 30.0, 60.0))
-        key = rng.choice(keys)
-        stamp = VersionStamp(time, sequence)
-        node_id = f"node-{rng.randrange(3)}"
-        before = len(reference.get(key, ()))
-        tracker._remember_apply(key, stamp, node_id, time)
-        _reference_remember(reference, now, retention, key, stamp, node_id, time)
-        assert tracker._recent_applies == reference
-        if len(reference[key]) == before == 32:
-            pushed_out += 1
-        elif len(reference[key]) <= before:
-            aged_out += 1
-    assert pushed_out > 100 and aged_out > 5
-    assert bool(tracker._out_of_order) is not in_order
+    composite = noisy._base
+    assert isinstance(composite, CompositeLoad) and len(composite._shapes) == 2
+    rng = random.Random(5)
+    times = [duration * index / 5000.0 for index in range(5000)]
+    times += [rng.uniform(-10.0, duration + 400.0) for _ in range(5000)]
+    nonzero_flash = 0
+    for t in times:
+        expected = sum(shape.rate(t) for shape in composite._shapes)
+        ours = composite.rate(t)
+        assert type(ours) is type(expected) and ours.hex() == expected.hex(), t
+        nonzero_flash += composite._shapes[1].rate(t) != 0.0
+    assert nonzero_flash > 1000
+    # One part, and the integer zero sum() starts from.
+    assert CompositeLoad([ConstantLoad(3.5)]).rate(0.0).hex() == (3.5).hex()
+    assert type(CompositeLoad([_IntegerRate()]).rate(0.0)) is int
+
+
+class _IntegerRate(ConstantLoad):
+    def __init__(self):
+        super().__init__(1.0)
+
+    def rate(self, t):
+        return 2
 
 
 # ----------------------------------------------------------------------
