@@ -249,10 +249,13 @@ class Cluster:
             if getattr(type(listener), hook) is not getattr(ClusterListener, hook):
                 observers.append(getattr(listener, hook))
         # An apply goes straight to its one observer (the window tracker, in
-        # every stock run); the fan-out frame is paid only from the second on.
+        # every stock run), through the fan-out from the second on, nowhere
+        # (the coordinator's callback stays ``None``) while there is none.
         applied = self._observers["on_replica_applied"]
-        fan_out = self._handle_replica_applied if applied else None
-        self.coordinator.on_replica_applied = applied[0] if len(applied) == 1 else fan_out
+        if applied:
+            self.coordinator.on_replica_applied = (
+                applied[0] if len(applied) == 1 else self._handle_replica_applied
+            )
 
     def _handle_write_acked(
         self, key: str, stamp: VersionStamp, ack_time: float, replica_set: Sequence[str]

@@ -359,6 +359,20 @@ def _tracker_state(tracker):
 _TRACKED_NODES = ("node-1", "node-2", "node-3", "node-4")
 
 
+@dataclass
+class _ScriptedWrite:
+    """One write in flight in the tracker oracle's script."""
+
+    stamp: VersionStamp
+    replicas: tuple
+    undelivered: list
+    """Nodes whose apply of this write is still to be delivered."""
+
+    acked: bool = False
+    followed_by: int = -1
+    """Applies of the key since this write's first one (-1: none yet)."""
+
+
 def _drive_tracker_oracle(seed, in_order, tracker_type=InconsistencyWindowTracker):
     """Feed one seeded script of interleaved acks and applies over 6 keys x 3
     replicas to ``tracker_type`` and to the list-scanning reference, and
@@ -383,8 +397,6 @@ def _drive_tracker_oracle(seed, in_order, tracker_type=InconsistencyWindowTracke
     ours = tracker_type(simulators[0], config)
     reference = _ListScanningTracker(simulators[1], config)
     keys = [f"k{index}" for index in range(6)]
-    # Per key: the writes in flight, each ``[stamp, replica set, applies still
-    # to deliver, acked?, applies of the key since this write's first]``.
     in_flight = {key: [] for key in keys}
     seen = dict.fromkeys(
         ("early", "late", "superseded", "older_after_newer", "stranger", "zero"), 0
@@ -398,7 +410,7 @@ def _drive_tracker_oracle(seed, in_order, tracker_type=InconsistencyWindowTracke
         now = simulators[0].now
         key = rng.choice(keys)
         writes = in_flight[key]
-        overdue = [write for write in writes if not write[3] and write[4] >= 30]
+        overdue = [w for w in writes if not w.acked and w.followed_by >= 30]
         roll = rng.random()
         if overdue:
             write, action = overdue[0], "ack"
@@ -416,43 +428,45 @@ def _drive_tracker_oracle(seed, in_order, tracker_type=InconsistencyWindowTracke
             if rng.random() < 0.2:
                 applies.append(rng.choice(applies))  # delivered twice
             rng.shuffle(applies)
-            writes.append([VersionStamp(now, sequence), replicas, applies, False, -1])
+            writes.append(_ScriptedWrite(VersionStamp(now, sequence), replicas, applies))
             continue
         elif roll < 0.35:
             write, action = rng.choice(writes), "stranger"
         else:
             write = rng.choice(writes)
-            action = "ack" if not write[3] and (not write[2] or rng.random() < 0.35) else "apply"
-            if action == "apply" and not write[2]:
+            ack = not write.acked and (not write.undelivered or rng.random() < 0.35)
+            action = "ack" if ack else "apply"
+            if action == "apply" and not write.undelivered:
                 continue
-        stamp, replicas = write[0], write[1]
+        stamp = write.stamp
         if action == "ack":
-            write[3] = True
-            seen["early" if write[2] else "zero"] += 1
+            write.acked = True
+            seen["early" if write.undelivered else "zero"] += 1
             for tracker in (ours, reference):
-                tracker.on_write_acked(key, stamp, now, replicas)
+                tracker.on_write_acked(key, stamp, now, write.replicas)
         else:
             if action == "stranger":
                 node_id = "node-9"
                 seen["stranger"] += 1
             else:
-                node_id = write[2].pop()
-                seen["late"] += write[3]
+                node_id = write.undelivered.pop()
+                seen["late"] += write.acked
+                write.followed_by = max(write.followed_by, 0)
                 known = newest_applied.get((key, node_id))
                 if known is not None and known > stamp:
                     seen["older_after_newer"] += 1
                 else:
                     newest_applied[(key, node_id)] = stamp
                 seen["superseded"] += any(
-                    other[3] and other[0] < stamp for other in writes if other is not write
+                    other.acked and other.stamp < stamp for other in writes
                 )
             time = now if in_order else now - rng.choice((0.0, 0.0, 0.5, 5.0))
             for other in writes:
-                if other[4] >= 0 or other is write:
-                    other[4] += 1
+                if other.followed_by >= 0:
+                    other.followed_by += 1
             for tracker in (ours, reference):
                 tracker.on_replica_applied(key, stamp, node_id, time, False)
-        if write[3] and not write[2]:
+        if write.acked and not write.undelivered:
             writes.remove(write)
         assert _tracker_state(ours) == _tracker_state(reference), (seed, now, key)
     assert all(count > 20 for count in seen.values()), seen
