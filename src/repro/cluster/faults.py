@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..simulation.engine import Simulator
+from .errors import UnknownNodeError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .cluster import Cluster
@@ -73,6 +74,29 @@ def _check_window(at: float, duration: Optional[float]) -> None:
         raise ValueError(f"fault duration must be finite and > 0, got {duration}")
 
 
+# The per-kind range checks, shared by the injector's methods and by
+# ``FaultSpec``: a bad fault fails where it is declared (at the CLI, say), not
+# minutes into a simulation when its event fires.  Written like
+# ``_check_window``, so NaN fails every one of them.
+def _check_factor(factor: float) -> None:
+    if not (0.0 < factor <= 1.0):
+        raise ValueError(f"degrade factor must be in (0, 1], got {factor}")
+
+
+def _check_link(drop_probability: float, extra_delay: float) -> None:
+    if not (0.0 <= drop_probability <= 1.0):
+        raise ValueError(f"drop probability must be in [0, 1], got {drop_probability}")
+    if not (0.0 <= extra_delay < math.inf):
+        raise ValueError(f"extra delay must be finite and >= 0, got {extra_delay}")
+
+
+def _check_restart(downtime: float, settle: float) -> None:
+    if not (0.0 < downtime < math.inf):
+        raise ValueError(f"downtime must be finite and > 0, got {downtime}")
+    if not (0.0 <= settle < math.inf):
+        raise ValueError(f"settle must be finite and >= 0, got {settle}")
+
+
 class FaultInjector:
     """Schedules node, link and lifecycle faults on a cluster."""
 
@@ -84,6 +108,13 @@ class FaultInjector:
         # the product of every factor still in its window.
         self._degrade_factors: Dict[str, List[float]] = {}
 
+    def _check_nodes(self, node_ids: Iterable[str]) -> None:
+        """Every fault names nodes the cluster has (the check its event would
+        otherwise fail at fire time; a decommissioned node is still known)."""
+        for node_id in node_ids:
+            if node_id not in self._cluster.nodes:
+                raise UnknownNodeError(f"unknown node {node_id!r}")
+
     # ------------------------------------------------------------------
     # Node crashes
     # ------------------------------------------------------------------
@@ -92,6 +123,7 @@ class FaultInjector:
     ) -> FaultEvent:
         """Crash ``node_id`` at time ``at``; recover after ``duration`` if given."""
         _check_window(at, duration)
+        self._check_nodes((node_id,))
         event = FaultEvent(kind="node_crash", target=node_id, start_time=at)
         self.events.append(event)
 
@@ -128,9 +160,9 @@ class FaultInjector:
         (or never, if ``None``).  Overlapping degrades on one node compose
         multiplicatively, and the composed factor survives crash/recover.
         """
-        if not (0.0 < factor <= 1.0):
-            raise ValueError(f"degrade factor must be in (0, 1], got {factor}")
+        _check_factor(factor)
         _check_window(at, duration)
+        self._check_nodes((node_id,))
         event = FaultEvent(kind="node_degrade", target=node_id, start_time=at)
         self.events.append(event)
 
@@ -177,6 +209,12 @@ class FaultInjector:
         it — and surviving messages pay ``extra_delay`` extra seconds.
         """
         _check_window(at, duration)
+        _check_link(drop_probability, extra_delay)
+        if node_a == node_b:
+            raise ValueError(
+                f"a flaky link needs two distinct endpoints, got {node_a!r} twice"
+            )
+        self._check_nodes((node_a, node_b))
         label = "|".join(sorted((node_a, node_b)))
         event = FaultEvent(kind="flaky_link", target=label, start_time=at)
         self.events.append(event)
@@ -217,6 +255,7 @@ class FaultInjector:
         compose, and healing one leaves the others severed.
         """
         _check_window(at, duration)
+        self._check_nodes((*group_a, *group_b))
         label = f"{'|'.join(sorted(group_a))} <-> {'|'.join(sorted(group_b))}"
         event = FaultEvent(kind="partition", target=label, start_time=at)
         self.events.append(event)
@@ -264,11 +303,10 @@ class FaultInjector:
         turn, so at most one node is ever down.  Defaults to every node the
         cluster had when the campaign was declared, in sorted id order.
         """
-        if downtime <= 0.0:
-            raise ValueError(f"downtime must be > 0, got {downtime}")
-        if settle < 0.0:
-            raise ValueError(f"settle must be >= 0, got {settle}")
+        _check_window(at, None)
+        _check_restart(downtime, settle)
         targets = tuple(node_ids) if node_ids is not None else self._cluster.node_ids()
+        self._check_nodes(targets)
         event = FaultEvent(
             kind="rolling_restart", target="|".join(targets), start_time=at
         )
@@ -338,20 +376,9 @@ class FaultSpec:
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
         _check_window(self.at, self.duration)
-        # Validate per-kind parameters here so a bad plan fails when it is
-        # declared (e.g. at the CLI), not minutes into a simulation.
-        if not (0.0 < self.factor <= 1.0):
-            raise ValueError(f"degrade factor must be in (0, 1], got {self.factor}")
-        if not (0.0 <= self.drop_probability <= 1.0):
-            raise ValueError(
-                f"drop probability must be in [0, 1], got {self.drop_probability}"
-            )
-        if self.extra_delay < 0.0:
-            raise ValueError(f"extra delay must be >= 0, got {self.extra_delay}")
-        if self.downtime <= 0.0:
-            raise ValueError(f"downtime must be > 0, got {self.downtime}")
-        if self.settle < 0.0:
-            raise ValueError(f"settle must be >= 0, got {self.settle}")
+        _check_factor(self.factor)
+        _check_link(self.drop_probability, self.extra_delay)
+        _check_restart(self.downtime, self.settle)
 
 
 @dataclass(frozen=True)

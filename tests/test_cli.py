@@ -382,6 +382,22 @@ def test_faults_flag_rejects_a_window_that_is_not_an_interval(entry, names):
 
 
 @pytest.mark.parametrize(
+    "entry, names",
+    [
+        # NaN is below no bound: these parsed, and the first raised at t=5.
+        ("flaky-link:node=0,peer=1,at=5,delay=nan", "extra delay"),
+        ("restart:at=5,downtime=inf", "downtime"),
+        ("restart:at=5,settle=nan", "settle"),
+    ],
+)
+def test_faults_flag_rejects_a_parameter_that_is_not_finite(entry, names):
+    with pytest.raises(SystemExit) as raised:
+        build_simulation_config(build_parser().parse_args(["run", "--faults", entry]))
+    message = str(raised.value)
+    assert message.startswith(f"invalid --faults {entry!r}") and names in message
+
+
+@pytest.mark.parametrize(
     "argv, token, entry",
     [
         # Used to crash at 7: the later value silently won.

@@ -12,6 +12,7 @@ from repro.cluster import (
     FaultSpec,
     NodeConfig,
     NodeState,
+    UnknownNodeError,
 )
 from repro.simulation import Simulator
 
@@ -297,3 +298,92 @@ def test_injector_methods_reject_a_bad_start_and_schedule_nothing(at):
         with pytest.raises(ValueError, match="fault time"):
             call()
     assert injector.events == [] and simulator.pending_events == pending
+
+
+# ----------------------------------------------------------------------
+# A fault is checked when it is declared, not when it fires
+# ----------------------------------------------------------------------
+_NAN, _INF = float("nan"), float("inf")
+
+# (name, error, what the message names, call on (injector, nodes)).  Each of
+# these used to be accepted and to raise out of ``run_until`` at t=5, from the
+# check in ``NetworkModel.set_link_fault`` or ``Cluster.crash_node``, or never.
+_BAD_DECLARATIONS = (
+    ("drop above one", ValueError, "drop probability",
+     lambda i, n: i.flaky_link(n[0], n[1], at=5.0, drop_probability=1.5)),
+    ("drop nan", ValueError, "drop probability",
+     lambda i, n: i.flaky_link(n[0], n[1], at=5.0, drop_probability=_NAN)),
+    ("delay negative", ValueError, "extra delay",
+     lambda i, n: i.flaky_link(n[0], n[1], at=5.0, extra_delay=-0.001)),
+    ("delay nan", ValueError, "extra delay",
+     lambda i, n: i.flaky_link(n[0], n[1], at=5.0, extra_delay=_NAN)),
+    ("delay inf", ValueError, "extra delay",
+     lambda i, n: i.flaky_link(n[0], n[1], at=5.0, extra_delay=_INF)),
+    ("link to itself", ValueError, "distinct",
+     lambda i, n: i.flaky_link(n[0], n[0], at=5.0)),
+    ("downtime inf", ValueError, "downtime",
+     lambda i, n: i.rolling_restart(at=5.0, downtime=_INF)),
+    ("downtime nan", ValueError, "downtime",
+     lambda i, n: i.rolling_restart(at=5.0, downtime=_NAN)),
+    ("settle nan", ValueError, "settle",
+     lambda i, n: i.rolling_restart(at=5.0, settle=_NAN)),
+    ("settle inf", ValueError, "settle",
+     lambda i, n: i.rolling_restart(at=5.0, settle=_INF)),
+    # Used to leave its own ``rolling_restart`` record behind in ``events``.
+    ("restart at nan", ValueError, "fault time",
+     lambda i, n: i.rolling_restart(at=_NAN)),
+    ("crash unknown", UnknownNodeError, "nope",
+     lambda i, n: i.crash_node("nope", at=5.0)),
+    ("degrade unknown", UnknownNodeError, "nope",
+     lambda i, n: i.degrade_node("nope", at=5.0, factor=0.5)),
+    ("link unknown", UnknownNodeError, "nope",
+     lambda i, n: i.flaky_link(n[0], "nope", at=5.0)),
+    ("partition unknown", UnknownNodeError, "nope",
+     lambda i, n: i.partition([n[0]], [n[1], "nope"], at=5.0)),
+    ("isolate unknown", UnknownNodeError, "nope",
+     lambda i, n: i.isolate_node("nope", at=5.0)),
+    ("restart unknown", UnknownNodeError, "nope",
+     lambda i, n: i.rolling_restart(at=5.0, node_ids=[n[0], "nope"])),
+)
+
+
+@pytest.mark.parametrize(
+    "error, names, call",
+    [case[1:] for case in _BAD_DECLARATIONS],
+    ids=[case[0] for case in _BAD_DECLARATIONS],
+)
+def test_a_bad_fault_is_refused_when_declared_and_schedules_nothing(error, names, call):
+    simulator, cluster, injector = make_setup()
+    pending = simulator.pending_events
+    with pytest.raises(error, match=names):
+        call(injector, list(cluster.node_ids()))
+    assert injector.events == [] and simulator.pending_events == pending
+    simulator.run_until(10.0)  # and nothing is left to raise at t=5
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("extra_delay", _NAN),
+        ("extra_delay", _INF),
+        ("downtime", _INF),
+        ("downtime", _NAN),
+        ("settle", _NAN),
+        ("settle", _INF),
+    ],
+)
+def test_fault_spec_rejects_a_parameter_that_is_not_finite(field, value):
+    with pytest.raises(ValueError, match=field.replace("_", " ")):
+        FaultSpec(kind="flaky_link", at=5.0, **{field: value})
+
+
+def test_a_node_removed_after_the_declaration_is_still_a_known_node():
+    # Declared while the node is a member, fires after it was decommissioned:
+    # that stays a no-op at fire time, not an error at either end.
+    simulator, cluster, injector = make_setup(nodes=5)
+    node_id = max(cluster.node_ids())
+    cluster.remove_node()
+    simulator.run_until(200.0)
+    injector.crash_node(node_id, at=210.0, duration=5.0)
+    simulator.run_until(230.0)
+    assert cluster.nodes[node_id].state is NodeState.REMOVED
