@@ -49,7 +49,7 @@ from typing import List, Optional, Sequence
 
 from .cluster.cluster import ClusterConfig
 from .cluster.errors import ConfigurationError
-from .cluster.faults import FaultPlan, FaultSpec
+from .cluster.faults import FAULT_KIND_FIELDS, FaultPlan, FaultSpec
 from .cluster.node import NodeConfig
 from .cluster.types import ConsistencyLevel
 from .core.controller import ControllerConfig
@@ -402,6 +402,17 @@ def _build_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
             _FAULT_PARAM_FIELDS.get(key, key): value
             for key, value in params.items()
         }
+        accepted = FAULT_KIND_FIELDS[kind]
+        unread = [
+            key for key in params if _FAULT_PARAM_FIELDS.get(key, key) not in accepted
+        ]
+        if unread:
+            keys = {field: key for key, field in _FAULT_PARAM_FIELDS.items()}
+            raise SystemExit(
+                f"--faults {entry!r}: {kind_token} does not read "
+                f"{', '.join(map(repr, unread))}; it accepts "
+                f"{', '.join(keys.get(field, field) for field in accepted)}"
+            )
         try:
             specs.append(FaultSpec(kind=kind, **kwargs))
         except (TypeError, ValueError) as error:

@@ -48,6 +48,7 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "FAULT_KINDS",
+    "FAULT_KIND_FIELDS",
 ]
 
 
@@ -345,8 +346,27 @@ class FaultInjector:
 # Declarative fault plans (chaos campaigns)
 # ----------------------------------------------------------------------
 
+#: The :class:`FaultSpec` fields each kind reads in :meth:`FaultPlan.apply`.
+#: A spec may carry the others (:meth:`FaultPlan.generate` fills every field
+#: whatever the kind) and ``apply`` ignores them; a front end that takes a
+#: spec from a person refuses a field outside its kind's row.
+FAULT_KIND_FIELDS = {
+    "crash": ("at", "duration", "node"),
+    "degrade": ("at", "duration", "node", "factor"),
+    "flaky_link": (
+        "at",
+        "duration",
+        "node",
+        "peer",
+        "drop_probability",
+        "extra_delay",
+    ),
+    "partition": ("at", "duration", "node"),
+    "restart": ("at", "downtime", "settle"),
+}
+
 #: Fault kinds a :class:`FaultSpec` may carry.
-FAULT_KINDS = ("crash", "degrade", "flaky_link", "partition", "restart")
+FAULT_KINDS = tuple(FAULT_KIND_FIELDS)
 
 
 @dataclass(frozen=True)

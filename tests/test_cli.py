@@ -426,6 +426,25 @@ def test_a_repeated_key_is_an_error_that_names_the_token_and_its_entry(
     assert "\n" not in message
 
 
+@pytest.mark.parametrize(
+    "entry, unread, accepts",
+    [
+        # Used to restart every node for the default 15 s: both dropped.
+        ("restart:at=20,duration=50,node=2", "'duration', 'node'", "at, downtime, settle"),
+        ("crash:node=0,at=5,factor=0.3", "'factor'", "at, duration, node"),
+        ("partition:node=0,peer=1,at=5,drop=0.4", "'peer', 'drop'", "at, duration, node"),
+        ("flaky-link:node=0,peer=1,at=5,downtime=3", "'downtime'", "drop, delay"),
+    ],
+)
+def test_faults_flag_refuses_a_parameter_its_kind_does_not_read(entry, unread, accepts):
+    with pytest.raises(SystemExit) as raised:
+        build_simulation_config(build_parser().parse_args(["run", "--faults", entry]))
+    message = str(raised.value)
+    kind = entry.partition(":")[0]
+    assert f"{kind} does not read {unread}" in message and entry in message
+    assert accepts in message and "\n" not in message
+
+
 def test_no_faults_flag_means_no_plan():
     config = build_simulation_config(build_parser().parse_args(["run"]))
     assert config.faults is None

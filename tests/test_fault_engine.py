@@ -19,6 +19,7 @@ from repro.cluster import (
     FaultSpec,
     NodeConfig,
 )
+from repro.cluster.faults import FAULT_KIND_FIELDS
 from repro.runner import Simulation, SimulationConfig
 from repro.simulation import Simulator
 from repro.simulation.sharding import run_sharded
@@ -185,6 +186,52 @@ def test_fault_spec_validates_kind_and_time():
     with pytest.raises(ValueError):
         FaultSpec(kind="crash", at=-1.0)
     assert set(FAULT_KINDS) >= {"crash", "degrade", "flaky_link"}
+
+
+class _RecordingInjector:
+    """Stands in for a FaultInjector: keeps the calls ``apply`` makes on it."""
+
+    def __init__(self):
+        self._cluster = self
+        self.calls = []
+
+    def node_ids(self):
+        return ("node-0", "node-1", "node-2")
+
+    def __getattr__(self, method):
+        return lambda *args, **kwargs: self.calls.append((method, args, kwargs))
+
+
+# A second value for every FaultSpec field, different from the first.
+_FIRST = dict(at=5.0, duration=9.0, node=0, peer=1, factor=0.5)
+_SECOND = dict(
+    at=7.0,
+    duration=3.0,
+    node=1,
+    peer=2,
+    factor=0.25,
+    drop_probability=0.3,
+    extra_delay=0.002,
+    downtime=4.0,
+    settle=6.0,
+)
+
+
+@pytest.mark.parametrize("kind", FAULT_KINDS)
+def test_fault_kind_fields_lists_exactly_what_apply_reads(kind):
+    # The table is what the CLI refuses parameters by: hold it to the code it
+    # describes.  A field is read if changing it alone changes the calls.
+    def calls(**changed):
+        injector = _RecordingInjector()
+        spec = FaultSpec(kind=kind, **{**_FIRST, **changed})
+        FaultPlan(specs=(spec,)).apply(injector)
+        return injector.calls
+
+    assert {"kind", *_SECOND} == {field.name for field in dataclasses.fields(FaultSpec)}
+    read = {
+        field for field, value in _SECOND.items() if calls(**{field: value}) != calls()
+    }
+    assert read == set(FAULT_KIND_FIELDS[kind])
 
 
 def test_fault_plan_generate_is_deterministic():
