@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""The ledger's exact per-operation gates (CI's ``ledger-smoke`` job runs this).
+
+The gate on speed is a count, not a clock: a traced pass of
+``benchmarks/ledger/run.py`` counts the Python calls per operation exactly
+(same seed, same number on any machine), so they are compared with ``<=``; the
+events, schedules, messages and timer arms per operation must not move at all
+(PERFORMANCE.md rule 5).  Wall-clock figures stay advisory.  This file is the
+one place a ceiling is written down: raise one only in a PR that says which
+layer the extra calls buy something in.
+
+What each ceiling names:
+
+* ``ycsb_b_default`` - the per-layer ceilings are what PR 15 removed
+  (PERFORMANCE.md rule 13): a dataclass-generated comparison or hash back on a
+  value the request path compares shows up in ``external`` (its frames have no
+  source file of ours), a recomputed outcome in ``cluster.replica``; the
+  ``middleware`` ceiling is the default stack's bypass of everything the hedged
+  stack pays for; the ``simulation.misc`` ceiling is rule 15 (2.13 measured: one
+  ``TimeSeries.record`` for the latency, one for the stale flag or the closed
+  window) - a second per-operation series, or a ``list.append`` pair per
+  sample, puts it back above 3.
+* ``autoscale_diurnal`` (50/50 mix, RF 3: the write path) - the ``consistency``
+  ceiling is rule 16 (13.23 measured, 18.05 before PR 18): a per-apply buffer,
+  or a frame between the coordinator and the tracker, puts it back above 13.45.
+* ``hedged_failslow`` - the ``middleware`` ceiling names what PR 16 removed
+  (rule 14): a stage that ranks the nodes it is handed from scratch, or a
+  second listener on ``on_replica_response``, puts it back above 40.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: workload -> (ceilings compared with <=, counts that must match to 4 places)
+GATES = {
+    "ycsb_b_default": (
+        {
+            "trace.calls_per_op": 165.0,
+            "simulation.misc.calls_per_op": 3.0,
+            "cluster.replica.calls_per_op": 14.0,
+            "external.calls_per_op": 10.0,
+            "middleware.calls_per_op": 9.75,
+        },
+        {
+            "simulation.engine.events_per_op": 6.428,
+            "simulation.engine.scheduled_per_op": 7.4322,
+            "simulation.network.messages_per_op": 4.2792,
+        },
+    ),
+    "autoscale_diurnal": (
+        {"trace.calls_per_op": 244.0, "consistency.calls_per_op": 13.45},
+        {
+            "simulation.engine.events_per_op": 9.1454,
+            "simulation.engine.scheduled_per_op": 10.1494,
+            "simulation.network.messages_per_op": 6.0906,
+        },
+    ),
+    "hedged_failslow": (
+        {"trace.calls_per_op": 202.0, "middleware.calls_per_op": 40.0},
+        {
+            "simulation.engine.events_per_op": 6.8487,
+            "simulation.engine.scheduled_per_op": 7.5095,
+            "simulation.network.messages_per_op": 4.2956,
+            "simulation.timers.armed_per_op": 1.9573,
+        },
+    ),
+}
+
+
+def main() -> None:
+    for workload, (ceilings, exact) in GATES.items():
+        command = [sys.executable, "benchmarks/ledger/run.py", "--workload", workload]
+        command += ["--seed", "42", "--seconds", "8", "--trace", "1"]
+        output = subprocess.run(
+            command, check=True, capture_output=True, text=True, cwd=ROOT
+        ).stdout
+        document = json.loads(output.strip().splitlines()[-1])
+        assert document["correct"] and document["failed"] == 0, document
+        metrics = {name: entry["value"] for name, entry in document["metrics"].items()}
+        for name, ceiling in ceilings.items():
+            print(f"{workload}: {name} = {metrics[name]:.2f} (ceiling {ceiling:g})")
+            assert metrics[name] <= ceiling, (workload, name, metrics[name], ceiling)
+        for name, expected in exact.items():
+            print(f"{workload}: {name} = {metrics[name]:.4f} (must be {expected})")
+            assert round(metrics[name], 4) == expected, (workload, name, metrics[name])
+
+
+if __name__ == "__main__":
+    main()

@@ -478,7 +478,7 @@ class FaultPlan:
 
         The failure mode that defeats quorum math — every node keeps
         answering, so availability stays nominal while the tail explodes.
-        Used by experiment E9 and the CI resilience smoke.
+        Used by experiment E9.
         """
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         specs: List[FaultSpec] = []

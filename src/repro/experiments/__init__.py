@@ -4,8 +4,9 @@ The paper is a doctoral-symposium proposal without an evaluation section;
 these experiments operationalise its research questions and research-plan
 tasks (each module's docstring says which).  Each module exposes a
 ``run(seed, scale, ...)`` function returning an
-:class:`~repro.experiments.tables.ExperimentResult`; the benchmark suite
-calls them with ``scale < 1`` to bound wall-clock time, and
+:class:`~repro.experiments.tables.ExperimentResult`;
+``tests/test_experiments_harness.py`` calls each with ``scale < 1`` to bound
+wall-clock time, asserts its claims and pins its rendered tables, and
 ``run_all_experiments`` regenerates every table.
 """
 

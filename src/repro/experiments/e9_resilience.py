@@ -26,8 +26,8 @@ table records the injected campaign itself (from
 stack's p99 degradation must be at least ``RECOVERY_FACTOR`` times the
 hedged stack's — i.e. hedging recovers ≥ half of the damage gray failures
 do to the default stack — and the hedged faulted p99 stays within
-``HEDGED_RESILIENCE_BOUND`` of its healthy baseline (the bound CI's
-``e9-smoke`` job asserts).
+``HEDGED_RESILIENCE_BOUND`` of its healthy baseline (both asserted by
+``tests/test_experiments_harness.py``).
 
 The whole experiment is deterministic: same ``seed`` and ``fault_seed``
 give a bit-identical report (the campaign is pure data generated before any
@@ -53,7 +53,7 @@ __all__ = ["run", "RECOVERY_FACTOR", "HEDGED_RESILIENCE_BOUND", "DEFAULT_FAULT_S
 RECOVERY_FACTOR = 2.0
 
 #: Under the campaign the hedged stack's read p99 stays within this factor
-#: of its healthy baseline (asserted by CI's e9-smoke job); the default
+#: of its healthy baseline (asserted by the E9 test); the default
 #: stack demonstrably exceeds it.
 HEDGED_RESILIENCE_BOUND = 3.0
 

@@ -3,8 +3,8 @@
 All experiments build their :class:`~repro.runner.SimulationConfig` objects
 through these helpers so that cluster sizing, node capacity and SLAs stay
 comparable across experiments, and so a single ``scale`` knob shrinks every
-experiment proportionally (the benchmark suite uses ``scale < 1`` to keep
-wall-clock time reasonable).
+experiment proportionally (``tests/test_experiments_harness.py`` uses
+``scale < 1`` to keep wall-clock time reasonable).
 
 A note on time compression: the paper's scenarios talk about diurnal cycles
 (a day) and cloud billing (hours).  Simulating a full day per scenario is

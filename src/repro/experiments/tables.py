@@ -3,7 +3,7 @@
 Every experiment produces one or more :class:`ResultTable` objects — ordered
 columns plus one dict per row — that render to aligned ASCII and to CSV for
 further processing.  Keeping the table type dumb and uniform means every
-benchmark prints directly comparable output.
+experiment prints directly comparable output.
 """
 
 from __future__ import annotations

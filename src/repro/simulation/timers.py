@@ -188,7 +188,7 @@ class TimerService:
         return sum(len(timers) for timers in self._buckets.values())
 
     def stats(self) -> Dict[str, Any]:
-        """Wheel counters (for the bench harness and tests)."""
+        """Wheel counters (for the ledger and tests)."""
         return {
             "granularity": self._granularity,
             "timers_armed": self.timers_armed,
