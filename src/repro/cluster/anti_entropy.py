@@ -81,17 +81,6 @@ class AntiEntropyService:
         """Anti-entropy configuration in effect."""
         return self._config
 
-    def bind(
-        self,
-        sample_keys: Callable[[int], Sequence[str]],
-        replica_versions: Callable[[str], Dict[str, Optional[VersionedValue]]],
-        deliver: Callable[[str, str, VersionedValue], bool],
-    ) -> None:
-        """Late-bind the cluster callbacks (used by the cluster facade)."""
-        self._sample_keys = sample_keys
-        self._replica_versions = replica_versions
-        self._deliver = deliver
-
     def run_round(self) -> int:
         """Run one anti-entropy round; returns the number of repairs issued."""
         if (

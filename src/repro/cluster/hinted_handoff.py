@@ -93,15 +93,6 @@ class HintedHandoffManager:
         """Number of hints currently waiting for replay."""
         return len(self._hints)
 
-    def bind(
-        self,
-        deliver: Callable[[str, str, VersionedValue], bool],
-        is_reachable: Callable[[str], bool],
-    ) -> None:
-        """Late-bind the delivery callbacks (used by the cluster facade)."""
-        self._deliver = deliver
-        self._is_reachable = is_reachable
-
     def store(self, target_node: str, key: str, version: VersionedValue) -> bool:
         """Store a hint for a replica that could not be reached.
 

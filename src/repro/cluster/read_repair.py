@@ -52,10 +52,6 @@ class ReadRepairer:
         """Read-repair configuration in effect."""
         return self._config
 
-    def bind(self, deliver: Callable[[str, str, VersionedValue], bool]) -> None:
-        """Late-bind the delivery callback (used by the cluster facade)."""
-        self._deliver = deliver
-
     def inspect(
         self, key: str, responses: Sequence[ReplicaReadResponse]
     ) -> bool:

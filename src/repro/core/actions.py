@@ -2,14 +2,9 @@
 
 Section 5 (research question 3) enumerates them: "changing the consistency
 levels of the query operations, changing the replication factor, increasing
-the amount of nodes".  Each action knows
-
-* how to apply itself to a cluster,
-* its *direction of effect* on latency, staleness, availability and cost
-  (used by the planner to rule out actions that would aggravate the observed
-  problem — the paper's example of adding a replica under network congestion),
-* and a rough cost class so the stability guard can apply longer cooldowns to
-  heavyweight actions.
+the amount of nodes".  Each action knows how to apply itself to a cluster and
+carries a kind, so the stability guard can apply longer cooldowns to
+heavyweight actions.
 """
 
 from __future__ import annotations
@@ -64,14 +59,6 @@ class ReconfigurationAction(abc.ABC):
     """One concrete reconfiguration the controller may execute."""
 
     kind: ActionKind = ActionKind.NONE
-    #: Expected direction of effect on each dimension: -1 improves (reduces),
-    #: +1 worsens (increases), 0 neutral.  "improves staleness" means the
-    #: inconsistency window is expected to shrink.
-    effect_on_latency: int = 0
-    effect_on_staleness: int = 0
-    effect_on_cost: int = 0
-    #: Whether the action adds replication/network traffic while it executes.
-    adds_network_traffic: bool = False
 
     @abc.abstractmethod
     def describe(self) -> str:
@@ -105,10 +92,6 @@ class AddNodeAction(ReconfigurationAction):
     """Provision one extra storage node (scale out)."""
 
     kind = ActionKind.SCALE_OUT
-    effect_on_latency = -1
-    effect_on_staleness = -1
-    effect_on_cost = +1
-    adds_network_traffic = True
 
     def describe(self) -> str:
         return "add_node"
@@ -128,10 +111,6 @@ class RemoveNodeAction(ReconfigurationAction):
     """Decommission one storage node (scale in)."""
 
     kind = ActionKind.SCALE_IN
-    effect_on_latency = +1
-    effect_on_staleness = +1
-    effect_on_cost = -1
-    adds_network_traffic = True
 
     def __init__(self, node_id: Optional[str] = None) -> None:
         self._node_id = node_id
@@ -155,15 +134,9 @@ class SetReadConsistencyAction(ReconfigurationAction):
     """Change the default read consistency level."""
 
     kind = ActionKind.CONSISTENCY
-    adds_network_traffic = False
 
-    def __init__(self, level: ConsistencyLevel, strengthening: Optional[bool] = None) -> None:
+    def __init__(self, level: ConsistencyLevel) -> None:
         self._level = level
-        # Strengthening reads improves staleness but worsens read latency.
-        self._strengthening = strengthening
-        self.effect_on_staleness = -1 if strengthening else +1
-        self.effect_on_latency = +1 if strengthening else -1
-        self.effect_on_cost = 0
 
     @property
     def level(self) -> ConsistencyLevel:
@@ -185,14 +158,9 @@ class SetWriteConsistencyAction(ReconfigurationAction):
     """Change the default write consistency level."""
 
     kind = ActionKind.CONSISTENCY
-    adds_network_traffic = False
 
-    def __init__(self, level: ConsistencyLevel, strengthening: Optional[bool] = None) -> None:
+    def __init__(self, level: ConsistencyLevel) -> None:
         self._level = level
-        self._strengthening = strengthening
-        self.effect_on_staleness = -1 if strengthening else +1
-        self.effect_on_latency = +1 if strengthening else -1
-        self.effect_on_cost = 0
 
     @property
     def level(self) -> ConsistencyLevel:
@@ -214,17 +182,11 @@ class SetReplicationFactorAction(ReconfigurationAction):
     """Change the replication factor (triggers a background fill when raised)."""
 
     kind = ActionKind.REPLICATION
-    adds_network_traffic = True
 
     def __init__(self, replication_factor: int) -> None:
         if replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
         self._replication_factor = replication_factor
-        self.effect_on_cost = 0
-        # Raising RF improves durability/read availability but adds write
-        # fan-out (latency at strict CLs) and more replicas to keep in sync.
-        self.effect_on_latency = +1
-        self.effect_on_staleness = +1
 
     @property
     def replication_factor(self) -> int:
@@ -257,19 +219,12 @@ class SetTierQuotaScaleAction(ReconfigurationAction):
     """
 
     kind = ActionKind.ADMISSION
-    adds_network_traffic = False
 
     def __init__(self, tier: str, scale: float) -> None:
         if scale < 0.0:
             raise ValueError("scale must be >= 0")
         self._tier = tier
         self._scale = scale
-        # Shedding load (scale < 1) relieves latency pressure; restoring quota
-        # (scale >= 1) re-admits load.  Cost is unchanged either way.
-        tightening = scale < 1.0
-        self.effect_on_latency = -1 if tightening else +1
-        self.effect_on_staleness = -1 if tightening else +1
-        self.effect_on_cost = 0
 
     @property
     def tier(self) -> str:

@@ -60,9 +60,6 @@ class ControllerConfig:
     capacity_prior_ops: float = 800.0
     """Prior on per-node throughput (ops/s) before the capacity model learns."""
 
-    max_actions_per_round: int = 1
-    """Upper bound on actions executed in one evaluation round."""
-
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     stability: StabilityConfig = field(default_factory=StabilityConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
@@ -83,7 +80,6 @@ class AutonomousController:
         offered_rate_fn: Optional[Callable[[], float]] = None,
         on_action: Optional[Callable[[ActionOutcome], None]] = None,
         tenant_rollup: Optional[object] = None,
-        auto_start: bool = True,
     ) -> None:
         self._simulator = simulator
         self._cluster = cluster
@@ -113,8 +109,7 @@ class AutonomousController:
         self.action_log: List[ActionOutcome] = []
         self.rounds = 0
         self._task: Optional[PeriodicTask] = None
-        if auto_start:
-            self.start()
+        self.start()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -134,19 +129,6 @@ class AutonomousController:
         if self._task is not None:
             self._task.stop()
             self._task = None
-
-    def register_estimator(self, estimator: ConsistencyEstimator) -> None:
-        """Make an inconsistency-window estimator available to the monitor phase."""
-        self._estimators[estimator.name] = estimator
-
-    def attach_tenant_rollup(self, rollup: object) -> None:
-        """Feed per-tenant SLO attainment (tier read p99) into the monitor phase.
-
-        ``rollup`` is duck-typed: anything with a ``tier_read_p99_ms()``
-        method works (normally
-        :class:`~repro.monitoring.metrics.TenantMetricsRollup`).
-        """
-        self._tenant_rollup = rollup
 
     # ------------------------------------------------------------------
     # MAPE-K round
@@ -220,10 +202,7 @@ class AutonomousController:
     def _execute(
         self, proposals: List[ReconfigurationAction], analysis: AnalysisResult
     ) -> None:
-        executed = 0
         for action in proposals:
-            if executed >= self.config.max_actions_per_round:
-                break
             if action.kind is ActionKind.NONE:
                 continue
             if not self.guard.allows(action, self._simulator.now, analysis):
@@ -235,7 +214,7 @@ class AutonomousController:
             if self._on_action is not None:
                 self._on_action(outcome)
             if outcome.applied:
-                executed += 1
+                break  # at most one applied action per round
 
     # ------------------------------------------------------------------
     # Reporting

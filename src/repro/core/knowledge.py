@@ -159,24 +159,3 @@ class KnowledgeBase:
         if dt <= 0.0:
             return 0.0
         return (last.mean_utilization - first.mean_utilization) / dt
-
-    def persistent_violation_count(self, objective: str, window: int = 3) -> int:
-        """How many of the last ``window`` observations breached an objective.
-
-        The mapping from objective name to observation field mirrors the SLA
-        structure; the stability guard uses this to require persistence before
-        reacting.
-        """
-        history = self.history(window)
-        return sum(1 for obs in history if _observation_violates(obs, objective))
-
-
-def _observation_violates(observation: SystemObservation, objective: str) -> bool:
-    """Heuristic per-observation violation check used for persistence counting."""
-    if objective == "staleness":
-        return observation.stale_read_fraction > 0.0 or observation.inconsistency_window_p95 > 0.0
-    if objective == "availability":
-        return observation.failure_fraction > 0.0
-    if objective.endswith("latency"):
-        return observation.read_p95_latency > 0.0 or observation.write_p95_latency > 0.0
-    return False

@@ -76,8 +76,6 @@ class PlannerConfig:
 
     min_nodes: int = 2
     max_nodes: int = 32
-    prefer_read_strengthening: bool = True
-    """Strengthen reads before writes (reads are cheaper to strengthen here)."""
 
     quota_tighten_factor: float = 0.5
     """Multiplier applied to a tier's quota scale per tightening step."""
@@ -211,7 +209,7 @@ class SLAPlanner:
                 return [AddNodeAction()]
             # Under congestion more traffic hurts; shed consistency cost instead.
             if current_write is not ConsistencyLevel.ONE:
-                return [SetWriteConsistencyAction(ConsistencyLevel.ONE, strengthening=False)]
+                return [SetWriteConsistencyAction(ConsistencyLevel.ONE)]
             return [NoAction()]
 
         # Priority 2: staleness violations / risk.
@@ -237,9 +235,7 @@ class SLAPlanner:
                 and current_read is not ConsistencyLevel.ALL
             ):
                 return [
-                    SetReadConsistencyAction(
-                        _next_level_up(current_read, ConsistencyLevel.ALL), strengthening=True
-                    )
+                    SetReadConsistencyAction(_next_level_up(current_read, ConsistencyLevel.ALL))
                 ]
             # The lag itself is the problem: add capacity unless the network
             # is the bottleneck.
@@ -305,26 +301,15 @@ class SLAPlanner:
         current_write: ConsistencyLevel,
         target: ConsistencyTarget,
     ) -> Optional[ReconfigurationAction]:
-        """One strengthening step towards the derived target, or ``None``."""
-        read_gap = target.read_level.strictness - current_read.strictness
-        write_gap = target.write_level.strictness - current_write.strictness
-        if read_gap <= 0 and write_gap <= 0:
-            return None
-        if self.config.prefer_read_strengthening:
-            if read_gap > 0:
-                return SetReadConsistencyAction(
-                    _next_level_up(current_read, target.read_level), strengthening=True
-                )
-            return SetWriteConsistencyAction(
-                _next_level_up(current_write, target.write_level), strengthening=True
-            )
-        if write_gap > 0:
-            return SetWriteConsistencyAction(
-                _next_level_up(current_write, target.write_level), strengthening=True
-            )
-        return SetReadConsistencyAction(
-            _next_level_up(current_read, target.read_level), strengthening=True
-        )
+        """One strengthening step towards the derived target, or ``None``.
+
+        Reads first: they are the cheaper level to strengthen here.
+        """
+        if target.read_level.strictness > current_read.strictness:
+            return SetReadConsistencyAction(_next_level_up(current_read, target.read_level))
+        if target.write_level.strictness > current_write.strictness:
+            return SetWriteConsistencyAction(_next_level_up(current_write, target.write_level))
+        return None
 
     def _relax_consistency_step(
         self,
@@ -334,13 +319,9 @@ class SLAPlanner:
     ) -> Optional[ReconfigurationAction]:
         """One weakening step down towards the derived target, or ``None``."""
         if current_read.strictness > target.read_level.strictness:
-            return SetReadConsistencyAction(
-                _next_level_down(current_read, target.read_level), strengthening=False
-            )
+            return SetReadConsistencyAction(_next_level_down(current_read, target.read_level))
         if current_write.strictness > target.write_level.strictness:
-            return SetWriteConsistencyAction(
-                _next_level_down(current_write, target.write_level), strengthening=False
-            )
+            return SetWriteConsistencyAction(_next_level_down(current_write, target.write_level))
         return None
 
     def _tighten_quota_action(

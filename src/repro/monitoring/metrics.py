@@ -43,9 +43,6 @@ class MetricsConfig:
     latency_window: int = 4096
     """Number of recent operations kept for latency percentiles."""
 
-    include_probe_operations: bool = False
-    """Whether monitoring-probe operations count towards client latency."""
-
 
 @dataclass
 class MetricsSnapshot:
@@ -139,8 +136,8 @@ class MetricsCollector(ClusterListener):
     # ClusterListener hooks (push path)
     # ------------------------------------------------------------------
     def on_operation_completed(self, result: OperationResult) -> None:
-        if result.operation.is_probe and not self._config.include_probe_operations:
-            return
+        if result.operation.is_probe:
+            return  # monitoring probes do not count towards client latency
         self._window_operations += 1
         if result.rejected:
             self._window_rejected += 1

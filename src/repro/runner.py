@@ -63,19 +63,10 @@ class SimulationConfig:
     duration: float = 1800.0
     """Simulated seconds of workload execution."""
 
-    warmup: float = 60.0
-    """Warm-up period in simulated seconds at the start of the run.
-
-    The harness itself does not discard anything: reports cover the whole
-    run.  Callers that want steady-state figures use this value to slice the
-    recorded time series (e.g. ``series.slice(config.warmup, None)``) or to
-    align comparisons across scenarios."""
-
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     sla: SLA = field(default_factory=default_sla)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
-    enable_controller: bool = True
     monitoring: MonitoringOptions = field(default_factory=MonitoringOptions)
     interference: InterferenceConfig = field(default_factory=InterferenceConfig)
     billing_rates: BillingRates = field(default_factory=BillingRates)
@@ -354,7 +345,6 @@ class Simulation:
             estimators={name: est for name, est in self.estimators.items()},
             offered_rate_fn=self.workload.current_rate,
             tenant_rollup=self.tenant_rollup,
-            auto_start=self.config.enable_controller,
         )
 
         self._ran = False

@@ -64,17 +64,11 @@ class PeriodicTask:
         self._jitter = max(0.0, float(jitter))
         self._stopped = False
         self._handle: Optional[Event] = None
-        self._invocations = 0
 
     @property
     def interval(self) -> float:
         """Current rescheduling interval in simulated seconds."""
         return self._interval
-
-    @property
-    def invocations(self) -> int:
-        """Number of times the callback has fired."""
-        return self._invocations
 
     @property
     def stopped(self) -> bool:
@@ -111,7 +105,6 @@ class PeriodicTask:
     def _fire(self) -> None:
         if self._stopped:
             return
-        self._invocations += 1
         result = self._callback(*self._args)
         if result is False:
             self._stopped = True

@@ -245,13 +245,13 @@ def test_actions_apply_to_cluster():
     assert outcome.kind is ActionKind.SCALE_OUT
     simulator.run_until(30.0)
 
-    outcome = SetReadConsistencyAction(ConsistencyLevel.QUORUM, strengthening=True).apply(
+    outcome = SetReadConsistencyAction(ConsistencyLevel.QUORUM).apply(
         cluster, simulator.now
     )
     assert outcome.applied
     assert cluster.read_consistency is ConsistencyLevel.QUORUM
 
-    outcome = SetWriteConsistencyAction(ConsistencyLevel.QUORUM, strengthening=True).apply(
+    outcome = SetWriteConsistencyAction(ConsistencyLevel.QUORUM).apply(
         cluster, simulator.now
     )
     assert cluster.write_consistency is ConsistencyLevel.QUORUM
