@@ -546,6 +546,7 @@ class WorkloadGenerator:
         self._records_per_issuer = records = distribution.record_count
         self._sizer = sizer = RecordSizer(spec.mean_record_size, spec.record_size_cv)
         self._running = False
+        self._preloaded = False
         self.stats = WorkloadStats()
         overrides = spec.consistency_overrides
 
@@ -608,9 +609,15 @@ class WorkloadGenerator:
     # Lifecycle
     # ------------------------------------------------------------------
     def preload(self) -> int:
-        """Insert the initial data set directly into the cluster."""
-        if not self.spec.preload:
+        """Insert the initial data set directly into the cluster, once.
+
+        A later call returns 0 and draws, stamps and applies nothing: a set-up
+        that preloads and then calls ``Simulation.run()`` (which preloads too)
+        must not shift every later draw on the base stream.
+        """
+        if self._preloaded or not self.spec.preload:
             return 0
+        self._preloaded = True
         per_issuer = int(self._records_per_issuer * self.spec.preload_fraction)
         key_for = self._distribution.key_for
         keys = [

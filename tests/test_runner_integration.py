@@ -159,6 +159,23 @@ def test_run_until_stops_workload_at_duration_and_reports_idempotently():
     assert final.duration >= first.duration
 
 
+def test_a_set_up_that_preloads_before_run_reports_what_run_alone_does():
+    """``s.workload.preload(); s.run()`` (the ledger worker's set-up followed
+    by the documented entry point) used to load the data set twice: 10,000
+    more sizes drawn on the workload's base stream, every record re-stamped."""
+    alone = Simulation(SimulationConfig(seed=42, duration=30.0)).run()
+    for entry_point in ("run", "run_until"):
+        prepared = Simulation(SimulationConfig(seed=42, duration=30.0))
+        assert prepared.workload.preload() == 10_000
+        if entry_point == "run":
+            report = prepared.run()
+        else:
+            prepared.run_until(30.0)
+            report = prepared.build_report()
+        assert report.events_processed == alone.events_processed
+        assert report.as_dict() == alone.as_dict()
+
+
 def test_run_until_overshoot_matches_run_workload():
     reference = Simulation(SimulationConfig(seed=5, duration=40.0))
     reference.run()

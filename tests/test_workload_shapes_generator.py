@@ -131,6 +131,22 @@ def test_preload_populates_the_store():
     assert any(v is not None for v in versions.values())
 
 
+def test_a_second_preload_loads_draws_and_stamps_nothing():
+    def after(preloads):
+        simulator = Simulator(seed=1)
+        cluster, generator = make_generator(simulator, records=100)
+        loaded = [generator.preload() for _ in range(preloads)]
+        applied = sum(node.storage.stats.writes_applied for node in cluster.nodes.values())
+        stamps = {key: cluster.replica_versions(key) for key in ("user0", "user99")}
+        next_sequence = cluster.coordinator.next_sequence()
+        return loaded, applied, stamps, next_sequence, generator._rng.random()
+
+    once, twice = after(1), after(2)
+    assert once[0] == [100] and twice[0] == [100, 0]
+    # Applies, the records' stamps, the sequence counter, the stream's next draw.
+    assert once[1] == 300 and twice[1:] == once[1:]
+
+
 def test_generator_issues_operations_at_roughly_target_rate():
     simulator = Simulator(seed=2)
     _cluster, generator = make_generator(simulator, rate=200.0)
