@@ -58,6 +58,10 @@ class HashRing:
         # membership, so they are memoised until the next topology change.
         # The cache holds tuples and hands them out as they are.
         self._preference_cache: Dict[Tuple[str, int], Tuple[str, ...]] = {}
+        # What a miss reads: the replica set is a function of the token range
+        # the key hashes into, so it is tabulated per distinct-owner count on
+        # first use and dropped with the cache (PERFORMANCE.md rule 17).
+        self._placement_tables: Dict[int, List[Tuple[str, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Membership
@@ -87,6 +91,7 @@ class HashRing:
         # Invalidate before mutating so an error mid-insert (token collision)
         # cannot leave stale replica sets cached against the old topology.
         self._preference_cache.clear()
+        self._placement_tables.clear()
         self._nodes.add(node_id)
         for i in range(self._virtual_nodes):
             token = _token_for(node_id, i)
@@ -106,6 +111,7 @@ class HashRing:
         if node_id not in self._nodes:
             raise UnknownNodeError(f"node {node_id!r} is not on the ring")
         self._preference_cache.clear()
+        self._placement_tables.clear()
         self._nodes.discard(node_id)
         remaining = [t for t in self._tokens if self._token_owner[t] != node_id]
         for token in set(self._tokens) - set(remaining):
@@ -130,27 +136,43 @@ class HashRing:
         if cached is not None:
             return cached
         count = min(replication_factor, len(self._nodes))
-        position = hash_key(key)
-        start = bisect.bisect_right(self._tokens, position) % len(self._tokens)
-        owners: List[str] = []
-        seen: set[str] = set()
-        index = start
-        for _ in range(len(self._tokens)):
-            owner = self._token_owner[self._tokens[index]]
-            if owner not in seen:
-                owners.append(owner)
-                seen.add(owner)
-                if len(owners) == count:
-                    break
-            index = (index + 1) % len(self._tokens)
+        table = self._placement_tables.get(count)
+        if table is None:
+            table = self._placement_tables[count] = self._placement_table(count)
+        placement = table[bisect.bisect_right(self._tokens, hash_key(key))]
         if len(self._preference_cache) >= 1 << 17:
             # Reset rather than stop admitting: with skewed key popularity
             # the hot keys re-warm immediately, whereas a full cache that
             # never admits again would silently degrade huge key spaces to
             # the uncached path for the rest of the run.
             self._preference_cache.clear()
-        placement = self._preference_cache[cache_key] = tuple(owners)
+        self._preference_cache[cache_key] = placement
         return placement
+
+    def _placement_table(self, count: int) -> List[Tuple[str, ...]]:
+        """The first ``count`` distinct owners clockwise of every token.
+
+        Entry ``i`` answers the positions in ``[tokens[i - 1], tokens[i])``;
+        the extra last entry is entry 0 again, for the positions from the last
+        token on, which wrap around.  ``bisect_right(tokens, position)``
+        indexes it, and every key of a range gets the same tuple.
+        """
+        owner_at = [self._token_owner[token] for token in self._tokens]
+        size = len(owner_at)
+        table: List[Tuple[str, ...]] = []
+        for start in range(size):
+            owners: List[str] = []
+            index = start
+            for _ in range(size):
+                owner = owner_at[index]
+                if owner not in owners:
+                    owners.append(owner)
+                    if len(owners) == count:
+                        break
+                index = (index + 1) % size
+            table.append(tuple(owners))
+        table.append(table[0])
+        return table
 
     def primary(self, key: str) -> Optional[str]:
         """The primary owner of ``key`` (first node on its preference list)."""

@@ -3,7 +3,9 @@
 A deliberately small model of an LSM-style storage engine: an in-memory
 key→version map ("memtable") with LWW conflict resolution, byte accounting
 used by the rebalancer and the memory-pressure model, and counters the
-monitoring subsystem exposes as node metrics.
+monitoring subsystem exposes as node metrics.  It keeps the newest version of
+a key and nothing else: a per-record structure needs a reader
+(PERFORMANCE.md rule 17).
 
 The storage engine itself is synchronous — all asynchrony (queueing, network)
 lives in :class:`repro.cluster.node.StorageNode`, which wraps calls to this
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .versioning import VersionHistory, VersionStamp, VersionedValue
+from .versioning import VersionStamp, VersionedValue
 
 __all__ = ["StorageEngine", "StorageStats"]
 
@@ -48,11 +50,9 @@ class StorageStats:
 class StorageEngine:
     """Versioned key-value storage for a single node."""
 
-    def __init__(self, node_id: str, history_depth: int = 8) -> None:
+    def __init__(self, node_id: str) -> None:
         self._node_id = node_id
         self._data: Dict[str, VersionedValue] = {}
-        self._history: Dict[str, VersionHistory] = {}
-        self._history_depth = history_depth
         self.stats = StorageStats()
 
     @property
@@ -81,11 +81,8 @@ class StorageEngine:
         if current is None:
             # The first version of a key (all a bulk load consists of) has
             # nothing to be compared with.
-            history = self._history[key] = VersionHistory(self._history_depth)
-            history.add(version)
             stats.keys += 1
         else:
-            self._history[key].add(version)
             if version.stamp <= current.stamp:
                 stats.writes_superseded += 1
                 return False
@@ -103,7 +100,6 @@ class StorageEngine:
     def remove(self, key: str) -> None:
         """Physically drop a key (used when streaming data off the node)."""
         current = self._data.pop(key, None)
-        self._history.pop(key, None)
         if current is not None:
             self.stats.keys -= 1
             self.stats.bytes_stored -= current.size
@@ -133,10 +129,10 @@ class StorageEngine:
 
     def staleness_of(self, key: str, stamp: VersionStamp) -> float:
         """Commit-time distance between ``stamp`` and the newest version seen."""
-        history = self._history.get(key)
-        if history is None:
+        newest = self._data.get(key)
+        if newest is None:
             return 0.0
-        return history.age_of(stamp)
+        return max(0.0, newest.stamp.timestamp - stamp.timestamp)
 
     # ------------------------------------------------------------------
     # Bulk operations (rebalancing, anti-entropy)

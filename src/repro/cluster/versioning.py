@@ -3,9 +3,10 @@
 The substrate uses last-writer-wins (LWW) resolution on coordinator-assigned
 timestamps, the default conflict-resolution strategy of Cassandra-style
 stores.  Each write receives a :class:`VersionStamp` that is unique and
-totally ordered; replicas keep only the newest version per key, plus a small
-recent-history ring used by the consistency analytics to answer "how stale
-was the version this read returned?".
+totally ordered; replicas keep only the newest version per key.  How stale a
+read was is answered from the coordinator's ``AckedVersionRegistry`` by the
+``staleness`` stage; :class:`VersionHistory`, a bounded per-key history, is no
+longer kept by the storage engine and has no user in ``src/`` (ROADMAP item 5).
 """
 
 from __future__ import annotations

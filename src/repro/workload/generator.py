@@ -629,7 +629,9 @@ class WorkloadGenerator:
         # whole batch is drawn in one chunk — bitwise-equal to a per-record
         # loop (single-consumer stream; see PERFORMANCE.md).
         sizes = dict(zip(keys, self._sizer.next_sizes(self._rng, len(keys)).tolist()))
-        items = {key: b"\x00" * min(size, 64) for key, size in sizes.items()}
+        # A payload is one of at most 65 values: built once and shared.
+        payloads = [b"\x00" * length for length in range(65)]
+        items = {key: payloads[min(size, 64)] for key, size in sizes.items()}
         return self._cluster.preload(items, sizes)
 
     def start(self) -> None:

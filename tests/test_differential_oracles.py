@@ -22,6 +22,10 @@ results — not close ones:
 * ``StorageEngine.apply`` takes a first-version branch and otherwise
   compares the two stamps once; the reference is the general path through
   ``compare_versions``.
+* ``HashRing.preference_list`` answers a miss from a table with one owner
+  tuple per token range; the reference is the clockwise walk it made for
+  every key, verbatim.  A ``remove_node`` that keeps the table and a table
+  without its wrap-around entry must be caught.
 * ``Cluster.preload`` resolves the live replicas' storages once per distinct
   preference list; the reference looks every replica up for every record.
 * ``NodeRttTracker`` keeps one ranking per generation and the four stages that
@@ -47,6 +51,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig, StorageEngine, VersionStamp, VersionedValue
 from repro.cluster.coordinator import AckedVersionRegistry
+from repro.cluster.ring import HashRing, hash_key
 from repro.cluster.versioning import VersionHistory, compare_versions
 from repro.consistency.window_tracker import (
     InconsistencyWindowTracker,
@@ -156,11 +161,6 @@ def test_version_history_agrees_with_append_and_stable_sort(seed, max_entries):
 class _ReferenceEngine(StorageEngine):
     def apply(self, key, version):
         current = self._data.get(key)
-        history = self._history.get(key)
-        if history is None:
-            history = VersionHistory(self._history_depth)
-            self._history[key] = history
-        history.add(version)
         if compare_versions(version, current) <= 0 and current is not None:
             self.stats.writes_superseded += 1
             return False
@@ -179,11 +179,7 @@ class _ReferenceEngine(StorageEngine):
 
 
 def _engine_state(engine):
-    return (
-        list(engine._data.items()),
-        [(key, history.versions()) for key, history in engine._history.items()],
-        engine.stats,
-    )
+    return list(engine._data.items()), engine.stats
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -208,6 +204,113 @@ def test_storage_apply_agrees_with_the_general_path(seed):
         assert _engine_state(engine) == _engine_state(reference)
         most_tombstones = max(most_tombstones, reference.stats.tombstones)
     assert reference.stats.writes_superseded > 100 and most_tombstones > 1
+
+
+# ----------------------------------------------------------------------
+# HashRing's per-token placement table against the per-key walk
+# ----------------------------------------------------------------------
+def _walked_preference_list(ring, key, replication_factor):
+    """The miss path of ``HashRing.preference_list`` as it stood at 492c829:
+    one clockwise walk over the tokens for every key."""
+    if not ring._tokens:
+        return ()
+    count = min(replication_factor, len(ring._nodes))
+    position = hash_key(key)
+    start = bisect.bisect_right(ring._tokens, position) % len(ring._tokens)
+    owners = []
+    seen = set()
+    index = start
+    for _ in range(len(ring._tokens)):
+        owner = ring._token_owner[ring._tokens[index]]
+        if owner not in seen:
+            owners.append(owner)
+            seen.add(owner)
+            if len(owners) == count:
+                break
+        index = (index + 1) % len(ring._tokens)
+    return tuple(owners)
+
+
+# Sorted by ring position, so that the ends of the list are the keys most
+# likely to lie before the first token and beyond the last one.
+_PLACED_KEYS = sorted((f"placed{index}" for index in range(3000)), key=hash_key)
+
+
+def _drive_placement_oracle(seed, virtual_nodes, ring_type=HashRing):
+    """One seeded script of joins and leaves over 1-8 nodes.  Before and after
+    every mutation the same keys are placed at RF 1-5 (so RF > nodes, the miss
+    and then the hit) on the ring and, now and then, on a copy of it."""
+    rng = random.Random(seed)
+    ring = ring_type(virtual_nodes)
+    keys = _PLACED_KEYS[:4] + _PLACED_KEYS[-4:] + rng.sample(_PLACED_KEYS, 40)
+    seen = dict.fromkeys(("wrapped", "short", "copied", "removed"), 0)
+
+    def check(placed_on):
+        for key in keys:
+            for replication_factor in range(1, 6):
+                expected = _walked_preference_list(placed_on, key, replication_factor)
+                context = (seed, placed_on.nodes, key, replication_factor)
+                for _miss_then_hit in range(2):
+                    answer = placed_on.preference_list(key, replication_factor)
+                    assert type(answer) is tuple and answer == expected, context
+                seen["short"] += len(expected) < replication_factor
+            primary = _walked_preference_list(placed_on, key, 1)
+            assert placed_on.primary(key) == (primary[0] if primary else None)
+            if placed_on._tokens:
+                seen["wrapped"] += hash_key(key) >= placed_on._tokens[-1]
+
+    check(ring)  # empty
+    assert ring.preference_list("anything", 3) == () and ring.primary("anything") is None
+    members, joined = [], 0
+    for _ in range(30):
+        if not members or (len(members) < 8 and rng.random() < 0.55):
+            joined += 1
+            members.append(f"node-{joined}")
+            ring.add_node(members[-1])
+        else:
+            ring.remove_node(members.pop(rng.randrange(len(members))))
+            seen["removed"] += 1
+        check(ring)
+        if rng.random() < 0.3:
+            clone = ring.copy()  # of a warmed ring: it must not share the answers
+            check(clone)
+            clone.add_node("node-elsewhere")
+            check(clone)
+            if members:
+                clone.remove_node(rng.choice(members))
+                check(clone)
+            check(ring)
+            seen["copied"] += 1
+    assert all(count > 3 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("virtual_nodes", (1, 8, 64))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_placement_table_agrees_with_the_per_key_walk(seed, virtual_nodes):
+    _drive_placement_oracle(seed, virtual_nodes)
+
+
+class _RemoveKeepsTable(HashRing):
+    def remove_node(self, node_id):
+        tables = dict(self._placement_tables)
+        super().remove_node(node_id)
+        self._placement_tables.update(tables)
+
+
+class _TableWithoutWrapEntry(HashRing):
+    def _placement_table(self, count):
+        return super()._placement_table(count)[:-1]
+
+
+@pytest.mark.parametrize("mutant", (_RemoveKeepsTable, _TableWithoutWrapEntry))
+@pytest.mark.parametrize("virtual_nodes", (1, 8, 64))
+def test_placement_oracle_catches_a_kept_table_and_a_missing_wrap_entry(
+    mutant, virtual_nodes
+):
+    for seed in SEEDS:
+        # A table that is too short answers a wrapped key with an IndexError.
+        with pytest.raises((AssertionError, IndexError)):
+            _drive_placement_oracle(seed, virtual_nodes, ring_type=mutant)
 
 
 # ----------------------------------------------------------------------

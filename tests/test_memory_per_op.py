@@ -7,6 +7,9 @@ with ``tracemalloc`` over five simulated minutes this is about 80 bytes; a
 second copy of a per-operation sample as boxed floats in lists (which is how
 each one was held, three times over, at 157 bytes) does not fit under the
 ceiling.
+
+What the data set keeps per preloaded record has its own ceiling (rule 17),
+below.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import tracemalloc
 from repro.runner import Simulation, SimulationConfig
 
 BYTES_PER_OPERATION_CEILING = 110.0
+BYTES_PER_RECORD_CEILING = 800.0
 
 
 def test_retained_bytes_per_operation_on_the_default_stack():
@@ -34,3 +38,34 @@ def test_retained_bytes_per_operation_on_the_default_stack():
     operations = simulation.workload.stats.operations_issued - issued_before
     assert operations > 20_000
     assert retained / operations <= BYTES_PER_OPERATION_CEILING
+
+
+def test_retained_bytes_per_preloaded_record_on_the_default_config():
+    """671 bytes a record at RF 3 (1,301 while every replica also kept a
+    ``VersionHistory`` per key that nothing read, and each record its own
+    payload and its own owner tuple):
+
+    * the ring, 199: the key's entry in ``_preference_cache`` with its
+      ``(key, rf)`` tuple (86) and its entry in ``hash_key``'s memo with the
+      64-bit position (113); the owner tuple is its token range's, shared;
+    * the ack registry, 141: a dict entry, the one-pair list and its
+      ``(ack_time, stamp)`` pair;
+    * the version, 221: the ``VersionStamp`` with its sequence number (95) and
+      the ``VersionedValue`` (64), one of each for the three replicas, and
+      their three ``_data`` entries (62);
+    * the key string (57), its boxed size (32) and its ``known_keys`` entry
+      (21); the payload is shared.
+
+    The next per-record structure has to argue with this number.
+    """
+    simulation = Simulation(SimulationConfig(seed=42))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = simulation.workload.preload()
+        gc.collect()
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == 10_000
+    assert retained / loaded <= BYTES_PER_RECORD_CEILING
