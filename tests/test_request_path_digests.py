@@ -20,6 +20,10 @@ otherwise unmodified request path
 (``Cluster.read/write`` -> ``RequestCoordinator`` -> ``MiddlewarePipeline``);
 a change to that path must not move them.  If one moves on purpose,
 re-capture it and say why in the commit.
+
+Below the matrix, two differentials between configurations that must be one
+run (ROADMAP item 2): a ``FaultPlan`` of no specs against ``faults=None``, and
+the admission stack on a tenantless run against the default stack.
 """
 
 from __future__ import annotations
@@ -255,3 +259,59 @@ def test_request_path_digest(stack, health):
         assert counters["timeouts"] == 0
 
     assert digest == GOLDEN[(stack, health)]
+
+
+# ----------------------------------------------------------------------
+# Configurations that must be the same run
+# ----------------------------------------------------------------------
+def _flat_report(**overrides):
+    """The default scenario's ``as_dict()`` with nested keys joined by ``/``
+    (an empty dict stays a value, so that a key holding one is still seen)."""
+    report = Simulation(SimulationConfig(seed=42, duration=DURATION, **overrides)).run()
+    flat = {}
+
+    def flatten(prefix, nested):
+        for key, value in nested.items():
+            if isinstance(value, dict) and value:
+                flatten(f"{prefix}{key}/", value)
+            else:
+                flat[f"{prefix}{key}"] = value
+
+    flatten("", report.as_dict())
+    return flat
+
+
+@pytest.fixture(scope="module")
+def default_report():
+    report = _flat_report()
+    assert report["workload/operations_completed"] > 1000
+    return report
+
+
+def test_a_fault_plan_of_no_specs_is_no_fault_plan(default_report):
+    empty_plan = _flat_report(faults=FaultPlan())
+    assert list(empty_plan) == list(default_report)
+    for key, value in default_report.items():
+        assert empty_plan[key] == value, key
+
+
+def test_the_admission_stack_without_tenants_moves_only_the_keys_that_name_it(
+    default_report,
+):
+    admitted = _flat_report(middleware=ADMISSION_CONTROL_PIPELINE)
+    absent = object()
+    moved = {
+        key
+        for key in default_report.keys() | admitted.keys()
+        if default_report.get(key, absent) != admitted.get(key, absent)
+    }
+    assert moved == {
+        "cost/admission.rejected_operations",
+        "final_configuration/admission_tier_scales",
+        "final_configuration/middleware",
+    }
+    assert admitted["cost/admission.rejected_operations"] == 0.0
+    assert admitted["final_configuration/admission_tier_scales"] == {}
+    assert admitted["final_configuration/middleware"][1:] == (
+        default_report["final_configuration/middleware"]
+    )
