@@ -82,10 +82,10 @@ class StorageEngine:
             # The first version of a key (all a bulk load consists of) has
             # nothing to be compared with.
             stats.keys += 1
+        elif version.stamp <= current.stamp:
+            stats.writes_superseded += 1
+            return False
         else:
-            if version.stamp <= current.stamp:
-                stats.writes_superseded += 1
-                return False
             stats.bytes_stored -= current.size
             if current.value is None:
                 stats.tombstones -= 1

@@ -5,8 +5,8 @@ timestamps, the default conflict-resolution strategy of Cassandra-style
 stores.  Each write receives a :class:`VersionStamp` that is unique and
 totally ordered; replicas keep only the newest version per key.  How stale a
 read was is answered from the coordinator's ``AckedVersionRegistry`` by the
-``staleness`` stage; :class:`VersionHistory`, a bounded per-key history, is no
-longer kept by the storage engine and has no user in ``src/`` (ROADMAP item 5).
+``staleness`` stage; :class:`VersionHistory`, a bounded per-key history, has
+no user in ``src/`` (ROADMAP item 5).
 """
 
 from __future__ import annotations
