@@ -277,7 +277,9 @@ class Simulator:
 
         The clock is advanced to exactly ``end_time`` when the queue drains or
         only holds later events, so back-to-back ``run_until`` calls compose.
-        Returns the number of events executed by this call.
+        A ``max_events`` stop with events due by ``end_time`` still pending
+        leaves the clock at the last fired event.  Returns the number of
+        events executed by this call.
         """
         if end_time < self.now:
             raise SchedulingError(
@@ -300,7 +302,7 @@ class Simulator:
         # int/float, and no run can execute that many events.
         limit = maxsize if max_events is None else max_events
         try:
-            while executed < limit and heap:
+            while heap:
                 head = heap[0]
                 event = head[3]
                 if event.cancelled:
@@ -308,14 +310,13 @@ class Simulator:
                     queue._cancelled_skipped += 1
                     continue
                 time = head[0]
-                if time > end_time:
+                if time > end_time or executed >= limit:
                     break
                 heappop(heap)
                 queue._fired += 1
                 if time < self.now:
-                    # Same guard as step(): reachable when a max_events stop
-                    # advanced the clock past still-pending events; fail loud
-                    # rather than silently rewinding the timeline.
+                    # Same defensive guard as step(): fail loud rather than
+                    # silently rewinding the timeline.
                     raise SimulationStateError(
                         f"event queue returned an event in the past "
                         f"({time} < {self.now})"
@@ -329,7 +330,10 @@ class Simulator:
                 event.callback(*event.args)
         finally:
             self._running = False
-        self.now = max(self.now, end_time)
+        # The loop leaves a live head: past ``end_time``, or due by it when
+        # the budget ran out, and then the clock must not pass it.
+        if not heap or heap[0][0] > end_time:
+            self.now = max(self.now, end_time)
         return executed
 
     def run_until_empty(self, max_events: int = 10_000_000) -> int:

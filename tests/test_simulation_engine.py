@@ -176,3 +176,44 @@ def test_max_events_limit_respected():
     executed = simulator.run_until(100.0, max_events=4)
     assert executed == 4
     assert simulator.pending_events == 6
+
+
+def _traced_ten_events():
+    simulator = Simulator(seed=0)
+    fired = []
+    simulator.add_trace_hook(lambda time, label: fired.append((time, label)))
+    for i in range(10):
+        simulator.schedule(float(i + 1), lambda: None, label=f"e{i}")
+    return simulator, fired
+
+
+@pytest.mark.parametrize("resume", ["run_until", "step"])
+def test_a_max_events_stop_leaves_the_clock_at_the_last_fired_event(resume):
+    unbounded, expected = _traced_ten_events()
+    unbounded.run_until(200.0)
+
+    simulator, fired = _traced_ten_events()
+    assert simulator.run_until(100.0, max_events=4) == 4
+    # The budget ran out before the queue did: the clock stays where the
+    # fourth event left it, so the six still pending are not in the past.
+    assert simulator.now == 4.0
+    assert simulator.pending_events == 6
+    if resume == "run_until":
+        assert simulator.run_until(200.0) == 6
+        assert simulator.now == 200.0
+    else:
+        while simulator.step():
+            pass
+        assert simulator.now == 10.0
+    assert fired == expected
+    assert simulator.events_processed == 10
+
+
+def test_a_max_events_stop_at_the_last_event_still_reaches_end_time():
+    simulator, fired = _traced_ten_events()
+    assert simulator.run_until(100.0, max_events=10) == 10
+    assert simulator.now == 100.0
+    simulator.schedule(150.0, lambda: None)
+    # Only later events are pending when the budget runs out.
+    assert simulator.run_until(120.0, max_events=0) == 0
+    assert simulator.now == 120.0
