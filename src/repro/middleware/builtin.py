@@ -57,8 +57,13 @@ class RandomReplicaSelection(RequestMiddleware):
     ) -> Optional[List[str]]:
         if len(live) <= required:
             return None  # nothing to choose; coordinator takes live[:required]
-        order = self._rng.permutation(len(live))
-        return [live[int(i)] for i in order[:required]]
+        # ``permutation(n)`` is ``arange(n)`` shuffled by the same loop of
+        # draws, so shuffling the names picks what it picked, without an array
+        # (``tests/test_properties.py`` pins the equality).
+        targets = list(live)
+        self._rng.shuffle(targets)
+        del targets[required:]
+        return targets
 
 
 class ConsistencyEnforcement(RequestMiddleware):

@@ -11,6 +11,7 @@ from repro.cluster import ConsistencyLevel, HashRing, StorageEngine, VersionStam
 from repro.cluster.versioning import compare_versions
 from repro.consistency import StalenessModel
 from repro.core.forecasting import EwmaForecaster, HoltWintersForecaster
+from repro.middleware.builtin import RandomReplicaSelection
 from repro.monitoring import WindowedPercentiles
 from repro.simulation import TimeSeries
 from repro.workload import ZipfianKeys, make_distribution
@@ -100,6 +101,71 @@ def test_quorum_reads_and_writes_always_intersect(rf):
     assert ConsistencyLevel.is_strongly_consistent(
         ConsistencyLevel.QUORUM, ConsistencyLevel.QUORUM, rf
     )
+
+
+# ----------------------------------------------------------------------
+# Read-replica selection draws what ``permutation`` drew
+# ----------------------------------------------------------------------
+# ``RandomReplicaSelection`` shuffles a list of names where it used to index
+# them by ``rng.permutation(n)[:required]``.  The two make the same draws only
+# because numpy builds ``permutation(n)`` as ``arange(n)`` shuffled by the same
+# Fisher-Yates loop ``shuffle`` runs over a list -- a property of numpy's
+# implementation, not of its documentation (PERFORMANCE.md rule 2).  This pins
+# it on the coordinator's stream as the request path uses it: picks
+# interleaved with the other draws made from that generator.
+_replica_steps = st.lists(
+    st.one_of(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(st.just("pick"), st.just(n), st.integers(1, n))
+        ),
+        st.tuples(
+            st.sampled_from(["random", "lognormal", "exponential"]), st.just(0), st.just(0)
+        ),
+        st.tuples(st.just("integers"), st.integers(1, 2**40), st.just(0)),
+        st.tuples(st.just("permutation"), st.integers(1, 8), st.just(0)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _permutation_pick(rng, live, required):
+    if len(live) <= required:
+        return None
+    return [live[int(i)] for i in rng.permutation(len(live))[:required]]
+
+
+def _replay(rng, steps, pick):
+    drawn = []
+    for kind, a, b in steps:
+        if kind == "pick":
+            drawn.append(pick(rng, [f"node-{i}" for i in range(a)], b))
+        elif kind == "random":
+            drawn.append(rng.random())
+        elif kind == "lognormal":
+            drawn.append(rng.lognormal(0.0, 0.5))
+        elif kind == "exponential":
+            drawn.append(rng.exponential(2.0))
+        elif kind == "integers":
+            drawn.append(int(rng.integers(0, a)))
+        else:
+            drawn.append(rng.permutation(a).tolist())
+    return drawn
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), steps=_replica_steps)
+def test_replica_shuffle_draws_what_permutation_drew(seed, steps):
+    shuffled = np.random.default_rng(seed)
+    stage = RandomReplicaSelection(shuffled)
+    picks = _replay(
+        shuffled, steps, lambda rng, live, required: stage.select_read_targets(None, live, required)
+    )
+    reference = np.random.default_rng(seed)
+    assert picks == _replay(reference, steps, _permutation_pick)
+    # Equal generator state, including the buffered 32-bit half
+    # (``has_uint32``/``uinteger``) that bounded draws leave behind.
+    assert shuffled.bit_generator.state == reference.bit_generator.state
 
 
 # ----------------------------------------------------------------------
