@@ -195,12 +195,13 @@ class Simulator:
     ) -> Event:
         """Schedule ``callback(*args)`` ``delay`` seconds from now.
 
-        This is the kernel's hottest entry point — every arrival, replica
-        hop, timeout and metric flush comes through here — so it is the one
-        deliberate inline of :meth:`EventQueue.push`'s body: each avoided
-        Python frame is measurable at millions of events.  Keep the two in
-        sync (``tests/test_simulation_events.py`` compares every scheduling
-        path against ``push``).
+        Returns the :class:`Event`, whose ``cancel()`` withdraws it; a caller
+        that never cancels uses :meth:`post_in`.  Every timeout, hedge,
+        periodic task and fault comes through here, so it is a deliberate
+        inline of :meth:`EventQueue.push`'s body: each avoided Python frame
+        is measurable at millions of events.  Keep the two in sync
+        (``tests/test_simulation_events.py`` compares every scheduling path
+        against ``push``).
         """
         time = self.now + delay
         if not (delay >= 0.0 and time < self._horizon):
@@ -211,13 +212,40 @@ class Simulator:
         queue._scheduled += 1
         event = Event(time, priority, sequence, callback, args, False, label)
         heap = queue._heap
-        heappush(heap, (time, priority, sequence, event))
+        heappush(heap, (time, priority, sequence, callback, args, label, event))
         if len(heap) > queue._peak_pending:
             queue._peak_pending = len(heap)
         return event
 
+    def post_in(
+        self,
+        delay: float,
+        callback: Callable[..., None],
+        *args: Any,
+        priority: int = PRIORITY_NORMAL,
+        label: Optional[str] = None,
+    ) -> None:
+        """:meth:`schedule_in` for a callback nobody will cancel.
+
+        Same checks, sequence number, counters and firing order, but no
+        :class:`Event` is built and nothing is returned: the heap entry is
+        the whole event.  The kernel's hottest entry point — every message
+        delivery, service completion and arrival comes through here.
+        """
+        time = self.now + delay
+        if not (delay >= 0.0 and time < self._horizon):
+            self._refuse(time, delay)
+        queue = self._queue
+        sequence = queue._sequence
+        queue._sequence = sequence + 1
+        queue._scheduled += 1
+        heap = queue._heap
+        heappush(heap, (time, priority, sequence, callback, args, label, None))
+        if len(heap) > queue._peak_pending:
+            queue._peak_pending = len(heap)
+
     def _refuse(self, time: float, delay: float = 0.0) -> NoReturn:
-        """Slow path of ``schedule``/``schedule_in``: name what was wrong."""
+        """Slow path of the scheduling calls: name what was wrong."""
         if delay < 0.0:
             raise SchedulingError(f"delay must be >= 0, got {delay}")
         if self._horizon == -math.inf:
@@ -256,20 +284,21 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
+        entry = self._queue._pop_entry()
+        if entry is None:
             return False
-        if event.time < self.now:
+        time = entry[0]
+        if time < self.now:
             # Defensive: the queue is ordered, so this indicates a kernel bug.
             raise SimulationStateError(
-                f"event queue returned an event in the past ({event.time} < {self.now})"
+                f"event queue returned an event in the past ({time} < {self.now})"
             )
-        self.now = event.time
+        self.now = time
         self._events_processed += 1
         if self._trace_hooks:
             for hook in self._trace_hooks:
-                hook(self.now, event.label)
-        event.callback(*event.args)
+                hook(time, entry[5])
+        entry[3](*entry[4])
         return True
 
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
@@ -304,8 +333,8 @@ class Simulator:
         try:
             while heap:
                 head = heap[0]
-                event = head[3]
-                if event.cancelled:
+                handle = head[6]
+                if handle is not None and handle.cancelled:
                     heappop(heap)
                     queue._cancelled_skipped += 1
                     continue
@@ -326,8 +355,8 @@ class Simulator:
                 executed += 1
                 if hooks:
                     for hook in hooks:
-                        hook(time, event.label)
-                event.callback(*event.args)
+                        hook(time, head[5])
+                head[3](*head[4])
         finally:
             self._running = False
         # The loop leaves a live head: past ``end_time``, or due by it when

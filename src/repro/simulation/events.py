@@ -7,12 +7,16 @@ increasing tiebreaker assigned by the :class:`EventQueue`.  This makes the
 execution order deterministic for a fixed seed, which in turn makes every
 experiment in this repository reproducible.
 
-Performance notes: the heap stores ``(time, priority, sequence, event)``
-tuples rather than the events themselves, so every ``heappush``/``heappop``
-comparison is a C-level tuple comparison instead of a generated dataclass
-``__lt__`` (which rebuilds two key tuples per comparison).  :class:`Event`
-uses ``__slots__`` — the kernel allocates one per scheduled callback, which
-makes it the single most-allocated object in any simulation.
+Performance notes: an event *is* its heap entry, the tuple
+``(time, priority, sequence, callback, args, label, handle)``, so every
+``heappush``/``heappop`` comparison is a C-level tuple comparison (the
+sequence is unique, so it never reaches the callback) and the run loop reads
+what it fires from the entry.  ``handle`` is the slotted :class:`Event` that
+``push`` (and ``Simulator.schedule``/``schedule_in``) return for a caller that
+may cancel; ``Simulator.post_in`` pushes ``None`` there and allocates nothing
+but the tuple, for the hops nobody cancels (a message delivery, a service
+completion, an arrival).  An entry is skipped when popped only if its handle
+is cancelled.
 """
 
 from __future__ import annotations
@@ -34,10 +38,12 @@ PRIORITY_LATE = 10
 
 
 class Event:
-    """A single scheduled callback, and the handle ``schedule`` returns for it.
+    """The handle ``schedule`` returns for a scheduled callback.
 
     Callers keep the event to :meth:`cancel` it or to read its ``time``,
     ``cancelled`` flag and ``label``; the other attributes are the kernel's.
+    The heap entry carries the event, and the run loop checks its
+    ``cancelled`` flag before firing the entry.
 
     Attributes
     ----------
@@ -105,8 +111,9 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        # Heap of (time, priority, sequence, event) tuples; see module note.
-        self._heap: list[tuple[float, int, int, Event]] = []
+        # Heap of (time, priority, sequence, callback, args, label, handle)
+        # entries; see module note.
+        self._heap: list[tuple] = []
         self._sequence = 0
         self._scheduled = 0
         self._fired = 0
@@ -131,7 +138,7 @@ class EventQueue:
         sequence = self._sequence
         self._sequence = sequence + 1
         event = Event(time, priority, sequence, callback, args, False, label)
-        heappush(self._heap, (time, priority, sequence, event))
+        heappush(self._heap, (time, priority, sequence, callback, args, label, event))
         self._scheduled += 1
         if len(self._heap) > self._peak_pending:
             self._peak_pending = len(self._heap)
@@ -152,7 +159,16 @@ class EventQueue:
 
     def push_reserved(self, event: Event) -> None:
         """Heap an event carrying a pre-reserved sequence (timer promotion)."""
-        heappush(self._heap, (event.time, event.priority, event.sequence, event))
+        entry = (
+            event.time,
+            event.priority,
+            event.sequence,
+            event.callback,
+            event.args,
+            event.label,
+            event,
+        )
+        heappush(self._heap, entry)
         self._scheduled += 1
         if len(self._heap) > self._peak_pending:
             self._peak_pending = len(self._heap)
@@ -162,24 +178,40 @@ class EventQueue:
         heap = self._heap
         while heap:
             head = heap[0]
-            if head[3].cancelled:
+            handle = head[6]
+            if handle is not None and handle.cancelled:
                 heappop(heap)
                 self._cancelled_skipped += 1
                 continue
             return head[0]
         return None
 
-    def pop(self) -> Optional[Event]:
-        """Pop the next live (non-cancelled) event, or ``None`` if empty."""
+    def _pop_entry(self) -> Optional[tuple]:
+        """Pop the next live heap entry (``Simulator.step``'s probe)."""
         heap = self._heap
         while heap:
-            event = heappop(heap)[3]
-            if event.cancelled:
+            entry = heappop(heap)
+            handle = entry[6]
+            if handle is not None and handle.cancelled:
                 self._cancelled_skipped += 1
                 continue
             self._fired += 1
-            return event
+            return entry
         return None
+
+    def pop(self) -> Optional[Event]:
+        """Pop the next live (non-cancelled) event, or ``None`` if empty.
+
+        A posted entry has no handle; it is returned as an :class:`Event`
+        built from the entry.
+        """
+        entry = self._pop_entry()
+        if entry is None:
+            return None
+        time, priority, sequence, callback, args, label, handle = entry
+        if handle is None:
+            return Event(time, priority, sequence, callback, args, False, label)
+        return handle
 
     def clear(self) -> None:
         """Drop all pending events."""

@@ -87,7 +87,7 @@ class NetworkModel:
         self._sigma = self._jitter.sigma
         self._set_congestion_factor(1.0)
         self._labels: Dict[Tuple[str, str], str] = {}
-        self._schedule_in = simulator.schedule_in
+        self._post_in = simulator.post_in
 
     @property
     def config(self) -> NetworkConfig:
@@ -289,7 +289,8 @@ class NetworkModel:
 
         One frame per hop: the window test, the partition test and the
         jitter draw are written out here, so a message costs this call, the
-        generator's draw and ``schedule_in``.
+        generator's draw and ``post_in`` (a delivery is never cancelled, so
+        it has no handle).
         """
         self._messages_sent += 1
         self._window_messages += 1
@@ -327,7 +328,7 @@ class NetworkModel:
         if label is None:
             label = f"net:{source}->{destination}"
             self._labels[pair] = label
-        self._schedule_in(latency, deliver, label=label)
+        self._post_in(latency, deliver, label=label)
         return True
 
     def round_trip_estimate(self, client_facing: bool = False) -> float:

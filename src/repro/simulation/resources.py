@@ -243,7 +243,7 @@ class QueueingServer:
         self._in_service = request
         self.utilization.mark_busy(now)
         service_time = request.demand / self.effective_rate
-        self._simulator.schedule_in(
+        self._simulator.post_in(
             service_time, self._finish, request, label=self._finish_label
         )
 

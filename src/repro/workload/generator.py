@@ -667,11 +667,11 @@ class WorkloadGenerator:
         if rate <= 1e-9:
             # Quiescent (e.g. a flash crowd before its spike): poll
             # deterministically without consuming a draw.
-            simulator.schedule_in(
+            simulator.post_in(
                 _IDLE_POLL, self._tick, process, False, label=process.label
             )
             return
-        simulator.schedule_in(
+        simulator.post_in(
             process.draws.gap(rate), self._tick, process, True, label=process.label
         )
 

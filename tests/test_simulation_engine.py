@@ -209,6 +209,78 @@ def test_a_max_events_stop_leaves_the_clock_at_the_last_fired_event(resume):
     assert simulator.events_processed == 10
 
 
+def _mixed_script(simulator):
+    """Posted and handled events, with cancels made before and during the run."""
+    fired, traced = [], []
+    simulator.add_trace_hook(lambda time, label: traced.append((time, label)))
+    handles = {}
+
+    def fire(name):
+        fired.append(name)
+
+    def spawn(name):
+        fired.append(name)
+        handles["h10"].cancel()
+        simulator.post_in(0.0, fire, f"{name}/posted", label=f"{name}/posted")
+        handles[f"{name}/handled"] = simulator.schedule_in(
+            0.0, fire, f"{name}/handled", priority=-10, label=f"{name}/handled"
+        )
+
+    for i in range(12):
+        name = f"p{i}" if i % 2 else f"h{i}"
+        callback = spawn if i == 4 else fire
+        delay, priority = float(i % 4), (0, -10, 10)[i % 3]
+        if i % 2:
+            simulator.post_in(delay, callback, name, priority=priority, label=name)
+        else:
+            handles[name] = simulator.schedule_in(
+                delay, callback, name, priority=priority, label=name
+            )
+    handles["h0"].cancel()
+    return fired, traced
+
+
+@pytest.mark.parametrize("drive", ["step", "run_until_empty"])
+def test_posted_and_handled_events_fire_alike_through_every_loop(drive):
+    simulator = Simulator(seed=0)
+    expected = _mixed_script(simulator)
+    simulator.run_until(100.0)
+    expected_stats = simulator.queue_stats()
+    fired, traced = expected
+    assert fired == [label for _, label in traced]
+    assert traced == [
+        (0.0, "h4"),
+        (0.0, "h4/handled"),
+        (0.0, "h4/posted"),
+        (0.0, "h8"),
+        (1.0, "p1"),
+        (1.0, "p9"),
+        (1.0, "p5"),
+        (2.0, "h6"),
+        (2.0, "h2"),
+        (3.0, "p7"),
+        (3.0, "p3"),
+        (3.0, "p11"),
+    ]
+    assert expected_stats == {
+        "scheduled": 14,
+        "fired": 12,
+        "cancelled_skipped": 2,
+        "pending": 0,
+        "peak_pending": 13,
+    }
+
+    other = Simulator(seed=0)
+    trace = _mixed_script(other)
+    if drive == "step":
+        while other.step():
+            pass
+    else:
+        other.run_until_empty()
+    assert trace == expected
+    assert other.queue_stats() == expected_stats
+
+
 def test_a_max_events_stop_at_the_last_event_still_reaches_end_time():
     simulator, fired = _traced_ten_events()
     assert simulator.run_until(100.0, max_events=10) == 10

@@ -188,3 +188,108 @@ def test_every_scheduling_path_refuses_a_stopped_simulator(path, delay):
         schedule(delay, lambda: None)
     assert simulator.queue_stats()["scheduled"] == 1
     assert simulator.pending_events == 0
+
+
+# ----------------------------------------------------------------------
+# ``post_in``: the same heap entry, without a handle
+# ----------------------------------------------------------------------
+# ``post_in`` is ``schedule_in`` without the ``Event``, for callers that never
+# cancel.  Nothing may tell the two apart but the missing return value: the
+# same sequence numbers, the same firing order, the same trace and the same
+# queue counters.
+
+
+def _pending_entries(simulator):
+    """``(time, priority, sequence, args, label)`` of each entry, in heap order."""
+    return sorted(entry[:3] + entry[4:6] for entry in simulator._queue._heap)
+
+
+def _drive_uncancelled(path):
+    simulator = Simulator(seed=0, start_time=1.0)
+    schedule = simulator.post_in if path == "post_in" else _scheduler(simulator, path)
+    fired, traced = [], []
+    simulator.add_trace_hook(lambda time, label: traced.append((time, label)))
+    script = [
+        (0.5, 0, "a"),
+        (0.25, -10, "b"),
+        (0.5, 0, "c"),
+        (0.0, 10, None),
+        (2.0, 0, "e"),
+        (0.5, 0, "f"),
+    ]
+    for delay, priority, label in script:
+        schedule(delay, fired.append, label, priority=priority, label=label)
+    entries = _pending_entries(simulator)
+    before = simulator.queue_stats()
+    simulator.run_until(10.0)
+    return entries, before, fired, traced, simulator.queue_stats()
+
+
+@pytest.mark.parametrize("path", ["push", "schedule_in"])
+def test_post_in_matches_the_paths_that_return_a_handle(path):
+    posted = _drive_uncancelled("post_in")
+    entries, before, fired, traced, after = posted
+    assert [entry[2] for entry in entries] == [3, 1, 0, 2, 5, 4]
+    assert before["scheduled"] == before["peak_pending"] == 6
+    assert fired == [None, "b", "a", "c", "f", "e"]
+    assert traced == [(1.0, None), (1.25, "b"), (1.5, "a"), (1.5, "c"), (1.5, "f"), (3.0, "e")]
+    assert after["fired"] == 6 and after["pending"] == 0
+    assert posted == _drive_uncancelled(path)
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan"), float("inf"), float("-inf")])
+def test_post_in_refuses_bad_times_as_schedule_in_does(delay):
+    errors = []
+    for path in ("post_in", "schedule_in"):
+        simulator = Simulator(seed=0, start_time=1.0)
+        with pytest.raises(SchedulingError) as refused:
+            getattr(simulator, path)(delay, lambda: None)
+        errors.append(str(refused.value))
+        # A refused call consumed nothing: the next event is still number 0.
+        assert simulator.queue_stats()["scheduled"] == 0
+        assert simulator.schedule_in(0.0, lambda: None).sequence == 0
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("delay", [0.5, -1.0, float("nan")])
+def test_post_in_refuses_a_stopped_simulator_as_schedule_in_does(delay):
+    errors = []
+    for path in ("post_in", "schedule_in"):
+        simulator = Simulator(seed=0, start_time=1.0)
+        simulator.post_in(0.5, lambda: None)
+        simulator.stop()
+        with pytest.raises((SchedulingError, SimulationStateError)) as refused:
+            getattr(simulator, path)(delay, lambda: None)
+        errors.append((type(refused.value), str(refused.value)))
+        assert simulator.queue_stats()["scheduled"] == 1
+        assert simulator.pending_events == 0
+    assert errors[0] == errors[1]
+    assert errors[0][0] is (SchedulingError if delay < 0.0 else SimulationStateError)
+
+
+def test_peek_time_skips_a_cancelled_handled_head_to_a_posted_entry():
+    simulator = Simulator(seed=0)
+    handle = simulator.schedule_in(1.0, lambda: None)
+    simulator.post_in(5.0, lambda: None)
+    handle.cancel()
+    assert simulator._queue.peek_time() == 5.0
+    assert simulator.queue_stats()["cancelled_skipped"] == 1
+    assert simulator.pending_events == 1
+
+
+def test_pop_returns_a_posted_entry_as_an_event():
+    simulator = Simulator(seed=0)
+    seen = []
+    simulator.post_in(2.0, lambda a, b: seen.append((a, b)), 1, "x", priority=-10, label="hop")
+    event = simulator._queue.pop()
+    assert (type(event), event.time, event.priority, event.sequence, event.label) == (
+        Event,
+        2.0,
+        -10,
+        0,
+        "hop",
+    )
+    assert not event.cancelled
+    event.callback(*event.args)
+    assert seen == [(1, "x")]
+    assert simulator._queue.pop() is None
