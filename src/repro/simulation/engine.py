@@ -228,9 +228,9 @@ class Simulator:
         """:meth:`schedule_in` for a callback nobody will cancel.
 
         Same checks, sequence number, counters and firing order, but no
-        :class:`Event` is built and nothing is returned: the heap entry is
-        the whole event.  The kernel's hottest entry point — every message
-        delivery, service completion and arrival comes through here.
+        :class:`Event` is built and nothing is returned.  The kernel's
+        hottest entry point: every message delivery, service completion and
+        arrival.
         """
         time = self.now + delay
         if not (delay >= 0.0 and time < self._horizon):

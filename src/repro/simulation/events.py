@@ -8,15 +8,13 @@ execution order deterministic for a fixed seed, which in turn makes every
 experiment in this repository reproducible.
 
 Performance notes: an event *is* its heap entry, the tuple
-``(time, priority, sequence, callback, args, label, handle)``, so every
-``heappush``/``heappop`` comparison is a C-level tuple comparison (the
-sequence is unique, so it never reaches the callback) and the run loop reads
-what it fires from the entry.  ``handle`` is the slotted :class:`Event` that
-``push`` (and ``Simulator.schedule``/``schedule_in``) return for a caller that
-may cancel; ``Simulator.post_in`` pushes ``None`` there and allocates nothing
-but the tuple, for the hops nobody cancels (a message delivery, a service
-completion, an arrival).  An entry is skipped when popped only if its handle
-is cancelled.
+``(time, priority, sequence, callback, args, label, handle)``, so every heap
+comparison is a C-level tuple comparison (the sequence is unique, so it never
+reaches the callback) and the run loop fires what the entry holds.  ``handle``
+is the slotted :class:`Event` that ``push`` and ``Simulator.schedule_in``
+return to a caller that may cancel; ``Simulator.post_in`` leaves it ``None``
+for the hops nobody cancels, and allocates only the tuple.  An entry is
+skipped when popped only if its handle is cancelled.
 """
 
 from __future__ import annotations
@@ -42,8 +40,6 @@ class Event:
 
     Callers keep the event to :meth:`cancel` it or to read its ``time``,
     ``cancelled`` flag and ``label``; the other attributes are the kernel's.
-    The heap entry carries the event, and the run loop checks its
-    ``cancelled`` flag before firing the entry.
 
     Attributes
     ----------
@@ -159,16 +155,8 @@ class EventQueue:
 
     def push_reserved(self, event: Event) -> None:
         """Heap an event carrying a pre-reserved sequence (timer promotion)."""
-        entry = (
-            event.time,
-            event.priority,
-            event.sequence,
-            event.callback,
-            event.args,
-            event.label,
-            event,
-        )
-        heappush(self._heap, entry)
+        e = event
+        heappush(self._heap, (e.time, e.priority, e.sequence, e.callback, e.args, e.label, e))
         self._scheduled += 1
         if len(self._heap) > self._peak_pending:
             self._peak_pending = len(self._heap)
@@ -202,16 +190,14 @@ class EventQueue:
     def pop(self) -> Optional[Event]:
         """Pop the next live (non-cancelled) event, or ``None`` if empty.
 
-        A posted entry has no handle; it is returned as an :class:`Event`
-        built from the entry.
+        A posted entry, which has no handle, comes back as a new :class:`Event`.
         """
         entry = self._pop_entry()
         if entry is None:
             return None
-        time, priority, sequence, callback, args, label, handle = entry
-        if handle is None:
-            return Event(time, priority, sequence, callback, args, False, label)
-        return handle
+        if entry[6] is None:
+            return Event(*entry[:5], False, entry[5])
+        return entry[6]
 
     def clear(self) -> None:
         """Drop all pending events."""
