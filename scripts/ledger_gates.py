@@ -35,10 +35,11 @@ What each ceiling names:
 * ``tenants_admission`` - the admission stack over 200 tenants, the one stack
   that takes the tenant pick and the token buckets with the default read path.
 * Every ``simulation.engine`` ceiling is rule 18 (31.92 / 42.82 / 36.31 /
-  27.34 measured, 38.31 / 51.92 / 42.72 / 32.86 before PR 21): an ``Event``
-  allocated again for a hop nobody cancels - a delivery, a service completion
-  or an arrival going back through ``schedule_in`` instead of ``post_in`` -
-  puts it back above its ceiling.  The ``middleware`` ceilings of
+  27.34 measured, 38.31 / 51.92 / 42.72 / 32.86 when every hop built an
+  ``Event``): an ``Event`` allocated again for a hop nobody cancels - a
+  delivery, a service completion or an arrival going back through
+  ``schedule_in`` instead of ``post_in`` - puts it back above its ceiling.
+  The ``middleware`` ceilings of
   ``ycsb_b_default`` (7.83 measured, 9.74 before) and ``tenants_admission``
   (9.25, 10.86) are rule 18's other half: an ndarray back in the replica pick.
 
