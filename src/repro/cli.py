@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -422,8 +423,10 @@ def _build_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
 
 def build_simulation_config(args: argparse.Namespace) -> SimulationConfig:
     """Translate parsed ``run`` arguments into a :class:`SimulationConfig`."""
-    if args.duration <= 0:
+    if not args.duration > 0:
         raise SystemExit(f"--duration must be > 0, got {args.duration}")
+    if math.isinf(args.duration):
+        raise SystemExit(f"--duration must be finite, got {args.duration}")
     middleware = _parse_middleware(getattr(args, "middleware", None))
     overrides = _parse_consistency_overrides(
         getattr(args, "consistency_override", None)

@@ -106,7 +106,9 @@ class PeriodicTask:
         if self._stopped:
             return
         result = self._callback(*self._args)
-        if result is False:
+        # An explicit opt-out, or a callback that stopped the kernel: the
+        # task ends rather than reschedule onto a stopped simulator.
+        if result is False or self._simulator._horizon == -math.inf:
             self._stopped = True
             return
         self._schedule(self._interval)
@@ -314,6 +316,10 @@ class Simulator:
             raise SchedulingError(
                 f"cannot run to {end_time:.6f}, current time is {self.now:.6f}"
             )
+        if not end_time < math.inf:
+            # NaN or +inf: no event is ever later, so only a drained queue
+            # would end the call.
+            raise SchedulingError(f"cannot run to a non-finite end time {end_time}")
         if self._running:
             raise SimulationStateError("run_until is not reentrant")
         self._running = True

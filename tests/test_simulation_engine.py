@@ -107,6 +107,24 @@ def test_periodic_task_callback_returning_false_stops_it():
     assert len(count) == 3
 
 
+def test_a_periodic_callback_that_stops_the_simulator_ends_its_task_quietly():
+    simulator = Simulator(seed=0)
+    ticks = []
+
+    def tick():
+        ticks.append(simulator.now)
+        if len(ticks) == 3:
+            simulator.stop()
+
+    task = simulator.call_every(1.0, tick)
+    assert simulator.run_until(10.0) == 3
+    assert ticks == [1.0, 2.0, 3.0] and task.stopped
+    assert simulator.pending_events == 0
+    # Only the task's own reschedule is let off: a direct one is refused.
+    with pytest.raises(SimulationStateError, match="stopped simulator"):
+        simulator.schedule_in(1.0, lambda: None)
+
+
 def test_periodic_task_interval_change():
     simulator = Simulator(seed=0)
     ticks = []
@@ -279,6 +297,19 @@ def test_posted_and_handled_events_fire_alike_through_every_loop(drive):
         other.run_until_empty()
     assert trace == expected
     assert other.queue_stats() == expected_stats
+
+
+@pytest.mark.parametrize("end_time", [float("nan"), float("inf")])
+def test_a_non_finite_end_time_is_refused_before_anything_fires(end_time):
+    simulator = Simulator(seed=0)
+    ticks = []
+    simulator.call_every(1.0, lambda: ticks.append(simulator.now))
+    # A periodic task never lets the queue drain, so without the refusal
+    # only the budget would end this call.
+    with pytest.raises(SchedulingError, match=f"non-finite end time {end_time}"):
+        simulator.run_until(end_time, max_events=100)
+    assert ticks == [] and simulator.now == 0.0
+    assert simulator.run_until(3.5) == 3
 
 
 def test_a_max_events_stop_at_the_last_event_still_reaches_end_time():
