@@ -320,7 +320,7 @@ class NetworkModel:
                     return False
         latency, mu = self._client_hop if client_facing else self._node_hop
         if mu is not None:
-            latency = float(self._rng.lognormal(mean=mu, sigma=self._sigma))
+            latency = self._rng.lognormal(mu, self._sigma)
         if link_delay > 0.0:
             latency += link_delay
         pair = (source, destination)

@@ -171,8 +171,8 @@ class LognormalSampler:
         """The memoised lognormal ``mu`` of a draw with the given (positive) mean.
 
         For a caller whose mean changes rarely and that wants to hold the
-        constants itself: ``rng.lognormal(mean=mu_for(m), sigma=sigma)`` is
-        the draw :meth:`sample` makes.
+        constants itself: ``rng.lognormal(mu_for(m), sigma)`` is the draw
+        :meth:`sample` makes.
         """
         mu = self._mu_cache.get(mean)
         if mu is None:
@@ -188,7 +188,7 @@ class LognormalSampler:
             return 0.0
         if self._cv <= 0.0:
             return float(mean)
-        return float(rng.lognormal(mean=self.mu_for(mean), sigma=self._sigma))
+        return rng.lognormal(self.mu_for(mean), self._sigma)
 
     def sample_many(self, rng: np.random.Generator, mean: float, count: int) -> np.ndarray:
         """Draw ``count`` variates in one chunk.

@@ -405,7 +405,7 @@ class _InterleavedDraws:
 
     def gap(self, rate: float) -> float:
         """Seconds until the next arrival at ``rate`` ops/s."""
-        return float(self._exponential(1.0 / rate))
+        return self._exponential(1.0 / rate)
 
 
 class _ChunkedDraws:

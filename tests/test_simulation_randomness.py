@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.simulation.randomness import RandomStreams, exponential, lognormal_from_mean_cv
+from repro.simulation.randomness import (
+    LognormalSampler,
+    RandomStreams,
+    exponential,
+    lognormal_from_mean_cv,
+)
 
 
 def test_same_seed_same_stream_same_sequence():
@@ -70,6 +75,18 @@ def test_exponential_positive_mean_matches_expectation():
     rng = np.random.default_rng(0)
     samples = [exponential(rng, 2.0) for _ in range(5000)]
     assert abs(np.mean(samples) - 2.0) < 0.15
+
+
+def test_a_scalar_generator_draw_is_already_a_python_float():
+    # The per-message jitter, the sampler and the interleaved arrival gap
+    # return the generator's draw as it is, with no float() around it.
+    rng = np.random.default_rng(0)
+    mu, sigma = np.log(2.0), np.sqrt(np.log(1.25))
+    assert type(mu) is np.float64
+    assert type(rng.lognormal(mu, sigma)) is float
+    assert type(rng.exponential(0.5)) is float
+    assert type(rng.exponential(np.float64(0.5))) is float
+    assert type(LognormalSampler(0.5).sample(rng, 2.0)) is float
 
 
 def test_lognormal_mean_and_degenerate_cases():
