@@ -256,11 +256,11 @@ class RequestCoordinator:
         # Timer arms (`write:timeout`, `read:timeout`, `read:hedge`) go
         # through ``self._arm_timer``.  When a stage opts in to amortised
         # timers (PERFORMANCE.md rule 11) that is a TimerService wheel;
-        # otherwise it is literally the simulator's ``schedule_in`` bound
-        # method — the default stack pays nothing and its event sequence is
-        # bit-identical by construction.
+        # otherwise it is literally the simulator's ``deadline_in`` bound
+        # method, which parks a timeout until it is reached and fires,
+        # sequences and counts it as ``schedule_in`` would (rule 19).
         self._timers: Optional[TimerService] = None
-        self._arm_timer = self._simulator.schedule_in
+        self._arm_timer = self._simulator.deadline_in
         if pipeline.timer_granularity is not None:
             self._timers = TimerService(
                 self._simulator, granularity=pipeline.timer_granularity

@@ -18,6 +18,7 @@ Typical usage::
 from __future__ import annotations
 
 import math
+from collections import deque
 from heapq import heappop, heappush
 from sys import maxsize
 from typing import Any, Callable, NoReturn, Optional
@@ -29,6 +30,7 @@ from .events import (
     PRIORITY_NORMAL,
     Event,
     EventQueue,
+    _deadline_due,
 )
 from .randomness import RandomStreams
 
@@ -160,12 +162,13 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Total number of events executed so far."""
+        """Total number of events executed so far (``run_until`` adds its
+        count when it returns)."""
         return self._events_processed
 
     @property
     def pending_events(self) -> int:
-        """Number of events currently waiting in the queue."""
+        """Number of events currently waiting, parked deadlines included."""
         return len(self._queue)
 
     # ------------------------------------------------------------------
@@ -198,10 +201,12 @@ class Simulator:
         """Schedule ``callback(*args)`` ``delay`` seconds from now.
 
         Returns the :class:`Event`, whose ``cancel()`` withdraws it; a caller
-        that never cancels uses :meth:`post_in`.  Every timeout, hedge,
-        periodic task and fault comes through here, so it is a deliberate
-        inline of :meth:`EventQueue.push`'s body: each avoided Python frame
-        is measurable at millions of events.  Keep the two in sync
+        that never cancels uses :meth:`post_in`, and one that arms a
+        timeout it nearly always cancels uses :meth:`deadline_in`.  Periodic
+        tasks, faults and the timer wheel's unwheelable arms (short hedges)
+        come through here, so it is a deliberate inline of
+        :meth:`EventQueue.push`'s body: each avoided Python frame is
+        measurable at millions of events.  Keep the two in sync
         (``tests/test_simulation_events.py`` compares every scheduling path
         against ``push``).
         """
@@ -211,7 +216,6 @@ class Simulator:
         queue = self._queue
         sequence = queue._sequence
         queue._sequence = sequence + 1
-        queue._scheduled += 1
         event = Event(time, priority, sequence, callback, args, False, label)
         heap = queue._heap
         heappush(heap, (time, priority, sequence, callback, args, label, event))
@@ -240,11 +244,49 @@ class Simulator:
         queue = self._queue
         sequence = queue._sequence
         queue._sequence = sequence + 1
-        queue._scheduled += 1
         heap = queue._heap
         heappush(heap, (time, priority, sequence, callback, args, label, None))
         if len(heap) > queue._peak_pending:
             queue._peak_pending = len(heap)
+
+    def deadline_in(
+        self,
+        delay: float,
+        callback: Callable[..., None],
+        *args: Any,
+        label: Optional[str] = None,
+    ) -> Event:
+        """:meth:`schedule_in` for a deadline that is usually cancelled first.
+
+        Same checks, errors, sequence number, counters, firing time and order
+        (at ``PRIORITY_NORMAL``), and the same cancellable :class:`Event`
+        back.  The deadline is parked in a FIFO of its ``delay`` and reaches
+        the heap only as the FIFO's next live deadline (module note of
+        :mod:`repro.simulation.events`): one cancelled while an earlier
+        deadline of the same delay is pending never touches the heap.  The
+        coordinator arms its operation timeouts here on a stack without the
+        timer wheel.
+        """
+        time = self.now + delay
+        if not (delay >= 0.0 and time < self._horizon):
+            self._refuse(time, delay)
+        queue = self._queue
+        sequence = queue._sequence
+        queue._sequence = sequence + 1
+        event = Event(time, PRIORITY_NORMAL, sequence, callback, args, False, label)
+        fifo = queue._deadlines.get(delay)
+        if fifo is not None:
+            fifo.append(event)
+            return event
+        queue._deadlines[delay] = deque()
+        heap = queue._heap
+        heappush(
+            heap,
+            (time, PRIORITY_NORMAL, sequence, _deadline_due, (queue._ref, delay, event), label, event),
+        )
+        if len(heap) > queue._peak_pending:
+            queue._peak_pending = len(heap)
+        return event
 
     def _refuse(self, time: float, delay: float = 0.0) -> NoReturn:
         """Slow path of the scheduling calls: name what was wrong."""
@@ -328,10 +370,12 @@ class Simulator:
         # (one frame per fired event): cancelled heads are discarded exactly
         # once, and an event beyond ``end_time`` stays in the heap.  The heap
         # and ``_trace_hooks`` are aliased, not copied, so ``stop()`` and
-        # hooks registered mid-run take effect at once.
+        # hooks registered mid-run take effect at once.  Only ``executed``
+        # is counted per event; the counters it implies are added on exit.
         queue = self._queue
         heap = queue._heap
         hooks = self._trace_hooks
+        now = self.now
         # ``sys.maxsize`` rather than ``math.inf`` as the no-budget sentinel:
         # an int/int comparison per event is measurably cheaper here than
         # int/float, and no run can execute that many events.
@@ -343,21 +387,20 @@ class Simulator:
                 if handle is not None and handle.cancelled:
                     heappop(heap)
                     queue._cancelled_skipped += 1
+                    if head[3] is _deadline_due:
+                        queue._advance_fifo(head[4][1])
                     continue
                 time = head[0]
                 if time > end_time or executed >= limit:
                     break
                 heappop(heap)
-                queue._fired += 1
-                if time < self.now:
+                if time < now:
                     # Same defensive guard as step(): fail loud rather than
                     # silently rewinding the timeline.
                     raise SimulationStateError(
-                        f"event queue returned an event in the past "
-                        f"({time} < {self.now})"
+                        f"event queue returned an event in the past ({time} < {now})"
                     )
-                self.now = time
-                self._events_processed += 1
+                self.now = now = time
                 executed += 1
                 if hooks:
                     for hook in hooks:
@@ -365,6 +408,8 @@ class Simulator:
                 head[3](*head[4])
         finally:
             self._running = False
+            self._events_processed += executed
+            queue._fired += executed
         # The loop leaves a live head: past ``end_time``, or due by it when
         # the budget ran out, and then the clock must not pass it.
         if not heap or heap[0][0] > end_time:
@@ -390,5 +435,5 @@ class Simulator:
         self._queue.clear()
 
     def queue_stats(self) -> dict[str, Any]:
-        """Event-queue counters (scheduled / fired / pending)."""
+        """Event-queue counters (:attr:`EventQueue.stats`)."""
         return self._queue.stats

@@ -15,10 +15,22 @@ is the slotted :class:`Event` that ``push`` and ``Simulator.schedule_in``
 return to a caller that may cancel; ``Simulator.post_in`` leaves it ``None``
 for the hops nobody cancels, and allocates only the tuple.  An entry is
 skipped when popped only if its handle is cancelled.
+
+Deadlines (``Simulator.deadline_in``) are parked, not heaped: one FIFO per
+distinct delay, whose deadlines are monotone because the clock never runs
+backwards.  Only a FIFO's front has a heap entry, carrying the front's own
+``(time, priority, sequence, ..., label, handle)`` with :func:`_deadline_due`
+as its callback, so it sorts exactly where ``schedule_in`` would have put it.
+Whenever that entry leaves the heap — fired, or popped as a cancelled corpse —
+the queue drops the cancelled deadlines parked behind it and heaps the next
+live one (:meth:`EventQueue._advance_fifo`).  A timeout that is cancelled
+before it is reached, which is nearly every one, never touches the heap.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -98,28 +110,47 @@ class Event:
         )
 
 
+def _deadline_due(queue_ref: "weakref.ref[EventQueue]", delay: float, event: Event) -> None:
+    """The callback of a deadline's heap entry: heap the next live deadline of
+    the same ``delay``, then fire this one.
+
+    The run loop and the queue compare callbacks with this function by
+    identity.  The queue is reached through a weak reference so that a heaped
+    entry does not hold its own heap in a reference cycle.
+    """
+    queue_ref()._advance_fifo(delay)
+    event.callback(*event.args)
+
+
 class EventQueue:
     """Priority queue of :class:`Event` objects.
 
     A thin wrapper around :mod:`heapq` that assigns sequence numbers, skips
-    cancelled events on pop and tracks basic statistics used by the kernel's
-    introspection helpers.
+    cancelled events on pop, parks deadlines in per-delay FIFOs and tracks
+    basic statistics used by the kernel's introspection helpers.
     """
 
     def __init__(self) -> None:
         # Heap of (time, priority, sequence, callback, args, label, handle)
         # entries; see module note.
         self._heap: list[tuple] = []
+        # delay -> the deadlines parked behind that delay's heaped front.
+        self._deadlines: dict[float, deque[Event]] = {}
+        self._ref = weakref.ref(self)
         self._sequence = 0
-        self._scheduled = 0
+        # Sequences the timer wheel reserved and has not pushed; everything
+        # else numbered was scheduled, so ``scheduled`` is not counted.
+        self._reserved = 0
         self._fired = 0
         self._cancelled_skipped = 0
+        self._deadlines_dropped = 0
         self._peak_pending = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + sum(map(len, self._deadlines.values()))
 
     def __bool__(self) -> bool:
+        # Every parked deadline sits behind a heaped front.
         return bool(self._heap)
 
     def push(
@@ -135,7 +166,6 @@ class EventQueue:
         self._sequence = sequence + 1
         event = Event(time, priority, sequence, callback, args, False, label)
         heappush(self._heap, (time, priority, sequence, callback, args, label, event))
-        self._scheduled += 1
         if len(self._heap) > self._peak_pending:
             self._peak_pending = len(self._heap)
         return event
@@ -151,15 +181,46 @@ class EventQueue:
         """
         sequence = self._sequence
         self._sequence = sequence + 1
+        self._reserved += 1
         return sequence
 
     def push_reserved(self, event: Event) -> None:
         """Heap an event carrying a pre-reserved sequence (timer promotion)."""
         e = event
         heappush(self._heap, (e.time, e.priority, e.sequence, e.callback, e.args, e.label, e))
-        self._scheduled += 1
+        self._reserved -= 1
         if len(self._heap) > self._peak_pending:
             self._peak_pending = len(self._heap)
+
+    def _advance_fifo(self, delay: float) -> None:
+        """The heaped front of ``delay``'s FIFO left the heap: drop the
+        cancelled deadlines parked behind it and heap the next live one under
+        its own sequence number, or retire the emptied FIFO.
+
+        The heap never grows here: one entry has just left it.
+        """
+        fifo = self._deadlines.get(delay)
+        if fifo is None:  # cleared by ``Simulator.stop()``
+            return
+        while fifo:
+            event = fifo.popleft()
+            if event.cancelled:
+                self._deadlines_dropped += 1
+                continue
+            heappush(
+                self._heap,
+                (
+                    event.time,
+                    event.priority,
+                    event.sequence,
+                    _deadline_due,
+                    (self._ref, delay, event),
+                    event.label,
+                    event,
+                ),
+            )
+            return
+        del self._deadlines[delay]
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next live event, or ``None``."""
@@ -170,18 +231,25 @@ class EventQueue:
             if handle is not None and handle.cancelled:
                 heappop(heap)
                 self._cancelled_skipped += 1
+                if head[3] is _deadline_due:
+                    self._advance_fifo(head[4][1])
                 continue
             return head[0]
         return None
 
     def _pop_entry(self) -> Optional[tuple]:
-        """Pop the next live heap entry (``Simulator.step``'s probe)."""
+        """Pop the next live heap entry (``Simulator.step``'s probe).
+
+        A live deadline's FIFO advances when its callback runs.
+        """
         heap = self._heap
         while heap:
             entry = heappop(heap)
             handle = entry[6]
             if handle is not None and handle.cancelled:
                 self._cancelled_skipped += 1
+                if entry[3] is _deadline_due:
+                    self._advance_fifo(entry[4][1])
                 continue
             self._fired += 1
             return entry
@@ -190,26 +258,39 @@ class EventQueue:
     def pop(self) -> Optional[Event]:
         """Pop the next live (non-cancelled) event, or ``None`` if empty.
 
-        A posted entry, which has no handle, comes back as a new :class:`Event`.
+        A posted entry, which has no handle, comes back as a new :class:`Event`;
+        a deadline comes back as its own, and its FIFO advances as it would
+        have had it fired.
         """
         entry = self._pop_entry()
         if entry is None:
             return None
         if entry[6] is None:
             return Event(*entry[:5], False, entry[5])
+        if entry[3] is _deadline_due:
+            self._advance_fifo(entry[4][1])
         return entry[6]
 
     def clear(self) -> None:
-        """Drop all pending events."""
+        """Drop all pending events, parked deadlines included."""
         self._heap.clear()
+        self._deadlines.clear()
 
     @property
     def stats(self) -> dict[str, Any]:
-        """Counters describing queue activity (for debugging and tests)."""
+        """Counters describing queue activity (for debugging and tests).
+
+        Outside a run, ``scheduled == fired + cancelled_skipped +
+        deadlines_dropped + pending`` (until ``clear`` drops what was
+        pending; ``Simulator.run_until`` adds its ``fired`` when it returns).
+        ``pending`` counts parked deadlines; ``peak_pending`` is the heap's
+        own high-water mark.
+        """
         return {
-            "scheduled": self._scheduled,
+            "scheduled": self._sequence - self._reserved,
             "fired": self._fired,
             "cancelled_skipped": self._cancelled_skipped,
-            "pending": len(self._heap),
+            "deadlines_dropped": self._deadlines_dropped,
+            "pending": len(self),
             "peak_pending": self._peak_pending,
         }

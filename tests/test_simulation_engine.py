@@ -284,6 +284,7 @@ def test_posted_and_handled_events_fire_alike_through_every_loop(drive):
         "scheduled": 14,
         "fired": 12,
         "cancelled_skipped": 2,
+        "deadlines_dropped": 0,
         "pending": 0,
         "peak_pending": 13,
     }
