@@ -275,17 +275,11 @@ class Simulator:
         queue._sequence = sequence + 1
         event = Event(time, PRIORITY_NORMAL, sequence, callback, args, False, label)
         fifo = queue._deadlines.get(delay)
-        if fifo is not None:
+        if fifo is None:
+            queue._deadlines[delay] = deque()
+            queue._heap_front(delay, event)
+        else:
             fifo.append(event)
-            return event
-        queue._deadlines[delay] = deque()
-        heap = queue._heap
-        heappush(
-            heap,
-            (time, PRIORITY_NORMAL, sequence, _deadline_due, (queue._ref, delay, event), label, event),
-        )
-        if len(heap) > queue._peak_pending:
-            queue._peak_pending = len(heap)
         return event
 
     def _refuse(self, time: float, delay: float = 0.0) -> NoReturn:

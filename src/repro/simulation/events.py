@@ -196,8 +196,6 @@ class EventQueue:
         """The heaped front of ``delay``'s FIFO left the heap: drop the
         cancelled deadlines parked behind it and heap the next live one under
         its own sequence number, or retire the emptied FIFO.
-
-        The heap never grows here: one entry has just left it.
         """
         fifo = self._deadlines.get(delay)
         if fifo is None:  # cleared by ``Simulator.stop()``
@@ -207,20 +205,19 @@ class EventQueue:
             if event.cancelled:
                 self._deadlines_dropped += 1
                 continue
-            heappush(
-                self._heap,
-                (
-                    event.time,
-                    event.priority,
-                    event.sequence,
-                    _deadline_due,
-                    (self._ref, delay, event),
-                    event.label,
-                    event,
-                ),
-            )
+            self._heap_front(delay, event)
             return
         del self._deadlines[delay]
+
+    def _heap_front(self, delay: float, event: Event) -> None:
+        """Heap ``event`` as the front of ``delay``'s FIFO, under its own
+        time, priority, sequence and label."""
+        heap = self._heap
+        e = event
+        args = (self._ref, delay, e)
+        heappush(heap, (e.time, e.priority, e.sequence, _deadline_due, args, e.label, e))
+        if len(heap) > self._peak_pending:
+            self._peak_pending = len(heap)
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next live event, or ``None``."""

@@ -276,6 +276,19 @@ def test_stop_drops_parked_deadlines_and_refuses_new_ones():
         simulator.deadline_in(1.0, lambda: None)
 
 
+@pytest.mark.parametrize("arm_with", ["schedule_in", "deadline_in"])
+def test_a_trace_hook_may_stop_the_simulator_as_a_deadline_fires(arm_with):
+    simulator = Simulator(seed=0)
+    fired = []
+    for name in ("a", "b"):
+        getattr(simulator, arm_with)(1.0, fired.append, name, label=name)
+    simulator.add_trace_hook(lambda time, label: simulator.stop())
+    simulator.run_until(2.0)
+    # The popped deadline still fires, as any popped event does; the one
+    # behind it went with the queue.
+    assert fired == ["a"] and simulator.pending_events == 0
+
+
 def test_the_default_stack_parks_its_operation_timeouts():
     simulation = Simulation(SimulationConfig(seed=5, duration=60.0))
     simulation.run()
