@@ -42,6 +42,19 @@ What each ceiling names:
   The ``middleware`` ceilings of
   ``ycsb_b_default`` (7.83 measured, 9.74 before) and ``tenants_admission``
   (9.25, 10.86) are rule 18's other half: an ndarray back in the replica pick.
+* The ``cancelled_skipped_per_op`` and ``peak_pending`` ceilings are rule 19
+  (0.0099 / 0.0094 / 0.0045 cancelled pops and 25 / 33 / 27 peak heap
+  entries measured on ``ycsb_b_default`` / ``autoscale_diurnal`` /
+  ``tenants_admission``; 1.0027 / 1.0018 / 0.8465 and 160 / 204 / 290 while
+  every operation timeout was a heap push): a timeout armed through
+  ``schedule_in`` again, instead of ``deadline_in``, puts both back above
+  their ceilings.  The deadline queue trades counted calls for counted
+  calls, so the ``simulation.engine`` ceilings did not move: per operation a
+  ``dict.get`` and a ``deque.append`` replace the ``heappush`` and ``len``
+  of the push, and a ``deque.popleft`` per dropped deadline replaces the
+  corpse's ``heappop`` (31.95 / 42.86 / 27.35 measured, +0.03 to +0.04, the
+  FIFO advances; ``hedged_failslow``, whose timeouts go through the wheel,
+  still 36.31).
 
 A counted call that replaces uncounted work is not a regression in itself
 (the profiler counts ``dict.get`` and ``tolist`` but not a loop iteration, a
@@ -67,6 +80,8 @@ GATES = {
             "cluster.replica.calls_per_op": 12.0,
             "external.calls_per_op": 10.0,
             "middleware.calls_per_op": 7.99,
+            "simulation.engine.cancelled_skipped_per_op": 0.02,
+            "simulation.engine.peak_pending": 40,
         },
         {
             "simulation.engine.events_per_op": 6.428,
@@ -81,6 +96,8 @@ GATES = {
             "consistency.calls_per_op": 13.45,
             "cluster.replica.calls_per_op": 19.6,
             "cluster.placement.calls_per_op": 14.65,
+            "simulation.engine.cancelled_skipped_per_op": 0.02,
+            "simulation.engine.peak_pending": 40,
         },
         {
             "simulation.engine.events_per_op": 9.1454,
@@ -106,6 +123,8 @@ GATES = {
             "trace.calls_per_op": 152.6,
             "simulation.engine.calls_per_op": 27.85,
             "middleware.calls_per_op": 9.43,
+            "simulation.engine.cancelled_skipped_per_op": 0.02,
+            "simulation.engine.peak_pending": 40,
         },
         {
             "simulation.engine.events_per_op": 5.5401,

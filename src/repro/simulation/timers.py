@@ -35,9 +35,15 @@ the tick after the deadline — fall back to a direct ``schedule_in``, which
 is always correct (the wheel is an optimisation, never a semantic).
 
 Only pipelines that declare a ``timer_granularity`` get a TimerService
-(see ``MiddlewarePipeline``); the default stack binds its timer arms
-straight to ``schedule_in`` and never constructs one, keeping its event
-sequence bit-identical by construction (PERFORMANCE.md rules 6/7/11).
+(see ``MiddlewarePipeline``); every other stack binds its timer arms
+straight to ``Simulator.deadline_in`` and never constructs one.  That
+kernel-level deadline queue parks each timeout in a FIFO of its delay and
+heaps only the next live one, under its own sequence number, so it too
+fires exactly what ``schedule_in`` would (PERFORMANCE.md rules 6/7/11/19).
+It has no ticks, so the default stack's event sequence stays bit-identical.
+The wheel stays for the hedged stack: its hedge budgets take many distinct
+values, and routing its timeouts through the deadline queue instead would
+drop the ticks only timeouts needed and so move ``events_processed``.
 """
 
 from __future__ import annotations
