@@ -52,9 +52,9 @@ What each ceiling names:
   calls, so the ``simulation.engine`` ceilings did not move: per operation a
   ``dict.get`` and a ``deque.append`` replace the ``heappush`` and ``len``
   of the push, and a ``deque.popleft`` per dropped deadline replaces the
-  corpse's ``heappop`` (31.95 / 42.86 / 27.35 measured, +0.03 to +0.04, the
-  FIFO advances; ``hedged_failslow``, whose timeouts go through the wheel,
-  still 36.31).
+  corpse's ``heappop``; what is left is about one FIFO turnover per timeout
+  period (31.97 / 42.87 / 27.36 measured, +0.02 to +0.05;
+  ``hedged_failslow``, whose timeouts go through the wheel, still 36.31).
 
 A counted call that replaces uncounted work is not a regression in itself
 (the profiler counts ``dict.get`` and ``tolist`` but not a loop iteration, a

@@ -256,8 +256,8 @@ class EventQueue:
         """Pop the next live (non-cancelled) event, or ``None`` if empty.
 
         A posted entry, which has no handle, comes back as a new :class:`Event`;
-        a deadline comes back as its own, and its FIFO advances as it would
-        have had it fired.
+        a deadline comes back as the :class:`Event` ``deadline_in`` returned,
+        and its FIFO advances as if it had fired.
         """
         entry = self._pop_entry()
         if entry is None:
