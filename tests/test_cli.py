@@ -168,8 +168,6 @@ def test_cli_names_the_bad_middleware_token(spec, named):
     [
         (["--node-capacity", "0"], "node.ops_capacity must be > 0, got 0.0"),
         (["--duration", "-5"], "--duration must be > 0, got -5.0"),
-        (["--duration", "nan"], "--duration must be > 0, got nan"),
-        (["--duration", "inf"], "--duration must be finite, got inf"),
         (["--nodes", "0"], "initial_nodes must be >= 1"),
         (["--replication-factor", "0"], "replication_factor must be >= 1"),
         (["--tenants", "0"], "tenants must be >= 1, got 0"),
@@ -178,6 +176,8 @@ def test_cli_names_the_bad_middleware_token(spec, named):
             ["--hedge-reads", "--hedge-budget-fraction", "7"],
             "budget_fraction must be in (0, 1], got 7.0",
         ),
+        (["--duration", "nan"], "--duration must be > 0, got nan"),
+        (["--duration", "inf"], "--duration must be finite, got inf"),
     ],
 )
 def test_cli_answers_a_bad_number_with_one_line(flags, named):
