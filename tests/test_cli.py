@@ -178,6 +178,7 @@ def test_cli_names_the_bad_middleware_token(spec, named):
         ),
         (["--duration", "nan"], "--duration must be > 0, got nan"),
         (["--duration", "inf"], "--duration must be finite, got inf"),
+        (["--node-capacity", "nan"], "node.ops_capacity must be > 0, got nan"),
     ],
 )
 def test_cli_answers_a_bad_number_with_one_line(flags, named):

@@ -2,14 +2,57 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.cluster import NodeConfig
 from repro.simulation import NetworkConfig, NetworkModel, Simulator
 
 
 def make_network(simulator, **overrides):
     config = NetworkConfig(**overrides)
     return NetworkModel(simulator, config)
+
+
+@pytest.mark.parametrize(
+    "config, field, value",
+    [
+        # A bare ZeroDivisionError mid-run.
+        (NetworkConfig, "capacity_msgs_per_sec", 0.0),
+        # Congestion silently off.
+        (NetworkConfig, "capacity_msgs_per_sec", -1.0),
+        (NetworkConfig, "capacity_msgs_per_sec", math.nan),
+        # "event time must be finite" mid-run, naming no field.
+        (NetworkConfig, "base_latency", math.nan),
+        (NetworkConfig, "client_latency", math.inf),
+        # Silently zero latency.
+        (NetworkConfig, "base_latency", -0.001),
+        # Silently no jitter.
+        (NetworkConfig, "jitter_cv", math.nan),
+        (NetworkConfig, "jitter_cv", -0.1),
+        # A window that rolls on every message.
+        (NetworkConfig, "congestion_window", 0.0),
+        (NetworkConfig, "congestion_exponent", math.nan),
+        (NetworkConfig, "congestion_exponent", -2.0),
+        # A congested network that gets faster.
+        (NetworkConfig, "max_congestion_factor", 0.5),
+        (NetworkConfig, "max_congestion_factor", math.nan),
+        # Silently no service noise: max(0.0, nan) is 0.0.
+        (NodeConfig, "service_cv", math.nan),
+        (NodeConfig, "service_cv", math.inf),
+        (NodeConfig, "read_demand_factor", math.nan),
+        (NodeConfig, "write_demand_factor", -1.0),
+        (NodeConfig, "stream_demand_factor", math.inf),
+        (NodeConfig, "repair_demand_factor", -0.5),
+    ],
+)
+def test_a_config_that_cannot_give_a_finite_latency_fails_at_declaration(config, field, value):
+    with pytest.raises(ValueError) as refusal:
+        config(**{field: value})
+    message = str(refusal.value)
+    assert message.startswith(f"{config.__name__}.{field} must be ")
+    assert message.endswith(f"got {value}") and "\n" not in message
 
 
 def test_send_delivers_after_latency():
