@@ -116,7 +116,7 @@ class ClusterConfig:
             raise ConfigurationError(
                 "initial_nodes must lie within [min_nodes, max_nodes]"
             )
-        if self.node.ops_capacity <= 0:
+        if not self.node.ops_capacity > 0:
             raise ConfigurationError(
                 f"node.ops_capacity must be > 0, got {self.node.ops_capacity}"
             )

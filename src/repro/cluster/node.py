@@ -16,6 +16,7 @@ first research task.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -69,6 +70,22 @@ class NodeConfig:
     stale until read repair, hinted handoff or anti-entropy fixes it — the
     dominant real-world source of large inconsistency windows under load.
     """
+
+    def __post_init__(self) -> None:
+        # A request's service time is built from these, so a value that
+        # cannot give a finite one is refused here rather than mid-run (a NaN
+        # cv used to drop the noise silently: max(0.0, nan) is 0.0).
+        # ``ops_capacity`` is checked by ``ClusterConfig.validate``.
+        for name in (
+            "read_demand_factor",
+            "write_demand_factor",
+            "stream_demand_factor",
+            "repair_demand_factor",
+            "service_cv",
+        ):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"NodeConfig.{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(slots=True)

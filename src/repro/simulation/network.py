@@ -16,6 +16,7 @@ more traffic").  The :class:`NetworkModel` therefore exposes:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -49,6 +50,30 @@ class NetworkConfig:
 
     congestion_window: float = 1.0
     """Length in seconds of the window over which the message rate is measured."""
+
+    def __post_init__(self) -> None:
+        # Every field feeds a message's latency, so a value that cannot give
+        # a finite one is refused here rather than mid-run.  NaN fails every
+        # comparison, so each range is tested as "inside", never as "not
+        # outside".
+        for name in ("base_latency", "client_latency", "jitter_cv"):
+            _check_field(self, name, 0.0 <= getattr(self, name) < math.inf, "finite and >= 0")
+        for name in ("capacity_msgs_per_sec", "congestion_window", "congestion_exponent"):
+            _check_field(self, name, 0.0 < getattr(self, name) < math.inf, "finite and > 0")
+        _check_field(
+            self,
+            "max_congestion_factor",
+            1.0 <= self.max_congestion_factor < math.inf,
+            "finite and >= 1",
+        )
+
+
+def _check_field(config: object, name: str, ok: bool, rule: str) -> None:
+    """Raise one line naming ``config``'s field ``name`` unless ``ok``."""
+    if not ok:
+        raise ValueError(
+            f"{type(config).__name__}.{name} must be {rule}, got {getattr(config, name)}"
+        )
 
 
 class NetworkModel:
