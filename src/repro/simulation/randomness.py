@@ -100,13 +100,6 @@ def _stable_hash(name: str) -> int:
     return value
 
 
-def exponential(rng: np.random.Generator, mean: float) -> float:
-    """Draw an exponential variate with the given mean (0 mean -> 0)."""
-    if mean <= 0.0:
-        return 0.0
-    return float(rng.exponential(mean))
-
-
 def lognormal_from_mean_cv(
     rng: np.random.Generator, mean: float, cv: float
 ) -> float:

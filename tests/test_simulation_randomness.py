@@ -8,7 +8,6 @@ import pytest
 from repro.simulation.randomness import (
     LognormalSampler,
     RandomStreams,
-    exponential,
     lognormal_from_mean_cv,
 )
 
@@ -63,18 +62,6 @@ def test_reset_recreates_generators_from_scratch():
     streams.reset()
     after = streams.stream("w").random(3)
     assert np.allclose(before, after)
-
-
-def test_exponential_zero_mean_is_zero():
-    rng = np.random.default_rng(0)
-    assert exponential(rng, 0.0) == 0.0
-    assert exponential(rng, -1.0) == 0.0
-
-
-def test_exponential_positive_mean_matches_expectation():
-    rng = np.random.default_rng(0)
-    samples = [exponential(rng, 2.0) for _ in range(5000)]
-    assert abs(np.mean(samples) - 2.0) < 0.15
 
 
 def test_a_scalar_generator_draw_is_already_a_python_float():
