@@ -16,6 +16,7 @@ samples and the autonomous controller uses for capacity planning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Deque, Optional
 from collections import deque
 
@@ -39,6 +40,9 @@ class ServiceRequest:
     enqueued_at: float = 0.0
     started_at: Optional[float] = None
     label: Optional[str] = None
+
+
+_demand_of = attrgetter("demand")
 
 
 class UtilizationTracker:
@@ -260,8 +264,14 @@ class QueueingServer:
         request.on_complete(now)
 
     def estimated_wait(self) -> float:
-        """Rough estimate of the delay a new request would see (for planners)."""
-        backlog = sum(req.demand for req in self._queue)
+        """Rough estimate of the delay a new request would see (for planners).
+
+        The backlog is summed afresh on every call (rule 4: a running sum
+        would round differently); ``map`` over ``attrgetter`` feeds ``sum``
+        the same demands in the same order without a generator frame per
+        queued request.
+        """
+        backlog = sum(map(_demand_of, self._queue))
         if self._in_service is not None:
             backlog += self._in_service.demand / 2.0
         return backlog / self.effective_rate
