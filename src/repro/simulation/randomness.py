@@ -8,15 +8,40 @@ stream.  Streams are derived from a single root seed with
 * the whole simulation is reproducible from one integer seed, and
 * adding draws to one component does not perturb the sequence seen by any
   other component (no cross-contamination between streams).
+
+A stream whose every draw is a standard normal (the network jitter, each
+server's service noise) is read through :meth:`RandomStreams.normals`, a
+chunk at a time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from functools import partial
+from itertools import chain, repeat, starmap
+from math import exp
+from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
 __all__ = ["RandomStreams", "LognormalSampler"]
+
+#: Draws fetched per refill of a chunked stream: large enough to amortise the
+#: numpy call, small enough not to matter for memory.
+_CHUNK = 4096
+
+
+def _chunked(refill: Callable[[], np.ndarray]) -> Callable[[], object]:
+    """Hand out the values of successive ``refill()`` chunks one at a time.
+
+    Only valid on a single-consumer stream — the precondition under which one
+    chunked draw equals the same draws made sequentially (PERFORMANCE.md
+    rule 1).  A chunk is drawn when the previous one runs out, never ahead of
+    need.  Values come out of the chunk's own packed buffer through a
+    ``memoryview`` as native floats/ints, and the returned ``__next__`` is a
+    C-level call: no list of boxed values is kept per stream, and no Python
+    frame runs per draw.
+    """
+    return chain.from_iterable(map(memoryview, starmap(refill, repeat(())))).__next__
 
 
 class RandomStreams:
@@ -36,6 +61,7 @@ class RandomStreams:
         self._namespace = str(namespace)
         self._root = np.random.SeedSequence(self._seed)
         self._generators: Dict[str, np.random.Generator] = {}
+        self._normals: Dict[str, Callable[[], float]] = {}
 
     @property
     def seed(self) -> int:
@@ -82,9 +108,27 @@ class RandomStreams:
         """
         return self.stream(f"{name}[{index}]")
 
+    def normals(self, name: str) -> Callable[[], float]:
+        """The standard normals of stream ``name``, one per call.
+
+        They are the values ``stream(name).standard_normal()`` would return
+        call after call, drawn ``standard_normal(4096)`` at a time and only
+        when the previous chunk runs out (nothing before the first call).
+        There is one source per name, so every consumer of a name shares one
+        buffer and the stream's draws stay in sequence however many models
+        hold it; nothing may draw from ``stream(name)`` directly as well
+        (rule 1).
+        """
+        source = self._normals.get(name)
+        if source is None:
+            refill = partial(self.stream(name).standard_normal, _CHUNK)
+            source = self._normals[name] = _chunked(refill)
+        return source
+
     def reset(self) -> None:
-        """Forget all generators; subsequent calls recreate them fresh."""
+        """Forget all generators and normal sources; later calls recreate them fresh."""
         self._generators.clear()
+        self._normals.clear()
 
     def known_streams(self) -> tuple[str, ...]:
         """Names of streams created so far (mainly for tests)."""
@@ -126,11 +170,14 @@ class LognormalSampler:
     per-request cost in the network and queueing models.  This sampler fixes
     ``cv`` once and memoises ``mu`` per distinct ``mean`` (service demands
     and latency means take a handful of values in steady state), so the hot
-    path is one dict probe plus the underlying ``rng.lognormal`` call.
+    path is one dict probe plus the draw: ``rng.lognormal`` in
+    :meth:`sample`, or ``exp(mu + sigma * z)`` from a chunked standard
+    normal in :meth:`sample_with`.
 
     Draws are bit-identical to :func:`lognormal_from_mean_cv`: the cached
-    constants are the exact floats the per-call computation produces, and the
-    generator call is unchanged.
+    constants are the exact floats the per-call computation produces (held
+    as Python floats, an exact conversion), and numpy's lognormal is
+    ``exp(mu + sigma * standard_normal())`` with the same libm ``exp``.
     """
 
     __slots__ = ("_cv", "_sigma", "_sigma2_half", "_mu_cache")
@@ -143,7 +190,7 @@ class LognormalSampler:
         self._cv = max(0.0, float(cv))
         if self._cv > 0.0:
             sigma2 = np.log(1.0 + self._cv * self._cv)
-            self._sigma = np.sqrt(sigma2)
+            self._sigma = float(np.sqrt(sigma2))
             self._sigma2_half = sigma2 / 2.0
         else:
             self._sigma = 0.0
@@ -164,14 +211,15 @@ class LognormalSampler:
         """The memoised lognormal ``mu`` of a draw with the given (positive) mean.
 
         For a caller whose mean changes rarely and that wants to hold the
-        constants itself: ``rng.lognormal(mu_for(m), sigma)`` is the draw
-        :meth:`sample` makes.
+        constants itself: ``exp(mu_for(m) + sigma * normal())`` is the draw
+        :meth:`sample_with` makes, and ``rng.lognormal(mu_for(m), sigma)``
+        the one :meth:`sample` makes.
         """
         mu = self._mu_cache.get(mean)
         if mu is None:
             if len(self._mu_cache) >= self._MU_CACHE_LIMIT:
                 self._mu_cache.clear()
-            mu = np.log(mean) - self._sigma2_half
+            mu = float(np.log(mean) - self._sigma2_half)
             self._mu_cache[mean] = mu
         return mu
 
@@ -182,6 +230,22 @@ class LognormalSampler:
         if self._cv <= 0.0:
             return float(mean)
         return rng.lognormal(self.mu_for(mean), self._sigma)
+
+    def sample_with(self, normal: Callable[[], float], mean: float) -> float:
+        """Draw one variate with the given mean from a standard normal source.
+
+        ``normal`` is a source such as :meth:`RandomStreams.normals`.  The
+        variate equals :meth:`sample`'s on a generator in the same state, bit
+        for bit (pinned in ``tests/test_properties.py``; PERFORMANCE.md
+        rule 2).  0 mean -> 0 and cv 0 -> mean, drawing nothing.  A mean so
+        large that the variate passes the largest float raises
+        ``OverflowError`` (numpy's draw returned ``inf``).
+        """
+        if mean <= 0.0:
+            return 0.0
+        if self._cv <= 0.0:
+            return float(mean)
+        return exp(self.mu_for(mean) + self._sigma * normal())
 
     def sample_many(self, rng: np.random.Generator, mean: float, count: int) -> np.ndarray:
         """Draw ``count`` variates in one chunk.

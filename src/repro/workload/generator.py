@@ -29,7 +29,7 @@ from ..cluster.types import ConsistencyLevel, ReadResult, WriteResult
 from ..middleware.base import TENANT_HINT, TENANT_TIER_HINT
 from ..middleware.overrides import CONSISTENCY_HINT
 from ..simulation.engine import Simulator
-from ..simulation.randomness import RandomStreams
+from ..simulation.randomness import _CHUNK, RandomStreams, _chunked
 from ..simulation.timeseries import FloatBuffer, TimeSeries
 from .distributions import KeyDistribution, make_distribution
 from .load_shapes import ConstantLoad, LoadShape
@@ -354,29 +354,8 @@ class WorkloadStats:
         }
 
 
-#: Draws fetched per refill of a chunked stream: large enough to amortise the
-#: numpy call, small enough not to matter for memory.
-_CHUNK = 4096
-
 #: How often a quiescent arrival process (rate ~0) looks at its shape again.
 _IDLE_POLL = 1.0
-
-
-def _chunked(refill: Callable[[], np.ndarray]) -> Callable[[], object]:
-    """Hand out the values of successive ``refill()`` chunks one at a time.
-
-    Only valid on a single-consumer stream — the precondition under which one
-    chunked draw equals the same draws made sequentially (PERFORMANCE.md
-    rule 1).  A chunk is drawn when the previous one runs out, never ahead of
-    need, and ``tolist`` converts it to native floats/ints once per chunk
-    rather than once per draw.
-    """
-
-    def values():
-        while True:
-            yield from refill().tolist()
-
-    return values().__next__
 
 
 class _InterleavedDraws:
