@@ -14,6 +14,7 @@ from repro.core.forecasting import EwmaForecaster, HoltWintersForecaster
 from repro.middleware.builtin import RandomReplicaSelection
 from repro.monitoring import WindowedPercentiles
 from repro.simulation import TimeSeries
+from repro.simulation.randomness import _CHUNK, LognormalSampler, RandomStreams
 from repro.workload import ZipfianKeys, make_distribution
 
 settings.register_profile(
@@ -166,6 +167,35 @@ def test_replica_shuffle_draws_what_permutation_drew(seed, steps):
     # Equal generator state, including the buffered 32-bit half
     # (``has_uint32``/``uinteger``) that bounded draws leave behind.
     assert shuffled.bit_generator.state == reference.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# A normal-fed lognormal draws what ``rng.lognormal`` drew
+# ----------------------------------------------------------------------
+# The network jitter and the service noise are ``exp(mu + sigma * z)`` with
+# ``z`` from ``RandomStreams.normals``, where they were ``rng.lognormal(mu,
+# sigma)``.  The two are equal only because numpy computes a lognormal as
+# ``exp(loc + scale * standard_normal())`` with the libm ``exp`` that
+# ``math.exp`` calls, and fills ``standard_normal(n)`` with the values n
+# scalar draws would give -- properties of numpy's implementation, not of its
+# documentation (PERFORMANCE.md rule 2).  This pins them for interleaved means
+# across a chunk boundary.
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cv=st.floats(min_value=0.0, max_value=1.0),
+    means=st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=1, max_size=8),
+)
+def test_a_normal_fed_lognormal_draws_what_lognormal_drew(seed, cv, means):
+    sampler = LognormalSampler(cv)
+    streams = RandomStreams(seed)
+    normal = streams.normals("jitter")
+    reference = RandomStreams(seed).stream("jitter")
+    # Two whole chunks: the second refill is crossed, and both generators
+    # have then made the same number of normal draws (none at cv 0).
+    order = [means[i % len(means)] for i in range(2 * _CHUNK)]
+    fed = [sampler.sample_with(normal, mean) for mean in order]
+    assert fed == [sampler.sample(reference, mean) for mean in order]
+    assert streams.stream("jitter").bit_generator.state == reference.bit_generator.state
 
 
 # ----------------------------------------------------------------------

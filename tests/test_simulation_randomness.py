@@ -64,6 +64,21 @@ def test_reset_recreates_generators_from_scratch():
     assert np.allclose(before, after)
 
 
+def test_normals_is_one_lazy_source_per_name_that_reset_forgets():
+    streams = RandomStreams(seed=4)
+    fresh = RandomStreams(seed=4).stream("n").bit_generator.state
+    source = streams.normals("n")
+    assert streams.normals("n") is source
+    # Nothing is drawn before the first call.
+    assert streams.stream("n").bit_generator.state == fresh
+    values = [source() for _ in range(5)]
+    assert values == RandomStreams(seed=4).stream("n").standard_normal(5).tolist()
+    assert all(type(value) is float for value in values)
+    streams.reset()
+    assert streams.normals("n") is not source
+    assert streams.normals("n")() == values[0]
+
+
 def test_a_scalar_generator_draw_is_already_a_python_float():
     # The per-message jitter, the sampler and the interleaved arrival gap
     # return the generator's draw as it is, with no float() around it.
