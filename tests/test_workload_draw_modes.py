@@ -16,7 +16,9 @@ every opened stream (so a draw that moved between streams, or an extra draw
 that did not change an issued operation, still shows).
 
 The values were captured at commit f91bc59, before the issue paths were
-merged into one; a change to the generator must not move them.  If one moves
+merged into one, and re-captured once when the ``network`` and ``server:*``
+probes began reading ``normals()`` (the payload without those probes hashes
+as it did); a change to the generator must not move them.  If one moves
 on purpose (a new scenario mode would use new stream names instead —
 PERFORMANCE.md rule 3), re-capture it and say why in the commit.
 """
@@ -43,28 +45,28 @@ from repro.workload import (
 
 GOLDEN = {
     ("zipfian", "interleaved", "tenantless"): (
-        "183955cb0fa5e46accc24c2494b92e221a1ad9e7ea4beb0b2d74c67ed0730daf"
+        "c8993a50eca1215ecc036cf6f3a870a1e480bbc1b79f1d08897aacf3b515590a"
     ),
     ("zipfian", "interleaved", "tenants"): (
-        "1c42d61a8ca881d4ddedbd9a366a52adad34cf6c1266245dc59f3b4e962b1c05"
+        "6e11ecd0f082bb8fbf1d7815d5ffd95f0d6b9e09ee6c42f303f0fb8c8db1febb"
     ),
     ("zipfian", "chunked", "tenantless"): (
-        "9ac7021a8feaf89546a0747414af7bc3cb9dfa4e0786082454465389b6317ea9"
+        "094f722d5aaaa880dad05a7154178c4c0f0eb0bdd92cad15d709874edd2aaaeb"
     ),
     ("zipfian", "chunked", "tenants"): (
-        "77809bcf822f06eba64befb5400a1826c8a69a1b116144122b425e5a359a6ab3"
+        "2b34afacb0c3fdf29f64b5c04087b9923f33788b35032488b81f3879ed28869b"
     ),
     ("hotspot", "interleaved", "tenantless"): (
-        "b3821cd61ba3aae072c1920f061c5d65ac7fb9edd400c032b625cb9afe6784f0"
+        "267715e34c9e26174f6520ebb3674ec6a074748246c4087e255a2b5573e75aff"
     ),
     ("hotspot", "interleaved", "tenants"): (
-        "759272112fe947b7947d7513199c35189c66a80e5e0ca6cc8b6e0b0f348fbfd1"
+        "609a753e354c85a1dde92de32f206141015cc9af5b2ff55cbcc12da40254ccd0"
     ),
     ("hotspot", "chunked", "tenantless"): (
-        "e28aeea143797b1f80757ce93f419ccf70bafd5bcd3bb0dae208573630aa16b2"
+        "9ce2a442d7e54b7185ec1834e855e1a095bdbf1644e29e49c6edac5a66303c4b"
     ),
     ("hotspot", "chunked", "tenants"): (
-        "5b43d7672adbafc5336a62d059c6a8f1f64826f39a207a22d97a0d895455d70f"
+        "4b49dfaa4b42aff1dc11176891239bcf2693f72ec8d27b0b1a985b39d47415d7"
     ),
 }
 
@@ -93,6 +95,19 @@ def _hints_view(hints):
     if hints is None:
         return None
     return sorted((name, getattr(value, "value", value)) for name, value in hints.items())
+
+
+def _next_draw(streams, name: str) -> float:
+    """The next value stream ``name``'s consumer would get.
+
+    Every draw of the network jitter and of a server's service noise is a
+    lognormal of its stream's next standard normal.  Read a chunk at a time
+    through ``streams.normals``, such a stream's generator sits at a chunk
+    boundary after a run, so the probe reads the shared source's next normal.
+    """
+    if name == "network" or name.startswith("server:"):
+        return streams.normals(name)()
+    return float(streams.stream(name).random())
 
 
 def run_cell(distribution: str, draws: str, tenancy: str) -> str:
@@ -162,7 +177,7 @@ def run_cell(distribution: str, draws: str, tenancy: str) -> str:
         ),
         "labels": sorted(labels.items()),
         "streams": streams,
-        "next_draws": [float(simulator.streams.stream(name).random()) for name in streams],
+        "next_draws": [_next_draw(simulator.streams, name) for name in streams],
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
