@@ -16,8 +16,8 @@ more traffic").  The :class:`NetworkModel` therefore exposes:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
+from math import exp, inf
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .engine import Simulator
@@ -57,13 +57,13 @@ class NetworkConfig:
         # comparison, so each range is tested as "inside", never as "not
         # outside".
         for name in ("base_latency", "client_latency", "jitter_cv"):
-            _check_field(self, name, 0.0 <= getattr(self, name) < math.inf, "finite and >= 0")
+            _check_field(self, name, 0.0 <= getattr(self, name) < inf, "finite and >= 0")
         for name in ("capacity_msgs_per_sec", "congestion_window", "congestion_exponent"):
-            _check_field(self, name, 0.0 < getattr(self, name) < math.inf, "finite and > 0")
+            _check_field(self, name, 0.0 < getattr(self, name) < inf, "finite and > 0")
         _check_field(
             self,
             "max_congestion_factor",
-            1.0 <= self.max_congestion_factor < math.inf,
+            1.0 <= self.max_congestion_factor < inf,
             "finite and >= 1",
         )
 
@@ -82,7 +82,9 @@ class NetworkModel:
     def __init__(self, simulator: Simulator, config: Optional[NetworkConfig] = None) -> None:
         self._simulator = simulator
         self._config = config or NetworkConfig()
-        self._rng = simulator.streams.stream("network")
+        # Every draw of the "network" stream is a jitter normal, so it is
+        # read a chunk at a time through its shared source (rule 20).
+        self._normal = simulator.streams.normals("network")
         # Partitions are identified so overlapping windows compose: each
         # installed partition owns its pair set, and a pair stays severed
         # until every partition covering it is healed (refcount per pair).
@@ -273,7 +275,7 @@ class NetworkModel:
         ``mu`` is the lognormal constant of the jittered draw, memoised by
         the sampler; ``None`` means no draw is made and ``latency`` is the
         answer (no jitter configured, or a zero mean) — the cases
-        :meth:`LognormalSampler.sample` settles without touching the stream.
+        :meth:`LognormalSampler.sample_with` settles without drawing.
         """
         if mean <= 0.0:
             return 0.0, None
@@ -314,8 +316,11 @@ class NetworkModel:
 
         One frame per hop: the window test, the partition test and the
         jitter draw are written out here, so a message costs this call, the
-        generator's draw and ``post_in`` (a delivery is never cancelled, so
-        it has no handle).
+        next chunked normal, one ``exp`` and ``post_in`` (a delivery is never
+        cancelled, so it has no handle).  The jittered latency is
+        ``exp(mu + sigma * z)``, the value ``rng.lognormal(mu, sigma)`` gave
+        (rule 20); a mean latency so large that it passes the largest float
+        raises ``OverflowError`` here.
         """
         self._messages_sent += 1
         self._window_messages += 1
@@ -345,7 +350,7 @@ class NetworkModel:
                     return False
         latency, mu = self._client_hop if client_facing else self._node_hop
         if mu is not None:
-            latency = self._rng.lognormal(mu, self._sigma)
+            latency = exp(mu + self._sigma * self._normal())
         if link_delay > 0.0:
             latency += link_delay
         pair = (source, destination)

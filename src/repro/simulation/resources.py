@@ -125,7 +125,9 @@ class QueueingServer:
         self._service_cv = float(service_cv)
         self._queue: Deque[ServiceRequest] = deque()
         self._in_service: Optional[ServiceRequest] = None
-        self._rng = simulator.streams.stream(f"server:{name}")
+        # Every draw of the server's stream is a noise normal, so it is read a
+        # chunk at a time through the name's shared source (rule 20).
+        self._normal = simulator.streams.normals(f"server:{name}")
         # Per-request hot-path constants: the demand-noise sampler caches the
         # CV-derived lognormal constants, and the finish label is rendered
         # once instead of on every completion.
@@ -223,10 +225,14 @@ class QueueingServer:
         on_complete: Callable[[float], None],
         label: Optional[str] = None,
     ) -> None:
-        """Submit a request with the given service demand (seconds at speed 1)."""
+        """Submit a request with the given service demand (seconds at speed 1).
+
+        A demand so large that its noisy draw passes the largest float raises
+        ``OverflowError`` (:meth:`LognormalSampler.sample_with`).
+        """
         if demand < 0.0:
             raise ResourceError(f"service demand must be >= 0, got {demand}")
-        noisy_demand = self._noise.sample(self._rng, demand)
+        noisy_demand = self._noise.sample_with(self._normal, demand)
         request = ServiceRequest(
             demand=noisy_demand,
             on_complete=on_complete,

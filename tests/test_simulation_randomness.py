@@ -1,11 +1,15 @@
-"""Unit tests for the deterministic random-stream registry."""
+"""Unit tests for the deterministic random-stream registry and its draws."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
+from repro.simulation import NetworkConfig, NetworkModel, QueueingServer, Simulator
 from repro.simulation.randomness import (
+    _CHUNK,
     LognormalSampler,
     RandomStreams,
     lognormal_from_mean_cv,
@@ -97,3 +101,42 @@ def test_lognormal_mean_and_degenerate_cases():
     assert abs(np.mean(samples) - 10.0) < 0.5
     assert lognormal_from_mean_cv(rng, 10.0, 0.0) == 10.0
     assert lognormal_from_mean_cv(rng, 0.0, 0.5) == 0.0
+
+
+def test_send_and_submit_touch_their_generators_only_at_a_refill():
+    simulator = Simulator(seed=5)
+    network = NetworkModel(simulator)
+    server = QueueingServer(simulator, "s", service_cv=0.25)
+    generators = [simulator.streams.stream("network"), simulator.streams.stream("server:s")]
+
+    def states():
+        return [generator.bit_generator.state for generator in generators]
+
+    def hop():
+        network.send("a", "b", lambda: None)
+        server.submit(0.001, lambda _time: None)
+
+    fresh = states()
+    hop()
+    first_chunk = states()
+    assert all(before != after for before, after in zip(fresh, first_chunk))
+    for _ in range(_CHUNK - 1):
+        hop()
+    assert states() == first_chunk
+    hop()
+    assert all(before != after for before, after in zip(first_chunk, states()))
+
+
+def test_a_draw_past_the_largest_float_raises_overflow_error():
+    # numpy's lognormal returned inf here, which failed later as an
+    # unschedulable event time; math.exp raises at the draw.
+    sampler = LognormalSampler(1.0)
+    normal = iter([0.0, 5.0]).__next__
+    assert sampler.sample_with(normal, 1e307) < math.inf
+    with pytest.raises(OverflowError):
+        sampler.sample_with(normal, 1e307)
+    simulator = Simulator(seed=5)
+    network = NetworkModel(simulator, NetworkConfig(base_latency=1e308, jitter_cv=1.0))
+    with pytest.raises(OverflowError):
+        for _ in range(100):
+            network.send("a", "b", lambda: None)
