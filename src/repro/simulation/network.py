@@ -83,7 +83,8 @@ class NetworkModel:
         self._simulator = simulator
         self._config = config or NetworkConfig()
         # Every draw of the "network" stream is a jitter normal, so it is
-        # read a chunk at a time through its shared source (rule 20).
+        # read a chunk at a time through its shared source (PERFORMANCE.md
+        # rule 20).
         self._normal = simulator.streams.normals("network")
         # Partitions are identified so overlapping windows compose: each
         # installed partition owns its pair set, and a pair stays severed
@@ -319,8 +320,8 @@ class NetworkModel:
         next chunked normal, one ``exp`` and ``post_in`` (a delivery is never
         cancelled, so it has no handle).  The jittered latency is
         ``exp(mu + sigma * z)``, the value ``rng.lognormal(mu, sigma)`` gave
-        (rule 20); a mean latency so large that it passes the largest float
-        raises ``OverflowError`` here.
+        (PERFORMANCE.md rule 20); a mean latency so large that the draw
+        passes the largest float raises ``OverflowError`` here.
         """
         self._messages_sent += 1
         self._window_messages += 1

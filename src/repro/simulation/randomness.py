@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import chain, repeat, starmap
 from math import exp
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable
 
 import numpy as np
 
@@ -33,13 +33,13 @@ _CHUNK = 4096
 def _chunked(refill: Callable[[], np.ndarray]) -> Callable[[], object]:
     """Hand out the values of successive ``refill()`` chunks one at a time.
 
-    Only valid on a single-consumer stream — the precondition under which one
-    chunked draw equals the same draws made sequentially (PERFORMANCE.md
-    rule 1).  A chunk is drawn when the previous one runs out, never ahead of
-    need.  Values come out of the chunk's own packed buffer through a
-    ``memoryview`` as native floats/ints, and the returned ``__next__`` is a
-    C-level call: no list of boxed values is kept per stream, and no Python
-    frame runs per draw.
+    Only valid when every draw of the stream goes through the returned
+    callable — the precondition under which one chunked draw equals the same
+    draws made sequentially (PERFORMANCE.md rule 1).  A chunk is drawn when
+    the previous one runs out, never ahead of need.  Values come out of the
+    chunk's own packed buffer through a ``memoryview`` as native
+    floats/ints, and the returned ``__next__`` is a C-level call: no list of
+    boxed values is kept per stream, and no Python frame runs per draw.
     """
     return chain.from_iterable(map(memoryview, starmap(refill, repeat(())))).__next__
 

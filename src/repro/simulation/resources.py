@@ -126,7 +126,8 @@ class QueueingServer:
         self._queue: Deque[ServiceRequest] = deque()
         self._in_service: Optional[ServiceRequest] = None
         # Every draw of the server's stream is a noise normal, so it is read a
-        # chunk at a time through the name's shared source (rule 20).
+        # chunk at a time through the name's shared source (PERFORMANCE.md
+        # rule 20).
         self._normal = simulator.streams.normals(f"server:{name}")
         # Per-request hot-path constants: the demand-noise sampler caches the
         # CV-derived lognormal constants, and the finish label is rendered
@@ -272,8 +273,8 @@ class QueueingServer:
     def estimated_wait(self) -> float:
         """Rough estimate of the delay a new request would see (for planners).
 
-        The backlog is summed afresh on every call (rule 4: a running sum
-        would round differently); ``map`` over ``attrgetter`` feeds ``sum``
+        The backlog is summed afresh on every call (PERFORMANCE.md rule 4: a
+        running sum would round differently); ``map`` over ``attrgetter`` feeds ``sum``
         the same demands in the same order without a generator frame per
         queued request.
         """
