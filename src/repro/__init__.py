@@ -42,7 +42,6 @@ from .core import (
     PlannerConfig,
     SLADrivenPolicy,
     StalenessSLO,
-    ThroughputSLO,
     default_sla,
     make_policy,
 )
@@ -60,7 +59,6 @@ from .workload import (
     FlashCrowdLoad,
     LoadShape,
     OperationMix,
-    RampLoad,
     StepLoad,
     WorkloadSpec,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "LatencySLO",
     "AvailabilitySLO",
     "StalenessSLO",
-    "ThroughputSLO",
     "default_sla",
     "WorkloadSpec",
     "OperationMix",
@@ -103,7 +100,6 @@ __all__ = [
     "DiurnalLoad",
     "FlashCrowdLoad",
     "StepLoad",
-    "RampLoad",
     "READ_HEAVY",
     "BALANCED",
     "WRITE_HEAVY",

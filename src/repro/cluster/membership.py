@@ -17,7 +17,7 @@ CAP-discussion in the paper's introduction revolves around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional
 
 from ..simulation.engine import PeriodicTask, Simulator
 from ..simulation.network import NetworkModel
@@ -92,18 +92,6 @@ class MembershipView:
         if record is None:
             return False
         return (now - record.last_progress) <= self._config.failure_timeout
-
-    def alive_nodes(self, now: float) -> List[str]:
-        """All nodes currently considered alive (including the owner)."""
-        alive = [self._owner]
-        for node_id in self._records:
-            if node_id != self._owner and self.is_alive(node_id, now):
-                alive.append(node_id)
-        return sorted(alive)
-
-    def known_nodes(self) -> Tuple[str, ...]:
-        """All nodes ever observed (alive or not)."""
-        return tuple(sorted(set(self._records) | {self._owner}))
 
 
 class GossipAgent:
@@ -259,11 +247,3 @@ class MembershipService:
         """Cluster-operator view: is the node actually up right now?"""
         is_up = self._node_up.get(node_id)
         return bool(is_up and is_up())
-
-    def alive_nodes(self) -> List[str]:
-        """Operator view of all currently live nodes."""
-        return sorted(node_id for node_id in self._agents if self.is_alive(node_id))
-
-    def registered_nodes(self) -> Tuple[str, ...]:
-        """All nodes registered with the service."""
-        return tuple(sorted(self._agents))

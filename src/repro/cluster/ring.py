@@ -174,45 +174,6 @@ class HashRing:
         table.append(table[0])
         return table
 
-    def primary(self, key: str) -> Optional[str]:
-        """The primary owner of ``key`` (first node on its preference list)."""
-        owners = self.preference_list(key, 1)
-        return owners[0] if owners else None
-
-    def ownership_fractions(self, sample_keys: int = 4096) -> Dict[str, float]:
-        """Approximate fraction of the key space owned (as primary) per node.
-
-        Computed by sampling ``sample_keys`` evenly spaced ring positions; the
-        result is used by the rebalancer to size streaming transfers and by
-        tests to check the ring stays reasonably balanced.
-        """
-        if not self._tokens:
-            return {}
-        counts: Dict[str, int] = {node: 0 for node in self._nodes}
-        step = _RING_SIZE // sample_keys
-        for i in range(sample_keys):
-            position = i * step
-            start = bisect.bisect_right(self._tokens, position) % len(self._tokens)
-            owner = self._token_owner[self._tokens[start]]
-            counts[owner] += 1
-        return {node: count / sample_keys for node, count in counts.items()}
-
-    def moved_fraction(self, other: "HashRing", sample_keys: int = 2048) -> float:
-        """Fraction of sampled keys whose primary differs between two rings.
-
-        Used to estimate how much data a topology change (this ring vs.
-        ``other``) must move.  With consistent hashing this should be close to
-        ``1/n`` when one node out of ``n`` is added or removed.
-        """
-        if not self._tokens or not other._tokens:
-            return 1.0
-        moved = 0
-        for i in range(sample_keys):
-            key = f"__ring_sample_{i}"
-            if self.primary(key) != other.primary(key):
-                moved += 1
-        return moved / sample_keys
-
     def copy(self) -> "HashRing":
         """Deep copy of the ring (used to evaluate hypothetical topologies)."""
         clone = HashRing(self._virtual_nodes)

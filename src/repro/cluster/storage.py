@@ -127,13 +127,6 @@ class StorageEngine:
         version = self._data.get(key)
         return version.stamp if version is not None else None
 
-    def staleness_of(self, key: str, stamp: VersionStamp) -> float:
-        """Commit-time distance between ``stamp`` and the newest version seen."""
-        newest = self._data.get(key)
-        if newest is None:
-            return 0.0
-        return max(0.0, newest.stamp.timestamp - stamp.timestamp)
-
     # ------------------------------------------------------------------
     # Bulk operations (rebalancing, anti-entropy)
     # ------------------------------------------------------------------

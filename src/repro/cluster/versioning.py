@@ -5,16 +5,13 @@ timestamps, the default conflict-resolution strategy of Cassandra-style
 stores.  Each write receives a :class:`VersionStamp` that is unique and
 totally ordered; replicas keep only the newest version per key.  How stale a
 read was is answered from the coordinator's ``AckedVersionRegistry`` by the
-``staleness`` stage; :class:`VersionHistory`, a bounded per-key history, has
-no user in ``src/`` (ROADMAP item 5).
+``staleness`` stage.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 __all__ = ["VersionStamp", "VersionedValue", "compare_versions"]
 
@@ -72,54 +69,3 @@ def compare_versions(a: Optional[VersionedValue], b: Optional[VersionedValue]) -
     if ours == theirs:
         return 0
     return -1 if ours < theirs else 1
-
-
-_stamp_of = attrgetter("stamp")
-
-
-class VersionHistory:
-    """Bounded history of recent versions of one key.
-
-    Only the newest version matters for serving reads; the history exists so
-    that the consistency analytics can compute the *age* of a stale version
-    (time between its commit and the commit of the newest version) without
-    keeping every version forever.
-    """
-
-    __slots__ = ("_versions", "_max_entries")
-
-    def __init__(self, max_entries: int = 8) -> None:
-        self._versions: List[VersionedValue] = []
-        self._max_entries = max_entries
-
-    def add(self, version: VersionedValue) -> None:
-        """Insert a version, keeping the list sorted newest-last and bounded.
-
-        A version whose stamp equals a retained one goes after it.
-        """
-        versions = self._versions
-        if not versions or version.stamp >= versions[-1].stamp:
-            versions.append(version)
-        else:
-            insort(versions, version, key=_stamp_of)
-        if len(versions) > self._max_entries:
-            del versions[0 : len(versions) - self._max_entries]
-
-    @property
-    def newest(self) -> Optional[VersionedValue]:
-        """The most recent version, or ``None`` if empty."""
-        return self._versions[-1] if self._versions else None
-
-    def age_of(self, stamp: VersionStamp) -> float:
-        """Commit-time distance between ``stamp`` and the newest version."""
-        newest = self.newest
-        if newest is None:
-            return 0.0
-        return max(0.0, newest.stamp.timestamp - stamp.timestamp)
-
-    def __len__(self) -> int:
-        return len(self._versions)
-
-    def versions(self) -> Tuple[VersionedValue, ...]:
-        """All retained versions, oldest first."""
-        return tuple(self._versions)

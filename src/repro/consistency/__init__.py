@@ -5,7 +5,7 @@ simulator), client-observed staleness statistics, and the PBS-style
 analytical model the controller's planner uses for what-if evaluation.
 """
 
-from .pbs import StalenessModel, StalenessPrediction
+from .pbs import StalenessModel
 from .staleness import StalenessObserver, StalenessSnapshot
 from .window_tracker import InconsistencyWindowTracker, WindowRecord, WindowTrackerConfig
 
@@ -16,5 +16,4 @@ __all__ = [
     "StalenessObserver",
     "StalenessSnapshot",
     "StalenessModel",
-    "StalenessPrediction",
 ]

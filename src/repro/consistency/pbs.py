@@ -26,47 +26,16 @@ seconds after the acknowledgement.
 
 ``P(stale | k applied) = C(N - k, R) / C(N, R)`` (all contacted replicas are
 non-applied ones), and ``k = W + Binomial(N - W, F(t))``.  Marginalising over
-``k`` gives the staleness probability; inverting it numerically gives the
-"time to consistency" quantiles the planner compares against the SLO.
+``k`` gives the staleness probability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, exp, log
-from typing import Dict, Optional
 
 from ..cluster.types import ConsistencyLevel
 
-__all__ = ["StalenessModel", "StalenessPrediction"]
-
-
-@dataclass
-class StalenessPrediction:
-    """Output of one what-if evaluation."""
-
-    replication_factor: int
-    read_acks: int
-    write_acks: int
-    mean_lag: float
-    stale_probability_now: float
-    """Probability that a read issued immediately after the ack is stale."""
-
-    time_to_probability: Dict[float, float]
-    """Seconds after an ack until the stale probability drops below the key."""
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dictionary for table rendering."""
-        out = {
-            "replication_factor": float(self.replication_factor),
-            "read_acks": float(self.read_acks),
-            "write_acks": float(self.write_acks),
-            "mean_lag": self.mean_lag,
-            "stale_probability_now": self.stale_probability_now,
-        }
-        for probability, horizon in self.time_to_probability.items():
-            out[f"t_p{probability:g}"] = horizon
-        return out
+__all__ = ["StalenessModel"]
 
 
 class StalenessModel:
@@ -76,11 +45,6 @@ class StalenessModel:
         if mean_replication_lag < 0.0:
             raise ValueError("mean_replication_lag must be >= 0")
         self._mean_lag = float(mean_replication_lag)
-
-    @property
-    def mean_lag(self) -> float:
-        """Mean replica apply lag the model was fitted with (seconds)."""
-        return self._mean_lag
 
     def update_lag(self, mean_replication_lag: float) -> None:
         """Refit the model with a new measured mean lag."""
@@ -146,65 +110,6 @@ class StalenessModel:
             replication_factor,
             read_level.required_acks(replication_factor),
             write_level.required_acks(replication_factor),
-        )
-
-    def time_to_stale_probability(
-        self,
-        target_probability: float,
-        replication_factor: int,
-        read_acks: int,
-        write_acks: int,
-        horizon: float = 60.0,
-    ) -> float:
-        """Smallest ``t`` with stale probability <= target (bisection search).
-
-        Returns ``0.0`` when the configuration is already strongly consistent
-        and ``horizon`` when even the horizon does not reach the target (the
-        caller treats that as "not achievable with this configuration").
-        """
-        if not 0.0 < target_probability < 1.0:
-            raise ValueError("target_probability must be in (0, 1)")
-        if self.stale_probability(0.0, replication_factor, read_acks, write_acks) <= target_probability:
-            return 0.0
-        low, high = 0.0, horizon
-        if self.stale_probability(high, replication_factor, read_acks, write_acks) > target_probability:
-            return horizon
-        for _ in range(60):
-            mid = (low + high) / 2.0
-            if (
-                self.stale_probability(mid, replication_factor, read_acks, write_acks)
-                <= target_probability
-            ):
-                high = mid
-            else:
-                low = mid
-        return high
-
-    def predict(
-        self,
-        replication_factor: int,
-        read_level: ConsistencyLevel,
-        write_level: ConsistencyLevel,
-        probabilities: tuple[float, ...] = (0.1, 0.01, 0.001),
-        horizon: float = 60.0,
-    ) -> StalenessPrediction:
-        """Full what-if evaluation of one configuration."""
-        read_acks = read_level.required_acks(replication_factor)
-        write_acks = write_level.required_acks(replication_factor)
-        return StalenessPrediction(
-            replication_factor=replication_factor,
-            read_acks=read_acks,
-            write_acks=write_acks,
-            mean_lag=self._mean_lag,
-            stale_probability_now=self.stale_probability(
-                0.0, replication_factor, read_acks, write_acks
-            ),
-            time_to_probability={
-                probability: self.time_to_stale_probability(
-                    probability, replication_factor, read_acks, write_acks, horizon
-                )
-                for probability in probabilities
-            },
         )
 
     def expected_window_p(self, quantile: float) -> float:

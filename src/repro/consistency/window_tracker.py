@@ -51,11 +51,6 @@ class WindowRecord:
             return None
         return max(0.0, self.closed_at - self.ack_time)
 
-    @property
-    def open(self) -> bool:
-        """Whether the window is still open (not all replicas converged)."""
-        return self.closed_at is None and not self.expired
-
 
 @dataclass
 class WindowTrackerConfig:
@@ -218,10 +213,6 @@ class InconsistencyWindowTracker(ClusterListener):
     def mean_window(self) -> float:
         """Mean closed window size."""
         return self._windows.mean()
-
-    def recent_windows(self, since: float) -> List[float]:
-        """Window sizes closed at or after ``since``."""
-        return self._windows.values_since(since).tolist()
 
     def stats(self) -> Dict[str, float]:
         """Counters and headline statistics for reports."""

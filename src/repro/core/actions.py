@@ -26,7 +26,6 @@ __all__ = [
     "RemoveNodeAction",
     "SetReadConsistencyAction",
     "SetWriteConsistencyAction",
-    "SetReplicationFactorAction",
     "SetTierQuotaScaleAction",
     "NoAction",
 ]
@@ -176,36 +175,6 @@ class SetWriteConsistencyAction(ReconfigurationAction):
         return self._outcome(
             time, True, {"from": previous.value, "to": self._level.value}
         )
-
-
-class SetReplicationFactorAction(ReconfigurationAction):
-    """Change the replication factor (triggers a background fill when raised)."""
-
-    kind = ActionKind.REPLICATION
-
-    def __init__(self, replication_factor: int) -> None:
-        if replication_factor < 1:
-            raise ValueError("replication_factor must be >= 1")
-        self._replication_factor = replication_factor
-
-    @property
-    def replication_factor(self) -> int:
-        """Target replication factor."""
-        return self._replication_factor
-
-    def describe(self) -> str:
-        return f"set_replication_factor:{self._replication_factor}"
-
-    def apply(self, cluster: Cluster, time: float) -> ActionOutcome:
-        previous = cluster.replication_factor
-        try:
-            session = cluster.set_replication_factor(self._replication_factor)
-        except ClusterError as exc:
-            return self._outcome(time, False, error=str(exc))
-        detail: Dict[str, object] = {"from": previous, "to": self._replication_factor}
-        if session is not None:
-            detail["fill_keys"] = session.total_keys
-        return self._outcome(time, True, detail)
 
 
 class SetTierQuotaScaleAction(ReconfigurationAction):

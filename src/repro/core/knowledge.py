@@ -36,17 +36,11 @@ class CapacityModel:
             raise ValueError("prior_ops_per_node must be > 0")
         self._estimate = float(prior_ops_per_node)
         self._learning_rate = min(1.0, max(0.0, learning_rate))
-        self._updates = 0
 
     @property
     def ops_per_node(self) -> float:
         """Current estimate of one node's sustainable throughput."""
         return self._estimate
-
-    @property
-    def updates(self) -> int:
-        """Number of informative samples folded in so far."""
-        return self._updates
 
     def observe(self, throughput: float, node_count: int, mean_utilization: float) -> None:
         """Fold in one observation (ignored when the cluster is nearly idle)."""
@@ -55,7 +49,6 @@ class CapacityModel:
         implied = throughput / (node_count * mean_utilization)
         self._estimate += self._learning_rate * (implied - self._estimate)
         self._estimate = max(1.0, self._estimate)
-        self._updates += 1
 
     def nodes_needed(self, offered_rate: float, target_utilization: float) -> int:
         """Nodes required to serve ``offered_rate`` at the target utilisation."""
@@ -112,11 +105,6 @@ class KnowledgeBase:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def replication_lag_estimate(self) -> float:
-        """Smoothed estimate of the mean replication lag (seconds)."""
-        return self._lag_estimate
-
     def latest(self) -> Optional[SystemObservation]:
         """Most recent observation (or ``None``)."""
         return self._observations[-1] if self._observations else None
@@ -131,31 +119,9 @@ class KnowledgeBase:
         """All executed actions in order."""
         return list(self._actions)
 
-    def recent_actions(self, since: float) -> List[ActionOutcome]:
-        """Actions executed at or after ``since``."""
-        return [outcome for outcome in self._actions if outcome.time >= since]
-
-    def load_forecast(self, horizon: float) -> float:
-        """Forecast load (ops/s) ``horizon`` seconds ahead."""
-        if self.forecaster.observations == 0:
-            latest = self.latest()
-            return latest.throughput_ops if latest else 0.0
-        return self.forecaster.forecast(horizon)
-
     def load_forecast_peak(self, horizon: float) -> float:
         """Peak forecast load over the next ``horizon`` seconds."""
         if self.forecaster.observations == 0:
             latest = self.latest()
             return latest.throughput_ops if latest else 0.0
         return self.forecaster.forecast_peak(horizon)
-
-    def utilization_trend(self, window: int = 6) -> float:
-        """Simple slope of mean utilisation over the last ``window`` observations."""
-        history = self.history(window)
-        if len(history) < 2:
-            return 0.0
-        first, last = history[0], history[-1]
-        dt = last.time - first.time
-        if dt <= 0.0:
-            return 0.0
-        return (last.mean_utilization - first.mean_utilization) / dt

@@ -9,7 +9,6 @@ first-class object:
 * :class:`AvailabilitySLO` — a bound on the fraction of failed operations,
 * :class:`StalenessSLO` — a bound on the inconsistency window (p95) and on
   the fraction of stale reads clients may observe,
-* :class:`ThroughputSLO` — a floor on sustained throughput (optional),
 
 combined into an :class:`SLA` with per-objective penalty rates.  The
 :class:`SLAEvaluator` checks the SLA against periodic
@@ -31,7 +30,6 @@ __all__ = [
     "LatencySLO",
     "AvailabilitySLO",
     "StalenessSLO",
-    "ThroughputSLO",
     "SLA",
     "SLOEvaluation",
     "SLAEvaluation",
@@ -181,25 +179,6 @@ class StalenessSLO(SLO):
 
 
 @dataclass
-class ThroughputSLO(SLO):
-    """Floor on sustained throughput relative to the offered load."""
-
-    min_goodput_fraction: float = 0.95
-    """Completed operations must be at least this fraction of offered load."""
-
-    def __post_init__(self) -> None:
-        self.name = "throughput"
-
-    def evaluate(self, observation: SystemObservation) -> SLOEvaluation:
-        if observation.offered_rate <= 0.0:
-            return SLOEvaluation(self.name, True, 1.0, self.min_goodput_fraction, 1.0)
-        goodput = observation.throughput_ops / observation.offered_rate
-        threshold = self.min_goodput_fraction
-        margin = (goodput - threshold) / threshold if threshold > 0 else 0.0
-        return SLOEvaluation(self.name, goodput >= threshold, goodput, threshold, margin)
-
-
-@dataclass
 class SLA:
     """A set of objectives plus penalty rates."""
 
@@ -221,17 +200,6 @@ class SLA:
         """The staleness objective, if the SLA has one (the planner needs it)."""
         for objective in self.objectives:
             if isinstance(objective, StalenessSLO):
-                return objective
-        return None
-
-    def latency_objectives(self) -> List[LatencySLO]:
-        """All latency objectives."""
-        return [obj for obj in self.objectives if isinstance(obj, LatencySLO)]
-
-    def availability_objective(self) -> Optional[AvailabilitySLO]:
-        """The availability objective, if present."""
-        for objective in self.objectives:
-            if isinstance(objective, AvailabilitySLO):
                 return objective
         return None
 
@@ -261,17 +229,6 @@ class SLAEvaluation:
     def satisfied(self) -> bool:
         """Whether every objective was met."""
         return all(outcome.satisfied for outcome in self.outcomes)
-
-    @property
-    def violated_objectives(self) -> List[str]:
-        """Names of the violated objectives."""
-        return [outcome.name for outcome in self.outcomes if not outcome.satisfied]
-
-    def worst_margin(self) -> float:
-        """The smallest (most negative) margin across objectives."""
-        if not self.outcomes:
-            return 1.0
-        return min(outcome.margin for outcome in self.outcomes)
 
 
 class SLAEvaluator:
@@ -307,11 +264,6 @@ class SLAEvaluator:
                     )
         self._last_time = observation.time
         return evaluation
-
-    @property
-    def evaluation_count(self) -> int:
-        """Number of evaluation rounds so far."""
-        return len(self.evaluations)
 
     @property
     def violation_fraction(self) -> float:

@@ -71,11 +71,10 @@ def _co_tenant_read_p99_ms(stats: WorkloadStats, noisy_id: str) -> float:
     if not stats.tenant_stats:
         return 0.0
     arrays = [
-        tenant.read_latencies.as_array()
+        tenant.read_latencies
         for tenant_id, tenant in stats.tenant_stats.items()
-        if tenant_id != noisy_id
+        if tenant_id != noisy_id and tenant.read_latencies
     ]
-    arrays = [values for values in arrays if values.shape[0] > 0]
     if not arrays:
         return 0.0
     return float(np.percentile(np.concatenate(arrays), 99.0)) * 1000.0

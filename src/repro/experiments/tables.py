@@ -8,8 +8,6 @@ experiment prints directly comparable output.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
@@ -74,15 +72,6 @@ class ResultTable:
         for row in formatted_rows:
             lines.append(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
         return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        """Render the table as CSV text."""
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=self.columns)
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow(row)
-        return buffer.getvalue()
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()

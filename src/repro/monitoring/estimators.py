@@ -177,11 +177,6 @@ class ReadAfterWriteProber(ConsistencyEstimator):
         """Probe configuration in effect."""
         return self._config
 
-    def set_probe_interval(self, interval: float) -> None:
-        """Adapt the probe rate (used by the overhead/accuracy sweep in E2)."""
-        self._probe_task.set_interval(interval)
-        self._config.probe_interval = interval
-
     def operations_issued(self) -> int:
         return self._ops_issued
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 from ..cluster.cluster import Cluster, ClusterListener
 from ..cluster.types import OperationResult
 from ..simulation.engine import Simulator
-from ..simulation.timeseries import TimeSeries, TimeSeriesBundle
+from ..simulation.timeseries import TimeSeriesBundle
 from .percentiles import WindowedPercentiles
 
 __all__ = [
@@ -117,7 +117,6 @@ class MetricsCollector(ClusterListener):
         self._window_rejected = 0
 
         self._last_snapshot: Optional[MetricsSnapshot] = None
-        self._snapshots: List[MetricsSnapshot] = []
 
         cluster.add_listener(self)
         simulator.call_every(
@@ -208,7 +207,6 @@ class MetricsCollector(ClusterListener):
             rejected_fraction=rejected_fraction,
         )
         self._last_snapshot = snapshot
-        self._snapshots.append(snapshot)
 
         for name, value in snapshot.as_dict().items():
             if name == "time":
@@ -231,18 +229,6 @@ class MetricsCollector(ClusterListener):
     def latest(self) -> Optional[MetricsSnapshot]:
         """The most recent snapshot (or ``None`` before the first sample)."""
         return self._last_snapshot
-
-    def snapshots(self) -> List[MetricsSnapshot]:
-        """All snapshots collected so far."""
-        return list(self._snapshots)
-
-    def recent(self, count: int) -> List[MetricsSnapshot]:
-        """The ``count`` most recent snapshots."""
-        return self._snapshots[-count:]
-
-    def throughput_series(self) -> TimeSeries:
-        """Throughput over time (ops/second per sampling window)."""
-        return self.series.series("throughput_ops")
 
 
 class _RollupWork:

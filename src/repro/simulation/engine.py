@@ -72,17 +72,6 @@ class PeriodicTask:
         """Current rescheduling interval in simulated seconds."""
         return self._interval
 
-    @property
-    def stopped(self) -> bool:
-        """Whether the task has been stopped."""
-        return self._stopped
-
-    def set_interval(self, interval: float) -> None:
-        """Change the interval used for subsequent reschedules."""
-        if interval <= 0.0:
-            raise SchedulingError(f"periodic interval must be > 0, got {interval}")
-        self._interval = float(interval)
-
     def stop(self) -> None:
         """Stop the task; the pending occurrence (if any) is cancelled."""
         self._stopped = True

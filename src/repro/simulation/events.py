@@ -219,21 +219,6 @@ class EventQueue:
         if len(heap) > self._peak_pending:
             self._peak_pending = len(heap)
 
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the next live event, or ``None``."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            handle = head[6]
-            if handle is not None and handle.cancelled:
-                heappop(heap)
-                self._cancelled_skipped += 1
-                if head[3] is _deadline_due:
-                    self._advance_fifo(head[4][1])
-                continue
-            return head[0]
-        return None
-
     def _pop_entry(self) -> Optional[tuple]:
         """Pop the next live heap entry (``Simulator.step``'s probe).
 

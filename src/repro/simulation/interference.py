@@ -84,11 +84,6 @@ class NodeInterference:
         self._speed = 1.0
         self._episode_until: Optional[float] = None
 
-    @property
-    def speed(self) -> float:
-        """Current interference-adjusted speed factor (before episodes)."""
-        return self._speed
-
     def update(self) -> None:
         """Advance the random walk one step and apply it to the server."""
         cfg = self._config
@@ -173,12 +168,6 @@ class InterferenceController:
         )
         self._node_processes.append(process)
         return process
-
-    def detach_server(self, server: QueueingServer) -> None:
-        """Stop interfering with a server (e.g. after scale-in)."""
-        self._node_processes = [
-            process for process in self._node_processes if process._server is not server
-        ]
 
     def _tick(self) -> None:
         if not self._config.enabled:

@@ -195,11 +195,6 @@ class NetworkModel:
             return False
         return frozenset((source, destination)) in self._partitioned_pairs
 
-    @property
-    def has_partition(self) -> bool:
-        """Whether any partition is currently installed."""
-        return bool(self._partitioned_pairs)
-
     # ------------------------------------------------------------------
     # Flaky links
     # ------------------------------------------------------------------
@@ -255,11 +250,6 @@ class NetworkModel:
     def link_drops(self) -> int:
         """Messages dropped by flaky links (subset of :attr:`messages_dropped`)."""
         return self._link_drops
-
-    @property
-    def has_link_faults(self) -> bool:
-        """Whether any flaky-link fault is currently installed."""
-        return bool(self._link_faults)
 
     # ------------------------------------------------------------------
     # Latency and delivery

@@ -125,11 +125,6 @@ class RandomStreams:
             source = self._normals[name] = _chunked(refill)
         return source
 
-    def reset(self) -> None:
-        """Forget all generators and normal sources; later calls recreate them fresh."""
-        self._generators.clear()
-        self._normals.clear()
-
     def known_streams(self) -> tuple[str, ...]:
         """Names of streams created so far (mainly for tests)."""
         return tuple(sorted(self._generators))

@@ -159,23 +159,12 @@ class QueueingServer:
         self._speed_factor = _positive("speed factor", factor)
         self._rate_changed()
 
-    def set_service_rate(self, rate: float) -> None:
-        """Change the nominal service rate (vertical scaling)."""
-        self._service_rate = _positive("service_rate", rate)
-        self._rate_changed()
-
-    @property
-    def fault_factor(self) -> float:
-        """Injected gray-failure multiplier (1.0 = healthy).
-
-        Kept separate from :attr:`speed_factor` because interference
-        *overwrites* the speed factor on every update tick — a fail-slow
-        fault must compose with interference rather than be erased by it.
-        """
-        return self._fault_factor
-
     def set_fault_factor(self, factor: float) -> None:
-        """Scale the effective rate for an injected fail-slow fault."""
+        """Scale the effective rate for an injected fail-slow fault.
+
+        Kept apart from the speed factor, which interference overwrites on
+        every tick: a fail-slow fault composes with interference.
+        """
         self._fault_factor = _positive("fault factor", factor)
         self._rate_changed()
 

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["FloatBuffer", "TimeSeries", "SeriesSummary", "TimeSeriesBundle"]
+__all__ = ["TimeSeries", "SeriesSummary", "TimeSeriesBundle"]
 
 
 @dataclass
@@ -54,36 +54,6 @@ def _grown(column: np.ndarray) -> np.ndarray:
     grown = np.empty(max(_INITIAL_CAPACITY, capacity * 2), dtype=np.float64)
     grown[:capacity] = column
     return grown
-
-
-class FloatBuffer:
-    """Append-only ``float64`` column with amortised O(1) growth.
-
-    Samples live in a numpy array that doubles when full, so reading them
-    back (:meth:`as_array`) never re-converts an ever-growing list.
-    """
-
-    __slots__ = ("_data", "_size")
-
-    def __init__(self) -> None:
-        self._data = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
-        self._size = 0
-
-    def append(self, value: float) -> None:
-        """Append one sample."""
-        size = self._size
-        data = self._data
-        if size == data.size:
-            self._data = data = _grown(data)
-        data[size] = value
-        self._size = size + 1
-
-    def as_array(self) -> np.ndarray:
-        """Zero-copy view of the samples recorded so far."""
-        return self._data[: self._size]
-
-    def __len__(self) -> int:
-        return self._size
 
 
 class TimeSeries:
@@ -185,7 +155,7 @@ class TimeSeries:
             return 0.0
         return float(self.values.mean())
 
-    # The time-weighted sums below accumulate left to right in Python floats:
+    # The time-weighted sum below accumulates left to right in Python floats:
     # ``node_hours`` and ``total_cost`` are pinned to that order of additions.
     def integrate(self) -> float:
         """Time-weighted integral assuming step interpolation (value holds).
@@ -200,42 +170,6 @@ class TimeSeries:
             dt = times[i + 1] - times[i]
             total += values[i] * dt
         return total
-
-    def time_weighted_mean(self, end_time: Optional[float] = None) -> float:
-        """Time-weighted mean with step interpolation up to ``end_time``."""
-        if not self._size:
-            return 0.0
-        times = self.times.tolist()
-        values = self.values.tolist()
-        end = end_time if end_time is not None else times[-1]
-        if len(times) == 1 or end <= times[0]:
-            return values[0]
-        total = 0.0
-        for i in range(len(times) - 1):
-            dt = min(times[i + 1], end) - times[i]
-            if dt > 0:
-                total += values[i] * dt
-        if end > times[-1]:
-            total += values[-1] * (end - times[-1])
-        duration = end - times[0]
-        return total / duration if duration > 0 else values[-1]
-
-    def resample(self, interval: float, end_time: Optional[float] = None) -> "TimeSeries":
-        """Step-resample onto a regular grid (mainly for plotting/tables)."""
-        out = TimeSeries(self.name)
-        if not self._size:
-            return out
-        times = self.times.tolist()
-        values = self.values.tolist()
-        end = end_time if end_time is not None else times[-1]
-        t = times[0]
-        idx = 0
-        while t <= end + 1e-12:
-            while idx + 1 < len(times) and times[idx + 1] <= t:
-                idx += 1
-            out.record(t, values[idx])
-            t += interval
-        return out
 
 
 class TimeSeriesBundle:
@@ -269,7 +203,3 @@ class TimeSeriesBundle:
     def get(self, name: str) -> Optional[TimeSeries]:
         """Return the named series or ``None`` if it was never recorded."""
         return self._series.get(name)
-
-    def summaries(self) -> Dict[str, SeriesSummary]:
-        """Summary statistics for every series in the bundle."""
-        return {name: series.summary() for name, series in self._series.items()}

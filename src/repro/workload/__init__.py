@@ -23,9 +23,7 @@ from .load_shapes import (
     FlashCrowdLoad,
     LoadShape,
     NoisyLoad,
-    RampLoad,
     StepLoad,
-    TraceLoad,
 )
 from .operations import BALANCED, READ_HEAVY, READ_ONLY, WRITE_HEAVY, OperationMix, RecordSizer
 
@@ -41,10 +39,8 @@ __all__ = [
     "DiurnalLoad",
     "FlashCrowdLoad",
     "StepLoad",
-    "RampLoad",
     "CompositeLoad",
     "NoisyLoad",
-    "TraceLoad",
     "OperationMix",
     "RecordSizer",
     "READ_HEAVY",

@@ -19,6 +19,7 @@ or the single tenantless one).  See ARCHITECTURE.md, "Workload generator".
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Optional
@@ -31,7 +32,7 @@ from ..middleware.base import TENANT_HINT, TENANT_TIER_HINT
 from ..middleware.overrides import CONSISTENCY_HINT
 from ..simulation.engine import Simulator
 from ..simulation.randomness import _CHUNK, RandomStreams, _chunked
-from ..simulation.timeseries import FloatBuffer, TimeSeries
+from ..simulation.timeseries import TimeSeries
 from .distributions import KeyDistribution, make_distribution
 from .load_shapes import ConstantLoad, LoadShape
 from .operations import OperationMix, READ_HEAVY, RecordSizer
@@ -195,7 +196,7 @@ class TenantOpStats:
         self.writes_rejected = 0
         self.reads_failed = 0
         self.writes_failed = 0
-        self.read_latencies = FloatBuffer()
+        self.read_latencies = array("d")
 
     @property
     def operations_issued(self) -> int:
@@ -209,10 +210,9 @@ class TenantOpStats:
 
     def read_percentile_ms(self, q: float) -> float:
         """Read latency percentile in milliseconds (0 when no reads)."""
-        values = self.read_latencies.as_array()
-        if values.shape[0] == 0:
+        if not self.read_latencies:
             return 0.0
-        return float(np.percentile(values, q)) * 1000.0
+        return float(np.percentile(np.array(self.read_latencies), q)) * 1000.0
 
 
 class WorkloadStats:
@@ -321,34 +321,10 @@ class WorkloadStats:
             return 0.0
         return (self.reads_rejected + self.writes_rejected) / issued
 
-    def latency_percentile(self, q: float, kind: str = "read") -> float:
-        """Latency percentile in seconds for ``kind`` in {"read", "write", "all"}."""
-        if kind == "read":
-            values = self.read_latency_series.values
-        elif kind == "write":
-            values = self.write_latency_series.values
-        elif kind == "all":
-            values = np.concatenate(
-                (self.read_latency_series.values, self.write_latency_series.values)
-            )
-        else:
-            raise ValueError(f"unknown latency kind {kind!r}")
-        if values.shape[0] == 0:
-            return 0.0
-        return float(np.percentile(values, q))
-
     def summary(self) -> Dict[str, float]:
         """Headline figures for experiment tables."""
-        reads = self.read_latency_series.values
-        writes = self.write_latency_series.values
-        # One three-quantile call per side instead of one array conversion
-        # per statistic; values are identical to per-quantile calls.
-        read_p50, read_p95, read_p99 = (
-            np.percentile(reads, (50, 95, 99)) if reads.shape[0] else (0.0, 0.0, 0.0)
-        )
-        write_p50, write_p95, write_p99 = (
-            np.percentile(writes, (50, 95, 99)) if writes.shape[0] else (0.0, 0.0, 0.0)
-        )
+        read = self.read_latency_series.summary()
+        write = self.write_latency_series.summary()
         return {
             "operations_issued": float(self.operations_issued),
             "operations_completed": float(self.operations_completed),
@@ -356,12 +332,12 @@ class WorkloadStats:
             "operations_rejected": float(self.operations_rejected),
             "rejected_fraction": self.rejected_fraction,
             "stale_reads": float(self.stale_reads),
-            "read_p50_ms": float(read_p50) * 1000.0,
-            "read_p95_ms": float(read_p95) * 1000.0,
-            "read_p99_ms": float(read_p99) * 1000.0,
-            "write_p50_ms": float(write_p50) * 1000.0,
-            "write_p95_ms": float(write_p95) * 1000.0,
-            "write_p99_ms": float(write_p99) * 1000.0,
+            "read_p50_ms": read.p50 * 1000.0,
+            "read_p95_ms": read.p95 * 1000.0,
+            "read_p99_ms": read.p99 * 1000.0,
+            "write_p50_ms": write.p50 * 1000.0,
+            "write_p95_ms": write.p95 * 1000.0,
+            "write_p99_ms": write.p99 * 1000.0,
         }
 
 

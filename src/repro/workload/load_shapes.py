@@ -11,19 +11,23 @@ literature evaluates against:
 * :class:`ConstantLoad` — steady state, used for parameter studies,
 * :class:`DiurnalLoad` — the day/night cycle of an interactive application,
 * :class:`FlashCrowdLoad` — a sudden spike (product launch, sale, news event),
-* :class:`StepLoad` / :class:`RampLoad` — canonical control-theory inputs used
-  to measure controller reaction and convergence,
-* :class:`CompositeLoad`, :class:`NoisyLoad`, :class:`TraceLoad` — composition,
-  multiplicative noise, and replay of an external rate trace.
+* :class:`StepLoad` — the canonical control-theory input used to measure
+  controller reaction and convergence,
+* :class:`CompositeLoad`, :class:`NoisyLoad`, :class:`ScaledLoad` —
+  composition, multiplicative noise, and a constant factor (sharded runs).
+
+Every numeric argument is checked when the shape is declared: a rate is
+finite and >= 0, a period or duration finite and > 0, a time finite.  A
+non-finite rate would otherwise hang the generator (an infinite rate makes
+every gap 0) or stop it after one arrival (a NaN one).
 """
 
 from __future__ import annotations
 
 import abc
-import bisect
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,12 +37,26 @@ __all__ = [
     "DiurnalLoad",
     "FlashCrowdLoad",
     "StepLoad",
-    "RampLoad",
     "CompositeLoad",
     "NoisyLoad",
-    "TraceLoad",
     "ScaledLoad",
 ]
+
+
+def _number(name: str, value: float, lower: Optional[float] = None, strict: bool = False) -> float:
+    """``value`` as a float, or one ``ValueError`` naming ``name``.
+
+    The value must be finite and, with ``lower`` given, at least ``lower``
+    (above it when ``strict``).
+    """
+    value = float(value)
+    ok = math.isfinite(value)
+    if ok and lower is not None:
+        ok = value > lower if strict else value >= lower
+    if not ok:
+        bound = "" if lower is None else f" and {'>' if strict else '>='} {lower:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return value
 
 
 class LoadShape(abc.ABC):
@@ -47,13 +65,6 @@ class LoadShape(abc.ABC):
     @abc.abstractmethod
     def rate(self, t: float) -> float:
         """Target operations per second at simulated time ``t``."""
-
-    def mean_rate(self, start: float, end: float, samples: int = 200) -> float:
-        """Numerical average rate over ``[start, end]`` (for sizing clusters)."""
-        if end <= start:
-            return self.rate(start)
-        ts = np.linspace(start, end, samples)
-        return float(np.mean([self.rate(float(t)) for t in ts]))
 
     def peak_rate(self, start: float, end: float, samples: int = 400) -> float:
         """Numerical maximum rate over ``[start, end]``."""
@@ -70,9 +81,7 @@ class ConstantLoad(LoadShape):
     """A flat rate."""
 
     def __init__(self, rate: float) -> None:
-        if rate < 0.0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
-        self._rate = float(rate)
+        self._rate = _number("rate", rate, 0.0)
 
     def rate(self, t: float) -> float:
         return self._rate
@@ -89,14 +98,12 @@ class DiurnalLoad(LoadShape):
         peak_time: float = 0.5,
     ) -> None:
         """``peak_time`` is the fraction of the period at which the peak occurs."""
-        if trough_rate < 0.0 or peak_rate < trough_rate:
+        self._trough = _number("trough_rate", trough_rate, 0.0)
+        self._peak = _number("peak_rate", peak_rate, 0.0)
+        if self._peak < self._trough:
             raise ValueError("require 0 <= trough_rate <= peak_rate")
-        if period <= 0.0:
-            raise ValueError("period must be > 0")
-        self._trough = float(trough_rate)
-        self._peak = float(peak_rate)
-        self._period = float(period)
-        self._peak_time = float(peak_time) % 1.0
+        self._period = _number("period", period, 0.0, strict=True)
+        self._peak_time = _number("peak_time", peak_time) % 1.0
 
     def rate(self, t: float) -> float:
         phase = (t / self._period) % 1.0
@@ -119,14 +126,14 @@ class FlashCrowdLoad(LoadShape):
         hold_duration: float = 300.0,
         decay_duration: float = 600.0,
     ) -> None:
-        if base_rate < 0.0 or spike_rate < base_rate:
+        self._base = _number("base_rate", base_rate, 0.0)
+        self._spike = _number("spike_rate", spike_rate, 0.0)
+        if self._spike < self._base:
             raise ValueError("require 0 <= base_rate <= spike_rate")
-        self._base = float(base_rate)
-        self._spike = float(spike_rate)
-        self._start = float(spike_start)
-        self._ramp = max(1e-9, float(ramp_duration))
-        self._hold = max(0.0, float(hold_duration))
-        self._decay = max(1e-9, float(decay_duration))
+        self._start = _number("spike_start", spike_start)
+        self._ramp = _number("ramp_duration", ramp_duration, 0.0, strict=True)
+        self._hold = _number("hold_duration", hold_duration, 0.0)
+        self._decay = _number("decay_duration", decay_duration, 0.0, strict=True)
 
     def rate(self, t: float) -> float:
         if t < self._start:
@@ -149,38 +156,12 @@ class StepLoad(LoadShape):
     """Jumps from one rate to another at a given time (controller step response)."""
 
     def __init__(self, before_rate: float, after_rate: float, step_time: float) -> None:
-        if before_rate < 0.0 or after_rate < 0.0:
-            raise ValueError("rates must be >= 0")
-        self._before = float(before_rate)
-        self._after = float(after_rate)
-        self._step_time = float(step_time)
+        self._before = _number("before_rate", before_rate, 0.0)
+        self._after = _number("after_rate", after_rate, 0.0)
+        self._step_time = _number("step_time", step_time)
 
     def rate(self, t: float) -> float:
         return self._after if t >= self._step_time else self._before
-
-
-class RampLoad(LoadShape):
-    """Linear increase (or decrease) between two rates over an interval."""
-
-    def __init__(
-        self, start_rate: float, end_rate: float, ramp_start: float, ramp_end: float
-    ) -> None:
-        if ramp_end <= ramp_start:
-            raise ValueError("ramp_end must be after ramp_start")
-        if start_rate < 0.0 or end_rate < 0.0:
-            raise ValueError("rates must be >= 0")
-        self._start_rate = float(start_rate)
-        self._end_rate = float(end_rate)
-        self._ramp_start = float(ramp_start)
-        self._ramp_end = float(ramp_end)
-
-    def rate(self, t: float) -> float:
-        if t <= self._ramp_start:
-            return self._start_rate
-        if t >= self._ramp_end:
-            return self._end_rate
-        fraction = (t - self._ramp_start) / (self._ramp_end - self._ramp_start)
-        return self._start_rate + (self._end_rate - self._start_rate) * fraction
 
 
 class CompositeLoad(LoadShape):
@@ -210,10 +191,8 @@ class ScaledLoad(LoadShape):
     """
 
     def __init__(self, base: LoadShape, factor: float) -> None:
-        if factor < 0.0:
-            raise ValueError(f"factor must be >= 0, got {factor}")
         self._base = base
-        self._factor = float(factor)
+        self._factor = _number("factor", factor, 0.0)
 
     @property
     def base(self) -> LoadShape:
@@ -242,7 +221,7 @@ class NoisyLoad(LoadShape):
             raise ValueError("amplitude must be in [0, 1)")
         self._base = base
         self._amplitude = float(amplitude)
-        self._period = float(period)
+        self._period = _number("period", period, 0.0, strict=True)
 
     def rate(self, t: float) -> float:
         wobble = (
@@ -251,25 +230,3 @@ class NoisyLoad(LoadShape):
             + 0.25 * math.sin(2.0 * math.pi * t / (self._period * 2.71) + 0.7)
         ) / 1.75
         return max(0.0, self._base.rate(t) * (1.0 + self._amplitude * wobble))
-
-
-class TraceLoad(LoadShape):
-    """Replay of an external ``(time, rate)`` trace with linear interpolation."""
-
-    def __init__(self, points: Sequence[Tuple[float, float]]) -> None:
-        if len(points) < 2:
-            raise ValueError("TraceLoad needs at least two points")
-        ordered = sorted(points)
-        self._times = [float(t) for t, _ in ordered]
-        self._rates = [max(0.0, float(r)) for _, r in ordered]
-
-    def rate(self, t: float) -> float:
-        if t <= self._times[0]:
-            return self._rates[0]
-        if t >= self._times[-1]:
-            return self._rates[-1]
-        index = bisect.bisect_right(self._times, t) - 1
-        t0, t1 = self._times[index], self._times[index + 1]
-        r0, r1 = self._rates[index], self._rates[index + 1]
-        fraction = (t - t0) / (t1 - t0)
-        return r0 + (r1 - r0) * fraction

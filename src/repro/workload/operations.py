@@ -38,11 +38,6 @@ class OperationMix:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"operation fractions must sum to 1, got {total}")
 
-    @property
-    def write_fraction(self) -> float:
-        """Combined fraction of operations that write (updates + inserts)."""
-        return self.update_fraction + self.insert_fraction
-
     def choose(self, rng: np.random.Generator) -> str:
         """Draw ``"read"``, ``"update"`` or ``"insert"`` according to the mix."""
         draw = rng.random()

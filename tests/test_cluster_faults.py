@@ -182,9 +182,10 @@ def test_degrade_crash_recover_keeps_fault_factor():
     simulator.run_until(50.0)
     node = cluster.nodes[node_id]
     assert node.is_up
-    assert node.server.fault_factor == pytest.approx(0.5)
+    server = node.server
+    assert server.effective_rate == pytest.approx(server.service_rate * server.speed_factor * 0.5)
     simulator.run_until(120.0)
-    assert node.server.fault_factor == pytest.approx(1.0)
+    assert server.effective_rate == pytest.approx(server.service_rate * server.speed_factor)
 
 
 def test_overlapping_partitions_heal_independently():

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cluster import StorageEngine, VersionStamp, VersionedValue, compare_versions
-from repro.cluster.versioning import VersionHistory
 
 
 def version(ts, seq=0, value=b"v", size=10, write_id=1):
@@ -38,28 +35,6 @@ def test_tombstone_flag():
     tombstone = VersionedValue(stamp=VersionStamp(1.0, 0), value=None, write_id=1)
     assert tombstone.is_tombstone
     assert not version(1.0).is_tombstone
-
-
-# ----------------------------------------------------------------------
-# VersionHistory
-# ----------------------------------------------------------------------
-def test_history_tracks_newest_and_age():
-    history = VersionHistory(max_entries=4)
-    first = version(1.0)
-    second = version(3.5, seq=1)
-    history.add(first)
-    history.add(second)
-    assert history.newest is second
-    assert history.age_of(first.stamp) == pytest.approx(2.5)
-    assert history.age_of(second.stamp) == 0.0
-
-
-def test_history_is_bounded():
-    history = VersionHistory(max_entries=3)
-    for i in range(10):
-        history.add(version(float(i), seq=i))
-    assert len(history) == 3
-    assert history.newest.stamp.timestamp == 9.0
 
 
 # ----------------------------------------------------------------------
@@ -107,14 +82,13 @@ def test_peek_does_not_touch_counters():
     assert engine.stats.reads_served == reads_before
 
 
-def test_digest_and_staleness():
+def test_digest_is_the_newest_stamp():
     engine = StorageEngine("n1")
     old = version(1.0, seq=1)
     new = version(4.0, seq=2)
     engine.apply("k", old)
     engine.apply("k", new)
     assert engine.digest("k") == new.stamp
-    assert engine.staleness_of("k", old.stamp) == pytest.approx(3.0)
     assert engine.digest("missing") is None
 
 

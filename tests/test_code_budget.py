@@ -1,0 +1,40 @@
+"""A ratchet on the size of ``src/repro/``.
+
+Counts the lines of ``src/repro/**/*.py`` that are neither blank nor a
+``#`` comment and holds them under a recorded ceiling.  The ceiling moves
+down only: lower it to the new count on every change that removes code.  A
+change that must raise it writes the reason beside the number, as
+``scripts/ledger_gates.py`` does for its ceilings.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: Lower it with every change that removes code.
+CEILING = 14_831
+
+
+def _code_lines() -> int:
+    count = 0
+    for path in SRC.rglob("*.py"):
+        for line in path.read_text().splitlines():
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                count += 1
+    return count
+
+
+def test_src_stays_under_its_line_ceiling():
+    count = _code_lines()
+    assert count <= CEILING, (
+        f"src/repro/ has {count} code lines against a ceiling of {CEILING}: "
+        "delete what the change made unnecessary, or raise CEILING with the "
+        "reason written beside it"
+    )
+    assert count == CEILING, (
+        f"src/repro/ is down to {count} code lines: lower CEILING from "
+        f"{CEILING} to {count} (it only moves down)"
+    )

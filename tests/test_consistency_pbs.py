@@ -63,34 +63,6 @@ def test_level_wrapper_matches_ack_counts():
     assert by_level == pytest.approx(by_acks)
 
 
-def test_time_to_stale_probability_monotone_in_target():
-    model = StalenessModel(mean_replication_lag=0.5)
-    strict = model.time_to_stale_probability(0.001, 3, 1, 1)
-    loose = model.time_to_stale_probability(0.1, 3, 1, 1)
-    assert strict > loose > 0.0
-
-
-def test_time_to_stale_probability_zero_for_strong_config():
-    model = StalenessModel(mean_replication_lag=0.5)
-    assert model.time_to_stale_probability(0.01, 3, 2, 2) == 0.0
-
-
-def test_time_to_stale_probability_horizon_cap():
-    model = StalenessModel(mean_replication_lag=100.0)
-    assert model.time_to_stale_probability(0.0001, 3, 1, 1, horizon=1.0) == 1.0
-
-
-def test_predict_structure():
-    model = StalenessModel(mean_replication_lag=0.2)
-    prediction = model.predict(3, ConsistencyLevel.ONE, ConsistencyLevel.ONE)
-    assert prediction.read_acks == 1
-    assert prediction.write_acks == 1
-    assert prediction.stale_probability_now > 0.0
-    assert set(prediction.time_to_probability) == {0.1, 0.01, 0.001}
-    flat = prediction.as_dict()
-    assert flat["replication_factor"] == 3.0
-
-
 def test_expected_window_quantile():
     model = StalenessModel(mean_replication_lag=1.0)
     median = model.expected_window_p(0.5)
@@ -105,8 +77,6 @@ def test_invalid_parameters_raise():
     model = StalenessModel(mean_replication_lag=0.1)
     with pytest.raises(ValueError):
         model.stale_probability(0.0, 0, 1, 1)
-    with pytest.raises(ValueError):
-        model.time_to_stale_probability(1.5, 3, 1, 1)
     with pytest.raises(ValueError):
         model.expected_window_p(1.5)
     with pytest.raises(ValueError):

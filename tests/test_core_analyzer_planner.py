@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cluster import Cluster, ClusterConfig, ConsistencyLevel, NodeConfig
 from repro.core import (
     AddNodeAction,
@@ -15,7 +13,6 @@ from repro.core import (
     RemoveNodeAction,
     RootCause,
     SetReadConsistencyAction,
-    SetReplicationFactorAction,
     SetWriteConsistencyAction,
     SLAEvaluator,
     SLAPlanner,
@@ -256,10 +253,6 @@ def test_actions_apply_to_cluster():
     )
     assert cluster.write_consistency is ConsistencyLevel.QUORUM
 
-    outcome = SetReplicationFactorAction(3).apply(cluster, simulator.now)
-    assert outcome.applied
-    assert cluster.replication_factor == 3
-
     outcome = RemoveNodeAction().apply(cluster, simulator.now)
     assert outcome.applied
     assert outcome.kind is ActionKind.SCALE_IN
@@ -278,8 +271,6 @@ def test_failed_action_reports_error():
     assert outcome.error
     outcome = RemoveNodeAction().apply(cluster, simulator.now)
     assert not outcome.applied
-    with pytest.raises(ValueError):
-        SetReplicationFactorAction(0)
 
 
 # ----------------------------------------------------------------------

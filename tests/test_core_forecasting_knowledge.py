@@ -119,13 +119,11 @@ def test_capacity_model_learns_from_observations():
         model.observe(throughput=600.0, node_count=3, mean_utilization=0.5)
     # Implied capacity = 600 / (3 * 0.5) = 400 ops per node.
     assert model.ops_per_node == pytest.approx(400.0, rel=0.05)
-    assert model.updates == 20
 
 
 def test_capacity_model_ignores_idle_observations():
     model = CapacityModel(prior_ops_per_node=100.0)
     model.observe(throughput=10.0, node_count=3, mean_utilization=0.05)
-    assert model.updates == 0
     assert model.ops_per_node == 100.0
 
 
@@ -162,17 +160,18 @@ def test_knowledge_records_observations_and_updates_lag():
     assert knowledge.latest().time == pytest.approx(270.0)
     assert len(knowledge.history()) == 10
     assert len(knowledge.history(3)) == 3
-    assert knowledge.replication_lag_estimate == pytest.approx(0.2, rel=0.3)
-    assert knowledge.staleness_model.mean_lag == knowledge.replication_lag_estimate
+    # The staleness model is refitted with a lag estimate near the windows'
+    # mean: its median window is that lag times ln 2.
+    assert knowledge.staleness_model.expected_window_p(0.5) == pytest.approx(
+        0.2 * math.log(2.0), rel=0.3
+    )
 
 
 def test_knowledge_load_forecast_follows_growth():
     knowledge = KnowledgeBase()
     for i in range(20):
         knowledge.record_observation(make_observation(i * 30.0, throughput=100.0 + 10.0 * i))
-    forecast = knowledge.load_forecast(300.0)
-    assert forecast > 250.0
-    assert knowledge.load_forecast_peak(300.0) >= forecast * 0.9
+    assert knowledge.load_forecast_peak(300.0) > 250.0
 
 
 def test_knowledge_action_history():
@@ -182,12 +181,3 @@ def test_knowledge_action_history():
     )
     knowledge.record_action(outcome)
     assert knowledge.actions() == [outcome]
-    assert knowledge.recent_actions(since=50.0) == [outcome]
-    assert knowledge.recent_actions(since=150.0) == []
-
-
-def test_knowledge_utilization_trend():
-    knowledge = KnowledgeBase()
-    for i in range(6):
-        knowledge.record_observation(make_observation(i * 10.0, utilization=0.3 + 0.1 * i))
-    assert knowledge.utilization_trend(window=6) > 0.0

@@ -190,7 +190,7 @@ def test_controller_runs_rounds_and_records_observations():
     simulator.run_until(200.0)
     assert controller.rounds == 10
     assert len(controller.observations) == 10
-    assert controller.sla_evaluator.evaluation_count == 10
+    assert len(controller.sla_evaluator.evaluations) == 10
     assert controller.summary()["rounds"] == 10.0
 
 

@@ -6,8 +6,6 @@ results — not close ones:
 
 * ``VersionStamp`` is a ``NamedTuple``; it must behave as the plain tuple of
   its two fields under every operation the request path uses.
-* ``VersionHistory.add`` appends or bisects; the reference appends and
-  stable-sorts the whole history.
 * ``InconsistencyWindowTracker`` keeps one high-water mark per (key,
   replica); the reference is the tracker that buffered a key's last 32
   applies and scanned them on every ack, verbatim.  A mark that keeps the
@@ -58,7 +56,7 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig, StorageEngine, VersionStamp, VersionedValue
 from repro.cluster.coordinator import AckedVersionRegistry
 from repro.cluster.ring import HashRing, hash_key
-from repro.cluster.versioning import VersionHistory, compare_versions
+from repro.cluster.versioning import compare_versions
 from repro.consistency.window_tracker import (
     InconsistencyWindowTracker,
     WindowTrackerConfig,
@@ -120,47 +118,6 @@ def test_version_stamp_agrees_with_the_tuple_of_its_fields(seed):
         pair: index for index, pair in enumerate(pairs)
     }
     assert {tuple(stamp) for stamp in set(stamps)} == set(pairs)
-
-
-# ----------------------------------------------------------------------
-# VersionHistory.add against append-and-stable-sort
-# ----------------------------------------------------------------------
-def _reference_add(versions, version, max_entries):
-    versions.append(version)
-    versions.sort(key=lambda v: v.stamp)
-    if len(versions) > max_entries:
-        del versions[0 : len(versions) - max_entries]
-
-
-@pytest.mark.parametrize("max_entries", (1, 3, 8))
-@pytest.mark.parametrize("seed", SEEDS)
-def test_version_history_agrees_with_append_and_stable_sort(seed, max_entries):
-    rng = random.Random(seed)
-    history = VersionHistory(max_entries)
-    reference = []
-    clock = 0.0
-    for write_id in range(400):
-        move = rng.random()
-        if move < 0.5:  # in order
-            clock += rng.choice((0.0, 0.5, 1.0))
-            timestamp = clock
-        elif move < 0.8:  # out of order
-            timestamp = rng.uniform(0.0, clock + 1.0)
-        else:  # duplicate of a retained stamp; write_id tells the copies apart
-            timestamp = rng.choice(reference).stamp.timestamp if reference else clock
-        version = VersionedValue(
-            VersionStamp(timestamp, rng.randrange(3)), b"v", write_id, size=1
-        )
-        history.add(version)
-        _reference_add(reference, version, max_entries)
-
-        assert len(history) == len(reference) <= max_entries
-        assert all(a is b for a, b in zip(history.versions(), reference))
-        assert history.newest is reference[-1]
-        probe = VersionStamp(rng.uniform(0.0, clock + 1.0), 0)
-        assert history.age_of(probe) == max(
-            0.0, reference[-1].stamp.timestamp - probe.timestamp
-        )
 
 
 # ----------------------------------------------------------------------
@@ -262,13 +219,11 @@ def _drive_placement_oracle(seed, virtual_nodes, ring_type=HashRing):
                     answer = placed_on.preference_list(key, replication_factor)
                     assert type(answer) is tuple and answer == expected, context
                 seen["short"] += len(expected) < replication_factor
-            primary = _walked_preference_list(placed_on, key, 1)
-            assert placed_on.primary(key) == (primary[0] if primary else None)
             if placed_on._tokens:
                 seen["wrapped"] += hash_key(key) >= placed_on._tokens[-1]
 
     check(ring)  # empty
-    assert ring.preference_list("anything", 3) == () and ring.primary("anything") is None
+    assert ring.preference_list("anything", 3) == ()
     members, joined = [], 0
     for _ in range(30):
         if not members or (len(members) < 8 and rng.random() < 0.55):
@@ -1171,36 +1126,6 @@ class _ListTimeSeries:
             total += self._values[i] * dt
         return total
 
-    def time_weighted_mean(self, end_time=None):
-        if not self._times:
-            return 0.0
-        end = end_time if end_time is not None else self._times[-1]
-        if len(self._times) == 1 or end <= self._times[0]:
-            return self._values[0]
-        total = 0.0
-        for i in range(len(self._times) - 1):
-            dt = min(self._times[i + 1], end) - self._times[i]
-            if dt > 0:
-                total += self._values[i] * dt
-        if end > self._times[-1]:
-            total += self._values[-1] * (end - self._times[-1])
-        duration = end - self._times[0]
-        return total / duration if duration > 0 else self._values[-1]
-
-    def resample(self, interval, end_time=None):
-        out = _ListTimeSeries(self.name)
-        if not self._times:
-            return out
-        end = end_time if end_time is not None else self._times[-1]
-        t = self._times[0]
-        idx = 0
-        while t <= end + 1e-12:
-            while idx + 1 < len(self._times) and self._times[idx + 1] <= t:
-                idx += 1
-            out.record(t, self._values[idx])
-            t += interval
-        return out
-
 
 def _same_number(ours, theirs):
     """Bit-identical and a plain ``float``/``int``, as the lists gave."""
@@ -1235,11 +1160,9 @@ def _compare_series(rng, ours, theirs):
     _same_number(ours.mean(), theirs.mean())
     assert ours.summary() == theirs.summary()
     _same_number(ours.integrate(), theirs.integrate())
-    _same_number(ours.time_weighted_mean(), theirs.time_weighted_mean())
     bounds = _query_bounds(rng, theirs.times)
     for bound in bounds:
         assert ours.values_since(bound).tolist() == theirs.values_since(bound)
-        _same_number(ours.time_weighted_mean(bound), theirs.time_weighted_mean(bound))
     for start in bounds:
         for end in bounds:
             window = ours.window(start, end)
@@ -1247,12 +1170,6 @@ def _compare_series(rng, ours, theirs):
             assert window.name == ours.name
             assert not np.shares_memory(window.values, ours.values)
             assert not np.shares_memory(window.times, ours.times)
-    if theirs.times:
-        span = theirs.times[-1] - theirs.times[0]
-        for interval, end in ((max(span, 1.0) / 7.0, None), (0.5, theirs.times[0] + 3.0)):
-            _same_samples(ours.resample(interval, end), theirs.resample(interval, end))
-    else:
-        _same_samples(ours.resample(1.0), theirs.resample(1.0))
 
 
 def _drive_series_oracle(seed, series_type=TimeSeries, samples=150):
@@ -1387,9 +1304,6 @@ class _RecordQueueingServer:
     def set_speed_factor(self, factor: float) -> None:
         self._speed_factor = _positive("speed factor", factor)
 
-    def set_service_rate(self, rate: float) -> None:
-        self._service_rate = _positive("service_rate", rate)
-
     def set_fault_factor(self, factor: float) -> None:
         self._fault_factor = _positive("fault factor", factor)
 
@@ -1479,15 +1393,13 @@ def _server_script(rng: random.Random, steps: int = 400):
     for _ in range(steps):
         time += rng.choice((0.0, rng.expovariate(150.0), rng.uniform(0.0, 0.04)))
         action = rng.choices(
-            ("submit", "set_speed_factor", "set_service_rate", "set_fault_factor", "probe"),
-            weights=(12, 1, 1, 1, 4),
+            ("submit", "set_speed_factor", "set_fault_factor", "probe"),
+            weights=(12, 1, 1, 4),
         )[0]
         if action == "submit":
             value = rng.choice((0.0, repeated, rng.uniform(0.0, 0.03), rng.expovariate(80.0)))
         elif action == "set_speed_factor":
             value = rng.choice((1.0, rng.uniform(0.2, 1.5)))
-        elif action == "set_service_rate":
-            value = rng.choice((0.5, 1.0, 2.0, rng.uniform(0.3, 3.0)))
         elif action == "set_fault_factor":
             value = rng.choice((1.0, 0.25, rng.uniform(0.05, 1.0)))
         else:

@@ -125,7 +125,6 @@ def test_flaky_link_drops_messages_then_heals():
     # Background cluster traffic crosses the link too, so the counter can
     # exceed the probe's single drop — but it must be counting.
     assert cluster.network.link_drops >= 1
-    assert not cluster.network.has_link_faults
 
 
 def test_flaky_link_extra_delay_slows_surviving_messages():

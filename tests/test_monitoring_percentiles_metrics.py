@@ -66,8 +66,7 @@ def test_collector_produces_snapshots_with_traffic():
     assert latest.read_p95_latency > 0.0
     assert latest.node_count == 3
     assert 0.0 <= latest.mean_utilization <= 1.0
-    assert len(collector.snapshots()) == 12
-    assert len(collector.recent(3)) == 3
+    assert len(collector.series["throughput_ops"]) == 12
 
 
 def test_collector_series_recorded():
@@ -77,7 +76,7 @@ def test_collector_series_recorded():
     # Gauges only: a completed operation's latency is stored once, by the
     # workload (tests/test_stored_once.py).
     assert "read_latency" not in collector.series.names()
-    assert len(collector.throughput_series()) >= 5
+    assert len(collector.series["throughput_ops"]) >= 5
 
 
 def test_collector_excludes_probe_operations_by_default():

@@ -114,15 +114,13 @@ def test_report_contains_estimates_and_overhead_when_enabled():
 # ----------------------------------------------------------------------
 # Result tables
 # ----------------------------------------------------------------------
-def test_result_table_rendering_and_csv():
+def test_result_table_rendering():
     table = ResultTable("demo", ["name", "value"])
     table.add_row({"name": "a", "value": 1.23456})
     table.add_row({"name": "b", "value": 12345.6})
     text = table.render()
     assert "demo" in text
     assert "a" in text and "b" in text
-    csv_text = table.to_csv()
-    assert csv_text.splitlines()[0] == "name,value"
     assert len(table) == 2
     assert table.column("name") == ["a", "b"]
     with pytest.raises(KeyError):

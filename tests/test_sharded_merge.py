@@ -250,7 +250,7 @@ def test_shard_sketches_equal_a_per_operation_reference(kind, monkeypatch):
 def test_buffered_collector_percentiles_track_exact_ones(monkeypatch):
     """The sketch a shard hands over, against the exact column it came from."""
     result, simulation, _ = _run_observed_shard(monkeypatch, _sketch_plan("healthy"))
-    exact_p95 = simulation.workload.stats.latency_percentile(95.0, "read")
+    exact_p95 = simulation.workload.stats.read_latency_series.percentile(95.0)
     # Sketch rank differs from numpy interpolation by at most one sample, so
     # allow a little beyond the pure relative-error bound.
     assert result.read_sketch.percentile(95.0) == pytest.approx(exact_p95, rel=0.05)

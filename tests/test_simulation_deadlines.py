@@ -235,22 +235,6 @@ def test_pop_returns_every_pending_deadline_of_a_fifo():
     assert queue._deadlines == {}
 
 
-def test_peek_time_passes_a_cancelled_front_to_the_next_live_deadline():
-    simulator = Simulator(seed=0)
-    front = simulator.deadline_in(1.0, lambda: None)
-    simulator.schedule(0.25, lambda: simulator.deadline_in(1.0, lambda: None))
-    simulator.run_until(0.5)
-    # Cancelled between runs, so peek_time is the first to meet the corpse.
-    front.cancel()
-    assert simulator._queue.peek_time() == 1.25
-    stats = simulator.queue_stats()
-    assert (stats["cancelled_skipped"], stats["deadlines_dropped"], stats["pending"]) == (
-        1,
-        0,
-        1,
-    )
-
-
 @pytest.mark.parametrize("delay", [-1.0, float("nan"), float("inf"), float("-inf")])
 def test_deadline_in_refuses_bad_times_as_schedule_in_does(delay):
     errors = []

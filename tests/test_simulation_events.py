@@ -50,18 +50,9 @@ def test_cancelled_events_are_skipped():
     assert queue.stats["cancelled_skipped"] == 1
 
 
-def test_peek_time_skips_cancelled_head():
-    queue = EventQueue()
-    handle = queue.push(1.0, lambda: None)
-    queue.push(5.0, lambda: None)
-    handle.cancel()
-    assert queue.peek_time() == 5.0
-
-
 def test_pop_on_empty_returns_none():
     queue = EventQueue()
     assert queue.pop() is None
-    assert queue.peek_time() is None
     assert not queue
 
 
@@ -265,16 +256,6 @@ def test_post_in_refuses_a_stopped_simulator_as_schedule_in_does(delay):
         assert simulator.pending_events == 0
     assert errors[0] == errors[1]
     assert errors[0][0] is (SchedulingError if delay < 0.0 else SimulationStateError)
-
-
-def test_peek_time_skips_a_cancelled_handled_head_to_a_posted_entry():
-    simulator = Simulator(seed=0)
-    handle = simulator.schedule_in(1.0, lambda: None)
-    simulator.post_in(5.0, lambda: None)
-    handle.cancel()
-    assert simulator._queue.peek_time() == 5.0
-    assert simulator.queue_stats()["cancelled_skipped"] == 1
-    assert simulator.pending_events == 1
 
 
 def test_pop_returns_a_posted_entry_as_an_event():

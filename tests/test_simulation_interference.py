@@ -47,17 +47,6 @@ def test_network_external_load_factor_stays_in_range():
     assert network.congestion_factor >= 1.0
 
 
-def test_detach_server_stops_updates():
-    simulator, _network, controller = make_setup(enabled=True, node_sigma=0.3)
-    server = QueueingServer(simulator, "n1")
-    controller.attach_server(server)
-    simulator.run_until(100.0)
-    controller.detach_server(server)
-    frozen = server.speed_factor
-    simulator.run_until(500.0)
-    assert server.speed_factor == frozen
-
-
 def test_stop_halts_all_updates():
     simulator, _network, controller = make_setup(enabled=True, node_sigma=0.3)
     server = QueueingServer(simulator, "n1")

@@ -85,10 +85,8 @@ def test_partition_is_symmetric_and_healable():
     assert network.is_partitioned("b", "a")
     assert network.is_partitioned("a", "c")
     assert not network.is_partitioned("b", "c")
-    assert network.has_partition
     network.heal_partition()
     assert not network.is_partitioned("a", "b")
-    assert not network.has_partition
 
 
 def test_unrelated_pairs_unaffected_by_partition():

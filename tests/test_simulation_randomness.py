@@ -60,15 +60,7 @@ def test_streams_bulk_creation_and_known_streams():
     assert set(streams.known_streams()) == {"x", "y"}
 
 
-def test_reset_recreates_generators_from_scratch():
-    streams = RandomStreams(seed=5)
-    before = streams.stream("w").random(3)
-    streams.reset()
-    after = streams.stream("w").random(3)
-    assert np.allclose(before, after)
-
-
-def test_normals_is_one_lazy_source_per_name_that_reset_forgets():
+def test_normals_is_one_lazy_source_per_name():
     streams = RandomStreams(seed=4)
     fresh = RandomStreams(seed=4).stream("n").bit_generator.state
     source = streams.normals("n")
@@ -78,9 +70,6 @@ def test_normals_is_one_lazy_source_per_name_that_reset_forgets():
     values = [source() for _ in range(5)]
     assert values == RandomStreams(seed=4).stream("n").standard_normal(5).tolist()
     assert all(type(value) is float for value in values)
-    streams.reset()
-    assert streams.normals("n") is not source
-    assert streams.normals("n")() == values[0]
 
 
 def test_a_scalar_generator_draw_is_already_a_python_float():

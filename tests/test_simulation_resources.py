@@ -71,8 +71,6 @@ def test_invalid_parameters_raise():
         server.submit(-1.0, lambda t: None)
     with pytest.raises(ResourceError):
         server.set_speed_factor(0.0)
-    with pytest.raises(ResourceError):
-        server.set_service_rate(-2.0)
 
 
 _NAN = float("nan")
@@ -87,8 +85,6 @@ _INF = float("inf")
         ("service_cv", _NAN, "service_cv"),
         ("service_cv", _INF, "service_cv"),
         ("service_cv", -0.1, "service_cv"),
-        ("set_service_rate", _NAN, "service_rate"),
-        ("set_service_rate", _INF, "service_rate"),
         ("set_speed_factor", _NAN, "speed factor"),
         ("set_speed_factor", _INF, "speed factor"),
         ("set_fault_factor", _NAN, "fault factor"),

@@ -61,21 +61,6 @@ def test_integrate_step_function():
     assert series.integrate() == pytest.approx(80.0)
 
 
-def test_time_weighted_mean_with_extension():
-    series = TimeSeries("nodes")
-    series.record(0.0, 2.0)
-    series.record(10.0, 4.0)
-    assert series.time_weighted_mean(end_time=20.0) == pytest.approx(3.0)
-
-
-def test_resample_produces_regular_grid():
-    series = TimeSeries("x")
-    series.record(0.0, 1.0)
-    series.record(3.0, 2.0)
-    resampled = series.resample(1.0, end_time=4.0)
-    assert list(resampled.values) == [1.0, 1.0, 1.0, 2.0, 2.0]
-
-
 def test_bundle_lazily_creates_series():
     bundle = TimeSeriesBundle()
     bundle.record("a", 1.0, 2.0)
@@ -85,16 +70,4 @@ def test_bundle_lazily_creates_series():
     assert "a" in bundle
     assert bundle["a"].mean() == pytest.approx(2.5)
     assert bundle.get("missing") is None
-    summaries = bundle.summaries()
-    assert summaries["b"].count == 1
-
-
-def test_float_buffer_grows_and_reads_without_consuming():
-    from repro.simulation.timeseries import FloatBuffer
-
-    buffer = FloatBuffer()
-    for value in range(70):  # crosses two doublings: 16 -> 32 -> 64 -> 128
-        buffer.append(float(value))
-    assert len(buffer) == 70
-    assert buffer.as_array().tolist() == [float(value) for value in range(70)]
-    assert len(buffer) == 70
+    assert bundle["b"].summary().count == 1

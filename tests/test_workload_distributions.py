@@ -131,7 +131,6 @@ def test_mix_choice_matches_fractions():
     assert draws.count("read") / 10_000 == pytest.approx(0.7, abs=0.02)
     assert draws.count("update") / 10_000 == pytest.approx(0.2, abs=0.02)
     assert draws.count("insert") / 10_000 == pytest.approx(0.1, abs=0.02)
-    assert mix.write_fraction == pytest.approx(0.3)
 
 
 def test_mix_validation():

@@ -13,12 +13,11 @@ from repro.workload import (
     DiurnalLoad,
     FlashCrowdLoad,
     NoisyLoad,
-    RampLoad,
     StepLoad,
-    TraceLoad,
     WorkloadGenerator,
     WorkloadSpec,
 )
+from repro.workload.load_shapes import LoadShape, ScaledLoad
 
 
 # ----------------------------------------------------------------------
@@ -59,16 +58,10 @@ def test_flash_crowd_phases():
     assert shape.rate(200.0) == 10.0
 
 
-def test_step_and_ramp_loads():
+def test_step_load():
     step = StepLoad(before_rate=10.0, after_rate=50.0, step_time=100.0)
     assert step.rate(99.9) == 10.0
     assert step.rate(100.0) == 50.0
-    ramp = RampLoad(start_rate=10.0, end_rate=20.0, ramp_start=0.0, ramp_end=10.0)
-    assert ramp.rate(-1.0) == 10.0
-    assert ramp.rate(5.0) == pytest.approx(15.0)
-    assert ramp.rate(20.0) == 20.0
-    with pytest.raises(ValueError):
-        RampLoad(10.0, 20.0, ramp_start=5.0, ramp_end=5.0)
 
 
 def test_composite_and_addition_operator():
@@ -89,20 +82,58 @@ def test_noisy_load_stays_near_base_and_is_deterministic():
         NoisyLoad(base, amplitude=1.5)
 
 
-def test_trace_load_interpolates():
-    trace = TraceLoad([(0.0, 10.0), (10.0, 20.0), (20.0, 0.0)])
-    assert trace.rate(-5.0) == 10.0
-    assert trace.rate(5.0) == pytest.approx(15.0)
-    assert trace.rate(15.0) == pytest.approx(10.0)
-    assert trace.rate(100.0) == 0.0
-    with pytest.raises(ValueError):
-        TraceLoad([(0.0, 1.0)])
-
-
-def test_mean_and_peak_rate_helpers():
+def test_peak_rate_helper():
     shape = StepLoad(before_rate=10.0, after_rate=30.0, step_time=50.0)
     assert shape.peak_rate(0.0, 100.0) == 30.0
-    assert 10.0 < shape.mean_rate(0.0, 100.0) < 30.0
+
+
+#: A valid declaration of every shape with a numeric argument.
+_VALID_SHAPES = {
+    ConstantLoad: dict(rate=10.0),
+    DiurnalLoad: dict(trough_rate=10.0, peak_rate=100.0, period=60.0, peak_time=0.5),
+    FlashCrowdLoad: dict(
+        base_rate=10.0,
+        spike_rate=100.0,
+        spike_start=1.0,
+        ramp_duration=1.0,
+        hold_duration=1.0,
+        decay_duration=1.0,
+    ),
+    StepLoad: dict(before_rate=10.0, after_rate=100.0, step_time=1.0),
+    ScaledLoad: dict(base=ConstantLoad(10.0), factor=0.5),
+    NoisyLoad: dict(base=ConstantLoad(10.0), amplitude=0.1, period=60.0),
+}
+#: Arguments that are points in time: any finite value, negative included.
+_TIMES = {"peak_time", "spike_start", "step_time"}
+#: Arguments that must be above zero, not merely at least zero.
+_POSITIVE = {"period", "ramp_duration", "decay_duration"}
+
+
+def _bad_shape_arguments():
+    for shape, valid in _VALID_SHAPES.items():
+        for name, good in valid.items():
+            if isinstance(good, LoadShape):
+                continue
+            bad = [float("nan"), float("inf"), float("-inf")]
+            if name not in _TIMES:
+                bad.append(-1.0)
+            if name in _POSITIVE:
+                bad.append(0.0)
+            for value in bad:
+                yield pytest.param(shape, name, value, id=f"{shape.__name__}-{name}={value}")
+
+
+def test_every_shape_with_a_numeric_argument_is_swept():
+    ours = {shape for shape in LoadShape.__subclasses__() if shape.__module__ == LoadShape.__module__}
+    assert ours == set(_VALID_SHAPES) | {CompositeLoad}
+
+
+@pytest.mark.parametrize("shape, name, value", _bad_shape_arguments())
+def test_a_shape_refuses_a_non_finite_or_out_of_range_argument_by_name(shape, name, value):
+    # An infinite rate made every gap 0 and hung the run; a NaN one issued a
+    # single operation; a NaN period or time made every rate NaN.
+    with pytest.raises(ValueError, match=name):
+        shape(**{**_VALID_SHAPES[shape], name: value})
 
 
 # ----------------------------------------------------------------------
@@ -188,13 +219,10 @@ def test_generator_records_latencies_and_summary():
     simulator.run_until(10.0)
     stats = generator.stats
     assert stats.operations_completed > 0
-    assert stats.latency_percentile(95, "read") > 0.0
-    assert stats.latency_percentile(95, "all") > 0.0
+    assert stats.read_latency_series.percentile(95) > 0.0
     summary = stats.summary()
     assert summary["read_p95_ms"] > 0.0
     assert 0.0 <= summary["failure_fraction"] <= 1.0
-    with pytest.raises(ValueError):
-        stats.latency_percentile(95, "bogus")
 
 
 def test_inserts_extend_the_key_space():
