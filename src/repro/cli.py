@@ -46,7 +46,7 @@ import contextlib
 import json
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cluster.cluster import ClusterConfig
 from .cluster.errors import ConfigurationError

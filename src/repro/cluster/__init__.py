@@ -20,7 +20,7 @@ from .hinted_handoff import Hint, HintedHandoffConfig, HintedHandoffManager
 from .membership import GossipAgent, MembershipConfig, MembershipService, MembershipView
 from .node import NodeConfig, ReplicaReadResponse, ReplicaWriteResponse, StorageNode
 from .read_repair import ReadRepairConfig, ReadRepairer
-from .rebalance import DataStreamer, StreamingConfig, StreamSession, StreamTask
+from .rebalance import DataStreamer, StreamSession, StreamTask
 from .ring import HashRing, hash_key
 from .storage import StorageEngine, StorageStats
 from .types import (
@@ -73,7 +73,6 @@ __all__ = [
     "AntiEntropyService",
     "AntiEntropyConfig",
     "DataStreamer",
-    "StreamingConfig",
     "StreamSession",
     "StreamTask",
     "FaultInjector",

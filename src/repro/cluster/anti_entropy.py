@@ -16,7 +16,7 @@ in experiment E4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from ..simulation.engine import PeriodicTask, Simulator
 from .versioning import VersionedValue, compare_versions

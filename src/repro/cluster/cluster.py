@@ -33,13 +33,13 @@ from ..middleware import (
 from ..simulation.engine import Simulator
 from ..simulation.network import NetworkConfig, NetworkModel
 from .anti_entropy import AntiEntropyConfig, AntiEntropyService
-from .coordinator import CoordinatorConfig, RequestCoordinator
+from .coordinator import DEFAULT_VALUE_SIZE, CoordinatorConfig, RequestCoordinator
 from .errors import ConfigurationError, TopologyError, UnknownNodeError
 from .hinted_handoff import HintedHandoffConfig, HintedHandoffManager
 from .membership import MembershipConfig, MembershipService
 from .node import NodeConfig, StorageNode
-from .read_repair import ReadRepairConfig, ReadRepairer
-from .rebalance import DataStreamer, StreamingConfig, StreamSession
+from .read_repair import ReadRepairer
+from .rebalance import DataStreamer, StreamSession
 from .ring import HashRing
 from .storage import StorageEngine
 from .types import (
@@ -58,6 +58,10 @@ def _discard(result: OperationResult) -> None:
     """Completion callback for a caller that does not want the result."""
 
 
+#: Virtual nodes each storage node places on the ring.
+VIRTUAL_NODES = 32
+
+
 @dataclass
 class ClusterConfig:
     """Static configuration of the store and its initial deployment."""
@@ -66,14 +70,11 @@ class ClusterConfig:
     replication_factor: int = 3
     read_consistency: ConsistencyLevel = ConsistencyLevel.ONE
     write_consistency: ConsistencyLevel = ConsistencyLevel.ONE
-    virtual_nodes: int = 32
     node: NodeConfig = field(default_factory=NodeConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     membership: MembershipConfig = field(default_factory=MembershipConfig)
     hinted_handoff: HintedHandoffConfig = field(default_factory=HintedHandoffConfig)
-    read_repair: ReadRepairConfig = field(default_factory=ReadRepairConfig)
     anti_entropy: AntiEntropyConfig = field(default_factory=AntiEntropyConfig)
-    streaming: StreamingConfig = field(default_factory=StreamingConfig)
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
     max_nodes: int = 32
     min_nodes: int = 1
@@ -157,15 +158,14 @@ class Cluster:
         self,
         simulator: Simulator,
         config: Optional[ClusterConfig] = None,
-        network: Optional[NetworkModel] = None,
     ) -> None:
         self._simulator = simulator
         self.config = config or ClusterConfig()
         self.config.validate()
 
-        self.network = network or NetworkModel(simulator, self.config.network)
+        self.network = NetworkModel(simulator, self.config.network)
         self.membership = MembershipService(simulator, self.network, self.config.membership)
-        self.ring = HashRing(self.config.virtual_nodes)
+        self.ring = HashRing(VIRTUAL_NODES)
         self.nodes: Dict[str, StorageNode] = {}
         # Sorted ids of the nodes that serve requests, or ``None`` when a
         # node was created or changed state since it was last asked for.
@@ -204,11 +204,7 @@ class Cluster:
             deliver=self._deliver_background_write,
             is_reachable=self._node_reachable,
         )
-        self.read_repairer = ReadRepairer(
-            simulator,
-            self.config.read_repair,
-            deliver=self._deliver_background_write,
-        )
+        self.read_repairer = ReadRepairer(simulator, deliver=self._deliver_background_write)
         self.anti_entropy = AntiEntropyService(
             simulator,
             self.config.anti_entropy,
@@ -216,7 +212,7 @@ class Cluster:
             replica_versions=self.replica_versions,
             deliver=self._deliver_background_write,
         )
-        self.streamer = DataStreamer(simulator, self.network, self.config.streaming)
+        self.streamer = DataStreamer(simulator, self.network)
 
         # Build the request pipeline from the registry now that every service
         # a middleware may bind to (handoff, repair, coordinator) exists.
@@ -236,9 +232,6 @@ class Cluster:
 
         for _ in range(self.config.initial_nodes):
             self._create_node(initial=True)
-
-        self.reconfigurations: List[Dict[str, object]] = []
-        self.topology_changes: List[Dict[str, object]] = []
 
     # ------------------------------------------------------------------
     # Listeners
@@ -287,14 +280,12 @@ class Cluster:
     def _notify_topology(self, change: Dict[str, object]) -> None:
         change = dict(change)
         change["time"] = self._simulator.now
-        self.topology_changes.append(change)
         for observer in self._observers["on_topology_changed"]:
             observer(change)
 
     def _notify_reconfiguration(self, change: Dict[str, object]) -> None:
         change = dict(change)
         change["time"] = self._simulator.now
-        self.reconfigurations.append(change)
         for observer in self._observers["on_reconfiguration"]:
             observer(change)
 
@@ -477,7 +468,6 @@ class Cluster:
         loaded = 0
         now = self._simulator.now
         sizes = sizes or {}
-        default_size = self.config.coordinator.default_value_size
         next_sequence = self.coordinator.next_sequence
         preference_list = self.ring.preference_list
         replication_factor = self._replication_factor
@@ -490,7 +480,7 @@ class Cluster:
         for key, value in items.items():
             stamp = VersionStamp(now, next_sequence())
             version = VersionedValue(
-                stamp, value, write_id=0, size=sizes.get(key, default_size)
+                stamp, value, write_id=0, size=sizes.get(key, DEFAULT_VALUE_SIZE)
             )
             replicas = preference_list(key, replication_factor)
             if not replicas:

@@ -65,6 +65,9 @@ __all__ = ["CoordinatorConfig", "RequestCoordinator", "AckedVersionRegistry"]
 
 _CLIENT = "__client__"
 
+#: Bytes per value when the workload does not specify a size.
+DEFAULT_VALUE_SIZE = 1024
+
 
 @dataclass
 class CoordinatorConfig:
@@ -72,9 +75,6 @@ class CoordinatorConfig:
 
     operation_timeout: float = 1.0
     """Seconds before an in-flight operation fails with a timeout."""
-
-    default_value_size: int = 1024
-    """Bytes per value when the workload does not specify a size."""
 
 
 class AckedVersionRegistry:
@@ -181,7 +181,6 @@ class RequestCoordinator:
         nodes: Dict[str, StorageNode],
         membership: MembershipService,
         config: Optional[CoordinatorConfig] = None,
-        pipeline: Optional[MiddlewarePipeline] = None,
     ) -> None:
         self._simulator = simulator
         self._network = network
@@ -210,7 +209,7 @@ class RequestCoordinator:
         # the default selection/consistency/staleness/monitoring stack; the
         # Cluster facade replaces it with the registry-built one before any
         # request flows.
-        self.set_pipeline(pipeline or default_coordinator_pipeline(self))
+        self.set_pipeline(default_coordinator_pipeline(self))
 
         # Counters used by reports and tests.
         self.writes_started = 0
@@ -477,7 +476,7 @@ class RequestCoordinator:
             VersionStamp(now, self.next_sequence()),
             value,
             self._write_ids,
-            size if size is not None else self._config.default_value_size,
+            size if size is not None else DEFAULT_VALUE_SIZE,
         )
         request.result.version_timestamp = now
 
@@ -514,7 +513,6 @@ class RequestCoordinator:
     def _hint(self, request: _Request, node_id: str) -> None:
         """The write missed ``node_id``: offer it to the pipeline as a hint."""
         if self._pipeline.on_unreachable_replica(request, node_id, request.version):
-            request.result.hinted += 1
             self.hinted_writes += 1
 
     def _replica_write_done(

@@ -31,7 +31,7 @@ that can be sampled from a seeded generator (:meth:`FaultPlan.generate`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -346,7 +346,9 @@ class FaultInjector:
 # Declarative fault plans (chaos campaigns)
 # ----------------------------------------------------------------------
 
-#: The :class:`FaultSpec` fields each kind reads in :meth:`FaultPlan.apply`.
+#: The :class:`FaultSpec` fields each kind reads in :meth:`FaultPlan.apply`,
+#: which passes them to the kind's :data:`_INJECTOR_METHODS` entry: ``node``
+#: then ``peer`` (resolved to node ids) by position, the rest by keyword.
 #: A spec may carry the others (:meth:`FaultPlan.generate` fills every field
 #: whatever the kind) and ``apply`` ignores them; a front end that takes a
 #: spec from a person refuses a field outside its kind's row.
@@ -367,6 +369,15 @@ FAULT_KIND_FIELDS = {
 
 #: Fault kinds a :class:`FaultSpec` may carry.
 FAULT_KINDS = tuple(FAULT_KIND_FIELDS)
+
+#: The :class:`FaultInjector` method that injects each kind.
+_INJECTOR_METHODS = {
+    "crash": "crash_node",
+    "degrade": "degrade_node",
+    "flaky_link": "flaky_link",
+    "partition": "isolate_node",
+    "restart": "rolling_restart",
+}
 
 
 @dataclass(frozen=True)
@@ -544,38 +555,16 @@ class FaultPlan:
             peer = node_ids[spec.peer % len(node_ids)]
             if peer == node and len(node_ids) > 1:
                 peer = node_ids[(spec.peer + 1) % len(node_ids)]
-            if spec.kind == "crash":
-                events.append(
-                    injector.crash_node(node, at=spec.at, duration=spec.duration)
+            fields = FAULT_KIND_FIELDS[spec.kind]
+            if "peer" in fields and peer == node:
+                # Single-node cluster: there is no link to make flaky.
+                continue
+            targets = {"node": node, "peer": peer}
+            inject = getattr(injector, _INJECTOR_METHODS[spec.kind])
+            events.append(
+                inject(
+                    *(targets[field] for field in fields if field in targets),
+                    **{field: getattr(spec, field) for field in fields if field not in targets},
                 )
-            elif spec.kind == "degrade":
-                events.append(
-                    injector.degrade_node(
-                        node, at=spec.at, factor=spec.factor, duration=spec.duration
-                    )
-                )
-            elif spec.kind == "flaky_link":
-                if peer == node:
-                    # Single-node cluster: there is no link to make flaky.
-                    continue
-                events.append(
-                    injector.flaky_link(
-                        node,
-                        peer,
-                        at=spec.at,
-                        duration=spec.duration,
-                        drop_probability=spec.drop_probability,
-                        extra_delay=spec.extra_delay,
-                    )
-                )
-            elif spec.kind == "partition":
-                events.append(
-                    injector.isolate_node(node, at=spec.at, duration=spec.duration)
-                )
-            else:  # "restart" — validated by FaultSpec.__post_init__
-                events.append(
-                    injector.rolling_restart(
-                        at=spec.at, downtime=spec.downtime, settle=spec.settle
-                    )
-                )
+            )
         return events

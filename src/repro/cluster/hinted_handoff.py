@@ -12,8 +12,8 @@ manage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from ..simulation.engine import PeriodicTask, Simulator
 from .versioning import VersionedValue

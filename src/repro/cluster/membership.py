@@ -16,13 +16,16 @@ CAP-discussion in the paper's introduction revolves around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from ..simulation.engine import PeriodicTask, Simulator
 from ..simulation.network import NetworkModel
 
 __all__ = ["MembershipConfig", "MembershipView", "GossipAgent", "MembershipService"]
+
+#: Number of peers contacted per gossip round.
+FANOUT = 1
 
 
 @dataclass
@@ -34,9 +37,6 @@ class MembershipConfig:
 
     failure_timeout: float = 6.0
     """Seconds without heartbeat progress before a peer is suspected down."""
-
-    fanout: int = 1
-    """Number of peers contacted per gossip round."""
 
 
 @dataclass
@@ -50,11 +50,10 @@ class _PeerRecord:
 class MembershipView:
     """One node's (or the operator's) view of cluster liveness."""
 
-    def __init__(self, owner: str, config: MembershipConfig, now: float) -> None:
+    def __init__(self, owner: str, config: MembershipConfig) -> None:
         self._owner = owner
         self._config = config
         self._records: Dict[str, _PeerRecord] = {}
-        self._created_at = now
 
     @property
     def owner(self) -> str:
@@ -114,7 +113,7 @@ class GossipAgent:
         self._is_up = is_up
         self._heartbeat = 0
         self._rng = simulator.streams.stream(f"gossip:{node_id}")
-        self.view = MembershipView(node_id, config, simulator.now)
+        self.view = MembershipView(node_id, config)
         self.view.observe(node_id, 0, simulator.now)
         self._task: Optional[PeriodicTask] = simulator.call_every(
             config.gossip_interval,
@@ -144,7 +143,7 @@ class GossipAgent:
         candidates = [pid for pid in peers if pid != self.node_id]
         if not candidates:
             return
-        count = min(self._config.fanout, len(candidates))
+        count = min(FANOUT, len(candidates))
         chosen = self._rng.choice(len(candidates), size=count, replace=False)
         for index in chosen:
             peer_id = candidates[int(index)]

@@ -17,16 +17,19 @@ first research task.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..simulation.engine import Simulator
 from ..simulation.resources import QueueingServer
 from .storage import StorageEngine
 from .types import NodeState
-from .versioning import VersionStamp, VersionedValue
+from .versioning import VersionedValue
 
 __all__ = ["NodeConfig", "StorageNode", "ReplicaReadResponse", "ReplicaWriteResponse"]
+
+#: Demand multiplier slope per unit of memory fraction above the threshold.
+MEMORY_PRESSURE_SLOPE = 2.0
 
 
 @dataclass
@@ -56,9 +59,6 @@ class NodeConfig:
 
     memory_pressure_threshold: float = 0.7
     """Fraction of memory above which service demand starts inflating."""
-
-    memory_pressure_slope: float = 2.0
-    """Demand multiplier slope per unit of excess memory fraction."""
 
     mutation_timeout: float = 0.25
     """Replicated writes expected to wait longer than this are dropped.
@@ -94,7 +94,6 @@ class ReplicaReadResponse:
 
     node_id: str
     version: Optional[VersionedValue]
-    responded_at: float
 
 
 @dataclass(slots=True)
@@ -114,7 +113,6 @@ class StorageNode:
         simulator: Simulator,
         node_id: str,
         config: Optional[NodeConfig] = None,
-        state: NodeState = NodeState.NORMAL,
         on_state_change: Optional[Callable[[], None]] = None,
     ) -> None:
         self._simulator = simulator
@@ -125,7 +123,7 @@ class StorageNode:
         # born in its state: only changes after construction are reported.
         self._on_state_change: Optional[Callable[[], None]] = None
         self._state: Optional[NodeState] = None
-        self._enter(state)
+        self._enter(NodeState.NORMAL)
         self._on_state_change = on_state_change
         self.server = QueueingServer(
             simulator,
@@ -136,7 +134,6 @@ class StorageNode:
         self.storage = StorageEngine(node_id)
         self._base_demand = 1.0 / self.config.ops_capacity
         self.started_at = simulator.now
-        self.stopped_at: Optional[float] = None
         self.foreground_ops = 0
         self.background_ops = 0
         self.dropped_mutations = 0
@@ -180,25 +177,18 @@ class StorageNode:
 
         Returns whether the transition happened (never for a removed node).
         """
-        if not self._enter(NodeState.DOWN):
-            return False
-        self.stopped_at = self._simulator.now
-        return True
+        return self._enter(NodeState.DOWN)
 
     def mark_up(self) -> bool:
         """Recover the node after a crash; stored data survives (disk).
 
         Returns ``False`` (and changes nothing) for a removed node.
         """
-        if not self._enter(NodeState.NORMAL):
-            return False
-        self.stopped_at = None
-        return True
+        return self._enter(NodeState.NORMAL)
 
     def mark_removed(self) -> None:
         """Final state after decommissioning."""
-        if self._enter(NodeState.REMOVED):
-            self.stopped_at = self._simulator.now
+        self._enter(NodeState.REMOVED)
 
     # ------------------------------------------------------------------
     # Demand model
@@ -215,7 +205,7 @@ class StorageNode:
                 - config.memory_pressure_threshold
             )
             if excess > 0.0:
-                return demand * (1.0 + config.memory_pressure_slope * excess)
+                return demand * (1.0 + MEMORY_PRESSURE_SLOPE * excess)
         return demand
 
     @property
@@ -280,7 +270,7 @@ class StorageNode:
 
         def _complete(now: float) -> None:
             version = self.storage.get(key)
-            on_done(ReplicaReadResponse(self.node_id, version, now))
+            on_done(ReplicaReadResponse(self.node_id, version))
 
         self.server.submit(demand, _complete)
 

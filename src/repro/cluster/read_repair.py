@@ -11,7 +11,7 @@ weigh.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..simulation.engine import Simulator
 from .node import ReplicaReadResponse
@@ -25,8 +25,6 @@ class ReadRepairConfig:
     """Parameters of read repair."""
 
     enabled: bool = True
-    repair_probability: float = 1.0
-    """Probability that a detected mismatch triggers repair writes."""
 
 
 class ReadRepairer:
@@ -80,9 +78,10 @@ class ReadRepairer:
         if not self._config.enabled or self._deliver is None:
             self.repairs_skipped += len(stale_nodes)
             return True
-        if self._rng.random() > self._config.repair_probability:
-            self.repairs_skipped += len(stale_nodes)
-            return True
+        # Every mismatch is repaired, so this draw decides nothing; it stays
+        # because the seed pins the "read-repair" stream's draws and the
+        # ledger's exact per-operation counts (PERFORMANCE.md rules 1-5).
+        self._rng.random()
         for node_id in stale_nodes:
             if self._deliver(node_id, key, newest):
                 self.repairs_sent += 1

@@ -13,8 +13,8 @@ measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..simulation.engine import Simulator
 from ..simulation.network import NetworkModel
@@ -22,21 +22,14 @@ from .node import StorageNode
 from .ring import HashRing
 from .versioning import VersionStamp, VersionedValue
 
-__all__ = ["StreamingConfig", "StreamTask", "StreamSession", "DataStreamer"]
+__all__ = ["StreamTask", "StreamSession", "DataStreamer"]
 
-
-@dataclass
-class StreamingConfig:
-    """Parameters of background data streaming."""
-
-    chunk_size: int = 64
-    """Keys transferred per streaming chunk."""
-
-    inter_chunk_delay: float = 0.05
-    """Pause between consecutive chunks of the same task (throttling)."""
-
-    max_parallel_tasks: int = 2
-    """How many (source, target) streams run concurrently per session."""
+#: Keys transferred per streaming chunk.
+CHUNK_SIZE = 64
+#: Pause between consecutive chunks of the same task (throttling).
+INTER_CHUNK_DELAY = 0.05
+#: How many (source, target) streams run concurrently per session.
+MAX_PARALLEL_TASKS = 2
 
 
 @dataclass
@@ -46,7 +39,6 @@ class StreamTask:
     source: str
     target: str
     keys: List[str]
-    chunks_sent: int = 0
     keys_sent: int = 0
     done: bool = False
 
@@ -60,7 +52,6 @@ class StreamSession:
         network: NetworkModel,
         nodes: Dict[str, StorageNode],
         tasks: List[StreamTask],
-        config: StreamingConfig,
         on_complete: Callable[["StreamSession"], None],
         on_version_applied: Optional[
             Callable[[str, VersionStamp, str, float], None]
@@ -70,24 +61,15 @@ class StreamSession:
         self._simulator = simulator
         self._network = network
         self._nodes = nodes
-        self._config = config
         self._on_complete = on_complete
         self._on_version_applied = on_version_applied
         self.label = label
-        self.tasks = tasks
         self.started_at = simulator.now
         self.finished_at: Optional[float] = None
         self.keys_streamed = 0
-        self.bytes_streamed = 0
         self._active = 0
         self._queue: List[StreamTask] = [task for task in tasks if task.keys]
-        self._completed_tasks = 0
         self._cancelled = False
-
-    @property
-    def total_keys(self) -> int:
-        """Total number of keys this session will move."""
-        return sum(len(task.keys) for task in self.tasks)
 
     @property
     def done(self) -> bool:
@@ -106,7 +88,7 @@ class StreamSession:
         if not self._queue:
             self._finish()
             return
-        for _ in range(min(self._config.max_parallel_tasks, len(self._queue))):
+        for _ in range(min(MAX_PARALLEL_TASKS, len(self._queue))):
             self._start_next_task()
 
     def cancel(self) -> None:
@@ -133,7 +115,7 @@ class StreamSession:
             self._task_done(task)
             return
         start = task.keys_sent
-        chunk = task.keys[start : start + self._config.chunk_size]
+        chunk = task.keys[start : start + CHUNK_SIZE]
         if not chunk:
             self._task_done(task)
             return
@@ -143,7 +125,6 @@ class StreamSession:
 
         source.stream_out(list(chunk), _chunk_read)
         task.keys_sent += len(chunk)
-        task.chunks_sent += 1
 
     def _deliver_chunk(self, task: StreamTask, items: Dict[str, VersionedValue]) -> None:
         if self._cancelled:
@@ -156,7 +137,6 @@ class StreamSession:
         def _apply() -> None:
             def _applied(apply_time: float) -> None:
                 self.keys_streamed += len(items)
-                self.bytes_streamed += sum(version.size for version in items.values())
                 if self._on_version_applied is not None:
                     for key, version in items.items():
                         self._on_version_applied(key, version.stamp, task.target, apply_time)
@@ -167,10 +147,10 @@ class StreamSession:
         delivered = self._network.send(task.source, task.target, _apply)
         if not delivered:
             # Partitioned; retry the same chunk after the throttle delay.
-            task.keys_sent -= len(items) if items else self._config.chunk_size
+            task.keys_sent -= len(items) if items else CHUNK_SIZE
             task.keys_sent = max(0, task.keys_sent)
             self._simulator.schedule_in(
-                self._config.inter_chunk_delay * 10,
+                INTER_CHUNK_DELAY * 10,
                 self._stream_next_chunk,
                 task,
                 label=f"{self.label}:retry",
@@ -181,7 +161,7 @@ class StreamSession:
             self._task_done(task)
             return
         self._simulator.schedule_in(
-            self._config.inter_chunk_delay,
+            INTER_CHUNK_DELAY,
             self._stream_next_chunk,
             task,
             label=f"{self.label}:chunk",
@@ -192,7 +172,6 @@ class StreamSession:
             return
         task.done = True
         self._active -= 1
-        self._completed_tasks += 1
         if self._queue:
             self._start_next_task()
         elif self._active <= 0:
@@ -208,21 +187,10 @@ class StreamSession:
 class DataStreamer:
     """Plans and runs the streaming required by each topology change."""
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        network: NetworkModel,
-        config: Optional[StreamingConfig] = None,
-    ) -> None:
+    def __init__(self, simulator: Simulator, network: NetworkModel) -> None:
         self._simulator = simulator
         self._network = network
-        self._config = config or StreamingConfig()
         self.sessions: List[StreamSession] = []
-
-    @property
-    def config(self) -> StreamingConfig:
-        """Streaming configuration in effect."""
-        return self._config
 
     @property
     def active_sessions(self) -> int:
@@ -371,7 +339,6 @@ class DataStreamer:
             self._network,
             nodes,
             tasks,
-            self._config,
             on_complete=on_complete,
             on_version_applied=on_version_applied,
             label=label,

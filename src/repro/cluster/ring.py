@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import ConfigurationError, UnknownNodeError
 

@@ -15,7 +15,7 @@ class in service requests on the node's queueing server.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .versioning import VersionStamp, VersionedValue
 

@@ -190,6 +190,3 @@ class WriteResult(OperationResult):
 
     version_timestamp: Optional[float] = None
     """Commit timestamp assigned to this write by its coordinator."""
-
-    hinted: int = 0
-    """Number of replicas reached via hinted handoff instead of directly."""

@@ -48,11 +48,11 @@ class StalenessSnapshot:
 
 
 class StalenessObserver(ClusterListener):
-    """Collects per-read staleness annotations from completed operations."""
+    """Collects per-read staleness annotations from completed production
+    reads (probe reads are left out)."""
 
-    def __init__(self, simulator: Simulator, include_probes: bool = False) -> None:
+    def __init__(self, simulator: Simulator) -> None:
         self._simulator = simulator
-        self._include_probes = include_probes
         # One 0/1 flag per observed read and one age per stale read, both at
         # the read's completion time; the counters are their whole-run totals.
         self._stale_series = TimeSeries("stale_read")
@@ -66,7 +66,7 @@ class StalenessObserver(ClusterListener):
     def on_operation_completed(self, result: OperationResult) -> None:
         if not result.is_read or not result.success:
             return
-        if result.operation.is_probe and not self._include_probes:
+        if result.operation.is_probe:
             return
         observed_at = result.completed_at
         self.reads_observed += 1

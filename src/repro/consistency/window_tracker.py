@@ -36,7 +36,6 @@ class WindowRecord:
     key: str
     stamp: VersionStamp
     ack_time: float
-    replica_set: Sequence[str]
     missing: Set[str]
     """Replicas that can still serve an older version; the window closes when
     the last of them applies this stamp or a newer one."""
@@ -119,7 +118,7 @@ class InconsistencyWindowTracker(ClusterListener):
                 if newest >= stamp:
                     missing.discard(node_id)
 
-        record = WindowRecord(key, stamp, ack_time, replica_set, missing)
+        record = WindowRecord(key, stamp, ack_time, missing)
         if not missing:
             # Every replica had already converged when the ack went out
             # (e.g. CL=ALL): the window is zero.

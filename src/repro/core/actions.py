@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..cluster.cluster import Cluster
 from ..cluster.errors import ClusterError
@@ -50,7 +50,6 @@ class ActionOutcome:
     kind: ActionKind
     applied: bool
     time: float
-    detail: Dict[str, object]
     error: Optional[str] = None
 
 
@@ -71,16 +70,10 @@ class ReconfigurationAction(abc.ABC):
         self,
         time: float,
         applied: bool,
-        detail: Optional[Dict[str, object]] = None,
         error: Optional[str] = None,
     ) -> ActionOutcome:
         return ActionOutcome(
-            action=self.describe(),
-            kind=self.kind,
-            applied=applied,
-            time=time,
-            detail=detail or {},
-            error=error,
+            action=self.describe(), kind=self.kind, applied=applied, time=time, error=error
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -97,13 +90,10 @@ class AddNodeAction(ReconfigurationAction):
 
     def apply(self, cluster: Cluster, time: float) -> ActionOutcome:
         try:
-            node_id, session = cluster.add_node()
+            cluster.add_node()
         except ClusterError as exc:
             return self._outcome(time, False, error=str(exc))
-        detail: Dict[str, object] = {"node": node_id}
-        if session is not None:
-            detail["bootstrap_keys"] = session.total_keys
-        return self._outcome(time, True, detail)
+        return self._outcome(time, True)
 
 
 class RemoveNodeAction(ReconfigurationAction):
@@ -111,22 +101,15 @@ class RemoveNodeAction(ReconfigurationAction):
 
     kind = ActionKind.SCALE_IN
 
-    def __init__(self, node_id: Optional[str] = None) -> None:
-        self._node_id = node_id
-
     def describe(self) -> str:
-        suffix = f":{self._node_id}" if self._node_id else ""
-        return f"remove_node{suffix}"
+        return "remove_node"
 
     def apply(self, cluster: Cluster, time: float) -> ActionOutcome:
         try:
-            node_id, session = cluster.remove_node(self._node_id)
+            cluster.remove_node()
         except ClusterError as exc:
             return self._outcome(time, False, error=str(exc))
-        detail: Dict[str, object] = {"node": node_id}
-        if session is not None:
-            detail["drain_keys"] = session.total_keys
-        return self._outcome(time, True, detail)
+        return self._outcome(time, True)
 
 
 class SetReadConsistencyAction(ReconfigurationAction):
@@ -146,11 +129,8 @@ class SetReadConsistencyAction(ReconfigurationAction):
         return f"set_read_consistency:{self._level.value}"
 
     def apply(self, cluster: Cluster, time: float) -> ActionOutcome:
-        previous = cluster.read_consistency
         cluster.set_read_consistency(self._level)
-        return self._outcome(
-            time, True, {"from": previous.value, "to": self._level.value}
-        )
+        return self._outcome(time, True)
 
 
 class SetWriteConsistencyAction(ReconfigurationAction):
@@ -170,11 +150,8 @@ class SetWriteConsistencyAction(ReconfigurationAction):
         return f"set_write_consistency:{self._level.value}"
 
     def apply(self, cluster: Cluster, time: float) -> ActionOutcome:
-        previous = cluster.write_consistency
         cluster.set_write_consistency(self._level)
-        return self._outcome(
-            time, True, {"from": previous.value, "to": self._level.value}
-        )
+        return self._outcome(time, True)
 
 
 class SetTierQuotaScaleAction(ReconfigurationAction):
@@ -209,15 +186,11 @@ class SetTierQuotaScaleAction(ReconfigurationAction):
         return f"set_tier_quota_scale:{self._tier}:{self._scale:g}"
 
     def apply(self, cluster: Cluster, time: float) -> ActionOutcome:
-        result = cluster.set_admission_tier_scale(self._tier, self._scale)
-        if result is None:
+        if cluster.set_admission_tier_scale(self._tier, self._scale) is None:
             return self._outcome(
                 time, False, error="no admission-control stage in pipeline"
             )
-        previous, applied_scale = result
-        return self._outcome(
-            time, True, {"tier": self._tier, "from": previous, "to": applied_scale}
-        )
+        return self._outcome(time, True)
 
 
 class NoAction(ReconfigurationAction):
@@ -229,4 +202,4 @@ class NoAction(ReconfigurationAction):
         return "no_action"
 
     def apply(self, cluster: Cluster, time: float) -> ActionOutcome:
-        return self._outcome(time, True, {})
+        return self._outcome(time, True)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Set
 
 from .knowledge import KnowledgeBase
-from .sla import SLA, SLAEvaluation, SLOEvaluation, SystemObservation
+from .sla import SLA, SLAEvaluation, SystemObservation
 
-__all__ = ["Symptom", "RootCause", "AnalysisConfig", "AnalysisResult", "Analyzer"]
+__all__ = ["Symptom", "RootCause", "AnalysisResult", "Analyzer"]
 
 
 class Symptom(enum.Enum):
@@ -50,30 +50,20 @@ class RootCause(enum.Enum):
     LOAD_DECREASING = "load_decreasing"
 
 
-@dataclass
-class AnalysisConfig:
-    """Thresholds used by the analyzer."""
-
-    risk_margin: float = 0.2
-    """An SLO whose normalised margin drops below this is "at risk"."""
-
-    saturation_utilization: float = 0.8
-    """Max node utilisation above which the CPU is the suspected bottleneck."""
-
-    idle_utilization: float = 0.35
-    """Mean utilisation below which the cluster may be over-provisioned."""
-
-    congestion_factor: float = 1.5
-    """Network congestion multiplier above which the network is suspected."""
-
-    waste_margin: float = 0.5
-    """All SLOs need at least this margin before cost optimisation kicks in."""
-
-    forecast_horizon: float = 300.0
-    """How far ahead the load trend is evaluated (seconds)."""
-
-    load_trend_threshold: float = 0.15
-    """Relative forecast change that counts as an increasing/decreasing trend."""
+#: An SLO whose normalised margin drops below this is "at risk".
+RISK_MARGIN = 0.2
+#: Max node utilisation above which the CPU is the suspected bottleneck.
+SATURATION_UTILIZATION = 0.8
+#: Mean utilisation below which the cluster may be over-provisioned.
+IDLE_UTILIZATION = 0.35
+#: Network congestion multiplier above which the network is suspected.
+CONGESTION_FACTOR = 1.5
+#: All SLOs need at least this margin before cost optimisation kicks in.
+WASTE_MARGIN = 0.5
+#: How far ahead the load trend is evaluated (seconds).
+FORECAST_HORIZON = 300.0
+#: Relative forecast change that counts as an increasing/decreasing trend.
+LOAD_TREND_THRESHOLD = 0.15
 
 
 @dataclass
@@ -82,9 +72,8 @@ class AnalysisResult:
 
     time: float
     observation: SystemObservation
-    evaluation: SLAEvaluation
     symptoms: Set[Symptom] = field(default_factory=set)
-    root_causes: Set[RootCause] = field(default_factory=set)
+    root_causes: Set[RootCause] = field(default_factory=set, init=False)
     margins: Dict[str, float] = field(default_factory=dict)
     forecast_load: float = 0.0
 
@@ -112,9 +101,6 @@ class AnalysisResult:
 class Analyzer:
     """Turns (observation, SLA outcome, knowledge) into symptoms and causes."""
 
-    def __init__(self, config: Optional[AnalysisConfig] = None) -> None:
-        self.config = config or AnalysisConfig()
-
     def analyze(
         self,
         observation: SystemObservation,
@@ -123,12 +109,9 @@ class Analyzer:
         sla: SLA,
     ) -> AnalysisResult:
         """Produce the analysis for one evaluation round."""
-        cfg = self.config
-        result = AnalysisResult(
-            time=observation.time, observation=observation, evaluation=evaluation
-        )
+        result = AnalysisResult(time=observation.time, observation=observation)
         result.margins = {outcome.name: outcome.margin for outcome in evaluation.outcomes}
-        result.forecast_load = knowledge.load_forecast_peak(cfg.forecast_horizon)
+        result.forecast_load = knowledge.load_forecast_peak(FORECAST_HORIZON)
 
         self._detect_symptoms(result, evaluation)
         self._detect_root_causes(result, observation, knowledge, sla)
@@ -138,7 +121,6 @@ class Analyzer:
     # Symptoms
     # ------------------------------------------------------------------
     def _detect_symptoms(self, result: AnalysisResult, evaluation: SLAEvaluation) -> None:
-        cfg = self.config
         for outcome in evaluation.outcomes:
             is_latency = outcome.name.endswith("latency")
             is_staleness = outcome.name == "staleness"
@@ -150,18 +132,18 @@ class Analyzer:
                     result.symptoms.add(Symptom.STALENESS_VIOLATION)
                 elif is_availability:
                     result.symptoms.add(Symptom.AVAILABILITY_VIOLATION)
-            elif outcome.margin < cfg.risk_margin:
+            elif outcome.margin < RISK_MARGIN:
                 if is_latency:
                     result.symptoms.add(Symptom.LATENCY_AT_RISK)
                 elif is_staleness:
                     result.symptoms.add(Symptom.STALENESS_AT_RISK)
 
         all_comfortable = all(
-            outcome.margin >= cfg.waste_margin for outcome in evaluation.outcomes
+            outcome.margin >= WASTE_MARGIN for outcome in evaluation.outcomes
         )
         if (
             all_comfortable
-            and result.observation.mean_utilization < cfg.idle_utilization
+            and result.observation.mean_utilization < IDLE_UTILIZATION
             and result.observation.node_count > 1
         ):
             result.symptoms.add(Symptom.COST_WASTE)
@@ -176,12 +158,11 @@ class Analyzer:
         knowledge: KnowledgeBase,
         sla: SLA,
     ) -> None:
-        cfg = self.config
-        if observation.max_utilization >= cfg.saturation_utilization:
+        if observation.max_utilization >= SATURATION_UTILIZATION:
             result.root_causes.add(RootCause.CPU_SATURATION)
-        if observation.network_congestion >= cfg.congestion_factor:
+        if observation.network_congestion >= CONGESTION_FACTOR:
             result.root_causes.add(RootCause.NETWORK_CONGESTION)
-        if observation.mean_utilization <= cfg.idle_utilization:
+        if observation.mean_utilization <= IDLE_UTILIZATION:
             result.root_causes.add(RootCause.OVER_PROVISIONED)
 
         staleness_slo = sla.staleness_objective()
@@ -191,9 +172,9 @@ class Analyzer:
                 if staleness_slo.max_window_p95 > 0
                 else 0.0
             )
-            if window_ratio > 1.0 - cfg.risk_margin:
+            if window_ratio > 1.0 - RISK_MARGIN:
                 result.root_causes.add(RootCause.REPLICATION_LAG)
-                if observation.max_utilization < cfg.saturation_utilization:
+                if observation.max_utilization < SATURATION_UTILIZATION:
                     # Lag without saturation points at the consistency config
                     # (too few replicas consulted) rather than at capacity.
                     result.root_causes.add(RootCause.CONSISTENCY_TOO_WEAK)
@@ -208,8 +189,8 @@ class Analyzer:
         staleness_margin = result.margins.get("staleness", 1.0)
         if (
             latency_stressed
-            and observation.max_utilization < cfg.saturation_utilization
-            and staleness_margin > cfg.waste_margin
+            and observation.max_utilization < SATURATION_UTILIZATION
+            and staleness_margin > WASTE_MARGIN
             and observation.read_consistency not in ("ONE", "")
         ):
             result.root_causes.add(RootCause.CONSISTENCY_TOO_STRICT)
@@ -217,7 +198,7 @@ class Analyzer:
         # Load trend from the forecaster.
         current_load = max(observation.throughput_ops, observation.offered_rate, 1e-9)
         forecast = result.forecast_load
-        if forecast > current_load * (1.0 + cfg.load_trend_threshold):
+        if forecast > current_load * (1.0 + LOAD_TREND_THRESHOLD):
             result.root_causes.add(RootCause.LOAD_INCREASING)
-        elif forecast < current_load * (1.0 - cfg.load_trend_threshold):
+        elif forecast < current_load * (1.0 - LOAD_TREND_THRESHOLD):
             result.root_causes.add(RootCause.LOAD_DECREASING)

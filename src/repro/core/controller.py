@@ -30,11 +30,11 @@ from ..monitoring.estimators import ConsistencyEstimator
 from ..monitoring.metrics import MetricsCollector
 from ..simulation.engine import PeriodicTask, Simulator
 from .actions import ActionKind, ActionOutcome, ReconfigurationAction
-from .analyzer import AnalysisConfig, AnalysisResult, Analyzer
+from .analyzer import AnalysisResult, Analyzer
 from .forecasting import make_forecaster
 from .knowledge import KnowledgeBase
 from .planner import PlannerConfig
-from .policies import ScalingPolicy, make_policy
+from .policies import make_policy
 from .sla import SLA, SLAEvaluator, SystemObservation, default_sla
 from .stability import StabilityConfig, StabilityGuard
 
@@ -57,10 +57,6 @@ class ControllerConfig:
     estimator_source: str = "probe"
     """Which registered estimator feeds the inconsistency-window observation."""
 
-    capacity_prior_ops: float = 800.0
-    """Prior on per-node throughput (ops/s) before the capacity model learns."""
-
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     stability: StabilityConfig = field(default_factory=StabilityConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
 
@@ -75,7 +71,6 @@ class AutonomousController:
         metrics: MetricsCollector,
         sla: Optional[SLA] = None,
         config: Optional[ControllerConfig] = None,
-        policy: Optional[ScalingPolicy] = None,
         estimators: Optional[Dict[str, ConsistencyEstimator]] = None,
         offered_rate_fn: Optional[Callable[[], float]] = None,
         on_action: Optional[Callable[[ActionOutcome], None]] = None,
@@ -87,15 +82,10 @@ class AutonomousController:
         self.config = config or ControllerConfig()
         self.sla = sla or default_sla()
         self.sla_evaluator = SLAEvaluator(self.sla)
-        self.knowledge = KnowledgeBase(
-            forecaster=make_forecaster(self.config.forecaster),
-            capacity_prior_ops=self.config.capacity_prior_ops,
-        )
-        self.analyzer = Analyzer(self.config.analysis)
+        self.knowledge = KnowledgeBase(forecaster=make_forecaster(self.config.forecaster))
+        self.analyzer = Analyzer()
         self.guard = StabilityGuard(self.config.stability)
-        if policy is not None:
-            self.policy = policy
-        elif self.config.policy in ("sla_driven", "sla-driven"):
+        if self.config.policy in ("sla_driven", "sla-driven"):
             self.policy = make_policy("sla_driven", planner_config=self.config.planner)
         else:
             self.policy = make_policy(self.config.policy)
@@ -105,7 +95,6 @@ class AutonomousController:
         self._tenant_rollup = tenant_rollup
 
         self.observations: List[SystemObservation] = []
-        self.analyses: List[AnalysisResult] = []
         self.action_log: List[ActionOutcome] = []
         self.rounds = 0
         self._task: Optional[PeriodicTask] = None
@@ -144,7 +133,6 @@ class AutonomousController:
         evaluation = self.sla_evaluator.evaluate(observation)
         self.knowledge.record_observation(observation)
         analysis = self.analyzer.analyze(observation, evaluation, self.knowledge, self.sla)
-        self.analyses.append(analysis)
         self.guard.observe_analysis(analysis)
 
         cluster_state = self._cluster.configuration_snapshot()

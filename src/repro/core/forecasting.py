@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional
 
 import numpy as np
 

@@ -11,8 +11,7 @@ MAPE phases decoupled and testable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, List, Optional
 
 from ..consistency.pbs import StalenessModel
 from .actions import ActionOutcome
@@ -20,6 +19,11 @@ from .forecasting import Forecaster, HoltWintersForecaster
 from .sla import SystemObservation
 
 __all__ = ["KnowledgeBase", "CapacityModel"]
+
+#: Observations kept for :meth:`KnowledgeBase.history`.
+HISTORY_LENGTH = 512
+#: Weight of each new inconsistency-window mean in the lag estimate.
+LAG_SMOOTHING = 0.3
 
 
 class CapacityModel:
@@ -63,20 +67,13 @@ class CapacityModel:
 class KnowledgeBase:
     """Shared state of the autonomous controller."""
 
-    def __init__(
-        self,
-        forecaster: Optional[Forecaster] = None,
-        capacity_prior_ops: float = 800.0,
-        history_length: int = 512,
-        lag_smoothing: float = 0.3,
-    ) -> None:
+    def __init__(self, forecaster: Optional[Forecaster] = None) -> None:
         self.forecaster = forecaster or HoltWintersForecaster()
-        self.capacity = CapacityModel(prior_ops_per_node=capacity_prior_ops)
+        self.capacity = CapacityModel()
         self.staleness_model = StalenessModel(mean_replication_lag=0.05)
-        self._observations: Deque[SystemObservation] = deque(maxlen=history_length)
+        self._observations: Deque[SystemObservation] = deque(maxlen=HISTORY_LENGTH)
         self._actions: List[ActionOutcome] = []
         self._lag_estimate = 0.05
-        self._lag_smoothing = min(1.0, max(0.0, lag_smoothing))
 
     # ------------------------------------------------------------------
     # Updates (Monitor phase writes, everything else reads)
@@ -92,7 +89,7 @@ class KnowledgeBase:
             observation.mean_utilization,
         )
         if observation.inconsistency_window_mean > 0.0:
-            self._lag_estimate += self._lag_smoothing * (
+            self._lag_estimate += LAG_SMOOTHING * (
                 observation.inconsistency_window_mean - self._lag_estimate
             )
             self._lag_estimate = max(1e-4, self._lag_estimate)

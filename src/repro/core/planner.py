@@ -21,7 +21,7 @@ while the network is congested, the paper's own example).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.types import ConsistencyLevel
@@ -36,9 +36,22 @@ from .actions import (
 )
 from .analyzer import AnalysisResult, RootCause, Symptom
 from .knowledge import KnowledgeBase
-from .sla import SLA, StalenessSLO
+from .sla import SLA
 
 __all__ = ["PlannerConfig", "SLAPlanner", "ConsistencyTarget"]
+
+#: Utilisation the cluster is sized for.
+TARGET_UTILIZATION = 0.6
+#: Reactive ceiling: above this, capacity is added regardless of forecast.
+SCALE_OUT_UTILIZATION = 0.75
+#: A node is only removed if the remaining nodes stay below this utilisation.
+SCALE_IN_HEADROOM = 0.45
+#: Provisioning lead time: size the cluster for the peak this far ahead.
+FORECAST_HORIZON = 300.0
+#: Stale-read probability the derived consistency configuration must meet.
+STALE_PROBABILITY_TARGET = 0.02
+#: Fraction of the SLO window the PBS prediction must fit within.
+STALENESS_SAFETY_FACTOR = 0.8
 
 
 @dataclass
@@ -47,32 +60,11 @@ class ConsistencyTarget:
 
     read_level: ConsistencyLevel
     write_level: ConsistencyLevel
-    predicted_stale_probability: float
-    achievable: bool
-    """False when even the strictest ladder entry missed the target."""
 
 
 @dataclass
 class PlannerConfig:
     """Parameters of the SLA-driven planner."""
-
-    target_utilization: float = 0.6
-    """Utilisation the cluster is sized for."""
-
-    scale_out_utilization: float = 0.75
-    """Reactive ceiling: above this, capacity is added regardless of forecast."""
-
-    scale_in_headroom: float = 0.45
-    """A node is only removed if the remaining nodes stay below this utilisation."""
-
-    forecast_horizon: float = 300.0
-    """Provisioning lead time: size the cluster for the peak this far ahead."""
-
-    stale_probability_target: float = 0.02
-    """Stale-read probability the derived consistency configuration must meet."""
-
-    staleness_safety_factor: float = 0.8
-    """Fraction of the SLO window the PBS prediction must fit within."""
 
     min_nodes: int = 2
     max_nodes: int = 32
@@ -109,15 +101,10 @@ class SLAPlanner:
         ladder = ConsistencyLevel.ladder()
 
         if staleness_slo is None:
-            return ConsistencyTarget(
-                read_level=ConsistencyLevel.ONE,
-                write_level=ConsistencyLevel.ONE,
-                predicted_stale_probability=0.0,
-                achievable=True,
-            )
+            return ConsistencyTarget(ConsistencyLevel.ONE, ConsistencyLevel.ONE)
 
         probability_target = min(
-            self.config.stale_probability_target, staleness_slo.max_stale_read_fraction
+            STALE_PROBABILITY_TARGET, staleness_slo.max_stale_read_fraction
         )
         # The SLO tolerates staleness *within* its window bound; what it
         # forbids is observing stale data beyond that window.  The prediction
@@ -143,36 +130,24 @@ class SLAPlanner:
                 )
                 window_ok = strongly_consistent or (
                     predicted_window
-                    <= staleness_slo.max_window_p95 * self.config.staleness_safety_factor
+                    <= staleness_slo.max_window_p95 * STALENESS_SAFETY_FACTOR
                 )
             if probability <= probability_target and window_ok:
-                return ConsistencyTarget(
-                    read_level=read_level,
-                    write_level=write_level,
-                    predicted_stale_probability=probability,
-                    achievable=True,
-                )
+                return ConsistencyTarget(read_level, write_level)
 
-        strictest = ladder[-1]
-        return ConsistencyTarget(
-            read_level=strictest,
-            write_level=strictest,
-            predicted_stale_probability=model.stale_probability_for_levels(
-                evaluation_horizon, replication_factor, strictest, strictest
-            ),
-            achievable=False,
-        )
+        # Even the strictest ladder entry misses the target: use it anyway.
+        return ConsistencyTarget(ladder[-1], ladder[-1])
 
     # ------------------------------------------------------------------
     # Capacity planning
     # ------------------------------------------------------------------
     def desired_node_count(self, knowledge: KnowledgeBase, current_nodes: int) -> int:
         """Node count required for the forecast peak at the target utilisation."""
-        forecast = knowledge.load_forecast_peak(self.config.forecast_horizon)
+        forecast = knowledge.load_forecast_peak(FORECAST_HORIZON)
         latest = knowledge.latest()
         current_load = latest.throughput_ops if latest else 0.0
         sizing_load = max(forecast, current_load)
-        needed = knowledge.capacity.nodes_needed(sizing_load, self.config.target_utilization)
+        needed = knowledge.capacity.nodes_needed(sizing_load, TARGET_UTILIZATION)
         return max(self.config.min_nodes, min(self.config.max_nodes, needed))
 
     # ------------------------------------------------------------------
@@ -251,7 +226,7 @@ class SLAPlanner:
                     return [action]
             overloaded = (
                 analysis.caused_by(RootCause.CPU_SATURATION)
-                or observation.max_utilization >= self.config.scale_out_utilization
+                or observation.max_utilization >= SCALE_OUT_UTILIZATION
             )
             if overloaded:
                 # Arbitration: under genuine overload, tighten the cheapest
@@ -269,7 +244,7 @@ class SLAPlanner:
         # Priority 4: proactive capacity for forecast load growth.
         if desired_nodes > current_nodes and current_nodes < self.config.max_nodes:
             return [AddNodeAction()]
-        if observation.max_utilization >= self.config.scale_out_utilization:
+        if observation.max_utilization >= SCALE_OUT_UTILIZATION:
             if current_nodes < self.config.max_nodes and not congested:
                 return [AddNodeAction()]
 
@@ -377,14 +352,14 @@ class SLAPlanner:
         if desired_nodes >= current_nodes:
             return False
         remaining = current_nodes - 1
-        forecast = knowledge.load_forecast_peak(self.config.forecast_horizon)
+        forecast = knowledge.load_forecast_peak(FORECAST_HORIZON)
         latest_load = max(observation.throughput_ops, observation.offered_rate)
         sizing_load = max(forecast, latest_load)
         capacity = knowledge.capacity.ops_per_node * remaining
         if capacity <= 0:
             return False
         projected_utilization = sizing_load / capacity
-        return projected_utilization <= self.config.scale_in_headroom
+        return projected_utilization <= SCALE_IN_HEADROOM
 
 
 def _parse_level(value: str) -> ConsistencyLevel:

@@ -22,6 +22,11 @@ from .base import ScalingPolicy
 
 __all__ = ["PredictiveConfig", "PredictivePolicy"]
 
+#: Provisioning lead time in seconds (how far ahead to look).
+FORECAST_HORIZON = 300.0
+#: How many nodes below the current count the target must fall before scaling in.
+SCALE_IN_HYSTERESIS = 1
+
 
 @dataclass
 class PredictiveConfig:
@@ -30,12 +35,6 @@ class PredictiveConfig:
     target_utilization: float = 0.6
     """Utilisation the cluster is sized for."""
 
-    forecast_horizon: float = 300.0
-    """Provisioning lead time in seconds (how far ahead to look)."""
-
-    scale_in_hysteresis: int = 1
-    """How many nodes below the current count the target must fall before scaling in."""
-
     min_nodes: int = 2
     max_nodes: int = 32
 
@@ -43,8 +42,6 @@ class PredictiveConfig:
         """Raise ``ValueError`` for inconsistent parameters."""
         if not 0.0 < self.target_utilization < 1.0:
             raise ValueError("target_utilization must be in (0, 1)")
-        if self.forecast_horizon <= 0.0:
-            raise ValueError("forecast_horizon must be > 0")
         if self.min_nodes < 1 or self.max_nodes < self.min_nodes:
             raise ValueError("require 1 <= min_nodes <= max_nodes")
 
@@ -68,7 +65,7 @@ class PredictivePolicy(ScalingPolicy):
         observation = analysis.observation
         node_count = int(cluster_state.get("node_count", observation.node_count))
 
-        forecast_peak = knowledge.load_forecast_peak(self.config.forecast_horizon)
+        forecast_peak = knowledge.load_forecast_peak(FORECAST_HORIZON)
         current_load = max(observation.throughput_ops, observation.offered_rate)
         sizing_load = max(forecast_peak, current_load)
         target_nodes = knowledge.capacity.nodes_needed(
@@ -81,7 +78,7 @@ class PredictivePolicy(ScalingPolicy):
 
         if target_nodes > node_count:
             return [AddNodeAction()]
-        if target_nodes <= node_count - max(1, self.config.scale_in_hysteresis) and (
+        if target_nodes <= node_count - SCALE_IN_HYSTERESIS and (
             node_count > max(self.config.min_nodes, observation.replication_factor)
         ):
             return [RemoveNodeAction()]

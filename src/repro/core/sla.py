@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-from ..simulation.timeseries import TimeSeries
+from typing import Dict, List, Optional
 
 __all__ = [
     "SystemObservation",
@@ -87,8 +85,6 @@ class SLOEvaluation:
 
     name: str
     satisfied: bool
-    observed: float
-    threshold: float
     margin: float
     """Positive margin = headroom remaining, negative = amount of violation,
     both normalised by the threshold so different SLOs are comparable."""
@@ -110,9 +106,9 @@ class SLO(abc.ABC):
         """Helper for "observed must stay below threshold" objectives."""
         if threshold <= 0.0:
             margin = 0.0 if observed <= 0.0 else -1.0
-            return SLOEvaluation(name, observed <= threshold, observed, threshold, margin)
+            return SLOEvaluation(name, observed <= threshold, margin)
         margin = (threshold - observed) / threshold
-        return SLOEvaluation(name, observed <= threshold, observed, threshold, margin)
+        return SLOEvaluation(name, observed <= threshold, margin)
 
 
 @dataclass
@@ -242,7 +238,6 @@ class SLAEvaluator:
             name: 0.0 for name in sla.objective_names()
         }
         self.penalty_cost = 0.0
-        self.compliance_series = TimeSeries("sla_compliant")
         self._last_time: Optional[float] = None
 
     def evaluate(self, observation: SystemObservation) -> SLAEvaluation:
@@ -250,7 +245,6 @@ class SLAEvaluator:
         outcomes = self.sla.evaluate(observation)
         evaluation = SLAEvaluation(time=observation.time, outcomes=outcomes)
         self.evaluations.append(evaluation)
-        self.compliance_series.record(observation.time, 1.0 if evaluation.satisfied else 0.0)
 
         if self._last_time is not None:
             interval = max(0.0, observation.time - self._last_time)

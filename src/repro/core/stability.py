@@ -29,6 +29,9 @@ from .analyzer import AnalysisResult, Symptom
 
 __all__ = ["StabilityConfig", "StabilityGuard"]
 
+#: Symptoms that bypass the persistence requirement (but not cooldowns).
+EMERGENCY_SYMPTOMS = frozenset({Symptom.AVAILABILITY_VIOLATION})
+
 
 @dataclass
 class StabilityConfig:
@@ -49,11 +52,6 @@ class StabilityConfig:
 
     required_persistence: int = 2
     """Consecutive evaluation rounds a symptom must persist before acting."""
-
-    emergency_symptoms: frozenset = frozenset(
-        {Symptom.AVAILABILITY_VIOLATION}
-    )
-    """Symptoms that bypass the persistence requirement (but not cooldowns)."""
 
     oscillation_window: float = 1800.0
     """Seconds of action history inspected for oscillation."""
@@ -144,7 +142,7 @@ class StabilityGuard:
             # bar through the COST_WASTE symptom; if nothing at all was
             # detected there is nothing to persist and the action may pass.
             return True
-        if driving & self.config.emergency_symptoms:
+        if driving & EMERGENCY_SYMPTOMS:
             return True
         return any(
             self._symptom_streak.get(symptom, 0) >= required for symptom in driving

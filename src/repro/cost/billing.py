@@ -16,8 +16,8 @@ claim measurable, the billing model charges:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..simulation.timeseries import TimeSeries
 
@@ -55,7 +55,6 @@ class BillingModel:
         self._probe_operations = 0
         self._analysis_cpu_seconds = 0.0
         self._last_node_count: Optional[int] = None
-        self._closed_until: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Recording
@@ -87,7 +86,6 @@ class BillingModel:
             last_time = self._node_count_series.times[-1]
             if end_time > last_time:
                 self._node_count_series.record(end_time, float(self._last_node_count))
-        self._closed_until = end_time
 
     # ------------------------------------------------------------------
     # Derived quantities

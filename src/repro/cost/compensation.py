@@ -54,8 +54,6 @@ class CompensationModel(ClusterListener):
         self.stale_reads = 0
         self.conflict_events = 0
         self.failed_operations = 0
-        self.total_reads = 0
-        self.total_writes = 0
 
     # ------------------------------------------------------------------
     # ClusterListener hook
@@ -66,14 +64,10 @@ class CompensationModel(ClusterListener):
         if not result.success:
             self.failed_operations += 1
             return
-        if result.is_read:
-            self.total_reads += 1
-            if result.stale:
-                self.stale_reads += 1
-                if result.staleness >= self.rates.conflict_staleness_threshold:
-                    self.conflict_events += 1
-        else:
-            self.total_writes += 1
+        if result.is_read and result.stale:
+            self.stale_reads += 1
+            if result.staleness >= self.rates.conflict_staleness_threshold:
+                self.conflict_events += 1
 
     # ------------------------------------------------------------------
     # Derived quantities

@@ -18,7 +18,7 @@ window does not.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..cluster.types import ConsistencyLevel
 from ..runner import Simulation

@@ -20,7 +20,7 @@ consistency without more capacity.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..core.sla import SLA
 from ..runner import Simulation

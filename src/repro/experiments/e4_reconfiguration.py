@@ -19,7 +19,6 @@ suppresses churn without giving up compliance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.types import ConsistencyLevel

@@ -24,7 +24,7 @@ over-provisioned compliance at a total cost near the reactive policies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..cluster.types import ConsistencyLevel
 from ..runner import Simulation

@@ -20,7 +20,7 @@ between the two because it smooths but does not extrapolate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..runner import Simulation
 from ..workload.load_shapes import CompositeLoad, DiurnalLoad, FlashCrowdLoad, NoisyLoad

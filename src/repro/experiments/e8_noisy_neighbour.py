@@ -33,6 +33,7 @@ import numpy as np
 
 from ..middleware import ADMISSION_CONTROL_PIPELINE
 from ..runner import Simulation
+from ..simulation.timeseries import exact_percentiles
 from ..workload.generator import WorkloadStats
 from .scenarios import build_config, standard_cluster, tenant_workload
 from .tables import ExperimentResult, ResultTable
@@ -77,7 +78,7 @@ def _co_tenant_read_p99_ms(stats: WorkloadStats, noisy_id: str) -> float:
     ]
     if not arrays:
         return 0.0
-    return float(np.percentile(np.concatenate(arrays), 99.0)) * 1000.0
+    return exact_percentiles(np.concatenate(arrays), (99.0,))[0] * 1000.0
 
 
 def _run_variant(

@@ -18,7 +18,6 @@ factor) are unaffected by this compression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ..cluster.cluster import ClusterConfig

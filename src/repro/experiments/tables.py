@@ -9,7 +9,7 @@ experiment prints directly comparable output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Union
 
 __all__ = ["ResultTable", "ExperimentResult"]
 
@@ -83,8 +83,8 @@ class ExperimentResult:
 
     experiment: str
     description: str
-    tables: List[ResultTable] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
+    tables: List[ResultTable] = field(default_factory=list, init=False)
+    notes: List[str] = field(default_factory=list, init=False)
 
     def add_table(self, table: ResultTable) -> ResultTable:
         """Attach a table and return it (for chaining)."""

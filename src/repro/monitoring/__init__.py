@@ -6,7 +6,6 @@ from .estimators import (
     ProbeConfig,
     ReadAfterWriteProber,
     RttEstimator,
-    RttEstimatorConfig,
     WindowEstimate,
 )
 from .metrics import MetricsCollector, MetricsConfig, MetricsSnapshot
@@ -23,7 +22,6 @@ __all__ = [
     "ProbeConfig",
     "PiggybackMonitor",
     "RttEstimator",
-    "RttEstimatorConfig",
     "MonitoringOverheadAccountant",
     "OverheadReport",
     "WindowedPercentiles",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -39,7 +39,8 @@ from ..cluster.types import (
     ReadResult,
     WriteResult,
 )
-from ..simulation.engine import PeriodicTask, Simulator
+from ..simulation.engine import Simulator
+from ..simulation.timeseries import exact_percentiles
 from .percentiles import WindowedPercentiles
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "ProbeConfig",
     "ReadAfterWriteProber",
     "PiggybackMonitor",
-    "RttEstimatorConfig",
     "RttEstimator",
 ]
 
@@ -83,7 +83,6 @@ class ConsistencyEstimator(abc.ABC):
 
     def __init__(self, simulator: Simulator, report_interval: float = 10.0) -> None:
         self._simulator = simulator
-        self._report_interval = report_interval
         self._estimates: List[WindowEstimate] = []
         self._report_task = simulator.call_every(
             report_interval,
@@ -122,27 +121,24 @@ class ConsistencyEstimator(abc.ABC):
 # ----------------------------------------------------------------------
 # Active probing
 # ----------------------------------------------------------------------
+#: Seconds between successive probe reads of the same marker.
+PROBE_READ_GAP = 0.05
+#: Probe reads per marker before giving up (caps probe cost).
+PROBE_MAX_READS = 40
+#: Dummy-table key prefix (kept out of the application key space).
+PROBE_KEY_PREFIX = "__consistency_probe__"
+
+
 @dataclass
 class ProbeConfig:
-    """Parameters of the read-after-write prober."""
+    """Parameters of the read-after-write prober (its reads and writes go at
+    consistency level ONE)."""
 
     probe_interval: float = 5.0
     """Seconds between probe writes."""
 
-    read_gap: float = 0.05
-    """Seconds between successive probe reads of the same marker."""
-
-    max_reads: int = 40
-    """Probe reads per marker before giving up (caps probe cost)."""
-
     report_interval: float = 10.0
     """Seconds between emitted estimates."""
-
-    probe_key_prefix: str = "__consistency_probe__"
-    """Dummy-table key prefix (kept out of the application key space)."""
-
-    read_consistency: ConsistencyLevel = ConsistencyLevel.ONE
-    write_consistency: ConsistencyLevel = ConsistencyLevel.ONE
 
 
 class ReadAfterWriteProber(ConsistencyEstimator):
@@ -164,8 +160,6 @@ class ReadAfterWriteProber(ConsistencyEstimator):
         self._recent_samples: List[float] = []
         self._ops_issued = 0
         self.probes_started = 0
-        self.probes_resolved = 0
-        self.probes_unresolved = 0
         self._probe_task = simulator.call_every(
             self._config.probe_interval,
             self._start_probe,
@@ -183,7 +177,7 @@ class ReadAfterWriteProber(ConsistencyEstimator):
     # -- probe lifecycle -------------------------------------------------
     def _start_probe(self) -> None:
         sequence = next(self._probe_sequence)
-        key = f"{self._config.probe_key_prefix}/{sequence % 64}"
+        key = f"{PROBE_KEY_PREFIX}/{sequence % 64}"
         marker = f"{sequence}".encode("ascii")
         self.probes_started += 1
         self._ops_issued += 1
@@ -191,14 +185,13 @@ class ReadAfterWriteProber(ConsistencyEstimator):
             key,
             value=marker,
             size=len(marker),
-            consistency_level=self._config.write_consistency,
+            consistency_level=ConsistencyLevel.ONE,
             operation=OperationType.PROBE_WRITE,
             on_complete=lambda result, k=key: self._probe_write_done(k, result),
         )
 
     def _probe_write_done(self, key: str, result: WriteResult) -> None:
         if not result.success or result.version_timestamp is None:
-            self.probes_unresolved += 1
             return
         ack_time = result.completed_at
         self._schedule_probe_read(key, result.version_timestamp, ack_time, attempt=0)
@@ -206,7 +199,7 @@ class ReadAfterWriteProber(ConsistencyEstimator):
     def _schedule_probe_read(
         self, key: str, version_timestamp: float, ack_time: float, attempt: int
     ) -> None:
-        delay = 0.0 if attempt == 0 else self._config.read_gap
+        delay = 0.0 if attempt == 0 else PROBE_READ_GAP
         self._simulator.schedule_in(
             delay,
             self._issue_probe_read,
@@ -223,7 +216,7 @@ class ReadAfterWriteProber(ConsistencyEstimator):
         self._ops_issued += 1
         self._cluster.read(
             key,
-            consistency_level=self._config.read_consistency,
+            consistency_level=ConsistencyLevel.ONE,
             operation=OperationType.PROBE_READ,
             on_complete=lambda result: self._probe_read_done(
                 key, version_timestamp, ack_time, attempt, result
@@ -245,16 +238,14 @@ class ReadAfterWriteProber(ConsistencyEstimator):
         )
         if fresh:
             window = max(0.0, self._simulator.now - ack_time - result.latency)
-            self.probes_resolved += 1
             self._window_samples.observe(window)
             self._recent_samples.append(window)
             return
-        if attempt + 1 >= self._config.max_reads:
-            self.probes_unresolved += 1
+        if attempt + 1 >= PROBE_MAX_READS:
             # Record the censored observation at the probing horizon so the
             # estimator degrades towards "at least this big" rather than
             # silently dropping its worst cases.
-            horizon = self._config.read_gap * self._config.max_reads
+            horizon = PROBE_READ_GAP * PROBE_MAX_READS
             self._window_samples.observe(horizon)
             self._recent_samples.append(horizon)
             return
@@ -266,8 +257,8 @@ class ReadAfterWriteProber(ConsistencyEstimator):
         if samples:
             arr = np.asarray(samples, dtype=float)
             mean_window = float(arr.mean())
-            p95_window = float(np.percentile(arr, 95))
-            stale_fraction = float(np.mean(arr > self._config.read_gap))
+            p95_window = exact_percentiles(arr, (95,))[0]
+            stale_fraction = float(np.mean(arr > PROBE_READ_GAP))
         else:
             mean_window = self._window_samples.mean()
             p95_window = self._window_samples.percentile(95)
@@ -291,6 +282,10 @@ class ReadAfterWriteProber(ConsistencyEstimator):
 # ----------------------------------------------------------------------
 # Passive piggyback measurement
 # ----------------------------------------------------------------------
+#: Keys whose newest acknowledged version the piggyback monitor remembers.
+PIGGYBACK_TRACKED_KEYS = 100_000
+
+
 class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
     """Passive staleness detection on production traffic.
 
@@ -309,20 +304,16 @@ class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
         simulator: Simulator,
         cluster: Cluster,
         report_interval: float = 10.0,
-        max_tracked_keys: int = 100_000,
     ) -> None:
         ConsistencyEstimator.__init__(self, simulator, report_interval)
         self._cluster = cluster
-        self._max_tracked_keys = max_tracked_keys
         self._acked: Dict[str, tuple[float, float]] = {}
         """key -> (version timestamp, ack completion time) of the newest acked write."""
 
         self._recent_windows: List[float] = []
         self._recent_reads = 0
         self._recent_stale = 0
-        self._all_windows = WindowedPercentiles(window=1024)
         self.reads_observed = 0
-        self.stale_reads_observed = 0
         cluster.add_listener(self)
 
     # -- ClusterListener hooks -------------------------------------------
@@ -334,7 +325,7 @@ class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
                 return
             current = self._acked.get(result.key)
             if current is None or result.version_timestamp > current[0]:
-                if len(self._acked) >= self._max_tracked_keys and result.key not in self._acked:
+                if len(self._acked) >= PIGGYBACK_TRACKED_KEYS and result.key not in self._acked:
                     # Bounded memory: drop an arbitrary old entry.
                     self._acked.pop(next(iter(self._acked)))
                 self._acked[result.key] = (result.version_timestamp, result.completed_at)
@@ -350,18 +341,15 @@ class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
         self._recent_reads += 1
         returned_ts = result.version_timestamp if result.version_timestamp is not None else -1.0
         if returned_ts < reference_ts:
-            self.stale_reads_observed += 1
             self._recent_stale += 1
-            window_bound = max(0.0, result.issued_at - reference_ack_time)
-            self._recent_windows.append(window_bound)
-            self._all_windows.observe(window_bound)
+            self._recent_windows.append(max(0.0, result.issued_at - reference_ack_time))
 
     # -- reporting --------------------------------------------------------
     def _build_estimate(self, now: float) -> WindowEstimate:
         if self._recent_windows:
             arr = np.asarray(self._recent_windows, dtype=float)
             mean_window = float(arr.mean())
-            p95_window = float(np.percentile(arr, 95))
+            p95_window = exact_percentiles(arr, (95,))[0]
         else:
             mean_window = 0.0
             p95_window = 0.0
@@ -385,16 +373,10 @@ class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
 # ----------------------------------------------------------------------
 # Model-based estimation from RTT / utilisation metrics
 # ----------------------------------------------------------------------
-@dataclass
-class RttEstimatorConfig:
-    """Parameters of the model-based estimator."""
-
-    report_interval: float = 10.0
-    base_service_time: float = 0.00125
-    """Assumed mean per-operation service time at an idle node (seconds)."""
-
-    utilization_knee: float = 0.95
-    """Utilisation above which the queueing term is clamped (model stability)."""
+#: Assumed mean per-operation service time at an idle node (seconds).
+RTT_BASE_SERVICE_TIME = 0.00125
+#: Utilisation above which the queueing term is clamped (model stability).
+RTT_UTILIZATION_KNEE = 0.95
 
 
 class RttEstimator(ConsistencyEstimator, ClusterListener):
@@ -410,14 +392,8 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
 
     name = "rtt"
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        cluster: Cluster,
-        config: Optional[RttEstimatorConfig] = None,
-    ) -> None:
-        self._config = config or RttEstimatorConfig()
-        ConsistencyEstimator.__init__(self, simulator, self._config.report_interval)
+    def __init__(self, simulator: Simulator, cluster: Cluster) -> None:
+        ConsistencyEstimator.__init__(self, simulator)
         self._cluster = cluster
         self._writes_observed = 0
         self._read_latencies = WindowedPercentiles(window=512)
@@ -463,9 +439,9 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
 
     def _build_estimate(self, now: float) -> WindowEstimate:
         metrics = self._cluster.cluster_metrics()
-        utilization = min(self._config.utilization_knee, metrics["max_utilization"])
+        utilization = min(RTT_UTILIZATION_KNEE, metrics["max_utilization"])
         rtt = self._cluster.network.round_trip_estimate()
-        service = self._config.base_service_time
+        service = RTT_BASE_SERVICE_TIME
         queueing = service * utilization / max(1e-6, 1.0 - utilization)
         mean_window = rtt / 2.0 + service + queueing
         # The p95 is approximated as 3x the mean (exponential-ish tail).

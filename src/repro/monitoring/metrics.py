@@ -16,7 +16,7 @@ its metrics pipeline; nothing here peeks at simulator ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..cluster.cluster import Cluster, ClusterListener
@@ -33,15 +33,18 @@ __all__ = [
 ]
 
 
+#: Recent operations kept for the collector's latency percentiles, and for
+#: each tier's in the tenant rollup.
+LATENCY_WINDOW = 4096
+TIER_LATENCY_WINDOW = 1024
+
+
 @dataclass
 class MetricsConfig:
     """Parameters of metric collection."""
 
     sample_interval: float = 5.0
     """Seconds between gauge samples (utilisation, node count, ...)."""
-
-    latency_window: int = 4096
-    """Number of recent operations kept for latency percentiles."""
 
 
 @dataclass
@@ -103,8 +106,8 @@ class MetricsCollector(ClusterListener):
         self.series = TimeSeriesBundle()
         """One series per gauge, a sample per ``sample_interval``."""
 
-        self._read_latencies = WindowedPercentiles(self._config.latency_window)
-        self._write_latencies = WindowedPercentiles(self._config.latency_window)
+        self._read_latencies = WindowedPercentiles(LATENCY_WINDOW)
+        self._write_latencies = WindowedPercentiles(LATENCY_WINDOW)
 
         # Window counters, reset every snapshot.
         self._window_start = simulator.now
@@ -272,7 +275,6 @@ class TenantMetricsRollup(ClusterListener):
         cluster: Cluster,
         tier_of: Optional[Dict[str, str]] = None,
         tier_slos_ms: Optional[Dict[str, float]] = None,
-        latency_window: int = 1024,
     ) -> None:
         """``tier_of`` maps tenant id to tier name (e.g.
         :meth:`~repro.workload.tenants.TenantPopulation.tier_lookup`);
@@ -282,7 +284,6 @@ class TenantMetricsRollup(ClusterListener):
         self._tier_slos_ms = dict(tier_slos_ms or {})
         self._tenants: Dict[str, _TenantCounters] = {}
         self._tier_read_latencies: Dict[str, WindowedPercentiles] = {}
-        self._latency_window = latency_window
         self._samples = 0
         cluster.add_listener(self)
 
@@ -309,7 +310,7 @@ class TenantMetricsRollup(ClusterListener):
             window = self._tier_read_latencies.get(tier)
             if window is None:
                 window = self._tier_read_latencies[tier] = WindowedPercentiles(
-                    self._latency_window
+                    TIER_LATENCY_WINDOW
                 )
             window.observe(result.latency)
 

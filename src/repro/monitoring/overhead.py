@@ -18,7 +18,7 @@ model (:mod:`repro.cost`) converts them into money.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..cluster.cluster import Cluster, ClusterListener
 from ..cluster.types import OperationResult
@@ -50,21 +50,17 @@ class OverheadReport:
         }
 
 
+#: CPU-seconds charged per observed sample and per produced estimate.
+ANALYSIS_COST_PER_SAMPLE = 1e-5
+ANALYSIS_COST_PER_ESTIMATE = 1e-3
+
+
 class MonitoringOverheadAccountant(ClusterListener):
     """Tracks how much load and compute the monitoring subsystem adds."""
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        cluster: Cluster,
-        analysis_cost_per_sample: float = 1e-5,
-        analysis_cost_per_estimate: float = 1e-3,
-    ) -> None:
-        """``analysis_cost_per_sample`` is CPU-seconds charged per observed sample."""
+    def __init__(self, simulator: Simulator, cluster: Cluster) -> None:
         self._simulator = simulator
         self._cluster = cluster
-        self._analysis_cost_per_sample = analysis_cost_per_sample
-        self._analysis_cost_per_estimate = analysis_cost_per_estimate
         self._estimators: List[ConsistencyEstimator] = []
         self.production_operations = 0
         self.probe_operations = 0
@@ -99,8 +95,8 @@ class MonitoringOverheadAccountant(ClusterListener):
         estimates = estimator.estimates()
         samples = sum(estimate.samples for estimate in estimates)
         analysis_cpu = (
-            samples * self._analysis_cost_per_sample
-            + len(estimates) * self._analysis_cost_per_estimate
+            samples * ANALYSIS_COST_PER_SAMPLE
+            + len(estimates) * ANALYSIS_COST_PER_ESTIMATE
         )
         probe_ops = estimator.operations_issued()
         total_ops = self.production_operations + self.probe_operations

@@ -24,6 +24,8 @@ from typing import Deque, Dict, Iterable, List, Optional
 
 import numpy as np
 
+from ..simulation.timeseries import exact_percentiles
+
 __all__ = ["WindowedPercentiles", "MergeableHistogramSketch"]
 
 
@@ -53,9 +55,7 @@ class WindowedPercentiles:
 
     def percentile(self, q: float) -> float:
         """Percentile over the retained window (0 when empty)."""
-        if not self._samples:
-            return 0.0
-        return float(np.percentile(np.asarray(self._samples, dtype=float), q))
+        return exact_percentiles(self._samples, (q,))[0]
 
     def percentiles(self, qs: Iterable[float]) -> List[float]:
         """Several percentiles from one deque->array conversion.
@@ -64,11 +64,7 @@ class WindowedPercentiles:
         interpolates each quantile independently on the same sorted data —
         at a quarter of the conversion cost for the common p50/p95/p99 pulls.
         """
-        qs = list(qs)
-        if not self._samples:
-            return [0.0] * len(qs)
-        values = np.percentile(np.asarray(self._samples, dtype=float), qs)
-        return [float(value) for value in values]
+        return exact_percentiles(self._samples, list(qs))
 
     def mean(self) -> float:
         """Mean over the retained window (0 when empty)."""
@@ -81,13 +77,13 @@ class WindowedPercentiles:
         if not self._samples:
             return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
         values = np.asarray(self._samples, dtype=float)
-        p50, p95, p99 = np.percentile(values, (50, 95, 99))
+        p50, p95, p99 = exact_percentiles(values)
         return {
             "count": float(values.shape[0]),
             "mean": float(np.mean(values)),
-            "p50": float(p50),
-            "p95": float(p95),
-            "p99": float(p99),
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
         }
 
     def clear(self) -> None:
@@ -116,7 +112,8 @@ class MergeableHistogramSketch:
 
     The scalar and vectorized observe paths share one binning routine
     (``np.searchsorted`` against precomputed edges), so feeding values one at
-    a time or in chunks produces identical counts.
+    a time or in chunks produces identical counts; both refuse NaN with a
+    ``ValueError`` before counting anything.
     """
 
     __slots__ = (
@@ -191,6 +188,8 @@ class MergeableHistogramSketch:
     def observe(self, value: float) -> None:
         """Feed one observation."""
         value = float(value)
+        if value != value:
+            raise ValueError("MergeableHistogramSketch cannot observe NaN")
         self._count += 1
         self._sum += value
         if value <= 0.0:
@@ -214,6 +213,8 @@ class MergeableHistogramSketch:
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return
+        if np.isnan(values).any():
+            raise ValueError("MergeableHistogramSketch cannot observe NaN")
         self._count += int(values.size)
         self._sum += float(values.sum())
         positive = values[values > 0.0]

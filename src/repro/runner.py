@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .cluster.cluster import Cluster, ClusterConfig, ClusterListener
 from .cluster.faults import FaultInjector, FaultPlan
 from .consistency.staleness import StalenessObserver
 from .consistency.window_tracker import InconsistencyWindowTracker, WindowTrackerConfig
 from .core.controller import AutonomousController, ControllerConfig
-from .core.policies import ScalingPolicy
 from .core.sla import SLA, default_sla
-from .cost.billing import BillingModel, BillingRates
+from .cost.billing import BillingModel
 from .cost.compensation import CompensationModel, CompensationRates
 from .cost.report import CostAccountant, CostReport
 from .monitoring.estimators import (
@@ -52,7 +51,6 @@ class MonitoringOptions:
     probe: ProbeConfig = field(default_factory=ProbeConfig)
     enable_piggyback: bool = True
     enable_rtt: bool = True
-    report_interval: float = 10.0
 
 
 @dataclass
@@ -69,7 +67,6 @@ class SimulationConfig:
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     monitoring: MonitoringOptions = field(default_factory=MonitoringOptions)
     interference: InterferenceConfig = field(default_factory=InterferenceConfig)
-    billing_rates: BillingRates = field(default_factory=BillingRates)
     compensation_rates: CompensationRates = field(default_factory=CompensationRates)
     window_tracker: WindowTrackerConfig = field(default_factory=WindowTrackerConfig)
     label: str = "scenario"
@@ -200,11 +197,7 @@ class _InterferenceListener(ClusterListener):
 class Simulation:
     """Builds, runs and reports one scenario."""
 
-    def __init__(
-        self,
-        config: Optional[SimulationConfig] = None,
-        policy: Optional[ScalingPolicy] = None,
-    ) -> None:
+    def __init__(self, config: Optional[SimulationConfig] = None) -> None:
         self.config = config or SimulationConfig()
         cluster_config = self.config.cluster
         if self.config.middleware is not None:
@@ -258,11 +251,7 @@ class Simulation:
             self.estimators[prober.name] = prober
             self.overhead.register(prober)
         if self.config.monitoring.enable_piggyback:
-            piggyback = PiggybackMonitor(
-                self.simulator,
-                self.cluster,
-                report_interval=self.config.monitoring.report_interval,
-            )
+            piggyback = PiggybackMonitor(self.simulator, self.cluster)
             self.estimators[piggyback.name] = piggyback
             self.overhead.register(piggyback)
         if self.config.monitoring.enable_rtt:
@@ -293,8 +282,7 @@ class Simulation:
 
         # Cost accounting.
         self.cost = CostAccountant(
-            billing=BillingModel(self.config.billing_rates),
-            compensation=CompensationModel(self.config.compensation_rates),
+            compensation=CompensationModel(self.config.compensation_rates)
         )
         self.cluster.add_listener(self.cost.compensation)
         self.cluster.add_listener(
@@ -341,7 +329,6 @@ class Simulation:
             self.metrics,
             sla=self.config.sla,
             config=self.config.controller,
-            policy=policy,
             estimators={name: est for name, est in self.estimators.items()},
             offered_rate_fn=self.workload.current_rate,
             tenant_rollup=self.tenant_rollup,

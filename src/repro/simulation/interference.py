@@ -63,8 +63,6 @@ class InterferenceConfig:
     """Length of a noisy-neighbour episode in seconds."""
 
     network_sigma: float = 0.08
-    network_reversion: float = 0.25
-    network_max_factor: float = 2.5
 
 
 class NodeInterference:
@@ -107,6 +105,12 @@ class NodeInterference:
         self._server.set_speed_factor(effective)
 
 
+#: Mean-reversion strength of the network factor towards 1.0 per update,
+#: and the factor's upper bound.
+NETWORK_REVERSION = 0.25
+NETWORK_MAX_FACTOR = 2.5
+
+
 class NetworkInterference:
     """Mean-reverting random walk on the network's external load factor."""
 
@@ -128,8 +132,8 @@ class NetworkInterference:
         """Advance the random walk one step and apply it to the network."""
         cfg = self._config
         noise = float(self._rng.normal(0.0, cfg.network_sigma))
-        self._factor += cfg.network_reversion * (1.0 - self._factor) + noise
-        self._factor = min(cfg.network_max_factor, max(1.0, self._factor))
+        self._factor += NETWORK_REVERSION * (1.0 - self._factor) + noise
+        self._factor = min(NETWORK_MAX_FACTOR, max(1.0, self._factor))
         self._network.set_external_load_factor(self._factor)
 
 

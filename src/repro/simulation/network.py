@@ -16,7 +16,7 @@ more traffic").  The :class:`NetworkModel` therefore exposes:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import exp, inf
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 

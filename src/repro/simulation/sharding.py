@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Dict, List, Optional, Sequence
 
+from ..cost.report import CostReport
 from ..monitoring.percentiles import MergeableHistogramSketch
 from ..workload.load_shapes import ScaledLoad
 from .errors import ShardError
@@ -69,17 +70,6 @@ _WORKLOAD_COUNTER_KEYS = (
     "reads_rejected",
     "writes_rejected",
     "stale_reads",
-)
-
-#: Numeric :class:`CostReport` fields that merge by addition (``total_cost``
-#: is recomputed from these, never summed, so it stays internally consistent).
-_COST_KEYS = (
-    "infrastructure_cost",
-    "churn_cost",
-    "monitoring_cost",
-    "compensation_cost",
-    "sla_penalty_cost",
-    "node_hours",
 )
 
 
@@ -345,14 +335,15 @@ def merge_shard_results(results: Sequence[ShardResult]) -> Dict[str, object]:
         ),
     }
 
-    cost = {key: total("cost", key) for key in _COST_KEYS}
-    cost["total_cost"] = (
-        cost["infrastructure_cost"]
-        + cost["churn_cost"]
-        + cost["monitoring_cost"]
-        + cost["compensation_cost"]
-        + cost["sla_penalty_cost"]
-    )
+    # Every numeric CostReport field merges by addition; ``total_cost`` is
+    # the report's own sum of the merged parts, never a sum of totals.
+    cost = CostReport(
+        **{
+            spec.name: total("cost", spec.name)
+            for spec in dataclasses.fields(CostReport)
+            if spec.name != "details"
+        }
+    ).as_dict()
 
     # Fault records merge like every other reducer: counts add, and the
     # merged event list is sorted by a total key (time, kind, target, shard)

@@ -10,11 +10,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["TimeSeries", "SeriesSummary", "TimeSeriesBundle"]
+__all__ = ["TimeSeries", "SeriesSummary", "TimeSeriesBundle", "exact_percentiles"]
+
+
+def exact_percentiles(values, qs: Sequence[float] = (50, 95, 99)) -> List[float]:
+    """The ``qs``-th percentiles of ``values`` (p50/p95/p99 by default), by
+    numpy's default linear interpolation, each 0.0 when there are no values.
+
+    The one exact percentile rule: every recorder, estimator and report that
+    states a percentile of stored samples calls this.
+    """
+    values = np.asarray(values, dtype=float)
+    if not values.size:
+        return [0.0] * len(qs)
+    return [float(value) for value in np.percentile(values, qs)]
 
 
 @dataclass
@@ -132,22 +145,20 @@ class TimeSeries:
         if not self._size:
             return _EMPTY_SUMMARY
         arr = self.values
-        p50, p95, p99 = np.percentile(arr, (50, 95, 99))
+        p50, p95, p99 = exact_percentiles(arr)
         return SeriesSummary(
             count=self._size,
             mean=float(arr.mean()),
             minimum=float(arr.min()),
             maximum=float(arr.max()),
-            p50=float(p50),
-            p95=float(p95),
-            p99=float(p99),
+            p50=p50,
+            p95=p95,
+            p99=p99,
         )
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile of the recorded values (0 when empty)."""
-        if not self._size:
-            return 0.0
-        return float(np.percentile(self.values, q))
+        return exact_percentiles(self.values, (q,))[0]
 
     def mean(self) -> float:
         """Arithmetic mean of recorded values (0 when empty)."""

@@ -17,9 +17,6 @@ applications, e-commerce catalogues) exhibit:
 from __future__ import annotations
 
 import abc
-import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -245,25 +242,16 @@ class HotspotKeys(KeyDistribution):
     # numbers.  See PERFORMANCE.md.
 
 
-def make_distribution(
-    name: str,
-    record_count: int,
-    zipf_theta: float = 0.99,
-    hot_fraction: float = 0.2,
-    hot_operation_fraction: float = 0.8,
-) -> KeyDistribution:
-    """Factory used by workload specs serialised as plain strings."""
+def make_distribution(name: str, record_count: int) -> KeyDistribution:
+    """Factory used by workload specs serialised as plain strings; each
+    distribution takes its default shape (Zipf theta 0.99, hotspot 20/80)."""
     lowered = name.lower()
     if lowered == "uniform":
         return UniformKeys(record_count)
     if lowered == "zipfian":
-        return ZipfianKeys(record_count, theta=zipf_theta)
+        return ZipfianKeys(record_count)
     if lowered == "latest":
-        return LatestKeys(record_count, theta=zipf_theta)
+        return LatestKeys(record_count)
     if lowered == "hotspot":
-        return HotspotKeys(
-            record_count,
-            hot_fraction=hot_fraction,
-            hot_operation_fraction=hot_operation_fraction,
-        )
+        return HotspotKeys(record_count)
     raise ValueError(f"unknown key distribution {name!r}")

@@ -24,15 +24,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Optional
 
-import numpy as np
-
 from ..cluster.cluster import Cluster
 from ..cluster.types import ConsistencyLevel, ReadResult, WriteResult
 from ..middleware.base import TENANT_HINT, TENANT_TIER_HINT
 from ..middleware.overrides import CONSISTENCY_HINT
 from ..simulation.engine import Simulator
 from ..simulation.randomness import _CHUNK, RandomStreams, _chunked
-from ..simulation.timeseries import TimeSeries
+from ..simulation.timeseries import TimeSeries, exact_percentiles
 from .distributions import KeyDistribution, make_distribution
 from .load_shapes import ConstantLoad, LoadShape
 from .operations import OperationMix, READ_HEAVY, RecordSizer
@@ -57,9 +55,6 @@ class WorkloadSpec:
 
     record_count: int = 10_000
     key_distribution: str = "zipfian"
-    zipf_theta: float = 0.99
-    hot_fraction: float = 0.2
-    hot_operation_fraction: float = 0.8
     operation_mix: OperationMix = field(default_factory=lambda: READ_HEAVY)
     load_shape: LoadShape = field(default_factory=lambda: ConstantLoad(100.0))
     mean_record_size: int = 1024
@@ -145,13 +140,7 @@ class WorkloadSpec:
             self.tenants.records_per_tenant if self.tenants is not None
             else self.record_count
         )
-        return make_distribution(
-            self.key_distribution,
-            record_count,
-            zipf_theta=self.zipf_theta,
-            hot_fraction=self.hot_fraction,
-            hot_operation_fraction=self.hot_operation_fraction,
-        )
+        return make_distribution(self.key_distribution, record_count)
 
     def describe(self) -> Dict[str, object]:
         """Flat description for experiment tables."""
@@ -210,9 +199,7 @@ class TenantOpStats:
 
     def read_percentile_ms(self, q: float) -> float:
         """Read latency percentile in milliseconds (0 when no reads)."""
-        if not self.read_latencies:
-            return 0.0
-        return float(np.percentile(np.array(self.read_latencies), q)) * 1000.0
+        return exact_percentiles(self.read_latencies, (q,))[0] * 1000.0
 
 
 class WorkloadStats:
@@ -232,7 +219,6 @@ class WorkloadStats:
         # latency): the report's percentiles and E4's phase slices read it.
         self.read_latency_series = TimeSeries("read_latency")
         self.write_latency_series = TimeSeries("write_latency")
-        self.offered_rate_series = TimeSeries("offered_rate")
         # Per-tenant breakdown; stays None (zero-cost) for tenantless runs.
         self.tenant_stats: Optional[Dict[str, TenantOpStats]] = None
 
@@ -343,6 +329,10 @@ class WorkloadStats:
 
 #: How often a quiescent arrival process (rate ~0) looks at its shape again.
 _IDLE_POLL = 1.0
+
+
+def _nothing() -> None:
+    """The callback of the generator's rate-sample tick."""
 
 
 class _InterleavedDraws:
@@ -607,9 +597,13 @@ class WorkloadGenerator:
         self._running = True
         for process in (self._main, *self._bursts):
             self._schedule(process)
+        # A tick every 10 s that does nothing: the report's
+        # ``events_processed``, the event sequence numbers and the ledger's
+        # exact events per operation all count it, so the seed's numbers
+        # hold only with it (PERFORMANCE.md rules 1-5).
         self._simulator.call_every(
             10.0,
-            self._sample_offered_rate,
+            _nothing,
             label=f"{self.name}:rate-sample",
             priority=Simulator.PRIORITY_LATE,
         )
@@ -691,8 +685,3 @@ class WorkloadGenerator:
             on_complete=stats.record_write,
             hints=hints,
         )
-
-    def _sample_offered_rate(self) -> None:
-        now = self._simulator.now
-        rate = self.current_rate() + sum(burst.shape.rate(now) for burst in self._bursts)
-        self.stats.offered_rate_series.record(now, rate)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

@@ -118,7 +118,7 @@ def test_replay_batch_limits_per_round_delivery():
 # ----------------------------------------------------------------------
 def make_responses(versions):
     return [
-        ReplicaReadResponse(node_id=f"n{i}", version=v, responded_at=0.0)
+        ReplicaReadResponse(node_id=f"n{i}", version=v)
         for i, v in enumerate(versions)
     ]
 

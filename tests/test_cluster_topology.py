@@ -9,6 +9,7 @@ import pytest
 from repro.cluster import (
     Cluster,
     ClusterConfig,
+    ClusterListener,
     ConfigurationError,
     ConsistencyLevel,
     NodeConfig,
@@ -28,6 +29,21 @@ def make_cluster(simulator, nodes=3, rf=2, keys=50):
     if keys:
         cluster.preload({f"user{i}": b"v" for i in range(keys)})
     return cluster
+
+
+class ChangeLog(ClusterListener):
+    """Every topology change and reconfiguration a cluster announces."""
+
+    def __init__(self, cluster):
+        self.topology = []
+        self.reconfigurations = []
+        cluster.add_listener(self)
+
+    def on_topology_changed(self, change):
+        self.topology.append(change)
+
+    def on_reconfiguration(self, change):
+        self.reconfigurations.append(change)
 
 
 def test_add_node_joins_ring_after_bootstrap():
@@ -137,13 +153,14 @@ def test_replication_factor_validation():
 def test_consistency_level_changes_are_recorded():
     simulator = Simulator(seed=9)
     cluster = make_cluster(simulator)
+    log = ChangeLog(cluster)
     cluster.set_read_consistency(ConsistencyLevel.QUORUM)
     cluster.set_write_consistency(ConsistencyLevel.QUORUM)
     # Setting the same level twice is a no-op.
     cluster.set_read_consistency(ConsistencyLevel.QUORUM)
     assert cluster.read_consistency is ConsistencyLevel.QUORUM
     assert cluster.write_consistency is ConsistencyLevel.QUORUM
-    actions = [change["action"] for change in cluster.reconfigurations]
+    actions = [change["action"] for change in log.reconfigurations]
     assert actions.count("set_read_consistency") == 1
     assert actions.count("set_write_consistency") == 1
 
@@ -151,12 +168,13 @@ def test_consistency_level_changes_are_recorded():
 def test_crash_and_recover_node_events():
     simulator = Simulator(seed=10)
     cluster = make_cluster(simulator)
+    log = ChangeLog(cluster)
     node_id = cluster.node_ids()[0]
     cluster.crash_node(node_id)
     assert not cluster.nodes[node_id].is_up
     cluster.recover_node(node_id)
     assert cluster.nodes[node_id].is_up
-    events = [change["event"] for change in cluster.topology_changes]
+    events = [change["event"] for change in log.topology]
     assert "node_down" in events
     assert "node_up" in events
 

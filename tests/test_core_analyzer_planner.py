@@ -6,7 +6,6 @@ from repro.cluster import Cluster, ClusterConfig, ConsistencyLevel, NodeConfig
 from repro.core import (
     AddNodeAction,
     Analyzer,
-    AnalysisConfig,
     KnowledgeBase,
     NoAction,
     PlannerConfig,

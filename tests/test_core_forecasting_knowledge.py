@@ -177,7 +177,7 @@ def test_knowledge_load_forecast_follows_growth():
 def test_knowledge_action_history():
     knowledge = KnowledgeBase()
     outcome = ActionOutcome(
-        action="add_node", kind=ActionKind.SCALE_OUT, applied=True, time=100.0, detail={}
+        action="add_node", kind=ActionKind.SCALE_OUT, applied=True, time=100.0
     )
     knowledge.record_action(outcome)
     assert knowledge.actions() == [outcome]

@@ -54,7 +54,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, StorageEngine, VersionStamp, VersionedValue
-from repro.cluster.coordinator import AckedVersionRegistry
+from repro.cluster.coordinator import DEFAULT_VALUE_SIZE, AckedVersionRegistry
 from repro.cluster.ring import HashRing, hash_key
 from repro.cluster.versioning import compare_versions
 from repro.consistency.window_tracker import (
@@ -724,7 +724,7 @@ def _reference_preload(cluster, items, sizes):
     now = cluster._simulator.now
     for key, value in items.items():
         stamp = VersionStamp(timestamp=now, sequence=cluster.coordinator.next_sequence())
-        size = sizes.get(key, cluster.config.coordinator.default_value_size)
+        size = sizes.get(key, DEFAULT_VALUE_SIZE)
         version = VersionedValue(stamp=stamp, value=value, write_id=0, size=size)
         replicas = cluster.ring.preference_list(key, cluster.replication_factor)
         if not replicas:

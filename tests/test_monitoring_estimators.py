@@ -45,7 +45,8 @@ def test_prober_issues_probes_and_reports_estimates():
     start_workload(simulator, cluster, rate=50.0)
     simulator.run_until(60.0)
     assert prober.probes_started >= 25
-    assert prober.probes_resolved + prober.probes_unresolved >= 20
+    # Every resolved or given-up probe is one sample of some estimate.
+    assert sum(estimate.samples for estimate in prober.estimates()) >= 20
     assert prober.operations_issued() > prober.probes_started
     assert len(prober.estimates()) == 6
     assert prober.latest() is not None

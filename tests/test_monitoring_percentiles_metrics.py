@@ -151,19 +151,37 @@ def test_sketch_merge_is_order_independent():
     assert forward.snapshot() == backward.snapshot()
 
 
-def test_sketch_merge_uneven_splits_and_scalar_observe_agree():
+@pytest.mark.parametrize(
+    "values",
+    [_stream(7, 2_000), np.array([0.002, float("nan"), 0.004])],
+    ids=["lognormal", "nan"],
+)
+def test_sketch_merge_uneven_splits_and_scalar_observe_agree(values):
     from repro.monitoring.percentiles import MergeableHistogramSketch
 
-    values = _stream(7, 2_000)
-    # Pathologically uneven split: 1 element / the rest.
-    head = MergeableHistogramSketch()
-    head.observe(float(values[0]))
-    tail = MergeableHistogramSketch()
-    tail.observe_many(values[1:])
-    merged = MergeableHistogramSketch.merged([head, tail])
-    whole = MergeableHistogramSketch()
-    whole.observe_many(values)
-    assert np.array_equal(merged.bin_counts, whole.bin_counts)
+    def held(feed):
+        """Bin counts and count after ``feed``, or "refused" on ValueError."""
+        sketch = MergeableHistogramSketch()
+        try:
+            feed(sketch)
+        except ValueError:
+            return "refused"
+        return sketch.bin_counts.tolist(), sketch.count
+
+    def uneven(sketch):
+        # Pathologically uneven split: 1 element / the rest.
+        sketch.observe(float(values[0]))
+        tail = MergeableHistogramSketch()
+        tail.observe_many(values[1:])
+        sketch.merge(tail)
+
+    def scalar(sketch):
+        for value in values:
+            sketch.observe(float(value))
+
+    whole = held(lambda sketch: sketch.observe_many(values))
+    assert held(uneven) == whole
+    assert held(scalar) == whole
 
 
 def test_sketch_quantile_error_bound_vs_ground_truth():

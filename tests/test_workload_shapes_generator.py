@@ -277,14 +277,13 @@ def test_spec_rejects_unusable_rates_at_build_time(field, value):
         WorkloadSpec(load_shape=ConstantLoad(0.0), **{field: value})
 
 
-def test_offered_rate_sampling_and_current_rate():
+def test_current_rate_follows_the_shape():
     simulator = Simulator(seed=7)
     _cluster, generator = make_generator(simulator, rate=150.0)
     generator.preload()
     generator.start()
     simulator.run_until(30.0)
     assert generator.current_rate() == pytest.approx(150.0)
-    assert len(generator.stats.offered_rate_series) >= 2
 
 
 def test_scaled_load_multiplies_any_base_shape():
