@@ -19,23 +19,24 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
 from ..simulation.engine import PeriodicTask, Simulator
+from .errors import Settings, non_negative, positive
 from .versioning import VersionedValue, compare_versions
 
 __all__ = ["AntiEntropyConfig", "AntiEntropyService"]
 
 
 @dataclass
-class AntiEntropyConfig:
+class AntiEntropyConfig(Settings):
     """Parameters of the anti-entropy process."""
 
     enabled: bool = True
-    interval: float = 30.0
+    interval: float = positive(30.0)
     """Seconds between anti-entropy rounds."""
 
-    keys_per_round: int = 256
+    keys_per_round: int = non_negative(256)
     """How many keys are compared per round."""
 
-    max_repairs_per_round: int = 512
+    max_repairs_per_round: int = non_negative(512)
     """Upper bound on repair writes issued per round."""
 
 

@@ -34,7 +34,7 @@ from ..simulation.engine import Simulator
 from ..simulation.network import NetworkConfig, NetworkModel
 from .anti_entropy import AntiEntropyConfig, AntiEntropyService
 from .coordinator import DEFAULT_VALUE_SIZE, CoordinatorConfig, RequestCoordinator
-from .errors import ConfigurationError, TopologyError, UnknownNodeError
+from .errors import ConfigurationError, Settings, TopologyError, UnknownNodeError, at_least
 from .hinted_handoff import HintedHandoffConfig, HintedHandoffManager
 from .membership import MembershipConfig, MembershipService
 from .node import NodeConfig, StorageNode
@@ -63,11 +63,11 @@ VIRTUAL_NODES = 32
 
 
 @dataclass
-class ClusterConfig:
+class ClusterConfig(Settings):
     """Static configuration of the store and its initial deployment."""
 
-    initial_nodes: int = 3
-    replication_factor: int = 3
+    initial_nodes: int = at_least(1, 3)
+    replication_factor: int = at_least(1, 3)
     read_consistency: ConsistencyLevel = ConsistencyLevel.ONE
     write_consistency: ConsistencyLevel = ConsistencyLevel.ONE
     node: NodeConfig = field(default_factory=NodeConfig)
@@ -76,8 +76,8 @@ class ClusterConfig:
     hinted_handoff: HintedHandoffConfig = field(default_factory=HintedHandoffConfig)
     anti_entropy: AntiEntropyConfig = field(default_factory=AntiEntropyConfig)
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
-    max_nodes: int = 32
-    min_nodes: int = 1
+    max_nodes: int = at_least(1, 32)
+    min_nodes: int = at_least(1, 1)
 
     middleware: Optional[Sequence[str]] = None
     """Ordered request-pipeline middleware names (``None`` = the default
@@ -94,8 +94,6 @@ class ClusterConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` for inconsistent settings."""
-        if self.initial_nodes < 1:
-            raise ConfigurationError("initial_nodes must be >= 1")
         unknown = [name for name in self.pipeline_names() if not is_registered(name)]
         if unknown:
             raise ConfigurationError(
@@ -104,22 +102,16 @@ class ClusterConfig:
                 + "; register them with repro.middleware.register_middleware "
                 "before building the cluster"
             )
-        if self.replication_factor < 1:
-            raise ConfigurationError("replication_factor must be >= 1")
         if self.replication_factor > self.initial_nodes:
             raise ConfigurationError(
                 "replication_factor cannot exceed the number of initial nodes "
                 f"({self.replication_factor} > {self.initial_nodes})"
             )
-        if self.min_nodes < 1 or self.max_nodes < self.min_nodes:
-            raise ConfigurationError("require 1 <= min_nodes <= max_nodes")
+        if self.max_nodes < self.min_nodes:
+            raise ConfigurationError("require min_nodes <= max_nodes")
         if not (self.min_nodes <= self.initial_nodes <= self.max_nodes):
             raise ConfigurationError(
                 "initial_nodes must lie within [min_nodes, max_nodes]"
-            )
-        if not self.node.ops_capacity > 0:
-            raise ConfigurationError(
-                f"node.ops_capacity must be > 0, got {self.node.ops_capacity}"
             )
 
 

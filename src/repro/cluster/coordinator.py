@@ -49,6 +49,7 @@ from ..simulation.engine import Simulator
 from ..simulation.events import Event
 from ..simulation.timers import TimerService
 from ..simulation.network import NetworkModel
+from .errors import Settings, positive
 from .membership import MembershipService
 from .node import ReplicaReadResponse, ReplicaWriteResponse, StorageNode
 from .ring import HashRing
@@ -70,10 +71,10 @@ DEFAULT_VALUE_SIZE = 1024
 
 
 @dataclass
-class CoordinatorConfig:
+class CoordinatorConfig(Settings):
     """Request-handling parameters."""
 
-    operation_timeout: float = 1.0
+    operation_timeout: float = positive(1.0)
     """Seconds before an in-flight operation fails with a timeout."""
 
 

@@ -30,14 +30,23 @@ that can be sampled from a seeded generator (:meth:`FaultPlan.generate`,
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..simulation.engine import Simulator
-from .errors import UnknownNodeError
+from .errors import (
+    POSITIVE,
+    Settings,
+    UnknownNodeError,
+    check,
+    fraction,
+    non_negative,
+    positive,
+    positive_fraction,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .cluster import Cluster
@@ -62,40 +71,13 @@ class FaultEvent:
     end_time: Optional[float] = None
 
 
-def _check_window(at: float, duration: Optional[float]) -> None:
-    """A fault's window must be a real interval.
-
-    A negative duration would schedule the recovery before the fault, which
-    then never recovers; NaN compares false against every bound, so both ends
-    are tested as "inside the range", never as "not below it".
-    """
-    if not (0.0 <= at < math.inf):
-        raise ValueError(f"fault time must be finite and >= 0, got {at}")
-    if duration is not None and not (0.0 < duration < math.inf):
-        raise ValueError(f"fault duration must be finite and > 0, got {duration}")
-
-
-# The per-kind range checks, shared by the injector's methods and by
-# ``FaultSpec``: a bad fault fails where it is declared (at the CLI, say), not
-# minutes into a simulation when its event fires.  Written like
-# ``_check_window``, so NaN fails every one of them.
-def _check_factor(factor: float) -> None:
-    if not (0.0 < factor <= 1.0):
-        raise ValueError(f"degrade factor must be in (0, 1], got {factor}")
-
-
-def _check_link(drop_probability: float, extra_delay: float) -> None:
-    if not (0.0 <= drop_probability <= 1.0):
-        raise ValueError(f"drop probability must be in [0, 1], got {drop_probability}")
-    if not (0.0 <= extra_delay < math.inf):
-        raise ValueError(f"extra delay must be finite and >= 0, got {extra_delay}")
-
-
-def _check_restart(downtime: float, settle: float) -> None:
-    if not (0.0 < downtime < math.inf):
-        raise ValueError(f"downtime must be finite and > 0, got {downtime}")
-    if not (0.0 <= settle < math.inf):
-        raise ValueError(f"settle must be finite and >= 0, got {settle}")
+def _check_fault(**arguments: Optional[float]) -> None:
+    """Refuse, before anything is scheduled, an injector argument outside the
+    bound :class:`FaultSpec` declares for its name (``duration=None`` is open-ended)."""
+    for field in dataclasses.fields(FaultSpec):
+        value = arguments.get(field.name)
+        if value is not None:
+            check("FaultInjector", field.name, value, field.metadata["bound"])
 
 
 class FaultInjector:
@@ -123,7 +105,7 @@ class FaultInjector:
         self, node_id: str, at: float, duration: Optional[float] = None
     ) -> FaultEvent:
         """Crash ``node_id`` at time ``at``; recover after ``duration`` if given."""
-        _check_window(at, duration)
+        _check_fault(at=at, duration=duration)
         self._check_nodes((node_id,))
         event = FaultEvent(kind="node_crash", target=node_id, start_time=at)
         self.events.append(event)
@@ -161,8 +143,7 @@ class FaultInjector:
         (or never, if ``None``).  Overlapping degrades on one node compose
         multiplicatively, and the composed factor survives crash/recover.
         """
-        _check_factor(factor)
-        _check_window(at, duration)
+        _check_fault(at=at, duration=duration, factor=factor)
         self._check_nodes((node_id,))
         event = FaultEvent(kind="node_degrade", target=node_id, start_time=at)
         self.events.append(event)
@@ -209,8 +190,9 @@ class FaultInjector:
         ``faults:links`` stream, opened lazily so fault-free runs never touch
         it — and surviving messages pay ``extra_delay`` extra seconds.
         """
-        _check_window(at, duration)
-        _check_link(drop_probability, extra_delay)
+        _check_fault(
+            at=at, duration=duration, drop_probability=drop_probability, extra_delay=extra_delay
+        )
         if node_a == node_b:
             raise ValueError(
                 f"a flaky link needs two distinct endpoints, got {node_a!r} twice"
@@ -255,7 +237,7 @@ class FaultInjector:
         Heals only the partition it installed — overlapping partition windows
         compose, and healing one leaves the others severed.
         """
-        _check_window(at, duration)
+        _check_fault(at=at, duration=duration)
         self._check_nodes((*group_a, *group_b))
         label = f"{'|'.join(sorted(group_a))} <-> {'|'.join(sorted(group_b))}"
         event = FaultEvent(kind="partition", target=label, start_time=at)
@@ -304,8 +286,7 @@ class FaultInjector:
         turn, so at most one node is ever down.  Defaults to every node the
         cluster had when the campaign was declared, in sorted id order.
         """
-        _check_window(at, None)
-        _check_restart(downtime, settle)
+        _check_fault(at=at, downtime=downtime, settle=settle)
         targets = tuple(node_ids) if node_ids is not None else self._cluster.node_ids()
         self._check_nodes(targets)
         event = FaultEvent(
@@ -381,7 +362,7 @@ _INJECTOR_METHODS = {
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Settings):
     """One declarative fault: plain data, picklable, node-index based.
 
     Node references are *indices into the sorted node-id list* at apply time
@@ -391,29 +372,25 @@ class FaultSpec:
     """
 
     kind: str
-    at: float
-    duration: Optional[float] = None
-    node: int = 0
-    peer: int = 1
-    factor: float = 0.5
-    drop_probability: float = 0.1
-    extra_delay: float = 0.0
-    downtime: float = 15.0
-    settle: float = 30.0
+    at: float = non_negative()
+    duration: Optional[float] = positive(None)
+    node: int = non_negative(0)
+    peer: int = non_negative(1)
+    factor: float = positive_fraction(0.5)
+    drop_probability: float = fraction(0.1)
+    extra_delay: float = non_negative(0.0)
+    downtime: float = positive(15.0)
+    settle: float = non_negative(30.0)
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        _check_window(self.at, self.duration)
-        _check_factor(self.factor)
-        _check_link(self.drop_probability, self.extra_delay)
-        _check_restart(self.downtime, self.settle)
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Settings):
     """A reproducible campaign of scheduled faults.
 
     Plans are pure data: building one runs nothing and draws from no
@@ -423,7 +400,7 @@ class FaultPlan:
     """
 
     specs: Tuple[FaultSpec, ...] = ()
-    seed: Optional[int] = None
+    seed: Optional[int] = non_negative(None)
 
     @classmethod
     def generate(
@@ -443,6 +420,7 @@ class FaultPlan:
         ``[0.1, 0.7] * duration`` and last 5–25% of the run, so every fault
         both takes effect and (usually) recovers on the record.
         """
+        check("FaultPlan.generate", "duration", duration, POSITIVE)
         if faults < 0:
             raise ValueError(f"faults must be >= 0, got {faults}")
         if not kinds:

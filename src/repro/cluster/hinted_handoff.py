@@ -16,26 +16,27 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..simulation.engine import PeriodicTask, Simulator
+from .errors import Settings, at_least, non_negative, positive
 from .versioning import VersionedValue
 
 __all__ = ["Hint", "HintedHandoffConfig", "HintedHandoffManager"]
 
 
 @dataclass
-class HintedHandoffConfig:
+class HintedHandoffConfig(Settings):
     """Parameters of hint storage and replay."""
 
     enabled: bool = True
-    replay_interval: float = 5.0
+    replay_interval: float = positive(5.0)
     """Seconds between replay attempts."""
 
-    max_hints: int = 100_000
+    max_hints: int = non_negative(100_000)
     """Upper bound on stored hints (oldest are dropped beyond this)."""
 
-    hint_ttl: float = 3600.0
+    hint_ttl: float = non_negative(3600.0)
     """Hints older than this are discarded without replay."""
 
-    replay_batch: int = 64
+    replay_batch: int = at_least(1, 64)
     """Maximum hints replayed towards a single node per replay round."""
 
 

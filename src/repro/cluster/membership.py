@@ -21,6 +21,7 @@ from typing import Callable, Dict, Optional
 
 from ..simulation.engine import PeriodicTask, Simulator
 from ..simulation.network import NetworkModel
+from .errors import Settings, positive
 
 __all__ = ["MembershipConfig", "MembershipView", "GossipAgent", "MembershipService"]
 
@@ -29,13 +30,13 @@ FANOUT = 1
 
 
 @dataclass
-class MembershipConfig:
+class MembershipConfig(Settings):
     """Parameters of the gossip protocol and failure detector."""
 
-    gossip_interval: float = 1.0
+    gossip_interval: float = positive(1.0)
     """Seconds between gossip rounds initiated by each node."""
 
-    failure_timeout: float = 6.0
+    failure_timeout: float = positive(6.0)
     """Seconds without heartbeat progress before a peer is suspected down."""
 
 

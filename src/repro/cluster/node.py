@@ -16,12 +16,12 @@ first research task.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..simulation.engine import Simulator
 from ..simulation.resources import QueueingServer
+from .errors import Settings, fraction, non_negative, positive
 from .storage import StorageEngine
 from .types import NodeState
 from .versioning import VersionedValue
@@ -33,34 +33,34 @@ MEMORY_PRESSURE_SLOPE = 2.0
 
 
 @dataclass
-class NodeConfig:
+class NodeConfig(Settings):
     """Capacity and behaviour parameters of a storage node."""
 
-    ops_capacity: float = 800.0
+    ops_capacity: float = positive(800.0)
     """Nominal operations per second the node can serve."""
 
-    read_demand_factor: float = 1.0
+    read_demand_factor: float = non_negative(1.0)
     """Service demand of a read relative to the base demand (1/ops_capacity)."""
 
-    write_demand_factor: float = 1.2
+    write_demand_factor: float = non_negative(1.2)
     """Service demand of a write relative to the base demand."""
 
-    stream_demand_factor: float = 0.35
+    stream_demand_factor: float = non_negative(0.35)
     """Service demand of applying one streamed (bulk) item."""
 
-    repair_demand_factor: float = 0.8
+    repair_demand_factor: float = non_negative(0.8)
     """Service demand of applying one read-repair or anti-entropy item."""
 
-    service_cv: float = 0.3
+    service_cv: float = non_negative(0.3)
     """Coefficient of variation of per-request service demand."""
 
-    memory_capacity_bytes: int = 512 * 1024 * 1024
+    memory_capacity_bytes: int = non_negative(512 * 1024 * 1024)
     """Bytes of memory before pressure effects begin."""
 
-    memory_pressure_threshold: float = 0.7
+    memory_pressure_threshold: float = fraction(0.7)
     """Fraction of memory above which service demand starts inflating."""
 
-    mutation_timeout: float = 0.25
+    mutation_timeout: float = positive(0.25)
     """Replicated writes expected to wait longer than this are dropped.
 
     This reproduces Cassandra's *dropped mutations* load shedding: under
@@ -70,22 +70,6 @@ class NodeConfig:
     stale until read repair, hinted handoff or anti-entropy fixes it — the
     dominant real-world source of large inconsistency windows under load.
     """
-
-    def __post_init__(self) -> None:
-        # A request's service time is built from these, so a value that
-        # cannot give a finite one is refused here rather than mid-run (a NaN
-        # cv used to drop the noise silently: max(0.0, nan) is 0.0).
-        # ``ops_capacity`` is checked by ``ClusterConfig.validate``.
-        for name in (
-            "read_demand_factor",
-            "write_demand_factor",
-            "stream_demand_factor",
-            "repair_demand_factor",
-            "service_cv",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"NodeConfig.{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(slots=True)

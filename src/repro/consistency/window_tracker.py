@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..cluster.cluster import ClusterListener
+from ..cluster.errors import Settings, non_negative, positive
 from ..cluster.versioning import VersionStamp
 from ..simulation.engine import Simulator
 from ..simulation.timeseries import TimeSeries
@@ -52,10 +53,10 @@ class WindowRecord:
 
 
 @dataclass
-class WindowTrackerConfig:
+class WindowTrackerConfig(Settings):
     """Parameters of the ground-truth tracker."""
 
-    max_open_age: float = 300.0
+    max_open_age: float = positive(300.0)
     """Windows still open after this many seconds are recorded as censored.
 
     Expiry protects the tracker's memory against writes whose replica died
@@ -63,10 +64,10 @@ class WindowTrackerConfig:
     lower bound (they were *at least* that large) and counted separately.
     """
 
-    expiry_scan_interval: float = 30.0
+    expiry_scan_interval: float = positive(30.0)
     """How often the tracker scans for expired open windows."""
 
-    early_apply_retention: float = 120.0
+    early_apply_retention: float = non_negative(120.0)
     """How long a key's replica applies are remembered after the last one."""
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..cluster.cluster import Cluster
+from ..cluster.errors import Settings, positive
 from ..monitoring.estimators import ConsistencyEstimator
 from ..monitoring.metrics import MetricsCollector
 from ..simulation.engine import PeriodicTask, Simulator
@@ -42,10 +43,10 @@ __all__ = ["ControllerConfig", "AutonomousController"]
 
 
 @dataclass
-class ControllerConfig:
+class ControllerConfig(Settings):
     """Configuration of the autonomous controller."""
 
-    evaluation_interval: float = 30.0
+    evaluation_interval: float = positive(30.0)
     """Seconds between MAPE-K rounds."""
 
     policy: str = "sla_driven"

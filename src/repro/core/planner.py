@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..cluster.errors import Settings, at_least, fraction, positive_fraction
 from ..cluster.types import ConsistencyLevel
 from .actions import (
     AddNodeAction,
@@ -63,16 +64,16 @@ class ConsistencyTarget:
 
 
 @dataclass
-class PlannerConfig:
+class PlannerConfig(Settings):
     """Parameters of the SLA-driven planner."""
 
-    min_nodes: int = 2
-    max_nodes: int = 32
+    min_nodes: int = at_least(1, 2)
+    max_nodes: int = at_least(1, 32)
 
-    quota_tighten_factor: float = 0.5
+    quota_tighten_factor: float = positive_fraction(0.5)
     """Multiplier applied to a tier's quota scale per tightening step."""
 
-    quota_floor: float = 0.25
+    quota_floor: float = fraction(0.25)
     """Lowest quota scale arbitration may impose on any tier."""
 
     quota_tighten_order: Tuple[str, ...] = ("bronze", "silver")

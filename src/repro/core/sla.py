@@ -22,6 +22,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..cluster.errors import Settings, fraction, non_negative, positive
+
 __all__ = [
     "SystemObservation",
     "SLO",
@@ -112,11 +114,11 @@ class SLO(abc.ABC):
 
 
 @dataclass
-class LatencySLO(SLO):
+class LatencySLO(SLO, Settings):
     """Bound on a latency percentile (seconds)."""
 
-    max_latency: float
-    percentile: float = 95.0
+    max_latency: float = non_negative()
+    percentile: float = positive(95.0)
     operation: str = "read"
     """Either ``"read"`` or ``"write"``."""
 
@@ -134,10 +136,10 @@ class LatencySLO(SLO):
 
 
 @dataclass
-class AvailabilitySLO(SLO):
+class AvailabilitySLO(SLO, Settings):
     """Bound on the fraction of client operations that fail."""
 
-    max_failure_fraction: float = 0.001
+    max_failure_fraction: float = fraction(0.001)
 
     def __post_init__(self) -> None:
         self.name = "availability"
@@ -149,13 +151,13 @@ class AvailabilitySLO(SLO):
 
 
 @dataclass
-class StalenessSLO(SLO):
+class StalenessSLO(SLO, Settings):
     """Bound on the inconsistency window and on observed stale reads."""
 
-    max_window_p95: float = 0.5
+    max_window_p95: float = non_negative(0.5)
     """Maximum tolerated 95th-percentile inconsistency window (seconds)."""
 
-    max_stale_read_fraction: float = 0.05
+    max_stale_read_fraction: float = fraction(0.05)
     """Maximum tolerated fraction of stale production reads."""
 
     def __post_init__(self) -> None:
@@ -175,11 +177,11 @@ class StalenessSLO(SLO):
 
 
 @dataclass
-class SLA:
+class SLA(Settings):
     """A set of objectives plus penalty rates."""
 
     objectives: List[SLO]
-    penalty_per_violation_second: float = 0.01
+    penalty_per_violation_second: float = non_negative(0.01)
     """Penalty charged per second during which at least one SLO is violated."""
 
     name: str = "sla"

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..cluster.errors import Settings, at_least, non_negative, positive
 from .actions import ActionKind, ActionOutcome, ReconfigurationAction
 from .analyzer import AnalysisResult, Symptom
 
@@ -34,7 +35,7 @@ EMERGENCY_SYMPTOMS = frozenset({Symptom.AVAILABILITY_VIOLATION})
 
 
 @dataclass
-class StabilityConfig:
+class StabilityConfig(Settings):
     """Parameters of the stability guard."""
 
     enabled: bool = True
@@ -50,16 +51,16 @@ class StabilityConfig:
     )
     """Minimum seconds between two actions of the same family."""
 
-    required_persistence: int = 2
+    required_persistence: int = at_least(1, 2)
     """Consecutive evaluation rounds a symptom must persist before acting."""
 
-    oscillation_window: float = 1800.0
+    oscillation_window: float = positive(1800.0)
     """Seconds of action history inspected for oscillation."""
 
-    oscillation_flips: int = 3
+    oscillation_flips: int = at_least(1, 3)
     """Direction changes within the window that count as oscillation."""
 
-    oscillation_freeze: float = 900.0
+    oscillation_freeze: float = non_negative(900.0)
     """Seconds during which scaling is frozen after oscillation is detected."""
 
 

@@ -24,25 +24,26 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..cluster.cluster import ClusterListener
+from ..cluster.errors import Settings, non_negative
 from ..cluster.types import OperationResult
 
 __all__ = ["CompensationRates", "CompensationModel"]
 
 
 @dataclass
-class CompensationRates:
+class CompensationRates(Settings):
     """Unit prices of consistency and availability incidents."""
 
-    stale_read: float = 0.002
+    stale_read: float = non_negative(0.002)
     """Charge per stale read served to a client."""
 
-    conflict_event: float = 0.25
+    conflict_event: float = non_negative(0.25)
     """Charge per stale read older than ``conflict_staleness_threshold``."""
 
-    conflict_staleness_threshold: float = 1.0
+    conflict_staleness_threshold: float = non_negative(1.0)
     """Staleness (seconds) beyond which a stale read counts as a conflict."""
 
-    failed_operation: float = 0.01
+    failed_operation: float = non_negative(0.01)
     """Charge per failed (timed-out / unavailable) client operation."""
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from ..cluster.errors import POSITIVE, check
 from .base import RequestContext, RequestMiddleware
 from .registry import MiddlewareBuildContext, register_middleware
 
@@ -78,8 +79,8 @@ class AdmissionControl(RequestMiddleware):
         default_burst: float = 100.0,
         tier_quotas: Optional[Dict[str, Tuple[float, float]]] = None,
     ) -> None:
-        if default_rate <= 0.0 or default_burst <= 0.0:
-            raise ValueError("default_rate and default_burst must be > 0")
+        check(self.name, "default_rate", default_rate, POSITIVE)
+        check(self.name, "default_burst", default_burst, POSITIVE)
         self._simulator = simulator
         self._default_rate = float(default_rate)
         self._default_burst = float(default_burst)
@@ -97,8 +98,8 @@ class AdmissionControl(RequestMiddleware):
         """Install tier ``(rate, burst)`` quota defaults (e.g. from a
         :class:`~repro.workload.tenants.TenantSpec`'s tiers)."""
         for tier, (rate, burst) in tier_quotas.items():
-            if rate <= 0.0 or burst <= 0.0:
-                raise ValueError(f"tier {tier!r} quota rate/burst must be > 0")
+            check(self.name, f"tiers.{tier}.rate", rate, POSITIVE)
+            check(self.name, f"tiers.{tier}.burst", burst, POSITIVE)
             self._tier_quotas[tier] = (float(rate), float(burst))
 
     def set_tier_scale(self, tier: str, scale: float) -> float:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..cluster.errors import POSITIVE, POSITIVE_FRACTION, Bound, check
 from .base import RequestContext, RequestMiddleware
 from .latency import NodeRttTracker, shared_node_tracker
 from .registry import MiddlewareBuildContext, register_middleware
@@ -76,34 +77,18 @@ class RequestHedging(RequestMiddleware):
         hot_key_threshold: int = 32,
         hot_key_decay_every: int = 1024,
     ) -> None:
-        if operation_timeout <= 0.0:
-            raise ValueError(f"operation_timeout must be > 0, got {operation_timeout}")
-        if budget is not None and budget <= 0.0:
-            raise ValueError(f"budget must be > 0, got {budget}")
-        if budget is None and not 0.0 < budget_fraction <= 1.0:
-            raise ValueError(
-                f"budget_fraction must be in (0, 1], got {budget_fraction}"
-            )
-        if min_budget <= 0.0:
-            raise ValueError(f"min_budget must be > 0, got {min_budget}")
-        if budget_refresh_interval <= 0.0:
-            raise ValueError(
-                f"budget_refresh_interval must be > 0, got {budget_refresh_interval}"
-            )
-        if timer_granularity is not None and timer_granularity <= 0.0:
-            raise ValueError(
-                f"timer_granularity must be > 0 (or None), got {timer_granularity}"
-            )
-        if not 0.0 < hot_key_fraction <= 1.0:
-            raise ValueError(
-                f"hot_key_fraction must be in (0, 1], got {hot_key_fraction}"
-            )
-        if hot_key_threshold < 1:
-            raise ValueError(f"hot_key_threshold must be >= 1, got {hot_key_threshold}")
-        if hot_key_decay_every < 1:
-            raise ValueError(
-                f"hot_key_decay_every must be >= 1, got {hot_key_decay_every}"
-            )
+        check(self.name, "operation_timeout", operation_timeout, POSITIVE)
+        if budget is None:
+            check(self.name, "budget_fraction", budget_fraction, POSITIVE_FRACTION)
+        else:
+            check(self.name, "budget", budget, POSITIVE)
+        check(self.name, "min_budget", min_budget, POSITIVE)
+        check(self.name, "budget_refresh_interval", budget_refresh_interval, POSITIVE)
+        if timer_granularity is not None:
+            check(self.name, "timer_granularity", timer_granularity, POSITIVE)
+        check(self.name, "hot_key_fraction", hot_key_fraction, POSITIVE_FRACTION)
+        check(self.name, "hot_key_threshold", hot_key_threshold, Bound(1))
+        check(self.name, "hot_key_decay_every", hot_key_decay_every, Bound(1))
         self._tracker = tracker
         self._static_budget = (
             float(budget) if budget is not None else float(budget_fraction) * operation_timeout

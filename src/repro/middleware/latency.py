@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
+from ..cluster.errors import NON_NEGATIVE, POSITIVE_FRACTION, Bound, check
 from .base import RequestContext, RequestMiddleware
 from .registry import MiddlewareBuildContext, register_middleware
 
@@ -71,8 +72,7 @@ class NodeRttTracker:
         alpha: float = 0.3,
         fallback: Optional[Callable[[], float]] = None,
     ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        check("NodeRttTracker", "alpha", alpha, POSITIVE_FRACTION)
         self._alpha = float(alpha)
         self._estimates: Dict[str, float] = {}
         self._samples: Dict[str, int] = {}
@@ -182,10 +182,8 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
         explore_every: int = 32,
         observe: bool = True,
     ) -> None:
-        if badness_threshold < 0.0:
-            raise ValueError(f"badness_threshold must be >= 0, got {badness_threshold}")
-        if explore_every < 2:
-            raise ValueError(f"explore_every must be >= 2, got {explore_every}")
+        check(self.name, "badness_threshold", badness_threshold, NON_NEGATIVE)
+        check(self.name, "explore_every", explore_every, Bound(2))
         self._tracker = tracker
         self._badness_threshold = float(badness_threshold)
         self._explore_every = int(explore_every)

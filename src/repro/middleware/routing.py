@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..cluster.errors import NON_NEGATIVE, check
 from .base import RequestContext, RequestMiddleware
 from .latency import NodeRttTracker, shared_node_tracker
 from .registry import MiddlewareBuildContext, register_middleware
@@ -43,8 +44,7 @@ class RttAwareWriteRouting(RequestMiddleware):
         badness_threshold: float = 0.5,
         observe: bool = False,
     ) -> None:
-        if badness_threshold < 0.0:
-            raise ValueError(f"badness_threshold must be >= 0, got {badness_threshold}")
+        check(self.name, "badness_threshold", badness_threshold, NON_NEGATIVE)
         self._tracker = tracker
         self._badness_threshold = float(badness_threshold)
         if not observe:

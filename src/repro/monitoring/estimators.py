@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..cluster.cluster import Cluster, ClusterListener
+from ..cluster.errors import Settings, positive
 from ..cluster.types import (
     ConsistencyLevel,
     OperationResult,
@@ -130,14 +131,14 @@ PROBE_KEY_PREFIX = "__consistency_probe__"
 
 
 @dataclass
-class ProbeConfig:
+class ProbeConfig(Settings):
     """Parameters of the read-after-write prober (its reads and writes go at
     consistency level ONE)."""
 
-    probe_interval: float = 5.0
+    probe_interval: float = positive(5.0)
     """Seconds between probe writes."""
 
-    report_interval: float = 10.0
+    report_interval: float = positive(10.0)
     """Seconds between emitted estimates."""
 
 

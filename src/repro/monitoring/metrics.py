@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..cluster.cluster import Cluster, ClusterListener
+from ..cluster.errors import Settings, positive
 from ..cluster.types import OperationResult
 from ..simulation.engine import Simulator
 from ..simulation.timeseries import TimeSeriesBundle
@@ -40,10 +41,10 @@ TIER_LATENCY_WINDOW = 1024
 
 
 @dataclass
-class MetricsConfig:
+class MetricsConfig(Settings):
     """Parameters of metric collection."""
 
-    sample_interval: float = 5.0
+    sample_interval: float = positive(5.0)
     """Seconds between gauge samples (utilisation, node count, ...)."""
 
 

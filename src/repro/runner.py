@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from .cluster.cluster import Cluster, ClusterConfig, ClusterListener
+from .cluster.errors import Settings, non_negative, positive
 from .cluster.faults import FaultInjector, FaultPlan
 from .consistency.staleness import StalenessObserver
 from .consistency.window_tracker import InconsistencyWindowTracker, WindowTrackerConfig
@@ -43,7 +44,7 @@ __all__ = ["MonitoringOptions", "SimulationConfig", "SimulationReport", "Simulat
 
 
 @dataclass
-class MonitoringOptions:
+class MonitoringOptions(Settings):
     """Which monitoring components a scenario deploys."""
 
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
@@ -54,11 +55,11 @@ class MonitoringOptions:
 
 
 @dataclass
-class SimulationConfig:
+class SimulationConfig(Settings):
     """Full description of one simulated scenario."""
 
-    seed: int = 0
-    duration: float = 1800.0
+    seed: int = non_negative(0)
+    duration: float = positive(1800.0)
     """Simulated seconds of workload execution."""
 
     cluster: ClusterConfig = field(default_factory=ClusterConfig)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..cluster.errors import Settings, fraction, non_negative, positive, positive_fraction
 from .engine import Simulator
 from .network import NetworkModel
 from .resources import QueueingServer
@@ -34,35 +35,35 @@ __all__ = [
 
 
 @dataclass
-class InterferenceConfig:
+class InterferenceConfig(Settings):
     """Parameters of the background-interference model."""
 
     enabled: bool = True
-    update_interval: float = 30.0
+    update_interval: float = positive(30.0)
     """Seconds between interference updates."""
 
-    node_sigma: float = 0.05
+    node_sigma: float = non_negative(0.05)
     """Step standard deviation of the node speed random walk."""
 
-    node_reversion: float = 0.2
+    node_reversion: float = fraction(0.2)
     """Mean-reversion strength towards speed factor 1.0 per update."""
 
-    node_min_speed: float = 0.4
+    node_min_speed: float = positive(0.4)
     """Lower bound on a node's speed factor."""
 
-    node_max_speed: float = 1.1
+    node_max_speed: float = positive(1.1)
     """Upper bound on a node's speed factor (slight boosts allowed)."""
 
-    noisy_neighbour_probability: float = 0.01
+    noisy_neighbour_probability: float = fraction(0.01)
     """Per-update probability that a node enters a noisy-neighbour episode."""
 
-    noisy_neighbour_severity: float = 0.5
+    noisy_neighbour_severity: float = positive_fraction(0.5)
     """Speed factor multiplier applied during a noisy-neighbour episode."""
 
-    noisy_neighbour_duration: float = 120.0
+    noisy_neighbour_duration: float = positive(120.0)
     """Length of a noisy-neighbour episode in seconds."""
 
-    network_sigma: float = 0.08
+    network_sigma: float = non_negative(0.08)
 
 
 class NodeInterference:

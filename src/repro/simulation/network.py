@@ -17,9 +17,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import exp, inf
+from math import exp
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..cluster.errors import (
+    FRACTION,
+    NON_NEGATIVE,
+    Settings,
+    at_least,
+    check,
+    non_negative,
+    positive,
+)
 from .engine import Simulator
 from .randomness import LognormalSampler
 
@@ -27,53 +36,29 @@ __all__ = ["NetworkConfig", "NetworkModel"]
 
 
 @dataclass
-class NetworkConfig:
+class NetworkConfig(Settings):
     """Parameters of the cluster interconnect and client access network."""
 
-    base_latency: float = 0.0005
+    base_latency: float = non_negative(0.0005)
     """Mean one-way latency between nodes in seconds (0.5 ms LAN default)."""
 
-    client_latency: float = 0.002
+    client_latency: float = non_negative(0.002)
     """Mean one-way latency between clients and coordinators (2 ms default)."""
 
-    jitter_cv: float = 0.35
+    jitter_cv: float = non_negative(0.35)
     """Coefficient of variation of the lognormal jitter on every message."""
 
-    capacity_msgs_per_sec: float = 50_000.0
+    capacity_msgs_per_sec: float = positive(50_000.0)
     """Aggregate message rate above which congestion kicks in."""
 
-    congestion_exponent: float = 2.0
+    congestion_exponent: float = positive(2.0)
     """How sharply latency grows once the capacity is exceeded."""
 
-    max_congestion_factor: float = 20.0
+    max_congestion_factor: float = at_least(1.0, 20.0)
     """Upper bound on the congestion multiplier (keeps the model stable)."""
 
-    congestion_window: float = 1.0
+    congestion_window: float = positive(1.0)
     """Length in seconds of the window over which the message rate is measured."""
-
-    def __post_init__(self) -> None:
-        # Every field feeds a message's latency, so a value that cannot give
-        # a finite one is refused here rather than mid-run.  NaN fails every
-        # comparison, so each range is tested as "inside", never as "not
-        # outside".
-        for name in ("base_latency", "client_latency", "jitter_cv"):
-            _check_field(self, name, 0.0 <= getattr(self, name) < inf, "finite and >= 0")
-        for name in ("capacity_msgs_per_sec", "congestion_window", "congestion_exponent"):
-            _check_field(self, name, 0.0 < getattr(self, name) < inf, "finite and > 0")
-        _check_field(
-            self,
-            "max_congestion_factor",
-            1.0 <= self.max_congestion_factor < inf,
-            "finite and >= 1",
-        )
-
-
-def _check_field(config: object, name: str, ok: bool, rule: str) -> None:
-    """Raise one line naming ``config``'s field ``name`` unless ``ok``."""
-    if not ok:
-        raise ValueError(
-            f"{type(config).__name__}.{name} must be {rule}, got {getattr(config, name)}"
-        )
 
 
 class NetworkModel:
@@ -213,12 +198,8 @@ class NetworkModel:
         Overlapping faults on one link compose: drop probabilities combine as
         independent events and delays add.
         """
-        if not (0.0 <= drop_probability <= 1.0):
-            raise ValueError(
-                f"drop_probability must be in [0, 1], got {drop_probability}"
-            )
-        if extra_delay < 0.0:
-            raise ValueError(f"extra_delay must be >= 0, got {extra_delay}")
+        check("NetworkModel", "drop_probability", drop_probability, FRACTION)
+        check("NetworkModel", "extra_delay", extra_delay, NON_NEGATIVE)
         if node_a == node_b:
             raise ValueError("a link fault needs two distinct endpoints")
         fault_id = next(self._next_link_fault_id)

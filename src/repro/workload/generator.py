@@ -18,13 +18,13 @@ or the single tenantless one).  See ARCHITECTURE.md, "Workload generator".
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Optional
 
 from ..cluster.cluster import Cluster
+from ..cluster.errors import Settings, at_least, fraction, non_negative, positive
 from ..cluster.types import ConsistencyLevel, ReadResult, WriteResult
 from ..middleware.base import TENANT_HINT, TENANT_TIER_HINT
 from ..middleware.overrides import CONSISTENCY_HINT
@@ -50,21 +50,21 @@ CONSISTENCY_OVERRIDE_KINDS = ("read", "update", "insert")
 
 
 @dataclass
-class WorkloadSpec:
+class WorkloadSpec(Settings):
     """Everything needed to reproduce one workload."""
 
-    record_count: int = 10_000
+    record_count: int = at_least(1, 10_000)
     key_distribution: str = "zipfian"
     operation_mix: OperationMix = field(default_factory=lambda: READ_HEAVY)
     load_shape: LoadShape = field(default_factory=lambda: ConstantLoad(100.0))
-    mean_record_size: int = 1024
-    record_size_cv: float = 0.5
+    mean_record_size: int = positive(1024)
+    record_size_cv: float = non_negative(0.5)
     key_prefix: str = "user"
     preload: bool = True
-    preload_fraction: float = 1.0
+    preload_fraction: float = fraction(1.0)
     """Fraction of the key space inserted before the run starts."""
 
-    min_rate: float = 0.1
+    min_rate: float = positive(0.1)
     """Floor on the arrival rate used when the shape returns ~0 ops/s."""
 
     consistency_overrides: Dict[str, ConsistencyLevel] = field(default_factory=dict)
@@ -109,24 +109,6 @@ class WorkloadSpec:
             raise ValueError(
                 f"unknown consistency_overrides keys {sorted(unknown)}; "
                 f"expected a subset of {CONSISTENCY_OVERRIDE_KINDS}"
-            )
-        # Arrival gaps divide by the floored rate, so a floor of zero (or a
-        # negative one, which floors nothing) would crash mid-run instead.
-        if not self.min_rate > 0.0:
-            raise ValueError(f"min_rate must be > 0, got {self.min_rate}")
-        # Tested as "inside the range", so that NaN is refused too: a NaN
-        # mean size wrote every record at the size floor, a NaN cv was 0.
-        if not 0.0 < self.mean_record_size < math.inf:
-            raise ValueError(
-                f"mean_record_size must be finite and > 0, got {self.mean_record_size}"
-            )
-        if not 0.0 <= self.record_size_cv < math.inf:
-            raise ValueError(
-                f"record_size_cv must be finite and >= 0, got {self.record_size_cv}"
-            )
-        if not 0.0 <= self.preload_fraction <= 1.0:
-            raise ValueError(
-                f"preload_fraction must be in [0, 1], got {self.preload_fraction}"
             )
 
     def build_distribution(self) -> KeyDistribution:

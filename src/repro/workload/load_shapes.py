@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from ..cluster.errors import FINITE, NON_NEGATIVE, POSITIVE, check
 
 __all__ = [
     "LoadShape",
@@ -40,22 +42,6 @@ __all__ = [
     "NoisyLoad",
     "ScaledLoad",
 ]
-
-
-def _number(name: str, value: float, lower: Optional[float] = None, strict: bool = False) -> float:
-    """``value`` as a float, or one ``ValueError`` naming ``name``.
-
-    The value must be finite and, with ``lower`` given, at least ``lower``
-    (above it when ``strict``).
-    """
-    value = float(value)
-    ok = math.isfinite(value)
-    if ok and lower is not None:
-        ok = value > lower if strict else value >= lower
-    if not ok:
-        bound = "" if lower is None else f" and {'>' if strict else '>='} {lower:g}"
-        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
-    return value
 
 
 class LoadShape(abc.ABC):
@@ -80,7 +66,7 @@ class ConstantLoad(LoadShape):
     """A flat rate."""
 
     def __init__(self, rate: float) -> None:
-        self._rate = _number("rate", rate, 0.0)
+        self._rate = float(check("ConstantLoad", "rate", rate, NON_NEGATIVE))
 
     def rate(self, t: float) -> float:
         return self._rate
@@ -97,12 +83,12 @@ class DiurnalLoad(LoadShape):
         peak_time: float = 0.5,
     ) -> None:
         """``peak_time`` is the fraction of the period at which the peak occurs."""
-        self._trough = _number("trough_rate", trough_rate, 0.0)
-        self._peak = _number("peak_rate", peak_rate, 0.0)
+        self._trough = float(check("DiurnalLoad", "trough_rate", trough_rate, NON_NEGATIVE))
+        self._peak = float(check("DiurnalLoad", "peak_rate", peak_rate, NON_NEGATIVE))
         if self._peak < self._trough:
             raise ValueError("require 0 <= trough_rate <= peak_rate")
-        self._period = _number("period", period, 0.0, strict=True)
-        self._peak_time = _number("peak_time", peak_time) % 1.0
+        self._period = float(check("DiurnalLoad", "period", period, POSITIVE))
+        self._peak_time = float(check("DiurnalLoad", "peak_time", peak_time, FINITE)) % 1.0
 
     def rate(self, t: float) -> float:
         phase = (t / self._period) % 1.0
@@ -125,14 +111,14 @@ class FlashCrowdLoad(LoadShape):
         hold_duration: float = 300.0,
         decay_duration: float = 600.0,
     ) -> None:
-        self._base = _number("base_rate", base_rate, 0.0)
-        self._spike = _number("spike_rate", spike_rate, 0.0)
+        self._base = float(check("FlashCrowdLoad", "base_rate", base_rate, NON_NEGATIVE))
+        self._spike = float(check("FlashCrowdLoad", "spike_rate", spike_rate, NON_NEGATIVE))
         if self._spike < self._base:
             raise ValueError("require 0 <= base_rate <= spike_rate")
-        self._start = _number("spike_start", spike_start)
-        self._ramp = _number("ramp_duration", ramp_duration, 0.0, strict=True)
-        self._hold = _number("hold_duration", hold_duration, 0.0)
-        self._decay = _number("decay_duration", decay_duration, 0.0, strict=True)
+        self._start = float(check("FlashCrowdLoad", "spike_start", spike_start, FINITE))
+        self._ramp = float(check("FlashCrowdLoad", "ramp_duration", ramp_duration, POSITIVE))
+        self._hold = float(check("FlashCrowdLoad", "hold_duration", hold_duration, NON_NEGATIVE))
+        self._decay = float(check("FlashCrowdLoad", "decay_duration", decay_duration, POSITIVE))
 
     def rate(self, t: float) -> float:
         if t < self._start:
@@ -155,9 +141,9 @@ class StepLoad(LoadShape):
     """Jumps from one rate to another at a given time (controller step response)."""
 
     def __init__(self, before_rate: float, after_rate: float, step_time: float) -> None:
-        self._before = _number("before_rate", before_rate, 0.0)
-        self._after = _number("after_rate", after_rate, 0.0)
-        self._step_time = _number("step_time", step_time)
+        self._before = float(check("StepLoad", "before_rate", before_rate, NON_NEGATIVE))
+        self._after = float(check("StepLoad", "after_rate", after_rate, NON_NEGATIVE))
+        self._step_time = float(check("StepLoad", "step_time", step_time, FINITE))
 
     def rate(self, t: float) -> float:
         return self._after if t >= self._step_time else self._before
@@ -191,7 +177,7 @@ class ScaledLoad(LoadShape):
 
     def __init__(self, base: LoadShape, factor: float) -> None:
         self._base = base
-        self._factor = _number("factor", factor, 0.0)
+        self._factor = float(check("ScaledLoad", "factor", factor, NON_NEGATIVE))
 
     @property
     def base(self) -> LoadShape:
@@ -220,7 +206,7 @@ class NoisyLoad(LoadShape):
             raise ValueError("amplitude must be in [0, 1)")
         self._base = base
         self._amplitude = float(amplitude)
-        self._period = _number("period", period, 0.0, strict=True)
+        self._period = float(check("NoisyLoad", "period", period, POSITIVE))
 
     def rate(self, t: float) -> float:
         wobble = (

@@ -8,32 +8,26 @@ classes so that specs can be compared and serialised in experiment tables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
 
+from ..cluster.errors import Settings, fraction
 from ..simulation.randomness import LognormalSampler
 
 __all__ = ["OperationMix", "RecordSizer", "READ_HEAVY", "BALANCED", "WRITE_HEAVY", "READ_ONLY"]
 
 
 @dataclass(frozen=True)
-class OperationMix:
+class OperationMix(Settings):
     """Fractions of reads, updates and inserts (must sum to 1)."""
 
-    read_fraction: float = 0.95
-    update_fraction: float = 0.05
-    insert_fraction: float = 0.0
+    read_fraction: float = fraction(0.95)
+    update_fraction: float = fraction(0.05)
+    insert_fraction: float = fraction(0.0)
 
     def __post_init__(self) -> None:
-        # Tested as "inside the range": NaN fails every comparison, so it
-        # would pass "not outside" and then make every draw an insert.
-        for name in ("read_fraction", "update_fraction", "insert_fraction"):
-            fraction = getattr(self, name)
-            if not 0.0 <= fraction < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {fraction}")
         total = self.read_fraction + self.update_fraction + self.insert_fraction
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"operation fractions must sum to 1, got {total}")

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cluster.errors import Settings, at_least, non_negative, positive, positive_fraction
 from .load_shapes import LoadShape
 
 __all__ = [
@@ -39,26 +40,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TenantTier:
+class TenantTier(Settings):
     """One SLO tier: a population share, a default quota, and a latency SLO."""
 
     name: str
-    population_fraction: float
-    quota_rate: float
-    quota_burst: float
-    read_p99_slo_ms: float
+    population_fraction: float = positive_fraction()
+    quota_rate: float = positive()
+    quota_burst: float = positive()
+    read_p99_slo_ms: float = positive()
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tier name must be non-empty")
-        if not 0.0 < self.population_fraction <= 1.0:
-            raise ValueError(
-                f"population_fraction must be in (0, 1], got {self.population_fraction}"
-            )
-        if self.quota_rate <= 0.0 or self.quota_burst <= 0.0:
-            raise ValueError("quota_rate and quota_burst must be > 0")
-        if self.read_p99_slo_ms <= 0.0:
-            raise ValueError("read_p99_slo_ms must be > 0")
 
 
 #: Default three-tier split.  The most popular tenants are the paying ones:
@@ -71,7 +64,7 @@ DEFAULT_TIERS: Tuple[TenantTier, ...] = (
 
 
 @dataclass
-class TenantSpec:
+class TenantSpec(Settings):
     """Declarative description of a tenant population.
 
     ``load_shape_overrides`` maps a tenant index to an *additional* arrival
@@ -80,22 +73,14 @@ class TenantSpec:
     noisy neighbour without perturbing anyone else's RNG stream.
     """
 
-    tenants: int = 1000
-    popularity_skew: float = 1.1
-    records_per_tenant: int = 50
+    tenants: int = at_least(1, 1000)
+    popularity_skew: float = non_negative(1.1)
+    records_per_tenant: int = at_least(1, 50)
     tiers: Tuple[TenantTier, ...] = DEFAULT_TIERS
     key_prefix: str = "t"
     load_shape_overrides: Dict[int, LoadShape] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.tenants < 1:
-            raise ValueError(f"tenants must be >= 1, got {self.tenants}")
-        if self.popularity_skew < 0.0:
-            raise ValueError(f"popularity_skew must be >= 0, got {self.popularity_skew}")
-        if self.records_per_tenant < 1:
-            raise ValueError(
-                f"records_per_tenant must be >= 1, got {self.records_per_tenant}"
-            )
         if not self.tiers:
             raise ValueError("at least one tier is required")
         names = [tier.name for tier in self.tiers]

@@ -166,19 +166,28 @@ def test_cli_names_the_bad_middleware_token(spec, named):
 @pytest.mark.parametrize(
     "flags, named",
     [
-        (["--node-capacity", "0"], "node.ops_capacity must be > 0, got 0.0"),
-        (["--duration", "-5"], "--duration must be > 0, got -5.0"),
-        (["--nodes", "0"], "initial_nodes must be >= 1"),
-        (["--replication-factor", "0"], "replication_factor must be >= 1"),
-        (["--tenants", "0"], "tenants must be >= 1, got 0"),
-        (["--tenants", "5", "--tenant-skew", "-1"], "popularity_skew must be >= 0, got -1.0"),
+        (["--node-capacity", "0"], "NodeConfig.ops_capacity must be finite and > 0, got 0.0"),
+        (["--duration", "-5"], "SimulationConfig.duration must be finite and > 0, got -5.0"),
+        (["--nodes", "0"], "ClusterConfig.initial_nodes must be finite and >= 1, got 0"),
+        (
+            ["--replication-factor", "0"],
+            "ClusterConfig.replication_factor must be finite and >= 1, got 0",
+        ),
+        (["--tenants", "0"], "TenantSpec.tenants must be finite and >= 1, got 0"),
+        (
+            ["--tenants", "5", "--tenant-skew", "-1"],
+            "TenantSpec.popularity_skew must be finite and >= 0, got -1.0",
+        ),
         (
             ["--hedge-reads", "--hedge-budget-fraction", "7"],
-            "budget_fraction must be in (0, 1], got 7.0",
+            "request-hedging.budget_fraction must be in (0, 1], got 7.0",
         ),
-        (["--duration", "nan"], "--duration must be > 0, got nan"),
-        (["--duration", "inf"], "--duration must be finite, got inf"),
-        (["--node-capacity", "nan"], "node.ops_capacity must be > 0, got nan"),
+        (["--duration", "nan"], "SimulationConfig.duration must be finite and > 0, got nan"),
+        (["--duration", "inf"], "SimulationConfig.duration must be finite and > 0, got inf"),
+        (["--node-capacity", "nan"], "NodeConfig.ops_capacity must be finite and > 0, got nan"),
+        # Used to run: a NaN skew made every tenant weight NaN, and every
+        # operation went to tenant 0.
+        (["--tenants", "5", "--tenant-skew", "nan"], "TenantSpec.popularity_skew"),
     ],
 )
 def test_cli_answers_a_bad_number_with_one_line(flags, named):
@@ -368,17 +377,17 @@ def test_faults_flag_rejects_malformed_specs():
     "entry, names",
     [
         # Used to schedule the heal at t=2, before the partition at t=5.
-        ("partition:node=0,at=5,duration=-3", "duration"),
-        ("degrade:at=5,factor=0.5,duration=0", "duration"),
-        ("crash:at=5,duration=inf", "duration"),
+        ("partition:node=0,at=5,duration=-3", "FaultSpec.duration"),
+        ("degrade:at=5,factor=0.5,duration=0", "FaultSpec.duration"),
+        ("crash:at=5,duration=inf", "FaultSpec.duration"),
         # ``nan < 0`` is false: used to die in a SchedulingError traceback.
-        ("crash:node=0,at=nan", "fault time"),
-        ("crash:node=0,at=inf", "fault time"),
+        ("crash:node=0,at=nan", "FaultSpec.at"),
+        ("crash:node=0,at=inf", "FaultSpec.at"),
         # The other parameters too: NaN is below no bound, so these parsed,
         # and the first raised out of the run at t=5.
-        ("flaky-link:node=0,peer=1,at=5,delay=nan", "extra delay"),
-        ("restart:at=5,downtime=inf", "downtime"),
-        ("restart:at=5,settle=nan", "settle"),
+        ("flaky-link:node=0,peer=1,at=5,delay=nan", "FaultSpec.extra_delay"),
+        ("restart:at=5,downtime=inf", "FaultSpec.downtime"),
+        ("restart:at=5,settle=nan", "FaultSpec.settle"),
     ],
 )
 def test_faults_flag_rejects_a_window_that_is_not_an_interval(entry, names):

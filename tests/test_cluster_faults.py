@@ -8,6 +8,7 @@ from repro.cluster import (
     Cluster,
     ClusterConfig,
     ClusterListener,
+    ConfigurationError,
     ConsistencyLevel,
     FaultInjector,
     FaultSpec,
@@ -258,21 +259,6 @@ _BAD_DURATIONS = (-3.0, 0.0, float("nan"), float("inf"))
 _BAD_TIMES = (float("nan"), float("inf"), float("-inf"), -1.0)
 
 
-@pytest.mark.parametrize("duration", _BAD_DURATIONS)
-def test_fault_spec_rejects_a_duration_that_is_not_finite_and_positive(duration):
-    # A negative duration used to schedule the heal *before* the fault, which
-    # then never healed: a silently different experiment.
-    with pytest.raises(ValueError, match="duration"):
-        FaultSpec(kind="partition", at=5.0, duration=duration)
-
-
-@pytest.mark.parametrize("at", _BAD_TIMES)
-def test_fault_spec_rejects_a_start_that_is_not_finite_and_non_negative(at):
-    # ``nan < 0.0`` is false: NaN used to pass and die in the engine.
-    with pytest.raises(ValueError, match="fault time"):
-        FaultSpec(kind="crash", at=at)
-
-
 def test_fault_spec_keeps_accepting_an_open_ended_fault():
     assert FaultSpec(kind="crash", at=0.0).duration is None
     assert FaultSpec(kind="crash", at=0.0, duration=1e-9).duration == 1e-9
@@ -290,12 +276,14 @@ def _imperative_calls(injector, nodes, **window):
 
 @pytest.mark.parametrize("duration", _BAD_DURATIONS)
 def test_injector_methods_reject_a_bad_duration_and_schedule_nothing(duration):
+    # A negative duration used to schedule the heal *before* the fault, which
+    # then never healed: a silently different experiment.
     simulator, cluster, injector = make_setup()
     pending = simulator.pending_events
     for call in _imperative_calls(
         injector, list(cluster.node_ids()), at=5.0, duration=duration
     ):
-        with pytest.raises(ValueError, match="duration"):
+        with pytest.raises(ConfigurationError, match="^FaultInjector.duration must be "):
             call()
     assert injector.events == [] and simulator.pending_events == pending
 
@@ -305,7 +293,7 @@ def test_injector_methods_reject_a_bad_start_and_schedule_nothing(at):
     simulator, cluster, injector = make_setup()
     pending = simulator.pending_events
     for call in _imperative_calls(injector, list(cluster.node_ids()), at=at):
-        with pytest.raises(ValueError, match="fault time"):
+        with pytest.raises(ConfigurationError, match="^FaultInjector.at must be "):
             call()
     assert injector.events == [] and simulator.pending_events == pending
 
@@ -319,28 +307,28 @@ _NAN, _INF = float("nan"), float("inf")
 # these used to be accepted and to raise out of ``run_until`` at t=5, from the
 # check in ``NetworkModel.set_link_fault`` or ``Cluster.crash_node``, or never.
 _BAD_DECLARATIONS = (
-    ("drop above one", ValueError, "drop probability",
+    ("drop above one", ConfigurationError, "FaultInjector.drop_probability",
      lambda i, n: i.flaky_link(n[0], n[1], at=5.0, drop_probability=1.5)),
-    ("drop nan", ValueError, "drop probability",
+    ("drop nan", ConfigurationError, "FaultInjector.drop_probability",
      lambda i, n: i.flaky_link(n[0], n[1], at=5.0, drop_probability=_NAN)),
-    ("delay negative", ValueError, "extra delay",
+    ("delay negative", ConfigurationError, "FaultInjector.extra_delay",
      lambda i, n: i.flaky_link(n[0], n[1], at=5.0, extra_delay=-0.001)),
-    ("delay nan", ValueError, "extra delay",
+    ("delay nan", ConfigurationError, "FaultInjector.extra_delay",
      lambda i, n: i.flaky_link(n[0], n[1], at=5.0, extra_delay=_NAN)),
-    ("delay inf", ValueError, "extra delay",
+    ("delay inf", ConfigurationError, "FaultInjector.extra_delay",
      lambda i, n: i.flaky_link(n[0], n[1], at=5.0, extra_delay=_INF)),
     ("link to itself", ValueError, "distinct",
      lambda i, n: i.flaky_link(n[0], n[0], at=5.0)),
-    ("downtime inf", ValueError, "downtime",
+    ("downtime inf", ConfigurationError, "FaultInjector.downtime",
      lambda i, n: i.rolling_restart(at=5.0, downtime=_INF)),
-    ("downtime nan", ValueError, "downtime",
+    ("downtime nan", ConfigurationError, "FaultInjector.downtime",
      lambda i, n: i.rolling_restart(at=5.0, downtime=_NAN)),
-    ("settle nan", ValueError, "settle",
+    ("settle nan", ConfigurationError, "FaultInjector.settle",
      lambda i, n: i.rolling_restart(at=5.0, settle=_NAN)),
-    ("settle inf", ValueError, "settle",
+    ("settle inf", ConfigurationError, "FaultInjector.settle",
      lambda i, n: i.rolling_restart(at=5.0, settle=_INF)),
     # Used to leave its own ``rolling_restart`` record behind in ``events``.
-    ("restart at nan", ValueError, "fault time",
+    ("restart at nan", ConfigurationError, "FaultInjector.at",
      lambda i, n: i.rolling_restart(at=_NAN)),
     ("crash unknown", UnknownNodeError, "nope",
      lambda i, n: i.crash_node("nope", at=5.0)),
@@ -369,22 +357,6 @@ def test_a_bad_fault_is_refused_when_declared_and_schedules_nothing(error, names
         call(injector, list(cluster.node_ids()))
     assert injector.events == [] and simulator.pending_events == pending
     simulator.run_until(10.0)  # and nothing is left to raise at t=5
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("extra_delay", _NAN),
-        ("extra_delay", _INF),
-        ("downtime", _INF),
-        ("downtime", _NAN),
-        ("settle", _NAN),
-        ("settle", _INF),
-    ],
-)
-def test_fault_spec_rejects_a_parameter_that_is_not_finite(field, value):
-    with pytest.raises(ValueError, match=field.replace("_", " ")):
-        FaultSpec(kind="flaky_link", at=5.0, **{field: value})
 
 
 def test_a_node_removed_after_the_declaration_is_still_a_known_node():

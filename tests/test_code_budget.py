@@ -14,7 +14,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Lower it with every change that removes code.
-CEILING = 14_559
+CEILING = 14_554
 
 
 def _code_lines() -> int:

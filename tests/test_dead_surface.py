@@ -305,10 +305,28 @@ def _fields(node: ast.ClassDef) -> List[ast.AnnAssign]:
     ]
 
 
+@lru_cache(maxsize=None)
+def _bound_helpers() -> Dict[str, int]:
+    """Each bound helper of ``repro.cluster.errors`` taking a ``default`` -> its position."""
+    found = {}
+    for node in _tree(SRC / "cluster" / "errors.py").body:
+        if isinstance(node, ast.FunctionDef):
+            params = [arg.arg for arg in node.args.args]
+            if "default" in params:
+                found[node.name] = params.index("default")
+    return found
+
+
 def _field_keywords(value: Optional[ast.expr]) -> Optional[Dict[str, ast.expr]]:
-    """The keywords of a ``field(...)`` default, ``None`` for any other."""
+    """The keywords of a ``field(...)`` default, ``None`` for any other.  A
+    bound helper (``positive(1.0)``, ``at_least(1)``) is a ``field`` that has
+    a default only when it is passed one."""
     if isinstance(value, ast.Call) and _last_name(value.func) == "field":
         return {keyword.arg: keyword.value for keyword in value.keywords if keyword.arg}
+    if isinstance(value, ast.Call) and _last_name(value.func) in _bound_helpers():
+        position = _bound_helpers()[_last_name(value.func)]
+        passed = len(value.args) > position or any(k.arg == "default" for k in value.keywords)
+        return {"default": value} if passed else {}
     return None
 
 

@@ -10,9 +10,11 @@ node decommission.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, ConsistencyLevel, NodeConfig
+from repro.cluster import Cluster, ClusterConfig, ConfigurationError, ConsistencyLevel, NodeConfig
 from repro.cluster.types import OperationType
 from repro.middleware import (
     HEDGED_PIPELINE,
@@ -109,6 +111,15 @@ def test_invalid_max_level_fails_at_build_time_with_valid_levels_listed():
             MiddlewareBuildContext(simulator=simulator),
             params={"consistency-override": {"max_level": "BOGUS"}},
         )
+
+
+@pytest.mark.parametrize("name", ["min_budget", "budget", "budget_refresh_interval"])
+def test_a_nan_hedging_parameter_fails_at_build_time_naming_it(name):
+    # NaN passed the "<= 0.0" checks: a NaN budget or min_budget stopped the
+    # run mid-way with "event time must be finite, got nan", and a NaN
+    # refresh interval ran to a normal-looking report.
+    with pytest.raises(ConfigurationError, match=rf"^request-hedging\.{name} must be "):
+        make_cluster(Simulator(seed=1), HEDGED_PIPELINE, {"request-hedging": {name: math.nan}})
 
 
 def test_invalid_per_request_hint_is_counted_and_ignored():

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
+import typing
 
 import pytest
 
-from repro.cluster import NodeConfig
+from repro.cluster import ConfigurationError, NodeConfig
+from repro.cluster.errors import Bound
+from repro.runner import SimulationConfig
 from repro.simulation import NetworkConfig, NetworkModel, Simulator
+from repro.workload import WorkloadSpec
 
 
 def make_network(simulator, **overrides):
@@ -15,44 +21,114 @@ def make_network(simulator, **overrides):
     return NetworkModel(simulator, config)
 
 
-@pytest.mark.parametrize(
-    "config, field, value",
-    [
-        # A bare ZeroDivisionError mid-run.
-        (NetworkConfig, "capacity_msgs_per_sec", 0.0),
-        # Congestion silently off.
-        (NetworkConfig, "capacity_msgs_per_sec", -1.0),
-        (NetworkConfig, "capacity_msgs_per_sec", math.nan),
-        # "event time must be finite" mid-run, naming no field.
-        (NetworkConfig, "base_latency", math.nan),
-        (NetworkConfig, "client_latency", math.inf),
-        # Silently zero latency.
-        (NetworkConfig, "base_latency", -0.001),
-        # Silently no jitter.
-        (NetworkConfig, "jitter_cv", math.nan),
-        (NetworkConfig, "jitter_cv", -0.1),
-        # A window that rolls on every message.
-        (NetworkConfig, "congestion_window", 0.0),
-        (NetworkConfig, "congestion_exponent", math.nan),
-        (NetworkConfig, "congestion_exponent", -2.0),
-        # A congested network that gets faster.
-        (NetworkConfig, "max_congestion_factor", 0.5),
-        (NetworkConfig, "max_congestion_factor", math.nan),
-        # Silently no service noise: max(0.0, nan) is 0.0.
-        (NodeConfig, "service_cv", math.nan),
-        (NodeConfig, "service_cv", math.inf),
-        (NodeConfig, "read_demand_factor", math.nan),
-        (NodeConfig, "write_demand_factor", -1.0),
-        (NodeConfig, "stream_demand_factor", math.inf),
-        (NodeConfig, "repair_demand_factor", -0.5),
-    ],
-)
-def test_a_config_that_cannot_give_a_finite_latency_fails_at_declaration(config, field, value):
-    with pytest.raises(ValueError) as refusal:
-        config(**{field: value})
-    message = str(refusal.value)
-    assert message.startswith(f"{config.__name__}.{field} must be ")
-    assert message.endswith(f"got {value}") and "\n" not in message
+def _settings_classes():
+    """Every dataclass reachable from ``SimulationConfig`` through field
+    annotations, plus every concrete dataclass subclass of a class an
+    annotation names (the ``SLO``s behind ``SLA.objectives``)."""
+    found, todo = [], [SimulationConfig]
+    while todo:
+        cls = todo.pop(0)
+        if cls in found:
+            continue
+        found.append(cls)
+        named, hints = [], list(typing.get_type_hints(cls).values())
+        while hints:
+            hint = hints.pop()
+            hints.extend(typing.get_args(hint))
+            if isinstance(hint, type) and hint.__module__.startswith("repro."):
+                named.append(hint)
+        for kind in named:
+            todo.extend(
+                sub
+                for sub in [kind, *kind.__subclasses__()]
+                if dataclasses.is_dataclass(sub) and not inspect.isabstract(sub)
+            )
+    return found
+
+
+#: The cases found one field at a time before the sweep existed, with what
+#: each one did; the sweep tries them on top of its own values.
+_FOUND_BY_HAND = {
+    # A bare ZeroDivisionError mid-run; congestion silently off.
+    (NetworkConfig, "capacity_msgs_per_sec"): (0.0, -1.0, math.nan),
+    # "event time must be finite" mid-run, naming no field; silently zero latency.
+    (NetworkConfig, "base_latency"): (math.nan, -0.001),
+    (NetworkConfig, "client_latency"): (math.inf,),
+    # Silently no jitter.
+    (NetworkConfig, "jitter_cv"): (math.nan, -0.1),
+    # A window that rolls on every message.
+    (NetworkConfig, "congestion_window"): (0.0,),
+    (NetworkConfig, "congestion_exponent"): (math.nan, -2.0),
+    # A congested network that gets faster.
+    (NetworkConfig, "max_congestion_factor"): (0.5, math.nan),
+    # Silently no service noise: max(0.0, nan) is 0.0.
+    (NodeConfig, "service_cv"): (math.nan, math.inf),
+    (NodeConfig, "read_demand_factor"): (math.nan,),
+    (NodeConfig, "write_demand_factor"): (-1.0,),
+    (NodeConfig, "stream_demand_factor"): (math.inf,),
+    (NodeConfig, "repair_demand_factor"): (-0.5,),
+    # Silently no record-size spread.
+    (WorkloadSpec, "record_size_cv"): (math.nan, -0.5),
+}
+
+
+#: Required arguments of the classes that have some.
+_BASELINE = {
+    "SLA": dict(objectives=[]),
+    "LatencySLO": dict(max_latency=0.05),
+    "FaultSpec": dict(kind="crash", at=1.0),
+    "TenantTier": dict(
+        name="gold", population_fraction=0.5, quota_rate=1.0, quota_burst=1.0, read_p99_slo_ms=1.0
+    ),
+}
+
+
+def _members(hint):
+    """``hint``'s types: both sides of an ``Optional``, else ``hint`` itself."""
+    return typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
+
+
+def _refused_values():
+    for cls in _settings_classes():
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            hint = hints[field.name]
+            if any(kind in (int, float) for kind in _members(hint)):
+                yield pytest.param(cls, field, id=f"{cls.__name__}.{field.name}")
+
+
+@pytest.mark.parametrize("cls, field", _refused_values())
+def test_every_numeric_setting_declares_a_bound_and_refuses_what_it_excludes(cls, field):
+    # Each of these used to be accepted somewhere: NaN passed "< 0" checks
+    # (a NaN tenant skew sent every operation to tenant 0), and infinite or
+    # negative intervals, rates and timeouts stopped runs mid-way in the
+    # kernel with an error that named no setting.
+    bound = field.metadata.get("bound")
+    assert isinstance(bound, Bound), f"{cls.__name__}.{field.name} declares no bound"
+    excluded = [math.nan, math.inf, -math.inf, -1, 0, bound.low - 0.5, bound.high + 0.5]
+    excluded += _FOUND_BY_HAND.get((cls, field.name), ())
+    for value in [value for value in excluded if not bound.admits(value)]:
+        with pytest.raises(ConfigurationError) as refusal:
+            cls(**{**_BASELINE.get(cls.__name__, {}), field.name: value})
+        assert str(refusal.value) == f"{cls.__name__}.{field.name} must be {bound}, got {value!r}"
+
+
+def _nested_fields():
+    for cls in _settings_classes():
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            kinds = [kind for kind in _members(hints[field.name]) if dataclasses.is_dataclass(kind)]
+            if len(kinds) == 1:
+                yield pytest.param(cls, field.name, kinds[0], id=f"{cls.__name__}.{field.name}")
+
+
+@pytest.mark.parametrize("cls, name, kind", _nested_fields())
+def test_a_nested_setting_of_the_wrong_type_is_refused_at_construction(cls, name, kind):
+    # ``WorkloadSpec(operation_mix="read-heavy")`` used to construct and then
+    # fail at build time with "'str' object has no attribute 'choose'".
+    with pytest.raises(ConfigurationError) as refusal:
+        cls(**{**_BASELINE.get(cls.__name__, {}), name: "read-heavy"})
+    assert str(refusal.value) == f"{cls.__name__}.{name} must be {kind.__name__}, got str"
 
 
 def test_send_delivers_after_latency():
