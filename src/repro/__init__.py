@@ -39,7 +39,6 @@ from .core import (
     AvailabilitySLO,
     ControllerConfig,
     LatencySLO,
-    PlannerConfig,
     SLADrivenPolicy,
     StalenessSLO,
     default_sla,
@@ -85,7 +84,6 @@ __all__ = [
     "FaultSpec",
     "AutonomousController",
     "ControllerConfig",
-    "PlannerConfig",
     "SLADrivenPolicy",
     "make_policy",
     "SLA",

@@ -48,6 +48,7 @@ import sys
 from typing import Optional, Sequence
 
 from .cluster.cluster import ClusterConfig
+from .cluster.errors import POSITIVE, check
 from .cluster.faults import FAULT_KIND_FIELDS, FaultPlan, FaultSpec
 from .cluster.node import NodeConfig
 from .cluster.types import ConsistencyLevel
@@ -502,7 +503,8 @@ def _refusing_bad_values():
     """End the program with a validator's message in place of its traceback.
 
     Wraps building the scenario only: once it runs, a ``ValueError`` is a bug
-    and keeps its traceback.
+    and keeps its traceback.  An experiment builds its scenarios as it goes,
+    so its whole command is wrapped.
     """
     try:
         yield
@@ -557,18 +559,18 @@ def _command_experiment(args: argparse.Namespace) -> int:
     fault_seed = getattr(args, "fault_seed", None)
     if fault_seed is not None and args.experiment != "E9":
         raise SystemExit("--fault-seed only applies to experiment E9")
-    if args.experiment == "all":
-        results = run_all_experiments(seed=args.seed, scale=args.scale)
-        for result in results.values():
-            print(result.render())
+    with _refusing_bad_values():
+        check("experiment", "scale", args.scale, POSITIVE)
+        if args.experiment == "all":
+            results = run_all_experiments(seed=args.seed, scale=args.scale)
+        else:
+            kwargs = {} if fault_seed is None else {"fault_seed": fault_seed}
+            module = EXPERIMENTS[args.experiment]
+            results = {args.experiment: module.run(seed=args.seed, scale=args.scale, **kwargs)}
+    for result in results.values():
+        print(result.render())
+        if args.experiment == "all":
             print()
-        return 0
-    module = EXPERIMENTS[args.experiment]
-    kwargs = {}
-    if fault_seed is not None:
-        kwargs["fault_seed"] = fault_seed
-    result = module.run(seed=args.seed, scale=args.scale, **kwargs)
-    print(result.render())
     return 0
 
 

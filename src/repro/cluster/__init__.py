@@ -6,7 +6,7 @@ levels, asynchronous replication, hinted handoff, read repair, anti-entropy,
 gossip membership and data rebalancing on topology changes.
 """
 
-from .anti_entropy import AntiEntropyConfig, AntiEntropyService
+from .anti_entropy import AntiEntropyService
 from .cluster import Cluster, ClusterConfig, ClusterListener
 from .coordinator import AckedVersionRegistry, CoordinatorConfig, RequestCoordinator
 from .errors import (
@@ -16,10 +16,10 @@ from .errors import (
     UnknownNodeError,
 )
 from .faults import FAULT_KINDS, FaultEvent, FaultInjector, FaultPlan, FaultSpec
-from .hinted_handoff import Hint, HintedHandoffConfig, HintedHandoffManager
-from .membership import GossipAgent, MembershipConfig, MembershipService, MembershipView
+from .hinted_handoff import Hint, HintedHandoffManager
+from .membership import GossipAgent, MembershipService, MembershipView
 from .node import NodeConfig, ReplicaReadResponse, ReplicaWriteResponse, StorageNode
-from .read_repair import ReadRepairConfig, ReadRepairer
+from .read_repair import ReadRepairer
 from .rebalance import DataStreamer, StreamSession, StreamTask
 from .ring import HashRing, hash_key
 from .storage import StorageEngine, StorageStats
@@ -62,16 +62,12 @@ __all__ = [
     "CoordinatorConfig",
     "AckedVersionRegistry",
     "MembershipService",
-    "MembershipConfig",
     "MembershipView",
     "GossipAgent",
     "HintedHandoffManager",
-    "HintedHandoffConfig",
     "Hint",
     "ReadRepairer",
-    "ReadRepairConfig",
     "AntiEntropyService",
-    "AntiEntropyConfig",
     "DataStreamer",
     "StreamSession",
     "StreamTask",

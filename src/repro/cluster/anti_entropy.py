@@ -7,37 +7,29 @@ mechanism that eventually converges replicas that neither foreground traffic
 nor read repair happens to touch, and it is what fills new replicas after the
 controller raises the replication factor.
 
-The process is budgeted: each round inspects at most ``keys_per_round`` keys
-and issues at most ``max_repairs_per_round`` repair writes, so the repair
+The process is budgeted: each round inspects at most ``KEYS_PER_ROUND`` keys
+and issues at most ``MAX_REPAIRS_PER_ROUND`` repair writes, so the repair
 traffic it adds to the cluster is bounded and measurable (its cost shows up
 in experiment E4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
-from ..simulation.engine import PeriodicTask, Simulator
-from .errors import Settings, non_negative, positive
+from ..simulation.engine import Simulator
 from .versioning import VersionedValue, compare_versions
 
-__all__ = ["AntiEntropyConfig", "AntiEntropyService"]
+__all__ = ["AntiEntropyService"]
 
+#: Seconds between anti-entropy rounds.
+INTERVAL = 30.0
 
-@dataclass
-class AntiEntropyConfig(Settings):
-    """Parameters of the anti-entropy process."""
+#: How many keys are compared per round.
+KEYS_PER_ROUND = 256
 
-    enabled: bool = True
-    interval: float = positive(30.0)
-    """Seconds between anti-entropy rounds."""
-
-    keys_per_round: int = non_negative(256)
-    """How many keys are compared per round."""
-
-    max_repairs_per_round: int = non_negative(512)
-    """Upper bound on repair writes issued per round."""
+#: Upper bound on repair writes issued per round.
+MAX_REPAIRS_PER_ROUND = 512
 
 
 class AntiEntropyService:
@@ -46,12 +38,9 @@ class AntiEntropyService:
     def __init__(
         self,
         simulator: Simulator,
-        config: Optional[AntiEntropyConfig] = None,
-        sample_keys: Optional[Callable[[int], Sequence[str]]] = None,
-        replica_versions: Optional[
-            Callable[[str], Dict[str, Optional[VersionedValue]]]
-        ] = None,
-        deliver: Optional[Callable[[str, str, VersionedValue], bool]] = None,
+        sample_keys: Callable[[int], Sequence[str]],
+        replica_versions: Callable[[str], Dict[str, Optional[VersionedValue]]],
+        deliver: Callable[[str, str, VersionedValue], bool],
     ) -> None:
         """Create the service.
 
@@ -60,41 +49,22 @@ class AntiEntropyService:
         of the key's *current* replica set (``None`` for missing);
         ``deliver(target, key, version)`` issues one background repair write.
         """
-        self._simulator = simulator
-        self._config = config or AntiEntropyConfig()
         self._sample_keys = sample_keys
         self._replica_versions = replica_versions
         self._deliver = deliver
-        self._task: Optional[PeriodicTask] = None
         self.rounds_run = 0
         self.keys_inspected = 0
         self.divergent_keys_found = 0
         self.repairs_sent = 0
-        if self._config.enabled:
-            self._task = simulator.call_every(
-                self._config.interval,
-                self.run_round,
-                label="anti-entropy:round",
-            )
-
-    @property
-    def config(self) -> AntiEntropyConfig:
-        """Anti-entropy configuration in effect."""
-        return self._config
+        self._task = simulator.call_every(INTERVAL, self.run_round, label="anti-entropy:round")
 
     def run_round(self) -> int:
         """Run one anti-entropy round; returns the number of repairs issued."""
-        if (
-            self._sample_keys is None
-            or self._replica_versions is None
-            or self._deliver is None
-        ):
-            return 0
         self.rounds_run += 1
         repairs_issued = 0
-        keys = self._sample_keys(self._config.keys_per_round)
+        keys = self._sample_keys(KEYS_PER_ROUND)
         for key in keys:
-            if repairs_issued >= self._config.max_repairs_per_round:
+            if repairs_issued >= MAX_REPAIRS_PER_ROUND:
                 break
             self.keys_inspected += 1
             versions = self._replica_versions(key)
@@ -115,7 +85,7 @@ class AntiEntropyService:
                 continue
             self.divergent_keys_found += 1
             for node_id in stale_targets:
-                if repairs_issued >= self._config.max_repairs_per_round:
+                if repairs_issued >= MAX_REPAIRS_PER_ROUND:
                     break
                 if self._deliver(node_id, key, newest):
                     self.repairs_sent += 1
@@ -133,5 +103,4 @@ class AntiEntropyService:
 
     def stop(self) -> None:
         """Stop the periodic rounds."""
-        if self._task is not None:
-            self._task.stop()
+        self._task.stop()

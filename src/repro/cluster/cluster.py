@@ -31,12 +31,12 @@ from ..middleware import (
     is_registered,
 )
 from ..simulation.engine import Simulator
-from ..simulation.network import NetworkConfig, NetworkModel
-from .anti_entropy import AntiEntropyConfig, AntiEntropyService
-from .coordinator import DEFAULT_VALUE_SIZE, CoordinatorConfig, RequestCoordinator
+from ..simulation.network import NetworkModel
+from .anti_entropy import AntiEntropyService
+from .coordinator import DEFAULT_VALUE_SIZE, RequestCoordinator
 from .errors import ConfigurationError, Settings, TopologyError, UnknownNodeError, at_least
-from .hinted_handoff import HintedHandoffConfig, HintedHandoffManager
-from .membership import MembershipConfig, MembershipService
+from .hinted_handoff import HintedHandoffManager
+from .membership import MembershipService
 from .node import NodeConfig, StorageNode
 from .read_repair import ReadRepairer
 from .rebalance import DataStreamer, StreamSession
@@ -71,11 +71,6 @@ class ClusterConfig(Settings):
     read_consistency: ConsistencyLevel = ConsistencyLevel.ONE
     write_consistency: ConsistencyLevel = ConsistencyLevel.ONE
     node: NodeConfig = field(default_factory=NodeConfig)
-    network: NetworkConfig = field(default_factory=NetworkConfig)
-    membership: MembershipConfig = field(default_factory=MembershipConfig)
-    hinted_handoff: HintedHandoffConfig = field(default_factory=HintedHandoffConfig)
-    anti_entropy: AntiEntropyConfig = field(default_factory=AntiEntropyConfig)
-    coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
     max_nodes: int = at_least(1, 32)
     min_nodes: int = at_least(1, 1)
 
@@ -155,8 +150,8 @@ class Cluster:
         self.config = config or ClusterConfig()
         self.config.validate()
 
-        self.network = NetworkModel(simulator, self.config.network)
-        self.membership = MembershipService(simulator, self.network, self.config.membership)
+        self.network = NetworkModel(simulator)
+        self.membership = MembershipService(simulator, self.network)
         self.ring = HashRing(VIRTUAL_NODES)
         self.nodes: Dict[str, StorageNode] = {}
         # Sorted ids of the nodes that serve requests, or ``None`` when a
@@ -186,20 +181,17 @@ class Cluster:
             self.ring,
             self.nodes,
             self.membership,
-            self.config.coordinator,
         )
         self.coordinator.on_write_acked = self._handle_write_acked
 
         self.hinted_handoff = HintedHandoffManager(
             simulator,
-            self.config.hinted_handoff,
             deliver=self._deliver_background_write,
             is_reachable=self._node_reachable,
         )
         self.read_repairer = ReadRepairer(simulator, deliver=self._deliver_background_write)
         self.anti_entropy = AntiEntropyService(
             simulator,
-            self.config.anti_entropy,
             sample_keys=self._sample_keys,
             replica_versions=self.replica_versions,
             deliver=self._deliver_background_write,

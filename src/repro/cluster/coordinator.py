@@ -69,6 +69,9 @@ _CLIENT = "__client__"
 #: Bytes per value when the workload does not specify a size.
 DEFAULT_VALUE_SIZE = 1024
 
+#: Acknowledgements :class:`AckedVersionRegistry` keeps per key.
+ACK_HISTORY = 16
+
 
 @dataclass
 class CoordinatorConfig(Settings):
@@ -87,10 +90,7 @@ class AckedVersionRegistry:
     t" which requires keeping a short history of acknowledgements per key.
     """
 
-    def __init__(self, history: int = 16) -> None:
-        if history < 1:
-            raise ValueError(f"history must be >= 1, got {history}")
-        self._history = history
+    def __init__(self) -> None:
         self._acked: Dict[str, List[tuple[float, VersionStamp]]] = {}
         # Per key acknowledged more than once: (latest ack time, newest
         # retained stamp).  A read issued at or after that time -- every read
@@ -109,7 +109,7 @@ class AckedVersionRegistry:
         entries.append((ack_time, stamp))
         if stamp > newest:
             newest = stamp
-        if len(entries) > self._history:
+        if len(entries) > ACK_HISTORY:
             evicted = entries[0][1]
             del entries[0]
             if evicted == newest:
@@ -181,14 +181,13 @@ class RequestCoordinator:
         ring: HashRing,
         nodes: Dict[str, StorageNode],
         membership: MembershipService,
-        config: Optional[CoordinatorConfig] = None,
     ) -> None:
         self._simulator = simulator
         self._network = network
         self._ring = ring
         self._nodes = nodes
         self._membership = membership
-        self._config = config or CoordinatorConfig()
+        self._config = CoordinatorConfig()
         # Plain integer counters: bumping an attribute is cheaper than the
         # generator-protocol round-trip of ``next(itertools.count())`` on a
         # path taken once per write.
@@ -350,7 +349,6 @@ class RequestCoordinator:
             issued_at,
             issued_at,
             False,
-            coordinator_id,
             0,
             0,
             request.consistency_level,

@@ -403,6 +403,13 @@ class FaultPlan(Settings):
     seed: Optional[int] = non_negative(None)
 
     @classmethod
+    def _seeded_generator(cls, seed: int) -> np.random.Generator:
+        """The standalone generator a sampled plan draws from, once ``seed``
+        has passed the bound the ``seed`` field declares."""
+        check(cls.__name__, "seed", seed, cls.__dataclass_fields__["seed"].metadata["bound"])
+        return np.random.default_rng(np.random.SeedSequence(seed))
+
+    @classmethod
     def generate(
         cls,
         seed: int,
@@ -430,7 +437,7 @@ class FaultPlan(Settings):
                 raise ValueError(
                     f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}"
                 )
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = cls._seeded_generator(seed)
         specs: List[FaultSpec] = []
         for _ in range(faults):
             kind = str(kinds[int(rng.integers(0, len(kinds)))])
@@ -469,7 +476,7 @@ class FaultPlan(Settings):
         answering, so availability stays nominal while the tail explodes.
         Used by experiment E9.
         """
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = cls._seeded_generator(seed)
         specs: List[FaultSpec] = []
         for _ in range(degrades):
             specs.append(

@@ -13,31 +13,24 @@ manage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-from ..simulation.engine import PeriodicTask, Simulator
-from .errors import Settings, at_least, non_negative, positive
+from ..simulation.engine import Simulator
 from .versioning import VersionedValue
 
-__all__ = ["Hint", "HintedHandoffConfig", "HintedHandoffManager"]
+__all__ = ["Hint", "HintedHandoffManager"]
 
+#: Seconds between replay attempts.
+REPLAY_INTERVAL = 5.0
 
-@dataclass
-class HintedHandoffConfig(Settings):
-    """Parameters of hint storage and replay."""
+#: Upper bound on stored hints (oldest are dropped beyond this).
+MAX_HINTS = 100_000
 
-    enabled: bool = True
-    replay_interval: float = positive(5.0)
-    """Seconds between replay attempts."""
+#: Hints older than this are discarded without replay.
+HINT_TTL = 3600.0
 
-    max_hints: int = non_negative(100_000)
-    """Upper bound on stored hints (oldest are dropped beyond this)."""
-
-    hint_ttl: float = non_negative(3600.0)
-    """Hints older than this are discarded without replay."""
-
-    replay_batch: int = at_least(1, 64)
-    """Maximum hints replayed towards a single node per replay round."""
+#: Maximum hints replayed towards a single node per replay round.
+REPLAY_BATCH = 64
 
 
 @dataclass
@@ -56,9 +49,8 @@ class HintedHandoffManager:
     def __init__(
         self,
         simulator: Simulator,
-        config: Optional[HintedHandoffConfig] = None,
-        deliver: Optional[Callable[[str, str, VersionedValue], bool]] = None,
-        is_reachable: Optional[Callable[[str], bool]] = None,
+        deliver: Callable[[str, str, VersionedValue], bool],
+        is_reachable: Callable[[str], bool],
     ) -> None:
         """Create the manager.
 
@@ -68,43 +60,25 @@ class HintedHandoffManager:
         are wired in by :class:`repro.cluster.cluster.Cluster`.
         """
         self._simulator = simulator
-        self._config = config or HintedHandoffConfig()
         self._deliver = deliver
         self._is_reachable = is_reachable
         self._hints: List[Hint] = []
-        self._task: Optional[PeriodicTask] = None
         self.hints_stored = 0
         self.hints_replayed = 0
         self.hints_expired = 0
         self.hints_dropped = 0
-        if self._config.enabled:
-            self._task = simulator.call_every(
-                self._config.replay_interval,
-                self._replay_round,
-                label="hinted-handoff:replay",
-            )
-
-    @property
-    def config(self) -> HintedHandoffConfig:
-        """Hinted-handoff configuration in effect."""
-        return self._config
+        self._task = simulator.call_every(
+            REPLAY_INTERVAL, self._replay_round, label="hinted-handoff:replay"
+        )
 
     @property
     def pending(self) -> int:
         """Number of hints currently waiting for replay."""
         return len(self._hints)
 
-    def store(self, target_node: str, key: str, version: VersionedValue) -> bool:
-        """Store a hint for a replica that could not be reached.
-
-        Returns ``True`` when the hint was stored, ``False`` when it was
-        dropped (handoff disabled) — the middleware forwards that verdict so
-        hinted-write counters only count hints that actually exist.
-        """
-        if not self._config.enabled:
-            self.hints_dropped += 1
-            return False
-        if len(self._hints) >= self._config.max_hints:
+    def store(self, target_node: str, key: str, version: VersionedValue) -> None:
+        """Store a hint for a replica that could not be reached."""
+        if len(self._hints) >= MAX_HINTS:
             self._hints.pop(0)
             self.hints_dropped += 1
         self._hints.append(
@@ -116,7 +90,6 @@ class HintedHandoffManager:
             )
         )
         self.hints_stored += 1
-        return True
 
     def discard_for_node(self, node_id: str) -> int:
         """Drop all hints targeted at a node (e.g. after decommissioning)."""
@@ -127,17 +100,17 @@ class HintedHandoffManager:
         return dropped
 
     def _replay_round(self) -> None:
-        if not self._hints or self._deliver is None or self._is_reachable is None:
+        if not self._hints:
             return
         now = self._simulator.now
         remaining: List[Hint] = []
         replayed_per_node: Dict[str, int] = {}
         for hint in self._hints:
-            if now - hint.created_at > self._config.hint_ttl:
+            if now - hint.created_at > HINT_TTL:
                 self.hints_expired += 1
                 continue
             count = replayed_per_node.get(hint.target_node, 0)
-            if count >= self._config.replay_batch or not self._is_reachable(hint.target_node):
+            if count >= REPLAY_BATCH or not self._is_reachable(hint.target_node):
                 remaining.append(hint)
                 continue
             if self._deliver(hint.target_node, hint.key, hint.version):
@@ -159,5 +132,4 @@ class HintedHandoffManager:
 
     def stop(self) -> None:
         """Stop the replay task."""
-        if self._task is not None:
-            self._task.stop()
+        self._task.stop()

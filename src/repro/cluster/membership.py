@@ -21,23 +21,17 @@ from typing import Callable, Dict, Optional
 
 from ..simulation.engine import PeriodicTask, Simulator
 from ..simulation.network import NetworkModel
-from .errors import Settings, positive
 
-__all__ = ["MembershipConfig", "MembershipView", "GossipAgent", "MembershipService"]
+__all__ = ["MembershipView", "GossipAgent", "MembershipService"]
 
 #: Number of peers contacted per gossip round.
 FANOUT = 1
 
+#: Seconds between gossip rounds initiated by each node.
+GOSSIP_INTERVAL = 1.0
 
-@dataclass
-class MembershipConfig(Settings):
-    """Parameters of the gossip protocol and failure detector."""
-
-    gossip_interval: float = positive(1.0)
-    """Seconds between gossip rounds initiated by each node."""
-
-    failure_timeout: float = positive(6.0)
-    """Seconds without heartbeat progress before a peer is suspected down."""
+#: Seconds without heartbeat progress before a peer is suspected down.
+FAILURE_TIMEOUT = 6.0
 
 
 @dataclass
@@ -51,9 +45,8 @@ class _PeerRecord:
 class MembershipView:
     """One node's (or the operator's) view of cluster liveness."""
 
-    def __init__(self, owner: str, config: MembershipConfig) -> None:
+    def __init__(self, owner: str) -> None:
         self._owner = owner
-        self._config = config
         self._records: Dict[str, _PeerRecord] = {}
 
     @property
@@ -91,7 +84,7 @@ class MembershipView:
         record = self._records.get(node_id)
         if record is None:
             return False
-        return (now - record.last_progress) <= self._config.failure_timeout
+        return (now - record.last_progress) <= FAILURE_TIMEOUT
 
 
 class GossipAgent:
@@ -102,25 +95,23 @@ class GossipAgent:
         simulator: Simulator,
         network: NetworkModel,
         node_id: str,
-        config: MembershipConfig,
         peer_lookup: Callable[[], Dict[str, "GossipAgent"]],
         is_up: Callable[[], bool],
     ) -> None:
         self._simulator = simulator
         self._network = network
-        self._config = config
         self.node_id = node_id
         self._peer_lookup = peer_lookup
         self._is_up = is_up
         self._heartbeat = 0
         self._rng = simulator.streams.stream(f"gossip:{node_id}")
-        self.view = MembershipView(node_id, config)
+        self.view = MembershipView(node_id)
         self.view.observe(node_id, 0, simulator.now)
         self._task: Optional[PeriodicTask] = simulator.call_every(
-            config.gossip_interval,
+            GOSSIP_INTERVAL,
             self._gossip_round,
             label=f"gossip:{node_id}",
-            jitter=config.gossip_interval * 0.1,
+            jitter=GOSSIP_INTERVAL * 0.1,
         )
 
     @property
@@ -188,22 +179,11 @@ class MembershipService:
     so partition effects remain visible to them.
     """
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        network: NetworkModel,
-        config: Optional[MembershipConfig] = None,
-    ) -> None:
+    def __init__(self, simulator: Simulator, network: NetworkModel) -> None:
         self._simulator = simulator
         self._network = network
-        self._config = config or MembershipConfig()
         self._agents: Dict[str, GossipAgent] = {}
         self._node_up: Dict[str, Callable[[], bool]] = {}
-
-    @property
-    def config(self) -> MembershipConfig:
-        """Membership configuration in effect."""
-        return self._config
 
     def register_node(self, node_id: str, is_up: Callable[[], bool]) -> GossipAgent:
         """Create and start a gossip agent for a (new) node."""
@@ -211,7 +191,6 @@ class MembershipService:
             self._simulator,
             self._network,
             node_id,
-            self._config,
             peer_lookup=lambda: self._agents,
             is_up=is_up,
         )

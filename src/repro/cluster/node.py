@@ -9,7 +9,7 @@ work exactly as it does on a real node.  This is what makes reconfiguration
 actions visibly *cost* something in experiment E4.
 
 The node also models memory pressure: once the stored bytes exceed a
-configurable fraction of the node's memory, service demands grow, reproducing
+fixed fraction of the node's memory, service demands grow, reproducing
 the "amount of RAM available" parameter the paper lists as an input of its
 first research task.
 """
@@ -21,7 +21,7 @@ from typing import Callable, Dict, Optional
 
 from ..simulation.engine import Simulator
 from ..simulation.resources import QueueingServer
-from .errors import Settings, fraction, non_negative, positive
+from .errors import Settings, positive
 from .storage import StorageEngine
 from .types import NodeState
 from .versioning import VersionedValue
@@ -31,45 +31,44 @@ __all__ = ["NodeConfig", "StorageNode", "ReplicaReadResponse", "ReplicaWriteResp
 #: Demand multiplier slope per unit of memory fraction above the threshold.
 MEMORY_PRESSURE_SLOPE = 2.0
 
+#: Service demand of a read relative to the base demand (1/ops_capacity).
+READ_DEMAND_FACTOR = 1.0
+
+#: Service demand of a write relative to the base demand.
+WRITE_DEMAND_FACTOR = 1.2
+
+#: Service demand of applying one streamed (bulk) item.
+STREAM_DEMAND_FACTOR = 0.35
+
+#: Service demand of applying one read-repair or anti-entropy item.
+REPAIR_DEMAND_FACTOR = 0.8
+
+#: Coefficient of variation of per-request service demand.
+SERVICE_CV = 0.3
+
+#: Bytes of memory before pressure effects begin.
+MEMORY_CAPACITY_BYTES = 512 * 1024 * 1024
+
+#: Fraction of memory above which service demand starts inflating.
+MEMORY_PRESSURE_THRESHOLD = 0.7
+
+#: Replicated writes expected to wait longer than this are dropped.
+#:
+#: This reproduces Cassandra's *dropped mutations* load shedding: under
+#: pressure a replica silently discards queued foreground writes instead of
+#: serving them late.  The coordinator still acknowledges the write once its
+#: consistency level is met by other replicas, so the dropped replica stays
+#: stale until read repair, hinted handoff or anti-entropy fixes it — the
+#: dominant real-world source of large inconsistency windows under load.
+MUTATION_TIMEOUT = 0.25
+
 
 @dataclass
 class NodeConfig(Settings):
-    """Capacity and behaviour parameters of a storage node."""
+    """Capacity of a storage node."""
 
     ops_capacity: float = positive(800.0)
     """Nominal operations per second the node can serve."""
-
-    read_demand_factor: float = non_negative(1.0)
-    """Service demand of a read relative to the base demand (1/ops_capacity)."""
-
-    write_demand_factor: float = non_negative(1.2)
-    """Service demand of a write relative to the base demand."""
-
-    stream_demand_factor: float = non_negative(0.35)
-    """Service demand of applying one streamed (bulk) item."""
-
-    repair_demand_factor: float = non_negative(0.8)
-    """Service demand of applying one read-repair or anti-entropy item."""
-
-    service_cv: float = non_negative(0.3)
-    """Coefficient of variation of per-request service demand."""
-
-    memory_capacity_bytes: int = non_negative(512 * 1024 * 1024)
-    """Bytes of memory before pressure effects begin."""
-
-    memory_pressure_threshold: float = fraction(0.7)
-    """Fraction of memory above which service demand starts inflating."""
-
-    mutation_timeout: float = positive(0.25)
-    """Replicated writes expected to wait longer than this are dropped.
-
-    This reproduces Cassandra's *dropped mutations* load shedding: under
-    pressure a replica silently discards queued foreground writes instead of
-    serving them late.  The coordinator still acknowledges the write once its
-    consistency level is met by other replicas, so the dropped replica stays
-    stale until read repair, hinted handoff or anti-entropy fixes it — the
-    dominant real-world source of large inconsistency windows under load.
-    """
 
 
 @dataclass(slots=True)
@@ -113,7 +112,7 @@ class StorageNode:
             simulator,
             name=node_id,
             service_rate=1.0,
-            service_cv=self.config.service_cv,
+            service_cv=SERVICE_CV,
         )
         self.storage = StorageEngine(node_id)
         self._base_demand = 1.0 / self.config.ops_capacity
@@ -181,15 +180,9 @@ class StorageNode:
         """Service demand (seconds) for an operation with the given factor,
         memory pressure included in this one frame (PERFORMANCE.md rule 21)."""
         demand = self._base_demand * factor
-        config = self.config
-        capacity = config.memory_capacity_bytes
-        if capacity > 0:
-            excess = (
-                self.storage.stats.bytes_stored / capacity
-                - config.memory_pressure_threshold
-            )
-            if excess > 0.0:
-                return demand * (1.0 + MEMORY_PRESSURE_SLOPE * excess)
+        excess = self.storage.stats.bytes_stored / MEMORY_CAPACITY_BYTES - MEMORY_PRESSURE_THRESHOLD
+        if excess > 0.0:
+            return demand * (1.0 + MEMORY_PRESSURE_SLOPE * excess)
         return demand
 
     @property
@@ -214,8 +207,8 @@ class StorageNode:
         """Apply a replicated write through the node's queue, then call back.
 
         Foreground writes are subject to mutation dropping: if the queue is
-        already so long that the write would wait longer than the configured
-        ``mutation_timeout``, the node silently discards it (no apply, no
+        already so long that the write would wait longer than
+        ``MUTATION_TIMEOUT``, the node silently discards it (no apply, no
         acknowledgement).  Background writes (hints, repairs) are never
         dropped so that convergence mechanisms always make progress.
         """
@@ -223,16 +216,13 @@ class StorageNode:
             return
         if background:
             self.background_ops += 1
-            factor = self.config.repair_demand_factor
+            factor = REPAIR_DEMAND_FACTOR
         else:
-            if (
-                self.config.mutation_timeout > 0.0
-                and self.server.estimated_wait() > self.config.mutation_timeout
-            ):
+            if self.server.estimated_wait() > MUTATION_TIMEOUT:
                 self.dropped_mutations += 1
                 return
             self.foreground_ops += 1
-            factor = self.config.write_demand_factor
+            factor = WRITE_DEMAND_FACTOR
         demand = self.demand_for(factor)
 
         def _complete(now: float) -> None:
@@ -250,7 +240,7 @@ class StorageNode:
         if not self.is_up:
             return
         self.foreground_ops += 1
-        demand = self.demand_for(self.config.read_demand_factor)
+        demand = self.demand_for(READ_DEMAND_FACTOR)
 
         def _complete(now: float) -> None:
             version = self.storage.get(key)
@@ -267,7 +257,7 @@ class StorageNode:
         if not self.is_up:
             return
         self.background_ops += len(items)
-        demand = self.demand_for(self.config.stream_demand_factor) * max(1, len(items))
+        demand = self.demand_for(STREAM_DEMAND_FACTOR) * max(1, len(items))
 
         def _complete(now: float) -> None:
             for key, version in items.items():
@@ -285,7 +275,7 @@ class StorageNode:
         if not self.is_up:
             return
         self.background_ops += len(keys)
-        demand = self.demand_for(self.config.stream_demand_factor) * max(1, len(keys))
+        demand = self.demand_for(STREAM_DEMAND_FACTOR) * max(1, len(keys))
 
         def _complete(now: float) -> None:
             items = {}
@@ -307,11 +297,7 @@ class StorageNode:
             "queue_length": float(self.server.queue_length),
             "keys": float(self.storage.key_count()),
             "bytes_stored": float(self.storage.bytes_stored()),
-            "memory_fraction": (
-                self.storage.bytes_stored() / self.config.memory_capacity_bytes
-                if self.config.memory_capacity_bytes
-                else 0.0
-            ),
+            "memory_fraction": self.storage.bytes_stored() / MEMORY_CAPACITY_BYTES,
             "foreground_ops": float(self.foreground_ops),
             "background_ops": float(self.background_ops),
             "dropped_mutations": float(self.dropped_mutations),

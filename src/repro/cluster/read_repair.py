@@ -10,21 +10,13 @@ weigh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
 from ..simulation.engine import Simulator
 from .node import ReplicaReadResponse
 from .versioning import VersionedValue, compare_versions
 
-__all__ = ["ReadRepairConfig", "ReadRepairer"]
-
-
-@dataclass
-class ReadRepairConfig:
-    """Parameters of read repair."""
-
-    enabled: bool = True
+__all__ = ["ReadRepairer"]
 
 
 class ReadRepairer:
@@ -33,22 +25,14 @@ class ReadRepairer:
     def __init__(
         self,
         simulator: Simulator,
-        config: Optional[ReadRepairConfig] = None,
-        deliver: Optional[Callable[[str, str, VersionedValue], bool]] = None,
+        deliver: Callable[[str, str, VersionedValue], bool],
     ) -> None:
         """``deliver(target_node, key, version)`` issues one background repair write."""
-        self._simulator = simulator
-        self._config = config or ReadRepairConfig()
         self._deliver = deliver
         self._rng = simulator.streams.stream("read-repair")
         self.mismatches_detected = 0
         self.repairs_sent = 0
         self.repairs_skipped = 0
-
-    @property
-    def config(self) -> ReadRepairConfig:
-        """Read-repair configuration in effect."""
-        return self._config
 
     def inspect(
         self, key: str, responses: Sequence[ReplicaReadResponse]
@@ -75,9 +59,6 @@ class ReadRepairer:
         if not stale_nodes:
             return False
         self.mismatches_detected += 1
-        if not self._config.enabled or self._deliver is None:
-            self.repairs_skipped += len(stale_nodes)
-            return True
         # Every mismatch is repaired, so this draw decides nothing; it stays
         # because the seed pins the "read-repair" stream's draws and the
         # ledger's exact per-operation counts (PERFORMANCE.md rules 1-5).

@@ -131,7 +131,6 @@ class OperationResult:
     issued_at: float
     completed_at: float
     success: bool
-    coordinator: Optional[str] = None
     replicas_contacted: int = 0
     replicas_responded: int = 0
     consistency_level: Optional[ConsistencyLevel] = None

@@ -7,12 +7,11 @@ analytical model the controller's planner uses for what-if evaluation.
 
 from .pbs import StalenessModel
 from .staleness import StalenessObserver, StalenessSnapshot
-from .window_tracker import InconsistencyWindowTracker, WindowRecord, WindowTrackerConfig
+from .window_tracker import InconsistencyWindowTracker, WindowRecord
 
 __all__ = [
     "InconsistencyWindowTracker",
     "WindowRecord",
-    "WindowTrackerConfig",
     "StalenessObserver",
     "StalenessSnapshot",
     "StalenessModel",

@@ -22,12 +22,24 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..cluster.cluster import ClusterListener
-from ..cluster.errors import Settings, non_negative, positive
 from ..cluster.versioning import VersionStamp
 from ..simulation.engine import Simulator
 from ..simulation.timeseries import TimeSeries
 
-__all__ = ["WindowRecord", "WindowTrackerConfig", "InconsistencyWindowTracker"]
+__all__ = ["WindowRecord", "InconsistencyWindowTracker"]
+
+#: Windows still open after this many seconds are recorded as censored.
+#:
+#: Expiry protects the tracker's memory against writes whose replica died
+#: permanently; expired windows are folded into the statistics at their
+#: lower bound (they were *at least* that large) and counted separately.
+MAX_OPEN_AGE = 300.0
+
+#: How often the tracker scans for expired open windows.
+EXPIRY_SCAN_INTERVAL = 30.0
+
+#: How long a key's replica applies are remembered after the last one.
+EARLY_APPLY_RETENTION = 120.0
 
 
 @dataclass
@@ -52,33 +64,11 @@ class WindowRecord:
         return max(0.0, self.closed_at - self.ack_time)
 
 
-@dataclass
-class WindowTrackerConfig(Settings):
-    """Parameters of the ground-truth tracker."""
-
-    max_open_age: float = positive(300.0)
-    """Windows still open after this many seconds are recorded as censored.
-
-    Expiry protects the tracker's memory against writes whose replica died
-    permanently; expired windows are folded into the statistics at their
-    lower bound (they were *at least* that large) and counted separately.
-    """
-
-    expiry_scan_interval: float = positive(30.0)
-    """How often the tracker scans for expired open windows."""
-
-    early_apply_retention: float = non_negative(120.0)
-    """How long a key's replica applies are remembered after the last one."""
-
-
 class InconsistencyWindowTracker(ClusterListener):
     """Observes cluster events and measures every write's true window."""
 
-    def __init__(
-        self, simulator: Simulator, config: Optional[WindowTrackerConfig] = None
-    ) -> None:
+    def __init__(self, simulator: Simulator) -> None:
         self._simulator = simulator
-        self._config = config or WindowTrackerConfig()
         # Open windows, indexed by key so one replica apply can close every
         # superseded window of that key in one pass.
         self._open_by_key: Dict[str, Dict[VersionStamp, WindowRecord]] = {}
@@ -97,7 +87,7 @@ class InconsistencyWindowTracker(ClusterListener):
         self.windows_expired = 0
         self.zero_windows = 0
         simulator.call_every(
-            self._config.expiry_scan_interval,
+            EXPIRY_SCAN_INTERVAL,
             self._expire_stale_windows,
             label="window-tracker:expiry",
             priority=Simulator.PRIORITY_LATE,
@@ -173,7 +163,7 @@ class InconsistencyWindowTracker(ClusterListener):
             expired = [
                 stamp
                 for stamp, record in records.items()
-                if now - record.ack_time > self._config.max_open_age
+                if now - record.ack_time > MAX_OPEN_AGE
             ]
             for stamp in expired:
                 record = records.pop(stamp)
@@ -188,7 +178,7 @@ class InconsistencyWindowTracker(ClusterListener):
                 del self._open_by_key[key]
 
         # Memory is bounded by the keys written lately, one mark per replica.
-        cutoff = now - self._config.early_apply_retention
+        cutoff = now - EARLY_APPLY_RETENTION
         for key, applied_at in list(self._last_apply.items()):
             if applied_at < cutoff:
                 del self._last_apply[key], self._marks[key]

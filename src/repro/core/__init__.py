@@ -21,12 +21,10 @@ from .forecasting import (
     make_forecaster,
 )
 from .knowledge import CapacityModel, KnowledgeBase
-from .planner import ConsistencyTarget, PlannerConfig, SLAPlanner
+from .planner import ConsistencyTarget, SLAPlanner
 from .policies import (
     OverprovisionedStaticPolicy,
-    PredictiveConfig,
     PredictivePolicy,
-    ReactiveThresholdConfig,
     ReactiveThresholdPolicy,
     ScalingPolicy,
     SLADrivenPolicy,
@@ -65,7 +63,6 @@ __all__ = [
     "Symptom",
     "RootCause",
     "SLAPlanner",
-    "PlannerConfig",
     "ConsistencyTarget",
     "StabilityGuard",
     "StabilityConfig",
@@ -79,9 +76,7 @@ __all__ = [
     "StaticPolicy",
     "OverprovisionedStaticPolicy",
     "ReactiveThresholdPolicy",
-    "ReactiveThresholdConfig",
     "PredictivePolicy",
-    "PredictiveConfig",
     "SLADrivenPolicy",
     "make_policy",
     "ReconfigurationAction",

@@ -72,7 +72,7 @@ class AnalysisResult:
 
     time: float
     observation: SystemObservation
-    symptoms: Set[Symptom] = field(default_factory=set)
+    symptoms: Set[Symptom] = field(default_factory=set, init=False)
     root_causes: Set[RootCause] = field(default_factory=set, init=False)
     margins: Dict[str, float] = field(default_factory=dict)
     forecast_load: float = 0.0

@@ -34,7 +34,6 @@ from .actions import ActionKind, ActionOutcome, ReconfigurationAction
 from .analyzer import AnalysisResult, Analyzer
 from .forecasting import make_forecaster
 from .knowledge import KnowledgeBase
-from .planner import PlannerConfig
 from .policies import make_policy
 from .sla import SLA, SLAEvaluator, SystemObservation, default_sla
 from .stability import StabilityConfig, StabilityGuard
@@ -59,7 +58,6 @@ class ControllerConfig(Settings):
     """Which registered estimator feeds the inconsistency-window observation."""
 
     stability: StabilityConfig = field(default_factory=StabilityConfig)
-    planner: PlannerConfig = field(default_factory=PlannerConfig)
 
 
 class AutonomousController:
@@ -74,7 +72,6 @@ class AutonomousController:
         config: Optional[ControllerConfig] = None,
         estimators: Optional[Dict[str, ConsistencyEstimator]] = None,
         offered_rate_fn: Optional[Callable[[], float]] = None,
-        on_action: Optional[Callable[[ActionOutcome], None]] = None,
         tenant_rollup: Optional[object] = None,
     ) -> None:
         self._simulator = simulator
@@ -86,13 +83,9 @@ class AutonomousController:
         self.knowledge = KnowledgeBase(forecaster=make_forecaster(self.config.forecaster))
         self.analyzer = Analyzer()
         self.guard = StabilityGuard(self.config.stability)
-        if self.config.policy in ("sla_driven", "sla-driven"):
-            self.policy = make_policy("sla_driven", planner_config=self.config.planner)
-        else:
-            self.policy = make_policy(self.config.policy)
+        self.policy = make_policy(self.config.policy)
         self._estimators = estimators or {}
         self._offered_rate_fn = offered_rate_fn
-        self._on_action = on_action
         self._tenant_rollup = tenant_rollup
 
         self.observations: List[SystemObservation] = []
@@ -200,8 +193,6 @@ class AutonomousController:
             self.action_log.append(outcome)
             self.knowledge.record_action(outcome)
             self.guard.record_outcome(outcome)
-            if self._on_action is not None:
-                self._on_action(outcome)
             if outcome.applied:
                 break  # at most one applied action per round
 

@@ -10,9 +10,8 @@ predictive policy and experiment E6 compare them:
 
 * :class:`EwmaForecaster` — exponentially weighted moving average; a robust
   baseline that effectively predicts "more of the same".
-* :class:`HoltWintersForecaster` — double/triple exponential smoothing with
-  an optional seasonal component, able to extrapolate trends and daily
-  patterns.
+* :class:`HoltWintersForecaster` — double exponential smoothing (level and
+  trend), able to extrapolate trends.
 * :class:`AutoRegressiveForecaster` — an AR(p) model fitted by least squares
   over a sliding history window.
 """
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 import numpy as np
 
@@ -33,6 +32,16 @@ __all__ = [
     "AutoRegressiveForecaster",
     "make_forecaster",
 ]
+
+#: Smoothing weight of each new sample in the EWMA level.
+EWMA_ALPHA = 0.3
+#: Holt's level and trend smoothing weights.
+HOLT_ALPHA = 0.4
+HOLT_BETA = 0.1
+#: Lags of the AR model, samples in its sliding window, and samples between refits.
+AR_ORDER = 4
+AR_WINDOW = 120
+AR_REFIT_EVERY = 10
 
 
 class Forecaster(abc.ABC):
@@ -91,25 +100,22 @@ class EwmaForecaster(Forecaster):
 
     name = "ewma"
 
-    def __init__(self, alpha: float = 0.3) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self._alpha = alpha
         self._level: Optional[float] = None
 
     def _update(self, time: float, value: float) -> None:
         if self._level is None:
             self._level = value
         else:
-            self._level = self._alpha * value + (1.0 - self._alpha) * self._level
+            self._level = EWMA_ALPHA * value + (1.0 - EWMA_ALPHA) * self._level
 
     def forecast(self, horizon: float) -> float:
         return self._level if self._level is not None else self._last_value
 
 
 class HoltWintersForecaster(Forecaster):
-    """Holt's linear trend method with optional additive seasonality.
+    """Holt's linear trend method (Holt-Winters without a seasonal term).
 
     Samples are assumed to arrive at a roughly constant interval; the
     forecast converts the requested horizon into a number of steps using the
@@ -118,31 +124,13 @@ class HoltWintersForecaster(Forecaster):
 
     name = "holt_winters"
 
-    def __init__(
-        self,
-        alpha: float = 0.4,
-        beta: float = 0.1,
-        gamma: float = 0.1,
-        season_length: int = 0,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        self._alpha = alpha
-        self._beta = beta
-        self._gamma = gamma
-        self._season_length = max(0, int(season_length))
         self._level: Optional[float] = None
         self._trend = 0.0
-        self._seasonals: List[float] = [0.0] * self._season_length
-        self._step = 0
         self._interval_sum = 0.0
         self._interval_count = 0
         self._previous_time: Optional[float] = None
-
-    def _seasonal_index(self, step: int) -> int:
-        return step % self._season_length if self._season_length else 0
 
     def _update(self, time: float, value: float) -> None:
         if self._previous_time is not None:
@@ -150,27 +138,15 @@ class HoltWintersForecaster(Forecaster):
             self._interval_count += 1
         self._previous_time = time
 
-        seasonal = (
-            self._seasonals[self._seasonal_index(self._step)] if self._season_length else 0.0
-        )
         if self._level is None:
-            self._level = value - seasonal
+            self._level = value
             self._trend = 0.0
         else:
             previous_level = self._level
-            self._level = self._alpha * (value - seasonal) + (1.0 - self._alpha) * (
-                previous_level + self._trend
-            )
-            self._trend = self._beta * (self._level - previous_level) + (
-                1.0 - self._beta
+            self._level = HOLT_ALPHA * value + (1.0 - HOLT_ALPHA) * (previous_level + self._trend)
+            self._trend = HOLT_BETA * (self._level - previous_level) + (
+                1.0 - HOLT_BETA
             ) * self._trend
-            if self._season_length:
-                index = self._seasonal_index(self._step)
-                self._seasonals[index] = (
-                    self._gamma * (value - self._level)
-                    + (1.0 - self._gamma) * self._seasonals[index]
-                )
-        self._step += 1
 
     def _mean_interval(self) -> float:
         if self._interval_count == 0:
@@ -181,11 +157,7 @@ class HoltWintersForecaster(Forecaster):
         if self._level is None:
             return self._last_value
         steps_ahead = horizon / self._mean_interval()
-        seasonal = 0.0
-        if self._season_length:
-            index = self._seasonal_index(self._step + int(round(steps_ahead)))
-            seasonal = self._seasonals[index]
-        return max(0.0, self._level + self._trend * steps_ahead + seasonal)
+        return max(0.0, self._level + self._trend * steps_ahead)
 
 
 class AutoRegressiveForecaster(Forecaster):
@@ -193,15 +165,9 @@ class AutoRegressiveForecaster(Forecaster):
 
     name = "autoregressive"
 
-    def __init__(self, order: int = 4, window: int = 120, refit_every: int = 10) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if window <= order + 1:
-            raise ValueError("window must exceed order + 1")
-        self._order = order
-        self._window: Deque[float] = deque(maxlen=window)
-        self._refit_every = max(1, refit_every)
+        self._window: Deque[float] = deque(maxlen=AR_WINDOW)
         self._coefficients: Optional[np.ndarray] = None
         self._intercept = 0.0
         self._since_fit = 0
@@ -217,15 +183,15 @@ class AutoRegressiveForecaster(Forecaster):
         self._window.append(value)
         self._since_fit += 1
         if (
-            len(self._window) > self._order + 2
-            and self._since_fit >= self._refit_every
+            len(self._window) > AR_ORDER + 2
+            and self._since_fit >= AR_REFIT_EVERY
         ):
             self._fit()
             self._since_fit = 0
 
     def _fit(self) -> None:
         data = np.asarray(self._window, dtype=float)
-        order = self._order
+        order = AR_ORDER
         rows = len(data) - order
         if rows < 2:
             return
@@ -244,28 +210,28 @@ class AutoRegressiveForecaster(Forecaster):
         return max(1e-9, self._interval_sum / self._interval_count)
 
     def forecast(self, horizon: float) -> float:
-        if self._coefficients is None or len(self._window) < self._order:
+        if self._coefficients is None or len(self._window) < AR_ORDER:
             return self._last_value
         steps_ahead = max(1, int(round(horizon / self._mean_interval())))
-        history = list(self._window)[-self._order :]
+        history = list(self._window)[-AR_ORDER:]
         value = self._last_value
         for _ in range(min(steps_ahead, 1000)):
-            lags = np.asarray(history[::-1][: self._order], dtype=float)
+            lags = np.asarray(history[::-1][:AR_ORDER], dtype=float)
             value = self._intercept + float(np.dot(self._coefficients, lags))
             history.append(value)
-            history = history[-self._order :]
+            history = history[-AR_ORDER:]
         return max(0.0, value)
 
 
-def make_forecaster(name: str, **kwargs: object) -> Forecaster:
+def make_forecaster(name: str) -> Forecaster:
     """Factory used by controller configs serialised as plain strings."""
     lowered = name.lower()
     if lowered == "naive":
         return NaiveForecaster()
     if lowered == "ewma":
-        return EwmaForecaster(**kwargs)  # type: ignore[arg-type]
+        return EwmaForecaster()
     if lowered in ("holt_winters", "holtwinters", "holt-winters"):
-        return HoltWintersForecaster(**kwargs)  # type: ignore[arg-type]
+        return HoltWintersForecaster()
     if lowered in ("autoregressive", "ar"):
-        return AutoRegressiveForecaster(**kwargs)  # type: ignore[arg-type]
+        return AutoRegressiveForecaster()
     raise ValueError(f"unknown forecaster {name!r}")

@@ -24,22 +24,23 @@ __all__ = ["KnowledgeBase", "CapacityModel"]
 HISTORY_LENGTH = 512
 #: Weight of each new inconsistency-window mean in the lag estimate.
 LAG_SMOOTHING = 0.3
+#: Operations per second one node is assumed to sustain before any sample.
+PRIOR_OPS_PER_NODE = 800.0
+#: Weight of each informative sample in the capacity estimate.
+CAPACITY_LEARNING_RATE = 0.2
 
 
 class CapacityModel:
     """Online estimate of how many operations per second one node sustains.
 
-    Starts from a configured prior and refines it with observed
+    Starts from ``PRIOR_OPS_PER_NODE`` and refines it with observed
     ``throughput / (node_count * utilisation)`` samples whenever the cluster
     is busy enough for that ratio to be informative.  The planner divides
     forecast load by this capacity to size the cluster.
     """
 
-    def __init__(self, prior_ops_per_node: float = 800.0, learning_rate: float = 0.2) -> None:
-        if prior_ops_per_node <= 0.0:
-            raise ValueError("prior_ops_per_node must be > 0")
-        self._estimate = float(prior_ops_per_node)
-        self._learning_rate = min(1.0, max(0.0, learning_rate))
+    def __init__(self) -> None:
+        self._estimate = PRIOR_OPS_PER_NODE
 
     @property
     def ops_per_node(self) -> float:
@@ -51,7 +52,7 @@ class CapacityModel:
         if node_count <= 0 or mean_utilization < 0.15 or throughput <= 0.0:
             return
         implied = throughput / (node_count * mean_utilization)
-        self._estimate += self._learning_rate * (implied - self._estimate)
+        self._estimate += CAPACITY_LEARNING_RATE * (implied - self._estimate)
         self._estimate = max(1.0, self._estimate)
 
     def nodes_needed(self, offered_rate: float, target_utilization: float) -> int:

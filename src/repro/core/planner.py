@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..cluster.errors import Settings, at_least, fraction, positive_fraction
 from ..cluster.types import ConsistencyLevel
 from .actions import (
     AddNodeAction,
@@ -39,7 +38,7 @@ from .analyzer import AnalysisResult, RootCause, Symptom
 from .knowledge import KnowledgeBase
 from .sla import SLA
 
-__all__ = ["PlannerConfig", "SLAPlanner", "ConsistencyTarget"]
+__all__ = ["SLAPlanner", "ConsistencyTarget"]
 
 #: Utilisation the cluster is sized for.
 TARGET_UTILIZATION = 0.6
@@ -53,6 +52,16 @@ FORECAST_HORIZON = 300.0
 STALE_PROBABILITY_TARGET = 0.02
 #: Fraction of the SLO window the PBS prediction must fit within.
 STALENESS_SAFETY_FACTOR = 0.8
+#: Bounds on the node count the planner sizes the cluster to.
+MIN_NODES = 2
+MAX_NODES = 32
+#: Multiplier applied to a tier's quota scale per tightening step.
+QUOTA_TIGHTEN_FACTOR = 0.5
+#: Lowest quota scale arbitration may impose on any tier.
+QUOTA_FLOOR = 0.25
+#: Tiers eligible for quota tightening, cheapest (lowest SLO) first.  Gold is
+#: deliberately absent: the top tier is never shed by arbitration.
+QUOTA_TIGHTEN_ORDER = ("bronze", "silver")
 
 
 @dataclass
@@ -63,29 +72,8 @@ class ConsistencyTarget:
     write_level: ConsistencyLevel
 
 
-@dataclass
-class PlannerConfig(Settings):
-    """Parameters of the SLA-driven planner."""
-
-    min_nodes: int = at_least(1, 2)
-    max_nodes: int = at_least(1, 32)
-
-    quota_tighten_factor: float = positive_fraction(0.5)
-    """Multiplier applied to a tier's quota scale per tightening step."""
-
-    quota_floor: float = fraction(0.25)
-    """Lowest quota scale arbitration may impose on any tier."""
-
-    quota_tighten_order: Tuple[str, ...] = ("bronze", "silver")
-    """Tiers eligible for quota tightening, cheapest (lowest SLO) first.
-    Gold is deliberately absent: the top tier is never shed by arbitration."""
-
-
 class SLAPlanner:
     """Chooses at most one reconfiguration action per evaluation round."""
-
-    def __init__(self, config: Optional[PlannerConfig] = None) -> None:
-        self.config = config or PlannerConfig()
 
     # ------------------------------------------------------------------
     # RQ2: derive consistency parameters from the SLA
@@ -149,7 +137,7 @@ class SLAPlanner:
         current_load = latest.throughput_ops if latest else 0.0
         sizing_load = max(forecast, current_load)
         needed = knowledge.capacity.nodes_needed(sizing_load, TARGET_UTILIZATION)
-        return max(self.config.min_nodes, min(self.config.max_nodes, needed))
+        return max(MIN_NODES, min(MAX_NODES, needed))
 
     # ------------------------------------------------------------------
     # Main entry point
@@ -181,7 +169,7 @@ class SLAPlanner:
             shed = self._tighten_quota_action(tier_scales)
             if shed is not None:
                 return [shed]
-            if current_nodes < self.config.max_nodes and not congested:
+            if current_nodes < MAX_NODES and not congested:
                 return [AddNodeAction()]
             # Under congestion more traffic hurts; shed consistency cost instead.
             if current_write is not ConsistencyLevel.ONE:
@@ -191,7 +179,7 @@ class SLAPlanner:
         # Priority 2: staleness violations / risk.
         if analysis.has(Symptom.STALENESS_VIOLATION) or analysis.has(Symptom.STALENESS_AT_RISK):
             if analysis.caused_by(RootCause.CPU_SATURATION) and not congested:
-                if current_nodes < self.config.max_nodes:
+                if current_nodes < MAX_NODES:
                     return [AddNodeAction()]
             # Derive the consistency config from the SLA (RQ2) and converge
             # towards it one step at a time.
@@ -215,7 +203,7 @@ class SLAPlanner:
                 ]
             # The lag itself is the problem: add capacity unless the network
             # is the bottleneck.
-            if not congested and current_nodes < self.config.max_nodes:
+            if not congested and current_nodes < MAX_NODES:
                 return [AddNodeAction()]
             return [NoAction()]
 
@@ -236,17 +224,17 @@ class SLAPlanner:
                 shed = self._tighten_quota_action(tier_scales)
                 if shed is not None:
                     return [shed]
-            if current_nodes < self.config.max_nodes and (
+            if current_nodes < MAX_NODES and (
                 overloaded or desired_nodes > current_nodes
             ):
                 return [AddNodeAction()]
             return [NoAction()]
 
         # Priority 4: proactive capacity for forecast load growth.
-        if desired_nodes > current_nodes and current_nodes < self.config.max_nodes:
+        if desired_nodes > current_nodes and current_nodes < MAX_NODES:
             return [AddNodeAction()]
         if observation.max_utilization >= SCALE_OUT_UTILIZATION:
-            if current_nodes < self.config.max_nodes and not congested:
+            if current_nodes < MAX_NODES and not congested:
                 return [AddNodeAction()]
 
         # Priority 5: cost optimisation when everything has ample headroom.
@@ -311,14 +299,14 @@ class SLAPlanner:
         """
         if not isinstance(tier_scales, dict) or not tier_scales:
             return None
-        for tier in self.config.quota_tighten_order:
+        for tier in QUOTA_TIGHTEN_ORDER:
             scale = tier_scales.get(tier)
             if scale is None:
                 continue
             scale = float(scale)
-            if scale > self.config.quota_floor + 1e-9:
+            if scale > QUOTA_FLOOR + 1e-9:
                 new_scale = max(
-                    self.config.quota_floor, scale * self.config.quota_tighten_factor
+                    QUOTA_FLOOR, scale * QUOTA_TIGHTEN_FACTOR
                 )
                 return SetTierQuotaScaleAction(tier, new_scale)
         return None
@@ -329,8 +317,8 @@ class SLAPlanner:
         """One quota-restoring step, reversing tightening highest tier first."""
         if not isinstance(tier_scales, dict) or not tier_scales:
             return None
-        factor = self.config.quota_tighten_factor
-        for tier in reversed(self.config.quota_tighten_order):
+        factor = QUOTA_TIGHTEN_FACTOR
+        for tier in reversed(QUOTA_TIGHTEN_ORDER):
             scale = tier_scales.get(tier)
             if scale is None:
                 continue
@@ -348,7 +336,7 @@ class SLAPlanner:
         desired_nodes: int,
     ) -> bool:
         """Whether removing one node keeps utilisation and RF constraints safe."""
-        if current_nodes <= max(self.config.min_nodes, observation.replication_factor):
+        if current_nodes <= max(MIN_NODES, observation.replication_factor):
             return False
         if desired_nodes >= current_nodes:
             return False

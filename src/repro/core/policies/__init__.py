@@ -1,8 +1,8 @@
 """Scaling policies: the paper's SLA-driven controller and its baselines."""
 
 from .base import ScalingPolicy
-from .predictive import PredictiveConfig, PredictivePolicy
-from .reactive import ReactiveThresholdConfig, ReactiveThresholdPolicy
+from .predictive import PredictivePolicy
+from .reactive import ReactiveThresholdPolicy
 from .sla_driven import SLADrivenPolicy
 from .static import OverprovisionedStaticPolicy, StaticPolicy
 
@@ -11,15 +11,13 @@ __all__ = [
     "StaticPolicy",
     "OverprovisionedStaticPolicy",
     "ReactiveThresholdPolicy",
-    "ReactiveThresholdConfig",
     "PredictivePolicy",
-    "PredictiveConfig",
     "SLADrivenPolicy",
     "make_policy",
 ]
 
 
-def make_policy(name: str, **kwargs: object) -> ScalingPolicy:
+def make_policy(name: str) -> ScalingPolicy:
     """Factory mapping the policy names used in experiment specs to instances."""
     lowered = name.lower()
     if lowered == "static":
@@ -27,9 +25,9 @@ def make_policy(name: str, **kwargs: object) -> ScalingPolicy:
     if lowered in ("overprovisioned", "overprovisioned_static"):
         return OverprovisionedStaticPolicy()
     if lowered in ("reactive", "reactive_threshold"):
-        return ReactiveThresholdPolicy(**kwargs)  # type: ignore[arg-type]
+        return ReactiveThresholdPolicy()
     if lowered == "predictive":
-        return PredictivePolicy(**kwargs)  # type: ignore[arg-type]
+        return PredictivePolicy()
     if lowered in ("sla_driven", "sla-driven", "sladriven"):
-        return SLADrivenPolicy(**kwargs)  # type: ignore[arg-type]
+        return SLADrivenPolicy()
     raise ValueError(f"unknown policy {name!r}")

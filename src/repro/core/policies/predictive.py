@@ -11,8 +11,7 @@ isolates the value of better prediction (experiment E6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..actions import AddNodeAction, ReconfigurationAction, RemoveNodeAction
 from ..analyzer import AnalysisResult
@@ -20,40 +19,23 @@ from ..knowledge import KnowledgeBase
 from ..sla import SLA
 from .base import ScalingPolicy
 
-__all__ = ["PredictiveConfig", "PredictivePolicy"]
+__all__ = ["PredictivePolicy"]
 
 #: Provisioning lead time in seconds (how far ahead to look).
 FORECAST_HORIZON = 300.0
 #: How many nodes below the current count the target must fall before scaling in.
 SCALE_IN_HYSTERESIS = 1
-
-
-@dataclass
-class PredictiveConfig:
-    """Parameters of the predictive policy."""
-
-    target_utilization: float = 0.6
-    """Utilisation the cluster is sized for."""
-
-    min_nodes: int = 2
-    max_nodes: int = 32
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` for inconsistent parameters."""
-        if not 0.0 < self.target_utilization < 1.0:
-            raise ValueError("target_utilization must be in (0, 1)")
-        if self.min_nodes < 1 or self.max_nodes < self.min_nodes:
-            raise ValueError("require 1 <= min_nodes <= max_nodes")
+#: Utilisation the cluster is sized for.
+TARGET_UTILIZATION = 0.6
+#: Bounds on the node count the policy scales between.
+MIN_NODES = 2
+MAX_NODES = 32
 
 
 class PredictivePolicy(ScalingPolicy):
     """Scale towards the node count the forecast load will need."""
 
     name = "predictive"
-
-    def __init__(self, config: Optional[PredictiveConfig] = None) -> None:
-        self.config = config or PredictiveConfig()
-        self.config.validate()
 
     def decide(
         self,
@@ -69,17 +51,17 @@ class PredictivePolicy(ScalingPolicy):
         current_load = max(observation.throughput_ops, observation.offered_rate)
         sizing_load = max(forecast_peak, current_load)
         target_nodes = knowledge.capacity.nodes_needed(
-            sizing_load, self.config.target_utilization
+            sizing_load, TARGET_UTILIZATION
         )
         target_nodes = max(
-            max(self.config.min_nodes, observation.replication_factor),
-            min(self.config.max_nodes, target_nodes),
+            max(MIN_NODES, observation.replication_factor),
+            min(MAX_NODES, target_nodes),
         )
 
         if target_nodes > node_count:
             return [AddNodeAction()]
         if target_nodes <= node_count - SCALE_IN_HYSTERESIS and (
-            node_count > max(self.config.min_nodes, observation.replication_factor)
+            node_count > max(MIN_NODES, observation.replication_factor)
         ):
             return [RemoveNodeAction()]
         return []

@@ -11,8 +11,7 @@ through the SLO and keeps paying for the lag of its own scaling actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..actions import AddNodeAction, ReconfigurationAction, RemoveNodeAction
 from ..analyzer import AnalysisResult
@@ -20,40 +19,21 @@ from ..knowledge import KnowledgeBase
 from ..sla import SLA
 from .base import ScalingPolicy
 
-__all__ = ["ReactiveThresholdConfig", "ReactiveThresholdPolicy"]
+__all__ = ["ReactiveThresholdPolicy"]
 
-
-@dataclass
-class ReactiveThresholdConfig:
-    """Thresholds of the reactive policy."""
-
-    scale_out_utilization: float = 0.75
-    """Mean utilisation above which one node is added."""
-
-    scale_in_utilization: float = 0.3
-    """Mean utilisation below which one node is removed."""
-
-    min_nodes: int = 2
-    max_nodes: int = 32
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` when thresholds are inconsistent."""
-        if not 0.0 < self.scale_in_utilization < self.scale_out_utilization <= 1.0:
-            raise ValueError(
-                "require 0 < scale_in_utilization < scale_out_utilization <= 1"
-            )
-        if self.min_nodes < 1 or self.max_nodes < self.min_nodes:
-            raise ValueError("require 1 <= min_nodes <= max_nodes")
+#: Mean utilisation above which one node is added.
+SCALE_OUT_UTILIZATION = 0.75
+#: Mean utilisation below which one node is removed.
+SCALE_IN_UTILIZATION = 0.3
+#: Bounds on the node count the policy scales between.
+MIN_NODES = 2
+MAX_NODES = 32
 
 
 class ReactiveThresholdPolicy(ScalingPolicy):
     """Utilisation-threshold scaling, consistency-agnostic."""
 
     name = "reactive_threshold"
-
-    def __init__(self, config: Optional[ReactiveThresholdConfig] = None) -> None:
-        self.config = config or ReactiveThresholdConfig()
-        self.config.validate()
 
     def decide(
         self,
@@ -67,13 +47,13 @@ class ReactiveThresholdPolicy(ScalingPolicy):
         utilization = observation.mean_utilization
 
         if (
-            utilization >= self.config.scale_out_utilization
-            and node_count < self.config.max_nodes
+            utilization >= SCALE_OUT_UTILIZATION
+            and node_count < MAX_NODES
         ):
             return [AddNodeAction()]
         if (
-            utilization <= self.config.scale_in_utilization
-            and node_count > max(self.config.min_nodes, observation.replication_factor)
+            utilization <= SCALE_IN_UTILIZATION
+            and node_count > max(MIN_NODES, observation.replication_factor)
         ):
             return [RemoveNodeAction()]
         return []

@@ -10,12 +10,12 @@ optimisation only when every objective has comfortable headroom (Section 3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..actions import ActionKind, ReconfigurationAction
 from ..analyzer import AnalysisResult
 from ..knowledge import KnowledgeBase
-from ..planner import PlannerConfig, SLAPlanner
+from ..planner import SLAPlanner
 from ..sla import SLA
 from .base import ScalingPolicy
 
@@ -27,8 +27,8 @@ class SLADrivenPolicy(ScalingPolicy):
 
     name = "sla_driven"
 
-    def __init__(self, planner_config: Optional[PlannerConfig] = None) -> None:
-        self.planner = SLAPlanner(planner_config)
+    def __init__(self) -> None:
+        self.planner = SLAPlanner()
 
     def decide(
         self,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..cluster.errors import Settings, at_least, non_negative, positive
+from ..cluster.errors import Settings, at_least
 from .actions import ActionKind, ActionOutcome, ReconfigurationAction
 from .analyzer import AnalysisResult, Symptom
 
@@ -32,6 +32,12 @@ __all__ = ["StabilityConfig", "StabilityGuard"]
 
 #: Symptoms that bypass the persistence requirement (but not cooldowns).
 EMERGENCY_SYMPTOMS = frozenset({Symptom.AVAILABILITY_VIOLATION})
+
+#: Seconds of action history inspected for oscillation.
+OSCILLATION_WINDOW = 1800.0
+
+#: Seconds during which scaling is frozen after oscillation is detected.
+OSCILLATION_FREEZE = 900.0
 
 
 @dataclass
@@ -54,14 +60,8 @@ class StabilityConfig(Settings):
     required_persistence: int = at_least(1, 2)
     """Consecutive evaluation rounds a symptom must persist before acting."""
 
-    oscillation_window: float = positive(1800.0)
-    """Seconds of action history inspected for oscillation."""
-
     oscillation_flips: int = at_least(1, 3)
     """Direction changes within the window that count as oscillation."""
-
-    oscillation_freeze: float = non_negative(900.0)
-    """Seconds during which scaling is frozen after oscillation is detected."""
 
 
 class StabilityGuard:
@@ -153,7 +153,7 @@ class StabilityGuard:
     # Oscillation detection
     # ------------------------------------------------------------------
     def _check_oscillation(self, now: float) -> None:
-        window_start = now - self.config.oscillation_window
+        window_start = now - OSCILLATION_WINDOW
         self._scale_history = [
             entry for entry in self._scale_history if entry[0] >= window_start
         ]
@@ -163,7 +163,7 @@ class StabilityGuard:
                 flips += 1
         if flips >= self.config.oscillation_flips:
             self.oscillations_detected += 1
-            self._frozen_until = now + self.config.oscillation_freeze
+            self._frozen_until = now + OSCILLATION_FREEZE
             self._scale_history.clear()
 
     @property

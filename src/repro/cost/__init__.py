@@ -1,12 +1,11 @@
 """Cost models: pay-as-you-use billing, consistency compensation, SLA penalties."""
 
-from .billing import BillingModel, BillingRates
+from .billing import BillingModel
 from .compensation import CompensationModel, CompensationRates
 from .report import CostAccountant, CostReport
 
 __all__ = [
     "BillingModel",
-    "BillingRates",
     "CompensationModel",
     "CompensationRates",
     "CostAccountant",

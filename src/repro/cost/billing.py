@@ -16,39 +16,34 @@ claim measurable, the billing model charges:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..simulation.timeseries import TimeSeries
 
-__all__ = ["BillingRates", "BillingModel"]
+__all__ = ["BillingModel"]
 
+# Unit prices used throughout the cost accounting (currency-agnostic).
 
-@dataclass
-class BillingRates:
-    """Unit prices used throughout the cost accounting (currency-agnostic)."""
+#: Price of one provisioned node for one hour.
+NODE_HOUR_PRICE = 0.50
 
-    node_hour: float = 0.50
-    """Price of one provisioned node for one hour."""
+#: Flat charge per add/remove-node action (churn cost).
+SCALING_ACTION_PRICE = 0.10
 
-    scaling_action: float = 0.10
-    """Flat charge per add/remove-node action (churn cost)."""
+#: Flat charge per configuration-only action (CL or RF change).
+RECONFIGURATION_ACTION_PRICE = 0.01
 
-    reconfiguration_action: float = 0.01
-    """Flat charge per configuration-only action (CL or RF change)."""
+#: Price per monitoring probe operation sent to the store.
+PROBE_OPERATION_PRICE = 2e-6
 
-    probe_operation: float = 2e-6
-    """Price per monitoring probe operation sent to the store."""
-
-    analysis_cpu_hour: float = 0.05
-    """Price of one hour of monitoring analysis compute."""
+#: Price of one hour of monitoring analysis compute.
+ANALYSIS_CPU_HOUR_PRICE = 0.05
 
 
 class BillingModel:
     """Accumulates infrastructure cost over a simulation run."""
 
-    def __init__(self, rates: Optional[BillingRates] = None) -> None:
-        self.rates = rates or BillingRates()
+    def __init__(self) -> None:
         self._node_count_series = TimeSeries("billed_node_count")
         self._scaling_actions = 0
         self._reconfiguration_actions = 0
@@ -102,20 +97,20 @@ class BillingModel:
 
     def infrastructure_cost(self) -> float:
         """Node-hour cost only."""
-        return self.node_hours * self.rates.node_hour
+        return self.node_hours * NODE_HOUR_PRICE
 
     def churn_cost(self) -> float:
         """Scaling and reconfiguration charges."""
         return (
-            self._scaling_actions * self.rates.scaling_action
-            + self._reconfiguration_actions * self.rates.reconfiguration_action
+            self._scaling_actions * SCALING_ACTION_PRICE
+            + self._reconfiguration_actions * RECONFIGURATION_ACTION_PRICE
         )
 
     def monitoring_cost(self) -> float:
         """Probe and analysis charges."""
         return (
-            self._probe_operations * self.rates.probe_operation
-            + (self._analysis_cpu_seconds / 3600.0) * self.rates.analysis_cpu_hour
+            self._probe_operations * PROBE_OPERATION_PRICE
+            + (self._analysis_cpu_seconds / 3600.0) * ANALYSIS_CPU_HOUR_PRICE
         )
 
     def total_cost(self) -> float:

@@ -29,6 +29,9 @@ from ..cluster.types import OperationResult
 
 __all__ = ["CompensationRates", "CompensationModel"]
 
+#: Charge per failed (timed-out / unavailable) client operation.
+FAILED_OPERATION_PRICE = 0.01
+
 
 @dataclass
 class CompensationRates(Settings):
@@ -42,9 +45,6 @@ class CompensationRates(Settings):
 
     conflict_staleness_threshold: float = non_negative(1.0)
     """Staleness (seconds) beyond which a stale read counts as a conflict."""
-
-    failed_operation: float = non_negative(0.01)
-    """Charge per failed (timed-out / unavailable) client operation."""
 
 
 class CompensationModel(ClusterListener):
@@ -83,7 +83,7 @@ class CompensationModel(ClusterListener):
 
     def availability_cost(self) -> float:
         """Compensation for failed client operations."""
-        return self.failed_operations * self.rates.failed_operation
+        return self.failed_operations * FAILED_OPERATION_PRICE
 
     def total_cost(self) -> float:
         """All business-side compensation."""

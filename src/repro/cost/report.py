@@ -59,12 +59,8 @@ class CostReport:
 class CostAccountant:
     """Aggregates the cost models of one simulation run."""
 
-    def __init__(
-        self,
-        billing: Optional[BillingModel] = None,
-        compensation: Optional[CompensationModel] = None,
-    ) -> None:
-        self.billing = billing or BillingModel()
+    def __init__(self, compensation: Optional[CompensationModel] = None) -> None:
+        self.billing = BillingModel()
         self.compensation = compensation or CompensationModel()
         self._sla_penalty = 0.0
 

@@ -101,7 +101,8 @@ class HintedHandoffMiddleware(RequestMiddleware):
     def on_unreachable_replica(
         self, ctx: RequestContext, node_id: str, version: object
     ) -> bool:
-        return self._manager.store(node_id, ctx.key, version)
+        self._manager.store(node_id, ctx.key, version)
+        return True
 
 
 class ReadRepairMiddleware(RequestMiddleware):

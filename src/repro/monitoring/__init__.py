@@ -8,13 +8,12 @@ from .estimators import (
     RttEstimator,
     WindowEstimate,
 )
-from .metrics import MetricsCollector, MetricsConfig, MetricsSnapshot
+from .metrics import MetricsCollector, MetricsSnapshot
 from .overhead import MonitoringOverheadAccountant, OverheadReport
 from .percentiles import WindowedPercentiles
 
 __all__ = [
     "MetricsCollector",
-    "MetricsConfig",
     "MetricsSnapshot",
     "ConsistencyEstimator",
     "WindowEstimate",

@@ -53,6 +53,9 @@ __all__ = [
     "RttEstimator",
 ]
 
+#: Seconds between the estimates every estimator emits.
+REPORT_INTERVAL = 10.0
+
 
 @dataclass
 class WindowEstimate:
@@ -82,11 +85,11 @@ class ConsistencyEstimator(abc.ABC):
 
     name: str = "estimator"
 
-    def __init__(self, simulator: Simulator, report_interval: float = 10.0) -> None:
+    def __init__(self, simulator: Simulator) -> None:
         self._simulator = simulator
         self._estimates: List[WindowEstimate] = []
         self._report_task = simulator.call_every(
-            report_interval,
+            REPORT_INTERVAL,
             self._emit_estimate,
             label=f"{self.name}:report",
             priority=Simulator.PRIORITY_LATE,
@@ -138,9 +141,6 @@ class ProbeConfig(Settings):
     probe_interval: float = positive(5.0)
     """Seconds between probe writes."""
 
-    report_interval: float = positive(10.0)
-    """Seconds between emitted estimates."""
-
 
 class ReadAfterWriteProber(ConsistencyEstimator):
     """Active read-after-write probing on a dummy table."""
@@ -155,7 +155,7 @@ class ReadAfterWriteProber(ConsistencyEstimator):
     ) -> None:
         self._cluster = cluster
         self._config = config or ProbeConfig()
-        super().__init__(simulator, self._config.report_interval)
+        super().__init__(simulator)
         self._probe_sequence = itertools.count(1)
         self._window_samples = WindowedPercentiles(window=512)
         self._recent_samples: List[float] = []
@@ -300,13 +300,8 @@ class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
 
     name = "piggyback"
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        cluster: Cluster,
-        report_interval: float = 10.0,
-    ) -> None:
-        ConsistencyEstimator.__init__(self, simulator, report_interval)
+    def __init__(self, simulator: Simulator, cluster: Cluster) -> None:
+        ConsistencyEstimator.__init__(self, simulator)
         self._cluster = cluster
         self._acked: Dict[str, tuple[float, float]] = {}
         """key -> (version timestamp, ack completion time) of the newest acked write."""

@@ -20,14 +20,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..cluster.cluster import Cluster, ClusterListener
-from ..cluster.errors import Settings, positive
 from ..cluster.types import OperationResult
 from ..simulation.engine import Simulator
 from ..simulation.timeseries import TimeSeriesBundle
 from .percentiles import WindowedPercentiles
 
 __all__ = [
-    "MetricsConfig",
     "MetricsSnapshot",
     "MetricsCollector",
     "TenantMetricsRollup",
@@ -39,13 +37,8 @@ __all__ = [
 LATENCY_WINDOW = 4096
 TIER_LATENCY_WINDOW = 1024
 
-
-@dataclass
-class MetricsConfig(Settings):
-    """Parameters of metric collection."""
-
-    sample_interval: float = positive(5.0)
-    """Seconds between gauge samples (utilisation, node count, ...)."""
+#: Seconds between gauge samples (utilisation, node count, ...).
+SAMPLE_INTERVAL = 5.0
 
 
 @dataclass
@@ -95,17 +88,11 @@ class MetricsSnapshot:
 class MetricsCollector(ClusterListener):
     """Aggregates operation results and system gauges for the controller."""
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        cluster: Cluster,
-        config: Optional[MetricsConfig] = None,
-    ) -> None:
+    def __init__(self, simulator: Simulator, cluster: Cluster) -> None:
         self._simulator = simulator
         self._cluster = cluster
-        self._config = config or MetricsConfig()
         self.series = TimeSeriesBundle()
-        """One series per gauge, a sample per ``sample_interval``."""
+        """One series per gauge, a sample per ``SAMPLE_INTERVAL``."""
 
         self._read_latencies = WindowedPercentiles(LATENCY_WINDOW)
         self._write_latencies = WindowedPercentiles(LATENCY_WINDOW)
@@ -124,16 +111,11 @@ class MetricsCollector(ClusterListener):
 
         cluster.add_listener(self)
         simulator.call_every(
-            self._config.sample_interval,
+            SAMPLE_INTERVAL,
             self._sample_gauges,
             label="metrics:sample",
             priority=Simulator.PRIORITY_LATE,
         )
-
-    @property
-    def config(self) -> MetricsConfig:
-        """Metric-collection configuration in effect."""
-        return self._config
 
     # ------------------------------------------------------------------
     # ClusterListener hooks (push path)

@@ -22,7 +22,7 @@ from .cluster.cluster import Cluster, ClusterConfig, ClusterListener
 from .cluster.errors import Settings, non_negative, positive
 from .cluster.faults import FaultInjector, FaultPlan
 from .consistency.staleness import StalenessObserver
-from .consistency.window_tracker import InconsistencyWindowTracker, WindowTrackerConfig
+from .consistency.window_tracker import InconsistencyWindowTracker
 from .core.controller import AutonomousController, ControllerConfig
 from .core.sla import SLA, default_sla
 from .cost.billing import BillingModel
@@ -34,7 +34,7 @@ from .monitoring.estimators import (
     ReadAfterWriteProber,
     RttEstimator,
 )
-from .monitoring.metrics import MetricsCollector, MetricsConfig, TenantMetricsRollup
+from .monitoring.metrics import MetricsCollector, TenantMetricsRollup
 from .monitoring.overhead import MonitoringOverheadAccountant
 from .simulation.engine import Simulator
 from .simulation.interference import InterferenceConfig, InterferenceController
@@ -45,13 +45,9 @@ __all__ = ["MonitoringOptions", "SimulationConfig", "SimulationReport", "Simulat
 
 @dataclass
 class MonitoringOptions(Settings):
-    """Which monitoring components a scenario deploys."""
+    """How a scenario's monitoring components are set up."""
 
-    metrics: MetricsConfig = field(default_factory=MetricsConfig)
-    enable_probe: bool = True
     probe: ProbeConfig = field(default_factory=ProbeConfig)
-    enable_piggyback: bool = True
-    enable_rtt: bool = True
 
 
 @dataclass
@@ -69,7 +65,6 @@ class SimulationConfig(Settings):
     monitoring: MonitoringOptions = field(default_factory=MonitoringOptions)
     interference: InterferenceConfig = field(default_factory=InterferenceConfig)
     compensation_rates: CompensationRates = field(default_factory=CompensationRates)
-    window_tracker: WindowTrackerConfig = field(default_factory=WindowTrackerConfig)
     label: str = "scenario"
 
     middleware: Optional[Sequence[str]] = None
@@ -224,9 +219,7 @@ class Simulation:
             self.config.faults.apply(self.fault_injector)
 
         # Ground truth and client-observed consistency tracking.
-        self.window_tracker = InconsistencyWindowTracker(
-            self.simulator, self.config.window_tracker
-        )
+        self.window_tracker = InconsistencyWindowTracker(self.simulator)
         self.staleness_observer = StalenessObserver(self.simulator)
         self.cluster.add_listener(self.window_tracker)
         self.cluster.add_listener(self.staleness_observer)
@@ -240,46 +233,34 @@ class Simulation:
         self.cluster.add_listener(_InterferenceListener(self.cluster, self.interference))
 
         # Monitoring stack.
-        self.metrics = MetricsCollector(
-            self.simulator, self.cluster, self.config.monitoring.metrics
-        )
+        self.metrics = MetricsCollector(self.simulator, self.cluster)
         self.overhead = MonitoringOverheadAccountant(self.simulator, self.cluster)
+        prober = ReadAfterWriteProber(self.simulator, self.cluster, self.config.monitoring.probe)
+        piggyback = PiggybackMonitor(self.simulator, self.cluster)
+        rtt = RttEstimator(self.simulator, self.cluster)
         self.estimators: Dict[str, object] = {}
-        if self.config.monitoring.enable_probe:
-            prober = ReadAfterWriteProber(
-                self.simulator, self.cluster, self.config.monitoring.probe
-            )
-            self.estimators[prober.name] = prober
-            self.overhead.register(prober)
-        if self.config.monitoring.enable_piggyback:
-            piggyback = PiggybackMonitor(self.simulator, self.cluster)
-            self.estimators[piggyback.name] = piggyback
-            self.overhead.register(piggyback)
-        if self.config.monitoring.enable_rtt:
-            rtt = RttEstimator(self.simulator, self.cluster)
-            self.estimators[rtt.name] = rtt
-            self.overhead.register(rtt)
-            # When the pipeline routes by latency, share its per-node RTT
-            # view with the model-based estimator's reporting surface.  All
-            # RTT-driven stages of one pipeline share a single tracker, so
-            # the first one found is the tracker.
-            for stage_name in (
-                "latency-aware-selection",
-                "request-hedging",
-                "rtt-aware-write-routing",
-            ):
-                stage = self.cluster.pipeline.get(stage_name)
-                if stage is not None:
-                    rtt.attach_node_tracker(stage.tracker)
-                    break
-            # Hedged reads arm their timer at the observed p99 read latency
-            # (clamped to the stage's static budget) instead of the static
-            # fraction-of-timeout guess.
-            hedging = self.cluster.pipeline.get("request-hedging")
-            if hedging is not None:
-                hedging.attach_budget_source(
-                    lambda: rtt.read_latency_percentile(99.0)
-                )
+        for estimator in (prober, piggyback, rtt):
+            self.estimators[estimator.name] = estimator
+            self.overhead.register(estimator)
+        # When the pipeline routes by latency, share its per-node RTT view
+        # with the model-based estimator's reporting surface.  All RTT-driven
+        # stages of one pipeline share a single tracker, so the first one
+        # found is the tracker.
+        for stage_name in (
+            "latency-aware-selection",
+            "request-hedging",
+            "rtt-aware-write-routing",
+        ):
+            stage = self.cluster.pipeline.get(stage_name)
+            if stage is not None:
+                rtt.attach_node_tracker(stage.tracker)
+                break
+        # Hedged reads arm their timer at the observed p99 read latency
+        # (clamped to the stage's static budget) instead of the static
+        # fraction-of-timeout guess.
+        hedging = self.cluster.pipeline.get("request-hedging")
+        if hedging is not None:
+            hedging.attach_budget_source(lambda: rtt.read_latency_percentile(99.0))
 
         # Cost accounting.
         self.cost = CostAccountant(

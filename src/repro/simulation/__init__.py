@@ -21,7 +21,7 @@ from .interference import (
     NetworkInterference,
     NodeInterference,
 )
-from .network import NetworkConfig, NetworkModel
+from .network import NetworkModel
 from .randomness import RandomStreams
 from .resources import QueueingServer, UtilizationTracker
 from .timeseries import SeriesSummary, TimeSeries, TimeSeriesBundle
@@ -39,7 +39,6 @@ __all__ = [
     "RandomStreams",
     "QueueingServer",
     "UtilizationTracker",
-    "NetworkConfig",
     "NetworkModel",
     "InterferenceConfig",
     "InterferenceController",

@@ -33,26 +33,24 @@ __all__ = [
     "InterferenceController",
 ]
 
+#: Seconds between interference updates.
+UPDATE_INTERVAL = 30.0
+
+#: Mean-reversion strength of a node's speed factor towards 1.0 per update.
+NODE_REVERSION = 0.2
+
+#: Bounds on a node's speed factor (slight boosts allowed).
+NODE_MIN_SPEED = 0.4
+NODE_MAX_SPEED = 1.1
+
 
 @dataclass
 class InterferenceConfig(Settings):
     """Parameters of the background-interference model."""
 
     enabled: bool = True
-    update_interval: float = positive(30.0)
-    """Seconds between interference updates."""
-
     node_sigma: float = non_negative(0.05)
     """Step standard deviation of the node speed random walk."""
-
-    node_reversion: float = fraction(0.2)
-    """Mean-reversion strength towards speed factor 1.0 per update."""
-
-    node_min_speed: float = positive(0.4)
-    """Lower bound on a node's speed factor."""
-
-    node_max_speed: float = positive(1.1)
-    """Upper bound on a node's speed factor (slight boosts allowed)."""
 
     noisy_neighbour_probability: float = fraction(0.01)
     """Per-update probability that a node enters a noisy-neighbour episode."""
@@ -62,8 +60,6 @@ class InterferenceConfig(Settings):
 
     noisy_neighbour_duration: float = positive(120.0)
     """Length of a noisy-neighbour episode in seconds."""
-
-    network_sigma: float = non_negative(0.08)
 
 
 class NodeInterference:
@@ -87,8 +83,8 @@ class NodeInterference:
         """Advance the random walk one step and apply it to the server."""
         cfg = self._config
         noise = float(self._rng.normal(0.0, cfg.node_sigma))
-        self._speed += cfg.node_reversion * (1.0 - self._speed) + noise
-        self._speed = min(cfg.node_max_speed, max(cfg.node_min_speed, self._speed))
+        self._speed += NODE_REVERSION * (1.0 - self._speed) + noise
+        self._speed = min(NODE_MAX_SPEED, max(NODE_MIN_SPEED, self._speed))
 
         now = self._simulator.now
         if self._episode_until is not None and now >= self._episode_until:
@@ -102,12 +98,13 @@ class NodeInterference:
         effective = self._speed
         if self._episode_until is not None:
             effective *= cfg.noisy_neighbour_severity
-        effective = max(cfg.node_min_speed * cfg.noisy_neighbour_severity, effective)
+        effective = max(NODE_MIN_SPEED * cfg.noisy_neighbour_severity, effective)
         self._server.set_speed_factor(effective)
 
 
-#: Mean-reversion strength of the network factor towards 1.0 per update,
-#: and the factor's upper bound.
+#: Step standard deviation and mean-reversion strength (towards 1.0 per
+#: update) of the network factor, and the factor's upper bound.
+NETWORK_SIGMA = 0.08
 NETWORK_REVERSION = 0.25
 NETWORK_MAX_FACTOR = 2.5
 
@@ -115,12 +112,8 @@ NETWORK_MAX_FACTOR = 2.5
 class NetworkInterference:
     """Mean-reverting random walk on the network's external load factor."""
 
-    def __init__(
-        self, simulator: Simulator, network: NetworkModel, config: InterferenceConfig
-    ) -> None:
-        self._simulator = simulator
+    def __init__(self, simulator: Simulator, network: NetworkModel) -> None:
         self._network = network
-        self._config = config
         self._rng = simulator.streams.stream("interference-network")
         self._factor = 1.0
 
@@ -131,8 +124,7 @@ class NetworkInterference:
 
     def update(self) -> None:
         """Advance the random walk one step and apply it to the network."""
-        cfg = self._config
-        noise = float(self._rng.normal(0.0, cfg.network_sigma))
+        noise = float(self._rng.normal(0.0, NETWORK_SIGMA))
         self._factor += NETWORK_REVERSION * (1.0 - self._factor) + noise
         self._factor = min(NETWORK_MAX_FACTOR, max(1.0, self._factor))
         self._network.set_external_load_factor(self._factor)
@@ -151,11 +143,11 @@ class InterferenceController:
         self._network = network
         self._config = config or InterferenceConfig()
         self._node_processes: List[NodeInterference] = []
-        self._network_process = NetworkInterference(simulator, network, self._config)
+        self._network_process = NetworkInterference(simulator, network)
         self._task = None
         if self._config.enabled:
             self._task = simulator.call_every(
-                self._config.update_interval,
+                UPDATE_INTERVAL,
                 self._tick,
                 label="interference:tick",
                 priority=Simulator.PRIORITY_CONTROL,

@@ -16,57 +16,42 @@ more traffic").  The :class:`NetworkModel` therefore exposes:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import exp
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..cluster.errors import (
-    FRACTION,
-    NON_NEGATIVE,
-    Settings,
-    at_least,
-    check,
-    non_negative,
-    positive,
-)
+from ..cluster.errors import FRACTION, NON_NEGATIVE, check
 from .engine import Simulator
 from .randomness import LognormalSampler
 
-__all__ = ["NetworkConfig", "NetworkModel"]
+__all__ = ["NetworkModel"]
 
+#: Mean one-way latency between nodes in seconds (0.5 ms LAN).
+BASE_LATENCY = 0.0005
 
-@dataclass
-class NetworkConfig(Settings):
-    """Parameters of the cluster interconnect and client access network."""
+#: Mean one-way latency between clients and coordinators (2 ms).
+CLIENT_LATENCY = 0.002
 
-    base_latency: float = non_negative(0.0005)
-    """Mean one-way latency between nodes in seconds (0.5 ms LAN default)."""
+#: Coefficient of variation of the lognormal jitter on every message.
+JITTER_CV = 0.35
 
-    client_latency: float = non_negative(0.002)
-    """Mean one-way latency between clients and coordinators (2 ms default)."""
+#: Aggregate message rate above which congestion kicks in.
+CAPACITY_MSGS_PER_SEC = 50_000.0
 
-    jitter_cv: float = non_negative(0.35)
-    """Coefficient of variation of the lognormal jitter on every message."""
+#: How sharply latency grows once the capacity is exceeded.
+CONGESTION_EXPONENT = 2.0
 
-    capacity_msgs_per_sec: float = positive(50_000.0)
-    """Aggregate message rate above which congestion kicks in."""
+#: Upper bound on the congestion multiplier (keeps the model stable).
+MAX_CONGESTION_FACTOR = 20.0
 
-    congestion_exponent: float = positive(2.0)
-    """How sharply latency grows once the capacity is exceeded."""
-
-    max_congestion_factor: float = at_least(1.0, 20.0)
-    """Upper bound on the congestion multiplier (keeps the model stable)."""
-
-    congestion_window: float = positive(1.0)
-    """Length in seconds of the window over which the message rate is measured."""
+#: Length in seconds of the window over which the message rate is measured.
+CONGESTION_WINDOW = 1.0
 
 
 class NetworkModel:
     """Latency oracle and message-delivery helper for the whole cluster."""
 
-    def __init__(self, simulator: Simulator, config: Optional[NetworkConfig] = None) -> None:
+    def __init__(self, simulator: Simulator) -> None:
         self._simulator = simulator
-        self._config = config or NetworkConfig()
         # Every draw of the "network" stream is a jitter normal, so it is
         # read a chunk at a time through its shared source (PERFORMANCE.md
         # rule 20).
@@ -96,16 +81,11 @@ class NetworkModel:
         # (PERFORMANCE.md rule 12): the latency constants of both message
         # classes move only with the congestion factor, and event labels are
         # rendered once per (source, destination) pair instead of per message.
-        self._jitter = LognormalSampler(self._config.jitter_cv)
+        self._jitter = LognormalSampler(JITTER_CV)
         self._sigma = self._jitter.sigma
         self._set_congestion_factor(1.0)
         self._labels: Dict[Tuple[str, str], str] = {}
         self._post_in = simulator.post_in
-
-    @property
-    def config(self) -> NetworkConfig:
-        """Network configuration in effect."""
-        return self._config
 
     @property
     def congestion_factor(self) -> float:
@@ -238,8 +218,8 @@ class NetworkModel:
     def _set_congestion_factor(self, factor: float) -> None:
         """The one place the congestion factor changes: refresh what hangs off it."""
         self._congestion_factor = factor
-        self._node_hop = self._hop_constants(self._config.base_latency * factor)
-        self._client_hop = self._hop_constants(self._config.client_latency * factor)
+        self._node_hop = self._hop_constants(BASE_LATENCY * factor)
+        self._client_hop = self._hop_constants(CLIENT_LATENCY * factor)
 
     def _hop_constants(self, mean: float) -> Tuple[float, Optional[float]]:
         """``(latency, mu)`` of one message class at mean latency ``mean``.
@@ -259,14 +239,11 @@ class NetworkModel:
         """Close the elapsed window: its message rate sets the next factor."""
         rate = self._window_messages / max(now - self._window_start, 1e-9)
         rate *= self._external_load_factor
-        overload = rate / self._config.capacity_msgs_per_sec
+        overload = rate / CAPACITY_MSGS_PER_SEC
         if overload <= 1.0:
             factor = 1.0
         else:
-            factor = min(
-                overload ** self._config.congestion_exponent,
-                self._config.max_congestion_factor,
-            )
+            factor = min(overload**CONGESTION_EXPONENT, MAX_CONGESTION_FACTOR)
         if factor != self._congestion_factor:
             self._set_congestion_factor(factor)
         self._window_start = now
@@ -297,7 +274,7 @@ class NetworkModel:
         self._messages_sent += 1
         self._window_messages += 1
         now = self._simulator.now
-        if now - self._window_start >= self._config.congestion_window:
+        if now - self._window_start >= CONGESTION_WINDOW:
             self._roll_congestion_window(now)
         if self._partitioned_pairs and (
             frozenset((source, destination)) in self._partitioned_pairs
@@ -335,5 +312,5 @@ class NetworkModel:
 
     def round_trip_estimate(self, client_facing: bool = False) -> float:
         """Expected round-trip time under current congestion (no jitter)."""
-        base = self._config.client_latency if client_facing else self._config.base_latency
+        base = CLIENT_LATENCY if client_facing else BASE_LATENCY
         return 2.0 * base * self._congestion_factor

@@ -29,6 +29,11 @@ __all__ = [
     "make_distribution",
 ]
 
+#: Share of the records in the hotspot distribution's hot set, and share of
+#: the operations that go to it.
+HOT_FRACTION = 0.2
+HOT_OPERATION_FRACTION = 0.8
+
 
 class KeyDistribution(abc.ABC):
     """Chooses record indexes in ``[0, record_count)``."""
@@ -192,8 +197,8 @@ class ZipfianKeys(KeyDistribution):
 class LatestKeys(ZipfianKeys):
     """Recency-skewed popularity: the newest records are the hottest."""
 
-    def __init__(self, record_count: int, theta: float = 0.99) -> None:
-        super().__init__(record_count, theta=theta, scrambled=False)
+    def __init__(self, record_count: int) -> None:
+        super().__init__(record_count, scrambled=False)
 
     def next_index(self, rng: np.random.Generator) -> int:
         rank = self._next_rank(rng)
@@ -209,27 +214,13 @@ class LatestKeys(ZipfianKeys):
 class HotspotKeys(KeyDistribution):
     """A hot set of records receives a fixed fraction of operations."""
 
-    def __init__(
-        self,
-        record_count: int,
-        hot_fraction: float = 0.2,
-        hot_operation_fraction: float = 0.8,
-    ) -> None:
-        super().__init__(record_count)
-        if not 0.0 < hot_fraction <= 1.0:
-            raise ValueError("hot_fraction must be in (0, 1]")
-        if not 0.0 <= hot_operation_fraction <= 1.0:
-            raise ValueError("hot_operation_fraction must be in [0, 1]")
-        self._hot_fraction = hot_fraction
-        self._hot_operation_fraction = hot_operation_fraction
-
     @property
     def hot_set_size(self) -> int:
         """Number of records in the hot set (at least one)."""
-        return max(1, int(self._record_count * self._hot_fraction))
+        return max(1, int(self._record_count * HOT_FRACTION))
 
     def next_index(self, rng: np.random.Generator) -> int:
-        if rng.random() < self._hot_operation_fraction:
+        if rng.random() < HOT_OPERATION_FRACTION:
             return int(rng.integers(0, self.hot_set_size))
         if self.hot_set_size >= self._record_count:
             return int(rng.integers(0, self._record_count))

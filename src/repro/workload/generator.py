@@ -24,7 +24,7 @@ from functools import partial
 from typing import Callable, Dict, Optional
 
 from ..cluster.cluster import Cluster
-from ..cluster.errors import Settings, at_least, fraction, non_negative, positive
+from ..cluster.errors import Settings, at_least, positive
 from ..cluster.types import ConsistencyLevel, ReadResult, WriteResult
 from ..middleware.base import TENANT_HINT, TENANT_TIER_HINT
 from ..middleware.overrides import CONSISTENCY_HINT
@@ -48,6 +48,16 @@ __all__ = [
 #: source of truth for WorkloadSpec validation and the CLI flag).
 CONSISTENCY_OVERRIDE_KINDS = ("read", "update", "insert")
 
+#: The generator's name: its streams are ``workload:<name>...`` and its
+#: event labels ``<name>:...``.
+WORKLOAD_NAME = "workload"
+
+#: Fraction of the key space inserted before the run starts.
+PRELOAD_FRACTION = 1.0
+
+#: Floor on the arrival rate used when the shape returns ~0 ops/s.
+MIN_RATE = 0.1
+
 
 @dataclass
 class WorkloadSpec(Settings):
@@ -58,15 +68,7 @@ class WorkloadSpec(Settings):
     operation_mix: OperationMix = field(default_factory=lambda: READ_HEAVY)
     load_shape: LoadShape = field(default_factory=lambda: ConstantLoad(100.0))
     mean_record_size: int = positive(1024)
-    record_size_cv: float = non_negative(0.5)
     key_prefix: str = "user"
-    preload: bool = True
-    preload_fraction: float = fraction(1.0)
-    """Fraction of the key space inserted before the run starts."""
-
-    min_rate: float = positive(0.1)
-    """Floor on the arrival rate used when the shape returns ~0 ops/s."""
-
     consistency_overrides: Dict[str, ConsistencyLevel] = field(default_factory=dict)
     """Per-operation-kind consistency levels (keys: ``read``, ``update``,
     ``insert``).  Carried as request hints; they only take effect when the
@@ -467,12 +469,11 @@ class WorkloadGenerator:
         simulator: Simulator,
         cluster: Cluster,
         spec: Optional[WorkloadSpec] = None,
-        name: str = "workload",
     ) -> None:
         self._simulator = simulator
         self._cluster = cluster
         self.spec = spec = spec or WorkloadSpec()
-        self.name = name
+        self.name = name = WORKLOAD_NAME
         streams = simulator.streams
         base = f"workload:{name}"
         # The base stream carries the preload sizes in every mode, and the
@@ -482,7 +483,7 @@ class WorkloadGenerator:
         # The distribution spans one issuer's initial key space: the whole
         # record count, or one tenant's share of it.
         self._records_per_issuer = records = distribution.record_count
-        self._sizer = sizer = RecordSizer(spec.mean_record_size, spec.record_size_cv)
+        self._sizer = sizer = RecordSizer(spec.mean_record_size)
         self._running = False
         self._preloaded = False
         self.stats = WorkloadStats()
@@ -529,7 +530,7 @@ class WorkloadGenerator:
                 else tenant_rng.random
             )
         self._main = _ArrivalProcess(
-            spec.load_shape, spec.min_rate, draw_source(base), main_issuer, f"{name}:arrival"
+            spec.load_shape, MIN_RATE, draw_source(base), main_issuer, f"{name}:arrival"
         )
         # A burst has no rate floor: while its shape is quiescent it idles.
         self._bursts = [
@@ -553,10 +554,10 @@ class WorkloadGenerator:
         that preloads and then calls ``Simulation.run()`` (which preloads too)
         must not shift every later draw on the base stream.
         """
-        if self._preloaded or not self.spec.preload:
+        if self._preloaded:
             return 0
         self._preloaded = True
-        per_issuer = int(self._records_per_issuer * self.spec.preload_fraction)
+        per_issuer = int(self._records_per_issuer * PRELOAD_FRACTION)
         key_for = self._distribution.key_for
         keys = [
             key_for(index, issuer.key_prefix)

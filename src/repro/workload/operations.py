@@ -18,6 +18,12 @@ from ..simulation.randomness import LognormalSampler
 
 __all__ = ["OperationMix", "RecordSizer", "READ_HEAVY", "BALANCED", "WRITE_HEAVY", "READ_ONLY"]
 
+#: Coefficient of variation of written record sizes, and the bounds every
+#: drawn size is clamped to.
+RECORD_SIZE_CV = 0.5
+MIN_RECORD_SIZE = 64
+MAX_RECORD_SIZE = 65_536
+
 
 @dataclass(frozen=True)
 class OperationMix(Settings):
@@ -79,27 +85,18 @@ class RecordSizer:
     """Draws payload sizes for written records.
 
     Sizes follow a lognormal distribution around ``mean_size`` with
-    coefficient of variation ``cv`` and are clamped to ``[min_size,
-    max_size]`` — realistic for web-application blobs without letting a fat
+    coefficient of variation ``RECORD_SIZE_CV`` and are clamped to ``[MIN_RECORD_SIZE,
+    MAX_RECORD_SIZE]`` — realistic for web-application blobs without letting a fat
     tail dominate memory accounting.
     """
 
-    def __init__(
-        self,
-        mean_size: int = 1024,
-        cv: float = 0.5,
-        min_size: int = 64,
-        max_size: int = 65_536,
-    ) -> None:
-        if mean_size <= 0 or min_size <= 0 or max_size < min_size:
+    def __init__(self, mean_size: int = 1024) -> None:
+        if mean_size <= 0:
             raise ValueError("invalid record size parameters")
         self._mean = float(mean_size)
-        self._cv = max(0.0, float(cv))
-        self._min = int(min_size)
-        self._max = int(max_size)
         # The sampler caches the CV-derived lognormal constants once for the
         # sizer's lifetime; draws stay bit-identical to the per-call path.
-        self._sampler = LognormalSampler(self._cv)
+        self._sampler = LognormalSampler(RECORD_SIZE_CV)
 
     @property
     def mean_size(self) -> float:
@@ -109,7 +106,7 @@ class RecordSizer:
     def next_size(self, rng: np.random.Generator) -> int:
         """Draw one payload size in bytes."""
         size = self._sampler.sample(rng, self._mean)
-        return int(min(self._max, max(self._min, size)))
+        return int(min(MAX_RECORD_SIZE, max(MIN_RECORD_SIZE, size)))
 
     def next_sizes(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` payload sizes in one chunk (dtype ``int64``).
@@ -120,4 +117,4 @@ class RecordSizer:
         the workload preload, where sizes are the only draws.
         """
         sizes = self._sampler.sample_many(rng, self._mean, count)
-        return np.clip(sizes, self._min, self._max).astype(np.int64)
+        return np.clip(sizes, MIN_RECORD_SIZE, MAX_RECORD_SIZE).astype(np.int64)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, NodeConfig
-from repro.simulation import NetworkConfig, Simulator
+from repro.simulation import Simulator
 
 
 @pytest.fixture

@@ -188,15 +188,41 @@ def test_cli_names_the_bad_middleware_token(spec, named):
         # Used to run: a NaN skew made every tenant weight NaN, and every
         # operation went to tenant 0.
         (["--tenants", "5", "--tenant-skew", "nan"], "TenantSpec.popularity_skew"),
+        # Used to end in "expected non-negative integer", naming no field.
+        (
+            ["--faults", "campaign", "--fault-seed", "-1"],
+            "FaultPlan.seed must be finite and >= 0, got -1",
+        ),
+        # An experiment command is a whole argument list.  A NaN, negative or
+        # zero scale used to run E3 at its 240 s floor and print a normal
+        # table; an infinite scale and a negative seed ended in a traceback.
+        (["experiment", "E3", "--scale", "nan"], "experiment.scale must be finite and > 0, got nan"),
+        (["experiment", "E3", "--scale", "-1"], "experiment.scale must be finite and > 0, got -1.0"),
+        (["experiment", "E3", "--scale", "0"], "experiment.scale must be finite and > 0, got 0.0"),
+        (["experiment", "E3", "--scale", "inf"], "experiment.scale must be finite and > 0, got inf"),
+        (
+            ["experiment", "all", "--scale", "nan"],
+            "experiment.scale must be finite and > 0, got nan",
+        ),
+        (
+            ["experiment", "E3", "--seed", "-1"],
+            "SimulationConfig.seed must be finite and >= 0, got -1",
+        ),
+        # Used to end in numpy's ValueError traceback.
+        (
+            ["experiment", "E9", "--fault-seed", "-1"],
+            "FaultPlan.seed must be finite and >= 0, got -1",
+        ),
     ],
 )
 def test_cli_answers_a_bad_number_with_one_line(flags, named):
+    experiment = flags[0] == "experiment"
     with pytest.raises(SystemExit) as refusal:
-        main(["run", "--duration", "20", *flags])
+        main(flags if experiment else ["run", "--duration", "20", *flags])
     message = str(refusal.value)
     assert named in message and "\n" not in message
     # The sharded run refuses what it can check before a shard is planned.
-    if "--hedge-reads" not in flags:
+    if "--hedge-reads" not in flags and not experiment:
         with pytest.raises(SystemExit) as refusal:
             main(["run", "--duration", "20", "--shards", "2", "--serial-shards", *flags])
         assert named in str(refusal.value)

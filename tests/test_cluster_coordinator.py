@@ -146,7 +146,6 @@ def test_operation_results_carry_metadata():
     cluster = make_cluster(simulator)
     result = write_sync(simulator, cluster, "k", b"v", consistency_level=ConsistencyLevel.QUORUM)
     assert result.consistency_level is ConsistencyLevel.QUORUM
-    assert result.coordinator in cluster.node_ids()
     assert result.replicas_contacted == 3
     assert result.replicas_responded >= 2
     assert result.operation is OperationType.WRITE

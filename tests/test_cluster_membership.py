@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import MembershipConfig, MembershipService
+from repro.cluster import MembershipService
 from repro.simulation import NetworkModel, Simulator
 
 
@@ -13,10 +13,9 @@ class FakeNode:
         self.up = True
 
 
-def make_membership(simulator, node_count=3, **config_overrides):
+def make_membership(simulator, node_count=3):
     network = NetworkModel(simulator)
-    config = MembershipConfig(gossip_interval=1.0, failure_timeout=5.0, **config_overrides)
-    service = MembershipService(simulator, network, config)
+    service = MembershipService(simulator, network)
     nodes = {}
     for i in range(node_count):
         node = FakeNode()

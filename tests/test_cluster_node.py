@@ -4,21 +4,30 @@ from __future__ import annotations
 
 import pytest
 
+import repro.cluster.node as node_module
 from repro.cluster import NodeConfig, NodeState, StorageNode, VersionStamp, VersionedValue
 from repro.simulation import Simulator
 
 
-def make_node(simulator, **overrides):
-    defaults = dict(ops_capacity=100.0, service_cv=0.0, mutation_timeout=0.25)
-    defaults.update(overrides)
-    return StorageNode(simulator, "node-1", NodeConfig(**defaults))
+@pytest.fixture
+def make_node(monkeypatch):
+    """Builds a 100 ops/s node without service noise, with the named
+    constants of the node module (``mutation_timeout=0.05`` patches
+    ``MUTATION_TIMEOUT``) replaced for the test."""
+
+    def make(simulator, **constants):
+        for name, value in dict(service_cv=0.0, **constants).items():
+            monkeypatch.setattr(node_module, name.upper(), value)
+        return StorageNode(simulator, "node-1", NodeConfig(ops_capacity=100.0))
+
+    return make
 
 
 def version(ts, seq=0, size=100):
     return VersionedValue(stamp=VersionStamp(ts, seq), value=b"x", write_id=1, size=size)
 
 
-def test_replica_write_applies_after_service_delay():
+def test_replica_write_applies_after_service_delay(make_node):
     simulator = Simulator(seed=0)
     node = make_node(simulator)
     responses = []
@@ -31,7 +40,7 @@ def test_replica_write_applies_after_service_delay():
     assert "k" in node.storage
 
 
-def test_replica_read_returns_stored_version():
+def test_replica_read_returns_stored_version(make_node):
     simulator = Simulator(seed=0)
     node = make_node(simulator)
     stored = version(1.0)
@@ -42,7 +51,7 @@ def test_replica_read_returns_stored_version():
     assert responses[0].version is stored
 
 
-def test_replica_read_missing_key_returns_none():
+def test_replica_read_missing_key_returns_none(make_node):
     simulator = Simulator(seed=0)
     node = make_node(simulator)
     responses = []
@@ -51,7 +60,7 @@ def test_replica_read_missing_key_returns_none():
     assert responses[0].version is None
 
 
-def test_down_node_ignores_requests():
+def test_down_node_ignores_requests(make_node):
     simulator = Simulator(seed=0)
     node = make_node(simulator)
     node.mark_down()
@@ -64,7 +73,7 @@ def test_down_node_ignores_requests():
     assert not node.serves_requests
 
 
-def test_recovered_node_serves_again():
+def test_recovered_node_serves_again(make_node):
     simulator = Simulator(seed=0)
     node = make_node(simulator)
     node.mark_down()
@@ -73,7 +82,7 @@ def test_recovered_node_serves_again():
     assert node.state is NodeState.NORMAL
 
 
-def test_mutation_dropping_under_backlog():
+def test_mutation_dropping_under_backlog(make_node):
     simulator = Simulator(seed=0)
     node = make_node(simulator, mutation_timeout=0.05)
     applied = []
@@ -86,7 +95,7 @@ def test_mutation_dropping_under_backlog():
     assert len(applied) + node.dropped_mutations == 40
 
 
-def test_background_writes_are_never_dropped():
+def test_background_writes_are_never_dropped(make_node):
     simulator = Simulator(seed=0)
     node = make_node(simulator, mutation_timeout=0.01)
     applied = []
@@ -99,10 +108,10 @@ def test_background_writes_are_never_dropped():
     assert len(applied) == 30
 
 
-def test_stream_in_and_out_roundtrip():
+def test_stream_in_and_out_roundtrip(make_node):
     simulator = Simulator(seed=0)
     source = make_node(simulator)
-    target = StorageNode(simulator, "node-2", NodeConfig(ops_capacity=100.0, service_cv=0.0))
+    target = StorageNode(simulator, "node-2", NodeConfig(ops_capacity=100.0))
     items = {f"k{i}": version(float(i), seq=i) for i in range(10)}
     for key, value in items.items():
         source.storage.apply(key, value)
@@ -119,7 +128,7 @@ def test_stream_in_and_out_roundtrip():
         assert key in target.storage
 
 
-def test_memory_pressure_inflates_demand():
+def test_memory_pressure_inflates_demand(make_node):
     simulator = Simulator(seed=0)
     node = make_node(simulator, memory_capacity_bytes=1000, memory_pressure_threshold=0.5)
     baseline = node.demand_for(1.0)
@@ -127,7 +136,7 @@ def test_memory_pressure_inflates_demand():
     assert node.demand_for(1.0) > baseline
 
 
-def test_metrics_snapshot_contains_expected_keys():
+def test_metrics_snapshot_contains_expected_keys(make_node):
     simulator = Simulator(seed=0)
     node = make_node(simulator)
     node.storage.apply("k", version(1.0))
@@ -146,7 +155,7 @@ def test_metrics_snapshot_contains_expected_keys():
     assert metrics["up"] == 1.0
 
 
-def test_utilization_sampling():
+def test_utilization_sampling(make_node):
     simulator = Simulator(seed=0)
     node = make_node(simulator)
     for i in range(20):

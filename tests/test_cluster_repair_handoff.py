@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+import repro.cluster.anti_entropy as anti_entropy
+import repro.cluster.hinted_handoff as hinted_handoff
 from repro.cluster import (
-    AntiEntropyConfig,
     AntiEntropyService,
-    HintedHandoffConfig,
     HintedHandoffManager,
-    ReadRepairConfig,
     ReadRepairer,
     ReplicaReadResponse,
     VersionStamp,
@@ -25,13 +24,13 @@ def version(ts, seq=0):
 # ----------------------------------------------------------------------
 # Hinted handoff
 # ----------------------------------------------------------------------
-def test_hints_are_replayed_when_target_reachable():
+def test_hints_are_replayed_when_target_reachable(monkeypatch):
+    monkeypatch.setattr(hinted_handoff, "REPLAY_INTERVAL", 1.0)
     simulator = Simulator(seed=0)
     delivered = []
     reachable = {"n1": False}
     manager = HintedHandoffManager(
         simulator,
-        HintedHandoffConfig(replay_interval=1.0),
         deliver=lambda node, key, v: delivered.append((node, key)) or True,
         is_reachable=lambda node: reachable[node],
     )
@@ -45,11 +44,12 @@ def test_hints_are_replayed_when_target_reachable():
     assert manager.hints_replayed == 1
 
 
-def test_hints_expire_after_ttl():
+def test_hints_expire_after_ttl(monkeypatch):
+    monkeypatch.setattr(hinted_handoff, "REPLAY_INTERVAL", 1.0)
+    monkeypatch.setattr(hinted_handoff, "HINT_TTL", 3.0)
     simulator = Simulator(seed=0)
     manager = HintedHandoffManager(
         simulator,
-        HintedHandoffConfig(replay_interval=1.0, hint_ttl=3.0),
         deliver=lambda node, key, v: True,
         is_reachable=lambda node: False,
     )
@@ -59,19 +59,11 @@ def test_hints_expire_after_ttl():
     assert manager.pending == 0
 
 
-def test_disabled_handoff_drops_hints():
-    simulator = Simulator(seed=0)
-    manager = HintedHandoffManager(simulator, HintedHandoffConfig(enabled=False))
-    manager.store("n1", "k", version(1.0))
-    assert manager.pending == 0
-    assert manager.hints_dropped == 1
-
-
-def test_hint_capacity_is_bounded():
+def test_hint_capacity_is_bounded(monkeypatch):
+    monkeypatch.setattr(hinted_handoff, "MAX_HINTS", 5)
     simulator = Simulator(seed=0)
     manager = HintedHandoffManager(
         simulator,
-        HintedHandoffConfig(max_hints=5, replay_interval=1000.0),
         deliver=lambda *a: True,
         is_reachable=lambda n: False,
     )
@@ -85,7 +77,6 @@ def test_discard_for_node_removes_only_that_target():
     simulator = Simulator(seed=0)
     manager = HintedHandoffManager(
         simulator,
-        HintedHandoffConfig(replay_interval=1000.0),
         deliver=lambda *a: True,
         is_reachable=lambda n: False,
     )
@@ -96,12 +87,13 @@ def test_discard_for_node_removes_only_that_target():
     assert manager.pending == 1
 
 
-def test_replay_batch_limits_per_round_delivery():
+def test_replay_batch_limits_per_round_delivery(monkeypatch):
+    monkeypatch.setattr(hinted_handoff, "REPLAY_INTERVAL", 1.0)
+    monkeypatch.setattr(hinted_handoff, "REPLAY_BATCH", 2)
     simulator = Simulator(seed=0)
     delivered = []
     manager = HintedHandoffManager(
         simulator,
-        HintedHandoffConfig(replay_interval=1.0, replay_batch=2),
         deliver=lambda node, key, v: delivered.append(key) or True,
         is_reachable=lambda node: True,
     )
@@ -127,7 +119,7 @@ def test_read_repair_detects_and_repairs_divergence():
     simulator = Simulator(seed=0)
     repairs = []
     repairer = ReadRepairer(
-        simulator, ReadRepairConfig(), deliver=lambda node, key, v: repairs.append((node, v)) or True
+        simulator, deliver=lambda node, key, v: repairs.append((node, v)) or True
     )
     newer = version(5.0, seq=2)
     older = version(1.0, seq=1)
@@ -141,7 +133,7 @@ def test_read_repair_detects_and_repairs_divergence():
 
 def test_read_repair_no_mismatch_when_replicas_agree():
     simulator = Simulator(seed=0)
-    repairer = ReadRepairer(simulator, ReadRepairConfig(), deliver=lambda *a: True)
+    repairer = ReadRepairer(simulator, deliver=lambda *a: True)
     same = version(1.0)
     assert not repairer.inspect("k", make_responses([same, same]))
     assert repairer.mismatches_detected == 0
@@ -149,22 +141,8 @@ def test_read_repair_no_mismatch_when_replicas_agree():
 
 def test_read_repair_single_response_is_ignored():
     simulator = Simulator(seed=0)
-    repairer = ReadRepairer(simulator, ReadRepairConfig(), deliver=lambda *a: True)
+    repairer = ReadRepairer(simulator, deliver=lambda *a: True)
     assert not repairer.inspect("k", make_responses([version(1.0)]))
-
-
-def test_read_repair_disabled_detects_but_does_not_repair():
-    simulator = Simulator(seed=0)
-    repairs = []
-    repairer = ReadRepairer(
-        simulator,
-        ReadRepairConfig(enabled=False),
-        deliver=lambda node, key, v: repairs.append(node) or True,
-    )
-    mismatch = repairer.inspect("k", make_responses([version(1.0, 1), version(2.0, 2)]))
-    assert mismatch
-    assert repairs == []
-    assert repairer.repairs_skipped == 1
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +156,6 @@ def test_anti_entropy_repairs_divergent_replicas():
     repairs = []
     service = AntiEntropyService(
         simulator,
-        AntiEntropyConfig(interval=10.0),
         sample_keys=lambda n: list(replica_state),
         replica_versions=lambda key: dict(replica_state[key]),
         deliver=lambda node, key, v: repairs.append((node, key)) or True,
@@ -195,7 +172,6 @@ def test_anti_entropy_noop_when_replicas_converged():
     same = version(3.0)
     service = AntiEntropyService(
         simulator,
-        AntiEntropyConfig(),
         sample_keys=lambda n: ["k"],
         replica_versions=lambda key: {"n0": same, "n1": same},
         deliver=lambda *a: True,
@@ -204,13 +180,13 @@ def test_anti_entropy_noop_when_replicas_converged():
     assert service.divergent_keys_found == 0
 
 
-def test_anti_entropy_respects_repair_budget():
+def test_anti_entropy_respects_repair_budget(monkeypatch):
+    monkeypatch.setattr(anti_entropy, "MAX_REPAIRS_PER_ROUND", 10)
     simulator = Simulator(seed=0)
     newest = version(9.0, seq=9)
     state = {f"k{i}": {"n0": newest, "n1": None} for i in range(50)}
     service = AntiEntropyService(
         simulator,
-        AntiEntropyConfig(keys_per_round=50, max_repairs_per_round=10),
         sample_keys=lambda n: list(state),
         replica_versions=lambda key: dict(state[key]),
         deliver=lambda *a: True,
@@ -222,10 +198,10 @@ def test_anti_entropy_periodic_rounds_run_automatically():
     simulator = Simulator(seed=0)
     service = AntiEntropyService(
         simulator,
-        AntiEntropyConfig(interval=5.0),
         sample_keys=lambda n: [],
         replica_versions=lambda key: {},
         deliver=lambda *a: True,
     )
-    simulator.run_until(26.0)
+    # One round every 30 s.
+    simulator.run_until(156.0)
     assert service.rounds_run == 5

@@ -6,11 +6,8 @@ import pytest
 
 from repro.cluster import VersionStamp
 from repro.cluster.types import OperationType, ReadResult, WriteResult
-from repro.consistency import (
-    InconsistencyWindowTracker,
-    StalenessObserver,
-    WindowTrackerConfig,
-)
+import repro.consistency.window_tracker as window_tracker
+from repro.consistency import InconsistencyWindowTracker, StalenessObserver
 from repro.simulation import Simulator
 
 
@@ -18,8 +15,8 @@ def stamp(ts, seq=0):
     return VersionStamp(timestamp=ts, sequence=seq)
 
 
-def make_tracker(simulator, **overrides):
-    return InconsistencyWindowTracker(simulator, WindowTrackerConfig(**overrides))
+def make_tracker(simulator):
+    return InconsistencyWindowTracker(simulator)
 
 
 def test_window_closes_when_all_replicas_apply():
@@ -85,24 +82,26 @@ def test_applies_from_non_replica_nodes_are_ignored():
     assert tracker.open_windows == 1
 
 
-def test_expired_windows_are_censored_not_dropped():
+def test_expired_windows_are_censored_not_dropped(monkeypatch):
+    monkeypatch.setattr(window_tracker, "MAX_OPEN_AGE", 50.0)
+    monkeypatch.setattr(window_tracker, "EXPIRY_SCAN_INTERVAL", 10.0)
     simulator = Simulator(seed=0)
-    tracker = make_tracker(simulator, max_open_age=50.0, expiry_scan_interval=10.0)
+    tracker = make_tracker(simulator)
     s = stamp(1.0)
     tracker.on_write_acked("k", s, ack_time=0.0, replica_set=["a", "b"])
     tracker.on_replica_applied("k", s, "a", 0.1, False)
     simulator.run_until(200.0)
     assert tracker.windows_expired == 1
     assert tracker.open_windows == 0
-    # The censored sample is at least the max_open_age.
+    # The censored sample is at least MAX_OPEN_AGE.
     assert tracker.window_percentile(99) >= 50.0
 
 
-def test_marks_are_forgotten_a_retention_after_the_keys_last_apply():
+def test_marks_are_forgotten_a_retention_after_the_keys_last_apply(monkeypatch):
+    monkeypatch.setattr(window_tracker, "EARLY_APPLY_RETENTION", 40.0)
+    monkeypatch.setattr(window_tracker, "EXPIRY_SCAN_INTERVAL", 10.0)
     simulator = Simulator(seed=0)
-    tracker = make_tracker(
-        simulator, early_apply_retention=40.0, expiry_scan_interval=10.0
-    )
+    tracker = make_tracker(simulator)
     for node_id in ("a", "b", "c"):
         tracker.on_replica_applied("cold", stamp(0.0), node_id, 0.0, False)
     simulator.run_until(30.0)

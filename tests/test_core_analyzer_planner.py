@@ -8,7 +8,6 @@ from repro.core import (
     Analyzer,
     KnowledgeBase,
     NoAction,
-    PlannerConfig,
     RemoveNodeAction,
     RootCause,
     SetReadConsistencyAction,
@@ -215,7 +214,7 @@ def test_planner_scales_in_when_overprovisioned():
     for i in range(5):
         knowledge.record_observation(obs)
     analysis, knowledge, sla = analyze(obs, knowledge=knowledge)
-    planner = SLAPlanner(PlannerConfig(min_nodes=2))
+    planner = SLAPlanner()
     actions = planner.plan(analysis, knowledge, sla, cluster_state(nodes=6))
     assert isinstance(actions[0], RemoveNodeAction)
 
@@ -313,13 +312,7 @@ def test_guard_lets_emergencies_through_immediately():
 
 def test_guard_detects_oscillation_and_freezes_scaling():
     guard = StabilityGuard(
-        StabilityConfig(
-            required_persistence=1,
-            cooldown_seconds={},
-            oscillation_window=1000.0,
-            oscillation_flips=3,
-            oscillation_freeze=500.0,
-        )
+        StabilityConfig(required_persistence=1, cooldown_seconds={}, oscillation_flips=3)
     )
 
     def outcome(kind, time):
@@ -331,8 +324,9 @@ def test_guard_detects_oscillation_and_freezes_scaling():
         guard.record_outcome(outcome(kind, time))
     assert guard.oscillations_detected == 1
     assert guard.frozen
-    assert not guard.allows(AddNodeAction(), now=450.0)
-    assert guard.allows(AddNodeAction(), now=1000.0)
+    # Frozen for 900 s from the fourth flip.
+    assert not guard.allows(AddNodeAction(), now=1250.0)
+    assert guard.allows(AddNodeAction(), now=1400.0)
     assert guard.stats()["oscillations_detected"] == 1.0
 
 

@@ -15,6 +15,7 @@ from repro.core import (
     SystemObservation,
     make_forecaster,
 )
+import repro.core.knowledge as knowledge_module
 from repro.core.actions import ActionKind, ActionOutcome
 from repro.core.knowledge import CapacityModel
 
@@ -35,20 +36,18 @@ def test_naive_forecaster_repeats_last_value():
 
 
 def test_ewma_converges_to_constant_signal():
-    forecaster = feed(EwmaForecaster(alpha=0.5), [10.0] * 20)
+    forecaster = feed(EwmaForecaster(), [10.0] * 20)
     assert forecaster.forecast(60.0) == pytest.approx(10.0)
 
 
 def test_ewma_smooths_noise():
-    forecaster = feed(EwmaForecaster(alpha=0.2), [10.0, 30.0, 10.0, 30.0, 10.0, 30.0])
+    forecaster = feed(EwmaForecaster(), [10.0, 30.0, 10.0, 30.0, 10.0, 30.0])
     assert 10.0 < forecaster.forecast(10.0) < 30.0
-    with pytest.raises(ValueError):
-        EwmaForecaster(alpha=0.0)
 
 
 def test_holt_winters_extrapolates_trend():
     values = [10.0 + 2.0 * i for i in range(30)]
-    forecaster = feed(HoltWintersForecaster(alpha=0.5, beta=0.3), values, interval=10.0)
+    forecaster = feed(HoltWintersForecaster(), values, interval=10.0)
     # Signal grows by 2 per 10-second step; 60 s ahead ~ +12.
     forecast = forecaster.forecast(60.0)
     assert forecast > values[-1] + 5.0
@@ -57,40 +56,26 @@ def test_holt_winters_extrapolates_trend():
 
 def test_holt_winters_never_negative():
     values = [100.0 - 10.0 * i for i in range(12)]
-    forecaster = feed(HoltWintersForecaster(alpha=0.5, beta=0.5), values)
+    forecaster = feed(HoltWintersForecaster(), values)
     assert forecaster.forecast(600.0) >= 0.0
-
-
-def test_holt_winters_seasonal_component():
-    season = [10.0, 20.0, 40.0, 20.0]
-    values = season * 8
-    forecaster = feed(HoltWintersForecaster(alpha=0.3, beta=0.0, gamma=0.5, season_length=4), values)
-    # One full season ahead should look similar to the same phase.
-    assert forecaster.forecast(40.0) == pytest.approx(values[-4], rel=0.8)
-    with pytest.raises(ValueError):
-        HoltWintersForecaster(alpha=1.5)
 
 
 def test_autoregressive_learns_linear_trend():
     values = [5.0 + 3.0 * i for i in range(60)]
-    forecaster = feed(AutoRegressiveForecaster(order=3, window=60, refit_every=5), values)
+    forecaster = feed(AutoRegressiveForecaster(), values)
     forecast = forecaster.forecast(10.0)
     assert forecast > values[-1]
 
 
-def test_autoregressive_validation_and_fallback():
-    with pytest.raises(ValueError):
-        AutoRegressiveForecaster(order=0)
-    with pytest.raises(ValueError):
-        AutoRegressiveForecaster(order=5, window=5)
-    forecaster = AutoRegressiveForecaster(order=2, window=20)
+def test_autoregressive_falls_back_to_the_last_value():
+    forecaster = AutoRegressiveForecaster()
     forecaster.observe(0.0, 5.0)
     assert forecaster.forecast(10.0) == 5.0  # not enough data -> last value
 
 
 def test_forecast_peak_covers_interval():
     values = [10.0 + 2.0 * i for i in range(30)]
-    forecaster = feed(HoltWintersForecaster(alpha=0.5, beta=0.3), values)
+    forecaster = feed(HoltWintersForecaster(), values)
     assert forecaster.forecast_peak(120.0) >= forecaster.forecast(20.0)
 
 
@@ -113,27 +98,29 @@ def test_make_forecaster_factory():
 # ----------------------------------------------------------------------
 # Capacity model
 # ----------------------------------------------------------------------
-def test_capacity_model_learns_from_observations():
-    model = CapacityModel(prior_ops_per_node=100.0, learning_rate=0.5)
+def test_capacity_model_learns_from_observations(monkeypatch):
+    monkeypatch.setattr(knowledge_module, "PRIOR_OPS_PER_NODE", 100.0)
+    monkeypatch.setattr(knowledge_module, "CAPACITY_LEARNING_RATE", 0.5)
+    model = CapacityModel()
     for _ in range(20):
         model.observe(throughput=600.0, node_count=3, mean_utilization=0.5)
     # Implied capacity = 600 / (3 * 0.5) = 400 ops per node.
     assert model.ops_per_node == pytest.approx(400.0, rel=0.05)
 
 
-def test_capacity_model_ignores_idle_observations():
-    model = CapacityModel(prior_ops_per_node=100.0)
+def test_capacity_model_ignores_idle_observations(monkeypatch):
+    monkeypatch.setattr(knowledge_module, "PRIOR_OPS_PER_NODE", 100.0)
+    model = CapacityModel()
     model.observe(throughput=10.0, node_count=3, mean_utilization=0.05)
     assert model.ops_per_node == 100.0
 
 
-def test_capacity_nodes_needed():
-    model = CapacityModel(prior_ops_per_node=100.0)
+def test_capacity_nodes_needed(monkeypatch):
+    monkeypatch.setattr(knowledge_module, "PRIOR_OPS_PER_NODE", 100.0)
+    model = CapacityModel()
     assert model.nodes_needed(0.0, 0.6) == 1
     assert model.nodes_needed(100.0, 0.5) == 2
     assert model.nodes_needed(350.0, 0.7) == 5
-    with pytest.raises(ValueError):
-        CapacityModel(prior_ops_per_node=0.0)
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,7 @@ from repro.core import (
     AutonomousController,
     ControllerConfig,
     KnowledgeBase,
-    PredictiveConfig,
     PredictivePolicy,
-    ReactiveThresholdConfig,
     ReactiveThresholdPolicy,
     SLADrivenPolicy,
     SLAEvaluator,
@@ -22,7 +20,8 @@ from repro.core import (
 )
 from repro.core.actions import ActionKind, AddNodeAction, RemoveNodeAction
 from repro.core.analyzer import Analyzer
-from repro.monitoring import MetricsCollector, MetricsConfig
+import repro.core.policies.reactive as reactive
+from repro.monitoring import MetricsCollector
 from repro.simulation import Simulator
 from repro.workload import BALANCED, ConstantLoad, StepLoad, WorkloadGenerator, WorkloadSpec
 
@@ -84,9 +83,10 @@ def test_reactive_policy_scales_in_on_low_utilisation():
     assert isinstance(actions[0], RemoveNodeAction)
 
 
-def test_reactive_policy_respects_bounds():
+def test_reactive_policy_respects_bounds(monkeypatch):
+    monkeypatch.setattr(reactive, "MAX_NODES", 3)
     actions = decide(
-        ReactiveThresholdPolicy(ReactiveThresholdConfig(max_nodes=3)),
+        ReactiveThresholdPolicy(),
         observation(mean_utilization=0.9, node_count=3),
     )
     assert actions == []
@@ -94,8 +94,6 @@ def test_reactive_policy_respects_bounds():
         ReactiveThresholdPolicy(), observation(mean_utilization=0.1, node_count=3)
     )
     assert actions == []  # cannot drop below RF
-    with pytest.raises(ValueError):
-        ReactiveThresholdConfig(scale_in_utilization=0.9, scale_out_utilization=0.5).validate()
 
 
 def test_reactive_policy_ignores_staleness():
@@ -112,7 +110,7 @@ def test_predictive_policy_scales_for_forecast_load():
         knowledge.record_observation(
             observation(time=i * 30.0, throughput_ops=100.0 + 40.0 * i, mean_utilization=0.6)
         )
-    policy = PredictivePolicy(PredictiveConfig(target_utilization=0.6))
+    policy = PredictivePolicy()
     actions = decide(policy, observation(time=630.0, throughput_ops=900.0), knowledge=knowledge)
     assert isinstance(actions[0], AddNodeAction)
 
@@ -123,13 +121,11 @@ def test_predictive_policy_scales_in_when_forecast_drops():
         knowledge.record_observation(
             observation(time=i * 30.0, throughput_ops=40.0, node_count=8, mean_utilization=0.1)
         )
-    policy = PredictivePolicy(PredictiveConfig(target_utilization=0.6))
+    policy = PredictivePolicy()
     actions = decide(
         policy, observation(time=630.0, throughput_ops=40.0, node_count=8), knowledge=knowledge
     )
     assert isinstance(actions[0], RemoveNodeAction)
-    with pytest.raises(ValueError):
-        PredictiveConfig(target_utilization=1.5).validate()
 
 
 def test_sla_driven_policy_produces_actions_for_staleness():
@@ -162,7 +158,7 @@ def build_controlled_system(seed, policy="sla_driven", rate=60.0, shape=None, no
             initial_nodes=nodes, replication_factor=3, node=NodeConfig(ops_capacity=120.0)
         ),
     )
-    metrics = MetricsCollector(simulator, cluster, MetricsConfig(sample_interval=5.0))
+    metrics = MetricsCollector(simulator, cluster)
     workload = WorkloadGenerator(
         simulator,
         cluster,
@@ -229,14 +225,13 @@ def test_controller_stop_and_manual_round():
 
 
 @pytest.mark.slow
-def test_controller_on_action_callback_and_estimators():
-    outcomes = []
+def test_controller_runs_rounds_from_its_estimators():
     simulator = Simulator(seed=5)
     cluster = Cluster(
         simulator,
         ClusterConfig(initial_nodes=3, replication_factor=3, node=NodeConfig(ops_capacity=120.0)),
     )
-    metrics = MetricsCollector(simulator, cluster, MetricsConfig(sample_interval=5.0))
+    metrics = MetricsCollector(simulator, cluster)
     workload = WorkloadGenerator(
         simulator,
         cluster,
@@ -252,12 +247,10 @@ def test_controller_on_action_callback_and_estimators():
         config=ControllerConfig(policy="sla_driven", evaluation_interval=20.0),
         estimators={"probe": prober},
         offered_rate_fn=workload.current_rate,
-        on_action=outcomes.append,
     )
     workload.preload()
     workload.start()
     simulator.run_until(400.0)
     assert controller.rounds > 0
-    assert outcomes == controller.action_log
     flips = controller.direction_flips()
     assert flips >= 0

@@ -48,19 +48,19 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import Callable, Deque, Optional
 
 import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, StorageEngine, VersionStamp, VersionedValue
+import repro.cluster.coordinator as coordinator_module
 from repro.cluster.coordinator import DEFAULT_VALUE_SIZE, AckedVersionRegistry
 from repro.cluster.ring import HashRing, hash_key
 from repro.cluster.versioning import compare_versions
-from repro.consistency.window_tracker import (
-    InconsistencyWindowTracker,
-    WindowTrackerConfig,
-)
+import repro.consistency.window_tracker as window_tracker
+from repro.consistency.window_tracker import InconsistencyWindowTracker
 from repro.middleware import (
     LatencyAwareReplicaSelection,
     NodeRttTracker,
@@ -439,7 +439,16 @@ class _ScriptedWrite:
     """Applies of the key since this write's first one (-1: none yet)."""
 
 
-def _drive_tracker_oracle(seed, in_order, tracker_type=InconsistencyWindowTracker):
+def _tracker_config():
+    """The tracker's constants as the attributes the reference reads."""
+    return SimpleNamespace(
+        max_open_age=window_tracker.MAX_OPEN_AGE,
+        expiry_scan_interval=window_tracker.EXPIRY_SCAN_INTERVAL,
+        early_apply_retention=window_tracker.EARLY_APPLY_RETENTION,
+    )
+
+
+def _drive_tracker_oracle(monkeypatch, seed, in_order, tracker_type=InconsistencyWindowTracker):
     """Feed one seeded script of interleaved acks and applies over 6 keys x 3
     replicas to ``tracker_type`` and to the list-scanning reference, and
     compare everything a report reads after every step.
@@ -456,12 +465,11 @@ def _drive_tracker_oracle(seed, in_order, tracker_type=InconsistencyWindowTracke
     first one -- because that is where the two must agree.
     """
     rng = random.Random(seed)
-    config = WindowTrackerConfig(
-        max_open_age=20.0, expiry_scan_interval=7.0, early_apply_retention=120.0
-    )
+    monkeypatch.setattr(window_tracker, "MAX_OPEN_AGE", 20.0)
+    monkeypatch.setattr(window_tracker, "EXPIRY_SCAN_INTERVAL", 7.0)
     simulators = Simulator(seed=seed), Simulator(seed=seed)
-    ours = tracker_type(simulators[0], config)
-    reference = _ListScanningTracker(simulators[1], config)
+    ours = tracker_type(simulators[0])
+    reference = _ListScanningTracker(simulators[1], _tracker_config())
     keys = [f"k{index}" for index in range(6)]
     in_flight = {key: [] for key in keys}
     seen = dict.fromkeys(
@@ -542,8 +550,8 @@ def _drive_tracker_oracle(seed, in_order, tracker_type=InconsistencyWindowTracke
 
 @pytest.mark.parametrize("in_order", (True, False))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_replica_marks_agree_with_the_list_scanning_tracker(seed, in_order):
-    _drive_tracker_oracle(seed, in_order)
+def test_replica_marks_agree_with_the_list_scanning_tracker(monkeypatch, seed, in_order):
+    _drive_tracker_oracle(monkeypatch, seed, in_order)
 
 
 class _MarkKeepsLatestStamp(InconsistencyWindowTracker):
@@ -555,9 +563,9 @@ class _MarkKeepsLatestStamp(InconsistencyWindowTracker):
         self._marks[key][node_id] = stamp
 
 
-def test_tracker_oracle_catches_a_mark_that_keeps_the_latest_stamp():
+def test_tracker_oracle_catches_a_mark_that_keeps_the_latest_stamp(monkeypatch):
     with pytest.raises(AssertionError):
-        _drive_tracker_oracle(SEEDS[0], True, _MarkKeepsLatestStamp)
+        _drive_tracker_oracle(monkeypatch, SEEDS[0], True, _MarkKeepsLatestStamp)
 
 
 def test_a_hot_key_window_closes_where_the_capped_buffer_left_it_open():
@@ -565,9 +573,8 @@ def test_a_hot_key_window_closes_where_the_capped_buffer_left_it_open():
     write's applies and its ack push the deciding applies out of the
     reference's 32-entry buffer, which then leaves a converged window open
     until the key's next apply.  The marks have no cap to evict from."""
-    config = WindowTrackerConfig()
-    ours = InconsistencyWindowTracker(Simulator(seed=1), config)
-    reference = _ListScanningTracker(Simulator(seed=1), config)
+    ours = InconsistencyWindowTracker(Simulator(seed=1))
+    reference = _ListScanningTracker(Simulator(seed=1), _tracker_config())
     replicas = ("node-1", "node-2", "node-3")
     stamp = VersionStamp(1.0, 100)
     for tracker in (ours, reference):
@@ -610,9 +617,10 @@ class _ScanningRegistry:
         return newest
 
 
-def _drive_registry_oracle(seed, registry_type=AckedVersionRegistry, history=16):
+def _drive_registry_oracle(monkeypatch, seed, registry_type=AckedVersionRegistry, history=16):
     rng = random.Random(seed)
-    ours, reference = registry_type(history), _ScanningRegistry(history)
+    monkeypatch.setattr(coordinator_module, "ACK_HISTORY", history)
+    ours, reference = registry_type(), _ScanningRegistry(history)
     keys = ("k0", "k1", "k2", "once", "never")
     clock = 0.0
     evictions = newest_evicted = out_of_order = overlapping = 0
@@ -654,8 +662,8 @@ def _drive_registry_oracle(seed, registry_type=AckedVersionRegistry, history=16)
 
 @pytest.mark.parametrize("history", (1, 2, 16))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_acked_registry_agrees_with_the_scanning_registry(seed, history):
-    _drive_registry_oracle(seed, history=history)
+def test_acked_registry_agrees_with_the_scanning_registry(monkeypatch, seed, history):
+    _drive_registry_oracle(monkeypatch, seed, history=history)
 
 
 class _EvictionKeepsNewest(AckedVersionRegistry):
@@ -669,14 +677,9 @@ class _EvictionKeepsNewest(AckedVersionRegistry):
             self._latest[key] = (self._latest[key][0], max(before[1], stamp))
 
 
-def test_registry_oracle_catches_an_eviction_that_keeps_the_evicted_stamp():
+def test_registry_oracle_catches_an_eviction_that_keeps_the_evicted_stamp(monkeypatch):
     with pytest.raises(AssertionError):
-        _drive_registry_oracle(SEEDS[0], _EvictionKeepsNewest)
-
-
-def test_acked_registry_refuses_a_history_it_cannot_answer_from():
-    with pytest.raises(ValueError, match="history"):
-        AckedVersionRegistry(history=0)
+        _drive_registry_oracle(monkeypatch, SEEDS[0], _EvictionKeepsNewest)
 
 
 # ----------------------------------------------------------------------

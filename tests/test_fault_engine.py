@@ -13,6 +13,7 @@ import pytest
 from repro.cluster import (
     Cluster,
     ClusterConfig,
+    ConfigurationError,
     FAULT_KINDS,
     FaultInjector,
     FaultPlan,
@@ -249,6 +250,16 @@ def test_gray_failure_campaign_is_pure_gray():
     assert kinds <= {"degrade", "flaky_link"}
     assert sum(1 for s in plan.specs if s.kind == "degrade") == 3
     assert sum(1 for s in plan.specs if s.kind == "flaky_link") == 1
+
+
+@pytest.mark.parametrize("sample", [FaultPlan.generate, FaultPlan.gray_failure_campaign])
+@pytest.mark.parametrize("seed", [-1, float("nan")])
+def test_a_sampled_plan_checks_its_seed_before_seeding_a_generator(sample, seed):
+    # numpy's SeedSequence used to see the seed first: "expected non-negative
+    # integer" for -1, a TypeError for NaN, neither naming the field.
+    with pytest.raises(ConfigurationError) as refusal:
+        sample(seed=seed, duration=300.0)
+    assert str(refusal.value) == f"FaultPlan.seed must be finite and >= 0, got {seed!r}"
 
 
 def test_fault_plan_shard_partitions_the_specs():

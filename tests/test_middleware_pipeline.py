@@ -525,19 +525,18 @@ def test_simulation_middleware_does_not_mutate_shared_cluster_config():
     assert default.pipeline.names() == DEFAULT_REQUEST_PIPELINE
 
 
-def test_hinted_counters_not_incremented_when_handoff_disabled():
-    from repro.cluster.hinted_handoff import HintedHandoffConfig
-
+def test_hinted_counters_not_incremented_without_the_handoff_stage():
     simulator = Simulator(seed=12)
-    cluster = make_cluster(simulator, hinted_handoff=HintedHandoffConfig(enabled=False))
+    without_handoff = [name for name in DEFAULT_REQUEST_PIPELINE if name != "hinted-handoff"]
+    cluster = make_cluster(simulator, middleware=without_handoff)
     victim = cluster.node_ids()[0]
     cluster.crash_node(victim)
     simulator.run_until(simulator.now + 30.0)
     result = run_sync(simulator, lambda cb: cluster.write("k", b"v", on_complete=cb))
     assert result.success
-    # The hint was dropped, so nothing may claim it was stored.
+    # No stage stored a hint, so nothing may claim one was stored.
     assert cluster.coordinator.hinted_writes == 0
-    assert cluster.hinted_handoff.hints_dropped >= 1
+    assert cluster.hinted_handoff.hints_stored == 0
 
 
 def test_latency_aware_selection_reprobes_avoided_replicas():

@@ -40,7 +40,7 @@ def test_prober_issues_probes_and_reports_estimates():
     simulator = Simulator(seed=1)
     cluster = make_cluster(simulator)
     prober = ReadAfterWriteProber(
-        simulator, cluster, ProbeConfig(probe_interval=2.0, report_interval=10.0)
+        simulator, cluster, ProbeConfig(probe_interval=2.0)
     )
     start_workload(simulator, cluster, rate=50.0)
     simulator.run_until(60.0)
@@ -66,7 +66,7 @@ def test_prober_stop_halts_probing():
 def test_piggyback_monitor_sees_stale_reads_without_extra_load():
     simulator = Simulator(seed=4)
     cluster = make_cluster(simulator, ops_capacity=120.0)
-    piggyback = PiggybackMonitor(simulator, cluster, report_interval=10.0)
+    piggyback = PiggybackMonitor(simulator, cluster)
     start_workload(simulator, cluster, rate=140.0)
     simulator.run_until(120.0)
     assert piggyback.operations_issued() == 0
@@ -80,9 +80,9 @@ def test_rtt_estimator_scales_with_utilisation():
     cluster = make_cluster(simulator, ops_capacity=150.0)
     # The RTT model consumes node utilisation gauges, which are refreshed by
     # the metrics collector's sampling loop.
-    from repro.monitoring import MetricsCollector, MetricsConfig
+    from repro.monitoring import MetricsCollector
 
-    MetricsCollector(simulator, cluster, MetricsConfig(sample_interval=5.0))
+    MetricsCollector(simulator, cluster)
     estimator = RttEstimator(simulator, cluster)
     start_workload(simulator, cluster, rate=30.0)
     simulator.run_until(60.0)

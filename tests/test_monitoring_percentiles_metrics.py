@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, NodeConfig
-from repro.monitoring import MetricsCollector, MetricsConfig, WindowedPercentiles
+from repro.monitoring import MetricsCollector, WindowedPercentiles
 from repro.simulation import Simulator
 from repro.workload import BALANCED, ConstantLoad, WorkloadGenerator, WorkloadSpec
 
@@ -38,15 +38,13 @@ def test_windowed_percentiles_eviction_and_clear():
 # ----------------------------------------------------------------------
 # MetricsCollector
 # ----------------------------------------------------------------------
-def make_collector(seed=1, rate=150.0, sample_interval=5.0):
+def make_collector(seed=1, rate=150.0):
     simulator = Simulator(seed=seed)
     cluster = Cluster(
         simulator,
         ClusterConfig(initial_nodes=3, replication_factor=3, node=NodeConfig(ops_capacity=500.0)),
     )
-    collector = MetricsCollector(
-        simulator, cluster, MetricsConfig(sample_interval=sample_interval)
-    )
+    collector = MetricsCollector(simulator, cluster)
     workload = WorkloadGenerator(
         simulator,
         cluster,

@@ -25,7 +25,6 @@ from repro.core import (
     AddNodeAction,
     Analyzer,
     KnowledgeBase,
-    PlannerConfig,
     SLAEvaluator,
     SLAPlanner,
     StabilityConfig,
@@ -373,19 +372,6 @@ def test_planner_restores_quotas_first_under_cost_waste():
         analysis, knowledge, sla, plan_state({"bronze": 1.0, "silver": 1.0, "gold": 1.0})
     )
     assert not isinstance(actions[0], SetTierQuotaScaleAction)
-
-
-def test_planner_quota_config_is_tunable():
-    config = PlannerConfig(
-        quota_tighten_factor=0.8, quota_floor=0.6, quota_tighten_order=("silver",)
-    )
-    obs = observation(read_p95_latency=0.5, max_utilization=0.95)
-    analysis, knowledge, sla = analysis_with([Symptom.LATENCY_VIOLATION], obs)
-    actions = SLAPlanner(config).plan(
-        analysis, knowledge, sla, plan_state({"bronze": 1.0, "silver": 1.0})
-    )
-    assert actions[0].tier == "silver"
-    assert actions[0].scale == pytest.approx(0.8)
 
 
 # ----------------------------------------------------------------------

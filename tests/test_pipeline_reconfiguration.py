@@ -16,18 +16,16 @@ from repro.cluster import (
     ConsistencyLevel,
     NodeConfig,
 )
-from repro.cluster.anti_entropy import AntiEntropyConfig
-from repro.cluster.hinted_handoff import HintedHandoffConfig
+import repro.cluster.anti_entropy as anti_entropy
+from repro.middleware import DEFAULT_REQUEST_PIPELINE
 from repro.simulation import Simulator
 
 
-def make_cluster(simulator, hinted_handoff=None, anti_entropy=None, **overrides):
+def make_cluster(simulator, **overrides):
     config = ClusterConfig(
         initial_nodes=3,
         replication_factor=3,
         node=NodeConfig(ops_capacity=500.0),
-        hinted_handoff=hinted_handoff or HintedHandoffConfig(),
-        anti_entropy=anti_entropy or AntiEntropyConfig(),
         **overrides,
     )
     return Cluster(simulator, config)
@@ -88,14 +86,15 @@ def test_hinted_handoff_fires_as_middleware_after_cl_switch():
     assert versions.get(victim) is not None
 
 
-def test_read_repair_fires_as_middleware_after_cl_switch():
+def test_read_repair_fires_as_middleware_after_cl_switch(monkeypatch):
     simulator = Simulator(seed=23)
-    # Disable hinted handoff and anti-entropy so a crashed replica stays
-    # stale until read repair — the middleware under test — fixes it.
+    # No hinted-handoff stage and no anti-entropy round within the test, so
+    # a crashed replica stays stale until read repair — the middleware under
+    # test — fixes it.
+    monkeypatch.setattr(anti_entropy, "INTERVAL", 1e6)
     cluster = make_cluster(
         simulator,
-        hinted_handoff=HintedHandoffConfig(enabled=False),
-        anti_entropy=AntiEntropyConfig(enabled=False),
+        middleware=[name for name in DEFAULT_REQUEST_PIPELINE if name != "hinted-handoff"],
     )
     repair_stage = cluster.pipeline.get("read-repair")
     assert repair_stage is not None

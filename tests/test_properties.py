@@ -292,7 +292,7 @@ def test_zipfian_any_theta_valid(theta, seed):
 # ----------------------------------------------------------------------
 @given(values=st.lists(st.floats(min_value=0.0, max_value=1e4, allow_nan=False), min_size=1, max_size=100))
 def test_ewma_forecast_bounded_by_observed_range(values):
-    forecaster = EwmaForecaster(alpha=0.4)
+    forecaster = EwmaForecaster()
     for i, value in enumerate(values):
         forecaster.observe(float(i), value)
     forecast = forecaster.forecast(10.0)

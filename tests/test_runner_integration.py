@@ -94,17 +94,6 @@ def test_sla_driven_beats_static_on_violations_under_stress():
     )
 
 
-def test_monitoring_can_be_disabled():
-    config = small_config(duration=60.0)
-    config.monitoring.enable_probe = False
-    config.monitoring.enable_piggyback = False
-    config.monitoring.enable_rtt = False
-    simulation = Simulation(config)
-    report = simulation.run()
-    assert report.estimator_estimates == {}
-    assert report.monitoring_overhead == {}
-
-
 def test_report_contains_estimates_and_overhead_when_enabled():
     report = Simulation(small_config(duration=120.0)).run()
     assert set(report.estimator_estimates) == {"probe", "piggyback", "rtt"}

@@ -114,8 +114,8 @@ def test_chunked_generator_draws_equal_sequential(count):
         lambda: UniformKeys(10_000),
         lambda: ZipfianKeys(10_000, theta=0.99),
         lambda: ZipfianKeys(517, theta=0.5, scrambled=False),
-        lambda: LatestKeys(10_000, theta=0.99),
-        lambda: HotspotKeys(10_000, hot_fraction=0.2, hot_operation_fraction=0.8),
+        lambda: LatestKeys(10_000),
+        lambda: HotspotKeys(10_000),
     ],
     ids=["uniform", "zipfian", "zipfian-unscrambled", "latest", "hotspot"],
 )

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.simulation import NetworkConfig, NetworkModel, QueueingServer, Simulator
+import repro.simulation.network as network_module
+from repro.simulation import NetworkModel, QueueingServer, Simulator
 from repro.simulation.randomness import (
     _CHUNK,
     LognormalSampler,
@@ -116,7 +117,7 @@ def test_send_and_submit_touch_their_generators_only_at_a_refill():
     assert all(before != after for before, after in zip(first_chunk, states()))
 
 
-def test_a_draw_past_the_largest_float_raises_overflow_error():
+def test_a_draw_past_the_largest_float_raises_overflow_error(monkeypatch):
     # numpy's lognormal returned inf here, which failed later as an
     # unschedulable event time; math.exp raises at the draw.
     sampler = LognormalSampler(1.0)
@@ -125,7 +126,9 @@ def test_a_draw_past_the_largest_float_raises_overflow_error():
     with pytest.raises(OverflowError):
         sampler.sample_with(normal, 1e307)
     simulator = Simulator(seed=5)
-    network = NetworkModel(simulator, NetworkConfig(base_latency=1e308, jitter_cv=1.0))
+    monkeypatch.setattr(network_module, "BASE_LATENCY", 1e308)
+    monkeypatch.setattr(network_module, "JITTER_CV", 1.0)
+    network = NetworkModel(simulator)
     with pytest.raises(OverflowError):
         for _ in range(100):
             network.send("a", "b", lambda: None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.workload.operations as operations
 from repro.cluster import ConfigurationError
 from repro.workload import (
     BALANCED,
@@ -19,6 +20,7 @@ from repro.workload import (
     ZipfianKeys,
     make_distribution,
 )
+from repro.workload.distributions import HOT_OPERATION_FRACTION
 
 
 def rng():
@@ -75,12 +77,12 @@ def test_latest_keys_follow_growth():
 
 
 def test_hotspot_fraction_of_traffic():
-    distribution = HotspotKeys(1000, hot_fraction=0.1, hot_operation_fraction=0.9)
+    distribution = HotspotKeys(1000)
     generator = rng()
     hot_hits = sum(
         1 for _ in range(5000) if distribution.next_index(generator) < distribution.hot_set_size
     )
-    assert hot_hits / 5000 == pytest.approx(0.9, abs=0.03)
+    assert hot_hits / 5000 == pytest.approx(HOT_OPERATION_FRACTION, abs=0.03)
 
 
 def test_distribution_validation():
@@ -88,10 +90,6 @@ def test_distribution_validation():
         UniformKeys(0)
     with pytest.raises(ValueError):
         ZipfianKeys(100, theta=1.5)
-    with pytest.raises(ValueError):
-        HotspotKeys(100, hot_fraction=0.0)
-    with pytest.raises(ValueError):
-        HotspotKeys(100, hot_operation_fraction=1.5)
 
 
 def test_factory_builds_all_kinds():
@@ -138,8 +136,10 @@ def test_mix_validation():
         OperationMix(read_fraction=-0.1, update_fraction=1.1, insert_fraction=0.0)
 
 
-def test_record_sizer_bounds_and_mean():
-    sizer = RecordSizer(mean_size=1000, cv=0.5, min_size=100, max_size=5000)
+def test_record_sizer_bounds_and_mean(monkeypatch):
+    monkeypatch.setattr(operations, "MIN_RECORD_SIZE", 100)
+    monkeypatch.setattr(operations, "MAX_RECORD_SIZE", 5000)
+    sizer = RecordSizer(mean_size=1000)
     generator = rng()
     sizes = [sizer.next_size(generator) for _ in range(5000)]
     assert min(sizes) >= 100
@@ -147,8 +147,9 @@ def test_record_sizer_bounds_and_mean():
     assert np.mean(sizes) == pytest.approx(1000, rel=0.1)
 
 
-def test_record_sizer_zero_cv_is_constant():
-    sizer = RecordSizer(mean_size=512, cv=0.0)
+def test_record_sizer_zero_cv_is_constant(monkeypatch):
+    monkeypatch.setattr(operations, "RECORD_SIZE_CV", 0.0)
+    sizer = RecordSizer(mean_size=512)
     generator = rng()
     assert {sizer.next_size(generator) for _ in range(10)} == {512}
 
@@ -156,5 +157,3 @@ def test_record_sizer_zero_cv_is_constant():
 def test_record_sizer_validation():
     with pytest.raises(ValueError):
         RecordSizer(mean_size=0)
-    with pytest.raises(ValueError):
-        RecordSizer(mean_size=100, min_size=200, max_size=100)
