@@ -102,13 +102,12 @@ class RequestHedging(RequestMiddleware):
             float(timer_granularity) if timer_granularity is not None else None
         )
 
-        # Budget cache: recomputing the p99-derived budget on *every* arm is
-        # the hedged stack's single hottest line (a windowed ``np.percentile``
-        # per read).  With a clock, the budget is refreshed at most once per
-        # ``budget_refresh_interval`` of simulated time — a pure function of
-        # the clock and observation history, so runs stay deterministic.
-        # Without a clock (direct construction in tests/tools) every call
-        # recomputes, preserving the original semantics exactly.
+        # Budget cache: the p99-derived budget is a sort of the estimator's
+        # 512-read window, too dear for every arm.  With a clock, the budget
+        # is refreshed at most once per ``budget_refresh_interval`` of
+        # simulated time — a pure function of the clock and observation
+        # history, so runs stay deterministic.  Without a clock (direct
+        # construction in tests/tools) every call recomputes.
         self._clock = clock
         self._budget_refresh_interval = float(budget_refresh_interval)
         self._budget_valid_until = -math.inf

@@ -65,7 +65,7 @@ def shared_node_tracker(
 class NodeRttTracker:
     """Per-node EWMA round-trip-time estimates fed by replica responses."""
 
-    __slots__ = ("_alpha", "_estimates", "_samples", "_fallback", "_ranking")
+    __slots__ = ("_alpha", "_estimates", "_samples", "_sampled", "_fallback", "_ranking")
 
     def __init__(
         self,
@@ -76,6 +76,9 @@ class NodeRttTracker:
         self._alpha = float(alpha)
         self._estimates: Dict[str, float] = {}
         self._samples: Dict[str, int] = {}
+        # How many nodes have an estimate, kept by ``observe`` and ``forget``
+        # so that ``ranked`` recognises the full sampled set without a count.
+        self._sampled = 0
         self._fallback = fallback
         # The sampled nodes as (estimate, node id) pairs, fastest first: a
         # pure function of ``_estimates``, so ``observe`` and ``forget`` (its
@@ -92,6 +95,7 @@ class NodeRttTracker:
         current = self._estimates.get(node_id)
         if current is None:
             self._estimates[node_id] = rtt
+            self._sampled += 1
         else:
             self._estimates[node_id] = current + self._alpha * (rtt - current)
         self._samples[node_id] = self._samples.get(node_id, 0) + 1
@@ -115,7 +119,9 @@ class NodeRttTracker:
         estimate, fastest first, node id breaking ties; ``unknown`` the ids
         with none, sorted.  A total order restricted to a subset is the
         subset's order, so the sampled nodes are read off the generation's
-        ranking.  An unsampled node takes the fallback's value *as of this
+        ranking, and when they are all of the sampled nodes the ranking
+        itself is handed out: callers read it and never change it.  An
+        unsampled node takes the fallback's value *as of this
         call* (it varies with congestion and is never cached); without a
         fallback it is genuinely unknown.  Callers must treat unknown as
         *unknown*, never as infinitely fast: an unsampled replica ranking
@@ -125,13 +131,17 @@ class NodeRttTracker:
         estimates = self._estimates
         if ranking is None:
             ranking = self._ranking = sorted(zip(estimates.values(), estimates))
-        ranked = [pair for pair in ranking if pair[1] in nodes]
         # The steady state: every node handed in has been sampled.
+        sampled = 0
         for node_id in nodes:
             if node_id not in estimates:
                 break
+            sampled += 1
         else:
-            return ranked, []
+            if sampled == self._sampled:
+                return ranking, []
+            return [pair for pair in ranking if pair[1] in nodes], []
+        ranked = [pair for pair in ranking if pair[1] in nodes]
         unsampled = sorted(node_id for node_id in nodes if node_id not in estimates)
         if self._fallback is None:
             return ranked, unsampled
@@ -150,7 +160,8 @@ class NodeRttTracker:
 
     def forget(self, node_id: str) -> None:
         """Drop a node's estimate (e.g. after decommissioning)."""
-        self._estimates.pop(node_id, None)
+        if self._estimates.pop(node_id, None) is not None:
+            self._sampled -= 1
         self._samples.pop(node_id, None)
         self._ranking = None
 

@@ -24,7 +24,7 @@ from typing import Deque, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..simulation.timeseries import exact_percentiles
+from ..simulation.timeseries import exact_percentiles, percentile_fractions
 
 __all__ = ["WindowedPercentiles", "MergeableHistogramSketch"]
 
@@ -58,13 +58,12 @@ class WindowedPercentiles:
         return exact_percentiles(self._samples, (q,))[0]
 
     def percentiles(self, qs: Iterable[float]) -> List[float]:
-        """Several percentiles from one deque->array conversion.
+        """Several percentiles from one deque->array conversion and one sort.
 
-        Identical values to calling :meth:`percentile` per quantile — numpy
-        interpolates each quantile independently on the same sorted data —
-        at a quarter of the conversion cost for the common p50/p95/p99 pulls.
+        Identical values to calling :meth:`percentile` per quantile: each
+        quantile is interpolated independently on the same sorted window.
         """
-        return exact_percentiles(self._samples, list(qs))
+        return exact_percentiles(self._samples, qs)
 
     def mean(self) -> float:
         """Mean over the retained window (0 when empty)."""
@@ -264,9 +263,10 @@ class MergeableHistogramSketch:
 
     def percentiles(self, qs: Iterable[float]) -> List[float]:
         """Several percentiles from one cumulative pass."""
-        qs = list(qs)
+        # A q outside [0, 100], or NaN, raises what ``exact_percentiles`` raises.
+        fractions = percentile_fractions(qs)
         if self._count == 0:
-            return [0.0] * len(qs)
+            return [0.0] * len(fractions)
         cumulative = np.cumsum(self._counts)
         # Geometric midpoints reuse the edge array: bin i spans
         # (edge[i-1], edge[i]] with min/max closing the ends.
@@ -274,8 +274,8 @@ class MergeableHistogramSketch:
         upper = np.concatenate((self._edges, [self._max_value]))
         midpoints = np.sqrt(lower * upper)
         results: List[float] = []
-        for q in qs:
-            rank = q / 100.0 * self._count
+        for fraction in fractions:
+            rank = fraction * self._count
             target = max(1, int(np.ceil(rank)))
             if target <= self._zero_count:
                 results.append(0.0)

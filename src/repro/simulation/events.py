@@ -170,28 +170,6 @@ class EventQueue:
             self._peak_pending = len(self._heap)
         return event
 
-    def reserve_sequence(self) -> int:
-        """Allocate a sequence number without pushing an event.
-
-        Used by the timer wheel (:mod:`repro.simulation.timers`): a timer
-        reserves its place in the total order at arm time, so that if it
-        survives to promotion it sorts exactly as if it had been pushed
-        then.  A reserved sequence that is never pushed is simply a hole in
-        the numbering — order is what matters, not density.
-        """
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        self._reserved += 1
-        return sequence
-
-    def push_reserved(self, event: Event) -> None:
-        """Heap an event carrying a pre-reserved sequence (timer promotion)."""
-        e = event
-        heappush(self._heap, (e.time, e.priority, e.sequence, e.callback, e.args, e.label, e))
-        self._reserved -= 1
-        if len(self._heap) > self._peak_pending:
-            self._peak_pending = len(self._heap)
-
     def _advance_fifo(self, delay: float) -> None:
         """The heaped front of ``delay``'s FIFO left the heap: drop the
         cancelled deadlines parked behind it and heap the next live one under

@@ -49,6 +49,7 @@ drop the ticks only timeouts needed and so move ``events_processed``.
 from __future__ import annotations
 
 import math
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from .errors import SchedulingError
@@ -135,6 +136,10 @@ class TimerService:
         validation, same returned event, same firing time/order for
         survivors — but cancels that land before the bucket tick cost nothing.
         """
+        # One frame: the sequence reservation and the tick's heap push are
+        # the queue's steps written out, the way ``schedule_in`` writes out
+        # ``push`` (``tests/test_simulation_events.py`` holds the two to a
+        # reservation plus ``Simulator.schedule``).
         self.timers_armed += 1
         simulator = self._simulator
         now = simulator.now
@@ -152,20 +157,30 @@ class TimerService:
                 self.timers_wheeled += 1
                 queue = simulator._queue
                 # Reserve the sequence number *now*: if the timer survives to
-                # its tick it enters the heap sorting exactly as if pushed here.
-                event = Event(
-                    deadline, priority, queue.reserve_sequence(), callback, args, False, label
-                )
+                # its tick it enters the heap sorting exactly as if pushed
+                # here.  Until then it is counted in ``_reserved``, not in
+                # ``scheduled``.
+                sequence = queue._sequence
+                queue._sequence = sequence + 1
+                queue._reserved += 1
+                event = Event(deadline, priority, sequence, callback, args, False, label)
                 timers = self._buckets.get(bucket)
                 if timers is None:
                     self._buckets[bucket] = [event]
-                    simulator.schedule(
-                        tick_time,
-                        self._tick,
-                        bucket,
-                        priority=PRIORITY_TIMER_TICK,
-                        label="timer:tick",
+                    # The tick, posted: ``now < tick_time <= deadline`` is
+                    # inside the horizon, and nobody cancels a tick.
+                    sequence = queue._sequence
+                    queue._sequence = sequence + 1
+                    heap = queue._heap
+                    heappush(
+                        heap,
+                        (
+                            tick_time, PRIORITY_TIMER_TICK, sequence,
+                            self._tick, (bucket,), "timer:tick", None,
+                        ),
                     )
+                    if len(heap) > queue._peak_pending:
+                        queue._peak_pending = len(heap)
                 else:
                     timers.append(event)
                 return event
@@ -175,17 +190,21 @@ class TimerService:
         )
 
     def _tick(self, bucket: int) -> None:
-        """Promote a bucket's survivors into the heap at their exact deadlines."""
+        """Promote a bucket's survivors into the heap at their exact deadlines,
+        each under the sequence number it reserved when it was armed."""
         queue = self._simulator._queue
-        push_reserved = queue.push_reserved
+        heap = queue._heap
         cancelled = 0
         promoted = 0
-        for event in self._buckets.pop(bucket):
-            if event.cancelled:
+        for e in self._buckets.pop(bucket):
+            if e.cancelled:
                 cancelled += 1
             else:
                 promoted += 1
-                push_reserved(event)
+                heappush(heap, (e.time, e.priority, e.sequence, e.callback, e.args, e.label, e))
+                if len(heap) > queue._peak_pending:
+                    queue._peak_pending = len(heap)
+        queue._reserved -= promoted
         self.timers_cancelled += cancelled
         self.timers_promoted += promoted
 

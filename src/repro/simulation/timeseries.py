@@ -10,24 +10,61 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["TimeSeries", "SeriesSummary", "TimeSeriesBundle", "exact_percentiles"]
 
 
-def exact_percentiles(values, qs: Sequence[float] = (50, 95, 99)) -> List[float]:
+def percentile_fractions(qs: Iterable[float]) -> List[float]:
+    """``q / 100`` for each percentile ``q``, refusing any outside [0, 100]
+    (NaN included) with numpy's ``ValueError``."""
+    fractions = [q / 100 for q in qs]
+    for fraction in fractions:
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError("Percentiles must be in the range [0, 100]")
+    return fractions
+
+
+def exact_percentiles(values, qs: Iterable[float] = (50, 95, 99)) -> List[float]:
     """The ``qs``-th percentiles of ``values`` (p50/p95/p99 by default), by
     numpy's default linear interpolation, each 0.0 when there are no values.
 
     The one exact percentile rule: every recorder, estimator and report that
-    states a percentile of stored samples calls this.
+    states a percentile of stored samples calls this.  It is numpy's method
+    over one in-place sort, without ``np.percentile``'s Python wrapper
+    (PERFORMANCE.md rule 2), and gives numpy's answers, bit for bit unless
+    the sort and numpy's partition order two equal samples apart (``-0.0``
+    and ``0.0``, or two NaNs): ``tests/test_properties.py`` pins this.
     """
-    values = np.asarray(values, dtype=float)
-    if not values.size:
-        return [0.0] * len(qs)
-    return [float(value) for value in np.percentile(values, qs)]
+    fractions = percentile_fractions(qs)
+    ordered = np.array(values, dtype=float)
+    top = ordered.size - 1
+    if top < 0:
+        return [0.0] * len(fractions)
+    ordered.sort()
+    item = ordered.item
+    last = item(top)
+    # NaN sorts last, and numpy then answers it for every q.
+    if last != last:
+        return [last] * len(fractions)
+    results = []
+    for fraction in fractions:
+        # numpy's position, its neighbours, and its weight: measured from the
+        # lower neighbour, or from index -1 once both are clipped to the last.
+        position = top * fraction
+        if position < top:
+            low = int(position)
+            below, above = item(low), item(low + 1)
+            weight = position - low
+        else:
+            below = above = last
+            weight = position + 1
+        # numpy's lerp, which interpolates from the nearer neighbour.
+        gap = above - below
+        results.append(below + gap * weight if weight < 0.5 else above - gap * (1 - weight))
+    return results
 
 
 @dataclass

@@ -14,7 +14,15 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Lower it with every change that removes code.
-CEILING = 14_194
+#: Raised from 14,194 by 31: ``exact_percentiles`` writes numpy's linear
+#: percentile rule out over one sort instead of calling ``np.percentile``
+#: (+30 with ``percentile_fractions``, the range check it now shares with the
+#: sketch), and ``NodeRttTracker`` counts its sampled nodes so that
+#: ``ranked`` hands its ranking out whole (+9).  Both take Python frames off
+#: the hedged read path (PERFORMANCE.md rules 2 and 14).  The wheel's
+#: written-out arm and tick came to -8 with ``reserve_sequence`` and
+#: ``push_reserved`` deleted.
+CEILING = 14_225
 
 
 def _code_lines() -> int:

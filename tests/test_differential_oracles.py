@@ -1002,6 +1002,45 @@ def test_generation_ranking_agrees_with_ranking_afresh():
     assert explorations > 50 and preferred > 50 and rotations > 200
 
 
+def test_ranked_hands_out_the_generation_ranking_for_the_whole_sampled_set_alone():
+    """``ranked``'s full-set fast path against its filtered path against a
+    sort from scratch, over random ``observe``/``forget`` sequences: subsets,
+    unsampled and forgotten nodes, with and without a fallback."""
+    handed_out = 0
+    for seed in range(1, 9):
+        rng = random.Random(seed)
+        for fallback in (None, lambda: 0.004):
+            tracker = NodeRttTracker(alpha=rng.choice((0.3, 1.0)), fallback=fallback)
+            for _ in range(400):
+                action = rng.random()
+                if action < 0.3:
+                    tracker.observe(rng.choice(_UNIVERSE[:6]), rng.choice(_RTTS))
+                    continue
+                if action < 0.4:
+                    tracker.forget(rng.choice(_UNIVERSE))
+                    continue
+                estimates = tracker.snapshot()
+                if action < 0.7:
+                    nodes = rng.sample(sorted(estimates), len(estimates))
+                else:
+                    nodes = _handed_nodes(rng, estimates)
+                ranked, unknown = tracker.ranked(nodes)
+                sampled = sorted((estimates[node], node) for node in nodes if node in estimates)
+                unsampled = sorted(node for node in nodes if node not in estimates)
+                if fallback is not None and unsampled:
+                    expected = sorted(sampled + [(fallback(), node) for node in unsampled]), []
+                else:
+                    expected = sampled, unsampled
+                assert (ranked, unknown) == expected, (seed, nodes, estimates)
+                if not unsampled:
+                    filtered = [pair for pair in tracker._ranking if pair[1] in nodes]
+                    assert ranked == filtered
+                whole_set = set(nodes) == set(estimates)
+                assert (ranked is tracker._ranking) == whole_set, (seed, nodes, estimates)
+                handed_out += whole_set
+    assert handed_out > 500
+
+
 class _ObserveKeepsRanking(NodeRttTracker):
     __slots__ = ()
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig, NodeConfig
 from repro.monitoring import MetricsCollector, WindowedPercentiles
+from repro.monitoring.percentiles import MergeableHistogramSketch
 from repro.simulation import Simulator
 from repro.workload import BALANCED, ConstantLoad, WorkloadGenerator, WorkloadSpec
 
@@ -33,6 +34,28 @@ def test_windowed_percentiles_eviction_and_clear():
     assert window.percentile(50) == 0.0
     with pytest.raises(ValueError):
         WindowedPercentiles(window=0)
+
+
+@pytest.mark.parametrize("q", [150.0, -5.0, float("nan")])
+@pytest.mark.parametrize("summary", [WindowedPercentiles, MergeableHistogramSketch])
+def test_a_percentile_outside_0_to_100_is_refused_with_numpys_error(summary, q):
+    # The sketch used to answer p150 with its clamp ceiling and p-5 with its
+    # first bin, and to fail on a NaN q converting it to an integer.
+    with pytest.raises(ValueError) as numpy_refused:
+        np.percentile([0.004, 0.010], q)
+    recorder = summary()
+    for samples in ((), (0.004, 0.010)):
+        for value in samples:
+            recorder.observe(value)
+        with pytest.raises(ValueError) as refused:
+            recorder.percentile(q)
+        assert str(refused.value) == str(numpy_refused.value)
+        with pytest.raises(ValueError):
+            recorder.percentiles((50.0, q))
+    assert recorder.percentiles((0.0, 100.0)) == [
+        recorder.percentile(0.0),
+        recorder.percentile(100.0),
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from collections import deque
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ConsistencyLevel, HashRing, StorageEngine, VersionStamp, VersionedValue
@@ -14,6 +17,7 @@ from repro.core.forecasting import EwmaForecaster, HoltWintersForecaster
 from repro.middleware.builtin import RandomReplicaSelection
 from repro.monitoring import WindowedPercentiles
 from repro.simulation import TimeSeries
+from repro.simulation.timeseries import exact_percentiles
 from repro.simulation.randomness import _CHUNK, LognormalSampler, RandomStreams
 from repro.workload import ZipfianKeys, make_distribution
 
@@ -196,6 +200,76 @@ def test_a_normal_fed_lognormal_draws_what_lognormal_drew(seed, cv, means):
     fed = [sampler.sample_with(normal, mean) for mean in order]
     assert fed == [sampler.sample(reference, mean) for mean in order]
     assert streams.stream("jitter").bit_generator.state == reference.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# The exact percentile rule answers what ``np.percentile`` answered
+# ----------------------------------------------------------------------
+# ``exact_percentiles`` writes numpy's ``linear`` method out over one sort:
+# the position ``(n - 1) * q / 100``, both neighbours clipped to the last
+# sample from there on (at a weight measured from index -1), the two-sided
+# lerp that switches at a weight of 0.5, NaN as every answer when a sample is
+# NaN, and the range check.  That these are numpy's steps is a property of its
+# implementation, not of its documentation (PERFORMANCE.md rule 2).  The
+# answers are the same bits, but for the sign of a zero answer when the
+# samples hold both ``-0.0`` and ``0.0``: the sort and numpy's partition may
+# order those two apart.
+_EDGE_SAMPLES = (
+    0.0, -0.0, 1.0, 1.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308
+)
+
+
+def _same(answer, expected, zeros_of_both_signs):
+    if math.isnan(expected):
+        return math.isnan(answer)
+    if zeros_of_both_signs:
+        return answer == expected
+    return answer == expected and math.copysign(1.0, answer) == math.copysign(1.0, expected)
+
+
+@settings(max_examples=500)
+@given(
+    samples=st.lists(
+        st.one_of(st.floats(), st.sampled_from(_EDGE_SAMPLES)), min_size=1, max_size=60
+    ),
+    qs=st.lists(
+        st.one_of(
+            st.sampled_from((0, 100, 0.0, 100.0, 50, 95, 99)), st.floats(min_value=0, max_value=100)
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    container=st.sampled_from((list, deque, np.array)),
+)
+@example(samples=[3.5], qs=[0, 50, 100], container=deque)
+@example(samples=[0.1, 0.7], qs=[50], container=list)
+@example(samples=[1.0, math.inf, 1.0], qs=[25, 100], container=np.array)
+@example(samples=[-1.0, -0.0, -0.0], qs=[100], container=np.array)
+@example(samples=[2.0, math.nan, -1.0], qs=[0, 99], container=deque)
+@example(samples=[5e-324, -5e-324, -0.0, 0.0, 2.2e-308], qs=[0, 37.5, 100], container=list)
+def test_exact_percentiles_answer_what_np_percentile_answered(samples, qs, container):
+    values = container(samples)
+    with np.errstate(all="ignore"):
+        expected = [float(value) for value in np.percentile(np.asarray(samples), qs)]
+    answers = exact_percentiles(values, qs)
+    assert [type(answer) for answer in answers] == [float] * len(qs)
+    signs = {math.copysign(1.0, sample) for sample in samples if sample == 0.0}
+    assert all(_same(a, e, len(signs) == 2) for a, e in zip(answers, expected)), (
+        samples,
+        qs,
+        answers,
+        expected,
+    )
+
+
+@pytest.mark.parametrize("q", [-1, 100.5, math.nan])
+def test_exact_percentiles_refuse_what_np_percentile_refused(q):
+    with pytest.raises(ValueError) as numpy_refused:
+        np.percentile([1.0, 2.0], [50, q])
+    for samples in ([1.0, 2.0], []):
+        with pytest.raises(ValueError) as refused:
+            exact_percentiles(samples, [50, q])
+        assert str(refused.value) == str(numpy_refused.value)
 
 
 # ----------------------------------------------------------------------

@@ -18,9 +18,9 @@ About 311 ``function``/``cell``/``tuple`` objects per run used to be left over
 even with the cycle broken.  Background-write closures were the suspect; they
 are not it.  The objects are the self-referential local functions of
 ``inspect._signature_fromstr`` and ``ast.literal_eval``, run once per process
-when the first ``np.percentile`` call (the first gauge sample) imports
-``numpy.ma`` lazily.  The import is made up front here, so the bound below
-measures the request path alone.
+when numpy imports ``numpy.ma`` lazily, as the first ``np.percentile`` call
+did when the gauge samples went through it.  The import is made up front
+here, so the bound below measures the request path alone.
 """
 
 from __future__ import annotations

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.simulation import SchedulingError, SimulationStateError, Simulator
 from repro.simulation.events import Event, EventQueue
-from repro.simulation.timers import TimerService
+from repro.simulation.timers import PRIORITY_TIMER_TICK, TimerService
 
 
 def test_push_and_pop_in_time_order():
@@ -274,3 +276,79 @@ def test_pop_returns_a_posted_entry_as_an_event():
     event.callback(*event.args)
     assert seen == [(1, "x")]
     assert simulator._queue.pop() is None
+
+
+# ----------------------------------------------------------------------
+# The wheel's arm: a reservation and ``schedule``, written out
+# ----------------------------------------------------------------------
+# ``TimerService.arm`` reserves a wheeled timer's sequence number and posts
+# its bucket's tick with the queue's bodies written out, as ``schedule_in``
+# writes out ``push``.  The reference is the arm as it was built from the
+# queue's own steps: a reservation (counted in ``_reserved``, never in
+# ``scheduled``) and the tick through ``Simulator.schedule``.
+
+
+def _reference_arm(service, delay, callback, *args, priority=0, label=None):
+    simulator = service._simulator
+    deadline = simulator.now + delay
+    bucket = int(deadline // service.granularity)
+    tick_time = bucket * service.granularity
+    service.timers_armed += 1
+    if not simulator.now < tick_time <= deadline:
+        service.timers_direct += 1
+        return simulator.schedule_in(delay, callback, *args, priority=priority, label=label)
+    service.timers_wheeled += 1
+    queue = simulator._queue
+    sequence = queue._sequence
+    queue._sequence += 1
+    queue._reserved += 1
+    event = Event(deadline, priority, sequence, callback, args, False, label)
+    timers = service._buckets.get(bucket)
+    if timers is None:
+        service._buckets[bucket] = [event]
+        simulator.schedule(
+            tick_time, service._tick, bucket, priority=PRIORITY_TIMER_TICK, label="timer:tick"
+        )
+    else:
+        timers.append(event)
+    return event
+
+
+def _drive_wheel(path):
+    simulator = Simulator(seed=0, start_time=1.0)
+    service = TimerService(simulator, granularity=0.1)
+    arm = service.arm if path == "arm" else partial(_reference_arm, service)
+    fired, traced, states = [], [], []
+    simulator.add_trace_hook(lambda time, label: traced.append((time, label)))
+    # Two arming instants; per instant one direct arm (inside the current
+    # bucket), two timers sharing a bucket and one alone, priorities tied
+    # and not, with an ordinary event between every two arms.
+    script = [(0.01, 0, "direct"), (0.25, 0, "a"), (0.28, -10, "b"), (0.26, 10, "c"), (0.45, 0, "d")]
+    timers = []
+    for until in (1.0, 1.3):
+        simulator.run_until(until)
+        for delay, priority, label in script:
+            timers.append(arm(delay, fired.append, label, priority=priority, label=label))
+            states.append((simulator.queue_stats(), simulator.pending_events))
+            simulator.post_in(0.2, fired.append, "hop", label="hop")
+        timers[-3].cancel()
+    armed = [(timer.time, timer.priority, timer.sequence, timer.label) for timer in timers]
+    entries = _pending_entries(simulator)
+    simulator.run_until(5.0)
+    after = simulator.queue_stats(), simulator.pending_events, service.stats()
+    return armed, entries, states, fired, traced, after
+
+
+def test_the_wheels_inlined_arm_matches_a_reservation_plus_schedule():
+    inlined = _drive_wheel("arm")
+    armed, entries, states, fired, traced, after = inlined
+    # Every arm but the direct ones was wheeled into four buckets, and each
+    # new bucket's tick took the sequence number after its first timer's.
+    # The first bucket ticked before the second instant's arms.
+    ticks = [entry for entry in entries if entry[4] == "timer:tick"]
+    assert len(ticks) == 3 and all(entry[1] == PRIORITY_TIMER_TICK for entry in ticks)
+    assert {entry[2] - 1 for entry in ticks} <= {sequence for _, _, sequence, _ in armed}
+    assert after[2]["timers_wheeled"] == 8 and after[2]["timers_direct"] == 2
+    assert after[2]["timers_cancelled"] == 2 and after[0]["pending"] == after[1] == 0
+    assert fired.count("hop") == 10 and "b" not in fired
+    assert inlined == _drive_wheel("reference")
