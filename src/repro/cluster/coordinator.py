@@ -233,11 +233,6 @@ class RequestCoordinator:
         """The simulation kernel this coordinator schedules on."""
         return self._simulator
 
-    @property
-    def pipeline(self) -> MiddlewarePipeline:
-        """The request pipeline in effect."""
-        return self._pipeline
-
     def set_pipeline(self, pipeline: MiddlewarePipeline) -> None:
         """Install a request pipeline (done once by the cluster facade)."""
         self._pipeline = pipeline
@@ -265,11 +260,6 @@ class RequestCoordinator:
                 self._simulator, granularity=pipeline.timer_granularity
             )
             self._arm_timer = self._timers.arm
-
-    @property
-    def timers(self) -> Optional[TimerService]:
-        """The amortised timer wheel, when the pipeline opted in (else ``None``)."""
-        return self._timers
 
     def timer_stats(self) -> Dict[str, object]:
         """Wheel counters for reports/bench; empty dict on the direct path."""

@@ -49,11 +49,6 @@ class MembershipView:
         self._owner = owner
         self._records: Dict[str, _PeerRecord] = {}
 
-    @property
-    def owner(self) -> str:
-        """Node id whose local view this is."""
-        return self._owner
-
     def observe(self, node_id: str, heartbeat: int, now: float) -> None:
         """Merge one heartbeat observation into the view."""
         record = self._records.get(node_id)
@@ -212,10 +207,6 @@ class MembershipService:
             agent.stop()
         for other in self._agents.values():
             other.view.forget(node_id)
-
-    def agent(self, node_id: str) -> Optional[GossipAgent]:
-        """The gossip agent of ``node_id`` (or ``None``)."""
-        return self._agents.get(node_id)
 
     def view_of(self, node_id: str) -> Optional[MembershipView]:
         """The membership view of ``node_id`` (or ``None``)."""

@@ -116,7 +116,6 @@ class StorageNode:
         )
         self.storage = StorageEngine(node_id)
         self._base_demand = 1.0 / self.config.ops_capacity
-        self.started_at = simulator.now
         self.foreground_ops = 0
         self.background_ops = 0
         self.dropped_mutations = 0
@@ -242,7 +241,7 @@ class StorageNode:
         self.foreground_ops += 1
         demand = self.demand_for(READ_DEMAND_FACTOR)
 
-        def _complete(now: float) -> None:
+        def _complete(_now: float) -> None:
             version = self.storage.get(key)
             on_done(ReplicaReadResponse(self.node_id, version))
 

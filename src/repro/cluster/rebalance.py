@@ -69,11 +69,10 @@ class StreamSession:
         self.keys_streamed = 0
         self._active = 0
         self._queue: List[StreamTask] = [task for task in tasks if task.keys]
-        self._cancelled = False
 
     @property
     def done(self) -> bool:
-        """Whether all tasks completed (or the session was cancelled)."""
+        """Whether all tasks completed."""
         return self.finished_at is not None
 
     @property
@@ -91,22 +90,14 @@ class StreamSession:
         for _ in range(min(MAX_PARALLEL_TASKS, len(self._queue))):
             self._start_next_task()
 
-    def cancel(self) -> None:
-        """Abort the session (remaining chunks are not sent)."""
-        self._cancelled = True
-        if self.finished_at is None:
-            self.finished_at = self._simulator.now
-
     def _start_next_task(self) -> None:
-        if self._cancelled or not self._queue:
+        if not self._queue:
             return
         task = self._queue.pop(0)
         self._active += 1
         self._stream_next_chunk(task)
 
     def _stream_next_chunk(self, task: StreamTask) -> None:
-        if self._cancelled:
-            return
         source = self._nodes.get(task.source)
         target = self._nodes.get(task.target)
         if source is None or target is None or not source.is_up or not target.is_up:
@@ -120,15 +111,13 @@ class StreamSession:
             self._task_done(task)
             return
 
-        def _chunk_read(items: Dict[str, VersionedValue], read_time: float) -> None:
+        def _chunk_read(items: Dict[str, VersionedValue], _read_time: float) -> None:
             self._deliver_chunk(task, items)
 
         source.stream_out(list(chunk), _chunk_read)
         task.keys_sent += len(chunk)
 
     def _deliver_chunk(self, task: StreamTask, items: Dict[str, VersionedValue]) -> None:
-        if self._cancelled:
-            return
         target = self._nodes.get(task.target)
         if target is None or not target.is_up:
             self._task_done(task)

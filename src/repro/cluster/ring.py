@@ -76,11 +76,6 @@ class HashRing:
         """Number of physical nodes on the ring."""
         return len(self._nodes)
 
-    @property
-    def virtual_nodes(self) -> int:
-        """Virtual nodes (tokens) per physical node."""
-        return self._virtual_nodes
-
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._nodes
 

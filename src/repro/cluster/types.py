@@ -114,12 +114,10 @@ class OperationType(enum.Enum):
     PROBE_WRITE = "probe_write"
 
     def __init__(self, value: str) -> None:
-        # Plain attributes, computed once per member: every listener asks
+        # A plain attribute, computed once per member: every listener asks
         # ``is_probe`` of every completed operation.
         self.is_probe: bool = value in ("probe_read", "probe_write")
         """Whether the operation was issued by the monitoring subsystem."""
-        self.is_read: bool = value in ("read", "probe_read")
-        """Whether the operation reads data (probe or production)."""
 
 
 @dataclass

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from math import comb, exp, log
 
+from ..cluster.errors import NON_NEGATIVE, check
 from ..cluster.types import ConsistencyLevel
 
 __all__ = ["StalenessModel"]
@@ -42,15 +43,15 @@ class StalenessModel:
     """Closed-form PBS-style staleness estimator."""
 
     def __init__(self, mean_replication_lag: float) -> None:
-        if mean_replication_lag < 0.0:
-            raise ValueError("mean_replication_lag must be >= 0")
-        self._mean_lag = float(mean_replication_lag)
+        self._mean_lag = float(
+            check("StalenessModel", "mean_replication_lag", mean_replication_lag, NON_NEGATIVE)
+        )
 
     def update_lag(self, mean_replication_lag: float) -> None:
         """Refit the model with a new measured mean lag."""
-        if mean_replication_lag < 0.0:
-            raise ValueError("mean_replication_lag must be >= 0")
-        self._mean_lag = float(mean_replication_lag)
+        self._mean_lag = float(
+            check("StalenessModel", "mean_replication_lag", mean_replication_lag, NON_NEGATIVE)
+        )
 
     # ------------------------------------------------------------------
     # Core formulas

@@ -18,7 +18,6 @@ from typing import Dict, Optional
 
 from ..cluster.cluster import ClusterListener
 from ..cluster.types import OperationResult
-from ..simulation.engine import Simulator
 from ..simulation.timeseries import TimeSeries
 
 __all__ = ["StalenessObserver", "StalenessSnapshot"]
@@ -51,8 +50,7 @@ class StalenessObserver(ClusterListener):
     """Collects per-read staleness annotations from completed production
     reads (probe reads are left out)."""
 
-    def __init__(self, simulator: Simulator) -> None:
-        self._simulator = simulator
+    def __init__(self) -> None:
         # One 0/1 flag per observed read and one age per stale read, both at
         # the read's completion time; the counters are their whole-run totals.
         self._stale_series = TimeSeries("stale_read")

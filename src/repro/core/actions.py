@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster.cluster import Cluster
-from ..cluster.errors import ClusterError
+from ..cluster.errors import NON_NEGATIVE, ClusterError, check
 from ..cluster.types import ConsistencyLevel
 
 __all__ = [
@@ -120,11 +120,6 @@ class SetReadConsistencyAction(ReconfigurationAction):
     def __init__(self, level: ConsistencyLevel) -> None:
         self._level = level
 
-    @property
-    def level(self) -> ConsistencyLevel:
-        """Target read consistency level."""
-        return self._level
-
     def describe(self) -> str:
         return f"set_read_consistency:{self._level.value}"
 
@@ -140,11 +135,6 @@ class SetWriteConsistencyAction(ReconfigurationAction):
 
     def __init__(self, level: ConsistencyLevel) -> None:
         self._level = level
-
-    @property
-    def level(self) -> ConsistencyLevel:
-        """Target write consistency level."""
-        return self._level
 
     def describe(self) -> str:
         return f"set_write_consistency:{self._level.value}"
@@ -167,10 +157,8 @@ class SetTierQuotaScaleAction(ReconfigurationAction):
     kind = ActionKind.ADMISSION
 
     def __init__(self, tier: str, scale: float) -> None:
-        if scale < 0.0:
-            raise ValueError("scale must be >= 0")
         self._tier = tier
-        self._scale = scale
+        self._scale = check("SetTierQuotaScaleAction", "scale", scale, NON_NEGATIVE)
 
     @property
     def tier(self) -> str:

@@ -77,18 +77,6 @@ class AnalysisResult:
     margins: Dict[str, float] = field(default_factory=dict)
     forecast_load: float = 0.0
 
-    @property
-    def healthy(self) -> bool:
-        """No violation and nothing at risk."""
-        problem_symptoms = {
-            Symptom.LATENCY_VIOLATION,
-            Symptom.STALENESS_VIOLATION,
-            Symptom.AVAILABILITY_VIOLATION,
-            Symptom.LATENCY_AT_RISK,
-            Symptom.STALENESS_AT_RISK,
-        }
-        return not (self.symptoms & problem_symptoms)
-
     def has(self, symptom: Symptom) -> bool:
         """Whether a symptom was detected."""
         return symptom in self.symptoms
@@ -114,7 +102,7 @@ class Analyzer:
         result.forecast_load = knowledge.load_forecast_peak(FORECAST_HORIZON)
 
         self._detect_symptoms(result, evaluation)
-        self._detect_root_causes(result, observation, knowledge, sla)
+        self._detect_root_causes(result, observation, sla)
         return result
 
     # ------------------------------------------------------------------
@@ -155,7 +143,6 @@ class Analyzer:
         self,
         result: AnalysisResult,
         observation: SystemObservation,
-        knowledge: KnowledgeBase,
         sla: SLA,
     ) -> None:
         if observation.max_utilization >= SATURATION_UTILIZATION:

@@ -191,7 +191,6 @@ class AutonomousController:
                 continue
             outcome = action.apply(self._cluster, self._simulator.now)
             self.action_log.append(outcome)
-            self.knowledge.record_action(outcome)
             self.guard.record_outcome(outcome)
             if outcome.applied:
                 break  # at most one applied action per round

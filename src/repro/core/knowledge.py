@@ -1,7 +1,7 @@
 """The knowledge base of the MAPE-K loop.
 
 Everything the controller has learned about the running system lives here:
-recent observations, the configuration and action history, an online estimate
+the latest observation, an online estimate
 of the replication lag (feeding the PBS-style staleness model), an online
 estimate of per-node capacity, and the load forecaster.  The analyzer, the
 planner and the policies only ever read from this object, which keeps the
@@ -10,18 +10,14 @@ MAPE phases decoupled and testable.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional
+from typing import Optional
 
 from ..consistency.pbs import StalenessModel
-from .actions import ActionOutcome
 from .forecasting import Forecaster, HoltWintersForecaster
 from .sla import SystemObservation
 
 __all__ = ["KnowledgeBase", "CapacityModel"]
 
-#: Observations kept for :meth:`KnowledgeBase.history`.
-HISTORY_LENGTH = 512
 #: Weight of each new inconsistency-window mean in the lag estimate.
 LAG_SMOOTHING = 0.3
 #: Operations per second one node is assumed to sustain before any sample.
@@ -72,8 +68,7 @@ class KnowledgeBase:
         self.forecaster = forecaster or HoltWintersForecaster()
         self.capacity = CapacityModel()
         self.staleness_model = StalenessModel(mean_replication_lag=0.05)
-        self._observations: Deque[SystemObservation] = deque(maxlen=HISTORY_LENGTH)
-        self._actions: List[ActionOutcome] = []
+        self._latest: Optional[SystemObservation] = None
         self._lag_estimate = 0.05
 
     # ------------------------------------------------------------------
@@ -81,7 +76,7 @@ class KnowledgeBase:
     # ------------------------------------------------------------------
     def record_observation(self, observation: SystemObservation) -> None:
         """Store one observation and refresh the derived models."""
-        self._observations.append(observation)
+        self._latest = observation
         load_signal = max(observation.throughput_ops, observation.offered_rate)
         self.forecaster.observe(observation.time, load_signal)
         self.capacity.observe(
@@ -96,26 +91,12 @@ class KnowledgeBase:
             self._lag_estimate = max(1e-4, self._lag_estimate)
             self.staleness_model.update_lag(self._lag_estimate)
 
-    def record_action(self, outcome: ActionOutcome) -> None:
-        """Store the outcome of an executed action."""
-        self._actions.append(outcome)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def latest(self) -> Optional[SystemObservation]:
         """Most recent observation (or ``None``)."""
-        return self._observations[-1] if self._observations else None
-
-    def history(self, count: Optional[int] = None) -> List[SystemObservation]:
-        """The last ``count`` observations (all when ``count`` is ``None``)."""
-        if count is None:
-            return list(self._observations)
-        return list(self._observations)[-count:]
-
-    def actions(self) -> List[ActionOutcome]:
-        """All executed actions in order."""
-        return list(self._actions)
+        return self._latest
 
     def load_forecast_peak(self, horizon: float) -> float:
         """Peak forecast load over the next ``horizon`` seconds."""

@@ -130,7 +130,7 @@ class SLAPlanner:
     # ------------------------------------------------------------------
     # Capacity planning
     # ------------------------------------------------------------------
-    def desired_node_count(self, knowledge: KnowledgeBase, current_nodes: int) -> int:
+    def desired_node_count(self, knowledge: KnowledgeBase) -> int:
         """Node count required for the forecast peak at the target utilisation."""
         forecast = knowledge.load_forecast_peak(FORECAST_HORIZON)
         latest = knowledge.latest()
@@ -159,7 +159,7 @@ class SLAPlanner:
         current_write = _parse_level(str(cluster_state.get("write_consistency", "ONE")))
 
         target = self.derive_consistency_target(knowledge, sla, replication_factor)
-        desired_nodes = self.desired_node_count(knowledge, current_nodes)
+        desired_nodes = self.desired_node_count(knowledge)
         congested = analysis.caused_by(RootCause.NETWORK_CONGESTION)
         tier_scales = cluster_state.get("admission_tier_scales")
 

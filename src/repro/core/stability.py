@@ -125,14 +125,12 @@ class StabilityGuard:
             self.blocked_by_cooldown += 1
             return False
 
-        if analysis is not None and not self._persistence_satisfied(action, analysis):
+        if analysis is not None and not self._persistence_satisfied(analysis):
             self.blocked_by_persistence += 1
             return False
         return True
 
-    def _persistence_satisfied(
-        self, action: ReconfigurationAction, analysis: AnalysisResult
-    ) -> bool:
+    def _persistence_satisfied(self, analysis: AnalysisResult) -> bool:
         """Corrective actions need their driving symptom to have persisted."""
         required = self.config.required_persistence
         if required <= 1:
@@ -165,11 +163,6 @@ class StabilityGuard:
             self.oscillations_detected += 1
             self._frozen_until = now + OSCILLATION_FREEZE
             self._scale_history.clear()
-
-    @property
-    def frozen(self) -> bool:
-        """Whether scaling is currently frozen due to detected oscillation."""
-        return self._frozen_until is not None
 
     def stats(self) -> Dict[str, float]:
         """Counters for reports and the E4 ablation."""

@@ -68,11 +68,6 @@ class CostAccountant:
         """Add SLA penalty charges (computed by the SLA evaluator)."""
         self._sla_penalty += max(0.0, float(amount))
 
-    @property
-    def sla_penalty(self) -> float:
-        """Accumulated SLA penalty charges."""
-        return self._sla_penalty
-
     def report(self, end_time: Optional[float] = None) -> CostReport:
         """Produce the combined report (closes billing at ``end_time`` if given)."""
         if end_time is not None:

@@ -25,6 +25,7 @@ from ..cluster.node import NodeConfig
 from ..cluster.types import ConsistencyLevel
 from ..core.controller import ControllerConfig
 from ..core.sla import SLA, AvailabilitySLO, LatencySLO, StalenessSLO
+from ..monitoring.estimators import ProbeConfig
 from ..runner import MonitoringOptions, SimulationConfig
 from ..simulation.interference import InterferenceConfig
 from ..workload.generator import WorkloadSpec
@@ -226,8 +227,6 @@ def build_config(
         evaluation_interval=evaluation_interval,
         estimator_source="probe",
     )
-    monitoring = MonitoringOptions()
-    monitoring.probe.probe_interval = probe_interval
     if interference is None:
         interference = InterferenceConfig(enabled=enable_interference)
     config = SimulationConfig(
@@ -237,7 +236,7 @@ def build_config(
         workload=workload,
         sla=sla or standard_sla(),
         controller=controller,
-        monitoring=monitoring,
+        monitoring=MonitoringOptions(probe=ProbeConfig(probe_interval=probe_interval)),
         interference=interference,
         middleware=middleware,
         middleware_params=middleware_params,

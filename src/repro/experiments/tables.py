@@ -38,12 +38,6 @@ class ResultTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def column(self, name: str) -> List[Cell]:
-        """All values of one column, in row order."""
-        if name not in self.columns:
-            raise KeyError(f"unknown column {name!r}")
-        return [row[name] for row in self.rows]
-
     @staticmethod
     def _format_cell(value: Cell) -> str:
         if isinstance(value, float):

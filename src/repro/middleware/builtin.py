@@ -93,11 +93,6 @@ class HintedHandoffMiddleware(RequestMiddleware):
     def __init__(self, manager: "HintedHandoffManager") -> None:
         self._manager = manager
 
-    @property
-    def manager(self) -> "HintedHandoffManager":
-        """The hint store this middleware writes to."""
-        return self._manager
-
     def on_unreachable_replica(
         self, ctx: RequestContext, node_id: str, version: object
     ) -> bool:
@@ -112,11 +107,6 @@ class ReadRepairMiddleware(RequestMiddleware):
 
     def __init__(self, repairer: "ReadRepairer") -> None:
         self._repairer = repairer
-
-    @property
-    def repairer(self) -> "ReadRepairer":
-        """The repair service this middleware drives."""
-        return self._repairer
 
     def inspect_read_responses(
         self, ctx: RequestContext, responses: Sequence[object]
@@ -181,7 +171,7 @@ def _build_replica_selection(ctx: MiddlewareBuildContext) -> RandomReplicaSelect
 
 
 @register_middleware("consistency")
-def _build_consistency(ctx: MiddlewareBuildContext) -> ConsistencyEnforcement:
+def _build_consistency(_ctx: MiddlewareBuildContext) -> ConsistencyEnforcement:
     return ConsistencyEnforcement()
 
 

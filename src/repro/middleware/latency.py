@@ -101,15 +101,6 @@ class NodeRttTracker:
         self._samples[node_id] = self._samples.get(node_id, 0) + 1
         self._ranking = None
 
-    def estimate(self, node_id: str) -> float:
-        """Current RTT estimate for ``node_id`` (fallback when unsampled)."""
-        estimate = self._estimates.get(node_id)
-        if estimate is not None:
-            return estimate
-        if self._fallback is not None:
-            return float(self._fallback())
-        return 0.0
-
     def ranked(
         self, nodes: Collection[str]
     ) -> Tuple[List[Tuple[float, str]], List[str]]:

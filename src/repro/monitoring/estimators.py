@@ -62,7 +62,6 @@ class WindowEstimate:
     """One estimator's belief about the current inconsistency window."""
 
     time: float
-    source: str
     mean_window: float
     p95_window: float
     stale_read_fraction: float
@@ -167,11 +166,6 @@ class ReadAfterWriteProber(ConsistencyEstimator):
             label="probe:write",
         )
 
-    @property
-    def config(self) -> ProbeConfig:
-        """Probe configuration in effect."""
-        return self._config
-
     def operations_issued(self) -> int:
         return self._ops_issued
 
@@ -266,7 +260,6 @@ class ReadAfterWriteProber(ConsistencyEstimator):
             stale_fraction = 0.0
         estimate = WindowEstimate(
             time=now,
-            source=self.name,
             mean_window=mean_window,
             p95_window=p95_window,
             stale_read_fraction=stale_fraction,
@@ -302,14 +295,12 @@ class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
 
     def __init__(self, simulator: Simulator, cluster: Cluster) -> None:
         ConsistencyEstimator.__init__(self, simulator)
-        self._cluster = cluster
         self._acked: Dict[str, tuple[float, float]] = {}
         """key -> (version timestamp, ack completion time) of the newest acked write."""
 
         self._recent_windows: List[float] = []
         self._recent_reads = 0
         self._recent_stale = 0
-        self.reads_observed = 0
         cluster.add_listener(self)
 
     # -- ClusterListener hooks -------------------------------------------
@@ -333,7 +324,6 @@ class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
         if reference_ack_time > result.issued_at:
             # The ack happened after the read was issued; not a valid reference.
             return
-        self.reads_observed += 1
         self._recent_reads += 1
         returned_ts = result.version_timestamp if result.version_timestamp is not None else -1.0
         if returned_ts < reference_ts:
@@ -354,7 +344,6 @@ class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
         )
         estimate = WindowEstimate(
             time=now,
-            source=self.name,
             mean_window=mean_window,
             p95_window=p95_window,
             stale_read_fraction=stale_fraction,
@@ -444,7 +433,6 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
         p95_window = 3.0 * mean_window
         estimate = WindowEstimate(
             time=now,
-            source=self.name,
             mean_window=mean_window,
             p95_window=p95_window,
             stale_read_fraction=0.0,

@@ -22,7 +22,6 @@ from typing import Dict, List
 
 from ..cluster.cluster import Cluster, ClusterListener
 from ..cluster.types import OperationResult
-from ..simulation.engine import Simulator
 from .estimators import ConsistencyEstimator
 
 __all__ = ["OverheadReport", "MonitoringOverheadAccountant"]
@@ -58,9 +57,7 @@ ANALYSIS_COST_PER_ESTIMATE = 1e-3
 class MonitoringOverheadAccountant(ClusterListener):
     """Tracks how much load and compute the monitoring subsystem adds."""
 
-    def __init__(self, simulator: Simulator, cluster: Cluster) -> None:
-        self._simulator = simulator
-        self._cluster = cluster
+    def __init__(self, cluster: Cluster) -> None:
         self._estimators: List[ConsistencyEstimator] = []
         self.production_operations = 0
         self.probe_operations = 0

@@ -48,11 +48,6 @@ class WindowedPercentiles:
         self._samples.append(float(value))
         self._count += 1
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        """Feed several observations at once."""
-        for value in values:
-            self.observe(value)
-
     def percentile(self, q: float) -> float:
         """Percentile over the retained window (0 when empty)."""
         return exact_percentiles(self._samples, (q,))[0]

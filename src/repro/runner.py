@@ -220,7 +220,7 @@ class Simulation:
 
         # Ground truth and client-observed consistency tracking.
         self.window_tracker = InconsistencyWindowTracker(self.simulator)
-        self.staleness_observer = StalenessObserver(self.simulator)
+        self.staleness_observer = StalenessObserver()
         self.cluster.add_listener(self.window_tracker)
         self.cluster.add_listener(self.staleness_observer)
 
@@ -234,7 +234,7 @@ class Simulation:
 
         # Monitoring stack.
         self.metrics = MetricsCollector(self.simulator, self.cluster)
-        self.overhead = MonitoringOverheadAccountant(self.simulator, self.cluster)
+        self.overhead = MonitoringOverheadAccountant(self.cluster)
         prober = ReadAfterWriteProber(self.simulator, self.cluster, self.config.monitoring.probe)
         piggyback = PiggybackMonitor(self.simulator, self.cluster)
         rtt = RttEstimator(self.simulator, self.cluster)

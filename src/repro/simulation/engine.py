@@ -67,11 +67,6 @@ class PeriodicTask:
         self._stopped = False
         self._handle: Optional[Event] = None
 
-    @property
-    def interval(self) -> float:
-        """Current rescheduling interval in simulated seconds."""
-        return self._interval
-
     def stop(self) -> None:
         """Stop the task; the pending occurrence (if any) is cancelled."""
         self._stopped = True
@@ -138,11 +133,6 @@ class Simulator:
     def start_time(self) -> float:
         """Time the simulation started at (usually ``0.0``)."""
         return self._start_time
-
-    @property
-    def elapsed(self) -> float:
-        """Simulated seconds elapsed since the start."""
-        return self.now - self._start_time
 
     @property
     def streams(self) -> RandomStreams:

@@ -140,7 +140,6 @@ class InterferenceController:
         config: Optional[InterferenceConfig] = None,
     ) -> None:
         self._simulator = simulator
-        self._network = network
         self._config = config or InterferenceConfig()
         self._node_processes: List[NodeInterference] = []
         self._network_process = NetworkInterference(simulator, network)
@@ -152,11 +151,6 @@ class InterferenceController:
                 label="interference:tick",
                 priority=Simulator.PRIORITY_CONTROL,
             )
-
-    @property
-    def config(self) -> InterferenceConfig:
-        """Interference configuration in effect."""
-        return self._config
 
     def attach_server(self, server: QueueingServer) -> NodeInterference:
         """Start interfering with a (new) node server; returns its process."""

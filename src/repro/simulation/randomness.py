@@ -68,11 +68,6 @@ class RandomStreams:
         """Root seed from which all streams are derived."""
         return self._seed
 
-    @property
-    def namespace(self) -> str:
-        """Prefix applied to every stream name before hashing ("" = none)."""
-        return self._namespace
-
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
 

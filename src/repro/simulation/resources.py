@@ -186,11 +186,6 @@ class QueueingServer:
         return len(self._queue)
 
     @property
-    def busy(self) -> bool:
-        """Whether a request is currently in service."""
-        return self._in_service is not None
-
-    @property
     def completed(self) -> int:
         """Total number of completed requests."""
         return self._completed

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -237,10 +237,6 @@ class TimeSeriesBundle:
     def record(self, name: str, time: float, value: float) -> None:
         """Append a sample to the named series."""
         self.series(name).record(time, value)
-
-    def names(self) -> Tuple[str, ...]:
-        """All series names recorded so far, sorted."""
-        return tuple(sorted(self._series))
 
     def __contains__(self, name: str) -> bool:
         return name in self._series

@@ -112,11 +112,6 @@ class ZipfianKeys(KeyDistribution):
         self._scrambled = scrambled
         self._recompute_constants()
 
-    @property
-    def theta(self) -> float:
-        """Skew parameter (0.99 is the YCSB default)."""
-        return self._theta
-
     def _zeta(self, n: int) -> float:
         return float(sum(1.0 / (i ** self._theta) for i in range(1, n + 1)))
 

@@ -472,7 +472,7 @@ class WorkloadGenerator:
     ) -> None:
         self._simulator = simulator
         self._cluster = cluster
-        self.spec = spec = spec or WorkloadSpec()
+        spec = spec or WorkloadSpec()
         self.name = name = WORKLOAD_NAME
         streams = simulator.streams
         base = f"workload:{name}"

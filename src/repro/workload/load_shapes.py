@@ -180,11 +180,6 @@ class ScaledLoad(LoadShape):
         self._factor = float(check("ScaledLoad", "factor", factor, NON_NEGATIVE))
 
     @property
-    def base(self) -> LoadShape:
-        """The wrapped shape."""
-        return self._base
-
-    @property
     def factor(self) -> float:
         """The constant multiplier applied to the base rate."""
         return self._factor

@@ -13,7 +13,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..cluster.errors import Settings, fraction
+from ..cluster.errors import POSITIVE, Settings, check, fraction
 from ..simulation.randomness import LognormalSampler
 
 __all__ = ["OperationMix", "RecordSizer", "READ_HEAVY", "BALANCED", "WRITE_HEAVY", "READ_ONLY"]
@@ -91,17 +91,10 @@ class RecordSizer:
     """
 
     def __init__(self, mean_size: int = 1024) -> None:
-        if mean_size <= 0:
-            raise ValueError("invalid record size parameters")
-        self._mean = float(mean_size)
+        self._mean = float(check("RecordSizer", "mean_size", mean_size, POSITIVE))
         # The sampler caches the CV-derived lognormal constants once for the
         # sizer's lifetime; draws stay bit-identical to the per-call path.
         self._sampler = LognormalSampler(RECORD_SIZE_CV)
-
-    @property
-    def mean_size(self) -> float:
-        """Mean payload size in bytes."""
-        return self._mean
 
     def next_size(self, rng: np.random.Generator) -> int:
         """Draw one payload size in bytes."""

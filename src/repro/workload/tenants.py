@@ -175,11 +175,6 @@ class TenantPopulation:
         """All tenant profiles, popularity rank order (most popular first)."""
         return self._profiles
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Normalised popularity weights, rank order."""
-        return self._weights
-
     def profile(self, index: int) -> TenantProfile:
         """The profile of the tenant at popularity rank ``index``."""
         return self._profiles[index]

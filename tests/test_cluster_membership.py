@@ -92,7 +92,7 @@ def test_deregistered_node_is_forgotten():
     service, nodes, _network = make_membership(simulator)
     simulator.run_until(5.0)
     service.deregister_node("n2")
-    assert service.agent("n2") is None
+    assert service.view_of("n2") is None
     # n2 was up and heard from a moment ago: only a forgotten record is dead.
     assert not service.view_of("n0").is_alive("n2", simulator.now)
 
@@ -100,6 +100,6 @@ def test_deregistered_node_is_forgotten():
 def test_heartbeats_increase_over_time():
     simulator = Simulator(seed=0)
     service, _nodes, _network = make_membership(simulator)
-    agent = service.agent("n0")
+    agent = service._agents["n0"]
     simulator.run_until(20.0)
     assert agent.heartbeat >= 15

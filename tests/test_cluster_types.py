@@ -59,9 +59,6 @@ def test_node_state_serving_rules():
 
 
 def test_operation_type_classification():
-    assert OperationType.READ.is_read
-    assert OperationType.PROBE_READ.is_read
-    assert not OperationType.WRITE.is_read
     assert OperationType.PROBE_READ.is_probe
     assert OperationType.PROBE_WRITE.is_probe
     assert not OperationType.READ.is_probe

@@ -148,8 +148,7 @@ def read_result(time, stale, staleness=0.0, probe=False, success=True):
 
 
 def test_staleness_observer_counts_only_successful_production_reads():
-    simulator = Simulator(seed=0)
-    observer = StalenessObserver(simulator)
+    observer = StalenessObserver()
     observer.on_operation_completed(read_result(1.0, stale=False))
     observer.on_operation_completed(read_result(2.0, stale=True, staleness=0.5))
     observer.on_operation_completed(read_result(3.0, stale=True, staleness=1.5, probe=True))
@@ -163,8 +162,7 @@ def test_staleness_observer_counts_only_successful_production_reads():
 
 
 def test_staleness_snapshot_statistics():
-    simulator = Simulator(seed=0)
-    observer = StalenessObserver(simulator)
+    observer = StalenessObserver()
     for i in range(10):
         observer.on_operation_completed(read_result(float(i), stale=i % 2 == 0, staleness=0.2 * i))
     snapshot = observer.snapshot()
@@ -176,8 +174,7 @@ def test_staleness_snapshot_statistics():
 
 
 def test_staleness_snapshot_since_filter():
-    simulator = Simulator(seed=0)
-    observer = StalenessObserver(simulator)
+    observer = StalenessObserver()
     observer.on_operation_completed(read_result(1.0, stale=True, staleness=1.0))
     observer.on_operation_completed(read_result(10.0, stale=False))
     snapshot = observer.snapshot(since=5.0)

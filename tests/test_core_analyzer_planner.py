@@ -61,7 +61,13 @@ def analyze(obs, sla=None, knowledge=None):
 # ----------------------------------------------------------------------
 def test_healthy_observation_has_no_problem_symptoms():
     analysis, _, _ = analyze(observation())
-    assert analysis.healthy
+    assert not analysis.symptoms & {
+        Symptom.LATENCY_VIOLATION,
+        Symptom.STALENESS_VIOLATION,
+        Symptom.AVAILABILITY_VIOLATION,
+        Symptom.LATENCY_AT_RISK,
+        Symptom.STALENESS_AT_RISK,
+    }
     assert not analysis.caused_by(RootCause.CPU_SATURATION)
 
 
@@ -196,7 +202,7 @@ def test_planner_relaxes_consistency_when_latency_hurts_and_staleness_is_fine():
     actions = planner.plan(analysis, knowledge, sla, cluster_state(read="QUORUM"))
     assert isinstance(actions[0], (SetReadConsistencyAction, AddNodeAction))
     if isinstance(actions[0], SetReadConsistencyAction):
-        assert actions[0].level.strictness < ConsistencyLevel.QUORUM.strictness
+        assert actions[0]._level.strictness < ConsistencyLevel.QUORUM.strictness
 
 
 def test_planner_scales_in_when_overprovisioned():
@@ -323,7 +329,7 @@ def test_guard_detects_oscillation_and_freezes_scaling():
     for time, kind in zip(times, kinds):
         guard.record_outcome(outcome(kind, time))
     assert guard.oscillations_detected == 1
-    assert guard.frozen
+    assert guard._frozen_until is not None
     # Frozen for 900 s from the fourth flip.
     assert not guard.allows(AddNodeAction(), now=1250.0)
     assert guard.allows(AddNodeAction(), now=1400.0)

@@ -16,7 +16,6 @@ from repro.core import (
     make_forecaster,
 )
 import repro.core.knowledge as knowledge_module
-from repro.core.actions import ActionKind, ActionOutcome
 from repro.core.knowledge import CapacityModel
 
 
@@ -145,8 +144,6 @@ def test_knowledge_records_observations_and_updates_lag():
     for i in range(10):
         knowledge.record_observation(make_observation(i * 30.0, window_mean=0.2))
     assert knowledge.latest().time == pytest.approx(270.0)
-    assert len(knowledge.history()) == 10
-    assert len(knowledge.history(3)) == 3
     # The staleness model is refitted with a lag estimate near the windows'
     # mean: its median window is that lag times ln 2.
     assert knowledge.staleness_model.expected_window_p(0.5) == pytest.approx(
@@ -159,12 +156,3 @@ def test_knowledge_load_forecast_follows_growth():
     for i in range(20):
         knowledge.record_observation(make_observation(i * 30.0, throughput=100.0 + 10.0 * i))
     assert knowledge.load_forecast_peak(300.0) > 250.0
-
-
-def test_knowledge_action_history():
-    knowledge = KnowledgeBase()
-    outcome = ActionOutcome(
-        action="add_node", kind=ActionKind.SCALE_OUT, applied=True, time=100.0
-    )
-    knowledge.record_action(outcome)
-    assert knowledge.actions() == [outcome]

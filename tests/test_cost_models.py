@@ -134,4 +134,4 @@ def test_cost_accountant_combines_all_sources():
 def test_negative_penalty_is_ignored():
     accountant = CostAccountant()
     accountant.add_sla_penalty(-5.0)
-    assert accountant.sla_penalty == 0.0
+    assert accountant.report().sla_penalty_cost == 0.0

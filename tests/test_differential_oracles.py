@@ -1358,10 +1358,6 @@ class _RecordQueueingServer:
         return len(self._queue)
 
     @property
-    def busy(self) -> bool:
-        return self._in_service is not None
-
-    @property
     def completed(self) -> int:
         return self._completed
 
@@ -1467,7 +1463,7 @@ def _run_server_script(server_type, seed, service_rate, service_cv, script):
                 server.utilization.last_utilization,
                 server.effective_rate,
                 server.queue_length,
-                server.busy,
+                server._in_service is not None,
                 server.completed,
                 server.mean_queue_delay,
                 server.total_busy_time,

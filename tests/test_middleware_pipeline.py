@@ -75,12 +75,12 @@ def test_cluster_default_pipeline_and_snapshot():
     simulator = Simulator(seed=1)
     cluster = make_cluster(simulator)
     assert cluster.pipeline.names() == DEFAULT_REQUEST_PIPELINE
-    assert cluster.coordinator.pipeline is cluster.pipeline
+    assert cluster.coordinator._pipeline is cluster.pipeline
     snapshot = cluster.configuration_snapshot()
     assert snapshot["middleware"] == list(DEFAULT_REQUEST_PIPELINE)
     # The built-in stages bind to the cluster's own services.
-    assert cluster.pipeline.get("hinted-handoff").manager is cluster.hinted_handoff
-    assert cluster.pipeline.get("read-repair").repairer is cluster.read_repairer
+    assert cluster.pipeline.get("hinted-handoff")._manager is cluster.hinted_handoff
+    assert cluster.pipeline.get("read-repair")._repairer is cluster.read_repairer
 
 
 def test_pipeline_dispatches_only_to_overriders():
@@ -424,14 +424,14 @@ def test_workload_spec_rejects_unknown_override_kind():
 # ----------------------------------------------------------------------
 def test_node_rtt_tracker_ewma_and_fallback():
     tracker = NodeRttTracker(alpha=0.5, fallback=lambda: 0.25)
-    assert tracker.estimate("n1") == 0.25  # unsampled -> fallback
+    assert tracker.ranked(["n1"]) == ([(0.25, "n1")], [])  # unsampled -> fallback
     tracker.observe("n1", 0.1)
-    assert tracker.estimate("n1") == 0.1
+    assert tracker.ranked(["n1"]) == ([(0.1, "n1")], [])
     tracker.observe("n1", 0.2)
-    assert tracker.estimate("n1") == pytest.approx(0.15)
+    assert tracker.snapshot() == {"n1": pytest.approx(0.15)}
     assert tracker.samples("n1") == 2
     tracker.forget("n1")
-    assert tracker.estimate("n1") == 0.25
+    assert tracker.ranked(["n1"]) == ([(0.25, "n1")], [])
 
 
 def test_latency_aware_selection_avoids_slow_replicas():

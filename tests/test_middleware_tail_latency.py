@@ -415,8 +415,8 @@ def test_hedged_cluster_routes_timers_through_the_wheel():
     simulator = Simulator(seed=11)
     cluster = make_cluster(simulator, middleware=HEDGED_PIPELINE)
     coordinator = cluster.coordinator
-    assert coordinator.timers is not None
-    assert coordinator.timers.granularity == 0.025
+    assert coordinator._timers is not None
+    assert coordinator._timers.granularity == 0.025
     cluster.preload({"k": b"v"}, {"k": 1})
     done = []
     cluster.read("k", on_complete=done.append)
@@ -449,7 +449,7 @@ def test_wheel_and_direct_timers_produce_the_same_report():
         )
         reports[label] = simulation.run().as_dict()
         coordinator = simulation.cluster.coordinator
-        assert (coordinator.timers is not None) == (label == "wheel")
+        assert (coordinator._timers is not None) == (label == "wheel")
         assert coordinator.hedged_reads > 0
     assert reports["wheel"].pop("events_processed") > reports["direct"].pop(
         "events_processed"
@@ -460,5 +460,5 @@ def test_wheel_and_direct_timers_produce_the_same_report():
 def test_default_cluster_never_constructs_a_timer_wheel():
     simulator = Simulator(seed=11)
     cluster = make_cluster(simulator)
-    assert cluster.coordinator.timers is None
+    assert cluster.coordinator._timers is None
     assert cluster.coordinator.timer_stats() == {}

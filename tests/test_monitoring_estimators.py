@@ -66,11 +66,18 @@ def test_prober_stop_halts_probing():
 def test_piggyback_monitor_sees_stale_reads_without_extra_load():
     simulator = Simulator(seed=4)
     cluster = make_cluster(simulator, ops_capacity=120.0)
-    piggyback = PiggybackMonitor(simulator, cluster)
+    compared = []
+
+    class Counting(PiggybackMonitor):
+        def _build_estimate(self, now):
+            compared.append(self._recent_reads)
+            return super()._build_estimate(now)
+
+    piggyback = Counting(simulator, cluster)
     start_workload(simulator, cluster, rate=140.0)
     simulator.run_until(120.0)
     assert piggyback.operations_issued() == 0
-    assert piggyback.reads_observed > 500
+    assert sum(compared) + piggyback._recent_reads > 500
     assert len(piggyback.estimates()) == 12
 
 
@@ -97,7 +104,7 @@ def test_rtt_estimator_scales_with_utilisation():
 def test_overhead_accountant_tracks_probe_share():
     simulator = Simulator(seed=6)
     cluster = make_cluster(simulator)
-    accountant = MonitoringOverheadAccountant(simulator, cluster)
+    accountant = MonitoringOverheadAccountant(cluster)
     prober = ReadAfterWriteProber(simulator, cluster, ProbeConfig(probe_interval=1.0))
     piggyback = PiggybackMonitor(simulator, cluster)
     accountant.register(prober)

@@ -17,7 +17,8 @@ from repro.workload import BALANCED, ConstantLoad, WorkloadGenerator, WorkloadSp
 # ----------------------------------------------------------------------
 def test_windowed_percentiles_basic():
     window = WindowedPercentiles(window=100)
-    window.observe_many(float(i) for i in range(1, 101))
+    for i in range(1, 101):
+        window.observe(float(i))
     assert window.percentile(50) == pytest.approx(50.5)
     assert window.mean() == pytest.approx(50.5)
     snapshot = window.snapshot()
@@ -27,7 +28,8 @@ def test_windowed_percentiles_basic():
 
 def test_windowed_percentiles_eviction_and_clear():
     window = WindowedPercentiles(window=10)
-    window.observe_many(float(i) for i in range(100))
+    for i in range(100):
+        window.observe(float(i))
     assert window.count == 100
     assert window.percentile(0) >= 90.0
     window.clear()
@@ -93,10 +95,10 @@ def test_collector_produces_snapshots_with_traffic():
 def test_collector_series_recorded():
     simulator, _cluster, collector, _workload = make_collector()
     simulator.run_until(30.0)
-    assert "throughput_ops" in collector.series.names()
+    assert "throughput_ops" in collector.series
     # Gauges only: a completed operation's latency is stored once, by the
     # workload (tests/test_stored_once.py).
-    assert "read_latency" not in collector.series.names()
+    assert "read_latency" not in collector.series
     assert len(collector.series["throughput_ops"]) >= 5
 
 

@@ -31,7 +31,7 @@ class OutcomeAuditor(ClusterListener):
         assert isinstance(result, (ReadResult, WriteResult))
         assert result.latency == max(0.0, result.completed_at - result.issued_at)
         assert result.is_read is isinstance(result, ReadResult)
-        assert result.is_read is result.operation.is_read
+        assert result.is_read is (result.operation in (OperationType.READ, OperationType.PROBE_READ))
         self.results.append(result)
 
 

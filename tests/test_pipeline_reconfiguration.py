@@ -62,7 +62,7 @@ def test_hinted_handoff_fires_as_middleware_after_cl_switch():
     cluster = make_cluster(simulator)
     handoff_stage = cluster.pipeline.get("hinted-handoff")
     assert handoff_stage is not None
-    assert handoff_stage.manager is cluster.hinted_handoff
+    assert handoff_stage._manager is cluster.hinted_handoff
 
     victim = cluster.node_ids()[0]
     cluster.crash_node(victim)
@@ -98,7 +98,7 @@ def test_read_repair_fires_as_middleware_after_cl_switch(monkeypatch):
     )
     repair_stage = cluster.pipeline.get("read-repair")
     assert repair_stage is not None
-    assert repair_stage.repairer is cluster.read_repairer
+    assert repair_stage._repairer is cluster.read_repairer
 
     seed_results = []
     cluster.write("k", b"old", on_complete=seed_results.append)

@@ -304,7 +304,8 @@ def test_pbs_probability_decreases_over_time(lag, rf):
 @given(values=st.lists(st.floats(min_value=0.0, max_value=1e4, allow_nan=False), min_size=1, max_size=400))
 def test_windowed_percentiles_bounded_by_min_max(values):
     window = WindowedPercentiles(window=500)
-    window.observe_many(values)
+    for value in values:
+        window.observe(value)
     for q in (0, 50, 95, 100):
         assert min(values) - 1e-9 <= window.percentile(q) <= max(values) + 1e-9
 

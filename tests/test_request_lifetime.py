@@ -84,7 +84,7 @@ def test_a_finished_request_dies_when_its_timeout_corpse_is_popped(
     simulator = Simulator(seed=11)
     cluster = make_cluster(simulator, middleware=middleware)
     # ``None`` arms the timeout on the heap; the hedged stack on its wheel.
-    assert (cluster.coordinator.timers is not None) is (middleware is not None)
+    assert (cluster.coordinator._timers is not None) is (middleware is not None)
     cluster.write("key", b"v")
     simulator.run_until(5.0)
 

@@ -277,7 +277,7 @@ def test_the_default_stack_parks_its_operation_timeouts():
     simulation = Simulation(SimulationConfig(seed=5, duration=60.0))
     simulation.run()
     coordinator = simulation.cluster.coordinator
-    assert coordinator.timers is None
+    assert coordinator._timers is None
     operations = coordinator.reads_started + coordinator.writes_started
     stats = simulation.simulator.queue_stats()
     assert _conserved(stats)

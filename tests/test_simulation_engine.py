@@ -10,7 +10,7 @@ from repro.simulation import SchedulingError, SimulationStateError, Simulator
 def test_clock_starts_at_zero():
     simulator = Simulator(seed=0)
     assert simulator.now == 0.0
-    assert simulator.elapsed == 0.0
+    assert simulator.start_time == 0.0
 
 
 def test_schedule_and_run_until_advances_clock():

@@ -10,10 +10,15 @@ import typing
 import pytest
 
 import repro.simulation.network as network_module
-from repro.cluster import ConfigurationError
-from repro.cluster.errors import Bound
+from repro.cluster import ClusterConfig, ConfigurationError
+from repro.cluster.errors import NON_NEGATIVE, POSITIVE, Bound
+from repro.consistency.pbs import StalenessModel
+from repro.core.actions import SetTierQuotaScaleAction
+from repro.experiments.scenarios import build_config
 from repro.runner import SimulationConfig
 from repro.simulation import NetworkModel, Simulator
+from repro.workload.generator import WorkloadSpec
+from repro.workload.operations import RecordSizer
 
 
 @pytest.fixture
@@ -110,6 +115,47 @@ def test_a_nested_setting_of_the_wrong_type_is_refused_at_construction(cls, name
     with pytest.raises(ConfigurationError) as refusal:
         cls(**{**_BASELINE.get(cls.__name__, {}), name: "read-heavy"})
     assert str(refusal.value) == f"{cls.__name__}.{name} must be {kind.__name__}, got str"
+
+
+_EXCLUDED = [math.nan, math.inf, -1.0]
+
+
+@pytest.mark.parametrize("value", _EXCLUDED)
+def test_build_config_refuses_a_probe_interval_outside_its_bound(value):
+    # ``build_config`` stored the interval after constructing the probe
+    # settings, past their check: a NaN interval was accepted.
+    with pytest.raises(ConfigurationError) as refusal:
+        build_config("probe", 0, 60.0, ClusterConfig(), WorkloadSpec(), probe_interval=value)
+    assert str(refusal.value) == f"ProbeConfig.probe_interval must be {POSITIVE}, got {value!r}"
+
+
+@pytest.mark.parametrize("value", _EXCLUDED)
+@pytest.mark.parametrize(
+    "call, where, bound",
+    [
+        pytest.param(
+            StalenessModel, "StalenessModel.mean_replication_lag", NON_NEGATIVE, id="StalenessModel"
+        ),
+        pytest.param(
+            StalenessModel(0.1).update_lag,
+            "StalenessModel.mean_replication_lag",
+            NON_NEGATIVE,
+            id="StalenessModel.update_lag",
+        ),
+        pytest.param(
+            lambda value: SetTierQuotaScaleAction("bronze", value),
+            "SetTierQuotaScaleAction.scale",
+            NON_NEGATIVE,
+            id="SetTierQuotaScaleAction",
+        ),
+        pytest.param(RecordSizer, "RecordSizer.mean_size", POSITIVE, id="RecordSizer"),
+    ],
+)
+def test_a_checked_argument_refuses_nan_infinity_and_a_negative_by_name(call, where, bound, value):
+    # Each of these tested ``< 0`` (or ``<= 0``) by hand, which NaN and +inf pass.
+    with pytest.raises(ConfigurationError) as refusal:
+        call(value)
+    assert str(refusal.value) == f"{where} must be {bound}, got {value!r}"
 
 
 def test_send_delivers_after_latency(make_network):

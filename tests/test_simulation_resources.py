@@ -55,10 +55,10 @@ def test_queue_length_and_busy_flags():
     server = make_server(simulator)
     server.submit(5.0, lambda t: None)
     server.submit(5.0, lambda t: None)
-    assert server.busy
+    assert server._in_service is not None
     assert server.queue_length == 1
     simulator.run_until(20.0)
-    assert not server.busy
+    assert server._in_service is None
     assert server.queue_length == 0
 
 

@@ -66,7 +66,7 @@ def test_bundle_lazily_creates_series():
     bundle.record("a", 1.0, 2.0)
     bundle.record("a", 2.0, 3.0)
     bundle.record("b", 1.0, 5.0)
-    assert set(bundle.names()) == {"a", "b"}
+    assert set(bundle._series) == {"a", "b"}
     assert "a" in bundle
     assert bundle["a"].mean() == pytest.approx(2.5)
     assert bundle.get("missing") is None

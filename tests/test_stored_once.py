@@ -48,7 +48,7 @@ def test_every_sample_is_stored_once(stack):
     assert len(stats.read_latency_series) == stats.reads_completed > 0
     assert len(stats.write_latency_series) == stats.writes_completed > 0
 
-    assert set(simulation.metrics.series.names()) == GAUGES
+    assert set(simulation.metrics.series._series) == GAUGES
 
     tracker = simulation.window_tracker
     assert len(tracker.series) == tracker.windows_closed + tracker.windows_expired > 0

@@ -275,7 +275,7 @@ def test_scaled_load_multiplies_any_base_shape():
     scaled = ScaledLoad(base, 0.25)
     for t in (0.0, 150.0, 300.0, 450.0):
         assert scaled.rate(t) == pytest.approx(base.rate(t) * 0.25)
-    assert scaled.base is base
+    assert scaled._base is base
     assert scaled.factor == 0.25
     with pytest.raises(ValueError):
         ScaledLoad(base, -0.1)

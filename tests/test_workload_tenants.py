@@ -80,13 +80,13 @@ def test_population_is_deterministic_and_zipf_ordered():
     a = TenantPopulation(spec)
     b = TenantPopulation(spec)
     assert [p.tenant_id for p in a.profiles] == [p.tenant_id for p in b.profiles]
-    assert a.weights.tolist() == b.weights.tolist()
-    assert a.weights.sum() == pytest.approx(1.0)
+    assert a._weights.tolist() == b._weights.tolist()
+    assert a._weights.sum() == pytest.approx(1.0)
     # Rank order: most popular first, strictly decreasing for skew > 0.
-    assert all(a.weights[i] > a.weights[i + 1] for i in range(len(a) - 1))
+    assert all(a._weights[i] > a._weights[i + 1] for i in range(len(a) - 1))
     # Zero skew degenerates to a uniform population.
     uniform = TenantPopulation(TenantSpec(tenants=10, popularity_skew=0.0))
-    assert all(w == pytest.approx(0.1) for w in uniform.weights)
+    assert all(w == pytest.approx(0.1) for w in uniform._weights)
 
 
 def test_tier_assignment_follows_popularity_rank():
@@ -122,7 +122,7 @@ def test_choose_index_maps_uniform_to_rank():
     assert picks == sorted(picks)
     # The most popular tenant absorbs at least its weight's share.
     first_share = picks.count(0) / len(picks)
-    assert first_share == pytest.approx(float(population.weights[0]), abs=0.01)
+    assert first_share == pytest.approx(float(population._weights[0]), abs=0.01)
 
 
 # ----------------------------------------------------------------------
