@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FRACTION",
         help=(
             "static hedge budget as a fraction of the operation timeout "
-            "(default 0.05; only meaningful with request-hedging installed)"
+            "(only meaningful with request-hedging installed)"
         ),
     )
     run_parser.add_argument(
@@ -154,9 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--tenant-skew",
         type=float,
-        default=1.1,
+        default=None,
         metavar="THETA",
-        help="Zipf-like skew of tenant popularity (only with --tenants)",
+        help=(
+            "Zipf-like skew of tenant popularity (only with --tenants; "
+            "omitted = the tenant model's default skew)"
+        ),
     )
     run_parser.add_argument(
         "--admission-control",
@@ -361,8 +364,8 @@ def _parse_fault_entry(entry: str):
 
 def _build_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
     """Translate ``--faults`` / ``--fault-seed`` into a :class:`FaultPlan`."""
-    entries = getattr(args, "faults", None)
-    fault_seed = getattr(args, "fault_seed", None)
+    entries = args.faults
+    fault_seed = args.fault_seed
     if not entries:
         if fault_seed is not None:
             raise SystemExit(
@@ -422,10 +425,8 @@ def _build_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
 
 def build_simulation_config(args: argparse.Namespace) -> SimulationConfig:
     """Translate parsed ``run`` arguments into a :class:`SimulationConfig`."""
-    middleware = _parse_middleware(getattr(args, "middleware", None))
-    overrides = _parse_consistency_overrides(
-        getattr(args, "consistency_override", None)
-    )
+    middleware = _parse_middleware(args.middleware)
+    overrides = _parse_consistency_overrides(args.consistency_override)
     if overrides:
         if middleware is None:
             # Overrides only act through the consistency-override stage;
@@ -436,7 +437,7 @@ def build_simulation_config(args: argparse.Namespace) -> SimulationConfig:
                 "--consistency-override requires the consistency-override "
                 "middleware; add it to --middleware or drop the flag"
             )
-    if getattr(args, "hedge_reads", False):
+    if args.hedge_reads:
         if middleware is None:
             middleware = HEDGED_PIPELINE
         elif "request-hedging" not in middleware:
@@ -444,8 +445,8 @@ def build_simulation_config(args: argparse.Namespace) -> SimulationConfig:
                 "--hedge-reads requires the request-hedging middleware; "
                 "add it to --middleware or drop the flag"
             )
-    tenants = getattr(args, "tenants", None)
-    if getattr(args, "admission_control", False):
+    tenants = args.tenants
+    if args.admission_control:
         if tenants is None:
             raise SystemExit(
                 "--admission-control requires --tenants (quotas are keyed by "
@@ -460,11 +461,12 @@ def build_simulation_config(args: argparse.Namespace) -> SimulationConfig:
             )
     tenant_spec = None
     if tenants is not None:
-        tenant_spec = TenantSpec(
-            tenants=tenants, popularity_skew=getattr(args, "tenant_skew", 1.1)
-        )
+        skew = {} if args.tenant_skew is None else {"popularity_skew": args.tenant_skew}
+        tenant_spec = TenantSpec(tenants=tenants, **skew)
+    elif args.tenant_skew is not None:
+        raise SystemExit("--tenant-skew requires --tenants (it skews the tenant population)")
     middleware_params = None
-    budget_fraction = getattr(args, "hedge_budget_fraction", None)
+    budget_fraction = args.hedge_budget_fraction
     if budget_fraction is not None:
         if middleware is None or "request-hedging" not in middleware:
             raise SystemExit(
@@ -488,7 +490,7 @@ def build_simulation_config(args: argparse.Namespace) -> SimulationConfig:
             load_shape=_build_load_shape(args),
             consistency_overrides=overrides,
             tenants=tenant_spec,
-            open_loop=getattr(args, "open_loop", False),
+            open_loop=args.open_loop,
         ),
         controller=ControllerConfig(policy=args.policy),
         middleware=middleware,
@@ -513,9 +515,10 @@ def _refusing_bad_values():
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    shards = getattr(args, "shards", None)
-    if shards is not None:
-        return _command_run_sharded(args, shards)
+    if args.shards is not None:
+        return _command_run_sharded(args, args.shards)
+    if args.serial_shards:
+        raise SystemExit("--serial-shards requires --shards (it runs the shards in this process)")
     with _refusing_bad_values():
         simulation = Simulation(build_simulation_config(args))
     report = simulation.run()
@@ -540,9 +543,7 @@ def _command_run_sharded(args: argparse.Namespace, shards: int) -> int:
     with _refusing_bad_values():
         config = build_simulation_config(args)
         config.cluster.validate()
-    report = run_sharded(
-        config, shards, parallel=not getattr(args, "serial_shards", False)
-    )
+    report = run_sharded(config, shards, parallel=not args.serial_shards)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, default=str))
         return 0
@@ -556,7 +557,7 @@ def _command_run_sharded(args: argparse.Namespace, shards: int) -> int:
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
-    fault_seed = getattr(args, "fault_seed", None)
+    fault_seed = args.fault_seed
     if fault_seed is not None and args.experiment != "E9":
         raise SystemExit("--fault-seed only applies to experiment E9")
     with _refusing_bad_values():
@@ -574,10 +575,10 @@ def _command_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+def main() -> int:
+    """CLI entry point (arguments from ``sys.argv``); returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if args.command == "run":
         return _command_run(args)
     if args.command == "experiment":

@@ -351,6 +351,15 @@ FAULT_KIND_FIELDS = {
 #: Fault kinds a :class:`FaultSpec` may carry.
 FAULT_KINDS = tuple(FAULT_KIND_FIELDS)
 
+#: The kinds :meth:`FaultPlan.generate` samples from.
+CAMPAIGN_KINDS = ("crash", "degrade", "flaky_link", "partition")
+
+#: The cluster size a gray-failure campaign addresses its nodes in, and how
+#: many fail-slow nodes and flaky links it draws.
+GRAY_FAILURE_NODES = 3
+GRAY_FAILURE_DEGRADES = 3
+GRAY_FAILURE_FLAKY_LINKS = 1
+
 #: The :class:`FaultInjector` method that injects each kind.
 _INJECTOR_METHODS = {
     "crash": "crash_node",
@@ -416,7 +425,6 @@ class FaultPlan(Settings):
         duration: float,
         faults: int = 6,
         nodes: int = 3,
-        kinds: Sequence[str] = ("crash", "degrade", "flaky_link", "partition"),
     ) -> "FaultPlan":
         """Sample a mixed chaos campaign from a seeded generator.
 
@@ -430,13 +438,7 @@ class FaultPlan(Settings):
         check("FaultPlan.generate", "duration", duration, POSITIVE)
         if faults < 0:
             raise ValueError(f"faults must be >= 0, got {faults}")
-        if not kinds:
-            raise ValueError("need at least one fault kind to sample from")
-        for kind in kinds:
-            if kind not in FAULT_KINDS:
-                raise ValueError(
-                    f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}"
-                )
+        kinds = CAMPAIGN_KINDS
         rng = cls._seeded_generator(seed)
         specs: List[FaultSpec] = []
         for _ in range(faults):
@@ -462,23 +464,18 @@ class FaultPlan(Settings):
         return cls(specs=tuple(sorted(specs, key=lambda s: s.at)), seed=seed)
 
     @classmethod
-    def gray_failure_campaign(
-        cls,
-        seed: int,
-        duration: float,
-        nodes: int = 3,
-        degrades: int = 3,
-        flaky_links: int = 1,
-    ) -> "FaultPlan":
+    def gray_failure_campaign(cls, seed: int, duration: float) -> "FaultPlan":
         """A campaign of pure gray failures: fail-slow nodes plus flaky links.
 
         The failure mode that defeats quorum math — every node keeps
         answering, so availability stays nominal while the tail explodes.
         Used by experiment E9.
         """
+        check("FaultPlan.gray_failure_campaign", "duration", duration, POSITIVE)
+        nodes = GRAY_FAILURE_NODES
         rng = cls._seeded_generator(seed)
         specs: List[FaultSpec] = []
-        for _ in range(degrades):
+        for _ in range(GRAY_FAILURE_DEGRADES):
             specs.append(
                 FaultSpec(
                     kind="degrade",
@@ -488,7 +485,7 @@ class FaultPlan(Settings):
                     factor=float(rng.uniform(0.1, 0.25)),
                 )
             )
-        for _ in range(flaky_links):
+        for _ in range(GRAY_FAILURE_FLAKY_LINKS):
             node = int(rng.integers(0, max(nodes, 1)))
             peer = int(rng.integers(0, max(nodes, 1)))
             if peer == node:

@@ -12,9 +12,8 @@ the server-side causes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..cluster.cluster import ClusterListener
 from ..cluster.types import OperationResult
@@ -51,9 +50,7 @@ class StalenessObserver(ClusterListener):
     reads (probe reads are left out)."""
 
     def __init__(self) -> None:
-        # One 0/1 flag per observed read and one age per stale read, both at
-        # the read's completion time; the counters are their whole-run totals.
-        self._stale_series = TimeSeries("stale_read")
+        # One age per stale read, at the read's completion time.
         self._staleness_series = TimeSeries("staleness_age")
         self.reads_observed = 0
         self.stale_reads = 0
@@ -66,12 +63,10 @@ class StalenessObserver(ClusterListener):
             return
         if result.operation.is_probe:
             return
-        observed_at = result.completed_at
         self.reads_observed += 1
-        self._stale_series.record(observed_at, 1.0 if result.stale else 0.0)
         if result.stale:
             self.stale_reads += 1
-            self._staleness_series.record(observed_at, result.staleness)
+            self._staleness_series.record(result.completed_at, result.staleness)
 
     # ------------------------------------------------------------------
     # Query API
@@ -83,16 +78,10 @@ class StalenessObserver(ClusterListener):
             return 0.0
         return self.stale_reads / self.reads_observed
 
-    def snapshot(self, since: Optional[float] = None) -> StalenessSnapshot:
-        """Aggregate staleness figures (optionally restricted to recent reads)."""
-        if since is None:
-            reads, stale = self.reads_observed, self.stale_reads
-            ages = self._staleness_series
-        else:
-            flags = self._stale_series.values_since(since)
-            reads, stale = flags.size, int(flags.sum())
-            ages = self._staleness_series.window(since, math.inf)
-        age_summary = ages.summary()
+    def snapshot(self) -> StalenessSnapshot:
+        """Aggregate staleness figures over the whole run."""
+        reads, stale = self.reads_observed, self.stale_reads
+        age_summary = self._staleness_series.summary()
         return StalenessSnapshot(
             reads=reads,
             stale_reads=stale,

@@ -40,6 +40,9 @@ from .stability import StabilityConfig, StabilityGuard
 
 __all__ = ["ControllerConfig", "AutonomousController"]
 
+#: The registered estimator that feeds the inconsistency-window observation.
+ESTIMATOR_SOURCE = "probe"
+
 
 @dataclass
 class ControllerConfig(Settings):
@@ -53,9 +56,6 @@ class ControllerConfig(Settings):
 
     forecaster: str = "holt_winters"
     """Forecaster name (see :func:`repro.core.forecasting.make_forecaster`)."""
-
-    estimator_source: str = "probe"
-    """Which registered estimator feeds the inconsistency-window observation."""
 
     stability: StabilityConfig = field(default_factory=StabilityConfig)
 
@@ -142,7 +142,7 @@ class AutonomousController:
         window_mean = 0.0
         window_p95 = 0.0
         stale_fraction = snapshot.stale_read_fraction
-        estimator = self._estimators.get(self.config.estimator_source)
+        estimator = self._estimators.get(ESTIMATOR_SOURCE)
         if estimator is not None:
             estimate = estimator.latest()
             if estimate is not None:

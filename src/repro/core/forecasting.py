@@ -42,6 +42,8 @@ HOLT_BETA = 0.1
 AR_ORDER = 4
 AR_WINDOW = 120
 AR_REFIT_EVERY = 10
+#: Evenly spaced points over the horizon at which a peak forecast is taken.
+PEAK_STEPS = 6
 
 
 class Forecaster(abc.ABC):
@@ -76,11 +78,11 @@ class Forecaster(abc.ABC):
     def forecast(self, horizon: float) -> float:
         """Predict the value ``horizon`` seconds after the last observation."""
 
-    def forecast_peak(self, horizon: float, steps: int = 6) -> float:
+    def forecast_peak(self, horizon: float) -> float:
         """Largest forecast value over ``[0, horizon]`` (used for provisioning)."""
-        if horizon <= 0.0 or steps < 1:
+        if horizon <= 0.0:
             return self.forecast(0.0)
-        return max(self.forecast(horizon * (i + 1) / steps) for i in range(steps))
+        return max(self.forecast(horizon * (i + 1) / PEAK_STEPS) for i in range(PEAK_STEPS))
 
 
 class NaiveForecaster(Forecaster):

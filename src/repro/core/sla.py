@@ -22,7 +22,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..cluster.errors import Settings, fraction, non_negative, positive
+from ..cluster.errors import Settings, fraction, non_negative
 
 __all__ = [
     "SystemObservation",
@@ -36,6 +36,10 @@ __all__ = [
     "SLAEvaluator",
     "default_sla",
 ]
+
+#: The latency percentile a :class:`LatencySLO` bounds: 95 or 99, the two
+#: an observation carries.
+SLO_PERCENTILE = 95.0
 
 
 @dataclass
@@ -118,20 +122,17 @@ class LatencySLO(SLO, Settings):
     """Bound on a latency percentile (seconds)."""
 
     max_latency: float = non_negative()
-    percentile: float = positive(95.0)
     operation: str = "read"
     """Either ``"read"`` or ``"write"``."""
 
     def __post_init__(self) -> None:
         if self.operation not in ("read", "write"):
             raise ValueError("operation must be 'read' or 'write'")
-        if self.percentile not in (95.0, 99.0):
-            raise ValueError("only the 95th and 99th percentiles are tracked")
-        self.name = f"{self.operation}_p{int(self.percentile)}_latency"
+        # Also the observation field the objective reads.
+        self.name = f"{self.operation}_p{int(SLO_PERCENTILE)}_latency"
 
     def evaluate(self, observation: SystemObservation) -> SLOEvaluation:
-        field_name = f"{self.operation}_p{int(self.percentile)}_latency"
-        observed = float(getattr(observation, field_name))
+        observed = float(getattr(observation, self.name))
         return self._upper_bound_eval(self.name, observed, self.max_latency)
 
 
@@ -206,8 +207,8 @@ def default_sla() -> SLA:
     """A reasonable e-commerce-style SLA used by examples and tests."""
     return SLA(
         objectives=[
-            LatencySLO(max_latency=0.050, percentile=95.0, operation="read"),
-            LatencySLO(max_latency=0.100, percentile=95.0, operation="write"),
+            LatencySLO(max_latency=0.050, operation="read"),
+            LatencySLO(max_latency=0.100, operation="write"),
             AvailabilitySLO(max_failure_fraction=0.01),
             StalenessSLO(max_window_p95=0.5, max_stale_read_fraction=0.05),
         ],

@@ -44,8 +44,6 @@ OSCILLATION_FREEZE = 900.0
 class StabilityConfig(Settings):
     """Parameters of the stability guard."""
 
-    enabled: bool = True
-
     cooldown_seconds: Dict[ActionKind, float] = field(
         default_factory=lambda: {
             ActionKind.SCALE_OUT: 180.0,
@@ -109,8 +107,6 @@ class StabilityGuard:
         analysis: Optional[AnalysisResult] = None,
     ) -> bool:
         """Whether the guard lets this action through right now."""
-        if not self.config.enabled:
-            return True
         if action.kind is ActionKind.NONE:
             return True
 

@@ -130,7 +130,6 @@ def _run_stability_variant(
     )
     if not guard_enabled:
         config.controller.stability = StabilityConfig(
-            enabled=True,
             cooldown_seconds={},
             required_persistence=1,
             oscillation_flips=10_000,

@@ -54,7 +54,11 @@ FORECASTER_VARIANTS: Sequence[Tuple[str, str, str]] = (
 )
 
 
-def _seconds_above_ceiling(simulation: Simulation, ceiling: float = 0.75) -> float:
+#: The utilisation a node should stay under.
+UTILIZATION_CEILING = 0.75
+
+
+def _seconds_above_ceiling(simulation: Simulation) -> float:
     """Time integral of (utilisation > ceiling) from the metric series."""
     series = simulation.metrics.series.get("max_utilization")
     if series is None or len(series) < 2:
@@ -63,7 +67,7 @@ def _seconds_above_ceiling(simulation: Simulation, ceiling: float = 0.75) -> flo
     times = series.times.tolist()
     values = series.values.tolist()
     for index in range(len(times) - 1):
-        if values[index] > ceiling:
+        if values[index] > UTILIZATION_CEILING:
             seconds += times[index + 1] - times[index]
     return seconds
 

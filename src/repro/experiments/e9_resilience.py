@@ -125,9 +125,7 @@ def run(
     """Run experiment E9 and return its result tables."""
     duration = max(300.0, 600.0 * scale)
     rate = 150.0
-    campaign = FaultPlan.gray_failure_campaign(
-        seed=fault_seed, duration=duration, nodes=3
-    )
+    campaign = FaultPlan.gray_failure_campaign(seed=fault_seed, duration=duration)
 
     result = ExperimentResult(
         experiment="E9",

@@ -18,7 +18,7 @@ factor) are unaffected by this compression.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..cluster.cluster import ClusterConfig
 from ..cluster.node import NodeConfig
@@ -57,6 +57,9 @@ __all__ = [
 #: the interesting operating points are reachable at low event rates).
 DEFAULT_NODE_CAPACITY = 120.0
 
+#: Keys every single-tenant experiment workload preloads and draws from.
+RECORD_COUNT = 3000
+
 
 def standard_node_config(ops_capacity: float = DEFAULT_NODE_CAPACITY) -> NodeConfig:
     """Node configuration shared by all experiments."""
@@ -67,15 +70,13 @@ def standard_cluster(
     nodes: int = 3,
     replication_factor: int = 3,
     read_consistency: ConsistencyLevel = ConsistencyLevel.ONE,
-    write_consistency: ConsistencyLevel = ConsistencyLevel.ONE,
     ops_capacity: float = DEFAULT_NODE_CAPACITY,
 ) -> ClusterConfig:
-    """Cluster configuration shared by all experiments."""
+    """Cluster configuration shared by all experiments (writes at ``ONE``)."""
     return ClusterConfig(
         initial_nodes=nodes,
         replication_factor=min(replication_factor, nodes),
         read_consistency=read_consistency,
-        write_consistency=write_consistency,
         node=standard_node_config(ops_capacity),
     )
 
@@ -84,8 +85,8 @@ def standard_sla() -> SLA:
     """The moderate SLA used by the end-to-end experiments."""
     return SLA(
         objectives=[
-            LatencySLO(max_latency=0.120, percentile=95.0, operation="read"),
-            LatencySLO(max_latency=0.200, percentile=95.0, operation="write"),
+            LatencySLO(max_latency=0.120, operation="read"),
+            LatencySLO(max_latency=0.200, operation="write"),
             AvailabilitySLO(max_failure_fraction=0.02),
             StalenessSLO(max_window_p95=0.4, max_stale_read_fraction=0.02),
         ],
@@ -98,8 +99,8 @@ def strict_sla() -> SLA:
     """A consistency-strict SLA (tight staleness bound)."""
     return SLA(
         objectives=[
-            LatencySLO(max_latency=0.150, percentile=95.0, operation="read"),
-            LatencySLO(max_latency=0.250, percentile=95.0, operation="write"),
+            LatencySLO(max_latency=0.150, operation="read"),
+            LatencySLO(max_latency=0.250, operation="write"),
             AvailabilitySLO(max_failure_fraction=0.02),
             StalenessSLO(max_window_p95=0.1, max_stale_read_fraction=0.002),
         ],
@@ -112,8 +113,8 @@ def relaxed_sla() -> SLA:
     """A latency-focused SLA with a loose staleness bound."""
     return SLA(
         objectives=[
-            LatencySLO(max_latency=0.080, percentile=95.0, operation="read"),
-            LatencySLO(max_latency=0.150, percentile=95.0, operation="write"),
+            LatencySLO(max_latency=0.080, operation="read"),
+            LatencySLO(max_latency=0.150, operation="write"),
             AvailabilitySLO(max_failure_fraction=0.02),
             StalenessSLO(max_window_p95=5.0, max_stale_read_fraction=0.2),
         ],
@@ -125,16 +126,13 @@ def relaxed_sla() -> SLA:
 def standard_workload(
     rate: float,
     mix: OperationMix = BALANCED,
-    records: int = 3000,
     shape: Optional[LoadShape] = None,
 ) -> WorkloadSpec:
     """Workload specification shared by all experiments."""
     return WorkloadSpec(
-        record_count=records,
-        key_distribution="zipfian",
+        record_count=RECORD_COUNT,
         operation_mix=mix,
         load_shape=shape or ConstantLoad(rate),
-        mean_record_size=1024,
     )
 
 
@@ -142,7 +140,6 @@ def tenant_workload(
     rate: float,
     tenants: int = 40,
     records_per_tenant: int = 40,
-    mix: OperationMix = READ_HEAVY,
     noisy_tenant: Optional[int] = None,
     burst_rate: float = 0.0,
     burst_start: float = 60.0,
@@ -166,10 +163,8 @@ def tenant_workload(
             decay_duration=30.0,
         )
     return WorkloadSpec(
-        key_distribution="zipfian",
-        operation_mix=mix,
+        operation_mix=READ_HEAVY,
         load_shape=ConstantLoad(rate),
-        mean_record_size=1024,
         tenants=TenantSpec(
             tenants=tenants,
             records_per_tenant=records_per_tenant,
@@ -210,23 +205,17 @@ def build_config(
     probe_interval: float = 5.0,
     enable_interference: bool = True,
     middleware: Optional[Sequence[str]] = None,
-    middleware_params: Optional[Dict[str, Dict[str, object]]] = None,
     interference: Optional[InterferenceConfig] = None,
 ) -> SimulationConfig:
     """Assemble a :class:`SimulationConfig` with the experiment defaults.
 
     ``middleware`` selects the request-pipeline variant (``None`` keeps the
-    default stack; see :mod:`repro.middleware` for the named alternatives)
-    and ``middleware_params`` its per-stage construction parameters.
+    default stack; see :mod:`repro.middleware` for the named alternatives).
     ``interference`` replaces the default interference model outright (for
     scenarios that need specific fail-slow dynamics); ``enable_interference``
     is ignored when it is given.
     """
-    controller = ControllerConfig(
-        policy=policy,
-        evaluation_interval=evaluation_interval,
-        estimator_source="probe",
-    )
+    controller = ControllerConfig(policy=policy, evaluation_interval=evaluation_interval)
     if interference is None:
         interference = InterferenceConfig(enabled=enable_interference)
     config = SimulationConfig(
@@ -239,7 +228,6 @@ def build_config(
         monitoring=MonitoringOptions(probe=ProbeConfig(probe_interval=probe_interval)),
         interference=interference,
         middleware=middleware,
-        middleware_params=middleware_params,
         label=label,
     )
     return config

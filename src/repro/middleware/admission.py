@@ -32,6 +32,11 @@ from .registry import MiddlewareBuildContext, register_middleware
 
 __all__ = ["TokenBucket", "AdmissionControl"]
 
+#: The ``(rate, burst)`` quota of a tier no quota was configured for
+#: (operations per second, operations).
+DEFAULT_RATE = 50.0
+DEFAULT_BURST = 100.0
+
 
 class TokenBucket:
     """A continuously-refilling token bucket (one token per operation)."""
@@ -72,19 +77,9 @@ class AdmissionControl(RequestMiddleware):
 
     name = "admission-control"
 
-    def __init__(
-        self,
-        simulator,
-        default_rate: float = 50.0,
-        default_burst: float = 100.0,
-        tier_quotas: Optional[Dict[str, Tuple[float, float]]] = None,
-    ) -> None:
-        check(self.name, "default_rate", default_rate, POSITIVE)
-        check(self.name, "default_burst", default_burst, POSITIVE)
+    def __init__(self, simulator) -> None:
         self._simulator = simulator
-        self._default_rate = float(default_rate)
-        self._default_burst = float(default_burst)
-        self._tier_quotas: Dict[str, Tuple[float, float]] = dict(tier_quotas or {})
+        self._tier_quotas: Dict[str, Tuple[float, float]] = {}
         self._tier_scales: Dict[str, float] = {}
         self._buckets: Dict[str, TokenBucket] = {}
         self.admitted = 0
@@ -133,9 +128,7 @@ class AdmissionControl(RequestMiddleware):
     # ------------------------------------------------------------------
     def _new_bucket(self, tenant: str, tier: Optional[str]) -> TokenBucket:
         tier_name = tier or "default"
-        rate, burst = self._tier_quotas.get(
-            tier_name, (self._default_rate, self._default_burst)
-        )
+        rate, burst = self._tier_quotas.get(tier_name, (DEFAULT_RATE, DEFAULT_BURST))
         bucket = TokenBucket(rate, burst, self._simulator.now, tier_name)
         scale = self._tier_scales.get(tier_name)
         if scale is not None:
@@ -183,36 +176,4 @@ class AdmissionControl(RequestMiddleware):
 
 @register_middleware("admission-control")
 def _build_admission_control(ctx: MiddlewareBuildContext) -> AdmissionControl:
-    """Factory: ``default_rate``/``default_burst`` floats plus an optional
-    ``tiers`` mapping of tier name to ``{"rate": ..., "burst": ...}``."""
-    params = ctx.params
-    default_rate = float(params.get("default_rate", 50.0))
-    default_burst = float(params.get("default_burst", 100.0))
-    tier_quotas: Dict[str, Tuple[float, float]] = {}
-    tiers = params.get("tiers", {})
-    if not isinstance(tiers, dict):
-        raise ValueError(f"admission-control 'tiers' must be a mapping, got {tiers!r}")
-    for tier, quota in tiers.items():
-        if isinstance(quota, dict):
-            try:
-                rate = float(quota["rate"])
-                burst = float(quota["burst"])
-            except KeyError as exc:
-                raise ValueError(
-                    f"admission-control tier {tier!r} needs 'rate' and 'burst'"
-                ) from exc
-        else:
-            try:
-                rate, burst = (float(quota[0]), float(quota[1]))
-            except (TypeError, IndexError, ValueError) as exc:
-                raise ValueError(
-                    f"admission-control tier {tier!r} quota must be a mapping or"
-                    f" (rate, burst) pair, got {quota!r}"
-                ) from exc
-        tier_quotas[tier] = (rate, burst)
-    return AdmissionControl(
-        ctx.simulator,
-        default_rate=default_rate,
-        default_burst=default_burst,
-        tier_quotas=tier_quotas,
-    )
+    return AdmissionControl(ctx.simulator)

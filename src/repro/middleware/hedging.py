@@ -22,7 +22,7 @@ The budget comes from one of two sources, per the configuration:
 * a fixed fraction of ``CoordinatorConfig.operation_timeout`` (static), or
 * a p99-derived budget from the monitoring layer — the runner attaches
   :meth:`~repro.monitoring.estimators.RttEstimator.read_latency_percentile`
-  as a budget source, clamped into ``[min_budget, static budget]``.
+  as a budget source, clamped into ``[MIN_BUDGET, static budget]``.
 
 Everything here is deterministic: candidate ranking is EWMA order with node
 id ties, the timer delay is a pure function of observed state, and no RNG
@@ -36,12 +36,26 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.errors import POSITIVE, POSITIVE_FRACTION, Bound, check
+from ..cluster.errors import POSITIVE, POSITIVE_FRACTION, check
 from .base import RequestContext, RequestMiddleware
 from .latency import NodeRttTracker, shared_node_tracker
 from .registry import MiddlewareBuildContext, register_middleware
 
 __all__ = ["RequestHedging"]
+
+
+#: The floor of the p99-derived budget, in seconds.
+MIN_BUDGET = 0.001
+
+#: Simulated seconds a p99-derived budget is used before it is recomputed.
+BUDGET_REFRESH_INTERVAL = 0.5
+
+#: Per-key budgets: a key armed ``HOT_KEY_THRESHOLD`` times within a window
+#: of ``HOT_KEY_DECAY_EVERY`` arms (after which every count halves) hedges at
+#: ``HOT_KEY_FRACTION`` of the budget.
+HOT_KEY_FRACTION = 0.5
+HOT_KEY_THRESHOLD = 32
+HOT_KEY_DECAY_EVERY = 1024
 
 
 class RequestHedging(RequestMiddleware):
@@ -57,59 +71,34 @@ class RequestHedging(RequestMiddleware):
 
     #: Opt in to the coordinator's amortised timer wheel: hedge and timeout
     #: timers are overwhelmingly cancelled, which is exactly the population
-    #: the wheel's free lazy cancel targets (PERFORMANCE.md rule 11).  The
-    #: instance attribute set in ``__init__`` shadows this; ``None`` keeps
-    #: timers on the direct heap path.
-    timer_wheel_granularity: Optional[float] = None
+    #: the wheel's free lazy cancel targets (PERFORMANCE.md rule 11).
+    #: ``None`` would keep timers on the direct heap path.
+    timer_wheel_granularity: Optional[float] = 0.025
 
     def __init__(
         self,
         tracker: NodeRttTracker,
         operation_timeout: float,
-        budget_fraction: float = 0.05,
-        budget: Optional[float] = None,
-        min_budget: float = 0.001,
+        clock: Callable[[], float],
+        budget_fraction: float,
         observe: bool = False,
-        clock: Optional[Callable[[], float]] = None,
-        budget_refresh_interval: float = 0.5,
-        timer_granularity: Optional[float] = 0.025,
-        hot_key_fraction: float = 0.5,
-        hot_key_threshold: int = 32,
-        hot_key_decay_every: int = 1024,
     ) -> None:
         check(self.name, "operation_timeout", operation_timeout, POSITIVE)
-        if budget is None:
-            check(self.name, "budget_fraction", budget_fraction, POSITIVE_FRACTION)
-        else:
-            check(self.name, "budget", budget, POSITIVE)
-        check(self.name, "min_budget", min_budget, POSITIVE)
-        check(self.name, "budget_refresh_interval", budget_refresh_interval, POSITIVE)
-        if timer_granularity is not None:
-            check(self.name, "timer_granularity", timer_granularity, POSITIVE)
-        check(self.name, "hot_key_fraction", hot_key_fraction, POSITIVE_FRACTION)
-        check(self.name, "hot_key_threshold", hot_key_threshold, Bound(1))
-        check(self.name, "hot_key_decay_every", hot_key_decay_every, Bound(1))
+        check(self.name, "budget_fraction", budget_fraction, POSITIVE_FRACTION)
         self._tracker = tracker
-        self._static_budget = (
-            float(budget) if budget is not None else float(budget_fraction) * operation_timeout
-        )
-        self._min_budget = min(float(min_budget), self._static_budget)
+        self._static_budget = float(budget_fraction) * operation_timeout
+        self._min_budget = min(MIN_BUDGET, self._static_budget)
         self._budget_source: Optional[Callable[[], float]] = None
         if not observe:
             # An earlier stage feeds the shared tracker already.
             self.on_replica_response = None
-        self.timer_wheel_granularity = (
-            float(timer_granularity) if timer_granularity is not None else None
-        )
 
         # Budget cache: the p99-derived budget is a sort of the estimator's
-        # 512-read window, too dear for every arm.  With a clock, the budget
-        # is refreshed at most once per ``budget_refresh_interval`` of
-        # simulated time — a pure function of the clock and observation
-        # history, so runs stay deterministic.  Without a clock (direct
-        # construction in tests/tools) every call recomputes.
+        # 512-read window, too dear for every arm, so it is refreshed at
+        # most once per ``BUDGET_REFRESH_INTERVAL`` of simulated time — a
+        # pure function of the clock and observation history, so runs stay
+        # deterministic.
         self._clock = clock
-        self._budget_refresh_interval = float(budget_refresh_interval)
         self._budget_valid_until = -math.inf
         self._cached_budget = self._static_budget
 
@@ -117,9 +106,6 @@ class RequestHedging(RequestMiddleware):
         # peers get a tighter budget (hedge *earlier*), bounding the tail a
         # single hot key can impose.  Pure counting with periodic halving —
         # deterministic, no RNG, memory bounded by the decay.
-        self._hot_key_fraction = float(hot_key_fraction)
-        self._hot_key_threshold = int(hot_key_threshold)
-        self._hot_key_decay_every = int(hot_key_decay_every)
         self._key_counts: Dict[str, int] = {}
         self._arms_since_decay = 0
 
@@ -152,7 +138,7 @@ class RequestHedging(RequestMiddleware):
         """Drive the budget from a live estimate (e.g. the RTT estimator's
         p99 read latency).  A non-positive source value falls back to the
         static budget; positive values are clamped into
-        ``[min_budget, static budget]`` so a cold or absurd estimate can
+        ``[MIN_BUDGET, static budget]`` so a cold or absurd estimate can
         neither hedge every read instantly nor disable hedging entirely.
         """
         self._budget_source = source
@@ -160,24 +146,21 @@ class RequestHedging(RequestMiddleware):
     def current_budget(self) -> float:
         """The budget the next armed hedge timer will use, in seconds.
 
-        With a clock attached, the dynamic budget is cached and refreshed
-        at most once per ``budget_refresh_interval`` of simulated time.
+        The dynamic budget is cached and refreshed at most once per
+        ``BUDGET_REFRESH_INTERVAL`` of simulated time.
         """
         if self._budget_source is None:
             return self._static_budget
-        clock = self._clock
-        if clock is not None:
-            now = clock()
-            if now < self._budget_valid_until:
-                return self._cached_budget
-            self._budget_valid_until = now + self._budget_refresh_interval
+        now = self._clock()
+        if now < self._budget_valid_until:
+            return self._cached_budget
+        self._budget_valid_until = now + BUDGET_REFRESH_INTERVAL
         dynamic = float(self._budget_source())
         if dynamic > 0.0:
             budget = min(max(dynamic, self._min_budget), self._static_budget)
         else:
             budget = self._static_budget
-        if clock is not None:
-            self._cached_budget = budget
+        self._cached_budget = budget
         return budget
 
     # ------------------------------------------------------------------
@@ -200,17 +183,17 @@ class RequestHedging(RequestMiddleware):
         # inside the current decay window is paying for a slow replica on
         # a hot path — hedge it earlier.  Counting only; no RNG.
         key = ctx.key if ctx is not None else None
-        if key is not None and self._hot_key_fraction < 1.0:
+        if key is not None:
             counts = self._key_counts
             count = counts.get(key, 0) + 1
             counts[key] = count
             self._arms_since_decay += 1
-            if self._arms_since_decay >= self._hot_key_decay_every:
+            if self._arms_since_decay >= HOT_KEY_DECAY_EVERY:
                 self._arms_since_decay = 0
                 self._key_counts = {k: c >> 1 for k, c in counts.items() if c >= 2}
-            if count >= self._hot_key_threshold:
+            if count >= HOT_KEY_THRESHOLD:
                 self.hot_key_hedges += 1
-                budget = max(self._min_budget, budget * self._hot_key_fraction)
+                budget = max(self._min_budget, budget * HOT_KEY_FRACTION)
         return (budget, spares)
 
     def on_replica_response(self, ctx: RequestContext, node_id: str, rtt: float) -> None:
@@ -250,21 +233,12 @@ class RequestHedging(RequestMiddleware):
 def _build_request_hedging(ctx: MiddlewareBuildContext) -> RequestHedging:
     if ctx.coordinator is None:
         raise ValueError("request-hedging middleware requires a coordinator")
-    tracker, created = shared_node_tracker(ctx, alpha=float(ctx.params.get("alpha", 0.3)))
-    budget = ctx.params.get("budget")
-    granularity = ctx.params.get("timer_granularity", 0.025)
+    tracker, created = shared_node_tracker(ctx)
     simulator = ctx.simulator
     return RequestHedging(
         tracker,
         operation_timeout=ctx.coordinator.config.operation_timeout,
+        clock=lambda: simulator.now,
         budget_fraction=float(ctx.params.get("budget_fraction", 0.05)),
-        budget=float(budget) if budget is not None else None,
-        min_budget=float(ctx.params.get("min_budget", 0.001)),
         observe=created,
-        clock=(lambda: simulator.now) if simulator is not None else None,
-        budget_refresh_interval=float(ctx.params.get("budget_refresh_interval", 0.5)),
-        timer_granularity=float(granularity) if granularity is not None else None,
-        hot_key_fraction=float(ctx.params.get("hot_key_fraction", 0.5)),
-        hot_key_threshold=int(ctx.params.get("hot_key_threshold", 32)),
-        hot_key_decay_every=int(ctx.params.get("hot_key_decay_every", 1024)),
     )

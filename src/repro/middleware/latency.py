@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.errors import NON_NEGATIVE, POSITIVE_FRACTION, Bound, check
 from .base import RequestContext, RequestMiddleware
 from .registry import MiddlewareBuildContext, register_middleware
 
@@ -39,17 +38,24 @@ __all__ = ["NodeRttTracker", "LatencyAwareReplicaSelection", "shared_node_tracke
 #: Key under which one pipeline's stages share a single RTT tracker.
 _SHARED_TRACKER_KEY = "node-rtt-tracker"
 
+#: EWMA smoothing factor of the per-node RTT estimates (weight of the newest
+#: sample).
+RTT_ALPHA = 0.3
 
-def shared_node_tracker(
-    ctx: "MiddlewareBuildContext", alpha: float = 0.3
-) -> tuple["NodeRttTracker", bool]:
+#: Relative RTT slack before a replica is considered slow, and how many
+#: avoidances pass between two reads routed to the slowest replica to
+#: re-probe it.
+BADNESS_THRESHOLD = 0.5
+EXPLORE_EVERY = 32
+
+
+def shared_node_tracker(ctx: "MiddlewareBuildContext") -> tuple["NodeRttTracker", bool]:
     """Get-or-create the pipeline's shared :class:`NodeRttTracker`.
 
     Returns ``(tracker, created)``.  The stage whose factory *creates* the
     tracker is responsible for feeding it (``on_replica_response``); stages
     built later in the same pipeline read the estimates and withdraw from
     that hook (a second observer would double-weight every RTT in the EWMA).
-    ``alpha`` only takes effect for the creating stage.
     """
     tracker = ctx.shared.get(_SHARED_TRACKER_KEY)
     if tracker is not None:
@@ -57,7 +63,7 @@ def shared_node_tracker(
     fallback: Optional[Callable[[], float]] = None
     if ctx.cluster is not None:
         fallback = ctx.cluster.network.round_trip_estimate
-    tracker = NodeRttTracker(alpha=alpha, fallback=fallback)
+    tracker = NodeRttTracker(fallback=fallback)
     ctx.shared[_SHARED_TRACKER_KEY] = tracker
     return tracker, True
 
@@ -67,13 +73,8 @@ class NodeRttTracker:
 
     __slots__ = ("_alpha", "_estimates", "_samples", "_sampled", "_fallback", "_ranking")
 
-    def __init__(
-        self,
-        alpha: float = 0.3,
-        fallback: Optional[Callable[[], float]] = None,
-    ) -> None:
-        check("NodeRttTracker", "alpha", alpha, POSITIVE_FRACTION)
-        self._alpha = float(alpha)
+    def __init__(self, fallback: Optional[Callable[[], float]] = None) -> None:
+        self._alpha = RTT_ALPHA
         self._estimates: Dict[str, float] = {}
         self._samples: Dict[str, int] = {}
         # How many nodes have an estimate, kept by ``observe`` and ``forget``
@@ -164,12 +165,12 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
     whole read load onto one node, queues it up and oscillates — the classic
     dynamic-snitch failure mode.  Like Cassandra's snitch, this middleware
     therefore applies a *badness threshold*: replicas whose RTT estimate is
-    within ``(1 + badness_threshold)`` of the best are considered healthy and
+    within ``(1 + BADNESS_THRESHOLD)`` of the best are considered healthy and
     shared round-robin; only replicas meaningfully slower than the best (a
     noisy neighbour, an overloaded or degraded node) are avoided.
 
     An avoided replica receives no reads, so its EWMA would never recover on
-    its own once the degradation ends.  Every ``explore_every``-th avoidance
+    its own once the degradation ends.  Every ``EXPLORE_EVERY``-th avoidance
     therefore routes one read to the slowest replica instead (bounded
     exploration, one potentially-slow read per window), refreshing its
     estimate so recovered nodes rejoin the rotation.
@@ -177,18 +178,8 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
 
     name = "latency-aware-selection"
 
-    def __init__(
-        self,
-        tracker: NodeRttTracker,
-        badness_threshold: float = 0.5,
-        explore_every: int = 32,
-        observe: bool = True,
-    ) -> None:
-        check(self.name, "badness_threshold", badness_threshold, NON_NEGATIVE)
-        check(self.name, "explore_every", explore_every, Bound(2))
+    def __init__(self, tracker: NodeRttTracker, observe: bool = True) -> None:
         self._tracker = tracker
-        self._badness_threshold = float(badness_threshold)
-        self._explore_every = int(explore_every)
         if not observe:
             # Another stage feeds the shared tracker: withdraw from the hook,
             # so the pipeline binds the feeder's method alone.
@@ -209,11 +200,6 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
         """The per-node RTT estimates backing the routing decision."""
         return self._tracker
 
-    @property
-    def badness_threshold(self) -> float:
-        """Relative RTT slack before a replica is considered slow."""
-        return self._badness_threshold
-
     def select_read_targets(
         self, ctx: RequestContext, live: Sequence[str], required: int
     ) -> Optional[List[str]]:
@@ -225,7 +211,7 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
         # never avoid (or prefer) a replica on zero information.
         pool = unknown
         if ranked:
-            cutoff = ranked[0][0] * (1.0 + self._badness_threshold)
+            cutoff = ranked[0][0] * (1.0 + BADNESS_THRESHOLD)
             sampled = healthy = len(ranked)
             while healthy > 1 and ranked[healthy - 1][0] > cutoff:
                 healthy -= 1
@@ -233,7 +219,7 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
             if healthy < sampled:
                 self.avoidances += 1
                 self._since_explore += 1
-                if self._since_explore >= self._explore_every:
+                if self._since_explore >= EXPLORE_EVERY:
                     # Re-probe the slowest replica so a recovered node's estimate
                     # refreshes and it can rejoin the healthy rotation.
                     self._since_explore = 0
@@ -265,7 +251,7 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
         return {
             "name": self.name,
             "alpha": self._tracker.alpha,
-            "badness_threshold": self._badness_threshold,
+            "badness_threshold": BADNESS_THRESHOLD,
             "nodes_tracked": len(self._tracker.snapshot()),
             "selections": self.selections,
             "avoidances": self.avoidances,
@@ -275,13 +261,5 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
 
 @register_middleware("latency-aware-selection")
 def _build_latency_aware(ctx: MiddlewareBuildContext) -> LatencyAwareReplicaSelection:
-    alpha = float(ctx.params.get("alpha", 0.3))
-    badness_threshold = float(ctx.params.get("badness_threshold", 0.5))
-    explore_every = int(ctx.params.get("explore_every", 32))
-    tracker, created = shared_node_tracker(ctx, alpha=alpha)
-    return LatencyAwareReplicaSelection(
-        tracker,
-        badness_threshold=badness_threshold,
-        explore_every=explore_every,
-        observe=created,
-    )
+    tracker, created = shared_node_tracker(ctx)
+    return LatencyAwareReplicaSelection(tracker, observe=created)

@@ -6,8 +6,7 @@ tolerate staleness while the checkout write of the same tenant cannot.  The
 workload layer expresses that as per-operation hints
 (:attr:`~repro.workload.generator.WorkloadSpec.consistency_overrides`), and
 this middleware is the policy point that honours them — the request path
-stays in control, so an operator pipeline can also clamp what applications
-may ask for (``max_level``).
+stays in control of what applications may ask for.
 
 Without this middleware in the pipeline, hints are carried but ignored: the
 override capability is a property of the request path, not of the client API.
@@ -27,31 +26,17 @@ __all__ = ["PerRequestConsistencyOverride", "CONSISTENCY_HINT"]
 CONSISTENCY_HINT = "consistency_level"
 
 
-def _coerce_level(value: object, strict: bool = False) -> Optional[ConsistencyLevel]:
-    """Turn a hint/param value into a :class:`ConsistencyLevel`.
-
-    Lenient by default (``None`` for anything unrecognised): per-request
-    hints come from application code and must never crash the request path.
-    ``strict=True`` raises a :class:`ValueError` naming the valid levels —
-    for build-time configuration, where failing loudly is the right call.
-    """
+def _coerce_level(value: object) -> Optional[ConsistencyLevel]:
+    """Turn a hint value into a :class:`ConsistencyLevel`, or ``None`` for
+    anything unrecognised: per-request hints come from application code and
+    must never crash the request path."""
     if isinstance(value, ConsistencyLevel):
         return value
     if isinstance(value, str):
         try:
             return ConsistencyLevel(value.upper())
         except ValueError:
-            if strict:
-                valid = ", ".join(level.value for level in ConsistencyLevel)
-                raise ValueError(
-                    f"invalid consistency level {value!r}; expected one of {valid}"
-                ) from None
             return None
-    if strict and value is not None:
-        raise ValueError(
-            f"invalid consistency level {value!r}; "
-            "expected a level name string or a ConsistencyLevel"
-        )
     return None
 
 
@@ -60,10 +45,8 @@ class PerRequestConsistencyOverride(RequestMiddleware):
 
     name = "consistency-override"
 
-    def __init__(self, max_level: Optional[ConsistencyLevel] = None) -> None:
-        self._max_level = max_level
+    def __init__(self) -> None:
         self.overrides_applied = 0
-        self.overrides_clamped = 0
         self.overrides_invalid = 0
         """Hints carrying an unrecognised level — counted and ignored, never
         allowed to fail the request they rode in on."""
@@ -79,9 +62,6 @@ class PerRequestConsistencyOverride(RequestMiddleware):
         if level is None:
             self.overrides_invalid += 1
             return
-        if self._max_level is not None and level.strictness > self._max_level.strictness:
-            level = self._max_level
-            self.overrides_clamped += 1
         if level is not ctx.consistency_level:
             ctx.consistency_level = level
             self.overrides_applied += 1
@@ -89,19 +69,14 @@ class PerRequestConsistencyOverride(RequestMiddleware):
     def describe(self) -> Dict[str, object]:
         return {
             "name": self.name,
-            "max_level": self._max_level.value if self._max_level else None,
+            # No level is clamped: the two keys keep the report's shape.
+            "max_level": None,
             "overrides_applied": self.overrides_applied,
-            "overrides_clamped": self.overrides_clamped,
+            "overrides_clamped": 0,
             "overrides_invalid": self.overrides_invalid,
         }
 
 
 @register_middleware("consistency-override")
-def _build_consistency_override(
-    ctx: MiddlewareBuildContext,
-) -> PerRequestConsistencyOverride:
-    try:
-        max_level = _coerce_level(ctx.params.get("max_level"), strict=True)
-    except ValueError as exc:
-        raise ValueError(f"consistency-override middleware: bad max_level: {exc}") from None
-    return PerRequestConsistencyOverride(max_level=max_level)
+def _build_consistency_override(_ctx: MiddlewareBuildContext) -> PerRequestConsistencyOverride:
+    return PerRequestConsistencyOverride()

@@ -25,12 +25,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..cluster.errors import NON_NEGATIVE, check
 from .base import RequestContext, RequestMiddleware
 from .latency import NodeRttTracker, shared_node_tracker
 from .registry import MiddlewareBuildContext, register_middleware
 
 __all__ = ["RttAwareWriteRouting"]
+
+#: Relative RTT slack before a coordinator is considered slow.
+BADNESS_THRESHOLD = 0.5
 
 
 class RttAwareWriteRouting(RequestMiddleware):
@@ -38,15 +40,8 @@ class RttAwareWriteRouting(RequestMiddleware):
 
     name = "rtt-aware-write-routing"
 
-    def __init__(
-        self,
-        tracker: NodeRttTracker,
-        badness_threshold: float = 0.5,
-        observe: bool = False,
-    ) -> None:
-        check(self.name, "badness_threshold", badness_threshold, NON_NEGATIVE)
+    def __init__(self, tracker: NodeRttTracker, observe: bool = False) -> None:
         self._tracker = tracker
-        self._badness_threshold = float(badness_threshold)
         if not observe:
             # An earlier stage feeds the shared tracker already.
             self.on_replica_response = None
@@ -75,7 +70,7 @@ class RttAwareWriteRouting(RequestMiddleware):
         ranked, unknown = self._tracker.ranked(serving)
         if not ranked:
             return None  # no RTT signal at all: leave round-robin alone
-        cutoff = ranked[0][0] * (1.0 + self._badness_threshold)
+        cutoff = ranked[0][0] * (1.0 + BADNESS_THRESHOLD)
         sampled = healthy = len(ranked)
         while healthy > 1 and ranked[healthy - 1][0] > cutoff:
             healthy -= 1
@@ -97,7 +92,7 @@ class RttAwareWriteRouting(RequestMiddleware):
     def describe(self) -> Dict[str, object]:
         return {
             "name": self.name,
-            "badness_threshold": self._badness_threshold,
+            "badness_threshold": BADNESS_THRESHOLD,
             "writes_ordered": self.writes_ordered,
             "coordinators_preferred": self.coordinators_preferred,
         }
@@ -105,9 +100,5 @@ class RttAwareWriteRouting(RequestMiddleware):
 
 @register_middleware("rtt-aware-write-routing")
 def _build_rtt_aware_write_routing(ctx: MiddlewareBuildContext) -> RttAwareWriteRouting:
-    tracker, created = shared_node_tracker(ctx, alpha=float(ctx.params.get("alpha", 0.3)))
-    return RttAwareWriteRouting(
-        tracker,
-        badness_threshold=float(ctx.params.get("badness_threshold", 0.5)),
-        observe=created,
-    )
+    tracker, created = shared_node_tracker(ctx)
+    return RttAwareWriteRouting(tracker, observe=created)

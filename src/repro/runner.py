@@ -276,7 +276,6 @@ class Simulation:
         self.workload = WorkloadGenerator(self.simulator, self.cluster, self.config.workload)
 
         # Multi-tenant wiring: tier-derived quotas into the admission stage
-        # (unless the scenario pinned explicit quotas via middleware_params)
         # and a per-tenant metrics rollup charged against the monitoring
         # budget.  Absent a tenant population none of this exists, so the
         # single-tenant stack is untouched.
@@ -284,10 +283,7 @@ class Simulation:
         tenant_spec = self.config.workload.tenants
         if tenant_spec is not None and self.workload.population is not None:
             admission = self.cluster.pipeline.get("admission-control")
-            explicit_quotas = "tiers" in self.cluster.config.middleware_params.get(
-                "admission-control", {}
-            )
-            if admission is not None and not explicit_quotas:
+            if admission is not None:
                 admission.configure_tiers(
                     {
                         tier.name: (tier.quota_rate, tier.quota_burst)

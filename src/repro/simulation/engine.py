@@ -36,6 +36,9 @@ from .randomness import RandomStreams
 
 __all__ = ["Simulator", "PeriodicTask"]
 
+#: Events :meth:`Simulator.run_until_empty` fires at most.
+MAX_DRAIN_EVENTS = 10_000_000
+
 
 class PeriodicTask:
     """A recurring callback managed by :meth:`Simulator.call_every`.
@@ -73,10 +76,9 @@ class PeriodicTask:
         if self._handle is not None:
             self._handle.cancel()
 
-    def start(self, first_delay: Optional[float] = None) -> None:
-        """Schedule the first occurrence ``first_delay`` seconds from now."""
-        delay = self._interval if first_delay is None else float(first_delay)
-        self._schedule(delay)
+    def start(self) -> None:
+        """Schedule the first occurrence one interval from now."""
+        self._schedule(self._interval)
 
     def _schedule(self, delay: float) -> None:
         if self._stopped:
@@ -158,16 +160,16 @@ class Simulator:
         time: float,
         callback: Callable[..., None],
         *args: Any,
-        priority: int = PRIORITY_NORMAL,
         label: Optional[str] = None,
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulation time ``time``.
+        """Schedule ``callback(*args)`` at absolute simulation time ``time``
+        (at normal priority).
 
         Returns the :class:`Event`, whose ``cancel()`` withdraws it.
         """
         if not self.now <= time < self._horizon:
             self._refuse(time)
-        return self._queue.push(time, callback, args, priority=priority, label=label)
+        return self._queue.push(time, callback, args, label=label)
 
     def schedule_in(
         self,
@@ -195,7 +197,7 @@ class Simulator:
         queue = self._queue
         sequence = queue._sequence
         queue._sequence = sequence + 1
-        event = Event(time, priority, sequence, callback, args, False, label)
+        event = Event(time, priority, sequence, callback, args, label)
         heap = queue._heap
         heappush(heap, (time, priority, sequence, callback, args, label, event))
         if len(heap) > queue._peak_pending:
@@ -252,7 +254,7 @@ class Simulator:
         queue = self._queue
         sequence = queue._sequence
         queue._sequence = sequence + 1
-        event = Event(time, PRIORITY_NORMAL, sequence, callback, args, False, label)
+        event = Event(time, PRIORITY_NORMAL, sequence, callback, args, label)
         fifo = queue._deadlines.get(delay)
         if fifo is None:
             queue._deadlines[delay] = deque()
@@ -278,7 +280,6 @@ class Simulator:
         interval: float,
         callback: Callable[..., Any],
         *args: Any,
-        first_delay: Optional[float] = None,
         priority: int = PRIORITY_NORMAL,
         label: Optional[str] = None,
         jitter: float = 0.0,
@@ -289,7 +290,7 @@ class Simulator:
         re-pace (e.g. a monitor adapting its probe rate).
         """
         task = PeriodicTask(self, interval, callback, args, priority, label, jitter)
-        task.start(first_delay)
+        task.start()
         return task
 
     def add_trace_hook(self, hook: Callable[[float, Optional[str]], None]) -> None:
@@ -389,14 +390,14 @@ class Simulator:
             self.now = max(self.now, end_time)
         return executed
 
-    def run_until_empty(self, max_events: int = 10_000_000) -> int:
-        """Run until no events remain (bounded by ``max_events``)."""
+    def run_until_empty(self) -> int:
+        """Run until no events remain (bounded by ``MAX_DRAIN_EVENTS``)."""
         if self._running:
             raise SimulationStateError("run_until_empty is not reentrant")
         self._running = True
         executed = 0
         try:
-            while executed < max_events and self.step():
+            while executed < MAX_DRAIN_EVENTS and self.step():
                 executed += 1
         finally:
             self._running = False

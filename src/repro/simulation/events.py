@@ -77,7 +77,6 @@ class Event:
         sequence: int,
         callback: Callable[..., None],
         args: tuple = (),
-        cancelled: bool = False,
         label: Optional[str] = None,
     ) -> None:
         self.time = time
@@ -85,7 +84,7 @@ class Event:
         self.sequence = sequence
         self.callback = callback
         self.args = args
-        self.cancelled = cancelled
+        self.cancelled = False
         self.label = label
 
     def cancel(self) -> None:
@@ -164,7 +163,7 @@ class EventQueue:
         """Schedule ``callback(*args)`` at ``time`` and return the event."""
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, priority, sequence, callback, args, False, label)
+        event = Event(time, priority, sequence, callback, args, label)
         heappush(self._heap, (time, priority, sequence, callback, args, label, event))
         if len(self._heap) > self._peak_pending:
             self._peak_pending = len(self._heap)
@@ -226,7 +225,7 @@ class EventQueue:
         if entry is None:
             return None
         if entry[6] is None:
-            return Event(*entry[:5], False, entry[5])
+            return Event(*entry[:6])
         if entry[3] is _deadline_due:
             self._advance_fifo(entry[4][1])
         return entry[6]

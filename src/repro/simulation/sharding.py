@@ -59,6 +59,12 @@ __all__ = [
     "merge_shard_results",
 ]
 
+#: Worker processes a parallel run uses at most (``None``: one per shard).
+MAX_WORKERS: Optional[int] = None
+
+#: The order a serial run executes its shards in (``None``: index order).
+SHARD_ORDER: Optional[Sequence[int]] = None
+
 #: Keys of :class:`WorkloadStats` that merge by plain addition.
 _WORKLOAD_COUNTER_KEYS = (
     "reads_issued",
@@ -385,26 +391,20 @@ def merge_shard_results(results: Sequence[ShardResult]) -> Dict[str, object]:
     }
 
 
-def run_sharded(
-    config,
-    shards: int,
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-    shard_order: Optional[Sequence[int]] = None,
-) -> ShardedReport:
+def run_sharded(config, shards: int, parallel: bool = True) -> ShardedReport:
     """Plan, execute and merge a ``K``-shard run of ``config``.
 
     ``parallel=True`` runs shards in spawn-started worker processes (capped
-    at ``max_workers``); ``parallel=False`` runs them in this process, in
-    ``shard_order`` if given — used by tests to prove the merge is invariant
-    to execution order.  Both paths produce the same merged figures, and
-    both report a failing shard as a :class:`ShardError` that names it.
+    at ``MAX_WORKERS``); ``parallel=False`` runs them in this process, in
+    ``SHARD_ORDER`` if set — tests set it to prove the merge is invariant to
+    execution order.  Both paths produce the same merged figures, and both
+    report a failing shard as a :class:`ShardError` that names it.
     """
     plans = plan_shards(config, shards)
     started = time.perf_counter()
     results: List[ShardResult] = []
     if parallel and shards > 1:
-        workers = min(shards, max_workers) if max_workers else shards
+        workers = min(shards, MAX_WORKERS) if MAX_WORKERS else shards
         # One single-worker pool per lane, shards dealt round-robin: a worker
         # that dies breaks only its own lane, so the first future without a
         # result is the shard that killed it (one shared pool would fail
@@ -431,12 +431,7 @@ def run_sharded(
             for lane in lanes:
                 lane.shutdown(wait=True)
     else:
-        order = list(shard_order) if shard_order is not None else list(range(shards))
-        if sorted(order) != list(range(shards)):
-            raise ValueError(
-                f"shard_order must be a permutation of 0..{shards - 1}, got {order}"
-            )
-        for index in order:
+        for index in SHARD_ORDER if SHARD_ORDER is not None else range(shards):
             try:
                 results.append(run_shard(plans[index], index, shards))
             except Exception as error:

@@ -163,7 +163,7 @@ class TimerService:
                 sequence = queue._sequence
                 queue._sequence = sequence + 1
                 queue._reserved += 1
-                event = Event(deadline, priority, sequence, callback, args, False, label)
+                event = Event(deadline, priority, sequence, callback, args, label)
                 timers = self._buckets.get(bucket)
                 if timers is None:
                     self._buckets[bucket] = [event]

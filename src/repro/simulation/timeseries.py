@@ -110,7 +110,7 @@ class TimeSeries:
     """Append-only ``(time, value)`` series with aggregation helpers.
 
     Times and values are two ``float64`` columns that double when full:
-    :attr:`times`, :attr:`values` and :meth:`values_since` are views of them,
+    :attr:`times` and :attr:`values` are views of them,
     and the order statistics run on the value column as it stands.
     """
 
@@ -171,11 +171,6 @@ class TimeSeries:
             out._size = int(hi - lo)
             out._last_time = float(times[hi - 1])
         return out
-
-    def values_since(self, start: float) -> np.ndarray:
-        """Values of samples recorded at or after ``start`` (a view)."""
-        lo = np.searchsorted(self.times, start, side="left")
-        return self._values[lo : self._size]
 
     def summary(self) -> SeriesSummary:
         """Summary statistics over the whole series."""

@@ -24,7 +24,7 @@ from functools import partial
 from typing import Callable, Dict, Optional
 
 from ..cluster.cluster import Cluster
-from ..cluster.errors import Settings, at_least, positive
+from ..cluster.errors import Settings, at_least
 from ..cluster.types import ConsistencyLevel, ReadResult, WriteResult
 from ..middleware.base import TENANT_HINT, TENANT_TIER_HINT
 from ..middleware.overrides import CONSISTENCY_HINT
@@ -33,6 +33,7 @@ from ..simulation.randomness import _CHUNK, RandomStreams, _chunked
 from ..simulation.timeseries import TimeSeries, exact_percentiles
 from .distributions import KeyDistribution, make_distribution
 from .load_shapes import ConstantLoad, LoadShape
+from . import operations
 from .operations import OperationMix, READ_HEAVY, RecordSizer
 from .tenants import TenantPopulation, TenantProfile, TenantSpec
 
@@ -58,16 +59,18 @@ PRELOAD_FRACTION = 1.0
 #: Floor on the arrival rate used when the shape returns ~0 ops/s.
 MIN_RATE = 0.1
 
+#: The :func:`~repro.workload.distributions.make_distribution` name keys are
+#: drawn from.
+KEY_DISTRIBUTION = "zipfian"
+
 
 @dataclass
 class WorkloadSpec(Settings):
     """Everything needed to reproduce one workload."""
 
     record_count: int = at_least(1, 10_000)
-    key_distribution: str = "zipfian"
     operation_mix: OperationMix = field(default_factory=lambda: READ_HEAVY)
     load_shape: LoadShape = field(default_factory=lambda: ConstantLoad(100.0))
-    mean_record_size: int = positive(1024)
     key_prefix: str = "user"
     consistency_overrides: Dict[str, ConsistencyLevel] = field(default_factory=dict)
     """Per-operation-kind consistency levels (keys: ``read``, ``update``,
@@ -124,17 +127,17 @@ class WorkloadSpec(Settings):
             self.tenants.records_per_tenant if self.tenants is not None
             else self.record_count
         )
-        return make_distribution(self.key_distribution, record_count)
+        return make_distribution(KEY_DISTRIBUTION, record_count)
 
     def describe(self) -> Dict[str, object]:
         """Flat description for experiment tables."""
         description: Dict[str, object] = {
             "record_count": self.record_count,
-            "key_distribution": self.key_distribution,
+            "key_distribution": KEY_DISTRIBUTION,
             "read_fraction": self.operation_mix.read_fraction,
             "update_fraction": self.operation_mix.update_fraction,
             "insert_fraction": self.operation_mix.insert_fraction,
-            "mean_record_size": self.mean_record_size,
+            "mean_record_size": operations.MEAN_RECORD_SIZE,
             "open_loop": self.open_loop,
             "consistency_overrides": {
                 kind: level.value for kind, level in self.consistency_overrides.items()
@@ -483,7 +486,7 @@ class WorkloadGenerator:
         # The distribution spans one issuer's initial key space: the whole
         # record count, or one tenant's share of it.
         self._records_per_issuer = records = distribution.record_count
-        self._sizer = sizer = RecordSizer(spec.mean_record_size)
+        self._sizer = sizer = RecordSizer()
         self._running = False
         self._preloaded = False
         self.stats = WorkloadStats()

@@ -13,13 +13,14 @@ from typing import Dict
 
 import numpy as np
 
-from ..cluster.errors import POSITIVE, Settings, check, fraction
+from ..cluster.errors import Settings, fraction
 from ..simulation.randomness import LognormalSampler
 
 __all__ = ["OperationMix", "RecordSizer", "READ_HEAVY", "BALANCED", "WRITE_HEAVY", "READ_ONLY"]
 
-#: Coefficient of variation of written record sizes, and the bounds every
-#: drawn size is clamped to.
+#: Mean and coefficient of variation of written record sizes (bytes), and
+#: the bounds every drawn size is clamped to.
+MEAN_RECORD_SIZE = 1024
 RECORD_SIZE_CV = 0.5
 MIN_RECORD_SIZE = 64
 MAX_RECORD_SIZE = 65_536
@@ -84,14 +85,14 @@ READ_ONLY = OperationMix(read_fraction=1.0, update_fraction=0.0)
 class RecordSizer:
     """Draws payload sizes for written records.
 
-    Sizes follow a lognormal distribution around ``mean_size`` with
+    Sizes follow a lognormal distribution around ``MEAN_RECORD_SIZE`` with
     coefficient of variation ``RECORD_SIZE_CV`` and are clamped to ``[MIN_RECORD_SIZE,
     MAX_RECORD_SIZE]`` — realistic for web-application blobs without letting a fat
     tail dominate memory accounting.
     """
 
-    def __init__(self, mean_size: int = 1024) -> None:
-        self._mean = float(check("RecordSizer", "mean_size", mean_size, POSITIVE))
+    def __init__(self) -> None:
+        self._mean = float(MEAN_RECORD_SIZE)
         # The sampler caches the CV-derived lognormal constants once for the
         # sizer's lifetime; draws stay bit-identical to the per-call path.
         self._sampler = LognormalSampler(RECORD_SIZE_CV)

@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 from repro.cli import build_parser, build_simulation_config, main
 from repro.cluster.types import ConsistencyLevel
+from repro.workload.tenants import TenantSpec
+
+
+@pytest.fixture
+def repro(monkeypatch):
+    """Runs ``main`` with ``argv`` as the command line; returns the exit code."""
+
+    def run(argv):
+        monkeypatch.setattr(sys, "argv", ["repro", *argv])
+        return main()
+
+    return run
 
 
 def test_parser_defaults_for_run():
@@ -73,8 +86,8 @@ def test_build_simulation_config_flash_shape():
     assert shape.peak_rate(0.0, 200.0) == pytest.approx(100.0, rel=0.05)
 
 
-def test_cli_run_prints_headline(capsys):
-    exit_code = main(
+def test_cli_run_prints_headline(capsys, repro):
+    exit_code = repro(
         [
             "run",
             "--duration",
@@ -95,8 +108,8 @@ def test_cli_run_prints_headline(capsys):
     assert "final configuration" in captured.out
 
 
-def test_cli_run_json_output(capsys):
-    exit_code = main(
+def test_cli_run_json_output(capsys, repro):
+    exit_code = repro(
         [
             "run",
             "--duration",
@@ -215,26 +228,26 @@ def test_cli_names_the_bad_middleware_token(spec, named):
         ),
     ],
 )
-def test_cli_answers_a_bad_number_with_one_line(flags, named):
+def test_cli_answers_a_bad_number_with_one_line(flags, named, repro):
     experiment = flags[0] == "experiment"
     with pytest.raises(SystemExit) as refusal:
-        main(flags if experiment else ["run", "--duration", "20", *flags])
+        repro(flags if experiment else ["run", "--duration", "20", *flags])
     message = str(refusal.value)
     assert named in message and "\n" not in message
     # The sharded run refuses what it can check before a shard is planned.
     if "--hedge-reads" not in flags and not experiment:
         with pytest.raises(SystemExit) as refusal:
-            main(["run", "--duration", "20", "--shards", "2", "--serial-shards", *flags])
+            repro(["run", "--duration", "20", "--shards", "2", "--serial-shards", *flags])
         assert named in str(refusal.value)
 
 
-def test_cli_leaves_a_value_error_from_the_run_its_traceback(monkeypatch):
+def test_cli_leaves_a_value_error_from_the_run_its_traceback(monkeypatch, repro):
     def run(self):
         raise ValueError("raised mid-run")
 
     monkeypatch.setattr("repro.cli.Simulation.run", run)
     with pytest.raises(ValueError, match="raised mid-run"):
-        main(["run", "--duration", "20"])
+        repro(["run", "--duration", "20"])
 
 
 def test_cli_rejects_malformed_consistency_override():
@@ -250,8 +263,8 @@ def test_cli_rejects_malformed_consistency_override():
         build_simulation_config(args)
 
 
-def test_cli_run_with_middleware_variant(capsys):
-    exit_code = main(
+def test_cli_run_with_middleware_variant(capsys, repro):
+    exit_code = repro(
         [
             "run",
             "--duration",
@@ -314,11 +327,25 @@ def test_tenant_flags_build_a_tenant_spec():
     assert config.workload.tenants.popularity_skew == 0.9
     assert config.middleware is not None
     assert config.middleware[0] == "admission-control"
-    # Tenants without admission control: multi-tenant workload, default stack.
+    # Tenants without admission control: multi-tenant workload, default stack;
+    # without --tenant-skew, the tenant model's own skew.
     args = build_parser().parse_args(["run", "--tenants", "10"])
     config = build_simulation_config(args)
-    assert config.workload.tenants.tenants == 10
+    assert config.workload.tenants == TenantSpec(tenants=10)
     assert config.middleware is None
+
+
+def test_tenant_skew_without_tenants_is_refused():
+    # It used to be dropped silently: the run was single-tenant.
+    args = build_parser().parse_args(["run", "--tenant-skew", "3"])
+    with pytest.raises(SystemExit, match="--tenant-skew requires --tenants"):
+        build_simulation_config(args)
+
+
+def test_serial_shards_without_shards_is_refused(repro):
+    # It used to be dropped silently: the run was the classic single process.
+    with pytest.raises(SystemExit, match="--serial-shards requires --shards"):
+        repro(["run", "--duration", "2", "--serial-shards"])
 
 
 def test_admission_control_requires_tenants_and_pipeline_stage():
@@ -477,6 +504,6 @@ def test_no_faults_flag_means_no_plan():
     assert config.faults is None
 
 
-def test_experiment_fault_seed_is_e9_only():
+def test_experiment_fault_seed_is_e9_only(repro):
     with pytest.raises(SystemExit, match="E9"):
-        main(["experiment", "E1", "--fault-seed", "3", "--scale", "0.1"])
+        repro(["experiment", "E1", "--fault-seed", "3", "--scale", "0.1"])

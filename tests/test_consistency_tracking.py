@@ -171,12 +171,3 @@ def test_staleness_snapshot_statistics():
     assert snapshot.stale_fraction == pytest.approx(0.5)
     assert snapshot.max_staleness == pytest.approx(1.6)
     assert snapshot.as_dict()["stale_fraction"] == pytest.approx(0.5)
-
-
-def test_staleness_snapshot_since_filter():
-    observer = StalenessObserver()
-    observer.on_operation_completed(read_result(1.0, stale=True, staleness=1.0))
-    observer.on_operation_completed(read_result(10.0, stale=False))
-    snapshot = observer.snapshot(since=5.0)
-    assert snapshot.reads == 1
-    assert snapshot.stale_reads == 0

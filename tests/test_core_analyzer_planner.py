@@ -336,14 +336,6 @@ def test_guard_detects_oscillation_and_freezes_scaling():
     assert guard.stats()["oscillations_detected"] == 1.0
 
 
-def test_disabled_guard_allows_everything():
-    guard = StabilityGuard(StabilityConfig(enabled=False))
-    guard.record_outcome(
-        type("O", (), {"applied": True, "kind": ActionKind.SCALE_OUT, "time": 0.0})()
-    )
-    assert guard.allows(AddNodeAction(), now=1.0)
-
-
 def test_guard_ignores_no_action():
     guard = StabilityGuard()
     assert guard.allows(NoAction(), now=0.0)

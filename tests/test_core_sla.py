@@ -13,6 +13,7 @@ from repro.core import (
     SystemObservation,
     default_sla,
 )
+from repro.core import sla
 
 
 def observation(**overrides):
@@ -35,7 +36,7 @@ def observation(**overrides):
 
 
 def test_latency_slo_satisfaction_and_margin():
-    slo = LatencySLO(max_latency=0.05, percentile=95.0, operation="read")
+    slo = LatencySLO(max_latency=0.05, operation="read")
     ok = slo.evaluate(observation(read_p95_latency=0.02))
     assert ok.satisfied
     assert ok.margin == pytest.approx(0.6)
@@ -47,12 +48,11 @@ def test_latency_slo_satisfaction_and_margin():
 def test_latency_slo_validation():
     with pytest.raises(ValueError):
         LatencySLO(max_latency=0.05, operation="delete")
-    with pytest.raises(ValueError):
-        LatencySLO(max_latency=0.05, percentile=90.0)
 
 
-def test_latency_slo_write_and_p99():
-    slo = LatencySLO(max_latency=0.05, percentile=99.0, operation="write")
+def test_latency_slo_write_and_p99(monkeypatch):
+    monkeypatch.setattr(sla, "SLO_PERCENTILE", 99.0)
+    slo = LatencySLO(max_latency=0.05, operation="write")
     result = slo.evaluate(observation(write_p99_latency=0.04))
     assert result.satisfied
     assert slo.name == "write_p99_latency"

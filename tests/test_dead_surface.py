@@ -46,22 +46,49 @@ cannot go stale.
 
 Four more passes hold the rest of the surface to the same terms:
 
-* **unset settings** - a defaulted dataclass field or ``__init__`` parameter
-  of ``src/repro/`` that no code in ``src/``, ``benchmarks/ledger/`` or
-  ``examples/`` sets; ``tests/`` is not a setter.  A call that names the
-  class (or a subclass, or ``super().__init__`` inside one, or either class
-  of ``(A if x else B)(...)``) sets what it passes by position or keyword; a
-  function that splats its own ``**`` parameter into such a call passes on
-  the keywords it is called with; any other ``**`` splat into it, or into a
-  call naming no class of ``src/repro/`` (for every class its file names),
-  sets each field its file names as a keyword or an identifier string;
-  ``dataclasses.replace(x, f=...)`` and a store ``obj.f = v`` set a field
-  ``f`` of the class ``x`` or ``obj`` resolves to (by the rules above) and
-  of its bases and constructed subclasses, or of every class when it does
-  not resolve; a store through a field (``options.probe.interval = x``)
-  sets that field too.  A setting nobody sets is a constant: fold it into
-  one where it is used (read there, so a test can ``monkeypatch`` it), or
-  list it in ``ALLOWED_SETTINGS`` with one of the three reasons.
+* **unset settings** - a defaulted input of ``src/repro/`` that no code in
+  ``src/``, ``benchmarks/ledger/`` or ``examples/`` sets; ``tests/`` is not
+  a setter.  A setting is one of three kinds:
+
+  - ``Class.field``, a defaulted dataclass field or ``__init__`` parameter.
+    A call that names the class (or a subclass, or ``super().__init__``
+    inside one, or either class of ``(A if x else B)(...)``) sets what it
+    passes by position or keyword; a function that splats its own ``**``
+    parameter into such a call passes on the keywords it is called with;
+    any other ``**`` splat into it, or into a call naming no class of
+    ``src/repro/`` (for every class its file names), sets each field its
+    file names as a keyword or an identifier string;
+    ``dataclasses.replace(x, f=...)`` and a store ``obj.f = v`` set a field
+    ``f`` of the class ``x`` or ``obj`` resolves to (by the rules above)
+    and of its bases and constructed subclasses, or of every class when it
+    does not resolve; a store through a field (``options.probe.interval =
+    x``) sets that field too.
+  - ``stage:key``, a key a ``register_middleware`` factory reads from
+    ``ctx.params`` (``.get``, ``[...]`` or ``in``, also through a local
+    alias).  A literal ``{"stage": {"key": ...}}`` sets it; a literal that
+    maps the stage to anything but a literal dict sets every key of the
+    stage, and a ``middleware_params`` keyword or store whose mapping the
+    code does not spell out (not ``None``, a literal, a copy of another
+    ``middleware_params`` or a local name bound only to those) sets every
+    key of every stage.
+  - ``function(parameter)``, a defaulted parameter of a module-level
+    function or a method (``Class.method(parameter)``; a name two modules
+    define is ``module.function``).  A call sets what it passes by position
+    or keyword: a bare name reaches the module-level functions of that
+    name, ``x.m(...)`` the definitions ``m`` dispatches to when ``x``
+    resolves and every ``m`` (and module-level ``m``) when it does not.  A
+    call with a ``*`` or ``**`` splat, a load that is not called (a
+    callback, ``f = obj.m``) and an identifier string (``getattr``) set
+    every parameter of what they reach.
+
+  A call, ``replace`` or stage literal outside ``benchmarks/ledger/`` and
+  ``examples/`` that passes a literal equal to the declared default sets
+  nothing: the default says it already.  A setting nobody sets is a
+  constant: fold it into one where it is used (read there, so a test can
+  ``monkeypatch`` it), delete the code only another value reached, or list
+  it in ``ALLOWED_SETTINGS`` with one of the three reasons.  The number of
+  settings is held at ``SETTINGS_CEILING``, as ``tests/test_code_budget.py``
+  holds the lines.
 * **unread state** - a ``self.X`` attribute or dataclass field of
   ``src/repro/`` that nothing in ``src/repro/`` loads, with loads resolved
   as above: a resolved load reads the attribute only on its receiver's
@@ -88,6 +115,8 @@ Imports and parameters have no allow-list: neither has a reader to cite.
 from __future__ import annotations
 
 import ast
+import sys
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple
@@ -158,7 +187,11 @@ def _last_name(node: Optional[ast.AST]) -> str:
 # ----------------------------------------------------------------------
 # Classes and receivers
 # ----------------------------------------------------------------------
-_Param = Tuple[str, bool, int]  # name, has a default, line
+class _Param(NamedTuple):
+    name: str
+    defaulted: bool
+    line: int
+    default: Optional[ast.expr]  # the declared default, where one is written out
 
 
 class _Class(NamedTuple):
@@ -169,6 +202,17 @@ class _Class(NamedTuple):
     init: Optional[Tuple[_Param, ...]]  # its own ``__init__``'s parameters
     methods: FrozenSet[str]  # the functions its body defines
     types: Dict[str, str]  # attribute -> the class the code says it holds
+
+
+def _declared_default(value: ast.expr, keywords: Dict[str, ast.expr]) -> Optional[ast.expr]:
+    """The default ``field(default=...)`` or a bound helper (``positive(1.0)``)
+    declares."""
+    if keywords.get("default") is not value:
+        return keywords.get("default")
+    position = _bound_helpers()[_last_name(value.func)]
+    if len(value.args) > position:
+        return value.args[position]
+    return next(k.value for k in value.keywords if k.arg == "default")
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -213,21 +257,28 @@ def _field_keywords(value: Optional[ast.expr]) -> Optional[Dict[str, ast.expr]]:
     return None
 
 
+def _parameter_defaults(args: ast.arguments) -> Dict[str, ast.expr]:
+    """Each defaulted parameter of a signature -> its default."""
+    positional = args.posonlyargs + args.args
+    found = {
+        arg.arg: default
+        for arg, default in zip(positional[len(positional) - len(args.defaults) :], args.defaults)
+    }
+    found.update(
+        (arg.arg, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default
+    )
+    return found
+
+
 def _init_params(node: ast.ClassDef) -> Optional[Tuple[_Param, ...]]:
     for member in node.body:
         if isinstance(member, ast.FunctionDef) and member.name == "__init__":
             args = member.args
-            positional = args.posonlyargs + args.args
-            first_default = len(positional) - len(args.defaults)
-            params = [
-                (arg.arg, index >= first_default, arg.lineno)
-                for index, arg in enumerate(positional)
-            ][1:]
-            params += [
-                (arg.arg, default is not None, arg.lineno)
-                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-            ]
-            return tuple(params)
+            defaults = _parameter_defaults(args)
+            every = [*args.posonlyargs, *args.args][1:] + args.kwonlyargs
+            return tuple(
+                _Param(arg.arg, arg.arg in defaults, arg.lineno, defaults.get(arg.arg)) for arg in every
+            )
     return None
 
 
@@ -306,14 +357,15 @@ def _class_info(node: ast.ClassDef, where: str, known: FrozenSet[str]) -> _Class
     dataclass = _is_dataclass(node)
     if dataclass:
         for member in _fields(node):
-            keywords = _field_keywords(member.value)
+            name, value, line = member.target.id, member.value, member.lineno
+            keywords = _field_keywords(value)
             if keywords is None:
-                fields.append((member.target.id, member.value is not None, member.lineno))
+                fields.append(_Param(name, value is not None, line, value))
             elif not (
                 isinstance(keywords.get("init"), ast.Constant) and keywords["init"].value is False
             ):
                 defaulted = "default" in keywords or "default_factory" in keywords
-                fields.append((member.target.id, defaulted, member.lineno))
+                fields.append(_Param(name, defaulted, line, _declared_default(value, keywords)))
     return _Class(
         where,
         tuple(_last_name(base) for base in node.bases),
@@ -743,10 +795,24 @@ ALLOWED_SETTINGS: Dict[str, Tuple[str, str]] = {
         OUTSIDE,
         "ledger worker: waits out twice the timeout before counting outcomes",
     ),
+    "EventQueue.push(priority)": (
+        REFERENCE,
+        "test_simulation_events: schedule_in, post_in and the wheel's arm match push at every priority",
+    ),
 }
 
 #: ``ALLOWED_SETTINGS`` may only shrink: lower this with every entry removed.
-ALLOWED_SETTINGS_CEILING = 1
+#: Raised from 1 to 2 for ``EventQueue.push(priority)``: ``push`` is the
+#: reference ``tests/test_simulation_events.py`` holds the written-out
+#: scheduling paths to, priority for priority, and ``Simulator.schedule``,
+#: its one caller in ``src/``, stopped passing one when its own ``priority``
+#: turned out to be set only by tests.
+ALLOWED_SETTINGS_CEILING = 2
+
+#: How many settings ``_settings`` counts: ``Class.field``, ``stage:key`` and
+#: ``function(parameter)`` alike.  Lower it with every setting folded into a
+#: constant; a change that must raise it names the caller beside the number.
+SETTINGS_CEILING = 334
 
 #: ``Class.attribute`` -> (reason, what reads it).  Only ever remove entries.
 ALLOWED_STATE: Dict[str, Tuple[str, str]] = {
@@ -781,27 +847,292 @@ def _signature(name: str) -> Tuple[Tuple[str, str], ...]:
     if cls is None:
         return ()
     if cls.init is not None:
-        return tuple((name, param) for param, _, _ in cls.init)
+        return tuple((name, param.name) for param in cls.init)
     inherited: Tuple[Tuple[str, str], ...] = next(
         (signature for signature in map(_signature, cls.bases) if signature), ()
     )
     if not cls.dataclass:
         return inherited
-    own = [param for param, _, _ in cls.fields]
+    own = [param.name for param in cls.fields]
     return tuple(entry for entry in inherited if entry[1] not in own) + tuple(
         (name, param) for param in own
     )
 
 
+def _outside(path: Path) -> bool:
+    """Whether ``path`` lies in ``benchmarks/ledger/`` or ``examples/``."""
+    return any(path.is_relative_to(base) for base in OUTSIDE_DIRS)
+
+
+def _restates(argument: ast.expr, default: Optional[ast.expr]) -> bool:
+    """Whether ``argument`` is a literal equal to the literal ``default``."""
+    if default is None:
+        return False
+    try:
+        passed, declared = ast.literal_eval(argument), ast.literal_eval(default)
+    except (ValueError, TypeError, SyntaxError):
+        return False
+    return passed == declared and isinstance(passed, bool) == isinstance(declared, bool)
+
+
+# Stage parameters -----------------------------------------------------
+def _stage_of(function: ast.AST) -> str:
+    """The name ``@register_middleware("name")`` registers ``function`` under."""
+    for decorator in function.decorator_list:
+        if (
+            isinstance(decorator, ast.Call)
+            and _last_name(decorator.func) == "register_middleware"
+            and decorator.args
+            and isinstance(decorator.args[0], ast.Constant)
+        ):
+            return decorator.args[0].value
+    return ""
+
+
+def _params_reads(function: ast.AST) -> Iterator[Tuple[str, Optional[ast.expr], int]]:
+    """(key, default, line) of each ``ctx.params`` read in a factory:
+    ``.get(key, default)``, ``[key]`` and ``key in``, also through a local
+    alias of ``ctx.params``."""
+    context = function.args.args[0].arg
+
+    def direct(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "params"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == context
+        )
+
+    aliases = {
+        target.id
+        for node in ast.walk(function)
+        if isinstance(node, ast.Assign) and direct(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def params(node: ast.AST) -> bool:
+        return direct(node) or (isinstance(node, ast.Name) and node.id in aliases)
+
+    for node in ast.walk(function):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and params(node.func.value)
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            yield node.args[0].value, node.args[1] if len(node.args) > 1 else None, node.lineno
+        elif (
+            isinstance(node, ast.Subscript)
+            and params(node.value)
+            and isinstance(node.slice, ast.Constant)
+        ):
+            yield node.slice.value, None, node.lineno
+        elif (
+            isinstance(node, ast.Compare)
+            and isinstance(node.ops[0], (ast.In, ast.NotIn))
+            and params(node.comparators[0])
+            and isinstance(node.left, ast.Constant)
+        ):
+            yield node.left.value, None, node.lineno
+
+
+@lru_cache(maxsize=None)
+def _stage_parameters() -> Dict[str, Tuple[str, Optional[ast.expr]]]:
+    """``stage:key`` -> (``path:line``, its default) of each key a
+    ``register_middleware`` factory of ``src/repro/`` reads from ``ctx.params``."""
+    found: Dict[str, Tuple[str, Optional[ast.expr]]] = {}
+    for path in _files(SRC):
+        for function in ast.walk(_tree(path)):
+            stage = _stage_of(function) if isinstance(function, _FUNCTION_NODES) else ""
+            for key, default, line in _params_reads(function) if stage else ():
+                found.setdefault(f"{stage}:{key}", (f"{path.relative_to(ROOT)}:{line}", default))
+    return found
+
+
+def _spelled_out(value: ast.expr, scope: ast.AST) -> bool:
+    """Whether a ``middleware_params`` value carries only keys the code writes
+    down: ``None``, a dict literal, a copy of another ``middleware_params``, or
+    a local name bound only to those."""
+    if (isinstance(value, ast.Constant) and value.value is None) or isinstance(value, ast.Dict):
+        return True
+    if any(isinstance(node, ast.Attribute) and node.attr == "middleware_params" for node in ast.walk(value)):
+        return True
+    if not isinstance(value, ast.Name) or isinstance(scope, ast.Module):
+        return False
+    args = scope.args
+    if value.id in {arg.arg for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]}:
+        return False
+    bound = [
+        node.value
+        for node in _own_nodes(scope.body)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == value.id for target in node.targets)
+    ]
+    return bool(bound) and all(_spelled_out(other, scope) for other in bound)
+
+
+def _set_stage_parameters(tree: ast.Module, restated: bool) -> Set[str]:
+    """The ``stage:key`` settings one module sets: each key of a literal
+    ``{"stage": {"key": ...}}`` (unless it restates the factory's default), and
+    every key when it passes a ``middleware_params`` mapping it does not
+    spell out."""
+    stages = _stage_parameters()
+    keys: Dict[str, List[str]] = {}
+    for name in stages:
+        keys.setdefault(name.partition(":")[0], []).append(name)
+    found: Set[str] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Dict):
+            continue
+        for key, value in zip(node.keys, node.values):
+            stage = key.value if isinstance(key, ast.Constant) and key.value in keys else ""
+            if not stage:
+                continue
+            if not (isinstance(value, ast.Dict) and all(isinstance(k, ast.Constant) for k in value.keys)):
+                found.update(keys[stage])
+                continue
+            for name, argument in zip(value.keys, value.values):
+                setting = f"{stage}:{name.value}"
+                if not (restated and _restates(argument, stages.get(setting, ("", None))[1])):
+                    found.add(setting)
+    scopes = [tree, *(node for node in ast.walk(tree) if isinstance(node, _FUNCTION_NODES))]
+    for scope in scopes:
+        for node in _own_nodes(scope.body):
+            values = []
+            if isinstance(node, ast.keyword) and node.arg == "middleware_params":
+                values.append(node.value)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Attribute) and t.attr == "middleware_params" for t in targets):
+                    values.append(node.value)
+            if not all(_spelled_out(value, scope) for value in values):
+                found.update(stages)
+    return found
+
+
+# Function parameters --------------------------------------------------
+class _Function(NamedTuple):
+    where: str
+    positional: Tuple[str, ...]  # what a call fills by position, ``self``/``cls`` dropped
+    parameters: Tuple[str, ...]
+    defaults: Dict[str, ast.expr]  # each defaulted parameter -> its default
+
+
+@lru_cache(maxsize=None)
+def _functions() -> Dict[str, _Function]:
+    """``f`` or ``Class.m`` -> each module-level function and non-dunder method
+    of ``src/repro/``; a name two modules define at module level is ``module.f``."""
+    defined: List[Tuple[str, str, Path, ast.AST]] = []  # (owner, name, path, node)
+    for path in _files(SRC):
+        tree = _tree(path)
+        defined += [("", node.name, path, node) for node in tree.body if isinstance(node, _FUNCTION_NODES)]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                defined += [
+                    (cls.name, node.name, path, node)
+                    for node in cls.body
+                    if isinstance(node, _FUNCTION_NODES) and not node.name.startswith("__")
+                ]
+    counts = Counter(name for owner, name, _, _ in defined if not owner)
+    shared = {name for name, count in counts.items() if count > 1}
+    found = {}
+    for owner, name, path, node in defined:
+        key = f"{owner}.{name}" if owner else (f"{path.stem}.{name}" if name in shared else name)
+        args = node.args
+        positional = [arg.arg for arg in args.posonlyargs + args.args]
+        if owner and not any(_last_name(d) == "staticmethod" for d in node.decorator_list):
+            positional = positional[1:]
+        every = [*positional, *(arg.arg for arg in args.kwonlyargs)]
+        found[key] = _Function(
+            f"{path.relative_to(ROOT)}:{node.lineno}", tuple(positional), tuple(every), _parameter_defaults(args)
+        )
+    return found
+
+
+@lru_cache(maxsize=None)
+def _function_index() -> Dict[str, Tuple[List[str], List[str]]]:
+    """Bare name -> (its module-level functions, its methods)."""
+    index: Dict[str, Tuple[List[str], List[str]]] = {}
+    for key in _functions():
+        owner, _, name = key.rpartition(".")
+        entry = index.setdefault(name, ([], []))
+        entry[1 if owner in _classes() else 0].append(key)
+    return index
+
+
+def _reached(node: ast.expr, resolver: _Resolver) -> List[str]:
+    """The functions a call or load of ``node`` may reach: a bare name its
+    module-level namesakes; ``x.m`` through a resolved receiver the
+    definitions ``m`` dispatches to, through any other every ``m``."""
+    if isinstance(node, ast.Name):
+        return _function_index().get(node.id, ([], []))[0]
+    if not isinstance(node, ast.Attribute):
+        return []
+    receiver = resolver.receiver(node)
+    if receiver is not None:
+        return [key for key in resolver.targets(receiver, node.attr) if key in _functions()]
+    functions, methods = _function_index().get(node.attr, ([], []))
+    return functions + methods
+
+
+def _set_function_parameters(path: Path, tree: ast.Module, restated: bool) -> Set[str]:
+    """The ``function(parameter)`` settings one module sets: what each call
+    passes by position or keyword to what it reaches, unless it restates the
+    default, and every parameter of what a call with a ``*``/``**`` splat, a
+    load that is not called (a callback) or an identifier string
+    (``getattr``) reaches.  ``__all__`` names nothing."""
+    functions = _functions()
+    resolver = _resolver(path)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    skipped = _not_readers(tree)
+    found: Set[str] = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        every: List[str] = []
+        if isinstance(node, ast.Call):
+            splat = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                keyword.arg is None for keyword in node.keywords
+            )
+            for key in _reached(node.func, resolver):
+                function = functions[key]
+                if splat:
+                    every.append(key)
+                    continue
+                passed = [*zip(function.positional, node.args), *((k.arg, k.value) for k in node.keywords)]
+                found.update(
+                    f"{key}({name})"
+                    for name, argument in passed
+                    if not (restated and _restates(argument, function.defaults.get(name)))
+                )
+        elif (
+            isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in called
+        ):
+            every = _reached(node, resolver)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            every = [key for keys in _function_index().get(node.value, ()) for key in keys]
+        found.update(f"{key}({name})" for key in every for name in functions[key].parameters)
+    return found
+
+
 @lru_cache(maxsize=None)
 def _settings() -> Dict[str, str]:
-    """``Class.parameter`` -> ``path:line`` of every defaulted setting."""
+    """``Class.parameter``, ``stage:key`` and ``function(parameter)`` ->
+    ``path:line`` of every defaulted setting."""
     found = {}
     for name, cls in _classes().items():
         own = cls.init if cls.init is not None else (cls.fields if cls.dataclass else ())
-        for param, defaulted, line in own:
-            if defaulted:
-                found[f"{name}.{param}"] = f"{cls.where}:{line}"
+        for param in own:
+            if param.defaulted:
+                found[f"{name}.{param.name}"] = f"{cls.where}:{param.line}"
+    found.update((name, where) for name, (where, _) in _stage_parameters().items())
+    for key, function in _functions().items():
+        found.update((f"{key}({name})", function.where) for name in function.defaults)
     return found
 
 
@@ -880,18 +1211,32 @@ def _settable(fields: List[str], resolver: _Resolver, receiver: Optional[_Receiv
 
 @lru_cache(maxsize=None)
 def _set_settings(bases: Tuple[Path, ...] = SETTERS) -> FrozenSet[str]:
-    """Every ``Class.parameter`` some call, splat, ``replace`` or store in
-    the code under ``bases`` sets."""
+    """Every setting some call, splat, ``replace``, store, stage mapping or
+    function call in the code under ``bases`` sets.  A call or ``replace``
+    outside ``benchmarks/ledger/`` and ``examples/`` that passes a literal
+    equal to the declared default sets nothing."""
     forwarders = _forwarders(_trees(bases))
+    defaults = {
+        f"{name}.{param.name}": param.default
+        for name, cls in _classes().items()
+        for param in (cls.init if cls.init is not None else cls.fields)
+    }
     dataclass_fields: Dict[str, List[str]] = {}
     for name, cls in _classes().items():
         if cls.dataclass and cls.init is None:
-            for param, _, _ in cls.fields:
-                dataclass_fields.setdefault(param, []).append(f"{name}.{param}")
+            for param in cls.fields:
+                dataclass_fields.setdefault(param.name, []).append(f"{name}.{param.name}")
     found = set()
     for path in (path for base in bases for path in _files(base)):
         tree = _tree(path)
         resolver = _resolver(path)
+        restated = not _outside(path)
+        found |= _set_stage_parameters(tree, restated)
+        found |= _set_function_parameters(path, tree, restated)
+
+        def passes(setting: str, argument: ast.expr) -> bool:
+            return not (restated and _restates(argument, defaults.get(setting)))
+
         supers = _super_calls(tree)
         named = _identifiers(tree) | {
             node.arg for node in ast.walk(tree) if isinstance(node, ast.keyword) and node.arg
@@ -907,15 +1252,18 @@ def _set_settings(bases: Tuple[Path, ...] = SETTERS) -> FrozenSet[str]:
             if not isinstance(node, ast.Call):
                 continue
             callees = _callees(node.func)
-            keywords = {keyword.arg for keyword in node.keywords if keyword.arg}
+            keywords = {keyword.arg: keyword.value for keyword in node.keywords if keyword.arg}
             if callees == ("replace",):
                 owner = resolver.resolve(node.args[0]) if node.args else ""
                 receiver = _Receiver((owner,), False) if owner else None
-                for keyword in keywords:
-                    found.update(_settable(dataclass_fields.get(keyword, []), resolver, receiver))
+                for keyword, argument in keywords.items():
+                    settable = _settable(dataclass_fields.get(keyword, []), resolver, receiver)
+                    found.update(field for field in settable if passes(field, argument))
             for target in (target for callee in callees for target in forwarders.get(callee, ())):
                 found.update(
-                    f"{owner}.{param}" for owner, param in _signature(target) if param in keywords
+                    f"{owner}.{param}"
+                    for owner, param in _signature(target)
+                    if param in keywords and passes(f"{owner}.{param}", keywords[param])
                 )
             targets = supers.get(id(node), callees)
             splatted = named if len(keywords) < len(node.keywords) else set()
@@ -928,11 +1276,16 @@ def _set_settings(bases: Tuple[Path, ...] = SETTERS) -> FrozenSet[str]:
                     if isinstance(argument, ast.Starred):
                         positional = index
                         break
-                found.update(f"{owner}.{param}" for owner, param in signature[:positional])
+                found.update(
+                    f"{owner}.{param}"
+                    for (owner, param), argument in zip(signature, node.args[:positional])
+                    if passes(f"{owner}.{param}", argument)
+                )
                 found.update(
                     f"{owner}.{param}"
                     for owner, param in signature
-                    if param in keywords or param in splatted
+                    if param in splatted
+                    or (param in keywords and passes(f"{owner}.{param}", keywords[param]))
                 )
     return frozenset(found)
 
@@ -945,9 +1298,10 @@ def test_every_setting_in_src_is_set_somewhere():
     unset = {name: where for name, where in _unset_settings().items() if name not in ALLOWED_SETTINGS}
     assert not unset, (
         "defaulted settings nothing in src/, benchmarks/ledger/ or examples/ "
-        "sets - fold each into a module constant where it is used, keeping "
-        "its value, or, if one of this file's three reasons holds, list them "
-        "in ALLOWED_SETTINGS with it:\n"
+        "sets to another value - fold each into a module constant where it is "
+        "used, keeping its value, and delete the code only another value "
+        "reached, or, if one of this file's three reasons holds, list them in "
+        "ALLOWED_SETTINGS with it:\n"
         + "\n".join(f"  {where}  {name}" for name, where in sorted(unset.items(), key=lambda i: i[1]))
     )
 
@@ -957,6 +1311,19 @@ def test_settings_allow_list_is_current_and_only_shrinks():
         "ALLOWED_SETTINGS", ALLOWED_SETTINGS, ALLOWED_SETTINGS_CEILING, _settings(), _unset_settings()
     )
     assert not problems, "stale ALLOWED_SETTINGS:\n  " + "\n  ".join(problems)
+
+
+def test_the_settable_surface_stays_at_its_ceiling():
+    count = len(_settings())
+    assert count <= SETTINGS_CEILING, (
+        f"src/repro/ has {count} settings against a ceiling of {SETTINGS_CEILING}: "
+        "make the new input a constant, or raise SETTINGS_CEILING with the "
+        "caller that sets it written beside the number"
+    )
+    assert count == SETTINGS_CEILING, (
+        f"src/repro/ is down to {count} settings: lower SETTINGS_CEILING from "
+        f"{SETTINGS_CEILING} to {count} (it only moves down)"
+    )
 
 
 @pytest.mark.parametrize(
@@ -997,6 +1364,97 @@ def test_settings_allow_list_is_current_and_only_shrinks():
 def test_what_the_settings_pass_counts_as_setting_a_field(tmp_path, snippet, sets):
     (tmp_path / "snippet.py").write_text(snippet)
     assert ("ClusterConfig.node" in _set_settings((tmp_path,))) is sets
+
+
+@pytest.mark.parametrize(
+    "snippet, sets",
+    [
+        ('{"request-hedging": {"budget_fraction": 0.02}}\n', True),
+        ('{"latency-aware-selection": {"budget_fraction": 0.02}}\n', False),
+        ('{"request-hedging": options}\n', True),
+        ('{"request-hedging": {**options}}\n', True),
+        ("def f(params):\n    return SimulationConfig(middleware_params=params)\n", True),
+        ("def f(params):\n    config.middleware_params = params\n", True),
+        ("def f():\n    params = None\n    return SimulationConfig(middleware_params=params)\n", False),
+        ("def f(config):\n    return replace(config, middleware_params=dict(config.middleware_params))\n", False),
+    ],
+    ids=[
+        "literal",
+        "other-stage",
+        "stage-mapped-to-a-name",
+        "stage-splat",
+        "parameter-mapping",
+        "stored-parameter-mapping",
+        "local-none",
+        "copied-mapping",
+    ],
+)
+def test_what_the_settings_pass_counts_as_setting_a_stage_parameter(tmp_path, snippet, sets):
+    (tmp_path / "snippet.py").write_text(snippet)
+    setting = "request-hedging:budget_fraction"
+    assert setting in _settings()
+    assert (setting in _set_settings((tmp_path,))) is sets
+
+
+@pytest.mark.parametrize(
+    "snippet, sets",
+    [
+        ("FaultPlan.generate(1, 60.0, nodes=4)\n", True),
+        ("FaultPlan.generate(1, 60.0, 6, 4)\n", True),
+        ("FaultPlan.generate(1, 60.0, faults=4)\n", False),
+        ("def f(plan: FaultPlan):\n    return plan.generate(1, 60.0, nodes=4)\n", True),
+        ("def f(simulator: Simulator):\n    return simulator.generate(1, 60.0, nodes=4)\n", False),
+        ("def f(x):\n    return x.generate(1, 60.0, nodes=4)\n", True),
+        ("def f(x):\n    return x.generate(1, 60.0)\n", False),
+        ("FaultPlan.generate(1, 60.0, **options)\n", True),
+        ("FaultPlan.generate(*arguments)\n", True),
+        ("sample = FaultPlan.generate\n", True),
+        ('getattr(FaultPlan, "generate")\n', True),
+        ("generate(1, 60.0, nodes=4)\n", False),
+    ],
+    ids=[
+        "keyword",
+        "positional",
+        "other-parameter",
+        "resolved-receiver",
+        "other-class",
+        "unresolved-receiver",
+        "unresolved-receiver-other-parameter",
+        "keyword-splat",
+        "positional-splat",
+        "read-as-a-value",
+        "identifier-string",
+        "bare-name-of-a-method",
+    ],
+)
+def test_what_the_settings_pass_counts_as_setting_a_function_parameter(tmp_path, snippet, sets):
+    (tmp_path / "snippet.py").write_text(snippet)
+    setting = "FaultPlan.generate(nodes)"
+    assert setting in _settings()
+    assert (setting in _set_settings((tmp_path,))) is sets
+
+
+@pytest.mark.parametrize(
+    "snippet, setting",
+    [
+        ("ClusterConfig(replication_factor=3)\n", "ClusterConfig.replication_factor"),
+        ("ClusterConfig(4, 3)\n", "ClusterConfig.replication_factor"),
+        ("replace(config, replication_factor=3)\n", "ClusterConfig.replication_factor"),
+        ("FaultPlan.generate(1, 60.0, nodes=3)\n", "FaultPlan.generate(nodes)"),
+        ('{"request-hedging": {"budget_fraction": 0.05}}\n', "request-hedging:budget_fraction"),
+    ],
+    ids=["keyword", "positional", "replace", "function-parameter", "stage-parameter"],
+)
+def test_a_restated_default_sets_a_setting_only_from_outside_src(tmp_path, monkeypatch, snippet, setting):
+    inside, outside, changed = tmp_path / "src", tmp_path / "examples", tmp_path / "changed"
+    for base, text in ((inside, snippet), (outside, snippet), (changed, snippet.replace("3", "5"))):
+        base.mkdir()
+        (base / "snippet.py").write_text(text.replace("0.05", "0.02") if base is changed else text)
+    monkeypatch.setattr(sys.modules[__name__], "OUTSIDE_DIRS", (outside,))
+    assert setting not in _set_settings((inside,))
+    assert setting in _set_settings((outside,))
+    # Another value sets it from anywhere.
+    assert setting in _set_settings((changed,))
 
 
 def test_the_settings_pass_reads_no_tests_directory(tmp_path):

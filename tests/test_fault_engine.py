@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from repro.cluster import (
 )
 from repro.cluster.faults import FAULT_KIND_FIELDS
 from repro.runner import Simulation, SimulationConfig
-from repro.simulation import Simulator
+from repro.simulation import Simulator, sharding
 from repro.simulation.sharding import run_sharded
 
 
@@ -252,6 +253,18 @@ def test_gray_failure_campaign_is_pure_gray():
     assert sum(1 for s in plan.specs if s.kind == "flaky_link") == 1
 
 
+@pytest.mark.parametrize("duration", [-5.0, math.nan, math.inf, 0.0])
+def test_a_gray_failure_campaign_checks_its_duration_by_name(duration):
+    # The duration used to reach FaultSpec unchecked: -5 was refused as
+    # "FaultSpec.at must be finite and >= 0, got -1.52...", a value the
+    # caller never passed, and 0 as FaultSpec.duration.
+    with pytest.raises(ConfigurationError) as refusal:
+        FaultPlan.gray_failure_campaign(seed=29, duration=duration)
+    assert str(refusal.value) == (
+        f"FaultPlan.gray_failure_campaign.duration must be finite and > 0, got {duration!r}"
+    )
+
+
 @pytest.mark.parametrize("sample", [FaultPlan.generate, FaultPlan.gray_failure_campaign])
 @pytest.mark.parametrize("seed", [-1, float("nan")])
 def test_a_sampled_plan_checks_its_seed_before_seeding_a_generator(sample, seed):
@@ -298,13 +311,14 @@ def test_default_report_has_empty_fault_summary():
 # Sharded runs: fault records merge order-independently
 # ----------------------------------------------------------------------
 @pytest.mark.slow
-def test_sharded_fault_merge_is_order_independent():
+def test_sharded_fault_merge_is_order_independent(monkeypatch):
     plan = FaultPlan.generate(seed=5, duration=120.0, faults=4, nodes=3)
     config = dataclasses.replace(
         SimulationConfig(seed=21, duration=120.0), faults=plan
     )
-    forward = run_sharded(config, shards=2, parallel=False, shard_order=[0, 1])
-    backward = run_sharded(config, shards=2, parallel=False, shard_order=[1, 0])
+    forward = run_sharded(config, shards=2, parallel=False)
+    monkeypatch.setattr(sharding, "SHARD_ORDER", [1, 0])
+    backward = run_sharded(config, shards=2, parallel=False)
     assert forward.merged["faults"] == backward.merged["faults"]
     merged = forward.merged["faults"]
     assert merged["count"] == 4

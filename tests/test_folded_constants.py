@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import anti_entropy, coordinator, hinted_handoff, membership, node
+from repro.cluster import anti_entropy, coordinator, faults, hinted_handoff, membership, node
 from repro.cluster.errors import FRACTION, NON_NEGATIVE, POSITIVE, POSITIVE_FRACTION, Bound
 from repro.consistency import window_tracker
-from repro.core import forecasting, knowledge, planner, stability
+from repro.core import forecasting, knowledge, planner, sla, stability
 from repro.core.policies import predictive, reactive
 from repro.cost import billing, compensation
+from repro.experiments import e6_predictive, scenarios
+from repro.middleware import admission, hedging, latency, routing
 from repro.monitoring import estimators, metrics
-from repro.simulation import interference, network
+from repro.simulation import engine, interference, network
 from repro.workload import distributions, generator, operations
 
 #: A count of one or more.
@@ -102,11 +104,34 @@ _BOUNDS = [
     (operations, "RECORD_SIZE_CV", NON_NEGATIVE),
     (operations, "MIN_RECORD_SIZE", POSITIVE),
     (operations, "MAX_RECORD_SIZE", POSITIVE),
+    (operations, "MEAN_RECORD_SIZE", POSITIVE),
+    (forecasting, "PEAK_STEPS", AT_LEAST_ONE),
+    # The campaign sizes were never checked; a count is never negative.
+    (faults, "GRAY_FAILURE_NODES", AT_LEAST_ONE),
+    (faults, "GRAY_FAILURE_DEGRADES", NON_NEGATIVE),
+    (faults, "GRAY_FAILURE_FLAKY_LINKS", NON_NEGATIVE),
+    (engine, "MAX_DRAIN_EVENTS", AT_LEAST_ONE),
+    (scenarios, "RECORD_COUNT", AT_LEAST_ONE),
+    (e6_predictive, "UTILIZATION_CEILING", POSITIVE_FRACTION),
+    # The stage parameters the factories read, as their constructors checked them.
+    (admission, "DEFAULT_RATE", POSITIVE),
+    (admission, "DEFAULT_BURST", POSITIVE),
+    (hedging, "MIN_BUDGET", POSITIVE),
+    (hedging, "BUDGET_REFRESH_INTERVAL", POSITIVE),
+    (hedging, "HOT_KEY_FRACTION", POSITIVE_FRACTION),
+    (hedging, "HOT_KEY_THRESHOLD", AT_LEAST_ONE),
+    (hedging, "HOT_KEY_DECAY_EVERY", AT_LEAST_ONE),
+    (hedging.RequestHedging, "timer_wheel_granularity", POSITIVE),
+    (latency, "RTT_ALPHA", POSITIVE_FRACTION),
+    (latency, "BADNESS_THRESHOLD", NON_NEGATIVE),
+    (latency, "EXPLORE_EVERY", Bound(2)),
+    (routing, "BADNESS_THRESHOLD", NON_NEGATIVE),
 ]
 
 
-def _short(module) -> str:
-    return module.__name__.rsplit(".", 1)[1]
+def _short(owner) -> str:
+    """``hedging`` for a module, ``RequestHedging`` for a class."""
+    return owner.__name__.rsplit(".", 1)[-1]
 
 
 @pytest.mark.parametrize(
@@ -136,6 +161,14 @@ _ORDERINGS = {
     # The speed is clamped to [min, max]; reversed, every node runs at max.
     "interference.NODE_MIN_SPEED <= NODE_MAX_SPEED": (
         lambda: interference.NODE_MIN_SPEED <= interference.NODE_MAX_SPEED
+    ),
+    # An observation carries the 95th and 99th percentiles only.
+    "sla.SLO_PERCENTILE in (95, 99)": lambda: sla.SLO_PERCENTILE in (95.0, 99.0),
+    "faults.CAMPAIGN_KINDS is a non-empty set of fault kinds": (
+        lambda: bool(faults.CAMPAIGN_KINDS) and set(faults.CAMPAIGN_KINDS) <= set(faults.FAULT_KINDS)
+    ),
+    "generator.KEY_DISTRIBUTION names a key distribution": (
+        lambda: distributions.make_distribution(generator.KEY_DISTRIBUTION, 10) is not None
     ),
 }
 

@@ -25,6 +25,7 @@ from repro.middleware import (
     build_middleware,
     register_middleware,
 )
+from repro.middleware import latency
 from repro.middleware.base import HOOKS
 from repro.runner import Simulation, SimulationConfig
 from repro.simulation import Simulator
@@ -376,23 +377,6 @@ def test_hints_are_ignored_without_override_middleware():
     assert result.consistency_level is ConsistencyLevel.ONE
 
 
-def test_consistency_override_clamps_to_max_level():
-    simulator = Simulator(seed=5)
-    cluster = make_cluster(
-        simulator,
-        middleware=CONSISTENCY_OVERRIDE_PIPELINE,
-        middleware_params={"consistency-override": {"max_level": "TWO"}},
-    )
-    result = run_sync(
-        simulator,
-        lambda cb: cluster.write(
-            "k", b"v", on_complete=cb, hints={"consistency_level": ConsistencyLevel.ALL}
-        ),
-    )
-    assert result.consistency_level is ConsistencyLevel.TWO
-    assert cluster.pipeline.get("consistency-override").overrides_clamped == 1
-
-
 def test_workload_spec_overrides_flow_through_pipeline():
     config = SimulationConfig(
         seed=7,
@@ -422,8 +406,14 @@ def test_workload_spec_rejects_unknown_override_kind():
 # ----------------------------------------------------------------------
 # Latency-aware replica selection
 # ----------------------------------------------------------------------
-def test_node_rtt_tracker_ewma_and_fallback():
-    tracker = NodeRttTracker(alpha=0.5, fallback=lambda: 0.25)
+@pytest.fixture
+def half_weight_samples(monkeypatch):
+    """Trackers built in the test weigh each new RTT sample by one half."""
+    monkeypatch.setattr(latency, "RTT_ALPHA", 0.5)
+
+
+def test_node_rtt_tracker_ewma_and_fallback(half_weight_samples):
+    tracker = NodeRttTracker(fallback=lambda: 0.25)
     assert tracker.ranked(["n1"]) == ([(0.25, "n1")], [])  # unsampled -> fallback
     tracker.observe("n1", 0.1)
     assert tracker.ranked(["n1"]) == ([(0.1, "n1")], [])
@@ -434,9 +424,9 @@ def test_node_rtt_tracker_ewma_and_fallback():
     assert tracker.ranked(["n1"]) == ([(0.25, "n1")], [])
 
 
-def test_latency_aware_selection_avoids_slow_replicas():
-    tracker = NodeRttTracker(alpha=0.5)
-    middleware = LatencyAwareReplicaSelection(tracker, badness_threshold=0.5)
+def test_latency_aware_selection_avoids_slow_replicas(half_weight_samples):
+    tracker = NodeRttTracker()
+    middleware = LatencyAwareReplicaSelection(tracker)
     tracker.observe("a", 0.010)
     tracker.observe("b", 0.011)
     tracker.observe("c", 0.100)  # degraded: beyond the badness cutoff
@@ -450,9 +440,10 @@ def test_latency_aware_selection_avoids_slow_replicas():
     assert middleware.select_read_targets(None, ["a"], 1) is None
 
 
-def test_latency_aware_selection_degrades_to_fastest_when_all_slow():
-    tracker = NodeRttTracker(alpha=0.5)
-    middleware = LatencyAwareReplicaSelection(tracker, badness_threshold=0.1)
+def test_latency_aware_selection_degrades_to_fastest_when_all_slow(half_weight_samples, monkeypatch):
+    monkeypatch.setattr(latency, "BADNESS_THRESHOLD", 0.1)
+    tracker = NodeRttTracker()
+    middleware = LatencyAwareReplicaSelection(tracker)
     tracker.observe("a", 0.010)
     tracker.observe("b", 0.050)
     tracker.observe("c", 0.100)
@@ -539,11 +530,11 @@ def test_hinted_counters_not_incremented_without_the_handoff_stage():
     assert cluster.hinted_handoff.hints_stored == 0
 
 
-def test_latency_aware_selection_reprobes_avoided_replicas():
-    tracker = NodeRttTracker(alpha=1.0)  # newest sample wins outright
-    middleware = LatencyAwareReplicaSelection(
-        tracker, badness_threshold=0.5, explore_every=4
-    )
+def test_latency_aware_selection_reprobes_avoided_replicas(monkeypatch):
+    monkeypatch.setattr(latency, "RTT_ALPHA", 1.0)  # newest sample wins outright
+    monkeypatch.setattr(latency, "EXPLORE_EVERY", 4)
+    tracker = NodeRttTracker()
+    middleware = LatencyAwareReplicaSelection(tracker)
     tracker.observe("a", 0.010)
     tracker.observe("b", 0.011)
     tracker.observe("c", 0.100)  # degraded at first

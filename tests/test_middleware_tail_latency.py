@@ -1,11 +1,10 @@
 """Tests for the tail-latency stack and its satellite fixes.
 
 Covers the ``request-hedging`` and ``rtt-aware-write-routing`` stages plus
-the PR's bug fixes: cold-start-safe latency-aware ranking (an unsampled
-replica must never rank as "fastest" or poison the badness cutoff), strict
-build-time ``max_level`` validation with counted-and-ignored bad per-request
-hints, the completed ``describe()`` surfaces, and RTT-tracker cleanup on
-node decommission.
+cold-start-safe latency-aware ranking (an unsampled replica must never rank
+as "fastest" or poison the badness cutoff), counted-and-ignored bad
+per-request hints, the completed ``describe()`` surfaces, and RTT-tracker
+cleanup on node decommission.
 """
 
 from __future__ import annotations
@@ -20,13 +19,13 @@ from repro.middleware import (
     HEDGED_PIPELINE,
     LATENCY_AWARE_PIPELINE,
     LatencyAwareReplicaSelection,
-    MiddlewareBuildContext,
     NodeRttTracker,
     PerRequestConsistencyOverride,
     RequestHedging,
     RttAwareWriteRouting,
-    build_pipeline,
 )
+from repro.middleware import hedging as hedging_module
+from repro.middleware import latency
 from repro.middleware.base import RequestContext
 from repro.runner import Simulation, SimulationConfig
 from repro.simulation import Simulator
@@ -62,12 +61,18 @@ def make_read_ctx(**overrides) -> RequestContext:
 # ----------------------------------------------------------------------
 # Cold-start ranking fix (latency-aware selection)
 # ----------------------------------------------------------------------
-def test_unsampled_nodes_are_not_ranked_fastest_on_cold_start():
+@pytest.fixture
+def newest_sample_wins(monkeypatch):
+    """Trackers built in the test take each node's newest RTT outright."""
+    monkeypatch.setattr(latency, "RTT_ALPHA", 1.0)
+
+
+def test_unsampled_nodes_are_not_ranked_fastest_on_cold_start(newest_sample_wins):
     # No fallback: unsampled nodes are genuinely unknown.  The old code
     # treated them as 0.0 RTT — ranked fastest AND collapsing the badness
     # cutoff to 0, which marked every sampled replica "slow".
-    tracker = NodeRttTracker(alpha=1.0)
-    selection = LatencyAwareReplicaSelection(tracker, badness_threshold=0.5)
+    tracker = NodeRttTracker()
+    selection = LatencyAwareReplicaSelection(tracker)
     tracker.observe("a", 0.010)
 
     picks = [tuple(selection.select_read_targets(None, ["a", "b", "c"], 1)) for _ in range(6)]
@@ -87,11 +92,10 @@ def test_no_samples_at_all_falls_back_to_plain_rotation():
     assert selection.avoidances == 0
 
 
-def test_exploration_with_unknown_nodes_never_duplicates_targets():
-    tracker = NodeRttTracker(alpha=1.0)
-    selection = LatencyAwareReplicaSelection(
-        tracker, badness_threshold=0.5, explore_every=2
-    )
+def test_exploration_with_unknown_nodes_never_duplicates_targets(newest_sample_wins, monkeypatch):
+    monkeypatch.setattr(latency, "EXPLORE_EVERY", 2)
+    tracker = NodeRttTracker()
+    selection = LatencyAwareReplicaSelection(tracker)
     tracker.observe("a", 0.010)
     tracker.observe("b", 0.200)  # slow: avoided, then explored
     for _ in range(4):
@@ -103,23 +107,13 @@ def test_exploration_with_unknown_nodes_never_duplicates_targets():
 # ----------------------------------------------------------------------
 # Consistency-override fixes
 # ----------------------------------------------------------------------
-def test_invalid_max_level_fails_at_build_time_with_valid_levels_listed():
-    simulator = Simulator(seed=1)
-    with pytest.raises(ValueError, match="bad max_level.*BOGUS"):
-        build_pipeline(
-            ["consistency-override"],
-            MiddlewareBuildContext(simulator=simulator),
-            params={"consistency-override": {"max_level": "BOGUS"}},
+def test_a_nan_budget_fraction_fails_at_build_time_naming_it():
+    # NaN passed the "<= 0.0" checks: a NaN budget stopped the run mid-way
+    # with "event time must be finite, got nan".
+    with pytest.raises(ConfigurationError, match=r"^request-hedging\.budget_fraction must be "):
+        make_cluster(
+            Simulator(seed=1), HEDGED_PIPELINE, {"request-hedging": {"budget_fraction": math.nan}}
         )
-
-
-@pytest.mark.parametrize("name", ["min_budget", "budget", "budget_refresh_interval"])
-def test_a_nan_hedging_parameter_fails_at_build_time_naming_it(name):
-    # NaN passed the "<= 0.0" checks: a NaN budget or min_budget stopped the
-    # run mid-way with "event time must be finite, got nan", and a NaN
-    # refresh interval ran to a normal-looking report.
-    with pytest.raises(ConfigurationError, match=rf"^request-hedging\.{name} must be "):
-        make_cluster(Simulator(seed=1), HEDGED_PIPELINE, {"request-hedging": {name: math.nan}})
 
 
 def test_invalid_per_request_hint_is_counted_and_ignored():
@@ -131,21 +125,20 @@ def test_invalid_per_request_hint_is_counted_and_ignored():
     assert override.overrides_applied == 0
 
 
-def test_describe_reports_applied_clamped_and_invalid():
-    override = PerRequestConsistencyOverride(max_level=ConsistencyLevel.ONE)
+def test_describe_reports_applied_and_invalid():
+    override = PerRequestConsistencyOverride()
     override.on_request(make_read_ctx(hints={"consistency_level": "QUORUM"}))
     override.on_request(make_read_ctx(hints={"consistency_level": "junk"}))
     described = override.describe()
-    assert described["overrides_clamped"] == 1
+    assert described["overrides_applied"] == 1
     assert described["overrides_invalid"] == 1
-    assert described["overrides_applied"] == 0  # clamped back to the default ONE
 
 
 # ----------------------------------------------------------------------
 # RTT-aware write routing
 # ----------------------------------------------------------------------
-def test_write_targets_ordered_by_estimate_with_unknown_last():
-    tracker = NodeRttTracker(alpha=1.0)
+def test_write_targets_ordered_by_estimate_with_unknown_last(newest_sample_wins):
+    tracker = NodeRttTracker()
     tracker.observe("slow", 0.100)
     tracker.observe("fast", 0.002)
     routing = RttAwareWriteRouting(tracker)
@@ -154,18 +147,18 @@ def test_write_targets_ordered_by_estimate_with_unknown_last():
     assert routing.writes_ordered == 1
 
 
-def test_preferred_coordinator_skips_slow_nodes_and_rotates():
-    tracker = NodeRttTracker(alpha=1.0)
+def test_preferred_coordinator_skips_slow_nodes_and_rotates(newest_sample_wins):
+    tracker = NodeRttTracker()
     tracker.observe("a", 0.002)
     tracker.observe("b", 0.003)
     tracker.observe("c", 0.100)  # meaningfully slower than the best
-    routing = RttAwareWriteRouting(tracker, badness_threshold=0.5)
+    routing = RttAwareWriteRouting(tracker)
     picks = [routing.preferred_coordinator(["a", "b", "c"]) for _ in range(4)]
     assert picks == ["a", "b", "a", "b"]
 
 
-def test_preferred_coordinator_defers_when_nothing_to_avoid():
-    tracker = NodeRttTracker(alpha=1.0)
+def test_preferred_coordinator_defers_when_nothing_to_avoid(newest_sample_wins):
+    tracker = NodeRttTracker()
     routing = RttAwareWriteRouting(tracker)
     # No signal at all -> leave the cluster's round-robin alone.
     assert routing.preferred_coordinator(["a", "b"]) is None
@@ -180,26 +173,25 @@ def test_preferred_coordinator_defers_when_nothing_to_avoid():
 # Hedging: budget and bookkeeping
 # ----------------------------------------------------------------------
 def test_hedge_budget_source_is_clamped_between_min_and_static():
-    tracker = NodeRttTracker()
-    hedging = RequestHedging(tracker, operation_timeout=1.0, budget_fraction=0.05)
+    clock = {"now": 0.0}
+    hedging = _bare_hedging(clock=lambda: clock["now"])
     assert hedging.current_budget() == pytest.approx(0.05)
 
     source_value = [0.0]
     hedging.attach_budget_source(lambda: source_value[0])
-    assert hedging.current_budget() == pytest.approx(0.05)  # no signal yet
-    source_value[0] = 0.012
-    assert hedging.current_budget() == pytest.approx(0.012)
-    source_value[0] = 1e-9
-    assert hedging.current_budget() == pytest.approx(0.001)  # min_budget floor
-    source_value[0] = 10.0
-    assert hedging.current_budget() == pytest.approx(0.05)  # static ceiling
+    # No signal yet, then the source, the MIN_BUDGET floor and the static
+    # ceiling; each step moves the clock a refresh interval on, past the cache.
+    for value, budget in ((0.0, 0.05), (0.012, 0.012), (1e-9, 0.001), (10.0, 0.05)):
+        source_value[0] = value
+        assert hedging.current_budget() == pytest.approx(budget)
+        clock["now"] += hedging_module.BUDGET_REFRESH_INTERVAL
 
 
-def test_hedge_candidates_are_spares_ranked_fast_first_unknown_last():
-    tracker = NodeRttTracker(alpha=1.0)
+def test_hedge_candidates_are_spares_ranked_fast_first_unknown_last(newest_sample_wins):
+    tracker = NodeRttTracker()
     tracker.observe("b", 0.050)
     tracker.observe("c", 0.002)
-    hedging = RequestHedging(tracker, operation_timeout=1.0)
+    hedging = RequestHedging(tracker, operation_timeout=1.0, clock=lambda: 0.0, budget_fraction=0.05)
     plan = hedging.hedge_read(None, ["a", "b", "c", "d"], ["d"])
     assert plan is not None
     budget, candidates = plan
@@ -217,7 +209,7 @@ def test_hedged_reads_fire_and_complete_exactly_once():
         simulator,
         middleware=HEDGED_PIPELINE,
         # A budget far below any network RTT: every read hedges.
-        middleware_params={"request-hedging": {"budget": 1e-6}},
+        middleware_params={"request-hedging": {"budget_fraction": 1e-6}},
     )
     results = []
     for index in range(20):
@@ -247,7 +239,7 @@ def test_hedge_timer_is_cancelled_when_read_completes_in_budget():
         simulator,
         middleware=HEDGED_PIPELINE,
         # A budget close to the timeout: no healthy read ever reaches it.
-        middleware_params={"request-hedging": {"budget": 0.9}},
+        middleware_params={"request-hedging": {"budget_fraction": 0.9}},
     )
     results = []
     cluster.write("key", b"v")
@@ -298,13 +290,14 @@ def test_hedged_pipeline_shares_one_tracker_across_stages():
 # Per-key hedging budget (hot keys hedge at a tighter fraction)
 # ----------------------------------------------------------------------
 def _bare_hedging(**overrides):
-    defaults = dict(operation_timeout=1.0, budget_fraction=0.05)
+    defaults = dict(operation_timeout=1.0, clock=lambda: 0.0, budget_fraction=0.05)
     defaults.update(overrides)
     return RequestHedging(NodeRttTracker(), **defaults)
 
 
-def test_hot_key_hedges_at_tighter_budget_cold_keys_do_not():
-    hedging = _bare_hedging(hot_key_fraction=0.5, hot_key_threshold=4)
+def test_hot_key_hedges_at_tighter_budget_cold_keys_do_not(monkeypatch):
+    monkeypatch.setattr(hedging_module, "HOT_KEY_THRESHOLD", 4)
+    hedging = _bare_hedging()
     live, targets = ["n1", "n2"], ["n1"]
     base = hedging.static_budget
     hot = make_read_ctx(key="hot")
@@ -318,19 +311,20 @@ def test_hot_key_hedges_at_tighter_budget_cold_keys_do_not():
     assert hedging.hedge_read(cold, live, targets)[0] == base
 
 
-def test_hot_key_budget_never_goes_below_min_budget():
-    hedging = _bare_hedging(
-        budget=0.002, min_budget=0.0015, hot_key_fraction=0.25, hot_key_threshold=1
-    )
+def test_hot_key_budget_never_goes_below_min_budget(monkeypatch):
+    monkeypatch.setattr(hedging_module, "MIN_BUDGET", 0.0015)
+    monkeypatch.setattr(hedging_module, "HOT_KEY_FRACTION", 0.25)
+    monkeypatch.setattr(hedging_module, "HOT_KEY_THRESHOLD", 1)
+    hedging = _bare_hedging(budget_fraction=0.002)
     ctx = make_read_ctx(key="hot")
     budget, _ = hedging.hedge_read(ctx, ["n1", "n2"], ["n1"])
     assert budget == 0.0015  # 0.002 * 0.25 clamped up to min_budget
 
 
-def test_hot_key_counts_decay_by_halving():
-    hedging = _bare_hedging(
-        hot_key_fraction=0.5, hot_key_threshold=100, hot_key_decay_every=4
-    )
+def test_hot_key_counts_decay_by_halving(monkeypatch):
+    monkeypatch.setattr(hedging_module, "HOT_KEY_THRESHOLD", 100)
+    monkeypatch.setattr(hedging_module, "HOT_KEY_DECAY_EVERY", 4)
+    hedging = _bare_hedging()
     ctx = make_read_ctx(key="k")
     for _ in range(4):
         hedging.hedge_read(ctx, ["n1", "n2"], ["n1"])
@@ -340,18 +334,10 @@ def test_hot_key_counts_decay_by_halving():
     assert hedging.describe()["hot_keys_tracked"] == 1
 
 
-def test_hot_key_tracking_disabled_at_fraction_one():
-    hedging = _bare_hedging(hot_key_fraction=1.0, hot_key_threshold=1)
-    ctx = make_read_ctx(key="k")
-    for _ in range(5):
-        hedging.hedge_read(ctx, ["n1", "n2"], ["n1"])
-    assert hedging.hot_key_hedges == 0
-    assert hedging._key_counts == {}
-
-
-def test_hedge_read_tolerates_missing_context():
+def test_hedge_read_tolerates_missing_context(monkeypatch):
     # Unit-level callers (and some tools) pass ctx=None; no key tracking.
-    hedging = _bare_hedging(hot_key_threshold=1)
+    monkeypatch.setattr(hedging_module, "HOT_KEY_THRESHOLD", 1)
+    hedging = _bare_hedging()
     budget, spares = hedging.hedge_read(None, ["n1", "n2"], ["n1"])
     assert budget == hedging.static_budget
     assert spares == ["n2"]
@@ -368,45 +354,33 @@ def test_budget_source_is_polled_once_per_refresh_interval():
         calls["n"] += 1
         return 0.012
 
-    hedging = _bare_hedging(
-        clock=lambda: clock["now"], budget_refresh_interval=0.5
-    )
+    hedging = _bare_hedging(clock=lambda: clock["now"])
     hedging.attach_budget_source(source)
     for _ in range(10):
         assert hedging.current_budget() == 0.012
     assert calls["n"] == 1  # cached within the interval
-    clock["now"] = 0.5
+    clock["now"] = hedging_module.BUDGET_REFRESH_INTERVAL
     assert hedging.current_budget() == 0.012
     assert calls["n"] == 2  # refreshed exactly once at expiry
-
-
-def test_budget_cache_absent_without_clock():
-    calls = {"n": 0}
-
-    def source():
-        calls["n"] += 1
-        return 0.012
-
-    hedging = _bare_hedging()
-    hedging.attach_budget_source(source)
-    hedging.current_budget()
-    hedging.current_budget()
-    assert calls["n"] == 2  # original recompute-every-call semantics
 
 
 def test_hedging_declares_wheel_granularity_and_pipeline_surfaces_it():
     from repro.middleware.base import MiddlewarePipeline
 
-    hedging = _bare_hedging(timer_granularity=0.025)
+    hedging = _bare_hedging()
     pipeline = MiddlewarePipeline([hedging])
     assert pipeline.implements("hedge_read")
     assert pipeline.timer_granularity == 0.025
     # Opting out keeps the pipeline on the direct heap path.
-    plain = MiddlewarePipeline([_bare_hedging(timer_granularity=None)])
+    plain_stage = _bare_hedging()
+    plain_stage.timer_wheel_granularity = None
+    plain = MiddlewarePipeline([plain_stage])
     assert plain.implements("hedge_read")
     assert plain.timer_granularity is None
     # The tightest declared granularity wins; no hedging stage, no wheel.
-    tighter = MiddlewarePipeline([hedging, _bare_hedging(timer_granularity=0.01)])
+    finer_stage = _bare_hedging()
+    finer_stage.timer_wheel_granularity = 0.01
+    tighter = MiddlewarePipeline([hedging, finer_stage])
     assert tighter.timer_granularity == 0.01
     assert MiddlewarePipeline().timer_granularity is None
 
@@ -426,22 +400,20 @@ def test_hedged_cluster_routes_timers_through_the_wheel():
     assert stats["timers_armed"] > 0
 
 
-def test_wheel_and_direct_timers_produce_the_same_report():
+def test_wheel_and_direct_timers_produce_the_same_report(monkeypatch):
     """The wheel only changes *how* timers reach the heap: survivors fire at
     the same time and in the same order, so the hedged stack's report is the
     same with the wheel on and off, apart from the tick events it processes.
     Guards the ``_arm_timer`` binding made when the pipeline is installed."""
     reports = {}
-    for label, params in (
-        ("wheel", None),
-        ("direct", {"request-hedging": {"timer_granularity": None}}),
-    ):
+    for label in ("wheel", "direct"):
+        if label == "direct":
+            monkeypatch.setattr(RequestHedging, "timer_wheel_granularity", None)
         simulation = Simulation(
             SimulationConfig(
                 seed=11,
                 duration=60.0,
                 middleware=HEDGED_PIPELINE,
-                middleware_params=params,
                 interference=InterferenceConfig(
                     noisy_neighbour_probability=0.3, noisy_neighbour_severity=0.25
                 ),

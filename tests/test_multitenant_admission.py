@@ -111,7 +111,8 @@ def test_admission_ignores_tenantless_requests():
 
 def test_admission_enforces_tier_quota_and_accounts_by_tier():
     sim = FakeSimulator()
-    control = AdmissionControl(sim, tier_quotas={"bronze": (1.0, 2.0)})
+    control = AdmissionControl(sim)
+    control.configure_tiers({"bronze": (1.0, 2.0)})
     for _ in range(2):
         ctx = make_ctx(tenant="tA", tier="bronze")
         control.on_request(ctx)
@@ -132,7 +133,8 @@ def test_admission_enforces_tier_quota_and_accounts_by_tier():
 
 def test_admission_hot_reload_rescales_live_and_future_buckets():
     sim = FakeSimulator()
-    control = AdmissionControl(sim, tier_quotas={"bronze": (10.0, 4.0), "gold": (10.0, 4.0)})
+    control = AdmissionControl(sim)
+    control.configure_tiers({"bronze": (10.0, 4.0), "gold": (10.0, 4.0)})
     first = make_ctx(tenant="tA", tier="bronze")
     control.on_request(first)  # creates tA's bucket with burst 4
     assert control.set_tier_scale("bronze", 0.25) == 0.25
@@ -160,8 +162,6 @@ def test_admission_hot_reload_rescales_live_and_future_buckets():
 
 
 def test_admission_configuration_validation():
-    with pytest.raises(ValueError):
-        AdmissionControl(FakeSimulator(), default_rate=0.0)
     control = AdmissionControl(FakeSimulator())
     with pytest.raises(ValueError):
         control.configure_tiers({"bronze": (0.0, 10.0)})
@@ -170,42 +170,24 @@ def test_admission_configuration_validation():
 # ----------------------------------------------------------------------
 # Factory / pipeline wiring
 # ----------------------------------------------------------------------
-def admission_cluster(simulator, params=None):
-    return Cluster(
+def admission_cluster(simulator, tier_quotas):
+    """A cluster on the admission stack with ``tier_quotas`` installed."""
+    cluster = Cluster(
         simulator,
         ClusterConfig(
             initial_nodes=3,
             replication_factor=3,
             node=NodeConfig(ops_capacity=500.0),
             middleware=ADMISSION_CONTROL_PIPELINE,
-            middleware_params={"admission-control": params or {}},
         ),
     )
-
-
-def test_factory_parses_tier_quotas_in_both_shapes():
-    simulator = Simulator(seed=1)
-    cluster = admission_cluster(
-        simulator,
-        {"tiers": {"gold": {"rate": 100.0, "burst": 200.0}, "bronze": (5.0, 10.0)}},
-    )
-    stage = cluster.pipeline.get("admission-control")
-    assert stage is not None
-    assert stage.tier_scales() == {"bronze": 1.0, "gold": 1.0}
-
-
-def test_factory_rejects_malformed_tier_params():
-    with pytest.raises(ValueError):
-        admission_cluster(Simulator(seed=2), {"tiers": 5})
-    with pytest.raises(ValueError):
-        admission_cluster(Simulator(seed=3), {"tiers": {"gold": {"rate": 10.0}}})
-    with pytest.raises(ValueError):
-        admission_cluster(Simulator(seed=4), {"tiers": {"gold": "fast"}})
+    cluster.pipeline.get("admission-control").configure_tiers(tier_quotas)
+    return cluster
 
 
 def test_coordinator_rejects_over_quota_requests_before_fanout():
     simulator = Simulator(seed=7)
-    cluster = admission_cluster(simulator, {"tiers": {"bronze": {"rate": 0.1, "burst": 1.0}}})
+    cluster = admission_cluster(simulator, {"bronze": (0.1, 1.0)})
     cluster.preload({"tA:user0": b"\x00"}, {"tA:user0": 64})
     results = []
     hints = {TENANT_HINT: "tA", TENANT_TIER_HINT: "bronze"}
@@ -231,7 +213,7 @@ def test_coordinator_rejects_over_quota_requests_before_fanout():
 # ----------------------------------------------------------------------
 def test_set_tier_quota_scale_action_applies_through_the_cluster():
     simulator = Simulator(seed=9)
-    cluster = admission_cluster(simulator, {"tiers": {"bronze": (30.0, 60.0)}})
+    cluster = admission_cluster(simulator, {"bronze": (30.0, 60.0)})
     action = SetTierQuotaScaleAction("bronze", 0.5)
     assert action.kind is ActionKind.ADMISSION
     assert action.describe() == "set_tier_quota_scale:bronze:0.5"

@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from test_request_path_digests import DURATION, STACKS, _config
+from test_request_path_digests import DURATION, STACKS, _config, crash_and_partition_campaign
 
-from repro.cluster import ClusterListener, FaultPlan, OperationType, ReadResult, WriteResult
+from repro.cluster import ClusterListener, OperationType, ReadResult, WriteResult
 from repro.runner import Simulation
 
 
@@ -48,9 +48,7 @@ def _outcome(result) -> str:
 def test_every_outcome_is_written_once_and_handed_over_once(stack, health):
     config = _config(stack)
     if health == "faulted":
-        config.faults = FaultPlan.generate(
-            seed=3, duration=DURATION, faults=5, nodes=3, kinds=("crash", "partition")
-        )
+        config.faults = crash_and_partition_campaign(DURATION, 5)
     simulation = Simulation(config)
     auditor = OutcomeAuditor()
     simulation.cluster.add_listener(auditor)

@@ -32,9 +32,8 @@ from collections import Counter
 import numpy.ma  # noqa: F401  (see the module docstring)
 import pytest
 from test_middleware_tail_latency import make_cluster
-from test_request_path_digests import DURATION, STACKS, _config
+from test_request_path_digests import DURATION, STACKS, _config, crash_and_partition_campaign
 
-from repro.cluster import FaultPlan
 from repro.middleware import HEDGED_PIPELINE
 from repro.runner import Simulation
 from repro.simulation import Simulator
@@ -59,9 +58,7 @@ def collector_off():
 def test_the_collector_finds_nothing_a_run_left_behind(stack, health, collector_off):
     config = _config(stack)
     if health == "faulted":
-        config.faults = FaultPlan.generate(
-            seed=3, duration=DURATION, faults=5, nodes=3, kinds=("crash", "partition")
-        )
+        config.faults = crash_and_partition_campaign(DURATION, 5)
     simulation = Simulation(config)
     gc.collect()  # whatever building the scenario left is not the run's
     gc.set_debug(gc.DEBUG_SAVEALL)  # keep what is found, to name it

@@ -37,6 +37,7 @@ import json
 import pytest
 
 from repro.cluster import FaultPlan
+from repro.cluster import faults as fault_engine
 from repro.cluster.types import ConsistencyLevel
 from repro.experiments.e7_tail_latency import _fail_slow_interference
 from repro.experiments.scenarios import (
@@ -194,17 +195,18 @@ def _config(stack: str) -> SimulationConfig:
     )
 
 
+def crash_and_partition_campaign(duration: float, count: int) -> FaultPlan:
+    """A generated campaign of ``count`` crashes and partitions on 3 nodes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fault_engine, "CAMPAIGN_KINDS", ("crash", "partition"))
+        return FaultPlan.generate(seed=3, duration=duration, faults=count, nodes=3)
+
+
 def run_cell(stack: str, health: str):
     """Run one cell; return ``(digest, observed)``."""
     config = _config(stack)
     if health == "faulted":
-        config.faults = FaultPlan.generate(
-            seed=3,
-            duration=config.duration,
-            faults=5,
-            nodes=3,
-            kinds=("crash", "partition"),
-        )
+        config.faults = crash_and_partition_campaign(config.duration, 5)
     simulation = Simulation(config)
     report = simulation.run()
     coordinator = simulation.cluster.coordinator

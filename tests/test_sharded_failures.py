@@ -77,8 +77,9 @@ def assert_names_the_shard(error: ShardError, cause_type: type) -> None:
 @pytest.mark.parametrize("order", ([0, 1], [1, 0]))
 def test_serial_shard_that_raises_is_named(monkeypatch, config, order):
     sabotage(monkeypatch, config, "raise")
+    monkeypatch.setattr(sharding, "SHARD_ORDER", order)
     with pytest.raises(ShardError) as caught:
-        run_sharded(config, SHARDS, parallel=False, shard_order=order)
+        run_sharded(config, SHARDS, parallel=False)
     assert_names_the_shard(caught.value, RuntimeError)
     assert "sabotaged load shape" in str(caught.value)
 
@@ -104,6 +105,7 @@ def test_parallel_shard_whose_worker_dies_is_named(monkeypatch, config):
 def test_a_capped_pool_still_names_the_shard_that_died(monkeypatch, config):
     # One worker for both shards: shard 0 finishes, then shard 1 kills it.
     sabotage(monkeypatch, config, "die")
+    monkeypatch.setattr(sharding, "MAX_WORKERS", 1)
     with pytest.raises(ShardError) as caught:
-        run_sharded(config, SHARDS, parallel=True, max_workers=1)
+        run_sharded(config, SHARDS, parallel=True)
     assert_names_the_shard(caught.value, BrokenProcessPool)

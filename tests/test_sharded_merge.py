@@ -7,10 +7,12 @@ import dataclasses
 import json
 
 import pytest
+from test_request_path_digests import crash_and_partition_campaign
 
-from repro.cluster import ClusterListener, FaultPlan
+from repro.cluster import ClusterListener
 from repro.monitoring.percentiles import MergeableHistogramSketch
 from repro.runner import Simulation, SimulationConfig
+from repro.simulation import sharding
 from repro.simulation.sharding import (
     ShardResult,
     merge_shard_results,
@@ -118,10 +120,11 @@ def test_plan_shards_rejects_bad_counts():
 # ----------------------------------------------------------------------
 # Merge determinism (the property CI asserts)
 # ----------------------------------------------------------------------
-def test_merged_report_is_invariant_to_shard_execution_order():
+def test_merged_report_is_invariant_to_shard_execution_order(monkeypatch):
     config = short_config()
-    forward = run_sharded(config, 3, parallel=False, shard_order=[0, 1, 2])
-    shuffled = run_sharded(config, 3, parallel=False, shard_order=[2, 0, 1])
+    forward = run_sharded(config, 3, parallel=False)
+    monkeypatch.setattr(sharding, "SHARD_ORDER", [2, 0, 1])
+    shuffled = run_sharded(config, 3, parallel=False)
     assert json.dumps(forward.merged, sort_keys=True) == json.dumps(
         shuffled.merged, sort_keys=True
     )
@@ -205,9 +208,7 @@ def _sketch_plan(kind: str) -> SimulationConfig:
         return plan_shards(short_config(duration=60.0, workload=workload), 2)[0]
     config = short_config(duration=60.0)
     if kind == "faulted":
-        config.faults = FaultPlan.generate(
-            seed=3, duration=60.0, faults=4, nodes=3, kinds=("crash", "partition")
-        )
+        config.faults = crash_and_partition_campaign(60.0, 4)
     return plan_shards(config, 2)[0]
 
 
@@ -322,11 +323,12 @@ def test_chunked_draws_differ_from_interleaved_but_same_magnitude():
     assert chunked_issued == pytest.approx(interleaved_issued, rel=0.15)
 
 
-def test_sharded_open_loop_end_to_end():
+def test_sharded_open_loop_end_to_end(monkeypatch):
     config = open_loop_config()
     report = run_sharded(config, 2, parallel=False)
     assert report.merged["workload"]["operations_issued"] > 0
-    again = run_sharded(config, 2, parallel=False, shard_order=[1, 0])
+    monkeypatch.setattr(sharding, "SHARD_ORDER", [1, 0])
+    again = run_sharded(config, 2, parallel=False)
     assert json.dumps(report.merged, sort_keys=True) == json.dumps(
         again.merged, sort_keys=True
     )

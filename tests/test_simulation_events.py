@@ -118,13 +118,15 @@ def _scheduler(simulator, path):
     return TimerService(simulator, granularity=1e6).arm
 
 
-def _drive(path):
+def _drive(path, prioritised=True):
+    """Run the script through ``path``; without ``prioritised`` every event
+    takes the default priority (``schedule`` takes no other)."""
     simulator = Simulator(seed=0, start_time=1.0)
     schedule = _scheduler(simulator, path)
     fired = []
     script = [(0.5, 0, "a"), (0.25, -10, "b"), (0.5, 0, "c"), (0.0, 10, None), (2.0, 0, "e")]
     events = [
-        schedule(delay, fired.append, label, priority=priority, label=label)
+        schedule(delay, fired.append, label, label=label, **({"priority": priority} if prioritised else {}))
         for delay, priority, label in script
     ]
     events[2].cancel()
@@ -138,13 +140,13 @@ def _drive(path):
 
 @pytest.mark.parametrize("path", ["schedule", "schedule_in", "arm"])
 def test_every_scheduling_path_matches_event_queue_push(path):
-    scheduled, before, fired, after = _drive(path)
+    scheduled, before, fired, after = _drive(path, prioritised=path != "schedule")
     assert [row[0] for row in scheduled] == [Event] * 5
     assert [row[3] for row in scheduled] == [0, 1, 2, 3, 4]
     assert before["scheduled"] == before["peak_pending"] == 5
     assert fired == [None, "b", "a", "e"]
     assert after["cancelled_skipped"] == 1
-    assert (scheduled, before, fired, after) == _drive("push")
+    assert (scheduled, before, fired, after) == _drive("push", prioritised=path != "schedule")
 
 
 @pytest.mark.parametrize("path", ["schedule", "schedule_in", "arm"])
@@ -279,13 +281,13 @@ def test_pop_returns_a_posted_entry_as_an_event():
 
 
 # ----------------------------------------------------------------------
-# The wheel's arm: a reservation and ``schedule``, written out
+# The wheel's arm: a reservation and ``push``, written out
 # ----------------------------------------------------------------------
 # ``TimerService.arm`` reserves a wheeled timer's sequence number and posts
 # its bucket's tick with the queue's bodies written out, as ``schedule_in``
 # writes out ``push``.  The reference is the arm as it was built from the
 # queue's own steps: a reservation (counted in ``_reserved``, never in
-# ``scheduled``) and the tick through ``Simulator.schedule``.
+# ``scheduled``) and the tick through ``EventQueue.push``.
 
 
 def _reference_arm(service, delay, callback, *args, priority=0, label=None):
@@ -302,13 +304,11 @@ def _reference_arm(service, delay, callback, *args, priority=0, label=None):
     sequence = queue._sequence
     queue._sequence += 1
     queue._reserved += 1
-    event = Event(deadline, priority, sequence, callback, args, False, label)
+    event = Event(deadline, priority, sequence, callback, args, label)
     timers = service._buckets.get(bucket)
     if timers is None:
         service._buckets[bucket] = [event]
-        simulator.schedule(
-            tick_time, service._tick, bucket, priority=PRIORITY_TIMER_TICK, label="timer:tick"
-        )
+        queue.push(tick_time, service._tick, (bucket,), priority=PRIORITY_TIMER_TICK, label="timer:tick")
     else:
         timers.append(event)
     return event

@@ -18,7 +18,6 @@ from repro.experiments.scenarios import build_config
 from repro.runner import SimulationConfig
 from repro.simulation import NetworkModel, Simulator
 from repro.workload.generator import WorkloadSpec
-from repro.workload.operations import RecordSizer
 
 
 @pytest.fixture
@@ -148,7 +147,6 @@ def test_build_config_refuses_a_probe_interval_outside_its_bound(value):
             NON_NEGATIVE,
             id="SetTierQuotaScaleAction",
         ),
-        pytest.param(RecordSizer, "RecordSizer.mean_size", POSITIVE, id="RecordSizer"),
     ],
 )
 def test_a_checked_argument_refuses_nan_infinity_and_a_negative_by_name(call, where, bound, value):

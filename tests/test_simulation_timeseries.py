@@ -35,13 +35,6 @@ def test_window_slicing_is_half_open():
     assert list(window.values) == [2.0, 3.0, 4.0]
 
 
-def test_values_since():
-    series = TimeSeries("x")
-    for t in range(5):
-        series.record(float(t), float(t * 10))
-    assert series.values_since(3.0).tolist() == [30.0, 40.0]
-
-
 def test_last_and_empty_defaults():
     series = TimeSeries("x")
     assert series.last(default=7.0) == 7.0

@@ -139,7 +139,8 @@ def test_mix_validation():
 def test_record_sizer_bounds_and_mean(monkeypatch):
     monkeypatch.setattr(operations, "MIN_RECORD_SIZE", 100)
     monkeypatch.setattr(operations, "MAX_RECORD_SIZE", 5000)
-    sizer = RecordSizer(mean_size=1000)
+    monkeypatch.setattr(operations, "MEAN_RECORD_SIZE", 1000)
+    sizer = RecordSizer()
     generator = rng()
     sizes = [sizer.next_size(generator) for _ in range(5000)]
     assert min(sizes) >= 100
@@ -149,11 +150,7 @@ def test_record_sizer_bounds_and_mean(monkeypatch):
 
 def test_record_sizer_zero_cv_is_constant(monkeypatch):
     monkeypatch.setattr(operations, "RECORD_SIZE_CV", 0.0)
-    sizer = RecordSizer(mean_size=512)
+    monkeypatch.setattr(operations, "MEAN_RECORD_SIZE", 512)
+    sizer = RecordSizer()
     generator = rng()
     assert {sizer.next_size(generator) for _ in range(10)} == {512}
-
-
-def test_record_sizer_validation():
-    with pytest.raises(ValueError):
-        RecordSizer(mean_size=0)

@@ -118,6 +118,7 @@ def run_cell(monkeypatch, distribution: str, draws: str, tenancy: str) -> str:
     quarters of the key space preloaded."""
     monkeypatch.setattr(generator_module, "WORKLOAD_NAME", "golden")
     monkeypatch.setattr(generator_module, "PRELOAD_FRACTION", 0.75)
+    monkeypatch.setattr(generator_module, "KEY_DISTRIBUTION", distribution)
     simulator = Simulator(seed=1234)
     cluster = Cluster(
         simulator,
@@ -145,7 +146,6 @@ def run_cell(monkeypatch, distribution: str, draws: str, tenancy: str) -> str:
 
     spec = WorkloadSpec(
         record_count=300,
-        key_distribution=distribution,
         operation_mix=WRITE_HEAVY,
         load_shape=ConstantLoad(60.0),
         consistency_overrides={"update": ConsistencyLevel.QUORUM},
