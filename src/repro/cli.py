@@ -536,8 +536,8 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_run_sharded(args: argparse.Namespace, shards: int) -> int:
     if shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {shards}")
-    # Imported lazily: the sharding layer pulls in multiprocessing plumbing
-    # that a classic run never needs.
+    # Imported lazily: the sharding layer pulls in the multiprocessing and
+    # pipe plumbing of its forked lanes, which a classic run never needs.
     from .simulation.sharding import run_sharded
 
     with _refusing_bad_values():

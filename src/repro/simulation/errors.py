@@ -38,8 +38,8 @@ class ShardError(SimulationError):
     """Raised by ``run_sharded`` when one shard of a sharded run fails.
 
     Names the shard, the shard count and the cause (also chained as
-    ``__cause__``): the worker's own exception, or ``BrokenProcessPool`` when
-    the worker process died without raising one.
+    ``__cause__``): the shard's own exception, or ``BrokenProcessPool``
+    carrying the exit code when its forked lane died without sending one.
     """
 
     def __init__(self, index: int, shards: int, cause: BaseException) -> None:

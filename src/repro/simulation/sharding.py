@@ -4,8 +4,8 @@ The discrete-event kernel is single threaded by design — determinism comes
 from one totally-ordered event queue.  To use more than one core without
 giving that up, this module partitions a scenario into ``K`` *shards*, each a
 complete, independent sub-simulation (its own replica groups, coordinator,
-workload slice and RNG streams) that runs in its own worker process, and then
-merges the shard results through reducers that are **exact and
+workload slice and RNG streams) that runs in a lane forked from the calling
+process, and merges the shard results through reducers that are **exact and
 order-independent**:
 
 * counters (operations issued/completed/failed/rejected, stale reads, SLA
@@ -30,7 +30,8 @@ kind rather than pretending to be the single-process run at higher speed.
 
 Determinism contract (PERFORMANCE.md rule 9): shard ``i`` of ``K`` draws from
 RNG namespace ``shard<i>/<K>``, so its bitstream depends only on
-``(seed, i, K)`` — never on scheduling, core count, or which process ran it.
+``(seed, i, K)`` — never on scheduling, core count, or which process ran it
+(a forked lane starts from the caller's state, the one a serial run uses).
 ``merge_shard_results`` sorts by shard index before reducing, and every
 reducer is commutative, so the merged report is bit-identical no matter how
 the shards were executed (serially, in any permutation, or in parallel).
@@ -39,16 +40,19 @@ the shards were executed (serially, in any permutation, or in parallel).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import os
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import get_context
-from typing import Dict, List, Optional, Sequence
+from multiprocessing import get_all_start_methods, get_context
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..cost.report import CostReport
 from ..monitoring.percentiles import MergeableHistogramSketch
 from ..workload.load_shapes import ScaledLoad
-from .errors import ShardError
+from .errors import ShardError, SimulationError
 
 __all__ = [
     "ShardResult",
@@ -59,7 +63,8 @@ __all__ = [
     "merge_shard_results",
 ]
 
-#: Worker processes a parallel run uses at most (``None``: one per shard).
+#: Lanes a parallel run forks at most (``None``: one per core this process
+#: may use).
 MAX_WORKERS: Optional[int] = None
 
 #: The order a serial run executes its shards in (``None``: index order).
@@ -235,13 +240,8 @@ def plan_shards(config, shards: int) -> List[object]:
 
 
 def run_shard(shard_config, index: int, shards: int) -> ShardResult:
-    """Run one shard to completion and package the mergeable result.
-
-    Top-level function (not a closure) so the spawn start method can import
-    it in worker processes.
-    """
-    # Imported here, not at module top: workers only need the simulation
-    # stack once they actually run, and the lazy import keeps this module
+    """Run one shard to completion and package the mergeable result."""
+    # Imported here, not at module top: the lazy import keeps this module
     # cheap to import from the CLI for planning/merging alone.
     from ..runner import Simulation
 
@@ -391,49 +391,79 @@ def merge_shard_results(results: Sequence[ShardResult]) -> Dict[str, object]:
     }
 
 
+def _run_in_lanes(jobs: Sequence[Callable[[], ShardResult]], workers: int) -> List[ShardResult]:
+    """Run job ``i`` in forked lane ``i % workers``; the first failure in index
+    order raises :class:`ShardError`, with ``BrokenProcessPool`` for a dead lane."""
+    if "fork" not in get_all_start_methods():
+        raise SimulationError("parallel shards need fork: run them with --serial-shards")
+    # Every lane is forked before anything is read, from a parent that has
+    # started no thread of its own (with a pool per lane, a lock held by an
+    # earlier pool's manager or feeder thread would be copied held), and
+    # holds only its own pipe's write end, so a lane that dies reads as EOF,
+    # never as a hang.  Python 3.12+ warns about any fork of a process with
+    # several OS threads, which numpy's idle OpenBLAS pool makes this one
+    # (CI runs 3.11; PERFORMANCE.md, "Shard lanes").
+    context = get_context("fork")
+
+    def lane(first: int, sender) -> None:
+        for index in range(first, len(jobs), workers):
+            try:
+                outcome = jobs[index]()
+            except Exception as error:
+                outcome = error
+                # One that cannot cross the pipe goes as its type name and message.
+                try:
+                    pickle.loads(pickle.dumps(error))
+                except Exception:
+                    outcome = RuntimeError(f"{type(error).__name__}: {error}")
+            sender.send((index, outcome))
+
+    lanes = []
+    try:
+        for first in range(workers):
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=lane, args=(first, sender))
+            process.start()
+            sender.close()
+            lanes.append((process, receiver))
+        results = []
+        for index in range(len(jobs)):
+            process, receiver = lanes[index % workers]
+            try:
+                sent, outcome = receiver.recv()
+                assert sent == index
+            except EOFError:
+                process.join()
+                outcome = BrokenProcessPool(f"its lane exited with code {process.exitcode}")
+            if isinstance(outcome, BaseException):
+                raise ShardError(index, len(jobs), outcome) from outcome
+            results.append(outcome)
+        return results
+    finally:
+        for process, _ in lanes:
+            process.kill()
+            process.join()
+
+
 def run_sharded(config, shards: int, parallel: bool = True) -> ShardedReport:
     """Plan, execute and merge a ``K``-shard run of ``config``.
 
-    ``parallel=True`` runs shards in spawn-started worker processes (capped
-    at ``MAX_WORKERS``); ``parallel=False`` runs them in this process, in
-    ``SHARD_ORDER`` if set — tests set it to prove the merge is invariant to
-    execution order.  Both paths produce the same merged figures, and both
-    report a failing shard as a :class:`ShardError` that names it.
+    ``parallel=True`` runs shards in lanes forked from this process, one per
+    usable core (capped at ``MAX_WORKERS``); ``parallel=False`` runs them in
+    this process, in ``SHARD_ORDER`` if set — tests set it to prove the merge
+    is invariant to execution order.  Both paths produce the same merged
+    figures, and both report a failing shard as a :class:`ShardError`.
     """
     plans = plan_shards(config, shards)
     started = time.perf_counter()
-    results: List[ShardResult] = []
+    jobs = [functools.partial(run_shard, plan, i, shards) for i, plan in enumerate(plans)]
     if parallel and shards > 1:
-        workers = min(shards, MAX_WORKERS) if MAX_WORKERS else shards
-        # One single-worker pool per lane, shards dealt round-robin: a worker
-        # that dies breaks only its own lane, so the first future without a
-        # result is the shard that killed it (one shared pool would fail
-        # every unfinished shard alike).
-        lanes = [
-            ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"))
-            for _ in range(workers)
-        ]
-        try:
-            futures = [
-                lanes[index % workers].submit(run_shard, plan, index, shards)
-                for index, plan in enumerate(plans)
-            ]
-            for index, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except Exception as error:
-                    raise ShardError(index, shards, error) from error
-        finally:
-            # Tell every lane to wind down before waiting for any of them, so
-            # that the workers exit side by side as those of one pool would.
-            for lane in lanes:
-                lane.shutdown(wait=False, cancel_futures=True)
-            for lane in lanes:
-                lane.shutdown(wait=True)
+        results = _run_in_lanes(jobs, min(shards, MAX_WORKERS or len(os.sched_getaffinity(0))))
     else:
+        results = []
         for index in SHARD_ORDER if SHARD_ORDER is not None else range(shards):
             try:
-                results.append(run_shard(plans[index], index, shards))
+                results.append(jobs[index]())
             except Exception as error:
                 raise ShardError(index, shards, error) from error
     wall = time.perf_counter() - started

@@ -1,0 +1,94 @@
+"""The lanes a parallel sharded run forks.
+
+A lane is a process forked from the caller, so it starts from the caller's
+state instead of re-importing the caller's ``__main__``: a script without a
+``__main__`` guard runs its top level once, and a script read from standard
+input works at all.  A run forks at most one lane per core this process may
+use, and on a platform without ``fork`` the parallel path refuses with an
+error that points at the serial one.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.runner import SimulationConfig
+from repro.simulation import sharding
+from repro.simulation.errors import SimulationError
+from repro.simulation.sharding import run_sharded
+from repro.workload.generator import WorkloadSpec
+from repro.workload.load_shapes import ConstantLoad
+
+# No ``__main__`` guard, read from standard input: the line before the run
+# must print once, and the two-lane run must merge to the serial figures.
+_UNGUARDED_SCRIPT = """
+import json
+print("top level ran")
+from repro.runner import SimulationConfig
+from repro.simulation import sharding
+from repro.workload.generator import WorkloadSpec
+from repro.workload.load_shapes import ConstantLoad
+sharding.MAX_WORKERS = 2
+config = SimulationConfig(
+    seed=13,
+    duration=20.0,
+    label="stdin",
+    workload=WorkloadSpec(record_count=400, load_shape=ConstantLoad(40.0)),
+)
+parallel = sharding.run_sharded(config, 2, parallel=True)
+serial = sharding.run_sharded(config, 2, parallel=False)
+print(json.dumps(parallel.merged, sort_keys=True) == json.dumps(serial.merged, sort_keys=True))
+"""
+
+
+def short_config() -> SimulationConfig:
+    return SimulationConfig(
+        seed=13,
+        duration=20.0,
+        label="lanes",
+        workload=WorkloadSpec(record_count=300, load_shape=ConstantLoad(40.0)),
+    )
+
+
+def test_an_unguarded_script_on_stdin_runs_its_top_level_once():
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-"],
+        input=_UNGUARDED_SCRIPT,
+        env={**os.environ, "PYTHONPATH": source},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["top level ran", "True"]
+
+
+# The lane runner is replaced by one that records ``workers`` and runs the
+# jobs here, in order: these tests start no process.
+@pytest.mark.parametrize("cores, max_workers, lanes", ((2, None, 2), (64, None, 3), (64, 1, 1)))
+def test_a_run_forks_one_lane_per_usable_core(monkeypatch, cores, max_workers, lanes):
+    seen = []
+
+    def run_in_lanes(jobs, workers):
+        seen.append(workers)
+        return [job() for job in jobs]
+
+    monkeypatch.setattr(sharding, "_run_in_lanes", run_in_lanes)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cores)))
+    monkeypatch.setattr(sharding, "MAX_WORKERS", max_workers)
+    config = short_config()
+    parallel = run_sharded(config, 3, parallel=True)
+    assert seen == [lanes]
+    assert parallel.merged == run_sharded(config, 3, parallel=False).merged
+
+
+def test_without_fork_the_parallel_path_points_at_the_serial_one(monkeypatch):
+    monkeypatch.setattr(sharding, "get_all_start_methods", lambda: ["spawn"])
+    with pytest.raises(SimulationError, match="--serial-shards"):
+        run_sharded(short_config(), 3, parallel=True)

@@ -5,18 +5,21 @@ path raised from inside ``run_shard``, a raising worker gave the remote
 exception with no shard index, and a dying worker a bare
 ``BrokenProcessPool``.  Every path now raises one
 :class:`~repro.simulation.errors.ShardError` that names the shard, ``K`` and
-the cause.
+the cause, and a parallel run leaves no lane process behind.
 
-The failure is injected through the plan of shard 1 alone: its load shape is
-replaced by one that raises, or kills its process, the first time the
-workload asks it for a rate.  The shape is a module-level class so that a
-spawned worker can unpickle it.
+The failure is injected through the plan of one shard alone: its load shape
+is replaced by one that raises, raises an exception that cannot be pickled,
+or kills its process, the first time the workload asks it for a rate.  The
+forked lanes inherit the patched plan, so nothing here needs to pickle.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
+import signal
+import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -32,8 +35,17 @@ SHARDS = 2
 FAILING = 1
 
 
+class LockedError(Exception):
+    """An exception that cannot be pickled: it holds a lock."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
 class SabotagedLoad(LoadShape):
-    """Raises (``"raise"``) or kills the process (``"die"``) when asked a rate."""
+    """Raises (``"raise"``), raises an unpicklable exception (``"lock"``) or
+    kills the process with exit code 3 (``"die"``) when asked a rate."""
 
     def __init__(self, mode: str) -> None:
         self._mode = mode
@@ -41,6 +53,8 @@ class SabotagedLoad(LoadShape):
     def rate(self, t: float) -> float:
         if self._mode == "die":
             os._exit(3)
+        if self._mode == "lock":
+            raise LockedError("sabotaged while holding a lock")
         raise RuntimeError("sabotaged load shape")
 
 
@@ -54,24 +68,40 @@ def config() -> SimulationConfig:
     )
 
 
-def sabotage(monkeypatch, config: SimulationConfig, mode: str) -> None:
-    """Make ``run_sharded`` plan ``config`` with shard ``FAILING`` sabotaged."""
+@pytest.fixture
+def deadline():
+    """Turn a parallel run that hangs (a lane holding another lane's pipe
+    write end never lets the parent see EOF) into a failure after 60 s."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError("the parallel run hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def sabotage(monkeypatch, config: SimulationConfig, mode: str, failing: int = FAILING) -> None:
+    """Make ``run_sharded`` plan ``config`` with shard ``failing`` sabotaged."""
     plans = plan_shards(config, SHARDS)
-    plans[FAILING] = dataclasses.replace(
-        plans[FAILING],
+    plans[failing] = dataclasses.replace(
+        plans[failing],
         workload=dataclasses.replace(
-            plans[FAILING].workload, load_shape=SabotagedLoad(mode)
+            plans[failing].workload, load_shape=SabotagedLoad(mode)
         ),
     )
     monkeypatch.setattr(sharding, "plan_shards", lambda _config, _shards: plans)
 
 
-def assert_names_the_shard(error: ShardError, cause_type: type) -> None:
+def assert_names_the_shard(error: ShardError, cause_type: type, failing: int = FAILING) -> None:
     assert isinstance(error, SimulationError)
-    assert (error.index, error.shards) == (FAILING, SHARDS)
-    assert f"shard {FAILING} of {SHARDS}" in str(error)
+    assert (error.index, error.shards) == (failing, SHARDS)
+    assert f"shard {failing} of {SHARDS}" in str(error)
     assert cause_type.__name__ in str(error)
     assert isinstance(error.__cause__, cause_type)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("order", ([0, 1], [1, 0]))
@@ -84,7 +114,6 @@ def test_serial_shard_that_raises_is_named(monkeypatch, config, order):
     assert "sabotaged load shape" in str(caught.value)
 
 
-@pytest.mark.slow
 def test_parallel_shard_that_raises_is_named(monkeypatch, config):
     sabotage(monkeypatch, config, "raise")
     with pytest.raises(ShardError) as caught:
@@ -93,15 +122,27 @@ def test_parallel_shard_that_raises_is_named(monkeypatch, config):
     assert "sabotaged load shape" in str(caught.value)
 
 
-@pytest.mark.slow
-def test_parallel_shard_whose_worker_dies_is_named(monkeypatch, config):
-    sabotage(monkeypatch, config, "die")
+def test_an_exception_that_cannot_be_pickled_keeps_its_name_and_message(monkeypatch, config):
+    sabotage(monkeypatch, config, "lock")
     with pytest.raises(ShardError) as caught:
         run_sharded(config, SHARDS, parallel=True)
-    assert_names_the_shard(caught.value, BrokenProcessPool)
+    assert_names_the_shard(caught.value, RuntimeError)
+    assert "LockedError: sabotaged while holding a lock" in str(caught.value)
 
 
-@pytest.mark.slow
+# Shard 0 dying while lane 1 still runs is the case a lane holding another
+# lane's pipe end would turn into a hang.
+@pytest.mark.parametrize("failing", (0, 1))
+@pytest.mark.usefixtures("deadline")
+def test_parallel_shard_whose_worker_dies_is_named(monkeypatch, config, failing):
+    sabotage(monkeypatch, config, "die", failing)
+    with pytest.raises(ShardError) as caught:
+        run_sharded(config, SHARDS, parallel=True)
+    assert_names_the_shard(caught.value, BrokenProcessPool, failing)
+    assert "exited with code 3" in str(caught.value)
+
+
+@pytest.mark.usefixtures("deadline")
 def test_a_capped_pool_still_names_the_shard_that_died(monkeypatch, config):
     # One worker for both shards: shard 0 finishes, then shard 1 kills it.
     sabotage(monkeypatch, config, "die")
@@ -109,3 +150,4 @@ def test_a_capped_pool_still_names_the_shard_that_died(monkeypatch, config):
     with pytest.raises(ShardError) as caught:
         run_sharded(config, SHARDS, parallel=True)
     assert_names_the_shard(caught.value, BrokenProcessPool)
+    assert "exited with code 3" in str(caught.value)

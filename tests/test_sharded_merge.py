@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 
 import pytest
 from test_request_path_digests import crash_and_partition_campaign
@@ -171,7 +172,6 @@ def test_shard_results_are_picklable():
     assert clone.read_sketch.count == result.read_sketch.count
 
 
-@pytest.mark.slow
 def test_parallel_run_matches_serial_run():
     config = short_config()
     serial = run_sharded(config, 2, parallel=False)
@@ -180,6 +180,7 @@ def test_parallel_run_matches_serial_run():
         parallel.merged, sort_keys=True
     )
     assert parallel.timing["wall_seconds"] > 0.0
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
