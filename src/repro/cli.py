@@ -465,15 +465,14 @@ def build_simulation_config(args: argparse.Namespace) -> SimulationConfig:
         tenant_spec = TenantSpec(tenants=tenants, **skew)
     elif args.tenant_skew is not None:
         raise SystemExit("--tenant-skew requires --tenants (it skews the tenant population)")
-    middleware_params = None
-    budget_fraction = args.hedge_budget_fraction
-    if budget_fraction is not None:
+    hedge = {}
+    if args.hedge_budget_fraction is not None:
         if middleware is None or "request-hedging" not in middleware:
             raise SystemExit(
                 "--hedge-budget-fraction only applies when the "
                 "request-hedging middleware is installed (e.g. --hedge-reads)"
             )
-        middleware_params = {"request-hedging": {"budget_fraction": budget_fraction}}
+        hedge = {"hedge_budget_fraction": args.hedge_budget_fraction}
     return SimulationConfig(
         seed=args.seed,
         duration=args.duration,
@@ -483,6 +482,7 @@ def build_simulation_config(args: argparse.Namespace) -> SimulationConfig:
             read_consistency=ConsistencyLevel(args.read_consistency),
             write_consistency=ConsistencyLevel(args.write_consistency),
             node=NodeConfig(ops_capacity=args.node_capacity),
+            **hedge,
         ),
         workload=WorkloadSpec(
             record_count=5_000,
@@ -494,7 +494,6 @@ def build_simulation_config(args: argparse.Namespace) -> SimulationConfig:
         ),
         controller=ControllerConfig(policy=args.policy),
         middleware=middleware,
-        middleware_params=middleware_params,
         faults=_build_fault_plan(args),
         label=f"cli-{args.policy}",
     )
@@ -506,7 +505,8 @@ def _refusing_bad_values():
 
     Wraps building the scenario only: once it runs, a ``ValueError`` is a bug
     and keeps its traceback.  An experiment builds its scenarios as it goes,
-    so its whole command is wrapped.
+    so its whole command is wrapped.  So is a sharded run: its shards fail as
+    ``ShardError``, so a ``ValueError`` there comes from its plan.
     """
     try:
         yield
@@ -542,8 +542,7 @@ def _command_run_sharded(args: argparse.Namespace, shards: int) -> int:
 
     with _refusing_bad_values():
         config = build_simulation_config(args)
-        config.cluster.validate()
-    report = run_sharded(config, shards, parallel=not args.serial_shards)
+        report = run_sharded(config, shards, parallel=not args.serial_shards)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, default=str))
         return 0

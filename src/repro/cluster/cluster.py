@@ -28,13 +28,19 @@ from ..middleware import (
     MiddlewareBuildContext,
     MiddlewarePipeline,
     build_pipeline,
-    is_registered,
 )
 from ..simulation.engine import Simulator
 from ..simulation.network import NetworkModel
 from .anti_entropy import AntiEntropyService
 from .coordinator import DEFAULT_VALUE_SIZE, RequestCoordinator
-from .errors import ConfigurationError, Settings, TopologyError, UnknownNodeError, at_least
+from .errors import (
+    ConfigurationError,
+    Settings,
+    TopologyError,
+    UnknownNodeError,
+    at_least,
+    positive_fraction,
+)
 from .hinted_handoff import HintedHandoffManager
 from .membership import MembershipService
 from .node import NodeConfig, StorageNode
@@ -73,30 +79,12 @@ class ClusterConfig(Settings):
     node: NodeConfig = field(default_factory=NodeConfig)
     max_nodes: int = at_least(1, 32)
     min_nodes: int = at_least(1, 1)
-
-    middleware: Optional[Sequence[str]] = None
-    """Ordered request-pipeline middleware names (``None`` = the default
-    stack, which reproduces the classic coordinator bit-identically)."""
-
-    middleware_params: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    """Per-middleware construction parameters, keyed by middleware name."""
-
-    def pipeline_names(self) -> Tuple[str, ...]:
-        """The middleware names this configuration resolves to."""
-        if self.middleware is None:
-            return DEFAULT_REQUEST_PIPELINE
-        return tuple(self.middleware)
+    hedge_budget_fraction: float = positive_fraction(0.05)
+    """The ``request-hedging`` stage's static budget, as a fraction of the
+    operation timeout (unread by a stack without that stage)."""
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` for inconsistent settings."""
-        unknown = [name for name in self.pipeline_names() if not is_registered(name)]
-        if unknown:
-            raise ConfigurationError(
-                "unknown middleware name(s) "
-                + ", ".join(repr(name) for name in unknown)
-                + "; register them with repro.middleware.register_middleware "
-                "before building the cluster"
-            )
         if self.replication_factor > self.initial_nodes:
             raise ConfigurationError(
                 "replication_factor cannot exceed the number of initial nodes "
@@ -145,7 +133,11 @@ class Cluster:
         self,
         simulator: Simulator,
         config: Optional[ClusterConfig] = None,
+        middleware: Optional[Sequence[str]] = None,
     ) -> None:
+        """``middleware`` names the request stack's stages in order; ``None``
+        is :data:`~repro.middleware.DEFAULT_REQUEST_PIPELINE`, which
+        reproduces the classic coordinator bit-identically."""
         self._simulator = simulator
         self.config = config or ClusterConfig()
         self.config.validate()
@@ -201,11 +193,8 @@ class Cluster:
         # Build the request pipeline from the registry now that every service
         # a middleware may bind to (handoff, repair, coordinator) exists.
         self.pipeline: MiddlewarePipeline = build_pipeline(
-            self.config.pipeline_names(),
-            MiddlewareBuildContext(
-                simulator=simulator, cluster=self, coordinator=self.coordinator
-            ),
-            params=self.config.middleware_params,
+            DEFAULT_REQUEST_PIPELINE if middleware is None else middleware,
+            MiddlewareBuildContext(simulator, self, self.coordinator, shared={}),
         )
         self.coordinator.set_pipeline(self.pipeline)
         self._preferred_coordinator = (

@@ -44,7 +44,6 @@ from ..middleware.base import (
     MiddlewarePipeline,
     RequestContext,
 )
-from ..middleware.builtin import default_coordinator_pipeline
 from ..simulation.engine import Simulator
 from ..simulation.events import Event
 from ..simulation.timers import TimerService
@@ -205,12 +204,6 @@ class RequestCoordinator:
             Callable[[str, VersionStamp, str, float, bool], None]
         ] = None
 
-        # The request pipeline.  A standalone coordinator (tests, tools) gets
-        # the default selection/consistency/staleness/monitoring stack; the
-        # Cluster facade replaces it with the registry-built one before any
-        # request flows.
-        self.set_pipeline(default_coordinator_pipeline(self))
-
         # Counters used by reports and tests.
         self.writes_started = 0
         self.reads_started = 0
@@ -227,11 +220,6 @@ class RequestCoordinator:
     def config(self) -> CoordinatorConfig:
         """Coordinator configuration in effect."""
         return self._config
-
-    @property
-    def simulator(self) -> Simulator:
-        """The simulation kernel this coordinator schedules on."""
-        return self._simulator
 
     def set_pipeline(self, pipeline: MiddlewarePipeline) -> None:
         """Install a request pipeline (done once by the cluster facade)."""

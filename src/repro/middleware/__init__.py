@@ -5,8 +5,8 @@ write flows through an ordered :class:`MiddlewarePipeline` of
 :class:`RequestMiddleware` stages, built by name from a registry.  The
 default stack (:data:`DEFAULT_REQUEST_PIPELINE`) reproduces the classic
 coordinator bit-identically; scenario variants swap, drop or extend stages
-declaratively (``ClusterConfig.middleware``, ``SimulationConfig.middleware``
-or ``repro.cli run --middleware ...``).
+declaratively, named in one place (``SimulationConfig.middleware``, or
+``repro.cli run --middleware ...``) and built by the cluster they serve.
 
 See ARCHITECTURE.md for the layer stack and a custom-middleware walkthrough.
 """
@@ -26,7 +26,6 @@ from .builtin import (
     RandomReplicaSelection,
     ReadRepairMiddleware,
     StalenessAnnotation,
-    default_coordinator_pipeline,
 )
 from .hedging import RequestHedging
 from .latency import LatencyAwareReplicaSelection, NodeRttTracker, shared_node_tracker
@@ -38,11 +37,8 @@ from .registry import (
     HEDGED_PIPELINE,
     LATENCY_AWARE_PIPELINE,
     MiddlewareBuildContext,
-    UnknownMiddlewareError,
     available_middlewares,
-    build_middleware,
     build_pipeline,
-    is_registered,
     register_middleware,
 )
 from .routing import RttAwareWriteRouting
@@ -52,12 +48,9 @@ __all__ = [
     "RequestMiddleware",
     "MiddlewarePipeline",
     "MiddlewareBuildContext",
-    "UnknownMiddlewareError",
     "register_middleware",
-    "build_middleware",
     "build_pipeline",
     "available_middlewares",
-    "is_registered",
     "DEFAULT_REQUEST_PIPELINE",
     "LATENCY_AWARE_PIPELINE",
     "CONSISTENCY_OVERRIDE_PIPELINE",
@@ -69,7 +62,6 @@ __all__ = [
     "ReadRepairMiddleware",
     "StalenessAnnotation",
     "MonitoringHooks",
-    "default_coordinator_pipeline",
     "LatencyAwareReplicaSelection",
     "NodeRttTracker",
     "shared_node_tracker",

@@ -21,7 +21,7 @@ from .base import RequestContext, RequestMiddleware
 from .registry import MiddlewareBuildContext, register_middleware
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from ..cluster.coordinator import AckedVersionRegistry, RequestCoordinator
+    from ..cluster.coordinator import AckedVersionRegistry
     from ..cluster.hinted_handoff import HintedHandoffManager
     from ..cluster.read_repair import ReadRepairer
     from ..cluster.types import OperationResult
@@ -33,7 +33,6 @@ __all__ = [
     "ReadRepairMiddleware",
     "StalenessAnnotation",
     "MonitoringHooks",
-    "default_coordinator_pipeline",
 ]
 
 
@@ -177,46 +176,19 @@ def _build_consistency(_ctx: MiddlewareBuildContext) -> ConsistencyEnforcement:
 
 @register_middleware("hinted-handoff")
 def _build_hinted_handoff(ctx: MiddlewareBuildContext) -> HintedHandoffMiddleware:
-    if ctx.cluster is None:
-        raise ValueError("hinted-handoff middleware requires a cluster")
     return HintedHandoffMiddleware(ctx.cluster.hinted_handoff)
 
 
 @register_middleware("read-repair")
 def _build_read_repair(ctx: MiddlewareBuildContext) -> ReadRepairMiddleware:
-    if ctx.cluster is None:
-        raise ValueError("read-repair middleware requires a cluster")
     return ReadRepairMiddleware(ctx.cluster.read_repairer)
 
 
 @register_middleware("staleness")
 def _build_staleness(ctx: MiddlewareBuildContext) -> StalenessAnnotation:
-    if ctx.coordinator is None:
-        raise ValueError("staleness middleware requires a coordinator")
     return StalenessAnnotation(ctx.coordinator.acked_registry)
 
 
 @register_middleware("monitoring-hooks")
 def _build_monitoring_hooks(ctx: MiddlewareBuildContext) -> MonitoringHooks:
-    if ctx.cluster is None:
-        raise ValueError("monitoring-hooks middleware requires a cluster")
     return MonitoringHooks(ctx.cluster.completion_observers)
-
-
-def default_coordinator_pipeline(coordinator: "RequestCoordinator"):
-    """The stack a standalone coordinator (no cluster facade) runs.
-
-    Mirrors the pre-pipeline standalone behaviour: selection, quorum
-    accounting and staleness annotation — hinted handoff, read repair and
-    the listener feed are cluster services and join the pipeline only when
-    the :class:`~repro.cluster.cluster.Cluster` builds it.
-    """
-    from .base import MiddlewarePipeline
-
-    return MiddlewarePipeline(
-        [
-            RandomReplicaSelection(coordinator.simulator.streams.stream("coordinator")),
-            ConsistencyEnforcement(),
-            StalenessAnnotation(coordinator.acked_registry),
-        ]
-    )

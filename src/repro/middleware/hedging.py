@@ -19,7 +19,8 @@ by the coordinator's completion bookkeeping.
 
 The budget comes from one of two sources, per the configuration:
 
-* a fixed fraction of ``CoordinatorConfig.operation_timeout`` (static), or
+* a fixed fraction (``ClusterConfig.hedge_budget_fraction``) of
+  ``CoordinatorConfig.operation_timeout`` (static), or
 * a p99-derived budget from the monitoring layer — the runner attaches
   :meth:`~repro.monitoring.estimators.RttEstimator.read_latency_percentile`
   as a budget source, clamped into ``[MIN_BUDGET, static budget]``.
@@ -36,7 +37,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.errors import POSITIVE, POSITIVE_FRACTION, check
 from .base import RequestContext, RequestMiddleware
 from .latency import NodeRttTracker, shared_node_tracker
 from .registry import MiddlewareBuildContext, register_middleware
@@ -83,10 +83,8 @@ class RequestHedging(RequestMiddleware):
         budget_fraction: float,
         observe: bool = False,
     ) -> None:
-        check(self.name, "operation_timeout", operation_timeout, POSITIVE)
-        check(self.name, "budget_fraction", budget_fraction, POSITIVE_FRACTION)
         self._tracker = tracker
-        self._static_budget = float(budget_fraction) * operation_timeout
+        self._static_budget = budget_fraction * operation_timeout
         self._min_budget = min(MIN_BUDGET, self._static_budget)
         self._budget_source: Optional[Callable[[], float]] = None
         if not observe:
@@ -231,14 +229,12 @@ class RequestHedging(RequestMiddleware):
 
 @register_middleware("request-hedging")
 def _build_request_hedging(ctx: MiddlewareBuildContext) -> RequestHedging:
-    if ctx.coordinator is None:
-        raise ValueError("request-hedging middleware requires a coordinator")
     tracker, created = shared_node_tracker(ctx)
     simulator = ctx.simulator
     return RequestHedging(
         tracker,
         operation_timeout=ctx.coordinator.config.operation_timeout,
         clock=lambda: simulator.now,
-        budget_fraction=float(ctx.params.get("budget_fraction", 0.05)),
+        budget_fraction=ctx.cluster.config.hedge_budget_fraction,
         observe=created,
     )

@@ -60,10 +60,7 @@ def shared_node_tracker(ctx: "MiddlewareBuildContext") -> tuple["NodeRttTracker"
     tracker = ctx.shared.get(_SHARED_TRACKER_KEY)
     if tracker is not None:
         return tracker, False
-    fallback: Optional[Callable[[], float]] = None
-    if ctx.cluster is not None:
-        fallback = ctx.cluster.network.round_trip_estimate
-    tracker = NodeRttTracker(fallback=fallback)
+    tracker = NodeRttTracker(fallback=ctx.cluster.network.round_trip_estimate)
     ctx.shared[_SHARED_TRACKER_KEY] = tracker
     return tracker, True
 

@@ -1,16 +1,16 @@
 """Name-based middleware registry.
 
-Scenario variants declare their request path as an ordered list of middleware
-*names* (in :class:`~repro.cluster.cluster.ClusterConfig`, on
-:class:`~repro.runner.SimulationConfig`, or on the CLI via ``--middleware``);
-the registry turns those names into a :class:`MiddlewarePipeline` against a
-live cluster.  Registering a custom middleware is one decorator::
+A scenario declares its request path once, as an ordered list of middleware
+*names* (:attr:`~repro.runner.SimulationConfig.middleware`, or ``--middleware``
+on the CLI); the :class:`~repro.cluster.cluster.Cluster` it runs on turns
+those names into a :class:`MiddlewarePipeline`.  Registering a custom
+middleware is one decorator; the factory closes over its own parameters::
 
     from repro.middleware import RequestMiddleware, register_middleware
 
     @register_middleware("tenant-throttle")
     def _build(ctx):
-        return TenantThrottle(limit=ctx.params.get("limit", 100))
+        return TenantThrottle(limit=10)
 
 after which ``middleware=("replica-selection", ..., "tenant-throttle")`` wires
 it into every request.
@@ -18,9 +18,10 @@ it into every request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Sequence, Tuple
 
+from ..cluster.errors import ConfigurationError
 from .base import MiddlewarePipeline, RequestMiddleware
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -30,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 
 __all__ = [
     "MiddlewareBuildContext",
-    "UnknownMiddlewareError",
     "register_middleware",
     "build_pipeline",
     "available_middlewares",
@@ -106,21 +106,14 @@ ADMISSION_CONTROL_PIPELINE: Tuple[str, ...] = (
 )
 
 
-class UnknownMiddlewareError(KeyError):
-    """Raised when a pipeline names a middleware nobody registered."""
-
-
 @dataclass
 class MiddlewareBuildContext:
-    """Everything a middleware factory may need to wire itself up."""
+    """What every middleware factory builds against: the system it serves."""
 
     simulator: "Simulator"
-    cluster: Optional["Cluster"] = None
-    coordinator: Optional["RequestCoordinator"] = None
-    params: Dict[str, object] = field(default_factory=dict)
-    """Per-middleware construction parameters (``middleware_params[name]``)."""
-
-    shared: Dict[str, object] = field(default_factory=dict)
+    cluster: "Cluster"
+    coordinator: "RequestCoordinator"
+    shared: Dict[str, object]
     """Cross-stage build state: :func:`build_pipeline` hands every stage of
     one pipeline the same dict, so factories can share expensive or
     single-writer objects (e.g. the per-node RTT tracker the latency router,
@@ -155,43 +148,20 @@ def available_middlewares() -> Tuple[str, ...]:
     return tuple(sorted(_FACTORIES))
 
 
-def is_registered(name: str) -> bool:
-    """Whether ``name`` has a registered factory."""
-    return name in _FACTORIES
-
-
-def build_middleware(name: str, context: MiddlewareBuildContext) -> RequestMiddleware:
-    """Instantiate one middleware by registry name."""
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        raise UnknownMiddlewareError(
-            f"unknown middleware {name!r}; registered: {', '.join(available_middlewares())}"
-        )
-    middleware = factory(context)
-    middleware.name = name
-    return middleware
-
-
-def build_pipeline(
-    names: Sequence[str],
-    context: MiddlewareBuildContext,
-    params: Optional[Dict[str, Dict[str, object]]] = None,
-) -> MiddlewarePipeline:
+def build_pipeline(names: Sequence[str], context: MiddlewareBuildContext) -> MiddlewarePipeline:
     """Build an ordered pipeline from registry names.
 
-    ``params`` maps middleware name to that middleware's construction
-    parameters; unnamed middlewares get an empty parameter dict.
+    Raises one :class:`ConfigurationError` (a ``ValueError``) naming the
+    first unknown stage and listing the registered ones.
     """
-    params = params or {}
     middlewares = []
-    shared = context.shared
     for name in names:
-        stage_context = MiddlewareBuildContext(
-            simulator=context.simulator,
-            cluster=context.cluster,
-            coordinator=context.coordinator,
-            params=dict(params.get(name, {})),
-            shared=shared,
-        )
-        middlewares.append(build_middleware(name, stage_context))
+        factory = _FACTORIES.get(name)
+        if factory is None:
+            raise ConfigurationError(
+                f"unknown middleware {name!r}; registered: {', '.join(available_middlewares())}"
+            )
+        middleware = factory(context)
+        middleware.name = name
+        middlewares.append(middleware)
     return MiddlewarePipeline(middlewares)

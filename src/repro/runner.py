@@ -14,7 +14,6 @@ examples report.  It is the single entry point the public API exposes::
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
@@ -68,14 +67,9 @@ class SimulationConfig(Settings):
     label: str = "scenario"
 
     middleware: Optional[Sequence[str]] = None
-    """Request-pipeline middleware names for the cluster (``None`` keeps
-    ``cluster.middleware`` as configured; setting this overrides it).  The
-    default stack reproduces the classic request path bit-identically."""
-
-    middleware_params: Optional[Dict[str, Dict[str, object]]] = None
-    """Per-middleware construction parameters, keyed by middleware name
-    (e.g. ``{"request-hedging": {"budget_fraction": 0.02}}``).  ``None``
-    keeps ``cluster.middleware_params`` as configured."""
+    """The request stack: ordered middleware names the cluster builds
+    (``None`` is the default stack, which reproduces the classic request path
+    bit-identically)."""
 
     stream_namespace: str = ""
     """Prefix mixed into every named RNG stream's spawn key.
@@ -195,25 +189,10 @@ class Simulation:
 
     def __init__(self, config: Optional[SimulationConfig] = None) -> None:
         self.config = config or SimulationConfig()
-        cluster_config = self.config.cluster
-        if self.config.middleware is not None:
-            # Never mutate the caller's config: a ClusterConfig may be shared
-            # between scenarios that pick different pipelines.
-            cluster_config = dataclasses.replace(
-                cluster_config, middleware=tuple(self.config.middleware)
-            )
-        if self.config.middleware_params is not None:
-            cluster_config = dataclasses.replace(
-                cluster_config,
-                middleware_params={
-                    name: dict(params)
-                    for name, params in self.config.middleware_params.items()
-                },
-            )
         self.simulator = Simulator(
             seed=self.config.seed, stream_namespace=self.config.stream_namespace
         )
-        self.cluster = Cluster(self.simulator, cluster_config)
+        self.cluster = Cluster(self.simulator, self.config.cluster, self.config.middleware)
         self.fault_injector = FaultInjector(self.simulator, self.cluster)
         if self.config.faults is not None:
             self.config.faults.apply(self.fault_injector)

@@ -162,10 +162,13 @@ def plan_shards(config, shards: int) -> List[object]:
 
     Pure planning — nothing runs.  Each shard config is a deep-enough copy
     (``dataclasses.replace`` on the config, cluster and workload) that
-    running one shard cannot mutate another's plan.
+    running one shard cannot mutate another's plan.  The unsplit cluster is
+    validated first: a shard's cluster is lifted to the replication factor,
+    so a cluster the classic run refuses would otherwise pass.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
+    config.cluster.validate()
     workload = config.workload
     if workload.tenants is not None and workload.tenants.load_shape_overrides:
         raise ValueError(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import multiprocessing
 import sys
 
 import pytest
@@ -193,7 +195,7 @@ def test_cli_names_the_bad_middleware_token(spec, named):
         ),
         (
             ["--hedge-reads", "--hedge-budget-fraction", "7"],
-            "request-hedging.budget_fraction must be in (0, 1], got 7.0",
+            "ClusterConfig.hedge_budget_fraction must be in (0, 1], got 7.0",
         ),
         (["--duration", "nan"], "SimulationConfig.duration must be finite and > 0, got nan"),
         (["--duration", "inf"], "SimulationConfig.duration must be finite and > 0, got inf"),
@@ -226,6 +228,9 @@ def test_cli_names_the_bad_middleware_token(spec, named):
             ["experiment", "E9", "--fault-seed", "-1"],
             "FaultPlan.seed must be finite and >= 0, got -1",
         ),
+        # Refused by the cluster's own check, which a sharded run makes in
+        # its plan.
+        (["--nodes", "40"], "initial_nodes must lie within [min_nodes, max_nodes]"),
     ],
 )
 def test_cli_answers_a_bad_number_with_one_line(flags, named, repro):
@@ -234,11 +239,41 @@ def test_cli_answers_a_bad_number_with_one_line(flags, named, repro):
         repro(flags if experiment else ["run", "--duration", "20", *flags])
     message = str(refusal.value)
     assert named in message and "\n" not in message
-    # The sharded run refuses what it can check before a shard is planned.
-    if "--hedge-reads" not in flags and not experiment:
+    # The sharded run refuses what it can check before a shard runs.
+    if not experiment:
         with pytest.raises(SystemExit) as refusal:
             repro(["run", "--duration", "20", "--shards", "2", "--serial-shards", *flags])
         assert named in str(refusal.value)
+
+
+@pytest.mark.parametrize("serial", [True, False], ids=["serial", "parallel"])
+def test_a_plan_that_cannot_be_split_is_refused_in_one_line(serial, repro):
+    # One tenant cannot be spread over two shards.  The plan refuses it
+    # before any shard runs, so no lane is forked either.
+    flags = ["run", "--duration", "20", "--tenants", "1", "--shards", "2"]
+    with pytest.raises(SystemExit) as refusal:
+        repro([*flags, "--serial-shards"] if serial else flags)
+    message = str(refusal.value)
+    assert "cannot split 1 tenants across 2 shards" in message and "\n" not in message
+    assert multiprocessing.active_children() == []
+
+
+#: ``as_dict()`` digests of ``run --duration 20 --seed 3 --hedge-reads``,
+#: captured when ``--hedge-budget-fraction`` reached the stage through a
+#: per-stage ``{"request-hedging": {"budget_fraction": ...}}`` mapping.
+HEDGE_FLAG_DIGESTS = {
+    "0.02": "dc33d471fe6abd083500266b3077f9012394225f4c2b30cb849b636f64c5efff",
+    None: "db3513852385c41810ec551fb3310c845d719f9aab743a7a2f1eb8881c768b2c",
+}
+
+
+@pytest.mark.parametrize("fraction", ["0.02", None])
+def test_the_hedge_budget_flag_reaches_the_stage(fraction, capsys, repro):
+    flags = [] if fraction is None else ["--hedge-budget-fraction", fraction]
+    assert repro(["run", "--duration", "20", "--seed", "3", "--hedge-reads", *flags, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True, default=str).encode())
+    assert digest.hexdigest() == HEDGE_FLAG_DIGESTS[fraction]
 
 
 def test_cli_leaves_a_value_error_from_the_run_its_traceback(monkeypatch, repro):

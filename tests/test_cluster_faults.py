@@ -27,8 +27,8 @@ def make_setup(seed=1, nodes=3, rf=3, middleware=None):
             initial_nodes=nodes,
             replication_factor=rf,
             node=NodeConfig(ops_capacity=500.0),
-            middleware=middleware,
         ),
+        middleware=middleware,
     )
     injector = FaultInjector(simulator, cluster)
     return simulator, cluster, injector

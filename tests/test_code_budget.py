@@ -28,7 +28,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: its own pipes, turns EOF into the dead lane's exit code, sends an
 #: exception that cannot be pickled as its type name and message, and
 #: refuses a platform without ``fork``; a run forks one lane per usable core.
-CEILING = 13_892
+CEILING = 13_800
 
 
 def _code_lines() -> int:

@@ -48,7 +48,7 @@ Four more passes hold the rest of the surface to the same terms:
 
 * **unset settings** - a defaulted input of ``src/repro/`` that no code in
   ``src/``, ``benchmarks/ledger/`` or ``examples/`` sets; ``tests/`` is not
-  a setter.  A setting is one of three kinds:
+  a setter.  A setting is one of two kinds:
 
   - ``Class.field``, a defaulted dataclass field or ``__init__`` parameter.
     A call that names the class (or a subclass, or ``super().__init__``
@@ -63,14 +63,6 @@ Four more passes hold the rest of the surface to the same terms:
     and of its bases and constructed subclasses, or of every class when it
     does not resolve; a store through a field (``options.probe.interval =
     x``) sets that field too.
-  - ``stage:key``, a key a ``register_middleware`` factory reads from
-    ``ctx.params`` (``.get``, ``[...]`` or ``in``, also through a local
-    alias).  A literal ``{"stage": {"key": ...}}`` sets it; a literal that
-    maps the stage to anything but a literal dict sets every key of the
-    stage, and a ``middleware_params`` keyword or store whose mapping the
-    code does not spell out (not ``None``, a literal, a copy of another
-    ``middleware_params`` or a local name bound only to those) sets every
-    key of every stage.
   - ``function(parameter)``, a defaulted parameter of a module-level
     function or a method (``Class.method(parameter)``; a name two modules
     define is ``module.function``).  A call sets what it passes by position
@@ -81,9 +73,8 @@ Four more passes hold the rest of the surface to the same terms:
     callback, ``f = obj.m``) and an identifier string (``getattr``) set
     every parameter of what they reach.
 
-  A call, ``replace`` or stage literal outside ``benchmarks/ledger/`` and
-  ``examples/`` that passes a literal equal to the declared default sets
-  nothing: the default says it already.  A setting nobody sets is a
+  A call or ``replace`` outside ``benchmarks/ledger/`` and ``examples/``
+  that passes a literal equal to the declared default sets nothing: the default says it already.  A setting nobody sets is a
   constant: fold it into one where it is used (read there, so a test can
   ``monkeypatch`` it), delete the code only another value reached, or list
   it in ``ALLOWED_SETTINGS`` with one of the three reasons.  The number of
@@ -809,10 +800,10 @@ ALLOWED_SETTINGS: Dict[str, Tuple[str, str]] = {
 #: turned out to be set only by tests.
 ALLOWED_SETTINGS_CEILING = 2
 
-#: How many settings ``_settings`` counts: ``Class.field``, ``stage:key`` and
+#: How many settings ``_settings`` counts: ``Class.field`` and
 #: ``function(parameter)`` alike.  Lower it with every setting folded into a
 #: constant; a change that must raise it names the caller beside the number.
-SETTINGS_CEILING = 334
+SETTINGS_CEILING = 327
 
 #: ``Class.attribute`` -> (reason, what reads it).  Only ever remove entries.
 ALLOWED_STATE: Dict[str, Tuple[str, str]] = {
@@ -873,144 +864,6 @@ def _restates(argument: ast.expr, default: Optional[ast.expr]) -> bool:
     except (ValueError, TypeError, SyntaxError):
         return False
     return passed == declared and isinstance(passed, bool) == isinstance(declared, bool)
-
-
-# Stage parameters -----------------------------------------------------
-def _stage_of(function: ast.AST) -> str:
-    """The name ``@register_middleware("name")`` registers ``function`` under."""
-    for decorator in function.decorator_list:
-        if (
-            isinstance(decorator, ast.Call)
-            and _last_name(decorator.func) == "register_middleware"
-            and decorator.args
-            and isinstance(decorator.args[0], ast.Constant)
-        ):
-            return decorator.args[0].value
-    return ""
-
-
-def _params_reads(function: ast.AST) -> Iterator[Tuple[str, Optional[ast.expr], int]]:
-    """(key, default, line) of each ``ctx.params`` read in a factory:
-    ``.get(key, default)``, ``[key]`` and ``key in``, also through a local
-    alias of ``ctx.params``."""
-    context = function.args.args[0].arg
-
-    def direct(node: ast.AST) -> bool:
-        return (
-            isinstance(node, ast.Attribute)
-            and node.attr == "params"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == context
-        )
-
-    aliases = {
-        target.id
-        for node in ast.walk(function)
-        if isinstance(node, ast.Assign) and direct(node.value)
-        for target in node.targets
-        if isinstance(target, ast.Name)
-    }
-
-    def params(node: ast.AST) -> bool:
-        return direct(node) or (isinstance(node, ast.Name) and node.id in aliases)
-
-    for node in ast.walk(function):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "get"
-            and params(node.func.value)
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-        ):
-            yield node.args[0].value, node.args[1] if len(node.args) > 1 else None, node.lineno
-        elif (
-            isinstance(node, ast.Subscript)
-            and params(node.value)
-            and isinstance(node.slice, ast.Constant)
-        ):
-            yield node.slice.value, None, node.lineno
-        elif (
-            isinstance(node, ast.Compare)
-            and isinstance(node.ops[0], (ast.In, ast.NotIn))
-            and params(node.comparators[0])
-            and isinstance(node.left, ast.Constant)
-        ):
-            yield node.left.value, None, node.lineno
-
-
-@lru_cache(maxsize=None)
-def _stage_parameters() -> Dict[str, Tuple[str, Optional[ast.expr]]]:
-    """``stage:key`` -> (``path:line``, its default) of each key a
-    ``register_middleware`` factory of ``src/repro/`` reads from ``ctx.params``."""
-    found: Dict[str, Tuple[str, Optional[ast.expr]]] = {}
-    for path in _files(SRC):
-        for function in ast.walk(_tree(path)):
-            stage = _stage_of(function) if isinstance(function, _FUNCTION_NODES) else ""
-            for key, default, line in _params_reads(function) if stage else ():
-                found.setdefault(f"{stage}:{key}", (f"{path.relative_to(ROOT)}:{line}", default))
-    return found
-
-
-def _spelled_out(value: ast.expr, scope: ast.AST) -> bool:
-    """Whether a ``middleware_params`` value carries only keys the code writes
-    down: ``None``, a dict literal, a copy of another ``middleware_params``, or
-    a local name bound only to those."""
-    if (isinstance(value, ast.Constant) and value.value is None) or isinstance(value, ast.Dict):
-        return True
-    if any(isinstance(node, ast.Attribute) and node.attr == "middleware_params" for node in ast.walk(value)):
-        return True
-    if not isinstance(value, ast.Name) or isinstance(scope, ast.Module):
-        return False
-    args = scope.args
-    if value.id in {arg.arg for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]}:
-        return False
-    bound = [
-        node.value
-        for node in _own_nodes(scope.body)
-        if isinstance(node, ast.Assign)
-        and any(isinstance(target, ast.Name) and target.id == value.id for target in node.targets)
-    ]
-    return bool(bound) and all(_spelled_out(other, scope) for other in bound)
-
-
-def _set_stage_parameters(tree: ast.Module, restated: bool) -> Set[str]:
-    """The ``stage:key`` settings one module sets: each key of a literal
-    ``{"stage": {"key": ...}}`` (unless it restates the factory's default), and
-    every key when it passes a ``middleware_params`` mapping it does not
-    spell out."""
-    stages = _stage_parameters()
-    keys: Dict[str, List[str]] = {}
-    for name in stages:
-        keys.setdefault(name.partition(":")[0], []).append(name)
-    found: Set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Dict):
-            continue
-        for key, value in zip(node.keys, node.values):
-            stage = key.value if isinstance(key, ast.Constant) and key.value in keys else ""
-            if not stage:
-                continue
-            if not (isinstance(value, ast.Dict) and all(isinstance(k, ast.Constant) for k in value.keys)):
-                found.update(keys[stage])
-                continue
-            for name, argument in zip(value.keys, value.values):
-                setting = f"{stage}:{name.value}"
-                if not (restated and _restates(argument, stages.get(setting, ("", None))[1])):
-                    found.add(setting)
-    scopes = [tree, *(node for node in ast.walk(tree) if isinstance(node, _FUNCTION_NODES))]
-    for scope in scopes:
-        for node in _own_nodes(scope.body):
-            values = []
-            if isinstance(node, ast.keyword) and node.arg == "middleware_params":
-                values.append(node.value)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                if any(isinstance(t, ast.Attribute) and t.attr == "middleware_params" for t in targets):
-                    values.append(node.value)
-            if not all(_spelled_out(value, scope) for value in values):
-                found.update(stages)
-    return found
 
 
 # Function parameters --------------------------------------------------
@@ -1122,15 +975,14 @@ def _set_function_parameters(path: Path, tree: ast.Module, restated: bool) -> Se
 
 @lru_cache(maxsize=None)
 def _settings() -> Dict[str, str]:
-    """``Class.parameter``, ``stage:key`` and ``function(parameter)`` ->
-    ``path:line`` of every defaulted setting."""
+    """``Class.parameter`` and ``function(parameter)`` -> ``path:line`` of
+    every defaulted setting."""
     found = {}
     for name, cls in _classes().items():
         own = cls.init if cls.init is not None else (cls.fields if cls.dataclass else ())
         for param in own:
             if param.defaulted:
                 found[f"{name}.{param.name}"] = f"{cls.where}:{param.line}"
-    found.update((name, where) for name, (where, _) in _stage_parameters().items())
     for key, function in _functions().items():
         found.update((f"{key}({name})", function.where) for name in function.defaults)
     return found
@@ -1211,8 +1063,8 @@ def _settable(fields: List[str], resolver: _Resolver, receiver: Optional[_Receiv
 
 @lru_cache(maxsize=None)
 def _set_settings(bases: Tuple[Path, ...] = SETTERS) -> FrozenSet[str]:
-    """Every setting some call, splat, ``replace``, store, stage mapping or
-    function call in the code under ``bases`` sets.  A call or ``replace``
+    """Every setting some call, splat, ``replace``, store or function call
+    in the code under ``bases`` sets.  A call or ``replace``
     outside ``benchmarks/ledger/`` and ``examples/`` that passes a literal
     equal to the declared default sets nothing."""
     forwarders = _forwarders(_trees(bases))
@@ -1231,7 +1083,6 @@ def _set_settings(bases: Tuple[Path, ...] = SETTERS) -> FrozenSet[str]:
         tree = _tree(path)
         resolver = _resolver(path)
         restated = not _outside(path)
-        found |= _set_stage_parameters(tree, restated)
         found |= _set_function_parameters(path, tree, restated)
 
         def passes(setting: str, argument: ast.expr) -> bool:
@@ -1369,36 +1220,6 @@ def test_what_the_settings_pass_counts_as_setting_a_field(tmp_path, snippet, set
 @pytest.mark.parametrize(
     "snippet, sets",
     [
-        ('{"request-hedging": {"budget_fraction": 0.02}}\n', True),
-        ('{"latency-aware-selection": {"budget_fraction": 0.02}}\n', False),
-        ('{"request-hedging": options}\n', True),
-        ('{"request-hedging": {**options}}\n', True),
-        ("def f(params):\n    return SimulationConfig(middleware_params=params)\n", True),
-        ("def f(params):\n    config.middleware_params = params\n", True),
-        ("def f():\n    params = None\n    return SimulationConfig(middleware_params=params)\n", False),
-        ("def f(config):\n    return replace(config, middleware_params=dict(config.middleware_params))\n", False),
-    ],
-    ids=[
-        "literal",
-        "other-stage",
-        "stage-mapped-to-a-name",
-        "stage-splat",
-        "parameter-mapping",
-        "stored-parameter-mapping",
-        "local-none",
-        "copied-mapping",
-    ],
-)
-def test_what_the_settings_pass_counts_as_setting_a_stage_parameter(tmp_path, snippet, sets):
-    (tmp_path / "snippet.py").write_text(snippet)
-    setting = "request-hedging:budget_fraction"
-    assert setting in _settings()
-    assert (setting in _set_settings((tmp_path,))) is sets
-
-
-@pytest.mark.parametrize(
-    "snippet, sets",
-    [
         ("FaultPlan.generate(1, 60.0, nodes=4)\n", True),
         ("FaultPlan.generate(1, 60.0, 6, 4)\n", True),
         ("FaultPlan.generate(1, 60.0, faults=4)\n", False),
@@ -1441,15 +1262,14 @@ def test_what_the_settings_pass_counts_as_setting_a_function_parameter(tmp_path,
         ("ClusterConfig(4, 3)\n", "ClusterConfig.replication_factor"),
         ("replace(config, replication_factor=3)\n", "ClusterConfig.replication_factor"),
         ("FaultPlan.generate(1, 60.0, nodes=3)\n", "FaultPlan.generate(nodes)"),
-        ('{"request-hedging": {"budget_fraction": 0.05}}\n', "request-hedging:budget_fraction"),
     ],
-    ids=["keyword", "positional", "replace", "function-parameter", "stage-parameter"],
+    ids=["keyword", "positional", "replace", "function-parameter"],
 )
 def test_a_restated_default_sets_a_setting_only_from_outside_src(tmp_path, monkeypatch, snippet, setting):
     inside, outside, changed = tmp_path / "src", tmp_path / "examples", tmp_path / "changed"
     for base, text in ((inside, snippet), (outside, snippet), (changed, snippet.replace("3", "5"))):
         base.mkdir()
-        (base / "snippet.py").write_text(text.replace("0.05", "0.02") if base is changed else text)
+        (base / "snippet.py").write_text(text)
     monkeypatch.setattr(sys.modules[__name__], "OUTSIDE_DIRS", (outside,))
     assert setting not in _set_settings((inside,))
     assert setting in _set_settings((outside,))

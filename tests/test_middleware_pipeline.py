@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cluster import (
@@ -16,13 +18,10 @@ from repro.middleware import (
     DEFAULT_REQUEST_PIPELINE,
     LATENCY_AWARE_PIPELINE,
     LatencyAwareReplicaSelection,
-    MiddlewareBuildContext,
     MiddlewarePipeline,
     NodeRttTracker,
     RequestMiddleware,
-    UnknownMiddlewareError,
     available_middlewares,
-    build_middleware,
     register_middleware,
 )
 from repro.middleware import latency
@@ -32,16 +31,14 @@ from repro.simulation import Simulator
 from repro.workload.generator import WorkloadSpec
 
 
-def make_cluster(simulator, middleware=None, middleware_params=None, **overrides):
+def make_cluster(simulator, middleware=None, **overrides):
     config = ClusterConfig(
         initial_nodes=overrides.pop("nodes", 3),
         replication_factor=overrides.pop("rf", 3),
         node=NodeConfig(ops_capacity=500.0),
-        middleware=middleware,
-        middleware_params=middleware_params or {},
         **overrides,
     )
-    return Cluster(simulator, config)
+    return Cluster(simulator, config, middleware=middleware)
 
 
 def run_sync(simulator, issue, horizon=2.0):
@@ -60,16 +57,51 @@ def test_builtin_middlewares_are_registered():
         assert name in names
 
 
+def test_an_unknown_stage_is_refused_by_name_with_the_registered_ones_listed():
+    names = ("replica-selection", "no-such-stage")
+    registered = ", ".join(available_middlewares())
+    message = re.escape(f"unknown middleware 'no-such-stage'; registered: {registered}")
+    with pytest.raises(ConfigurationError, match=message):
+        make_cluster(Simulator(seed=1), middleware=names)
+
+
 def test_unknown_middleware_name_is_rejected_at_validation():
-    config = ClusterConfig(middleware=("replica-selection", "no-such-stage"))
-    with pytest.raises(ConfigurationError, match="no-such-stage"):
-        config.validate()
+    # The stack is checked where the scenario builds its cluster, so the
+    # refusal is a ValueError (which the CLI answers in one line) raised
+    # before the scenario can run.
+    config = SimulationConfig(seed=1, duration=5.0, middleware=("replica-selection", "no-such-stage"))
+    with pytest.raises(ValueError, match="unknown middleware 'no-such-stage'"):
+        Simulation(config)
 
 
-def test_build_middleware_unknown_name_raises():
+_probed_contexts = []
+
+
+def _context_probe(ctx):
+    """Test factory: keeps the build context it was handed."""
+    _probed_contexts.append(ctx)
+    return RequestMiddleware()
+
+
+register_middleware("test-context-probe")(_context_probe)
+
+
+def test_every_stage_is_built_from_the_cluster_it_serves():
+    _probed_contexts.clear()
     simulator = Simulator(seed=1)
-    with pytest.raises(UnknownMiddlewareError):
-        build_middleware("no-such-stage", MiddlewareBuildContext(simulator=simulator))
+    stack = DEFAULT_REQUEST_PIPELINE + ("test-context-probe", "test-context-probe")
+    clusters = [make_cluster(simulator, middleware=stack) for _ in range(2)]
+    assert len(_probed_contexts) == 4
+    for index, cluster in enumerate(clusters):
+        assert cluster.pipeline.get("test-context-probe").name == "test-context-probe"
+        contexts = _probed_contexts[2 * index : 2 * index + 2]
+        for ctx in contexts:
+            assert ctx.simulator is simulator
+            assert ctx.cluster is cluster
+            assert ctx.coordinator is cluster.coordinator
+        # One shared dict per stack: every stage of it sees the same one.
+        assert contexts[0].shared is contexts[1].shared
+    assert _probed_contexts[0].shared is not _probed_contexts[2].shared
 
 
 def test_cluster_default_pipeline_and_snapshot():
@@ -510,7 +542,7 @@ def test_simulation_middleware_does_not_mutate_shared_cluster_config():
     latency = Simulation(
         SimulationConfig(seed=1, duration=5.0, cluster=shared, middleware=LATENCY_AWARE_PIPELINE)
     )
-    assert shared.middleware is None  # caller's config untouched
+    assert shared == ClusterConfig(node=NodeConfig(ops_capacity=500.0))  # caller's config untouched
     default = Simulation(SimulationConfig(seed=1, duration=5.0, cluster=shared))
     assert latency.pipeline.names() == LATENCY_AWARE_PIPELINE
     assert default.pipeline.names() == DEFAULT_REQUEST_PIPELINE

@@ -9,6 +9,8 @@ cleanup on node decommission.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -30,18 +32,19 @@ from repro.middleware.base import RequestContext
 from repro.runner import Simulation, SimulationConfig
 from repro.simulation import Simulator
 from repro.simulation.interference import InterferenceConfig
+from repro.workload.generator import WorkloadSpec
+from repro.workload.load_shapes import ConstantLoad
+from repro.workload.operations import BALANCED
 
 
-def make_cluster(simulator, middleware=None, middleware_params=None, **overrides):
+def make_cluster(simulator, middleware=None, **overrides):
     config = ClusterConfig(
         initial_nodes=overrides.pop("nodes", 3),
         replication_factor=overrides.pop("rf", 3),
         node=NodeConfig(ops_capacity=500.0),
-        middleware=middleware,
-        middleware_params=middleware_params or {},
         **overrides,
     )
-    return Cluster(simulator, config)
+    return Cluster(simulator, config, middleware=middleware)
 
 
 def make_read_ctx(**overrides) -> RequestContext:
@@ -109,11 +112,11 @@ def test_exploration_with_unknown_nodes_never_duplicates_targets(newest_sample_w
 # ----------------------------------------------------------------------
 def test_a_nan_budget_fraction_fails_at_build_time_naming_it():
     # NaN passed the "<= 0.0" checks: a NaN budget stopped the run mid-way
-    # with "event time must be finite, got nan".
-    with pytest.raises(ConfigurationError, match=r"^request-hedging\.budget_fraction must be "):
-        make_cluster(
-            Simulator(seed=1), HEDGED_PIPELINE, {"request-hedging": {"budget_fraction": math.nan}}
-        )
+    # with "event time must be finite, got nan".  The fraction is a declared
+    # setting now, so the config refuses it before any cluster is built.
+    message = r"^ClusterConfig\.hedge_budget_fraction must be in \(0, 1\], got nan$"
+    with pytest.raises(ConfigurationError, match=message):
+        ClusterConfig(hedge_budget_fraction=math.nan)
 
 
 def test_invalid_per_request_hint_is_counted_and_ignored():
@@ -209,7 +212,7 @@ def test_hedged_reads_fire_and_complete_exactly_once():
         simulator,
         middleware=HEDGED_PIPELINE,
         # A budget far below any network RTT: every read hedges.
-        middleware_params={"request-hedging": {"budget_fraction": 1e-6}},
+        hedge_budget_fraction=1e-6,
     )
     results = []
     for index in range(20):
@@ -239,7 +242,7 @@ def test_hedge_timer_is_cancelled_when_read_completes_in_budget():
         simulator,
         middleware=HEDGED_PIPELINE,
         # A budget close to the timeout: no healthy read ever reaches it.
-        middleware_params={"request-hedging": {"budget_fraction": 0.9}},
+        hedge_budget_fraction=0.9,
     )
     results = []
     cluster.write("key", b"v")
@@ -254,6 +257,28 @@ def test_hedge_timer_is_cancelled_when_read_completes_in_budget():
     assert hedging.hedges_fired == 0
     assert cluster.coordinator.hedged_reads == 0
     assert all(result.replicas_contacted == 1 for result in results)
+
+
+def test_the_budget_fraction_reaches_the_stage_as_it_did_through_stage_params():
+    simulation = Simulation(
+        SimulationConfig(
+            seed=3,
+            duration=20.0,
+            cluster=ClusterConfig(
+                node=NodeConfig(ops_capacity=150.0), hedge_budget_fraction=0.02
+            ),
+            workload=WorkloadSpec(operation_mix=BALANCED, load_shape=ConstantLoad(120.0)),
+            middleware=HEDGED_PIPELINE,
+        )
+    )
+    report = simulation.run().as_dict()
+    hedging = simulation.cluster.pipeline.get("request-hedging")
+    assert hedging.describe()["static_budget"] == pytest.approx(0.02)
+    assert hedging.hedges_fired > 0
+    # Captured when the fraction reached the stage as
+    # ``{"request-hedging": {"budget_fraction": 0.02}}``; 0.05 gives e7fe617a...
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True, default=str).encode())
+    assert digest.hexdigest() == "9ef514465b41bc40b987abd966c13ac828506462e038f591582901d8ce4caf60"
 
 
 # ----------------------------------------------------------------------

@@ -178,8 +178,8 @@ def admission_cluster(simulator, tier_quotas):
             initial_nodes=3,
             replication_factor=3,
             node=NodeConfig(ops_capacity=500.0),
-            middleware=ADMISSION_CONTROL_PIPELINE,
         ),
+        middleware=ADMISSION_CONTROL_PIPELINE,
     )
     cluster.pipeline.get("admission-control").configure_tiers(tier_quotas)
     return cluster

@@ -21,14 +21,11 @@ from repro.middleware import DEFAULT_REQUEST_PIPELINE
 from repro.simulation import Simulator
 
 
-def make_cluster(simulator, **overrides):
+def make_cluster(simulator, middleware=None):
     config = ClusterConfig(
-        initial_nodes=3,
-        replication_factor=3,
-        node=NodeConfig(ops_capacity=500.0),
-        **overrides,
+        initial_nodes=3, replication_factor=3, node=NodeConfig(ops_capacity=500.0)
     )
-    return Cluster(simulator, config)
+    return Cluster(simulator, config, middleware=middleware)
 
 
 def test_inflight_requests_keep_their_level_across_a_switch():

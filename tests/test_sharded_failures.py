@@ -18,13 +18,15 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import re
 import signal
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.runner import SimulationConfig
+from repro.cluster import ClusterConfig, ConfigurationError
+from repro.runner import Simulation, SimulationConfig
 from repro.simulation import sharding
 from repro.simulation.errors import ShardError, SimulationError
 from repro.simulation.sharding import plan_shards, run_sharded
@@ -151,3 +153,17 @@ def test_a_capped_pool_still_names_the_shard_that_died(monkeypatch, config):
         run_sharded(config, SHARDS, parallel=True)
     assert_names_the_shard(caught.value, BrokenProcessPool)
     assert "exited with code 3" in str(caught.value)
+
+
+# A shard's cluster is lifted to the replication factor, so planning used to
+# accept a cluster the classic run refuses and ran 3-node shards.
+@pytest.mark.parametrize("parallel", (False, True))
+@pytest.mark.usefixtures("deadline")
+def test_a_cluster_the_classic_run_refuses_is_refused_before_any_shard_runs(parallel):
+    config = SimulationConfig(duration=5.0, cluster=ClusterConfig(initial_nodes=2))
+    refusal = re.escape("replication_factor cannot exceed the number of initial nodes (3 > 2)")
+    with pytest.raises(ConfigurationError, match=refusal):
+        Simulation(config)
+    with pytest.raises(ConfigurationError, match=refusal):
+        run_sharded(config, SHARDS, parallel=parallel)
+    assert multiprocessing.active_children() == []
