@@ -61,6 +61,7 @@ from .middleware import (
 )
 from .experiments import EXPERIMENTS, run_all_experiments
 from .runner import Simulation, SimulationConfig
+from .simulation.sharding import run_sharded
 from .workload.generator import CONSISTENCY_OVERRIDE_KINDS, WorkloadSpec
 from .workload.tenants import TenantSpec
 from .workload.load_shapes import ConstantLoad, DiurnalLoad, FlashCrowdLoad
@@ -536,10 +537,6 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_run_sharded(args: argparse.Namespace, shards: int) -> int:
     if shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {shards}")
-    # Imported lazily: the sharding layer pulls in the multiprocessing and
-    # pipe plumbing of its forked lanes, which a classic run never needs.
-    from .simulation.sharding import run_sharded
-
     with _refusing_bad_values():
         config = build_simulation_config(args)
         report = run_sharded(config, shards, parallel=not args.serial_shards)

@@ -267,10 +267,7 @@ class RequestCoordinator:
         node = self._nodes.get(node_id)
         if node is None or not node.serves_requests:
             return False
-        view = self._membership.view_of(coordinator_id)
-        if view is None:
-            return self._membership.is_alive(node_id)
-        return view.is_alive(node_id, self._simulator.now)
+        return bool(self._membership.alive_among(coordinator_id, [node_id], self._simulator.now))
 
     # ------------------------------------------------------------------
     # Request lifecycle (shared by reads and writes)
@@ -362,23 +359,16 @@ class RequestCoordinator:
             # A write goes to every replica, directly or as a hint; a read
             # only to the targets selected below.
             request.result.replicas_contacted = len(preference_list)
-        # ``_replica_alive`` for the whole list, with the coordinator's view
-        # and the clock looked up once.  Resolved afresh for every request:
-        # the failure detector's answer depends on the time.
+        # ``_replica_alive`` for the whole list, with one call into the
+        # membership layer.  Resolved afresh for every request: the failure
+        # detector's answer depends on the time.
         nodes = self._nodes
-        view = self._membership.view_of(request.coordinator_id)
-        now = self._simulator.now
         live = []
         for node_id in preference_list:
             node = nodes.get(node_id)
-            if node is None or not node.serves_requests:
-                continue
-            if (
-                view.is_alive(node_id, now)
-                if view is not None
-                else self._membership.is_alive(node_id)
-            ):
+            if node is not None and node.serves_requests:
                 live.append(node_id)
+        live = self._membership.alive_among(request.coordinator_id, live, self._simulator.now)
         if len(live) < request.required:
             self.unavailable_errors += 1
             self._fail(request, "unavailable: not enough live replicas")

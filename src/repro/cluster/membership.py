@@ -17,15 +17,12 @@ CAP-discussion in the paper's introduction revolves around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..simulation.engine import PeriodicTask, Simulator
 from ..simulation.network import NetworkModel
 
 __all__ = ["MembershipView", "GossipAgent", "MembershipService"]
-
-#: Number of peers contacted per gossip round.
-FANOUT = 1
 
 #: Seconds between gossip rounds initiated by each node.
 GOSSIP_INTERVAL = 1.0
@@ -51,18 +48,18 @@ class MembershipView:
 
     def observe(self, node_id: str, heartbeat: int, now: float) -> None:
         """Merge one heartbeat observation into the view."""
-        record = self._records.get(node_id)
-        if record is None:
-            self._records[node_id] = _PeerRecord(heartbeat=heartbeat, last_progress=now)
-            return
-        if heartbeat > record.heartbeat:
-            record.heartbeat = heartbeat
-            record.last_progress = now
+        self.merge_digest({node_id: heartbeat}, now)
 
     def merge_digest(self, digest: Dict[str, int], now: float) -> None:
-        """Merge a full heartbeat digest received from a peer."""
+        """Merge a full heartbeat digest received from a peer, in one frame."""
+        records = self._records
         for node_id, heartbeat in digest.items():
-            self.observe(node_id, heartbeat, now)
+            record = records.get(node_id)
+            if record is None:
+                records[node_id] = _PeerRecord(heartbeat=heartbeat, last_progress=now)
+            elif heartbeat > record.heartbeat:
+                record.heartbeat = heartbeat
+                record.last_progress = now
 
     def digest(self) -> Dict[str, int]:
         """The heartbeat digest this node would gossip to a peer."""
@@ -130,17 +127,17 @@ class GossipAgent:
         candidates = [pid for pid in peers if pid != self.node_id]
         if not candidates:
             return
-        count = min(FANOUT, len(candidates))
-        chosen = self._rng.choice(len(candidates), size=count, replace=False)
-        for index in chosen:
-            peer_id = candidates[int(index)]
-            peer = peers[peer_id]
-            digest = self.view.digest()
-            self._network.send(
-                self.node_id,
-                peer_id,
-                lambda p=peer, d=digest: p.receive_digest(self.node_id, d),
-            )
+        # One peer per round.  ``integers(n)`` draws what ``choice(n, size=1,
+        # replace=False)`` drew, without building an array (PERFORMANCE.md
+        # rule 18; pinned in tests/test_properties.py).
+        peer_id = candidates[self._rng.integers(len(candidates))]
+        peer = peers[peer_id]
+        digest = self.view.digest()
+        self._network.send(
+            self.node_id,
+            peer_id,
+            lambda p=peer, d=digest: p.receive_digest(self.node_id, d),
+        )
 
     def receive_digest(self, from_node: str, digest: Dict[str, int]) -> None:
         """Handle an incoming gossip digest and reply with our own."""
@@ -169,9 +166,9 @@ class GossipAgent:
 class MembershipService:
     """Owns all gossip agents and offers a cluster-wide liveness oracle.
 
-    The oracle (``alive_nodes`` / ``is_alive``) answers from the union of all
-    per-node views; individual coordinators still use their local node's view
-    so partition effects remain visible to them.
+    The operator's oracle (:meth:`is_alive`) answers from each node's actual
+    state; coordinators ask :meth:`alive_among`, which answers from their own
+    node's view, so partition effects remain visible to them.
     """
 
     def __init__(self, simulator: Simulator, network: NetworkModel) -> None:
@@ -208,10 +205,22 @@ class MembershipService:
         for other in self._agents.values():
             other.view.forget(node_id)
 
-    def view_of(self, node_id: str) -> Optional[MembershipView]:
-        """The membership view of ``node_id`` (or ``None``)."""
-        agent = self._agents.get(node_id)
-        return agent.view if agent is not None else None
+    def alive_among(self, viewer: str, node_ids: List[str], now: float) -> List[str]:
+        """The ``node_ids`` that ``viewer``'s failure detector believes alive at
+        ``now``, in order (``node_ids`` itself if all): :meth:`MembershipView.is_alive`
+        for each, in one frame.  A viewer without a view (a decommissioned
+        coordinator) gets the operator's :meth:`is_alive` instead."""
+        agent = self._agents.get(viewer)
+        if agent is None:
+            return [node_id for node_id in node_ids if self.is_alive(node_id)]
+        view = agent.view
+        owner, records = view._owner, view._records
+        for node_id in node_ids:
+            if node_id != owner:
+                record = records.get(node_id)
+                if record is None or now - record.last_progress > FAILURE_TIMEOUT:
+                    return [node_id for node_id in node_ids if view.is_alive(node_id, now)]
+        return node_ids
 
     def is_alive(self, node_id: str) -> bool:
         """Cluster-operator view: is the node actually up right now?"""

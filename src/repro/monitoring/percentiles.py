@@ -50,15 +50,14 @@ class WindowedPercentiles:
 
     def percentile(self, q: float) -> float:
         """Percentile over the retained window (0 when empty)."""
-        return exact_percentiles(self._samples, (q,))[0]
+        samples = self._samples
+        return exact_percentiles(np.fromiter(samples, float, count=len(samples)), (q,))[0]
 
     def percentiles(self, qs: Iterable[float]) -> List[float]:
-        """Several percentiles from one deque->array conversion and one sort.
-
-        Identical values to calling :meth:`percentile` per quantile: each
-        quantile is interpolated independently on the same sorted window.
-        """
-        return exact_percentiles(self._samples, qs)
+        """Several percentiles from one copy of the window and one sort, each
+        interpolated on its own.  ``np.fromiter`` copies the deque's doubles
+        in order, without ``np.array``'s probing of a sequence."""
+        return exact_percentiles(np.fromiter(self._samples, float, count=len(self._samples)), qs)
 
     def mean(self) -> float:
         """Mean over the retained window (0 when empty)."""
@@ -70,7 +69,7 @@ class WindowedPercentiles:
         """Common summary of the window (one array conversion, not four)."""
         if not self._samples:
             return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-        values = np.asarray(self._samples, dtype=float)
+        values = np.fromiter(self._samples, float, count=len(self._samples))
         p50, p95, p99 = exact_percentiles(values)
         return {
             "count": float(values.shape[0]),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from .cluster.cluster import Cluster, ClusterConfig, ClusterListener
-from .cluster.errors import Settings, non_negative, positive
+from .cluster.errors import ConfigurationError, Settings, non_negative, positive
 from .cluster.faults import FaultInjector, FaultPlan
 from .consistency.staleness import StalenessObserver
 from .consistency.window_tracker import InconsistencyWindowTracker
@@ -83,6 +83,14 @@ class SimulationConfig(Settings):
     """Declarative fault campaign scheduled against the cluster at build time
     (``None`` = no injected faults; the default path stays bit-identical).
     Sharded runs split the plan per shard via :meth:`FaultPlan.shard`."""
+
+    def __post_init__(self) -> None:
+        # A bare string is a sequence too: one stage per character.
+        if isinstance(self.middleware, str):
+            raise ConfigurationError(
+                "SimulationConfig.middleware must be a sequence of stage names, "
+                f"got str {self.middleware!r}"
+            )
 
 
 @dataclass

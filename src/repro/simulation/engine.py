@@ -67,6 +67,7 @@ class PeriodicTask:
         self._priority = priority
         self._label = label
         self._jitter = max(0.0, float(jitter))
+        self._jitter_rng = simulator.streams.stream("periodic-jitter") if self._jitter else None
         self._stopped = False
         self._handle: Optional[Event] = None
 
@@ -83,9 +84,11 @@ class PeriodicTask:
     def _schedule(self, delay: float) -> None:
         if self._stopped:
             return
-        if self._jitter > 0.0:
-            rng = self._simulator.streams.stream("periodic-jitter")
-            delay = max(0.0, delay + float(rng.uniform(-self._jitter, self._jitter)))
+        if self._jitter_rng is not None:
+            # ``uniform(low, high)`` as numpy computes it, without the call's
+            # argument checks: the same double, the same state (rule 2).
+            low, high = -self._jitter, self._jitter
+            delay = max(0.0, delay + (low + (high - low) * self._jitter_rng.random()))
         self._handle = self._simulator.schedule_in(
             delay, self._fire, priority=self._priority, label=self._label
         )

@@ -44,9 +44,7 @@ import functools
 import os
 import pickle
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import get_all_start_methods, get_context
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..cost.report import CostReport
@@ -397,7 +395,13 @@ def merge_shard_results(results: Sequence[ShardResult]) -> Dict[str, object]:
 def _run_in_lanes(jobs: Sequence[Callable[[], ShardResult]], workers: int) -> List[ShardResult]:
     """Run job ``i`` in forked lane ``i % workers``; the first failure in index
     order raises :class:`ShardError`, with ``BrokenProcessPool`` for a dead lane."""
-    if "fork" not in get_all_start_methods():
+    # Imported here, not at module level: a run that forks no lane (every
+    # classic run) never loads either package (PERFORMANCE.md, "Gossip at its
+    # real price").
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool
+
+    if "fork" not in multiprocessing.get_all_start_methods():
         raise SimulationError("parallel shards need fork: run them with --serial-shards")
     # Every lane is forked before anything is read, from a parent that has
     # started no thread of its own (with a pool per lane, a lock held by an
@@ -406,7 +410,7 @@ def _run_in_lanes(jobs: Sequence[Callable[[], ShardResult]], workers: int) -> Li
     # never as a hang.  Python 3.12+ warns about any fork of a process with
     # several OS threads, which numpy's idle OpenBLAS pool makes this one
     # (CI runs 3.11; PERFORMANCE.md, "Shard lanes").
-    context = get_context("fork")
+    context = multiprocessing.get_context("fork")
 
     def lane(first: int, sender) -> None:
         for index in range(first, len(jobs), workers):

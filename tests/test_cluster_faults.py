@@ -248,7 +248,7 @@ def test_removed_node_is_not_resurrected_by_a_late_crash_recover_pair():
     assert not node.is_up and not node.serves_requests
     assert node_id not in cluster.serving_node_ids()
     assert node_id not in cluster.node_ids()
-    assert cluster.membership.view_of(node_id) is None
+    assert node_id not in cluster.membership._agents
     assert len(log.changes) == notified
 
 

@@ -74,6 +74,17 @@ def test_unknown_middleware_name_is_rejected_at_validation():
         Simulation(config)
 
 
+def test_a_bare_stage_name_is_refused_as_the_wrong_type_of_stack():
+    # A string is a sequence of one-character names; the refusal names the
+    # field and what it needs instead of the stage ``'r'``.
+    with pytest.raises(ConfigurationError) as refused:
+        SimulationConfig(seed=1, duration=5.0, middleware="replica-selection")
+    assert str(refused.value) == (
+        "SimulationConfig.middleware must be a sequence of stage names, "
+        "got str 'replica-selection'"
+    )
+
+
 _probed_contexts = []
 
 

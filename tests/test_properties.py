@@ -174,6 +174,58 @@ def test_replica_shuffle_draws_what_permutation_drew(seed, steps):
 
 
 # ----------------------------------------------------------------------
+# The gossip peer and the periodic jitter draw what ``choice`` and
+# ``uniform`` drew
+# ----------------------------------------------------------------------
+# A gossip round picks its one peer with ``integers(n)`` where it called
+# ``choice(n, size=1, replace=False)``, and a periodic task draws its jitter
+# as ``low + (high - low) * random()`` where it called ``uniform(low, high)``.
+# Both are equal only through numpy's implementation: ``choice`` without
+# replacement draws one bounded integer on ``[0, n)`` (Floyd's step with
+# ``j = n - 1``) as ``integers`` does, and ``uniform`` is ``low + range *
+# next_double``.  Neither is documented (PERFORMANCE.md rule 2), so each is
+# pinned here, interleaved with the draws the same streams make around them.
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=40),
+    interleave=st.sampled_from(("none", "random", "integers")),
+)
+@example(seed=42, sizes=list(range(1, 13)), interleave="none")
+@example(seed=7, sizes=list(range(12, 0, -1)), interleave="random")
+def test_a_peer_drawn_by_integers_is_the_one_choice_drew(seed, sizes, interleave):
+    scalar, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in sizes:
+        assert scalar.integers(n) == reference.choice(n, size=1, replace=False)[0]
+        if interleave == "random":
+            assert scalar.random() == reference.random()
+        elif interleave == "integers":
+            assert scalar.integers(0, 2**40) == reference.integers(0, 2**40)
+    assert scalar.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bounds=st.lists(
+        st.floats(min_value=0.0, max_value=1e6, allow_subnormal=True), min_size=1, max_size=20
+    ),
+    shift=st.floats(min_value=-1e3, max_value=1e3),
+)
+def test_a_jitter_drawn_from_random_is_the_one_uniform_drew(seed, bounds, shift):
+    scalar, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for half_width in bounds:
+        # The periodic jitter's symmetric interval, and a shifted one.
+        for low, high in ((-half_width, half_width), (shift, shift + half_width)):
+            drawn = low + (high - low) * scalar.random()
+            expected = float(reference.uniform(low, high))
+            assert drawn == expected and math.copysign(1.0, drawn) == math.copysign(
+                1.0, expected
+            )
+    assert scalar.bit_generator.state == reference.bit_generator.state
+
+
+# ----------------------------------------------------------------------
 # A normal-fed lognormal draws what ``rng.lognormal`` drew
 # ----------------------------------------------------------------------
 # The network jitter and the service noise are ``exp(mu + sigma * z)`` with
@@ -219,6 +271,13 @@ _EDGE_SAMPLES = (
 )
 
 
+def _window_array(samples):
+    """What ``WindowedPercentiles`` hands the rule: its deque's doubles,
+    copied in order by ``np.fromiter``."""
+    window = deque(samples)
+    return np.fromiter(window, float, count=len(window))
+
+
 def _same(answer, expected, zeros_of_both_signs):
     if math.isnan(expected):
         return math.isnan(answer)
@@ -239,13 +298,14 @@ def _same(answer, expected, zeros_of_both_signs):
         min_size=1,
         max_size=5,
     ),
-    container=st.sampled_from((list, deque, np.array)),
+    container=st.sampled_from((list, deque, np.array, _window_array)),
 )
 @example(samples=[3.5], qs=[0, 50, 100], container=deque)
 @example(samples=[0.1, 0.7], qs=[50], container=list)
 @example(samples=[1.0, math.inf, 1.0], qs=[25, 100], container=np.array)
 @example(samples=[-1.0, -0.0, -0.0], qs=[100], container=np.array)
 @example(samples=[2.0, math.nan, -1.0], qs=[0, 99], container=deque)
+@example(samples=[-0.0, 7.5, 5e-324, math.inf, 7.5], qs=[0, 50, 99, 100], container=_window_array)
 @example(samples=[5e-324, -5e-324, -0.0, 0.0, 2.2e-308], qs=[0, 37.5, 100], container=list)
 def test_exact_percentiles_answer_what_np_percentile_answered(samples, qs, container):
     values = container(samples)
@@ -308,6 +368,12 @@ def test_windowed_percentiles_bounded_by_min_max(values):
         window.observe(value)
     for q in (0, 50, 95, 100):
         assert min(values) - 1e-9 <= window.percentile(q) <= max(values) + 1e-9
+    # The window's pulls are the rule's answers over the samples it holds.
+    retained = values[-500:]
+    assert window.percentiles((50, 95, 99)) == exact_percentiles(retained)
+    snapshot = window.snapshot()
+    assert [snapshot["p50"], snapshot["p95"], snapshot["p99"]] == exact_percentiles(retained)
+    assert window.mean() == snapshot["mean"] == float(np.mean(retained))
 
 
 # ----------------------------------------------------------------------

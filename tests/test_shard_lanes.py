@@ -5,11 +5,13 @@ state instead of re-importing the caller's ``__main__``: a script without a
 ``__main__`` guard runs its top level once, and a script read from standard
 input works at all.  A run forks at most one lane per core this process may
 use, and on a platform without ``fork`` the parallel path refuses with an
-error that points at the serial one.
+error that points at the serial one.  A run that forks no lane never loads
+``multiprocessing`` or ``concurrent.futures``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -89,6 +91,30 @@ def test_a_run_forks_one_lane_per_usable_core(monkeypatch, cores, max_workers, l
 
 
 def test_without_fork_the_parallel_path_points_at_the_serial_one(monkeypatch):
-    monkeypatch.setattr(sharding, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     with pytest.raises(SimulationError, match="--serial-shards"):
         run_sharded(short_config(), 3, parallel=True)
+
+
+def test_a_classic_run_loads_neither_multiprocessing_nor_concurrent_futures():
+    # Only a run that forks lanes needs them; every other run would carry
+    # their modules in its resident set.
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "sys.argv = ['repro', 'run', '--duration', '5', '--seed', '3']\n"
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": source},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]"]
