@@ -194,7 +194,7 @@ class Cluster:
         # a middleware may bind to (handoff, repair, coordinator) exists.
         self.pipeline: MiddlewarePipeline = build_pipeline(
             DEFAULT_REQUEST_PIPELINE if middleware is None else middleware,
-            MiddlewareBuildContext(simulator, self, self.coordinator, shared={}),
+            MiddlewareBuildContext(simulator, self, self.coordinator),
         )
         self.coordinator.set_pipeline(self.pipeline)
         self._preferred_coordinator = (
@@ -774,7 +774,8 @@ class Cluster:
         self.hinted_handoff.discard_for_node(node_id)
         # Routing state must not outlive the node: stale RTT estimates for a
         # decommissioned replica would keep skewing rankings and cutoffs.
-        self.pipeline.on_node_removed(node_id)
+        if self.coordinator.rtt is not None:
+            self.coordinator.rtt.forget(node_id)
         self._notify_topology(
             {
                 "event": "node_removed",

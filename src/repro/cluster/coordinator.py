@@ -44,6 +44,7 @@ from ..middleware.base import (
     MiddlewarePipeline,
     RequestContext,
 )
+from ..middleware.latency import NodeRttTracker
 from ..simulation.engine import Simulator
 from ..simulation.events import Event
 from ..simulation.timers import TimerService
@@ -204,6 +205,11 @@ class RequestCoordinator:
             Callable[[str, VersionStamp, str, float, bool], None]
         ] = None
 
+        # The per-node RTT estimates: ``None`` until a stage's factory asks
+        # for them (``rtt_tracker``), then fed every replica read response
+        # here and forgetting a node the cluster decommissions.
+        self.rtt: Optional[NodeRttTracker] = None
+
         # Counters used by reports and tests.
         self.writes_started = 0
         self.reads_started = 0
@@ -221,16 +227,20 @@ class RequestCoordinator:
         """Coordinator configuration in effect."""
         return self._config
 
+    def rtt_tracker(self) -> NodeRttTracker:
+        """The per-node RTT estimates every stage that ranks by RTT reads."""
+        if self.rtt is None:
+            self.rtt = NodeRttTracker(fallback=self._network.round_trip_estimate)
+        return self.rtt
+
     def set_pipeline(self, pipeline: MiddlewarePipeline) -> None:
         """Install a request pipeline (done once by the cluster facade)."""
         self._pipeline = pipeline
         # Optional hooks are bound only when a stage implements them, so the
-        # default stack calls no ``on_request``, keeps no RTT bookkeeping,
-        # arms no hedge timer and never reorders a fan-out (PERFORMANCE.md
-        # rules 6-7).
+        # default stack calls no ``on_request``, arms no hedge timer and never
+        # reorders a fan-out (PERFORMANCE.md rules 6-7).
         implements = pipeline.implements
         self._on_request = pipeline.on_request if implements("on_request") else None
-        self._observes_rtt = implements("on_replica_response")
         self._hedge_read = pipeline.hedge_read if implements("hedge_read") else None
         self._order_write_targets = (
             pipeline.order_write_targets if implements("order_write_targets") else None
@@ -538,7 +548,7 @@ class RequestCoordinator:
         request.result.replicas_contacted = len(targets)
 
         request.responses = []
-        if self._observes_rtt:
+        if self.rtt is not None:
             request.send_times = {}
         for node_id in targets:
             self._send_replica_read(request, node_id)
@@ -600,9 +610,7 @@ class RequestCoordinator:
         if send_times is not None:
             sent_at = send_times.get(response.node_id)
             if sent_at is not None:
-                self._pipeline.on_replica_response(
-                    request, response.node_id, self._simulator.now - sent_at
-                )
+                self.rtt.observe(response.node_id, self._simulator.now - sent_at)
         if request.completed:
             return
         responses = request.responses

@@ -28,7 +28,7 @@ from .builtin import (
     StalenessAnnotation,
 )
 from .hedging import RequestHedging
-from .latency import LatencyAwareReplicaSelection, NodeRttTracker, shared_node_tracker
+from .latency import LatencyAwareReplicaSelection, NodeRttTracker
 from .overrides import CONSISTENCY_HINT, PerRequestConsistencyOverride
 from .registry import (
     ADMISSION_CONTROL_PIPELINE,
@@ -64,7 +64,6 @@ __all__ = [
     "MonitoringHooks",
     "LatencyAwareReplicaSelection",
     "NodeRttTracker",
-    "shared_node_tracker",
     "RequestHedging",
     "RttAwareWriteRouting",
     "PerRequestConsistencyOverride",

@@ -15,8 +15,6 @@ consulted at the well-defined decision points of the request lifecycle —
   (load balancing / latency-aware routing),
 * ``on_unreachable_replica`` — a write could not reach a replica
   (hinted handoff),
-* ``on_replica_response`` — a replica answered a read (per-node RTT
-  observation),
 * ``hedge_read``          — arm a speculative backup read at a latency
   budget (tail-latency hedging),
 * ``order_write_targets`` — order the write fan-out over live replicas
@@ -28,10 +26,10 @@ consulted at the well-defined decision points of the request lifecycle —
 * ``on_complete``         — the operation finished from the client's point
   of view (piggyback monitoring hooks).
 
-Two hooks sit outside the per-request flow: ``preferred_coordinator`` lets a
-stage bias the cluster's client-side coordinator choice (snitch-style), and
-``on_node_removed`` tells stages holding per-node state (RTT estimates) to
-drop entries for decommissioned nodes.
+One hook sits outside the per-request flow: ``preferred_coordinator`` lets a
+stage bias the cluster's client-side coordinator choice (snitch-style).  The
+per-node RTT estimates are no hook: the coordinator owns and feeds them, and
+a stage reads them (``ctx.coordinator.rtt_tracker()``).
 
 How the stages implementing one hook combine is written down once, in the
 :data:`HOOKS` table (hook name -> fold rule).  The pipeline binds one
@@ -111,7 +109,7 @@ class RequestContext:
     """Set by ``on_request`` to fail the request before fan-out."""
 
     send_times: Optional[Dict[str, float]] = None
-    """Replica-read dispatch times, kept only when a middleware observes RTTs."""
+    """Replica-read dispatch times, kept only while the coordinator tracks RTTs."""
 
     hedge_armed: bool = False
     """Whether a hedge timer was armed for this read (hedging stacks only)."""
@@ -134,10 +132,7 @@ class RequestMiddleware:
 
     Every hook has a no-op default.  The pipeline detects which hooks a
     subclass actually overrides and only dispatches those, so an unused hook
-    costs nothing per request.  An instance withdraws from a hook its class
-    overrides by setting that attribute to ``None`` (of the stages sharing
-    one RTT tracker, all but the one that feeds it do so for
-    ``on_replica_response``).  Each hook has one row in :data:`HOOKS`.
+    costs nothing per request.  Each hook has one row in :data:`HOOKS`.
     """
 
     #: Registry name; instances report it in pipeline descriptions.
@@ -169,11 +164,6 @@ class RequestMiddleware:
         """A write missed ``node_id``; return ``True`` when handled (hint stored)."""
         return False
 
-    def on_replica_response(
-        self, ctx: RequestContext, node_id: str, rtt: float
-    ) -> None:
-        """A replica answered a read ``rtt`` seconds after dispatch."""
-
     def hedge_read(
         self, ctx: RequestContext, live: Sequence[str], targets: Sequence[str]
     ) -> Optional[Tuple[float, List[str]]]:
@@ -196,9 +186,6 @@ class RequestMiddleware:
         """Pick the coordinator for the next client request (``None`` = no
         opinion; the cluster then falls back to its round-robin cursor)."""
         return None
-
-    def on_node_removed(self, node_id: str) -> None:
-        """A node left the cluster for good (decommission completed)."""
 
     def inspect_read_responses(
         self, ctx: RequestContext, responses: Sequence[object]
@@ -301,11 +288,9 @@ HOOKS: Mapping[str, Callable[[Sequence[_Hook]], _Hook]] = {
     "required_acks": _last_opinion_else_quorum,
     "select_read_targets": _first_opinion,
     "on_unreachable_replica": _any_true,
-    "on_replica_response": _call_each,
     "hedge_read": _first_opinion,
     "order_write_targets": _first_opinion,
     "preferred_coordinator": _first_opinion,
-    "on_node_removed": _call_each,
     "inspect_read_responses": _or_merge,
     "annotate_read": _call_each,
     "on_complete": _call_each,
@@ -336,7 +321,6 @@ class MiddlewarePipeline:
                 getattr(middleware, hook)
                 for middleware in self._middlewares
                 if getattr(type(middleware), hook) is not default
-                and getattr(middleware, hook) is not None
             ]
             self._implemented[hook] = bool(stages)
             if len(stages) > 1 or fold is _last_opinion_else_quorum:
@@ -366,8 +350,8 @@ class MiddlewarePipeline:
         is not in :data:`HOOKS`).
 
         The coordinator and the cluster ask once, when the pipeline is
-        installed, before paying for an optional hook (RTT bookkeeping, a
-        hedge timer, write ordering, coordinator preference), so the default
+        installed, before paying for an optional hook (a hedge timer, write
+        ordering, coordinator preference), so the default
         stack schedules no extra events and runs no extra code
         (PERFORMANCE.md rule 6).
         """

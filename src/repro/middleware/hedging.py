@@ -14,8 +14,8 @@ response arrives first.
 owns the mechanics — arming the timer, firing the backup read, cancelling
 the timer when the primary wins, and deduplicating acknowledgements so a
 hedged read never completes (or gets counted) twice.  The loser's response
-still updates the RTT tracker when it eventually arrives, then is dropped
-by the coordinator's completion bookkeeping.
+still updates the coordinator's RTT tracker when it eventually arrives, then
+is dropped by the coordinator's completion bookkeeping.
 
 The budget comes from one of two sources, per the configuration:
 
@@ -38,7 +38,7 @@ import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .base import RequestContext, RequestMiddleware
-from .latency import NodeRttTracker, shared_node_tracker
+from .latency import NodeRttTracker
 from .registry import MiddlewareBuildContext, register_middleware
 
 __all__ = ["RequestHedging"]
@@ -81,15 +81,11 @@ class RequestHedging(RequestMiddleware):
         operation_timeout: float,
         clock: Callable[[], float],
         budget_fraction: float,
-        observe: bool = False,
     ) -> None:
         self._tracker = tracker
         self._static_budget = budget_fraction * operation_timeout
         self._min_budget = min(MIN_BUDGET, self._static_budget)
         self._budget_source: Optional[Callable[[], float]] = None
-        if not observe:
-            # An earlier stage feeds the shared tracker already.
-            self.on_replica_response = None
 
         # Budget cache: the p99-derived budget is a sort of the estimator's
         # 512-read window, too dear for every arm, so it is refreshed at
@@ -121,11 +117,6 @@ class RequestHedging(RequestMiddleware):
 
         self.hot_key_hedges = 0
         """Hedges armed at the tightened hot-key budget."""
-
-    @property
-    def tracker(self) -> NodeRttTracker:
-        """The per-node RTT estimates backing candidate ranking."""
-        return self._tracker
 
     @property
     def static_budget(self) -> float:
@@ -194,12 +185,6 @@ class RequestHedging(RequestMiddleware):
                 budget = max(self._min_budget, budget * HOT_KEY_FRACTION)
         return (budget, spares)
 
-    def on_replica_response(self, ctx: RequestContext, node_id: str, rtt: float) -> None:
-        self._tracker.observe(node_id, rtt)
-
-    def on_node_removed(self, node_id: str) -> None:
-        self._tracker.forget(node_id)
-
     def on_complete(self, ctx: RequestContext, result: object) -> None:
         if not ctx.hedge_armed:
             return
@@ -229,12 +214,10 @@ class RequestHedging(RequestMiddleware):
 
 @register_middleware("request-hedging")
 def _build_request_hedging(ctx: MiddlewareBuildContext) -> RequestHedging:
-    tracker, created = shared_node_tracker(ctx)
     simulator = ctx.simulator
     return RequestHedging(
-        tracker,
+        ctx.coordinator.rtt_tracker(),
         operation_timeout=ctx.coordinator.config.operation_timeout,
         clock=lambda: simulator.now,
         budget_fraction=ctx.cluster.config.hedge_budget_fraction,
-        observe=created,
     )

@@ -8,11 +8,11 @@ is exactly that the request path should *adapt* to observed conditions.
 response updates a per-node EWMA round-trip estimate, and subsequent reads
 prefer the lowest-RTT replicas.
 
-The per-node estimates live in a :class:`NodeRttTracker`, which
-:class:`~repro.monitoring.estimators.RttEstimator` can attach to
-(``attach_node_tracker``) so the model-based estimator's reports expose the
-same per-node RTT view the router acts on.  Nodes without samples fall back
-to the congestion-aware cluster-wide round-trip estimate — the same quantity
+The per-node estimates live in a :class:`NodeRttTracker` that the request
+coordinator owns and feeds (``RequestCoordinator.rtt``): a stage only reads
+it, and :class:`~repro.monitoring.estimators.RttEstimator` reports the same
+per-node RTT view the router acts on.  Nodes without samples fall back to
+the congestion-aware cluster-wide round-trip estimate — the same quantity
 the RTT estimator's window model is built on.
 
 Selection is deterministic (EWMA ordering, node id ties): it draws from no
@@ -33,10 +33,7 @@ from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 from .base import RequestContext, RequestMiddleware
 from .registry import MiddlewareBuildContext, register_middleware
 
-__all__ = ["NodeRttTracker", "LatencyAwareReplicaSelection", "shared_node_tracker"]
-
-#: Key under which one pipeline's stages share a single RTT tracker.
-_SHARED_TRACKER_KEY = "node-rtt-tracker"
+__all__ = ["NodeRttTracker", "LatencyAwareReplicaSelection"]
 
 #: EWMA smoothing factor of the per-node RTT estimates (weight of the newest
 #: sample).
@@ -47,22 +44,6 @@ RTT_ALPHA = 0.3
 #: re-probe it.
 BADNESS_THRESHOLD = 0.5
 EXPLORE_EVERY = 32
-
-
-def shared_node_tracker(ctx: "MiddlewareBuildContext") -> tuple["NodeRttTracker", bool]:
-    """Get-or-create the pipeline's shared :class:`NodeRttTracker`.
-
-    Returns ``(tracker, created)``.  The stage whose factory *creates* the
-    tracker is responsible for feeding it (``on_replica_response``); stages
-    built later in the same pipeline read the estimates and withdraw from
-    that hook (a second observer would double-weight every RTT in the EWMA).
-    """
-    tracker = ctx.shared.get(_SHARED_TRACKER_KEY)
-    if tracker is not None:
-        return tracker, False
-    tracker = NodeRttTracker(fallback=ctx.cluster.network.round_trip_estimate)
-    ctx.shared[_SHARED_TRACKER_KEY] = tracker
-    return tracker, True
 
 
 class NodeRttTracker:
@@ -175,12 +156,8 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
 
     name = "latency-aware-selection"
 
-    def __init__(self, tracker: NodeRttTracker, observe: bool = True) -> None:
+    def __init__(self, tracker: NodeRttTracker) -> None:
         self._tracker = tracker
-        if not observe:
-            # Another stage feeds the shared tracker: withdraw from the hook,
-            # so the pipeline binds the feeder's method alone.
-            self.on_replica_response = None
         self._rotation = 0
         self._since_explore = 0
         self.selections = 0
@@ -191,11 +168,6 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
 
         self.explorations = 0
         """Reads deliberately routed to an avoided replica to re-probe it."""
-
-    @property
-    def tracker(self) -> NodeRttTracker:
-        """The per-node RTT estimates backing the routing decision."""
-        return self._tracker
 
     def select_read_targets(
         self, ctx: RequestContext, live: Sequence[str], required: int
@@ -236,14 +208,6 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
         self._rotation += 1
         return [pool[(start + i) % size] for i in range(required)]
 
-    def on_replica_response(self, ctx: RequestContext, node_id: str, rtt: float) -> None:
-        self._tracker.observe(node_id, rtt)
-
-    def on_node_removed(self, node_id: str) -> None:
-        # A decommissioned node must not linger in the ranking (a stale
-        # estimate would still count towards cutoffs via snapshots/reports).
-        self._tracker.forget(node_id)
-
     def describe(self) -> Dict[str, object]:
         return {
             "name": self.name,
@@ -258,5 +222,4 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
 
 @register_middleware("latency-aware-selection")
 def _build_latency_aware(ctx: MiddlewareBuildContext) -> LatencyAwareReplicaSelection:
-    tracker, created = shared_node_tracker(ctx)
-    return LatencyAwareReplicaSelection(tracker, observe=created)
+    return LatencyAwareReplicaSelection(ctx.coordinator.rtt_tracker())

@@ -77,8 +77,8 @@ CONSISTENCY_OVERRIDE_PIPELINE: Tuple[str, ...] = (
 
 #: The tail-latency stack: latency-aware read routing plus speculative
 #: (hedged) backup reads and RTT-aware write fan-out/coordinator preference,
-#: all driven by one shared per-node EWMA RTT tracker.  Deterministic — no
-#: stage draws from an RNG stream.
+#: all ranking by the coordinator's per-node EWMA RTT tracker.
+#: Deterministic — no stage draws from an RNG stream.
 HEDGED_PIPELINE: Tuple[str, ...] = (
     "latency-aware-selection",
     "request-hedging",
@@ -113,11 +113,6 @@ class MiddlewareBuildContext:
     simulator: "Simulator"
     cluster: "Cluster"
     coordinator: "RequestCoordinator"
-    shared: Dict[str, object]
-    """Cross-stage build state: :func:`build_pipeline` hands every stage of
-    one pipeline the same dict, so factories can share expensive or
-    single-writer objects (e.g. the per-node RTT tracker the latency router,
-    the hedger and the write router all rank by)."""
 
 
 _FACTORIES: Dict[str, Callable[[MiddlewareBuildContext], RequestMiddleware]] = {}
@@ -148,12 +143,21 @@ def available_middlewares() -> Tuple[str, ...]:
     return tuple(sorted(_FACTORIES))
 
 
+def check_stage_names(names: object, owner: str) -> None:
+    """Refuse a bare string (one stage per character) as ``owner``'s stack."""
+    if isinstance(names, str):
+        raise ConfigurationError(
+            f"{owner} must be a sequence of stage names, got str {names!r}"
+        )
+
+
 def build_pipeline(names: Sequence[str], context: MiddlewareBuildContext) -> MiddlewarePipeline:
     """Build an ordered pipeline from registry names.
 
-    Raises one :class:`ConfigurationError` (a ``ValueError``) naming the
-    first unknown stage and listing the registered ones.
+    Raises one :class:`ConfigurationError` (a ``ValueError``) for a bare string
+    or naming the first unknown stage and listing the registered ones.
     """
+    check_stage_names(names, "middleware")
     middlewares = []
     for name in names:
         factory = _FACTORIES.get(name)

@@ -13,7 +13,7 @@ but two latency levers remain on the request path:
   first hop, with a badness threshold plus rotation so the preference never
   herds all requests onto a single node.
 
-Both decisions are pure functions of the shared :class:`NodeRttTracker`
+Both decisions are pure functions of the coordinator's :class:`NodeRttTracker`
 state — its per-generation ranking (EWMA order with node-id ties) filtered
 by the nodes at hand, unknown nodes kept in rotation — so the stage draws
 from no RNG stream and adding it never perturbs other streams
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from .base import RequestContext, RequestMiddleware
-from .latency import NodeRttTracker, shared_node_tracker
+from .latency import NodeRttTracker
 from .registry import MiddlewareBuildContext, register_middleware
 
 __all__ = ["RttAwareWriteRouting"]
@@ -40,22 +40,14 @@ class RttAwareWriteRouting(RequestMiddleware):
 
     name = "rtt-aware-write-routing"
 
-    def __init__(self, tracker: NodeRttTracker, observe: bool = False) -> None:
+    def __init__(self, tracker: NodeRttTracker) -> None:
         self._tracker = tracker
-        if not observe:
-            # An earlier stage feeds the shared tracker already.
-            self.on_replica_response = None
         self._rotation = 0
         self.writes_ordered = 0
         """Writes whose fan-out order this middleware rewrote."""
 
         self.coordinators_preferred = 0
         """Operations steered to a preferred (healthy, low-RTT) coordinator."""
-
-    @property
-    def tracker(self) -> NodeRttTracker:
-        """The per-node RTT estimates backing both decisions."""
-        return self._tracker
 
     def order_write_targets(
         self, ctx: RequestContext, live: Sequence[str]
@@ -83,12 +75,6 @@ class RttAwareWriteRouting(RequestMiddleware):
         self._rotation += 1
         return ranked[index][1] if index < healthy else unknown[index - healthy]
 
-    def on_replica_response(self, ctx: RequestContext, node_id: str, rtt: float) -> None:
-        self._tracker.observe(node_id, rtt)
-
-    def on_node_removed(self, node_id: str) -> None:
-        self._tracker.forget(node_id)
-
     def describe(self) -> Dict[str, object]:
         return {
             "name": self.name,
@@ -100,5 +86,4 @@ class RttAwareWriteRouting(RequestMiddleware):
 
 @register_middleware("rtt-aware-write-routing")
 def _build_rtt_aware_write_routing(ctx: MiddlewareBuildContext) -> RttAwareWriteRouting:
-    tracker, created = shared_node_tracker(ctx)
-    return RttAwareWriteRouting(tracker, observe=created)
+    return RttAwareWriteRouting(ctx.coordinator.rtt_tracker())

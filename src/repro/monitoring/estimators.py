@@ -382,26 +382,13 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
         self._cluster = cluster
         self._writes_observed = 0
         self._read_latencies = WindowedPercentiles(window=512)
-        self._node_tracker = None
         cluster.add_listener(self)
 
-    def attach_node_tracker(self, tracker) -> None:
-        """Share a per-node RTT view with the estimator.
-
-        The latency-aware replica-selection middleware measures per-replica
-        round trips on production reads; attaching its
-        :class:`~repro.middleware.latency.NodeRttTracker` here lets reports
-        and the controller inspect the same per-node RTT estimates the
-        request path routes on.  Attachment never changes the window
-        estimates this class emits.
-        """
-        self._node_tracker = tracker
-
     def node_rtt_estimates(self) -> Dict[str, float]:
-        """Per-node RTT estimates from the attached tracker (empty if none)."""
-        if self._node_tracker is None:
-            return {}
-        return self._node_tracker.snapshot()
+        """The per-node RTT estimates reads route on (empty when no stage
+        ranks by RTT); they never change this class's window estimates."""
+        rtt = self._cluster.coordinator.rtt
+        return {} if rtt is None else rtt.snapshot()
 
     def on_operation_completed(self, result: OperationResult) -> None:
         if result.operation.is_probe or not result.success:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from .cluster.cluster import Cluster, ClusterConfig, ClusterListener
-from .cluster.errors import ConfigurationError, Settings, non_negative, positive
+from .cluster.errors import Settings, non_negative, positive
 from .cluster.faults import FaultInjector, FaultPlan
 from .consistency.staleness import StalenessObserver
 from .consistency.window_tracker import InconsistencyWindowTracker
@@ -27,6 +27,7 @@ from .core.sla import SLA, default_sla
 from .cost.billing import BillingModel
 from .cost.compensation import CompensationModel, CompensationRates
 from .cost.report import CostAccountant, CostReport
+from .middleware.registry import check_stage_names
 from .monitoring.estimators import (
     PiggybackMonitor,
     ProbeConfig,
@@ -85,12 +86,7 @@ class SimulationConfig(Settings):
     Sharded runs split the plan per shard via :meth:`FaultPlan.shard`."""
 
     def __post_init__(self) -> None:
-        # A bare string is a sequence too: one stage per character.
-        if isinstance(self.middleware, str):
-            raise ConfigurationError(
-                "SimulationConfig.middleware must be a sequence of stage names, "
-                f"got str {self.middleware!r}"
-            )
+        check_stage_names(self.middleware, "SimulationConfig.middleware")
 
 
 @dataclass
@@ -229,19 +225,6 @@ class Simulation:
         for estimator in (prober, piggyback, rtt):
             self.estimators[estimator.name] = estimator
             self.overhead.register(estimator)
-        # When the pipeline routes by latency, share its per-node RTT view
-        # with the model-based estimator's reporting surface.  All RTT-driven
-        # stages of one pipeline share a single tracker, so the first one
-        # found is the tracker.
-        for stage_name in (
-            "latency-aware-selection",
-            "request-hedging",
-            "rtt-aware-write-routing",
-        ):
-            stage = self.cluster.pipeline.get(stage_name)
-            if stage is not None:
-                rtt.attach_node_tracker(stage.tracker)
-                break
         # Hedged reads arm their timer at the observed p99 read latency
         # (clamped to the stage's static budget) instead of the static
         # fraction-of-timeout guess.

@@ -452,6 +452,13 @@ def _run_in_lanes(jobs: Sequence[Callable[[], ShardResult]], workers: int) -> Li
             process.join()
 
 
+def _usable_cores() -> int:
+    """Cores this process may use: the machine's without ``sched_getaffinity``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sharded(config, shards: int, parallel: bool = True) -> ShardedReport:
     """Plan, execute and merge a ``K``-shard run of ``config``.
 
@@ -465,7 +472,7 @@ def run_sharded(config, shards: int, parallel: bool = True) -> ShardedReport:
     started = time.perf_counter()
     jobs = [functools.partial(run_shard, plan, i, shards) for i, plan in enumerate(plans)]
     if parallel and shards > 1:
-        results = _run_in_lanes(jobs, min(shards, MAX_WORKERS or len(os.sched_getaffinity(0))))
+        results = _run_in_lanes(jobs, min(shards, MAX_WORKERS or _usable_cores()))
     else:
         results = []
         for index in SHARD_ORDER if SHARD_ORDER is not None else range(shards):

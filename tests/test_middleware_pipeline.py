@@ -14,6 +14,7 @@ from repro.cluster import (
 )
 from repro.cluster.errors import ConfigurationError
 from repro.middleware import (
+    ADMISSION_CONTROL_PIPELINE,
     CONSISTENCY_OVERRIDE_PIPELINE,
     DEFAULT_REQUEST_PIPELINE,
     LATENCY_AWARE_PIPELINE,
@@ -85,6 +86,44 @@ def test_a_bare_stage_name_is_refused_as_the_wrong_type_of_stack():
     )
 
 
+def test_a_bare_stage_name_is_refused_by_the_cluster_too():
+    # The cluster is the other way in: the same rule refuses the string
+    # before one stage per character is looked up.
+    with pytest.raises(ConfigurationError) as refused:
+        Cluster(Simulator(seed=1), ClusterConfig(), middleware="replica-selection")
+    assert str(refused.value) == (
+        "middleware must be a sequence of stage names, got str 'replica-selection'"
+    )
+
+
+@pytest.mark.parametrize(
+    "stack, ranks_by_rtt",
+    (
+        (DEFAULT_REQUEST_PIPELINE, False),
+        (CONSISTENCY_OVERRIDE_PIPELINE, False),
+        (ADMISSION_CONTROL_PIPELINE, False),
+        (LATENCY_AWARE_PIPELINE, True),
+    ),
+)
+def test_only_a_stack_that_ranks_by_rtt_builds_a_tracker_and_times_reads(stack, ranks_by_rtt):
+    simulator = Simulator(seed=6)
+    cluster = make_cluster(simulator, middleware=stack + ("test-ctx-recorder",))
+    recorder = cluster.pipeline.get("test-ctx-recorder")
+    for key in ("k0", "k1", "k2", "k3", "k4"):
+        assert run_sync(simulator, lambda cb: cluster.write(key, b"v", on_complete=cb)).success
+        assert run_sync(simulator, lambda cb: cluster.read(key, on_complete=cb)).success
+    done = [ctx for hook, ctx in recorder.seen if hook == "on_complete"]
+    assert sorted(ctx.is_read for ctx in done) == [False] * 5 + [True] * 5
+    # Only a read through a stack that ranks by RTT keeps send times.
+    assert [ctx.send_times is not None for ctx in done if ctx.is_read] == [ranks_by_rtt] * 5
+    assert all(ctx.send_times is None for ctx in done if not ctx.is_read)
+    rtt = cluster.coordinator.rtt
+    if ranks_by_rtt:
+        assert sum(rtt.samples(node_id) for node_id in cluster.node_ids()) >= 5
+    else:
+        assert rtt is None
+
+
 _probed_contexts = []
 
 
@@ -110,9 +149,6 @@ def test_every_stage_is_built_from_the_cluster_it_serves():
             assert ctx.simulator is simulator
             assert ctx.cluster is cluster
             assert ctx.coordinator is cluster.coordinator
-        # One shared dict per stack: every stage of it sees the same one.
-        assert contexts[0].shared is contexts[1].shared
-    assert _probed_contexts[0].shared is not _probed_contexts[2].shared
 
 
 def test_cluster_default_pipeline_and_snapshot():
@@ -151,7 +187,7 @@ def test_hook_table_matches_the_middleware_protocol():
         if callable(member) and not name.startswith("_")
     } - {"describe"}
     assert set(HOOKS) == overridable
-    assert len(HOOKS) == 12
+    assert len(HOOKS) == 10
     pipeline = MiddlewarePipeline()
     for hook in HOOKS:
         assert callable(getattr(pipeline, hook))
@@ -324,9 +360,6 @@ class _CtxRecorder(RequestMiddleware):
     def order_write_targets(self, ctx, live):
         self.seen.append(("order_write_targets", ctx))
 
-    def on_replica_response(self, ctx, node_id, rtt):
-        self.seen.append(("on_replica_response", ctx))
-
     def hedge_read(self, ctx, live, targets):
         self.seen.append(("hedge_read", ctx))
 
@@ -364,7 +397,6 @@ def test_every_hook_of_a_request_is_handed_the_record_its_timeout_carries():
         "required_acks",
         "select_read_targets",
         "hedge_read",
-        "on_replica_response",
         "inspect_read_responses",
         "annotate_read",
         "on_complete",
@@ -503,7 +535,7 @@ def test_latency_aware_pipeline_tracks_rtts_on_cluster():
         result = run_sync(simulator, lambda cb, k=f"k{i}": cluster.read(k, on_complete=cb))
         assert result.success
     assert router.selections > 0
-    assert len(router.tracker.snapshot()) > 0
+    assert len(cluster.coordinator.rtt.snapshot()) > 0
 
 
 def test_latency_aware_tracker_is_shared_with_rtt_estimator():
@@ -512,7 +544,7 @@ def test_latency_aware_tracker_is_shared_with_rtt_estimator():
     simulation.run_until(20.0)
     estimates = simulation.estimators["rtt"].node_rtt_estimates()
     assert estimates  # populated by production reads
-    assert estimates == simulation.pipeline.get("latency-aware-selection").tracker.snapshot()
+    assert estimates == simulation.cluster.coordinator.rtt.snapshot()
 
 
 # ----------------------------------------------------------------------

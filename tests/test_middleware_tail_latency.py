@@ -10,6 +10,7 @@ cleanup on node decommission.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -259,8 +260,14 @@ def test_hedge_timer_is_cancelled_when_read_completes_in_budget():
     assert all(result.replicas_contacted == 1 for result in results)
 
 
-def test_the_budget_fraction_reaches_the_stage_as_it_did_through_stage_params():
-    simulation = Simulation(
+#: The report of ``hedged_simulation(HEDGED_PIPELINE)``, captured when the
+#: budget fraction reached the stage as
+#: ``{"request-hedging": {"budget_fraction": 0.02}}``; 0.05 gives e7fe617a...
+HEDGED_REPORT_DIGEST = "9ef514465b41bc40b987abd966c13ac828506462e038f591582901d8ce4caf60"
+
+
+def hedged_simulation(stack):
+    return Simulation(
         SimulationConfig(
             seed=3,
             duration=20.0,
@@ -268,17 +275,35 @@ def test_the_budget_fraction_reaches_the_stage_as_it_did_through_stage_params():
                 node=NodeConfig(ops_capacity=150.0), hedge_budget_fraction=0.02
             ),
             workload=WorkloadSpec(operation_mix=BALANCED, load_shape=ConstantLoad(120.0)),
-            middleware=HEDGED_PIPELINE,
+            middleware=stack,
         )
     )
+
+
+def report_digest(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True, default=str).encode()).hexdigest()
+
+
+def test_the_budget_fraction_reaches_the_stage_as_it_did_through_stage_params():
+    simulation = hedged_simulation(HEDGED_PIPELINE)
     report = simulation.run().as_dict()
     hedging = simulation.cluster.pipeline.get("request-hedging")
     assert hedging.describe()["static_budget"] == pytest.approx(0.02)
     assert hedging.hedges_fired > 0
-    # Captured when the fraction reached the stage as
-    # ``{"request-hedging": {"budget_fraction": 0.02}}``; 0.05 gives e7fe617a...
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True, default=str).encode())
-    assert digest.hexdigest() == "9ef514465b41bc40b987abd966c13ac828506462e038f591582901d8ce4caf60"
+    assert report_digest(report) == HEDGED_REPORT_DIGEST
+
+
+@pytest.mark.parametrize(
+    "rtt_stages", list(itertools.permutations(HEDGED_PIPELINE[:3]))[1:]
+)
+def test_the_rtt_stages_in_any_order_give_the_pinned_hedged_report(rtt_stages):
+    # The coordinator feeds the one tracker whichever stage asked for it
+    # first; only the stack's own listing follows the order.
+    stack = rtt_stages + HEDGED_PIPELINE[3:]
+    report = hedged_simulation(stack).run().as_dict()
+    assert report["final_configuration"]["middleware"] == list(stack)
+    report["final_configuration"]["middleware"] = list(HEDGED_PIPELINE)
+    assert report_digest(report) == HEDGED_REPORT_DIGEST
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +319,7 @@ def test_decommission_forgets_rtt_state_for_the_removed_node():
         cluster.read(f"key-{index}")
     simulator.run_until(simulator.now + 10.0)
 
-    tracker = cluster.pipeline.get("latency-aware-selection").tracker
+    tracker = cluster.coordinator.rtt
     removed, _ = cluster.remove_node()
     assert removed in tracker.snapshot()  # still tracked while draining
     simulator.run_until(simulator.now + 120.0)
@@ -308,7 +333,31 @@ def test_hedged_pipeline_shares_one_tracker_across_stages():
     selection = cluster.pipeline.get("latency-aware-selection")
     hedging = cluster.pipeline.get("request-hedging")
     routing = cluster.pipeline.get("rtt-aware-write-routing")
-    assert selection.tracker is hedging.tracker is routing.tracker
+    tracker = cluster.coordinator.rtt
+    assert tracker is not None
+    assert selection._tracker is hedging._tracker is routing._tracker is tracker
+
+
+def _rtt_samples_after_traffic(stack):
+    simulator = Simulator(seed=8)
+    cluster = make_cluster(simulator, middleware=stack)
+    for index in range(30):
+        cluster.write(f"key-{index}", b"v")
+    simulator.run_until(simulator.now + 5.0)
+    for index in range(30):
+        cluster.read(f"key-{index}")
+    simulator.run_until(simulator.now + 10.0)
+    tracker = cluster.coordinator.rtt
+    return tracker.snapshot(), [tracker.samples(node_id) for node_id in cluster.node_ids()]
+
+
+@pytest.mark.parametrize("twice", HEDGED_PIPELINE[:3])
+def test_a_stage_named_twice_folds_each_response_in_once(twice):
+    once = _rtt_samples_after_traffic(HEDGED_PIPELINE)
+    at = HEDGED_PIPELINE.index(twice)
+    stack = HEDGED_PIPELINE[: at + 1] + (twice,) + HEDGED_PIPELINE[at + 1 :]
+    assert sum(once[1]) > 0
+    assert _rtt_samples_after_traffic(stack) == once
 
 
 # ----------------------------------------------------------------------

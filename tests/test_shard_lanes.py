@@ -73,7 +73,10 @@ def test_an_unguarded_script_on_stdin_runs_its_top_level_once():
 
 # The lane runner is replaced by one that records ``workers`` and runs the
 # jobs here, in order: these tests start no process.
-@pytest.mark.parametrize("cores, max_workers, lanes", ((2, None, 2), (64, None, 3), (64, 1, 1)))
+# ``cores=None``: no ``sched_getaffinity`` (macOS, Windows), two CPUs.
+@pytest.mark.parametrize(
+    "cores, max_workers, lanes", ((2, None, 2), (64, None, 3), (64, 1, 1), (None, None, 2))
+)
 def test_a_run_forks_one_lane_per_usable_core(monkeypatch, cores, max_workers, lanes):
     seen = []
 
@@ -82,7 +85,11 @@ def test_a_run_forks_one_lane_per_usable_core(monkeypatch, cores, max_workers, l
         return [job() for job in jobs]
 
     monkeypatch.setattr(sharding, "_run_in_lanes", run_in_lanes)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cores)))
+    if cores is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cores)))
     monkeypatch.setattr(sharding, "MAX_WORKERS", max_workers)
     config = short_config()
     parallel = run_sharded(config, 3, parallel=True)
@@ -91,6 +98,15 @@ def test_a_run_forks_one_lane_per_usable_core(monkeypatch, cores, max_workers, l
 
 
 def test_without_fork_the_parallel_path_points_at_the_serial_one(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    with pytest.raises(SimulationError, match="--serial-shards"):
+        run_sharded(short_config(), 3, parallel=True)
+
+
+def test_without_sched_getaffinity_the_parallel_path_still_points_at_the_serial_one(monkeypatch):
+    # macOS and Windows have no ``sched_getaffinity``: counting cores must
+    # not fail first, or a platform without fork never hears of the serial path.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     with pytest.raises(SimulationError, match="--serial-shards"):
         run_sharded(short_config(), 3, parallel=True)
