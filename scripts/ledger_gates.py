@@ -126,6 +126,18 @@ What each ceiling names:
   174.22 before): one ``observe`` per replica read response is called
   straight from the coordinator, where the stage's ``on_replica_response``
   was a frame around it.  No other workload's counts moved.
+* One tally per client outcome (PERFORMANCE.md rule 15) lowered every
+  ``trace.calls_per_op`` ceiling to the measurement plus 2% (140.43 / 202.14
+  / 170.24 / 136.77 measured on ``ycsb_b_default`` / ``autoscale_diurnal`` /
+  ``hedged_failslow`` / ``tenants_admission``; 143.45 / 205.15 / 173.25 /
+  139.77 before): staleness, compensation and the monitoring share are read
+  from the workload's counts at report time, where three listeners each took
+  one frame per completed operation - one in ``consistency``, one in
+  ``core`` (the cost models) and one in ``monitoring``, 1.00 each.  The
+  ``consistency`` and ``core`` ceilings of ``ycsb_b_default`` hold it (1.13
+  and 0.065 measured, 2.14 and 1.07 before): a listener that recounts
+  outcomes back in either layer puts it above 1.15 / 0.066.  Events,
+  schedules and messages per operation did not move.
 
 A counted call that replaces uncounted work is not a regression in itself
 (the profiler counts ``dict.get`` and ``tolist`` but not a loop iteration, a
@@ -145,13 +157,18 @@ ROOT = Path(__file__).resolve().parents[1]
 GATES = {
     "ycsb_b_default": (
         {
-            "trace.calls_per_op": 146.3,
+            # 140.43 measured + 2%: no listener recounts what clients saw.
+            "trace.calls_per_op": 143.2,
             "simulation.engine.calls_per_op": 32.55,
             "simulation.misc.calls_per_op": 3.0,
             "cluster.replica.calls_per_op": 9.82,
             "external.calls_per_op": 6.67,
             "middleware.calls_per_op": 6.97,
             "cluster.placement.calls_per_op": 7.34,
+            # 1.13 measured + 2%: the window tracker only, no staleness listener.
+            "consistency.calls_per_op": 1.15,
+            # 0.065 measured + 2%: the cost models price counts, they do not listen.
+            "core.calls_per_op": 0.066,
             "simulation.engine.cancelled_skipped_per_op": 0.02,
             "simulation.engine.peak_pending": 40,
         },
@@ -163,7 +180,8 @@ GATES = {
     ),
     "autoscale_diurnal": (
         {
-            "trace.calls_per_op": 209.2,
+            # 202.14 measured + 2%: no listener recounts what clients saw.
+            "trace.calls_per_op": 206.1,
             "simulation.engine.calls_per_op": 43.65,
             "simulation.resources.calls_per_op": 13.36,
             "consistency.calls_per_op": 13.45,
@@ -180,8 +198,8 @@ GATES = {
     ),
     "hedged_failslow": (
         {
-            # 173.25 measured + 2%: the coordinator calls the tracker directly.
-            "trace.calls_per_op": 176.7,
+            # 170.24 measured + 2%: no listener recounts what clients saw.
+            "trace.calls_per_op": 173.6,
             "simulation.engine.calls_per_op": 33.29,
             # 28.95 measured + 2%: no stage hook frame around ``observe``.
             "middleware.calls_per_op": 29.53,
@@ -196,7 +214,8 @@ GATES = {
     ),
     "tenants_admission": (
         {
-            "trace.calls_per_op": 142.5,
+            # 136.77 measured + 2%: no listener recounts what clients saw.
+            "trace.calls_per_op": 139.5,
             "simulation.engine.calls_per_op": 27.85,
             "middleware.calls_per_op": 9.43,
             "simulation.engine.cancelled_skipped_per_op": 0.02,
@@ -222,7 +241,7 @@ def main() -> None:
         assert document["correct"] and document["failed"] == 0, document
         metrics = {name: entry["value"] for name, entry in document["metrics"].items()}
         for name, ceiling in ceilings.items():
-            print(f"{workload}: {name} = {metrics[name]:.2f} (ceiling {ceiling:g})")
+            print(f"{workload}: {name} = {metrics[name]:.3f} (ceiling {ceiling:g})")
             assert metrics[name] <= ceiling, (workload, name, metrics[name], ceiling)
         for name, expected in exact.items():
             print(f"{workload}: {name} = {metrics[name]:.4f} (must be {expected})")

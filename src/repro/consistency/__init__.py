@@ -1,18 +1,16 @@
 """Consistency semantics and analytics.
 
 Ground-truth inconsistency-window tracking (only possible inside the
-simulator), client-observed staleness statistics, and the PBS-style
-analytical model the controller's planner uses for what-if evaluation.
+simulator) and the PBS-style analytical model the controller's planner uses
+for what-if evaluation.  Client-observed staleness is counted with every
+other client outcome, by :class:`~repro.workload.generator.WorkloadStats`.
 """
 
 from .pbs import StalenessModel
-from .staleness import StalenessObserver, StalenessSnapshot
 from .window_tracker import InconsistencyWindowTracker, WindowRecord
 
 __all__ = [
     "InconsistencyWindowTracker",
     "WindowRecord",
-    "StalenessObserver",
-    "StalenessSnapshot",
     "StalenessModel",
 ]

@@ -67,13 +67,10 @@ class BillingModel:
         """Charge one configuration-only action (CL/RF change)."""
         self._reconfiguration_actions += 1
 
-    def record_probe_operations(self, count: int) -> None:
-        """Charge ``count`` monitoring probe operations."""
-        self._probe_operations += int(count)
-
-    def record_analysis_cpu(self, seconds: float) -> None:
-        """Charge monitoring analysis compute time."""
-        self._analysis_cpu_seconds += float(seconds)
+    def charge_monitoring(self, probe_operations: int, analysis_cpu_seconds: float) -> None:
+        """Charge the run's monitoring so far (totals: a later call replaces)."""
+        self._probe_operations = probe_operations
+        self._analysis_cpu_seconds = float(analysis_cpu_seconds)
 
     def close(self, end_time: float) -> None:
         """Close the billing period at ``end_time`` (extends the last sample)."""

@@ -14,22 +14,25 @@ clients actually observed:
 * a larger fee per *conflict event* — a stale read whose staleness exceeded a
   business threshold, standing in for the double-booking scenario where the
   application acted on data old enough to cause a real conflict,
-* plus a fee per failed request (unavailability), so the consistency /
-  availability / cost triangle is complete.
+* plus a fee per failed or shed request (unavailability), so the
+  consistency / availability / cost triangle is complete.
+
+It keeps no counts of its own: the workload's tally
+(:class:`~repro.workload.generator.WorkloadStats`) is priced at report time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from ..cluster.cluster import ClusterListener
 from ..cluster.errors import Settings, non_negative
-from ..cluster.types import OperationResult
 
 __all__ = ["CompensationRates", "CompensationModel"]
 
-#: Charge per failed (timed-out / unavailable) client operation.
+#: Charge per failed (timed-out / unavailable) client operation.  An
+#: operation admission control shed counts as failed here: the client was
+#: refused service either way.
 FAILED_OPERATION_PRICE = 0.01
 
 
@@ -47,56 +50,25 @@ class CompensationRates(Settings):
     """Staleness (seconds) beyond which a stale read counts as a conflict."""
 
 
-class CompensationModel(ClusterListener):
-    """Accumulates business compensation cost from observed client results."""
+class CompensationModel:
+    """Prices the incidents clients observed, counted by the workload."""
 
-    def __init__(self, rates: Optional[CompensationRates] = None) -> None:
-        self.rates = rates or CompensationRates()
-        self.stale_reads = 0
-        self.conflict_events = 0
-        self.failed_operations = 0
+    def __init__(self, rates: CompensationRates) -> None:
+        self.rates = rates
 
-    # ------------------------------------------------------------------
-    # ClusterListener hook
-    # ------------------------------------------------------------------
-    def on_operation_completed(self, result: OperationResult) -> None:
-        if result.operation.is_probe:
-            return
-        if not result.success:
-            self.failed_operations += 1
-            return
-        if result.is_read and result.stale:
-            self.stale_reads += 1
-            if result.staleness >= self.rates.conflict_staleness_threshold:
-                self.conflict_events += 1
-
-    # ------------------------------------------------------------------
-    # Derived quantities
-    # ------------------------------------------------------------------
-    def stale_read_cost(self) -> float:
-        """Compensation for ordinary stale reads."""
-        return self.stale_reads * self.rates.stale_read
-
-    def conflict_cost(self) -> float:
-        """Compensation for conflict-grade stale reads (double bookings)."""
-        return self.conflict_events * self.rates.conflict_event
-
-    def availability_cost(self) -> float:
-        """Compensation for failed client operations."""
-        return self.failed_operations * FAILED_OPERATION_PRICE
-
-    def total_cost(self) -> float:
-        """All business-side compensation."""
-        return self.stale_read_cost() + self.conflict_cost() + self.availability_cost()
-
-    def breakdown(self) -> Dict[str, float]:
-        """Compensation breakdown for reports."""
+    def breakdown(
+        self, stale_reads: int, conflict_events: int, failed_operations: int
+    ) -> Dict[str, float]:
+        """The counts, what each costs and the total, for reports."""
+        stale_read_cost = stale_reads * self.rates.stale_read
+        conflict_cost = conflict_events * self.rates.conflict_event
+        availability_cost = failed_operations * FAILED_OPERATION_PRICE
         return {
-            "stale_reads": float(self.stale_reads),
-            "conflict_events": float(self.conflict_events),
-            "failed_operations": float(self.failed_operations),
-            "stale_read_cost": self.stale_read_cost(),
-            "conflict_cost": self.conflict_cost(),
-            "availability_cost": self.availability_cost(),
-            "total_compensation_cost": self.total_cost(),
+            "stale_reads": float(stale_reads),
+            "conflict_events": float(conflict_events),
+            "failed_operations": float(failed_operations),
+            "stale_read_cost": stale_read_cost,
+            "conflict_cost": conflict_cost,
+            "availability_cost": availability_cost,
+            "total_compensation_cost": stale_read_cost + conflict_cost + availability_cost,
         }

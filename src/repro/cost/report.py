@@ -10,10 +10,11 @@ while meeting the SLA.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
+from ..workload.generator import WorkloadStats
 from .billing import BillingModel
-from .compensation import CompensationModel
+from .compensation import CompensationModel, CompensationRates
 
 __all__ = ["CostReport", "CostAccountant"]
 
@@ -59,30 +60,30 @@ class CostReport:
 class CostAccountant:
     """Aggregates the cost models of one simulation run."""
 
-    def __init__(self, compensation: Optional[CompensationModel] = None) -> None:
+    def __init__(self, rates: CompensationRates) -> None:
         self.billing = BillingModel()
-        self.compensation = compensation or CompensationModel()
-        self._sla_penalty = 0.0
+        self.compensation = CompensationModel(rates)
 
-    def add_sla_penalty(self, amount: float) -> None:
-        """Add SLA penalty charges (computed by the SLA evaluator)."""
-        self._sla_penalty += max(0.0, float(amount))
-
-    def report(self, end_time: Optional[float] = None) -> CostReport:
-        """Produce the combined report (closes billing at ``end_time`` if given)."""
-        if end_time is not None:
-            self.billing.close(end_time)
-        details: Dict[str, float] = {}
-        for key, value in self.billing.breakdown().items():
-            details[f"billing.{key}"] = value
-        for key, value in self.compensation.breakdown().items():
+    def report(self, end_time: float, sla_penalty: float, stats: WorkloadStats) -> CostReport:
+        """The combined report at ``end_time``, from totals over the run so far
+        (``stats`` is the clients' tally): calling it again re-reports the run
+        instead of charging it twice."""
+        self.billing.close(end_time)
+        compensation = self.compensation.breakdown(
+            stats.stale_reads,
+            stats.stale_reads_at_least(self.compensation.rates.conflict_staleness_threshold),
+            # A shed operation is charged as a failed one (FAILED_OPERATION_PRICE).
+            stats.operations_failed + stats.operations_rejected,
+        )
+        details = {f"billing.{key}": value for key, value in self.billing.breakdown().items()}
+        for key, value in compensation.items():
             details[f"compensation.{key}"] = value
         return CostReport(
             infrastructure_cost=self.billing.infrastructure_cost(),
             churn_cost=self.billing.churn_cost(),
             monitoring_cost=self.billing.monitoring_cost(),
-            compensation_cost=self.compensation.total_cost(),
-            sla_penalty_cost=self._sla_penalty,
+            compensation_cost=compensation["total_compensation_cost"],
+            sla_penalty_cost=max(0.0, float(sla_penalty)),
             node_hours=self.billing.node_hours,
             details=details,
         )

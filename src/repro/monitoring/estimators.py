@@ -160,6 +160,9 @@ class ReadAfterWriteProber(ConsistencyEstimator):
         self._recent_samples: List[float] = []
         self._ops_issued = 0
         self.probes_started = 0
+        # Probe operations resolved (succeeded or failed): the monitoring
+        # share of the cluster's load.
+        self.probe_operations = 0
         self._probe_task = simulator.call_every(
             self._config.probe_interval,
             self._start_probe,
@@ -186,6 +189,7 @@ class ReadAfterWriteProber(ConsistencyEstimator):
         )
 
     def _probe_write_done(self, key: str, result: WriteResult) -> None:
+        self.probe_operations += 1
         if not result.success or result.version_timestamp is None:
             return
         ack_time = result.completed_at
@@ -226,6 +230,7 @@ class ReadAfterWriteProber(ConsistencyEstimator):
         attempt: int,
         result: ReadResult,
     ) -> None:
+        self.probe_operations += 1
         fresh = (
             result.success
             and result.version_timestamp is not None

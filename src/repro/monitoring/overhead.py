@@ -11,6 +11,8 @@ derives, per estimator,
 * the fraction of total cluster load those operations represent, and
 * an analysis-CPU charge (seconds of compute) based on a per-sample cost.
 
+The load it divides by is counted where it happens: the workload's tally of
+resolved production operations and the prober's count of resolved probes.
 Experiment E2 reports these next to each estimator's accuracy, and the cost
 model (:mod:`repro.cost`) converts them into money.
 """
@@ -20,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..cluster.cluster import Cluster, ClusterListener
-from ..cluster.types import OperationResult
-from .estimators import ConsistencyEstimator
+from ..workload.generator import WorkloadStats
+from .estimators import ConsistencyEstimator, ReadAfterWriteProber
 
 __all__ = ["OverheadReport", "MonitoringOverheadAccountant"]
 
@@ -54,38 +55,27 @@ ANALYSIS_COST_PER_SAMPLE = 1e-5
 ANALYSIS_COST_PER_ESTIMATE = 1e-3
 
 
-class MonitoringOverheadAccountant(ClusterListener):
+class MonitoringOverheadAccountant:
     """Tracks how much load and compute the monitoring subsystem adds."""
 
-    def __init__(self, cluster: Cluster) -> None:
+    def __init__(self, stats: WorkloadStats, prober: ReadAfterWriteProber) -> None:
         self._estimators: List[ConsistencyEstimator] = []
-        self.production_operations = 0
-        self.probe_operations = 0
-        cluster.add_listener(self)
+        self._stats = stats
+        self._prober = prober
 
     def register(self, estimator: ConsistencyEstimator) -> None:
         """Track an estimator's overhead."""
         self._estimators.append(estimator)
 
-    # ------------------------------------------------------------------
-    # ClusterListener hook
-    # ------------------------------------------------------------------
-    def on_operation_completed(self, result: OperationResult) -> None:
-        if result.operation.is_probe:
-            self.probe_operations += 1
-        else:
-            self.production_operations += 1
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
     @property
-    def probe_load_fraction(self) -> float:
-        """Fraction of all cluster operations that were monitoring probes."""
-        total = self.probe_operations + self.production_operations
-        if total == 0:
-            return 0.0
-        return self.probe_operations / total
+    def production_operations(self) -> int:
+        """Production operations resolved so far (the workload's tally)."""
+        return self._stats.operations_resolved
+
+    @property
+    def probe_operations(self) -> int:
+        """Probe operations resolved so far (the prober's count)."""
+        return self._prober.probe_operations
 
     def report_for(self, estimator: ConsistencyEstimator) -> OverheadReport:
         """Overhead report for one estimator."""

@@ -20,12 +20,11 @@ from typing import Dict, Optional, Sequence
 from .cluster.cluster import Cluster, ClusterConfig, ClusterListener
 from .cluster.errors import Settings, non_negative, positive
 from .cluster.faults import FaultInjector, FaultPlan
-from .consistency.staleness import StalenessObserver
 from .consistency.window_tracker import InconsistencyWindowTracker
 from .core.controller import AutonomousController, ControllerConfig
 from .core.sla import SLA, default_sla
 from .cost.billing import BillingModel
-from .cost.compensation import CompensationModel, CompensationRates
+from .cost.compensation import CompensationRates
 from .cost.report import CostAccountant, CostReport
 from .middleware.registry import check_stage_names
 from .monitoring.estimators import (
@@ -201,11 +200,9 @@ class Simulation:
         if self.config.faults is not None:
             self.config.faults.apply(self.fault_injector)
 
-        # Ground truth and client-observed consistency tracking.
+        # Ground truth (client-observed staleness is the workload's tally).
         self.window_tracker = InconsistencyWindowTracker(self.simulator)
-        self.staleness_observer = StalenessObserver()
         self.cluster.add_listener(self.window_tracker)
-        self.cluster.add_listener(self.staleness_observer)
 
         # Multi-tenant interference on nodes and network.
         self.interference = InterferenceController(
@@ -217,14 +214,10 @@ class Simulation:
 
         # Monitoring stack.
         self.metrics = MetricsCollector(self.simulator, self.cluster)
-        self.overhead = MonitoringOverheadAccountant(self.cluster)
         prober = ReadAfterWriteProber(self.simulator, self.cluster, self.config.monitoring.probe)
         piggyback = PiggybackMonitor(self.simulator, self.cluster)
         rtt = RttEstimator(self.simulator, self.cluster)
-        self.estimators: Dict[str, object] = {}
-        for estimator in (prober, piggyback, rtt):
-            self.estimators[estimator.name] = estimator
-            self.overhead.register(estimator)
+        self.estimators: Dict[str, object] = {e.name: e for e in (prober, piggyback, rtt)}
         # Hedged reads arm their timer at the observed p99 read latency
         # (clamped to the stage's static budget) instead of the static
         # fraction-of-timeout guess.
@@ -233,17 +226,17 @@ class Simulation:
             hedging.attach_budget_source(lambda: rtt.read_latency_percentile(99.0))
 
         # Cost accounting.
-        self.cost = CostAccountant(
-            compensation=CompensationModel(self.config.compensation_rates)
-        )
-        self.cluster.add_listener(self.cost.compensation)
+        self.cost = CostAccountant(self.config.compensation_rates)
         self.cluster.add_listener(
             _CostListener(self.simulator, self.cluster, self.cost.billing)
         )
         self.cost.billing.record_node_count(0.0, len(self.cluster.node_ids()))
 
-        # Workload.
+        # Workload, and the monitoring share of the load, read from its tally.
         self.workload = WorkloadGenerator(self.simulator, self.cluster, self.config.workload)
+        self.overhead = MonitoringOverheadAccountant(self.workload.stats, prober)
+        for estimator in self.estimators.values():
+            self.overhead.register(estimator)
 
         # Multi-tenant wiring: tier-derived quotas into the admission stage
         # and a per-tenant metrics rollup charged against the monitoring
@@ -277,17 +270,12 @@ class Simulation:
             self.metrics,
             sla=self.config.sla,
             config=self.config.controller,
-            estimators={name: est for name, est in self.estimators.items()},
+            estimators=self.estimators,
             offered_rate_fn=self.workload.current_rate,
             tenant_rollup=self.tenant_rollup,
         )
 
         self._ran = False
-        # ``build_report`` is idempotent: monitoring/SLA charges are recorded
-        # as deltas against what previous calls already billed.
-        self._billed_probe_operations = 0
-        self._billed_analysis_cpu = 0.0
-        self._billed_sla_penalty = 0.0
 
     @property
     def pipeline(self):
@@ -336,26 +324,18 @@ class Simulation:
         """Assemble the report for whatever has been simulated so far.
 
         Safe to call repeatedly (after :meth:`run` or between
-        :meth:`run_until` steps): monitoring and SLA charges are recorded as
-        deltas, so a second call re-reports the same state instead of
+        :meth:`run_until` steps): every charge is handed over as the run's
+        total so far, so a second call re-reports the same state instead of
         double-billing it.
         """
         now = self.simulator.now
-        probe_operations = self.overhead.probe_operations
-        self.cost.billing.record_probe_operations(
-            probe_operations - self._billed_probe_operations
+        stats = self.workload.stats
+        overhead_reports = self.overhead.reports()
+        self.cost.billing.charge_monitoring(
+            self.overhead.probe_operations,
+            sum(report.analysis_cpu_seconds for report in overhead_reports.values()),
         )
-        self._billed_probe_operations = probe_operations
-        analysis_cpu = sum(
-            overhead_report.analysis_cpu_seconds
-            for overhead_report in self.overhead.reports().values()
-        )
-        self.cost.billing.record_analysis_cpu(analysis_cpu - self._billed_analysis_cpu)
-        self._billed_analysis_cpu = analysis_cpu
-        sla_penalty = self.controller.sla_evaluator.penalty_cost
-        self.cost.add_sla_penalty(sla_penalty - self._billed_sla_penalty)
-        self._billed_sla_penalty = sla_penalty
-        cost_report = self.cost.report(end_time=now)
+        cost_report = self.cost.report(now, self.controller.sla_evaluator.penalty_cost, stats)
         admission = self.cluster.pipeline.get("admission-control")
         if admission is not None:
             # Shed load is a first-class cost line: rejections are free for
@@ -391,16 +371,16 @@ class Simulation:
             label=self.config.label,
             seed=self.config.seed,
             duration=now,
-            workload_summary=self.workload.stats.summary(),
+            workload_summary=stats.summary(),
             sla_summary=self.controller.sla_evaluator.summary(),
             ground_truth_window=self.window_tracker.stats(),
-            staleness=self.staleness_observer.snapshot().as_dict(),
+            staleness=stats.staleness(),
             cost=cost_report,
             controller_summary=self.controller.summary(),
             final_configuration=self.cluster.configuration_snapshot(),
             estimator_estimates=estimator_estimates,
             monitoring_overhead={
-                name: report.as_dict() for name, report in self.overhead.reports().items()
+                name: report.as_dict() for name, report in overhead_reports.items()
             },
             events_processed=self.simulator.events_processed,
             tenant_summary=tenant_summary,

@@ -190,7 +190,10 @@ class TenantOpStats:
 
 
 class WorkloadStats:
-    """Per-operation accounting of what clients observed."""
+    """The one tally of what clients observed, read by the report's workload,
+    staleness, compensation and monitoring figures.  A stale read returned a
+    version older than one acknowledged before it was issued (client-centric
+    staleness; its age is t-visibility), whatever the replicas' convergence."""
 
     def __init__(self) -> None:
         self.reads_issued = 0
@@ -206,6 +209,8 @@ class WorkloadStats:
         # latency): the report's percentiles and E4's phase slices read it.
         self.read_latency_series = TimeSeries("read_latency")
         self.write_latency_series = TimeSeries("write_latency")
+        # One age per stale read, at the read's completion time.
+        self.staleness_series = TimeSeries("staleness_age")
         # Per-tenant breakdown; stays None (zero-cost) for tenantless runs.
         self.tenant_stats: Optional[Dict[str, TenantOpStats]] = None
 
@@ -228,6 +233,7 @@ class WorkloadStats:
             self.read_latency_series.record(result.completed_at, latency)
             if result.stale:
                 self.stale_reads += 1
+                self.staleness_series.record(result.completed_at, result.staleness)
             tenants = self.tenant_stats
             if tenants is not None and result.tenant is not None:
                 entry = tenants[result.tenant]
@@ -270,9 +276,19 @@ class WorkloadStats:
         return self.reads_completed + self.writes_completed
 
     @property
+    def operations_failed(self) -> int:
+        """Total operations that failed (timeout/unavailable)."""
+        return self.reads_failed + self.writes_failed
+
+    @property
     def operations_rejected(self) -> int:
         """Total operations shed by admission control (not failures)."""
         return self.reads_rejected + self.writes_rejected
+
+    @property
+    def operations_resolved(self) -> int:
+        """Total operations that completed, failed or were shed."""
+        return self.operations_completed + self.operations_failed + self.operations_rejected
 
     @property
     def failure_fraction(self) -> float:
@@ -284,7 +300,7 @@ class WorkloadStats:
         issued = self.operations_issued
         if issued == 0:
             return 0.0
-        return (self.reads_failed + self.writes_failed) / issued
+        return self.operations_failed / issued
 
     @property
     def rejected_fraction(self) -> float:
@@ -292,7 +308,7 @@ class WorkloadStats:
         issued = self.operations_issued
         if issued == 0:
             return 0.0
-        return (self.reads_rejected + self.writes_rejected) / issued
+        return self.operations_rejected / issued
 
     def summary(self) -> Dict[str, float]:
         """Headline figures for experiment tables."""
@@ -311,6 +327,23 @@ class WorkloadStats:
             "write_p50_ms": write.p50 * 1000.0,
             "write_p95_ms": write.p95 * 1000.0,
             "write_p99_ms": write.p99 * 1000.0,
+        }
+
+    def stale_reads_at_least(self, age: float) -> int:
+        """Stale reads whose returned data was at least ``age`` seconds old."""
+        return int((self.staleness_series.values >= age).sum())
+
+    def staleness(self) -> Dict[str, float]:
+        """Whole-run staleness figures over the completed reads."""
+        reads, stale = self.reads_completed, self.stale_reads
+        ages = self.staleness_series.summary()
+        return {
+            "reads": reads,
+            "stale_reads": stale,
+            "stale_fraction": (stale / reads) if reads else 0.0,
+            "mean_staleness": ages.mean,
+            "p95_staleness": ages.p95,
+            "max_staleness": ages.maximum,
         }
 
 

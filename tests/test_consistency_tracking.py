@@ -1,4 +1,5 @@
-"""Unit tests for the ground-truth window tracker and staleness observer."""
+"""Unit tests for the ground-truth window tracker and the client-observed
+staleness the workload's tally keeps."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ import pytest
 from repro.cluster import VersionStamp
 from repro.cluster.types import OperationType, ReadResult, WriteResult
 import repro.consistency.window_tracker as window_tracker
-from repro.consistency import InconsistencyWindowTracker, StalenessObserver
+from repro.consistency import InconsistencyWindowTracker
 from repro.simulation import Simulator
+from repro.workload import WorkloadStats
 
 
 def stamp(ts, seq=0):
@@ -133,12 +135,12 @@ def test_percentiles_and_stats_shape():
 
 
 # ----------------------------------------------------------------------
-# StalenessObserver
+# Client-observed staleness (WorkloadStats)
 # ----------------------------------------------------------------------
-def read_result(time, stale, staleness=0.0, probe=False, success=True):
+def read_result(time, stale, staleness=0.0, success=True):
     return ReadResult(
         key="k",
-        operation=OperationType.PROBE_READ if probe else OperationType.READ,
+        operation=OperationType.READ,
         issued_at=time,
         completed_at=time + 0.01,
         success=success,
@@ -147,27 +149,29 @@ def read_result(time, stale, staleness=0.0, probe=False, success=True):
     )
 
 
-def test_staleness_observer_counts_only_successful_production_reads():
-    observer = StalenessObserver()
-    observer.on_operation_completed(read_result(1.0, stale=False))
-    observer.on_operation_completed(read_result(2.0, stale=True, staleness=0.5))
-    observer.on_operation_completed(read_result(3.0, stale=True, staleness=1.5, probe=True))
-    observer.on_operation_completed(read_result(4.0, stale=True, success=False))
-    observer.on_operation_completed(
+def test_staleness_counts_only_successful_reads():
+    stats = WorkloadStats()
+    stats.record_read(read_result(1.0, stale=False))
+    stats.record_read(read_result(2.0, stale=True, staleness=0.5))
+    stats.record_read(read_result(4.0, stale=True, success=False))
+    stats.record_write(
         WriteResult(key="k", operation=OperationType.WRITE, issued_at=0, completed_at=1, success=True)
     )
-    assert observer.reads_observed == 2
-    assert observer.stale_reads == 1
-    assert observer.stale_fraction == pytest.approx(0.5)
+    staleness = stats.staleness()
+    assert staleness["reads"] == 2
+    assert staleness["stale_reads"] == 1
+    assert staleness["stale_fraction"] == pytest.approx(0.5)
+    assert list(stats.staleness_series.values) == [0.5]
 
 
-def test_staleness_snapshot_statistics():
-    observer = StalenessObserver()
+def test_staleness_statistics():
+    stats = WorkloadStats()
     for i in range(10):
-        observer.on_operation_completed(read_result(float(i), stale=i % 2 == 0, staleness=0.2 * i))
-    snapshot = observer.snapshot()
-    assert snapshot.reads == 10
-    assert snapshot.stale_reads == 5
-    assert snapshot.stale_fraction == pytest.approx(0.5)
-    assert snapshot.max_staleness == pytest.approx(1.6)
-    assert snapshot.as_dict()["stale_fraction"] == pytest.approx(0.5)
+        stats.record_read(read_result(float(i), stale=i % 2 == 0, staleness=0.2 * i))
+    staleness = stats.staleness()
+    assert staleness["reads"] == 10
+    assert staleness["stale_reads"] == 5
+    assert staleness["stale_fraction"] == pytest.approx(0.5)
+    assert staleness["max_staleness"] == pytest.approx(1.6)
+    assert staleness["mean_staleness"] == pytest.approx(0.8)
+    assert stats.stale_reads_at_least(0.8) == 3

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import ClusterListener
 from repro.cluster.types import OperationType, ReadResult, WriteResult
 from repro.cost import BillingModel, CompensationModel, CompensationRates, CostAccountant
 from repro.cost.billing import (
@@ -14,6 +15,8 @@ from repro.cost.billing import (
     SCALING_ACTION_PRICE,
 )
 from repro.cost.compensation import FAILED_OPERATION_PRICE
+from repro.runner import Simulation, SimulationConfig
+from repro.workload import WorkloadStats
 
 
 # ----------------------------------------------------------------------
@@ -48,8 +51,8 @@ def test_scaling_and_reconfiguration_charges():
 
 def test_monitoring_charges():
     billing = BillingModel()
-    billing.record_probe_operations(1000)
-    billing.record_analysis_cpu(1800.0)  # half an hour
+    billing.charge_monitoring(400, 600.0)
+    billing.charge_monitoring(1000, 1800.0)  # totals: half an hour, not 40 min
     assert billing.monitoring_cost() == pytest.approx(
         1000 * PROBE_OPERATION_PRICE + 0.5 * ANALYSIS_CPU_HOUR_PRICE
     )
@@ -70,57 +73,88 @@ def test_billing_breakdown_keys():
 # ----------------------------------------------------------------------
 # Compensation
 # ----------------------------------------------------------------------
-def read(stale=False, staleness=0.0, success=True, probe=False):
-    return ReadResult(
+def read(stale=False, staleness=0.0, success=True, rejected=False):
+    result = ReadResult(
         key="k",
-        operation=OperationType.PROBE_READ if probe else OperationType.READ,
+        operation=OperationType.READ,
         issued_at=0.0,
         completed_at=0.01,
         success=success,
         stale=stale,
         staleness=staleness,
     )
+    result.rejected = rejected
+    return result
 
 
-def write(success=True):
-    return WriteResult(
+def write(success=True, rejected=False):
+    result = WriteResult(
         key="k", operation=OperationType.WRITE, issued_at=0.0, completed_at=0.01, success=success
     )
+    result.rejected = rejected
+    return result
 
 
 def test_compensation_counts_stale_reads_and_conflicts():
     rates = CompensationRates(stale_read=0.01, conflict_event=1.0, conflict_staleness_threshold=0.5)
-    model = CompensationModel(rates)
-    model.on_operation_completed(read(stale=False))
-    model.on_operation_completed(read(stale=True, staleness=0.1))
-    model.on_operation_completed(read(stale=True, staleness=2.0))
-    model.on_operation_completed(read(success=False))
-    model.on_operation_completed(write())
-    model.on_operation_completed(write(success=False))
-    assert model.stale_reads == 2
-    assert model.conflict_events == 1
-    assert model.failed_operations == 2
-    assert model.total_cost() == pytest.approx(0.02 + 1.0 + 2 * FAILED_OPERATION_PRICE)
-    breakdown = model.breakdown()
-    assert breakdown["conflict_events"] == 1.0
+    stats = WorkloadStats()
+    stats.record_read(read(stale=False))
+    stats.record_read(read(stale=True, staleness=0.1))
+    stats.record_read(read(stale=True, staleness=2.0))
+    stats.record_read(read(stale=True, staleness=5.0, success=False))
+    stats.record_write(write())
+    stats.record_write(write(success=False))
+    stats.record_read(read(success=False, rejected=True))
+    breakdown = CostAccountant(rates).report(0.0, 0.0, stats).details
+    assert breakdown["compensation.stale_reads"] == 2.0
+    assert breakdown["compensation.conflict_events"] == 1.0
+    # Two failures and one operation admission control shed.
+    assert breakdown["compensation.failed_operations"] == 3.0
+    assert breakdown["compensation.total_compensation_cost"] == pytest.approx(
+        0.02 + 1.0 + 3 * FAILED_OPERATION_PRICE
+    )
+    assert CompensationModel(rates).breakdown(2, 1, 3) == {
+        key.removeprefix("compensation."): value
+        for key, value in breakdown.items()
+        if key.startswith("compensation.")
+    }
+
+
+class _ProbeFailures(ClusterListener):
+    def __init__(self):
+        self.count = 0
+
+    def on_operation_completed(self, result):
+        self.count += result.operation.is_probe and not result.success
 
 
 def test_compensation_ignores_probe_traffic():
-    model = CompensationModel()
-    model.on_operation_completed(read(stale=True, staleness=10.0, probe=True))
-    assert model.stale_reads == 0
-    assert model.total_cost() == 0.0
+    # With every node down, probes fail as production operations do; only
+    # the production ones are charged, the probes are billed as monitoring.
+    simulation = Simulation(SimulationConfig(seed=3, duration=40.0))
+    probe_failures = _ProbeFailures()
+    simulation.cluster.add_listener(probe_failures)
+    simulation.run_until(20.0)
+    for node_id in simulation.cluster.node_ids():
+        simulation.cluster.crash_node(node_id)
+    simulation.run_until(40.0)
+    report = simulation.build_report()
+    stats = simulation.workload.stats
+    assert probe_failures.count > 0 and stats.operations_failed > 0
+    assert report.cost.details["compensation.failed_operations"] == stats.operations_failed
+    prober = simulation.estimators["probe"]
+    assert report.cost.details["billing.probe_operations"] == prober.probe_operations
 
 
 # ----------------------------------------------------------------------
 # Combined report
 # ----------------------------------------------------------------------
 def test_cost_accountant_combines_all_sources():
-    accountant = CostAccountant(compensation=CompensationModel(CompensationRates(stale_read=0.5)))
+    accountant = CostAccountant(CompensationRates(stale_read=0.5))
     accountant.billing.record_node_count(0.0, 2)
-    accountant.compensation.on_operation_completed(read(stale=True, staleness=0.1))
-    accountant.add_sla_penalty(3.0)
-    report = accountant.report(end_time=3600.0)
+    stats = WorkloadStats()
+    stats.record_read(read(stale=True, staleness=0.1))
+    report = accountant.report(3600.0, 3.0, stats)
     assert report.infrastructure_cost == pytest.approx(2.0 * NODE_HOUR_PRICE)
     assert report.compensation_cost == pytest.approx(0.5)
     assert report.sla_penalty_cost == pytest.approx(3.0)
@@ -129,9 +163,12 @@ def test_cost_accountant_combines_all_sources():
     assert flat["total_cost"] == pytest.approx(report.total_cost)
     assert "billing.node_hours" in flat
     assert "compensation.stale_reads" in flat
+    # Every argument is a total: reporting again charges nothing twice.
+    again = accountant.report(3600.0, 3.0, stats)
+    assert again.as_dict() == flat
 
 
 def test_negative_penalty_is_ignored():
-    accountant = CostAccountant()
-    accountant.add_sla_penalty(-5.0)
-    assert accountant.report().sla_penalty_cost == 0.0
+    accountant = CostAccountant(CompensationRates())
+    report = accountant.report(0.0, -5.0, WorkloadStats())
+    assert report.sla_penalty_cost == 0.0

@@ -104,19 +104,22 @@ def test_rtt_estimator_scales_with_utilisation():
 def test_overhead_accountant_tracks_probe_share():
     simulator = Simulator(seed=6)
     cluster = make_cluster(simulator)
-    accountant = MonitoringOverheadAccountant(cluster)
     prober = ReadAfterWriteProber(simulator, cluster, ProbeConfig(probe_interval=1.0))
     piggyback = PiggybackMonitor(simulator, cluster)
+    workload = start_workload(simulator, cluster, rate=50.0)
+    accountant = MonitoringOverheadAccountant(workload.stats, prober)
     accountant.register(prober)
     accountant.register(piggyback)
-    start_workload(simulator, cluster, rate=50.0)
     simulator.run_until(60.0)
     reports = accountant.reports()
     assert reports["probe"].probe_operations > 0
     assert reports["probe"].probe_load_fraction > 0.0
     assert reports["piggyback"].probe_operations == 0
     assert reports["piggyback"].probe_load_fraction == 0.0
-    assert accountant.probe_load_fraction > 0.0
+    # The load it divides by is what resolved: the prober's probes (the
+    # latest may still be in flight) and the workload's outcomes.
+    assert 0 < accountant.probe_operations <= prober.operations_issued()
+    assert reports["probe"].production_operations == workload.stats.operations_resolved > 0
     assert reports["probe"].analysis_cpu_seconds >= 0.0
     assert reports["probe"].as_dict()["probe_operations"] > 0
 

@@ -1,10 +1,13 @@
 """Each per-operation fact has one store (PERFORMANCE.md rule 15).
 
-A completed operation's latency lives in the workload's series, a closed or
-expired window in the tracker's, a stale read's age in the staleness
-observer's; the metrics collector keeps gauges only.  A second
-copy of any of them shows here as a length that no longer matches its counter,
-or as a per-operation name among the gauges.
+A completed operation's latency and a stale read's age live in the
+workload's series, a closed or expired window in the tracker's; the metrics
+collector keeps gauges only.  A second copy of any of them shows here as a
+length that no longer matches its counter, or as a per-operation name among
+the gauges.  Counts are held to the same rule: what a client saw is counted
+by ``WorkloadStats`` alone, so the completion listeners of a stock run are
+exactly the components that keep something else, and a counting listener
+that comes back fails here by name.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import dataclasses
 import pytest
 
 from repro.experiments.scenarios import build_config, standard_cluster, standard_workload
-from repro.monitoring.metrics import MetricsSnapshot
+from repro.monitoring.estimators import PiggybackMonitor, RttEstimator
+from repro.monitoring.metrics import MetricsCollector, MetricsSnapshot, TenantMetricsRollup
 from repro.runner import Simulation
 from repro.workload.operations import BALANCED
 
@@ -53,9 +57,31 @@ def test_every_sample_is_stored_once(stack):
     tracker = simulation.window_tracker
     assert len(tracker.series) == tracker.windows_closed + tracker.windows_expired > 0
 
-    observer = simulation.staleness_observer
-    whole_run = observer.snapshot()
-    assert whole_run.reads == stats.reads_completed
-    assert len(observer._staleness_series) == whole_run.stale_reads
+    whole_run = stats.staleness()
+    assert whole_run["reads"] == stats.reads_completed
+    assert len(stats.staleness_series) == stats.stale_reads == whole_run["stale_reads"]
     if stack == "stale_reads":
-        assert whole_run.stale_reads > 0 and whole_run.max_staleness > 0.0
+        assert whole_run["stale_reads"] > 0 and whole_run["max_staleness"] > 0.0
+
+
+def _completion_listeners(simulation):
+    return [type(observer.__self__) for observer in simulation.cluster.completion_observers]
+
+
+def test_only_what_keeps_something_else_listens_to_completions():
+    # The collector keeps gauges, the piggyback monitor acknowledged versions
+    # and the RTT model its latency window; staleness, compensation and the
+    # monitoring share are read from the workload's and the prober's counts.
+    assert _completion_listeners(Simulation(_config("default"))) == [
+        MetricsCollector,
+        PiggybackMonitor,
+        RttEstimator,
+    ]
+    tenants = Simulation(_config("admission"))
+    assert tenants.tenant_rollup is not None
+    assert _completion_listeners(tenants) == [
+        MetricsCollector,
+        PiggybackMonitor,
+        RttEstimator,
+        TenantMetricsRollup,
+    ]
