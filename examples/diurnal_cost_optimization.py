@@ -68,7 +68,7 @@ def main() -> None:
         ],
     )
     variants = [
-        ("overprovisioned", "overprovisioned_static", 7, ConsistencyLevel.QUORUM),
+        ("overprovisioned", "static", 7, ConsistencyLevel.QUORUM),
         ("sla_driven", "sla_driven", 3, ConsistencyLevel.ONE),
     ]
     reports = {}

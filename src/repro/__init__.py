@@ -11,7 +11,8 @@ Public API highlights
   — run a complete scenario (cluster + workload + monitoring + controller).
 * :class:`~repro.cluster.Cluster` — the store substrate and its knobs.
 * :class:`~repro.core.AutonomousController` — the SLA-driven MAPE-K
-  controller (the paper's contribution) and the baseline policies.
+  controller (the paper's contribution); :data:`~repro.core.POLICIES` names
+  its policy and the baselines.
 * :class:`~repro.core.SLA` and friends — SLAs with latency, availability and
   staleness objectives.
 * :mod:`repro.monitoring` — inconsistency-window estimators (probe,
@@ -38,11 +39,10 @@ from .core import (
     AutonomousController,
     AvailabilitySLO,
     ControllerConfig,
+    POLICIES,
     LatencySLO,
-    SLADrivenPolicy,
     StalenessSLO,
     default_sla,
-    make_policy,
 )
 from .monitoring.percentiles import MergeableHistogramSketch
 from .runner import MonitoringOptions, Simulation, SimulationConfig, SimulationReport
@@ -84,8 +84,7 @@ __all__ = [
     "FaultSpec",
     "AutonomousController",
     "ControllerConfig",
-    "SLADrivenPolicy",
-    "make_policy",
+    "POLICIES",
     "SLA",
     "LatencySLO",
     "AvailabilitySLO",

@@ -53,6 +53,7 @@ from .cluster.faults import FAULT_KIND_FIELDS, FaultPlan, FaultSpec
 from .cluster.node import NodeConfig
 from .cluster.types import ConsistencyLevel
 from .core.controller import ControllerConfig
+from .core.planner import POLICIES
 from .middleware import (
     ADMISSION_CONTROL_PIPELINE,
     CONSISTENCY_OVERRIDE_PIPELINE,
@@ -70,7 +71,6 @@ from .workload.operations import BALANCED, READ_HEAVY, WRITE_HEAVY
 __all__ = ["build_parser", "build_simulation_config", "main"]
 
 _MIXES = {"read_heavy": READ_HEAVY, "balanced": BALANCED, "write_heavy": WRITE_HEAVY}
-_POLICIES = ("static", "overprovisioned", "reactive_threshold", "predictive", "sla_driven")
 _SHAPES = ("constant", "diurnal", "flash")
 
 
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--rate", type=float, default=120.0, help="offered ops/s")
     run_parser.add_argument("--mix", choices=sorted(_MIXES), default="balanced")
     run_parser.add_argument("--shape", choices=_SHAPES, default="constant")
-    run_parser.add_argument("--policy", choices=_POLICIES, default="sla_driven")
+    run_parser.add_argument("--policy", choices=sorted(POLICIES), default="sla_driven")
     run_parser.add_argument(
         "--read-consistency", choices=[level.value for level in ConsistencyLevel], default="ONE"
     )

@@ -4,7 +4,6 @@ from .actions import (
     ActionKind,
     ActionOutcome,
     AddNodeAction,
-    NoAction,
     ReconfigurationAction,
     RemoveNodeAction,
     SetReadConsistencyAction,
@@ -13,24 +12,15 @@ from .actions import (
 from .analyzer import AnalysisResult, Analyzer, RootCause, Symptom
 from .controller import AutonomousController, ControllerConfig
 from .forecasting import (
+    FORECASTERS,
     AutoRegressiveForecaster,
     EwmaForecaster,
     Forecaster,
     HoltWintersForecaster,
     NaiveForecaster,
-    make_forecaster,
 )
 from .knowledge import CapacityModel, KnowledgeBase
-from .planner import ConsistencyTarget, SLAPlanner
-from .policies import (
-    OverprovisionedStaticPolicy,
-    PredictivePolicy,
-    ReactiveThresholdPolicy,
-    ScalingPolicy,
-    SLADrivenPolicy,
-    StaticPolicy,
-    make_policy,
-)
+from .planner import POLICIES, ConsistencyTarget
 from .sla import (
     SLA,
     AvailabilitySLO,
@@ -62,7 +52,7 @@ __all__ = [
     "AnalysisResult",
     "Symptom",
     "RootCause",
-    "SLAPlanner",
+    "POLICIES",
     "ConsistencyTarget",
     "StabilityGuard",
     "StabilityConfig",
@@ -71,14 +61,7 @@ __all__ = [
     "EwmaForecaster",
     "HoltWintersForecaster",
     "AutoRegressiveForecaster",
-    "make_forecaster",
-    "ScalingPolicy",
-    "StaticPolicy",
-    "OverprovisionedStaticPolicy",
-    "ReactiveThresholdPolicy",
-    "PredictivePolicy",
-    "SLADrivenPolicy",
-    "make_policy",
+    "FORECASTERS",
     "ReconfigurationAction",
     "ActionKind",
     "ActionOutcome",
@@ -86,5 +69,4 @@ __all__ = [
     "RemoveNodeAction",
     "SetReadConsistencyAction",
     "SetWriteConsistencyAction",
-    "NoAction",
 ]

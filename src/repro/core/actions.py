@@ -27,7 +27,6 @@ __all__ = [
     "SetReadConsistencyAction",
     "SetWriteConsistencyAction",
     "SetTierQuotaScaleAction",
-    "NoAction",
 ]
 
 
@@ -39,7 +38,6 @@ class ActionKind(enum.Enum):
     CONSISTENCY = "consistency"
     REPLICATION = "replication"
     ADMISSION = "admission"
-    NONE = "none"
 
 
 @dataclass
@@ -56,7 +54,7 @@ class ActionOutcome:
 class ReconfigurationAction(abc.ABC):
     """One concrete reconfiguration the controller may execute."""
 
-    kind: ActionKind = ActionKind.NONE
+    kind: ActionKind
 
     @abc.abstractmethod
     def describe(self) -> str:
@@ -178,16 +176,4 @@ class SetTierQuotaScaleAction(ReconfigurationAction):
             return self._outcome(
                 time, False, error="no admission-control stage in pipeline"
             )
-        return self._outcome(time, True)
-
-
-class NoAction(ReconfigurationAction):
-    """Explicit "do nothing" decision (recorded for convergence analysis)."""
-
-    kind = ActionKind.NONE
-
-    def describe(self) -> str:
-        return "no_action"
-
-    def apply(self, cluster: Cluster, time: float) -> ActionOutcome:
         return self._outcome(time, True)

@@ -20,6 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Set
 
+from ..cluster.types import ConsistencyLevel
 from .knowledge import KnowledgeBase
 from .sla import SLA, SLAEvaluation, SystemObservation
 
@@ -60,7 +61,8 @@ IDLE_UTILIZATION = 0.35
 CONGESTION_FACTOR = 1.5
 #: All SLOs need at least this margin before cost optimisation kicks in.
 WASTE_MARGIN = 0.5
-#: How far ahead the load trend is evaluated (seconds).
+#: How far ahead the load is forecast (seconds): the provisioning lead time
+#: the load trend and every policy read.
 FORECAST_HORIZON = 300.0
 #: Relative forecast change that counts as an increasing/decreasing trend.
 LOAD_TREND_THRESHOLD = 0.15
@@ -68,14 +70,16 @@ LOAD_TREND_THRESHOLD = 0.15
 
 @dataclass
 class AnalysisResult:
-    """Everything the planner needs about one evaluation round."""
+    """Everything a policy needs about one evaluation round."""
 
     time: float
     observation: SystemObservation
+    margins: Dict[str, float]
+    """Each objective's normalised margin, by objective name."""
+    forecast_load: float
+    """Peak forecast load over the next ``FORECAST_HORIZON`` seconds."""
     symptoms: Set[Symptom] = field(default_factory=set, init=False)
     root_causes: Set[RootCause] = field(default_factory=set, init=False)
-    margins: Dict[str, float] = field(default_factory=dict)
-    forecast_load: float = 0.0
 
     def has(self, symptom: Symptom) -> bool:
         """Whether a symptom was detected."""
@@ -97,9 +101,12 @@ class Analyzer:
         sla: SLA,
     ) -> AnalysisResult:
         """Produce the analysis for one evaluation round."""
-        result = AnalysisResult(time=observation.time, observation=observation)
-        result.margins = {outcome.name: outcome.margin for outcome in evaluation.outcomes}
-        result.forecast_load = knowledge.load_forecast_peak(FORECAST_HORIZON)
+        result = AnalysisResult(
+            time=observation.time,
+            observation=observation,
+            margins={outcome.name: outcome.margin for outcome in evaluation.outcomes},
+            forecast_load=knowledge.load_forecast_peak(FORECAST_HORIZON),
+        )
 
         self._detect_symptoms(result, evaluation)
         self._detect_root_causes(result, observation, sla)
@@ -178,7 +185,7 @@ class Analyzer:
             latency_stressed
             and observation.max_utilization < SATURATION_UTILIZATION
             and staleness_margin > WASTE_MARGIN
-            and observation.read_consistency not in ("ONE", "")
+            and observation.read_consistency is not ConsistencyLevel.ONE
         ):
             result.root_causes.add(RootCause.CONSISTENCY_TOO_STRICT)
 

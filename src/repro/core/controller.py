@@ -10,14 +10,15 @@ interval the controller
 2. **Analyzes** — evaluates the SLA and lets the :class:`Analyzer` label the
    round with symptoms and root causes; the knowledge base updates its load
    forecast, capacity estimate and replication-lag model.
-3. **Plans** — asks the configured :class:`ScalingPolicy` (SLA-driven by
-   default, or one of the baselines) for actions, then filters them through
-   the :class:`StabilityGuard`.
-4. **Executes** — applies at most one approved action per round to the
-   cluster and records the outcome for convergence analysis and billing.
+3. **Plans** — calls the configured policy (a function of
+   :data:`~repro.core.planner.POLICIES`, SLA-driven by default), which
+   returns one action or none, and passes that action through the
+   :class:`StabilityGuard`.
+4. **Executes** — applies the approved action to the cluster and records
+   the outcome for convergence analysis and billing.
 
-All decisions, observations and outcomes are kept so that experiments can
-audit the controller's behaviour after the run.
+Every outcome is kept so that experiments can audit the controller's
+behaviour after the run.
 """
 
 from __future__ import annotations
@@ -26,15 +27,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..cluster.cluster import Cluster
-from ..cluster.errors import Settings, positive
+from ..cluster.errors import ConfigurationError, Settings, positive
+from ..cluster.types import ConsistencyLevel
 from ..monitoring.estimators import ConsistencyEstimator
 from ..monitoring.metrics import MetricsCollector
 from ..simulation.engine import PeriodicTask, Simulator
-from .actions import ActionKind, ActionOutcome, ReconfigurationAction
+from .actions import ActionKind, ActionOutcome
 from .analyzer import AnalysisResult, Analyzer
-from .forecasting import make_forecaster
+from .forecasting import FORECASTERS
 from .knowledge import KnowledgeBase
-from .policies import make_policy
+from .planner import POLICIES, Policy
 from .sla import SLA, SLAEvaluator, SystemObservation, default_sla
 from .stability import StabilityConfig, StabilityGuard
 
@@ -52,12 +54,21 @@ class ControllerConfig(Settings):
     """Seconds between MAPE-K rounds."""
 
     policy: str = "sla_driven"
-    """Policy name (see :func:`repro.core.policies.make_policy`)."""
+    """A name of :data:`repro.core.planner.POLICIES`."""
 
     forecaster: str = "holt_winters"
-    """Forecaster name (see :func:`repro.core.forecasting.make_forecaster`)."""
+    """A name of :data:`repro.core.forecasting.FORECASTERS`."""
 
     stability: StabilityConfig = field(default_factory=StabilityConfig)
+
+    def __post_init__(self) -> None:
+        for name, table in (("policy", POLICIES), ("forecaster", FORECASTERS)):
+            value = getattr(self, name)
+            if value not in table:
+                raise ConfigurationError(
+                    f"ControllerConfig.{name} must be one of {', '.join(sorted(table))}, "
+                    f"got {value!r}"
+                )
 
 
 class AutonomousController:
@@ -80,15 +91,14 @@ class AutonomousController:
         self.config = config or ControllerConfig()
         self.sla = sla or default_sla()
         self.sla_evaluator = SLAEvaluator(self.sla)
-        self.knowledge = KnowledgeBase(forecaster=make_forecaster(self.config.forecaster))
+        self.knowledge = KnowledgeBase(forecaster=FORECASTERS[self.config.forecaster]())
         self.analyzer = Analyzer()
         self.guard = StabilityGuard(self.config.stability)
-        self.policy = make_policy(self.config.policy)
+        self.policy: Policy = POLICIES[self.config.policy]
         self._estimators = estimators or {}
         self._offered_rate_fn = offered_rate_fn
         self._tenant_rollup = tenant_rollup
 
-        self.observations: List[SystemObservation] = []
         self.action_log: List[ActionOutcome] = []
         self.rounds = 0
         self._task: Optional[PeriodicTask] = None
@@ -122,16 +132,18 @@ class AutonomousController:
         if observation is None:
             return None
         self.rounds += 1
-        self.observations.append(observation)
 
         evaluation = self.sla_evaluator.evaluate(observation)
         self.knowledge.record_observation(observation)
         analysis = self.analyzer.analyze(observation, evaluation, self.knowledge, self.sla)
         self.guard.observe_analysis(analysis)
 
-        cluster_state = self._cluster.configuration_snapshot()
-        proposals = self.policy.decide(analysis, self.knowledge, self.sla, cluster_state)
-        self._execute(proposals, analysis)
+        action = self.policy(analysis, self.knowledge, self.sla)
+        now = self._simulator.now
+        if action is not None and self.guard.allows(action, now, analysis):
+            outcome = action.apply(self._cluster, now)
+            self.action_log.append(outcome)
+            self.guard.record_outcome(outcome)
         return analysis
 
     # -- Monitor ----------------------------------------------------------
@@ -173,27 +185,13 @@ class AutonomousController:
             network_congestion=snapshot.network_congestion,
             node_count=int(configuration["node_count"]),
             replication_factor=int(configuration["replication_factor"]),
-            read_consistency=str(configuration["read_consistency"]),
-            write_consistency=str(configuration["write_consistency"]),
+            read_consistency=ConsistencyLevel(configuration["read_consistency"]),
+            write_consistency=ConsistencyLevel(configuration["write_consistency"]),
             pending_hints=snapshot.pending_hints,
             rejected_fraction=snapshot.rejected_fraction,
             tier_read_p99_ms=tier_p99,
+            tier_scales=configuration.get("admission_tier_scales", {}),
         )
-
-    # -- Execute ----------------------------------------------------------
-    def _execute(
-        self, proposals: List[ReconfigurationAction], analysis: AnalysisResult
-    ) -> None:
-        for action in proposals:
-            if action.kind is ActionKind.NONE:
-                continue
-            if not self.guard.allows(action, self._simulator.now, analysis):
-                continue
-            outcome = action.apply(self._cluster, self._simulator.now)
-            self.action_log.append(outcome)
-            self.guard.record_outcome(outcome)
-            if outcome.applied:
-                break  # at most one applied action per round
 
     # ------------------------------------------------------------------
     # Reporting

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Dict, Optional, Type
 
 import numpy as np
 
@@ -30,7 +30,7 @@ __all__ = [
     "EwmaForecaster",
     "HoltWintersForecaster",
     "AutoRegressiveForecaster",
-    "make_forecaster",
+    "FORECASTERS",
 ]
 
 #: Smoothing weight of each new sample in the EWMA level.
@@ -48,8 +48,6 @@ PEAK_STEPS = 6
 
 class Forecaster(abc.ABC):
     """Online univariate forecaster fed with ``(time, value)`` samples."""
-
-    name: str = "forecaster"
 
     def __init__(self) -> None:
         self._last_time: Optional[float] = None
@@ -88,8 +86,6 @@ class Forecaster(abc.ABC):
 class NaiveForecaster(Forecaster):
     """Predicts that the future equals the last observation (persistence)."""
 
-    name = "naive"
-
     def _update(self, time: float, value: float) -> None:
         pass
 
@@ -99,8 +95,6 @@ class NaiveForecaster(Forecaster):
 
 class EwmaForecaster(Forecaster):
     """Exponentially weighted moving average (level only)."""
-
-    name = "ewma"
 
     def __init__(self) -> None:
         super().__init__()
@@ -123,8 +117,6 @@ class HoltWintersForecaster(Forecaster):
     forecast converts the requested horizon into a number of steps using the
     average observed inter-sample interval.
     """
-
-    name = "holt_winters"
 
     def __init__(self) -> None:
         super().__init__()
@@ -164,8 +156,6 @@ class HoltWintersForecaster(Forecaster):
 
 class AutoRegressiveForecaster(Forecaster):
     """AR(p) model refitted by least squares over a sliding window."""
-
-    name = "autoregressive"
 
     def __init__(self) -> None:
         super().__init__()
@@ -225,15 +215,10 @@ class AutoRegressiveForecaster(Forecaster):
         return max(0.0, value)
 
 
-def make_forecaster(name: str) -> Forecaster:
-    """Factory used by controller configs serialised as plain strings."""
-    lowered = name.lower()
-    if lowered == "naive":
-        return NaiveForecaster()
-    if lowered == "ewma":
-        return EwmaForecaster()
-    if lowered in ("holt_winters", "holtwinters", "holt-winters"):
-        return HoltWintersForecaster()
-    if lowered in ("autoregressive", "ar"):
-        return AutoRegressiveForecaster()
-    raise ValueError(f"unknown forecaster {name!r}")
+#: Every forecaster class by the name ``ControllerConfig.forecaster`` takes.
+FORECASTERS: Dict[str, Type[Forecaster]] = {
+    "naive": NaiveForecaster,
+    "ewma": EwmaForecaster,
+    "holt_winters": HoltWintersForecaster,
+    "autoregressive": AutoRegressiveForecaster,
+}

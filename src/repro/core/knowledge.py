@@ -1,15 +1,15 @@
 """The knowledge base of the MAPE-K loop.
 
 Everything the controller has learned about the running system lives here:
-the latest observation, an online estimate
-of the replication lag (feeding the PBS-style staleness model), an online
-estimate of per-node capacity, and the load forecaster.  The analyzer, the
-planner and the policies only ever read from this object, which keeps the
-MAPE phases decoupled and testable.
+the latest observation, an online estimate of the replication lag (feeding
+the PBS-style staleness model), an online estimate of per-node capacity, and
+the load forecaster.  The analyzer and the policies only ever read from this
+object, which keeps the MAPE phases decoupled and testable.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from ..consistency.pbs import StalenessModel
@@ -56,8 +56,6 @@ class CapacityModel:
         if offered_rate <= 0.0:
             return 1
         target = min(0.95, max(0.05, target_utilization))
-        import math
-
         return max(1, int(math.ceil(offered_rate / (self._estimate * target))))
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..cluster.errors import Settings, fraction, non_negative
+from ..cluster.types import ConsistencyLevel
 
 __all__ = [
     "SystemObservation",
@@ -67,17 +68,21 @@ class SystemObservation:
     network_congestion: float = 1.0
     node_count: int = 0
     replication_factor: int = 0
-    read_consistency: str = ""
-    write_consistency: str = ""
+    read_consistency: ConsistencyLevel = ConsistencyLevel.ONE
+    write_consistency: ConsistencyLevel = ConsistencyLevel.ONE
     pending_hints: int = 0
     rejected_fraction: float = 0.0
     """Fraction of operations shed by admission control (not failures)."""
     tier_read_p99_ms: Dict[str, float] = field(default_factory=dict)
     """Per-SLO-tier read p99 (milliseconds) from the tenant rollup, when a
     multi-tenant workload is running.  Excluded from :meth:`as_dict`."""
+    tier_scales: Dict[str, float] = field(default_factory=dict)
+    """Admission quota scale per SLO tier (1.0 = configured quota); empty
+    when the request stack has no admission stage.  Excluded from
+    :meth:`as_dict`."""
 
     def as_dict(self) -> Dict[str, float]:
-        """Flat numeric view (strings omitted) for time-series recording."""
+        """Flat numeric view (levels and per-tier maps omitted)."""
         out = {}
         for key, value in self.__dict__.items():
             if isinstance(value, (int, float)):
@@ -235,7 +240,8 @@ class SLAEvaluator:
 
     def __init__(self, sla: SLA) -> None:
         self.sla = sla
-        self.evaluations: List[SLAEvaluation] = []
+        self.evaluated = 0
+        self.violated = 0
         self.violation_seconds = 0.0
         self.violation_seconds_by_objective: Dict[str, float] = {
             name: 0.0 for name in sla.objective_names()
@@ -247,7 +253,9 @@ class SLAEvaluator:
         """Evaluate one observation and accumulate violation time since the last one."""
         outcomes = self.sla.evaluate(observation)
         evaluation = SLAEvaluation(time=observation.time, outcomes=outcomes)
-        self.evaluations.append(evaluation)
+        self.evaluated += 1
+        if not evaluation.satisfied:
+            self.violated += 1
 
         if self._last_time is not None:
             interval = max(0.0, observation.time - self._last_time)
@@ -265,15 +273,14 @@ class SLAEvaluator:
     @property
     def violation_fraction(self) -> float:
         """Fraction of evaluation rounds with at least one violated objective."""
-        if not self.evaluations:
+        if not self.evaluated:
             return 0.0
-        violated = sum(1 for evaluation in self.evaluations if not evaluation.satisfied)
-        return violated / len(self.evaluations)
+        return self.violated / self.evaluated
 
     def summary(self) -> Dict[str, float]:
         """Headline compliance figures for reports."""
         out = {
-            "evaluations": float(len(self.evaluations)),
+            "evaluations": float(self.evaluated),
             "violation_fraction": self.violation_fraction,
             "violation_seconds": self.violation_seconds,
             "penalty_cost": self.penalty_cost,

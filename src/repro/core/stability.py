@@ -63,7 +63,7 @@ class StabilityConfig(Settings):
 
 
 class StabilityGuard:
-    """Gates planner proposals before they reach the executor."""
+    """Gates the policy's action before it reaches the executor."""
 
     def __init__(self, config: Optional[StabilityConfig] = None) -> None:
         self.config = config or StabilityConfig()
@@ -90,7 +90,7 @@ class StabilityGuard:
 
     def record_outcome(self, outcome: ActionOutcome) -> None:
         """Record an executed action (starts its cooldown, feeds oscillation check)."""
-        if not outcome.applied or outcome.kind is ActionKind.NONE:
+        if not outcome.applied:
             return
         self._last_action_time[outcome.kind] = outcome.time
         if outcome.kind in (ActionKind.SCALE_OUT, ActionKind.SCALE_IN):
@@ -107,9 +107,6 @@ class StabilityGuard:
         analysis: Optional[AnalysisResult] = None,
     ) -> bool:
         """Whether the guard lets this action through right now."""
-        if action.kind is ActionKind.NONE:
-            return True
-
         if self._frozen_until is not None and now < self._frozen_until:
             if action.kind in (ActionKind.SCALE_OUT, ActionKind.SCALE_IN):
                 self.blocked_by_freeze += 1

@@ -62,7 +62,7 @@ _COLUMNS = [
 #: (label, policy name, initial nodes, initial read CL)
 POLICY_VARIANTS: Sequence[Tuple[str, str, int, ConsistencyLevel]] = (
     ("static", "static", 3, ConsistencyLevel.ONE),
-    ("overprovisioned", "overprovisioned_static", 7, ConsistencyLevel.QUORUM),
+    ("overprovisioned", "static", 7, ConsistencyLevel.QUORUM),
     ("reactive", "reactive_threshold", 3, ConsistencyLevel.ONE),
     ("predictive", "predictive", 3, ConsistencyLevel.ONE),
     ("sla_driven", "sla_driven", 3, ConsistencyLevel.ONE),

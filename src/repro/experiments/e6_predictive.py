@@ -20,6 +20,7 @@ between the two because it smooths but does not extrapolate.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
 from ..runner import Simulation
@@ -129,7 +130,7 @@ def run(
             policy=policy,
             evaluation_interval=20.0,
         )
-        config.controller.forecaster = forecaster
+        config.controller = replace(config.controller, forecaster=forecaster)
         simulation = Simulation(config)
         report = simulation.run()
         summary = report.controller_summary

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import build_parser, build_simulation_config, main
 from repro.cluster.types import ConsistencyLevel
+from repro.core.planner import POLICIES
 from repro.workload.tenants import TenantSpec
 
 
@@ -31,6 +32,14 @@ def test_parser_defaults_for_run():
     assert args.policy == "sla_driven"
     assert args.shape == "constant"
     assert args.duration == 600.0
+
+
+def test_policy_choices_are_the_policy_table():
+    run_parser = next(
+        action for action in build_parser()._actions if action.dest == "command"
+    ).choices["run"]
+    policy = next(action for action in run_parser._actions if action.dest == "policy")
+    assert policy.choices == sorted(POLICIES)
 
 
 def test_parser_rejects_unknown_policy_and_experiment():

@@ -1,4 +1,4 @@
-"""Unit tests for the analyzer, the SLA planner, actions and the stability guard."""
+"""Unit tests for the analyzer, the SLA-driven policy, actions and the stability guard."""
 
 from __future__ import annotations
 
@@ -6,21 +6,21 @@ from repro.cluster import Cluster, ClusterConfig, ConsistencyLevel, NodeConfig
 from repro.core import (
     AddNodeAction,
     Analyzer,
+    POLICIES,
     KnowledgeBase,
-    NoAction,
     RemoveNodeAction,
     RootCause,
     SetReadConsistencyAction,
     SetWriteConsistencyAction,
     SLAEvaluator,
-    SLAPlanner,
     StabilityConfig,
     StabilityGuard,
     Symptom,
     SystemObservation,
     default_sla,
 )
-from repro.core.actions import ActionKind
+from repro.core.actions import ActionKind, ActionOutcome
+from repro.core.planner import derive_consistency_target
 from repro.core.sla import SLA, LatencySLO, StalenessSLO
 from repro.simulation import Simulator
 
@@ -41,8 +41,8 @@ def observation(**overrides):
         network_congestion=1.0,
         node_count=3,
         replication_factor=3,
-        read_consistency="ONE",
-        write_consistency="ONE",
+        read_consistency=ConsistencyLevel.ONE,
+        write_consistency=ConsistencyLevel.ONE,
     )
     base.update(overrides)
     return SystemObservation(**base)
@@ -104,7 +104,7 @@ def test_cost_waste_requires_headroom_and_idle_cluster():
 def test_consistency_too_strict_detected():
     obs = observation(
         read_p95_latency=0.2,
-        read_consistency="QUORUM",
+        read_consistency=ConsistencyLevel.QUORUM,
         max_utilization=0.5,
         inconsistency_window_p95=0.01,
     )
@@ -123,74 +123,67 @@ def test_load_trend_root_causes():
 
 
 # ----------------------------------------------------------------------
-# Planner
+# The SLA-driven policy
 # ----------------------------------------------------------------------
-def cluster_state(nodes=3, rf=3, read="ONE", write="ONE"):
-    return {
-        "node_count": nodes,
-        "replication_factor": rf,
-        "read_consistency": read,
-        "write_consistency": write,
-    }
+def plan(analysis, knowledge, sla):
+    return POLICIES["sla_driven"](analysis, knowledge, sla)
 
 
 def test_planner_derives_strong_levels_for_strict_staleness():
     knowledge = KnowledgeBase()
     knowledge.staleness_model.update_lag(1.0)  # very laggy replicas
-    planner = SLAPlanner()
     sla = SLA(objectives=[StalenessSLO(max_window_p95=0.05, max_stale_read_fraction=0.001)])
-    target = planner.derive_consistency_target(knowledge, sla, replication_factor=3)
+    target = derive_consistency_target(knowledge, sla, replication_factor=3)
     assert target.read_level.required_acks(3) + target.write_level.required_acks(3) > 3
 
 
 def test_planner_keeps_weak_levels_for_relaxed_staleness():
     knowledge = KnowledgeBase()
     knowledge.staleness_model.update_lag(0.001)
-    planner = SLAPlanner()
     sla = SLA(objectives=[StalenessSLO(max_window_p95=10.0, max_stale_read_fraction=0.5)])
-    target = planner.derive_consistency_target(knowledge, sla, replication_factor=3)
+    target = derive_consistency_target(knowledge, sla, replication_factor=3)
     assert target.read_level is ConsistencyLevel.ONE
     assert target.write_level is ConsistencyLevel.ONE
 
 
 def test_planner_adds_node_on_availability_violation():
     analysis, knowledge, sla = analyze(observation(failure_fraction=0.2, max_utilization=0.9))
-    planner = SLAPlanner()
-    actions = planner.plan(analysis, knowledge, sla, cluster_state())
-    assert isinstance(actions[0], AddNodeAction)
+    assert isinstance(plan(analysis, knowledge, sla), AddNodeAction)
 
 
 def test_planner_strengthens_consistency_on_staleness_violation_without_saturation():
     analysis, knowledge, sla = analyze(
         observation(stale_read_fraction=0.2, inconsistency_window_p95=1.0, max_utilization=0.4)
     )
-    planner = SLAPlanner()
-    actions = planner.plan(analysis, knowledge, sla, cluster_state())
-    assert isinstance(actions[0], (SetReadConsistencyAction, SetWriteConsistencyAction))
+    action = plan(analysis, knowledge, sla)
+    assert isinstance(action, (SetReadConsistencyAction, SetWriteConsistencyAction))
 
 
 def test_planner_prefers_capacity_when_staleness_is_due_to_saturation():
     analysis, knowledge, sla = analyze(
         observation(stale_read_fraction=0.2, inconsistency_window_p95=1.0, max_utilization=0.95)
     )
-    planner = SLAPlanner()
-    actions = planner.plan(analysis, knowledge, sla, cluster_state())
-    assert isinstance(actions[0], AddNodeAction)
+    assert isinstance(plan(analysis, knowledge, sla), AddNodeAction)
 
 
 def test_planner_avoids_adding_nodes_under_network_congestion():
     analysis, knowledge, sla = analyze(
-        observation(failure_fraction=0.2, network_congestion=3.0, write_consistency="QUORUM")
+        observation(
+            failure_fraction=0.2,
+            network_congestion=3.0,
+            write_consistency=ConsistencyLevel.QUORUM,
+        )
     )
-    planner = SLAPlanner()
-    actions = planner.plan(analysis, knowledge, sla, cluster_state(write="QUORUM"))
-    assert not isinstance(actions[0], AddNodeAction)
+    action = plan(analysis, knowledge, sla)
+    # Shed the write level's cost instead of adding traffic.
+    assert isinstance(action, SetWriteConsistencyAction)
+    assert action.describe() == "set_write_consistency:ONE"
 
 
 def test_planner_relaxes_consistency_when_latency_hurts_and_staleness_is_fine():
     obs = observation(
         read_p95_latency=0.3,
-        read_consistency="QUORUM",
+        read_consistency=ConsistencyLevel.QUORUM,
         inconsistency_window_p95=0.001,
         inconsistency_window_mean=0.0005,
         max_utilization=0.4,
@@ -198,11 +191,10 @@ def test_planner_relaxes_consistency_when_latency_hurts_and_staleness_is_fine():
     knowledge = KnowledgeBase()
     knowledge.staleness_model.update_lag(0.001)
     analysis, knowledge, sla = analyze(obs, knowledge=knowledge)
-    planner = SLAPlanner()
-    actions = planner.plan(analysis, knowledge, sla, cluster_state(read="QUORUM"))
-    assert isinstance(actions[0], (SetReadConsistencyAction, AddNodeAction))
-    if isinstance(actions[0], SetReadConsistencyAction):
-        assert actions[0]._level.strictness < ConsistencyLevel.QUORUM.strictness
+    action = plan(analysis, knowledge, sla)
+    assert isinstance(action, (SetReadConsistencyAction, AddNodeAction))
+    if isinstance(action, SetReadConsistencyAction):
+        assert action._level.strictness < ConsistencyLevel.QUORUM.strictness
 
 
 def test_planner_scales_in_when_overprovisioned():
@@ -220,16 +212,12 @@ def test_planner_scales_in_when_overprovisioned():
     for i in range(5):
         knowledge.record_observation(obs)
     analysis, knowledge, sla = analyze(obs, knowledge=knowledge)
-    planner = SLAPlanner()
-    actions = planner.plan(analysis, knowledge, sla, cluster_state(nodes=6))
-    assert isinstance(actions[0], RemoveNodeAction)
+    assert isinstance(plan(analysis, knowledge, sla), RemoveNodeAction)
 
 
 def test_planner_no_action_when_healthy_and_sized_right():
     analysis, knowledge, sla = analyze(observation(mean_utilization=0.55, max_utilization=0.6))
-    planner = SLAPlanner()
-    actions = planner.plan(analysis, knowledge, sla, cluster_state())
-    assert isinstance(actions[0], NoAction)
+    assert plan(analysis, knowledge, sla) is None
 
 
 # ----------------------------------------------------------------------
@@ -260,9 +248,6 @@ def test_actions_apply_to_cluster():
     outcome = RemoveNodeAction().apply(cluster, simulator.now)
     assert outcome.applied
     assert outcome.kind is ActionKind.SCALE_IN
-
-    noop = NoAction().apply(cluster, simulator.now)
-    assert noop.applied
 
 
 def test_failed_action_reports_error():
@@ -336,6 +321,9 @@ def test_guard_detects_oscillation_and_freezes_scaling():
     assert guard.stats()["oscillations_detected"] == 1.0
 
 
-def test_guard_ignores_no_action():
-    guard = StabilityGuard()
-    assert guard.allows(NoAction(), now=0.0)
+def test_guard_ignores_an_action_that_did_not_apply():
+    guard = StabilityGuard(StabilityConfig(required_persistence=1))
+    guard.record_outcome(
+        ActionOutcome(action="add_node", kind=ActionKind.SCALE_OUT, applied=False, time=100.0)
+    )
+    assert guard.allows(AddNodeAction(), now=110.0)

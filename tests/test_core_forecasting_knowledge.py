@@ -7,13 +7,13 @@ import math
 import pytest
 
 from repro.core import (
+    FORECASTERS,
     AutoRegressiveForecaster,
     EwmaForecaster,
     HoltWintersForecaster,
     KnowledgeBase,
     NaiveForecaster,
     SystemObservation,
-    make_forecaster,
 )
 import repro.core.knowledge as knowledge_module
 from repro.core.knowledge import CapacityModel
@@ -85,13 +85,13 @@ def test_observation_time_ordering_enforced():
         forecaster.observe(5.0, 1.0)
 
 
-def test_make_forecaster_factory():
-    assert isinstance(make_forecaster("ewma"), EwmaForecaster)
-    assert isinstance(make_forecaster("holt_winters"), HoltWintersForecaster)
-    assert isinstance(make_forecaster("autoregressive"), AutoRegressiveForecaster)
-    assert isinstance(make_forecaster("naive"), NaiveForecaster)
-    with pytest.raises(ValueError):
-        make_forecaster("oracle")
+def test_forecaster_table():
+    assert FORECASTERS == {
+        "naive": NaiveForecaster,
+        "ewma": EwmaForecaster,
+        "holt_winters": HoltWintersForecaster,
+        "autoregressive": AutoRegressiveForecaster,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -1,26 +1,24 @@
-"""Tests for the scaling policies and the autonomous controller loop."""
+"""Tests for the policy table and the autonomous controller loop."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, ConsistencyLevel, NodeConfig
+from repro.cluster.errors import ConfigurationError
 from repro.core import (
+    FORECASTERS,
+    POLICIES,
     AutonomousController,
     ControllerConfig,
     KnowledgeBase,
-    PredictivePolicy,
-    ReactiveThresholdPolicy,
-    SLADrivenPolicy,
     SLAEvaluator,
-    StaticPolicy,
     SystemObservation,
     default_sla,
-    make_policy,
 )
-from repro.core.actions import ActionKind, AddNodeAction, RemoveNodeAction
-from repro.core.analyzer import Analyzer
-import repro.core.policies.reactive as reactive
+from repro.core import planner
+from repro.core.actions import AddNodeAction, RemoveNodeAction
+from repro.core.analyzer import AnalysisResult, Analyzer
 from repro.monitoring import MetricsCollector
 from repro.simulation import Simulator
 from repro.workload import BALANCED, ConstantLoad, StepLoad, WorkloadGenerator, WorkloadSpec
@@ -42,66 +40,53 @@ def observation(**overrides):
         network_congestion=1.0,
         node_count=3,
         replication_factor=3,
-        read_consistency="ONE",
-        write_consistency="ONE",
+        read_consistency=ConsistencyLevel.ONE,
+        write_consistency=ConsistencyLevel.ONE,
     )
     base.update(overrides)
     return SystemObservation(**base)
 
 
-def decide(policy, obs, knowledge=None):
+def decide(name, obs, knowledge=None):
+    """The action the policy ``name`` takes on ``obs``, or ``None``."""
     sla = default_sla()
     knowledge = knowledge or KnowledgeBase()
     knowledge.record_observation(obs)
     evaluation = SLAEvaluator(sla).evaluate(obs)
     analysis = Analyzer().analyze(obs, evaluation, knowledge, sla)
-    state = {
-        "node_count": obs.node_count,
-        "replication_factor": obs.replication_factor,
-        "read_consistency": obs.read_consistency,
-        "write_consistency": obs.write_consistency,
-    }
-    return policy.decide(analysis, knowledge, sla, state)
+    return POLICIES[name](analysis, knowledge, sla)
 
 
 # ----------------------------------------------------------------------
 # Policies
 # ----------------------------------------------------------------------
 def test_static_policy_never_acts():
-    assert decide(StaticPolicy(), observation(mean_utilization=0.99, max_utilization=0.99)) == []
+    assert decide("static", observation(mean_utilization=0.99, max_utilization=0.99)) is None
 
 
 def test_reactive_policy_scales_out_on_high_utilisation():
-    actions = decide(ReactiveThresholdPolicy(), observation(mean_utilization=0.9))
-    assert isinstance(actions[0], AddNodeAction)
+    action = decide("reactive_threshold", observation(mean_utilization=0.9))
+    assert isinstance(action, AddNodeAction)
 
 
 def test_reactive_policy_scales_in_on_low_utilisation():
-    actions = decide(
-        ReactiveThresholdPolicy(), observation(mean_utilization=0.1, node_count=6)
-    )
-    assert isinstance(actions[0], RemoveNodeAction)
+    action = decide("reactive_threshold", observation(mean_utilization=0.1, node_count=6))
+    assert isinstance(action, RemoveNodeAction)
 
 
 def test_reactive_policy_respects_bounds(monkeypatch):
-    monkeypatch.setattr(reactive, "MAX_NODES", 3)
-    actions = decide(
-        ReactiveThresholdPolicy(),
-        observation(mean_utilization=0.9, node_count=3),
-    )
-    assert actions == []
-    actions = decide(
-        ReactiveThresholdPolicy(), observation(mean_utilization=0.1, node_count=3)
-    )
-    assert actions == []  # cannot drop below RF
+    monkeypatch.setattr(planner, "MAX_NODES", 3)
+    assert decide("reactive_threshold", observation(mean_utilization=0.9, node_count=3)) is None
+    # Cannot drop below RF.
+    assert decide("reactive_threshold", observation(mean_utilization=0.1, node_count=3)) is None
 
 
 def test_reactive_policy_ignores_staleness():
-    actions = decide(
-        ReactiveThresholdPolicy(),
+    action = decide(
+        "reactive_threshold",
         observation(stale_read_fraction=0.5, inconsistency_window_p95=5.0, mean_utilization=0.5),
     )
-    assert actions == []
+    assert action is None
 
 
 def test_predictive_policy_scales_for_forecast_load():
@@ -110,9 +95,8 @@ def test_predictive_policy_scales_for_forecast_load():
         knowledge.record_observation(
             observation(time=i * 30.0, throughput_ops=100.0 + 40.0 * i, mean_utilization=0.6)
         )
-    policy = PredictivePolicy()
-    actions = decide(policy, observation(time=630.0, throughput_ops=900.0), knowledge=knowledge)
-    assert isinstance(actions[0], AddNodeAction)
+    action = decide("predictive", observation(time=630.0, throughput_ops=900.0), knowledge)
+    assert isinstance(action, AddNodeAction)
 
 
 def test_predictive_policy_scales_in_when_forecast_drops():
@@ -121,30 +105,60 @@ def test_predictive_policy_scales_in_when_forecast_drops():
         knowledge.record_observation(
             observation(time=i * 30.0, throughput_ops=40.0, node_count=8, mean_utilization=0.1)
         )
-    policy = PredictivePolicy()
-    actions = decide(
-        policy, observation(time=630.0, throughput_ops=40.0, node_count=8), knowledge=knowledge
+    action = decide(
+        "predictive", observation(time=630.0, throughput_ops=40.0, node_count=8), knowledge
     )
-    assert isinstance(actions[0], RemoveNodeAction)
+    assert isinstance(action, RemoveNodeAction)
 
 
-def test_sla_driven_policy_produces_actions_for_staleness():
-    policy = SLADrivenPolicy()
-    actions = decide(
-        policy,
+def test_the_two_sizing_formulas_stay_apart():
+    # ``predictive`` sizes from max(throughput, offered rate) with an RF
+    # floor; the SLA-driven ``desired_node_count`` from throughput alone.
+    obs = observation(throughput_ops=100.0, offered_rate=2000.0, node_count=3)
+    analysis = AnalysisResult(time=obs.time, observation=obs, margins={}, forecast_load=0.0)
+    knowledge = KnowledgeBase()
+    assert isinstance(POLICIES["predictive"](analysis, knowledge, default_sla()), AddNodeAction)
+    assert planner.desired_node_count(analysis, knowledge) == planner.MIN_NODES
+    idle = observation(throughput_ops=1.0, offered_rate=1.0, node_count=3, replication_factor=3)
+    analysis = AnalysisResult(time=idle.time, observation=idle, margins={}, forecast_load=0.0)
+    assert POLICIES["predictive"](analysis, knowledge, default_sla()) is None
+
+
+def test_sizing_reads_the_forecast_the_analyzer_computed():
+    # The knowledge base has seen no load, so its forecaster predicts none:
+    # only ``analysis.forecast_load`` can make either sizing formula grow.
+    obs = observation(throughput_ops=100.0, offered_rate=100.0, node_count=3)
+    knowledge = KnowledgeBase()
+    calm = AnalysisResult(time=obs.time, observation=obs, margins={}, forecast_load=0.0)
+    peak = AnalysisResult(time=obs.time, observation=obs, margins={}, forecast_load=5000.0)
+    assert POLICIES["predictive"](calm, knowledge, default_sla()) is None
+    assert isinstance(POLICIES["predictive"](peak, knowledge, default_sla()), AddNodeAction)
+    assert planner.desired_node_count(calm, knowledge) < obs.node_count
+    assert planner.desired_node_count(peak, knowledge) > obs.node_count
+
+
+def test_sla_driven_policy_acts_on_staleness():
+    action = decide(
+        "sla_driven",
         observation(stale_read_fraction=0.2, inconsistency_window_p95=1.0, max_utilization=0.4),
     )
-    assert actions, "the SLA-driven policy should react to a staleness violation"
+    assert action is not None, "the SLA-driven policy should react to a staleness violation"
 
 
-def test_policy_factory():
-    assert isinstance(make_policy("static"), StaticPolicy)
-    assert isinstance(make_policy("reactive_threshold"), ReactiveThresholdPolicy)
-    assert isinstance(make_policy("predictive"), PredictivePolicy)
-    assert isinstance(make_policy("sla_driven"), SLADrivenPolicy)
-    assert make_policy("overprovisioned").name == "overprovisioned_static"
-    with pytest.raises(ValueError):
-        make_policy("magic")
+def test_policy_table_names_every_policy():
+    assert set(POLICIES) == {"static", "reactive_threshold", "predictive", "sla_driven"}
+
+
+@pytest.mark.parametrize(
+    "field, value", [("policy", "magic"), ("policy", "overprovisioned"), ("forecaster", "oracle")]
+)
+def test_controller_config_refuses_an_unknown_name(field, value):
+    table = POLICIES if field == "policy" else FORECASTERS
+    with pytest.raises(ConfigurationError) as raised:
+        ControllerConfig(**{field: value})
+    message = str(raised.value)
+    assert f"ControllerConfig.{field}" in message
+    assert all(name in message for name in table)
 
 
 # ----------------------------------------------------------------------
@@ -181,13 +195,13 @@ def build_controlled_system(seed, policy="sla_driven", rate=60.0, shape=None, no
     return simulator, cluster, controller, workload
 
 
-def test_controller_runs_rounds_and_records_observations():
+def test_controller_runs_rounds_and_counts_evaluations():
     simulator, _cluster, controller, _workload = build_controlled_system(seed=1, policy="static")
     simulator.run_until(200.0)
     assert controller.rounds == 10
-    assert len(controller.observations) == 10
-    assert len(controller.sla_evaluator.evaluations) == 10
+    assert controller.sla_evaluator.evaluated == 10
     assert controller.summary()["rounds"] == 10.0
+    assert controller.summary()["evaluations"] == 10.0
 
 
 @pytest.mark.slow

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import ConsistencyLevel
 from repro.core import (
     SLA,
     AvailabilitySLO,
@@ -111,6 +112,9 @@ def test_evaluation_reports_violated_objectives_and_worst_margin():
 
 
 def test_observation_as_dict_numeric_only():
-    flat = observation(read_consistency="ONE").as_dict()
+    flat = observation(
+        read_consistency=ConsistencyLevel.QUORUM, tier_scales={"bronze": 0.5}
+    ).as_dict()
     assert "read_p95_latency" in flat
     assert "read_consistency" not in flat
+    assert "tier_scales" not in flat

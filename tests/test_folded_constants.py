@@ -16,7 +16,6 @@ from repro.cluster import anti_entropy, coordinator, faults, hinted_handoff, mem
 from repro.cluster.errors import FRACTION, NON_NEGATIVE, POSITIVE, POSITIVE_FRACTION, Bound
 from repro.consistency import window_tracker
 from repro.core import forecasting, knowledge, planner, sla, stability
-from repro.core.policies import predictive, reactive
 from repro.cost import billing, compensation
 from repro.experiments import e6_predictive, scenarios
 from repro.middleware import admission, hedging, latency, routing
@@ -61,15 +60,11 @@ _BOUNDS = [
     (knowledge, "CAPACITY_LEARNING_RATE", FRACTION),
     (planner, "MIN_NODES", AT_LEAST_ONE),
     (planner, "MAX_NODES", AT_LEAST_ONE),
+    (planner, "TARGET_UTILIZATION", POSITIVE_FRACTION),
     (planner, "QUOTA_TIGHTEN_FACTOR", POSITIVE_FRACTION),
     (planner, "QUOTA_FLOOR", FRACTION),
-    (predictive, "TARGET_UTILIZATION", POSITIVE_FRACTION),
-    (predictive, "MIN_NODES", AT_LEAST_ONE),
-    (predictive, "MAX_NODES", AT_LEAST_ONE),
-    (reactive, "SCALE_OUT_UTILIZATION", POSITIVE_FRACTION),
-    (reactive, "SCALE_IN_UTILIZATION", POSITIVE_FRACTION),
-    (reactive, "MIN_NODES", AT_LEAST_ONE),
-    (reactive, "MAX_NODES", AT_LEAST_ONE),
+    (planner, "REACTIVE_SCALE_OUT_UTILIZATION", POSITIVE_FRACTION),
+    (planner, "REACTIVE_SCALE_IN_UTILIZATION", POSITIVE_FRACTION),
     (stability, "OSCILLATION_WINDOW", POSITIVE),
     (stability, "OSCILLATION_FREEZE", NON_NEGATIVE),
     # The billing prices declared no bound as fields; a price is never negative.
@@ -147,10 +142,8 @@ def test_every_folded_constant_lies_inside_its_old_bound(module, name, bound):
 #: modules when it runs, so it sees the constants as the code does.
 _ORDERINGS = {
     "planner.MIN_NODES <= MAX_NODES": lambda: planner.MIN_NODES <= planner.MAX_NODES,
-    "predictive.MIN_NODES <= MAX_NODES": lambda: predictive.MIN_NODES <= predictive.MAX_NODES,
-    "reactive.MIN_NODES <= MAX_NODES": lambda: reactive.MIN_NODES <= reactive.MAX_NODES,
-    "reactive.SCALE_IN_UTILIZATION < SCALE_OUT_UTILIZATION": (
-        lambda: reactive.SCALE_IN_UTILIZATION < reactive.SCALE_OUT_UTILIZATION
+    "planner.REACTIVE_SCALE_IN_UTILIZATION < REACTIVE_SCALE_OUT_UTILIZATION": (
+        lambda: planner.REACTIVE_SCALE_IN_UTILIZATION < planner.REACTIVE_SCALE_OUT_UTILIZATION
     ),
     "forecasting.AR_ORDER + 1 < AR_WINDOW": (
         lambda: forecasting.AR_ORDER + 1 < forecasting.AR_WINDOW

@@ -22,11 +22,11 @@ from repro import (
 from repro.cluster import Cluster, ConsistencyLevel, FaultPlan, FaultSpec
 from repro.cluster.types import OperationType
 from repro.core import (
+    POLICIES,
     AddNodeAction,
     Analyzer,
     KnowledgeBase,
     SLAEvaluator,
-    SLAPlanner,
     StabilityConfig,
     Symptom,
     SystemObservation,
@@ -262,98 +262,72 @@ def observation(**overrides):
         network_congestion=1.0,
         node_count=3,
         replication_factor=3,
-        read_consistency="ONE",
-        write_consistency="ONE",
     )
     base.update(overrides)
     return SystemObservation(**base)
 
 
-def analysis_with(symptoms, obs=None):
-    obs = obs or observation()
+def plan(symptoms, tier_scales, **overrides):
+    """The SLA-driven policy's action for a round with these symptoms, on a
+    cluster whose admission stage holds ``tier_scales``."""
+    obs = observation(tier_scales=dict(tier_scales), **overrides)
     sla = default_sla()
     knowledge = KnowledgeBase()
     knowledge.record_observation(obs)
     evaluation = SLAEvaluator(sla).evaluate(obs)
     analysis = Analyzer().analyze(obs, evaluation, knowledge, sla)
     analysis.symptoms = set(symptoms)
-    return analysis, knowledge, sla
-
-
-def plan_state(tier_scales, nodes=3):
-    return {
-        "node_count": nodes,
-        "replication_factor": 3,
-        "read_consistency": "ONE",
-        "write_consistency": "ONE",
-        "admission_tier_scales": tier_scales,
-    }
+    return POLICIES["sla_driven"](analysis, knowledge, sla)
 
 
 def test_planner_sheds_lowest_tier_before_scaling_out_under_overload():
-    obs = observation(read_p95_latency=0.5, max_utilization=0.95)
-    analysis, knowledge, sla = analysis_with([Symptom.LATENCY_VIOLATION], obs)
-    planner = SLAPlanner()
-    actions = planner.plan(
-        analysis, knowledge, sla, plan_state({"bronze": 1.0, "silver": 1.0, "gold": 1.0})
-    )
-    assert isinstance(actions[0], SetTierQuotaScaleAction)
-    assert actions[0].tier == "bronze"
-    assert actions[0].scale == pytest.approx(0.5)
+    overload = dict(read_p95_latency=0.5, max_utilization=0.95)
+    latency = [Symptom.LATENCY_VIOLATION]
+    action = plan(latency, {"bronze": 1.0, "silver": 1.0, "gold": 1.0}, **overload)
+    assert isinstance(action, SetTierQuotaScaleAction)
+    assert action.tier == "bronze"
+    assert action.scale == pytest.approx(0.5)
     # Bronze at the floor: silver goes next.
-    actions = planner.plan(
-        analysis, knowledge, sla, plan_state({"bronze": 0.25, "silver": 1.0, "gold": 1.0})
-    )
-    assert actions[0].tier == "silver"
+    action = plan(latency, {"bronze": 0.25, "silver": 1.0, "gold": 1.0}, **overload)
+    assert action.tier == "silver"
     # Everything sheddable at the floor: only then pay for a node.
-    actions = planner.plan(
-        analysis, knowledge, sla, plan_state({"bronze": 0.25, "silver": 0.25, "gold": 1.0})
-    )
-    assert isinstance(actions[0], AddNodeAction)
+    action = plan(latency, {"bronze": 0.25, "silver": 0.25, "gold": 1.0}, **overload)
+    assert isinstance(action, AddNodeAction)
     # Gold is never shed, regardless of pressure.
-    tightened = [
-        planner.plan(analysis, knowledge, sla, plan_state({"gold": 1.0}))[0]
-    ]
-    assert not any(isinstance(a, SetTierQuotaScaleAction) for a in tightened)
+    assert not isinstance(plan(latency, {"gold": 1.0}, **overload), SetTierQuotaScaleAction)
 
 
 def test_planner_does_not_shed_tenants_without_overload():
     # Latency violation but low utilisation: tighten nothing, keep capacity.
-    obs = observation(read_p95_latency=0.5, max_utilization=0.4)
-    analysis, knowledge, sla = analysis_with([Symptom.LATENCY_VIOLATION], obs)
-    actions = SLAPlanner().plan(
-        analysis, knowledge, sla, plan_state({"bronze": 1.0, "silver": 1.0})
+    action = plan(
+        [Symptom.LATENCY_VIOLATION],
+        {"bronze": 1.0, "silver": 1.0},
+        read_p95_latency=0.5,
+        max_utilization=0.4,
     )
-    assert not isinstance(actions[0], SetTierQuotaScaleAction)
+    assert not isinstance(action, SetTierQuotaScaleAction)
 
 
 def test_planner_sheds_before_adding_nodes_on_availability_emergency():
-    analysis, knowledge, sla = analysis_with([Symptom.AVAILABILITY_VIOLATION])
-    actions = SLAPlanner().plan(
-        analysis, knowledge, sla, plan_state({"bronze": 1.0, "silver": 1.0})
-    )
-    assert isinstance(actions[0], SetTierQuotaScaleAction)
-    assert actions[0].tier == "bronze"
-    # Without an admission stage in the snapshot the old behaviour stands.
-    actions = SLAPlanner().plan(analysis, knowledge, sla, plan_state(None))
-    assert isinstance(actions[0], AddNodeAction)
+    emergency = [Symptom.AVAILABILITY_VIOLATION]
+    action = plan(emergency, {"bronze": 1.0, "silver": 1.0})
+    assert isinstance(action, SetTierQuotaScaleAction)
+    assert action.tier == "bronze"
+    # Without an admission stage the observation carries no scales, and the
+    # old behaviour stands.
+    assert isinstance(plan(emergency, {}), AddNodeAction)
 
 
 def test_planner_restores_quotas_first_under_cost_waste():
-    analysis, knowledge, sla = analysis_with([Symptom.COST_WASTE])
-    planner = SLAPlanner()
-    actions = planner.plan(
-        analysis, knowledge, sla, plan_state({"bronze": 0.25, "silver": 0.5, "gold": 1.0})
-    )
+    waste = [Symptom.COST_WASTE]
+    action = plan(waste, {"bronze": 0.25, "silver": 0.5, "gold": 1.0})
     # Highest tier first: silver back towards 1.0 before bronze.
-    assert isinstance(actions[0], SetTierQuotaScaleAction)
-    assert actions[0].tier == "silver"
-    assert actions[0].scale == pytest.approx(1.0)
+    assert isinstance(action, SetTierQuotaScaleAction)
+    assert action.tier == "silver"
+    assert action.scale == pytest.approx(1.0)
     # Fully restored: the quota lever stays quiet.
-    actions = planner.plan(
-        analysis, knowledge, sla, plan_state({"bronze": 1.0, "silver": 1.0, "gold": 1.0})
-    )
-    assert not isinstance(actions[0], SetTierQuotaScaleAction)
+    action = plan(waste, {"bronze": 1.0, "silver": 1.0, "gold": 1.0})
+    assert not isinstance(action, SetTierQuotaScaleAction)
 
 
 # ----------------------------------------------------------------------
