@@ -138,6 +138,16 @@ What each ceiling names:
   and 0.065 measured, 2.14 and 1.07 before): a listener that recounts
   outcomes back in either layer puts it above 1.15 / 0.066.  Events,
   schedules and messages per operation did not move.
+* The control loop reading the clients' tally (PERFORMANCE.md rule 15)
+  lowered every ``trace.calls_per_op`` ceiling to the measurement plus 2%
+  (134.53 / 197.13 / 164.28 / 130.46 measured, 140.42 / 202.12 / 170.22 /
+  136.76 before): the metrics collector and the RTT model read the
+  workload's counts and latency series, where each took one frame per
+  completed operation and kept its own latency window, and the tenant
+  rollup reads its per-tenant counts.  The ``monitoring`` ceiling of
+  ``ycsb_b_default`` holds it (2.15 measured, 8.04 before): a listener that
+  recounts completions in ``monitoring/`` puts it back above 2.19.  Events,
+  schedules and messages per operation did not move.
 
 A counted call that replaces uncounted work is not a regression in itself
 (the profiler counts ``dict.get`` and ``tolist`` but not a loop iteration, a
@@ -157,8 +167,8 @@ ROOT = Path(__file__).resolve().parents[1]
 GATES = {
     "ycsb_b_default": (
         {
-            # 140.43 measured + 2%: no listener recounts what clients saw.
-            "trace.calls_per_op": 143.2,
+            # 134.53 measured + 2%: no listener recounts what clients saw.
+            "trace.calls_per_op": 137.2,
             "simulation.engine.calls_per_op": 32.55,
             "simulation.misc.calls_per_op": 3.0,
             "cluster.replica.calls_per_op": 9.82,
@@ -169,6 +179,10 @@ GATES = {
             "consistency.calls_per_op": 1.15,
             # 0.065 measured + 2%: the cost models price counts, they do not listen.
             "core.calls_per_op": 0.066,
+            # 2.15 measured + 2%: the collector and the RTT model read the
+            # workload's tally; a listener that recounts completions in
+            # monitoring/ puts it back above this.
+            "monitoring.calls_per_op": 2.19,
             "simulation.engine.cancelled_skipped_per_op": 0.02,
             "simulation.engine.peak_pending": 40,
         },
@@ -180,8 +194,8 @@ GATES = {
     ),
     "autoscale_diurnal": (
         {
-            # 202.14 measured + 2%: no listener recounts what clients saw.
-            "trace.calls_per_op": 206.1,
+            # 197.13 measured + 2%: no listener recounts what clients saw.
+            "trace.calls_per_op": 201.1,
             "simulation.engine.calls_per_op": 43.65,
             "simulation.resources.calls_per_op": 13.36,
             "consistency.calls_per_op": 13.45,
@@ -198,8 +212,8 @@ GATES = {
     ),
     "hedged_failslow": (
         {
-            # 170.24 measured + 2%: no listener recounts what clients saw.
-            "trace.calls_per_op": 173.6,
+            # 164.28 measured + 2%: no listener recounts what clients saw.
+            "trace.calls_per_op": 167.6,
             "simulation.engine.calls_per_op": 33.29,
             # 28.95 measured + 2%: no stage hook frame around ``observe``.
             "middleware.calls_per_op": 29.53,
@@ -214,8 +228,8 @@ GATES = {
     ),
     "tenants_admission": (
         {
-            # 136.77 measured + 2%: no listener recounts what clients saw.
-            "trace.calls_per_op": 139.5,
+            # 130.46 measured + 2%: no listener recounts what clients saw.
+            "trace.calls_per_op": 133.1,
             "simulation.engine.calls_per_op": 27.85,
             "middleware.calls_per_op": 9.43,
             "simulation.engine.cancelled_skipped_per_op": 0.02,

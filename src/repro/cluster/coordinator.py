@@ -641,9 +641,7 @@ class RequestCoordinator:
             if version is not None and (newest is None or version.stamp > newest.stamp):
                 newest = version
 
-        mismatch = self._pipeline.inspect_read_responses(request, responses)
-        if mismatch is not None:
-            result.digest_mismatch = mismatch
+        self._pipeline.inspect_read_responses(request, responses)
 
         if newest is not None:
             result.value = newest.value

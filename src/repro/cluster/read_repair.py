@@ -39,9 +39,8 @@ class ReadRepairer:
     ) -> bool:
         """Check a set of replica responses; repair stale replicas if needed.
 
-        Returns ``True`` when the responses disagreed (digest mismatch), which
-        the coordinator reports on the :class:`~repro.cluster.types.ReadResult`
-        so the piggyback monitor can observe divergence without ground truth.
+        Returns ``True`` when the responses disagreed (digest mismatch); each
+        one is counted in ``mismatches_detected``.
         """
         if len(responses) < 2:
             return False

@@ -175,9 +175,6 @@ class ReadResult(OperationResult):
     staleness: float = 0.0
     """Age of the returned version relative to the newest acked version (seconds)."""
 
-    digest_mismatch: bool = False
-    """Whether the contacted replicas disagreed (triggered read repair)."""
-
 
 @dataclass
 class WriteResult(OperationResult):

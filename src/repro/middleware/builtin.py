@@ -140,11 +140,12 @@ class StalenessAnnotation(RequestMiddleware):
 class MonitoringHooks(RequestMiddleware):
     """Feed completed operations to the cluster's listeners.
 
-    This is the piggyback monitoring tap: the piggyback estimator, the
-    metrics collector, the overhead accountant and the compensation model all
-    observe the request path through the listener notifications this
-    middleware fires.  Dropping it from a pipeline silences passive
-    monitoring without touching the data path.
+    This is the piggyback monitoring tap: the piggyback estimator and, on a
+    tenant run, the tenant rollup's per-tier read windows observe the request
+    path through the listener notifications this middleware fires.  Dropping
+    it from a pipeline silences those two and nothing else: the metrics the
+    controller reads, the RTT model and the report's counts come from the
+    workload's tally, and the data path is untouched.
     """
 
     name = "monitoring-hooks"

@@ -42,6 +42,7 @@ from ..cluster.types import (
 )
 from ..simulation.engine import Simulator
 from ..simulation.timeseries import exact_percentiles
+from ..workload.generator import WorkloadStats
 from .percentiles import WindowedPercentiles
 
 __all__ = [
@@ -367,9 +368,11 @@ class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
 RTT_BASE_SERVICE_TIME = 0.00125
 #: Utilisation above which the queueing term is clamped (model stability).
 RTT_UTILIZATION_KNEE = 0.95
+#: Recent production reads the hedge budget's percentile is taken over.
+HEDGE_BUDGET_WINDOW = 512
 
 
-class RttEstimator(ConsistencyEstimator, ClusterListener):
+class RttEstimator(ConsistencyEstimator):
     """Estimates the window from latencies and utilisation, with no extra load.
 
     The model treats replication lag as one network hop plus the queueing
@@ -377,17 +380,16 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
     ``window ≈ rtt/2 + service_time * rho / (1 - rho)``.  It needs only
     metrics every deployment already exports, but it knows nothing about
     consistency levels, hinted handoff or repair traffic — experiment E2
-    shows where that cheapness costs accuracy.
+    shows where that cheapness costs accuracy.  Its read latencies and its
+    sample count are the workload's tally.
     """
 
     name = "rtt"
 
-    def __init__(self, simulator: Simulator, cluster: Cluster) -> None:
+    def __init__(self, simulator: Simulator, cluster: Cluster, stats: WorkloadStats) -> None:
         ConsistencyEstimator.__init__(self, simulator)
         self._cluster = cluster
-        self._writes_observed = 0
-        self._read_latencies = WindowedPercentiles(window=512)
-        cluster.add_listener(self)
+        self._stats = stats
 
     def node_rtt_estimates(self) -> Dict[str, float]:
         """The per-node RTT estimates reads route on (empty when no stage
@@ -395,24 +397,16 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
         rtt = self._cluster.coordinator.rtt
         return {} if rtt is None else rtt.snapshot()
 
-    def on_operation_completed(self, result: OperationResult) -> None:
-        if result.operation.is_probe or not result.success:
-            return
-        if result.is_read:
-            self._read_latencies.observe(result.latency)
-        else:
-            self._writes_observed += 1
-
     def read_latency_percentile(self, q: float) -> float:
-        """Observed production read-latency percentile (0.0 before any read).
+        """Production read-latency percentile over the last
+        ``HEDGE_BUDGET_WINDOW`` completed reads (0.0 before any read).
 
         This is the budget source for the request-hedging middleware: arming
         the hedge timer at the p99 read latency means roughly one read in a
         hundred hedges, the classic "tail at scale" operating point.
         """
-        if self._read_latencies.count == 0:
-            return 0.0
-        return self._read_latencies.percentile(q)
+        recent = self._stats.read_latency_series.values[-HEDGE_BUDGET_WINDOW:]
+        return exact_percentiles(recent, (q,))[0]
 
     def _build_estimate(self, now: float) -> WindowEstimate:
         metrics = self._cluster.cluster_metrics()
@@ -428,6 +422,6 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
             mean_window=mean_window,
             p95_window=p95_window,
             stale_read_fraction=0.0,
-            samples=self._writes_observed,
+            samples=self._stats.writes_completed,
         )
         return estimate

@@ -1,28 +1,32 @@
 """Metric collection.
 
 The :class:`MetricsCollector` is the controller's (and the experiment
-harness') window into the running system.  It combines two sources:
+harness') window into the running system.  Every ``SAMPLE_INTERVAL`` it
+samples
 
-* **push**: every completed client operation is observed through the cluster
-  listener interface and folded into windowed latency/throughput/error
-  aggregates, and
-* **pull**: node- and cluster-level gauges (utilisation, queue lengths,
-  pending hints, network congestion, node count) are sampled on a fixed
-  interval.
+* what clients saw, from the workload's tally
+  (:class:`~repro.workload.generator.WorkloadStats`): the window's counts are
+  the differences of its cumulative counters since the last sample, and the
+  latency percentiles are taken over the tail of its latency series, and
+* node- and cluster-level gauges (utilisation, queue lengths, pending hints,
+  network congestion, node count).
 
-Everything it produces is something a real deployment could export through
-its metrics pipeline; nothing here peeks at simulator ground truth.
+It stores no per-operation fact of its own, so it reads the same numbers
+whatever request stack runs.  Everything it produces is something a real
+deployment could export through its metrics pipeline; nothing here peeks at
+simulator ground truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster.cluster import Cluster, ClusterListener
 from ..cluster.types import OperationResult
 from ..simulation.engine import Simulator
-from ..simulation.timeseries import TimeSeriesBundle
+from ..simulation.timeseries import TimeSeriesBundle, exact_percentiles
+from ..workload.generator import TenantOpStats, WorkloadStats
 from .percentiles import WindowedPercentiles
 
 __all__ = [
@@ -32,7 +36,7 @@ __all__ = [
 ]
 
 
-#: Recent operations kept for the collector's latency percentiles, and for
+#: Recent operations the collector's latency percentiles are taken over, and
 #: each tier's in the tenant rollup.
 LATENCY_WINDOW = 4096
 TIER_LATENCY_WINDOW = 1024
@@ -58,58 +62,30 @@ class MetricsSnapshot:
     pending_hints: int
     network_congestion: float
     stale_read_fraction: float
-    digest_mismatch_fraction: float
-    rejected_fraction: float = 0.0
+    rejected_fraction: float
     """Fraction of window operations shed by admission control — kept apart
     from ``failure_fraction`` so intentional load shedding never reads as
     unavailability."""
 
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dictionary used by the knowledge base and the reports."""
-        return {
-            "time": self.time,
-            "throughput_ops": self.throughput_ops,
-            "read_p95_latency": self.read_p95_latency,
-            "read_p99_latency": self.read_p99_latency,
-            "write_p95_latency": self.write_p95_latency,
-            "write_p99_latency": self.write_p99_latency,
-            "failure_fraction": self.failure_fraction,
-            "mean_utilization": self.mean_utilization,
-            "max_utilization": self.max_utilization,
-            "node_count": float(self.node_count),
-            "pending_hints": float(self.pending_hints),
-            "network_congestion": self.network_congestion,
-            "stale_read_fraction": self.stale_read_fraction,
-            "digest_mismatch_fraction": self.digest_mismatch_fraction,
-            "rejected_fraction": self.rejected_fraction,
-        }
+
+#: Every field of a snapshot but its time: one gauge series each.
+GAUGES = tuple(field.name for field in fields(MetricsSnapshot))[1:]
 
 
-class MetricsCollector(ClusterListener):
-    """Aggregates operation results and system gauges for the controller."""
+class MetricsCollector:
+    """Samples the clients' tally and the system gauges for the controller."""
 
-    def __init__(self, simulator: Simulator, cluster: Cluster) -> None:
+    def __init__(self, simulator: Simulator, cluster: Cluster, stats: WorkloadStats) -> None:
         self._simulator = simulator
         self._cluster = cluster
+        self._stats = stats
         self.series = TimeSeriesBundle()
         """One series per gauge, a sample per ``SAMPLE_INTERVAL``."""
 
-        self._read_latencies = WindowedPercentiles(LATENCY_WINDOW)
-        self._write_latencies = WindowedPercentiles(LATENCY_WINDOW)
-
-        # Window counters, reset every snapshot.
         self._window_start = simulator.now
-        self._window_reads = 0
-        self._window_writes = 0
-        self._window_failures = 0
-        self._window_stale_reads = 0
-        self._window_mismatches = 0
-        self._window_operations = 0
-        self._window_rejected = 0
-
+        self._last_counts = self._counts()
         self._last_snapshot: Optional[MetricsSnapshot] = None
 
-        cluster.add_listener(self)
         simulator.call_every(
             SAMPLE_INTERVAL,
             self._sample_gauges,
@@ -117,33 +93,18 @@ class MetricsCollector(ClusterListener):
             priority=Simulator.PRIORITY_LATE,
         )
 
-    # ------------------------------------------------------------------
-    # ClusterListener hooks (push path)
-    # ------------------------------------------------------------------
-    def on_operation_completed(self, result: OperationResult) -> None:
-        if result.operation.is_probe:
-            return  # monitoring probes do not count towards client latency
-        self._window_operations += 1
-        if result.rejected:
-            self._window_rejected += 1
-            return
-        if not result.success:
-            self._window_failures += 1
-            return
-        if result.is_read:
-            self._window_reads += 1
-            self._read_latencies.observe(result.latency)
-            if result.stale:
-                self._window_stale_reads += 1
-            if result.digest_mismatch:
-                self._window_mismatches += 1
-        else:
-            self._window_writes += 1
-            self._write_latencies.observe(result.latency)
+    def _counts(self) -> Tuple[int, int, int, int, int]:
+        """The tally's cumulative completed reads and writes, failures,
+        rejections and stale reads."""
+        stats = self._stats
+        return (
+            stats.reads_completed,
+            stats.writes_completed,
+            stats.operations_failed,
+            stats.operations_rejected,
+            stats.stale_reads,
+        )
 
-    # ------------------------------------------------------------------
-    # Gauge sampling (pull path)
-    # ------------------------------------------------------------------
     def _sample_gauges(self) -> None:
         now = self._simulator.now
         cluster_metrics = self._cluster.cluster_metrics()
@@ -153,61 +114,43 @@ class MetricsCollector(ClusterListener):
         mean_util = sum(utilizations) / len(utilizations) if utilizations else 0.0
         max_util = max(utilizations) if utilizations else 0.0
 
+        # The window's counts: what the tally gained since the last sample.
+        counts = self._counts()
+        reads, writes, failures, rejected, stale_reads = (
+            count - before for count, before in zip(counts, self._last_counts)
+        )
+        operations = reads + writes + failures + rejected
         elapsed = max(1e-9, now - self._window_start)
-        completed = self._window_reads + self._window_writes
-        throughput = completed / elapsed
-        failure_fraction = (
-            self._window_failures / self._window_operations
-            if self._window_operations
-            else 0.0
-        )
-        rejected_fraction = (
-            self._window_rejected / self._window_operations
-            if self._window_operations
-            else 0.0
-        )
-        stale_fraction = (
-            self._window_stale_reads / self._window_reads if self._window_reads else 0.0
-        )
-        mismatch_fraction = (
-            self._window_mismatches / self._window_reads if self._window_reads else 0.0
-        )
 
-        read_p95, read_p99 = self._read_latencies.percentiles((95, 99))
-        write_p95, write_p99 = self._write_latencies.percentiles((95, 99))
+        stats = self._stats
+        read_p95, read_p99 = exact_percentiles(
+            stats.read_latency_series.values[-LATENCY_WINDOW:], (95, 99)
+        )
+        write_p95, write_p99 = exact_percentiles(
+            stats.write_latency_series.values[-LATENCY_WINDOW:], (95, 99)
+        )
         snapshot = MetricsSnapshot(
             time=now,
-            throughput_ops=throughput,
+            throughput_ops=(reads + writes) / elapsed,
             read_p95_latency=read_p95,
             read_p99_latency=read_p99,
             write_p95_latency=write_p95,
             write_p99_latency=write_p99,
-            failure_fraction=failure_fraction,
+            failure_fraction=failures / operations if operations else 0.0,
             mean_utilization=mean_util,
             max_utilization=max_util,
             node_count=int(cluster_metrics["node_count"]),
             pending_hints=int(cluster_metrics["pending_hints"]),
             network_congestion=cluster_metrics["network_congestion"],
-            stale_read_fraction=stale_fraction,
-            digest_mismatch_fraction=mismatch_fraction,
-            rejected_fraction=rejected_fraction,
+            stale_read_fraction=stale_reads / reads if reads else 0.0,
+            rejected_fraction=rejected / operations if operations else 0.0,
         )
         self._last_snapshot = snapshot
-
-        for name, value in snapshot.as_dict().items():
-            if name == "time":
-                continue
-            self.series.record(name, now, value)
-
-        # Reset the window counters.
         self._window_start = now
-        self._window_reads = 0
-        self._window_writes = 0
-        self._window_failures = 0
-        self._window_stale_reads = 0
-        self._window_mismatches = 0
-        self._window_operations = 0
-        self._window_rejected = 0
+        self._last_counts = counts
+
+        for name in GAUGES:
+            self.series.record(name, now, getattr(snapshot, name))
 
     # ------------------------------------------------------------------
     # Query API
@@ -226,13 +169,12 @@ class _RollupWork:
         self.samples = samples
 
 
-@dataclass
-class _TenantCounters:
-    """Per-tenant volume counters kept by the rollup."""
-
-    operations: int = 0
-    rejected: int = 0
-    failed: int = 0
+def _counter_triple(entry: TenantOpStats) -> Tuple[int, int, int]:
+    """A tenant's resolved, rejected and failed operation counts."""
+    rejected = entry.operations_rejected
+    failed = entry.reads_failed + entry.writes_failed
+    resolved = entry.reads_completed + entry.writes_completed + rejected + failed
+    return resolved, rejected, failed
 
 
 class TenantMetricsRollup(ClusterListener):
@@ -241,13 +183,15 @@ class TenantMetricsRollup(ClusterListener):
     A production multi-tenant store cannot afford a full latency histogram
     per tenant; what operators actually dashboard is (a) who the heavy
     hitters are and (b) whether each *SLO tier* is meeting its latency
-    objective.  This helper keeps exactly that: a counter triple per tenant
-    and one :class:`WindowedPercentiles` per tier.
+    objective.  The first is read from the workload's per-tenant tally
+    (:class:`~repro.workload.generator.TenantOpStats`); for the second the
+    rollup keeps one :class:`WindowedPercentiles` per tier, the one thing the
+    per-tenant arrays cannot rebuild.
 
     Its compute is charged against the monitoring budget: it exposes the same
     duck-typed surface (``name`` / ``estimates()`` / ``operations_issued()``)
     the :class:`~repro.monitoring.overhead.MonitoringOverheadAccountant`
-    bills consistency estimators through, with one sample per observed
+    bills consistency estimators through, with one sample per resolved tenant
     operation and the rollup itself as one produced estimate.
     """
 
@@ -256,18 +200,19 @@ class TenantMetricsRollup(ClusterListener):
     def __init__(
         self,
         cluster: Cluster,
+        tenants: Dict[str, TenantOpStats],
         tier_of: Optional[Dict[str, str]] = None,
         tier_slos_ms: Optional[Dict[str, float]] = None,
     ) -> None:
-        """``tier_of`` maps tenant id to tier name (e.g.
+        """``tenants`` is the workload's per-tenant tally; ``tier_of`` maps
+        tenant id to tier name (e.g.
         :meth:`~repro.workload.tenants.TenantPopulation.tier_lookup`);
         ``tier_slos_ms`` optionally carries each tier's read-p99 objective so
         :meth:`tier_summary` can report attainment."""
+        self._tenants = tenants
         self._tier_of = dict(tier_of or {})
         self._tier_slos_ms = dict(tier_slos_ms or {})
-        self._tenants: Dict[str, _TenantCounters] = {}
         self._tier_read_latencies: Dict[str, WindowedPercentiles] = {}
-        self._samples = 0
         cluster.add_listener(self)
 
     # ------------------------------------------------------------------
@@ -275,45 +220,36 @@ class TenantMetricsRollup(ClusterListener):
     # ------------------------------------------------------------------
     def on_operation_completed(self, result: OperationResult) -> None:
         tenant = result.tenant
-        if tenant is None:
+        if tenant is None or not result.success or not result.is_read:
             return
-        self._samples += 1
-        counters = self._tenants.get(tenant)
-        if counters is None:
-            counters = self._tenants[tenant] = _TenantCounters()
-        counters.operations += 1
-        if result.rejected:
-            counters.rejected += 1
-            return
-        if not result.success:
-            counters.failed += 1
-            return
-        if result.is_read:
-            tier = self._tier_of.get(tenant, "default")
-            window = self._tier_read_latencies.get(tier)
-            if window is None:
-                window = self._tier_read_latencies[tier] = WindowedPercentiles(
-                    TIER_LATENCY_WINDOW
-                )
-            window.observe(result.latency)
+        tier = self._tier_of.get(tenant, "default")
+        window = self._tier_read_latencies.get(tier)
+        if window is None:
+            window = self._tier_read_latencies[tier] = WindowedPercentiles(
+                TIER_LATENCY_WINDOW
+            )
+        window.observe(result.latency)
 
     # ------------------------------------------------------------------
     # Query API
     # ------------------------------------------------------------------
     def top_tenants(self, k: int = 10) -> List[Dict[str, object]]:
-        """The ``k`` highest-volume tenants with their counter triples."""
+        """The ``k`` highest-volume tenants with their counter triples (a
+        tenant with nothing resolved yet is not listed)."""
+        triples = {tenant: _counter_triple(entry) for tenant, entry in self._tenants.items()}
         ranked = sorted(
-            self._tenants.items(), key=lambda item: (-item[1].operations, item[0])
+            (item for item in triples.items() if item[1][0]),
+            key=lambda item: (-item[1][0], item[0]),
         )
         return [
             {
                 "tenant": tenant,
                 "tier": self._tier_of.get(tenant, "default"),
-                "operations": counters.operations,
-                "rejected": counters.rejected,
-                "failed": counters.failed,
+                "operations": operations,
+                "rejected": rejected,
+                "failed": failed,
             }
-            for tenant, counters in ranked[: max(0, k)]
+            for tenant, (operations, rejected, failed) in ranked[: max(0, k)]
         ]
 
     def tier_summary(self) -> Dict[str, Dict[str, float]]:
@@ -345,10 +281,12 @@ class TenantMetricsRollup(ClusterListener):
     # Monitoring-budget surface (duck-typed like a ConsistencyEstimator)
     # ------------------------------------------------------------------
     def estimates(self) -> List[_RollupWork]:
-        """One work unit carrying every observed sample (for the accountant)."""
-        if self._samples == 0:
+        """One work unit carrying every resolved tenant operation (for the
+        accountant)."""
+        samples = sum(_counter_triple(entry)[0] for entry in self._tenants.values())
+        if samples == 0:
             return []
-        return [_RollupWork(self._samples)]
+        return [_RollupWork(samples)]
 
     def operations_issued(self) -> int:
         """The rollup is passive: it issues no probe operations."""

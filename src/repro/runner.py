@@ -212,11 +212,14 @@ class Simulation:
             self.interference.attach_server(node.server)
         self.cluster.add_listener(_InterferenceListener(self.cluster, self.interference))
 
-        # Monitoring stack.
-        self.metrics = MetricsCollector(self.simulator, self.cluster)
+        # The workload (its constructor schedules nothing), then the
+        # monitoring stack, which reads what clients saw from its tally.
+        self.workload = WorkloadGenerator(self.simulator, self.cluster, self.config.workload)
+        stats = self.workload.stats
+        self.metrics = MetricsCollector(self.simulator, self.cluster, stats)
         prober = ReadAfterWriteProber(self.simulator, self.cluster, self.config.monitoring.probe)
         piggyback = PiggybackMonitor(self.simulator, self.cluster)
-        rtt = RttEstimator(self.simulator, self.cluster)
+        rtt = RttEstimator(self.simulator, self.cluster, stats)
         self.estimators: Dict[str, object] = {e.name: e for e in (prober, piggyback, rtt)}
         # Hedged reads arm their timer at the observed p99 read latency
         # (clamped to the stage's static budget) instead of the static
@@ -232,9 +235,8 @@ class Simulation:
         )
         self.cost.billing.record_node_count(0.0, len(self.cluster.node_ids()))
 
-        # Workload, and the monitoring share of the load, read from its tally.
-        self.workload = WorkloadGenerator(self.simulator, self.cluster, self.config.workload)
-        self.overhead = MonitoringOverheadAccountant(self.workload.stats, prober)
+        # The monitoring share of the load, read from the workload's tally.
+        self.overhead = MonitoringOverheadAccountant(stats, prober)
         for estimator in self.estimators.values():
             self.overhead.register(estimator)
 
@@ -255,6 +257,7 @@ class Simulation:
                 )
             self.tenant_rollup = TenantMetricsRollup(
                 self.cluster,
+                stats.tenant_stats,
                 tier_of=self.workload.population.tier_lookup(),
                 tier_slos_ms={
                     tier.name: tier.read_p99_slo_ms for tier in tenant_spec.tiers

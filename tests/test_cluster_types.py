@@ -90,4 +90,3 @@ def test_read_result_defaults():
     assert result.value is None
     assert not result.stale
     assert result.staleness == 0.0
-    assert not result.digest_mismatch

@@ -172,7 +172,6 @@ def build_controlled_system(seed, policy="sla_driven", rate=60.0, shape=None, no
             initial_nodes=nodes, replication_factor=3, node=NodeConfig(ops_capacity=120.0)
         ),
     )
-    metrics = MetricsCollector(simulator, cluster)
     workload = WorkloadGenerator(
         simulator,
         cluster,
@@ -182,6 +181,7 @@ def build_controlled_system(seed, policy="sla_driven", rate=60.0, shape=None, no
             load_shape=shape or ConstantLoad(rate),
         ),
     )
+    metrics = MetricsCollector(simulator, cluster, workload.stats)
     controller = AutonomousController(
         simulator,
         cluster,
@@ -245,12 +245,12 @@ def test_controller_runs_rounds_from_its_estimators():
         simulator,
         ClusterConfig(initial_nodes=3, replication_factor=3, node=NodeConfig(ops_capacity=120.0)),
     )
-    metrics = MetricsCollector(simulator, cluster)
     workload = WorkloadGenerator(
         simulator,
         cluster,
         WorkloadSpec(record_count=300, operation_mix=BALANCED, load_shape=ConstantLoad(200.0)),
     )
+    metrics = MetricsCollector(simulator, cluster, workload.stats)
     from repro.monitoring import ReadAfterWriteProber, ProbeConfig
 
     prober = ReadAfterWriteProber(simulator, cluster, ProbeConfig(probe_interval=5.0))

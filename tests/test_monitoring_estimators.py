@@ -13,7 +13,13 @@ from repro.monitoring import (
     RttEstimator,
 )
 from repro.simulation import Simulator
-from repro.workload import BALANCED, ConstantLoad, WorkloadGenerator, WorkloadSpec
+from repro.workload import (
+    BALANCED,
+    ConstantLoad,
+    WorkloadGenerator,
+    WorkloadSpec,
+    WorkloadStats,
+)
 
 
 def make_cluster(simulator, ops_capacity=500.0):
@@ -89,9 +95,9 @@ def test_rtt_estimator_scales_with_utilisation():
     # the metrics collector's sampling loop.
     from repro.monitoring import MetricsCollector
 
-    MetricsCollector(simulator, cluster)
-    estimator = RttEstimator(simulator, cluster)
-    start_workload(simulator, cluster, rate=30.0)
+    workload = start_workload(simulator, cluster, rate=30.0)
+    MetricsCollector(simulator, cluster, workload.stats)
+    estimator = RttEstimator(simulator, cluster, workload.stats)
     simulator.run_until(60.0)
     low_load = estimator.latest().mean_window
     start_workload(simulator, cluster, rate=120.0)
@@ -127,7 +133,7 @@ def test_overhead_accountant_tracks_probe_share():
 def test_estimate_dataclass_dict():
     simulator = Simulator(seed=7)
     cluster = make_cluster(simulator)
-    estimator = RttEstimator(simulator, cluster)
+    estimator = RttEstimator(simulator, cluster, WorkloadStats())
     simulator.run_until(20.0)
     latest = estimator.latest()
     flat = latest.as_dict()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig, NodeConfig
 from repro.monitoring import MetricsCollector, WindowedPercentiles
+from repro.monitoring.metrics import GAUGES
 from repro.monitoring.percentiles import MergeableHistogramSketch
 from repro.simulation import Simulator
 from repro.workload import BALANCED, ConstantLoad, WorkloadGenerator, WorkloadSpec
@@ -69,12 +70,12 @@ def make_collector(seed=1, rate=150.0):
         simulator,
         ClusterConfig(initial_nodes=3, replication_factor=3, node=NodeConfig(ops_capacity=500.0)),
     )
-    collector = MetricsCollector(simulator, cluster)
     workload = WorkloadGenerator(
         simulator,
         cluster,
         WorkloadSpec(record_count=200, operation_mix=BALANCED, load_shape=ConstantLoad(rate)),
     )
+    collector = MetricsCollector(simulator, cluster, workload.stats)
     workload.preload()
     workload.start()
     return simulator, cluster, collector, workload
@@ -116,7 +117,7 @@ def test_collector_excludes_probe_operations_by_default():
 def test_collector_snapshot_dict_shape():
     simulator, _cluster, collector, _workload = make_collector()
     simulator.run_until(20.0)
-    as_dict = collector.latest().as_dict()
+    latest = collector.latest()
     for key in (
         "throughput_ops",
         "read_p95_latency",
@@ -125,7 +126,8 @@ def test_collector_snapshot_dict_shape():
         "node_count",
         "stale_read_fraction",
     ):
-        assert key in as_dict
+        assert key in GAUGES
+        assert collector.series[key].last() == getattr(latest, key)
 
 
 # ----------------------------------------------------------------------

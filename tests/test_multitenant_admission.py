@@ -385,7 +385,9 @@ def test_rejections_flow_into_stats_report_rollup_and_cost():
     assert "gold" in tiers and tiers["gold"]["count"] > 0
     assert tiers["gold"]["read_p99_slo_ms"] == 50.0
     assert rollup.operations_issued() == 0  # passive: no probe traffic
-    assert rollup.estimates()[0].samples > 0
+    # Its volumes are the workload's per-tenant tally: one sample per
+    # resolved tenant operation.
+    assert rollup.estimates()[0].samples == simulation.workload.stats.operations_resolved > 0
     # Report carries the tenant summary and the cost line.
     nested = report.as_dict()
     assert nested["tenants"]["admission"]["rejected"] == stage.rejected

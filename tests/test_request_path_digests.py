@@ -292,7 +292,6 @@ GAUGE_GOLDEN = {
         "pending_hints": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
         "network_congestion": "fbb8630cf2b4a3965420ec6ba5ede9951066a7e6c2df159ea9424eea6aa7d573",
         "stale_read_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
-        "digest_mismatch_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
         "rejected_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
     },
     "latency_aware": {
@@ -308,7 +307,6 @@ GAUGE_GOLDEN = {
         "pending_hints": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
         "network_congestion": "fbb8630cf2b4a3965420ec6ba5ede9951066a7e6c2df159ea9424eea6aa7d573",
         "stale_read_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
-        "digest_mismatch_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
         "rejected_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
     },
     "consistency_override": {
@@ -324,7 +322,6 @@ GAUGE_GOLDEN = {
         "pending_hints": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
         "network_congestion": "fbb8630cf2b4a3965420ec6ba5ede9951066a7e6c2df159ea9424eea6aa7d573",
         "stale_read_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
-        "digest_mismatch_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
         "rejected_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
     },
     "hedged": {
@@ -340,7 +337,6 @@ GAUGE_GOLDEN = {
         "pending_hints": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
         "network_congestion": "fbb8630cf2b4a3965420ec6ba5ede9951066a7e6c2df159ea9424eea6aa7d573",
         "stale_read_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
-        "digest_mismatch_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
         "rejected_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
     },
     "admission": {
@@ -356,7 +352,6 @@ GAUGE_GOLDEN = {
         "pending_hints": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
         "network_congestion": "fbb8630cf2b4a3965420ec6ba5ede9951066a7e6c2df159ea9424eea6aa7d573",
         "stale_read_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
-        "digest_mismatch_fraction": "a878490c6c7584965accd57b0503e7d3232242b4ceb0233fc54513d934d10eaa",
         "rejected_fraction": "f24f1b04d76bb0fda195b3781527e832d36e0847904b3a8e72b7c97e87f4dd6a",
     },
     "autoscale": {
@@ -372,7 +367,6 @@ GAUGE_GOLDEN = {
         "pending_hints": "fb30aa3f28463aa1586d688b314a2a54f6e1fce62d6e18f877b80e24657fcc6a",
         "network_congestion": "82d4127ed7b38ac44674b4613035ff63ea4ac8ea9153ce35d3398f64a0f47dc1",
         "stale_read_fraction": "edee7fc4784ca3499c96e0fd4698e372c906c4a6a5bd992424b1df3e724f3ca6",
-        "digest_mismatch_fraction": "fb30aa3f28463aa1586d688b314a2a54f6e1fce62d6e18f877b80e24657fcc6a",
         "rejected_fraction": "fb30aa3f28463aa1586d688b314a2a54f6e1fce62d6e18f877b80e24657fcc6a",
     },
 }

@@ -2,31 +2,30 @@
 
 A completed operation's latency and a stale read's age live in the
 workload's series, a closed or expired window in the tracker's; the metrics
-collector keeps gauges only.  A second copy of any of them shows here as a
-length that no longer matches its counter, or as a per-operation name among
-the gauges.  Counts are held to the same rule: what a client saw is counted
-by ``WorkloadStats`` alone, so the completion listeners of a stock run are
-exactly the components that keep something else, and a counting listener
-that comes back fails here by name.
+collector keeps gauges only, and it and the RTT model take their latency
+percentiles from the tail of the workload's series.  A second copy of any of
+them shows here as a length that no longer matches its counter, or as a
+per-operation name among the gauges.  Counts are held to the same rule: what
+a client saw is counted by ``WorkloadStats`` alone, so the completion
+listeners of a stock run are exactly the components that keep something
+else (the piggyback monitor's acknowledged versions, the tenant rollup's
+per-tier read windows), a counting listener that comes back fails here by
+name, and a stack without the ``monitoring-hooks`` stage still shows the
+controller what clients saw.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.experiments.scenarios import build_config, standard_cluster, standard_workload
-from repro.monitoring.estimators import PiggybackMonitor, RttEstimator
-from repro.monitoring.metrics import MetricsCollector, MetricsSnapshot, TenantMetricsRollup
-from repro.runner import Simulation
+from repro.middleware import DEFAULT_REQUEST_PIPELINE
+from repro.monitoring.estimators import PiggybackMonitor
+from repro.monitoring.metrics import GAUGES, TenantMetricsRollup
+from repro.runner import Simulation, SimulationConfig
 from repro.workload.operations import BALANCED
 
 from test_request_path_digests import DURATION, _config
-
-GAUGES = {
-    field.name for field in dataclasses.fields(MetricsSnapshot) if field.name != "time"
-}
 
 
 def _stale_reads_config():
@@ -52,7 +51,7 @@ def test_every_sample_is_stored_once(stack):
     assert len(stats.read_latency_series) == stats.reads_completed > 0
     assert len(stats.write_latency_series) == stats.writes_completed > 0
 
-    assert set(simulation.metrics.series._series) == GAUGES
+    assert tuple(simulation.metrics.series._series) == GAUGES
 
     tracker = simulation.window_tracker
     assert len(tracker.series) == tracker.windows_closed + tracker.windows_expired > 0
@@ -69,19 +68,29 @@ def _completion_listeners(simulation):
 
 
 def test_only_what_keeps_something_else_listens_to_completions():
-    # The collector keeps gauges, the piggyback monitor acknowledged versions
-    # and the RTT model its latency window; staleness, compensation and the
-    # monitoring share are read from the workload's and the prober's counts.
-    assert _completion_listeners(Simulation(_config("default"))) == [
-        MetricsCollector,
-        PiggybackMonitor,
-        RttEstimator,
-    ]
+    # The piggyback monitor keeps acknowledged versions and the tenant rollup
+    # its per-tier read windows; the controller's metrics, the RTT model,
+    # staleness, compensation and the monitoring share are read from the
+    # workload's and the prober's counts.
+    assert _completion_listeners(Simulation(_config("default"))) == [PiggybackMonitor]
     tenants = Simulation(_config("admission"))
     assert tenants.tenant_rollup is not None
-    assert _completion_listeners(tenants) == [
-        MetricsCollector,
-        PiggybackMonitor,
-        RttEstimator,
-        TenantMetricsRollup,
-    ]
+    assert _completion_listeners(tenants) == [PiggybackMonitor, TenantMetricsRollup]
+
+
+def test_without_the_monitoring_hooks_the_controller_still_sees_the_clients():
+    stack = tuple(name for name in DEFAULT_REQUEST_PIPELINE if name != "monitoring-hooks")
+    simulation = Simulation(SimulationConfig(seed=3, duration=DURATION, middleware=stack))
+    simulation.run()
+    stats = simulation.workload.stats
+    assert stats.operations_completed > 1000
+
+    latest = simulation.metrics.latest()
+    window = simulation.metrics.series["throughput_ops"]
+    # The window counts sum to the tally (a sample every 5 s, the last at 60 s).
+    assert window.values.sum() * 5.0 == pytest.approx(stats.operations_completed)
+    assert latest.throughput_ops > 0.0
+    assert latest.read_p95_latency > 0.0
+    assert latest.write_p95_latency > 0.0
+    assert simulation.estimators["rtt"].read_latency_percentile(99) > 0.0
+    assert simulation.estimators["rtt"].latest().samples == stats.writes_completed > 0
