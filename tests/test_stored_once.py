@@ -16,6 +16,9 @@ controller what clients saw.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments.scenarios import build_config, standard_cluster, standard_workload
@@ -94,3 +97,20 @@ def test_without_the_monitoring_hooks_the_controller_still_sees_the_clients():
     assert latest.write_p95_latency > 0.0
     assert simulation.estimators["rtt"].read_latency_percentile(99) > 0.0
     assert simulation.estimators["rtt"].latest().samples == stats.writes_completed > 0
+
+
+#: E2's report with each estimator's ``probe_operations`` and
+#: ``probe_load_fraction`` taken out, captured while the overhead report
+#: counted the probes the prober issued: counting the ones that resolved
+#: instead must move nothing else.
+REPORT_WITHOUT_PROBE_FIGURES = (
+    "46c05f4da647f9d652139f0d1b907355134781df6add3df36787b567e12a4ed2"
+)
+
+
+def test_the_probe_count_moves_only_the_two_overhead_probe_figures():
+    report = Simulation(_stale_reads_config()).run().as_dict()
+    for overhead in report["monitoring_overhead"].values():
+        del overhead["probe_operations"], overhead["probe_load_fraction"]
+    blob = json.dumps(report, sort_keys=True, default=repr)
+    assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_WITHOUT_PROBE_FIGURES
