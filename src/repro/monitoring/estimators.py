@@ -113,10 +113,6 @@ class ConsistencyEstimator(abc.ABC):
         """All estimates produced so far."""
         return list(self._estimates)
 
-    def operations_issued(self) -> int:
-        """Extra cluster operations this estimator generated (its load cost)."""
-        return 0
-
     def stop(self) -> None:
         """Stop reporting (and probing, for active estimators)."""
         self._report_task.stop()
@@ -159,7 +155,6 @@ class ReadAfterWriteProber(ConsistencyEstimator):
         self._probe_sequence = itertools.count(1)
         self._window_samples = WindowedPercentiles(window=512)
         self._recent_samples: List[float] = []
-        self._ops_issued = 0
         self.probes_started = 0
         # Probe operations resolved (succeeded or failed): the monitoring
         # share of the cluster's load.
@@ -170,16 +165,12 @@ class ReadAfterWriteProber(ConsistencyEstimator):
             label="probe:write",
         )
 
-    def operations_issued(self) -> int:
-        return self._ops_issued
-
     # -- probe lifecycle -------------------------------------------------
     def _start_probe(self) -> None:
         sequence = next(self._probe_sequence)
         key = f"{PROBE_KEY_PREFIX}/{sequence % 64}"
         marker = f"{sequence}".encode("ascii")
         self.probes_started += 1
-        self._ops_issued += 1
         self._cluster.write(
             key,
             value=marker,
@@ -213,7 +204,6 @@ class ReadAfterWriteProber(ConsistencyEstimator):
     def _issue_probe_read(
         self, key: str, version_timestamp: float, ack_time: float, attempt: int
     ) -> None:
-        self._ops_issued += 1
         self._cluster.read(
             key,
             consistency_level=ConsistencyLevel.ONE,

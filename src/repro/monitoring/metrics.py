@@ -189,10 +189,11 @@ class TenantMetricsRollup(ClusterListener):
     per-tenant arrays cannot rebuild.
 
     Its compute is charged against the monitoring budget: it exposes the same
-    duck-typed surface (``name`` / ``estimates()`` / ``operations_issued()``)
-    the :class:`~repro.monitoring.overhead.MonitoringOverheadAccountant`
-    bills consistency estimators through, with one sample per resolved tenant
-    operation and the rollup itself as one produced estimate.
+    duck-typed surface (``name`` / ``estimates()``) the
+    :class:`~repro.monitoring.overhead.MonitoringOverheadAccountant` bills
+    consistency estimators through, with one sample per resolved tenant
+    operation and the rollup itself as one produced estimate; it adds no
+    load.
     """
 
     name = "tenant-rollup"
@@ -287,7 +288,3 @@ class TenantMetricsRollup(ClusterListener):
         if samples == 0:
             return []
         return [_RollupWork(samples)]
-
-    def operations_issued(self) -> int:
-        """The rollup is passive: it issues no probe operations."""
-        return 0

@@ -7,7 +7,8 @@ analyse these measurements, ...".  The :class:`MonitoringOverheadAccountant`
 turns that into numbers: every estimator registers itself and the accountant
 derives, per estimator,
 
-* the number of extra cluster operations it issued,
+* the number of extra cluster operations it added (the prober's resolved
+  probes; every other estimator adds none),
 * the fraction of total cluster load those operations represent, and
 * an analysis-CPU charge (seconds of compute) based on a per-sample cost.
 
@@ -85,7 +86,7 @@ class MonitoringOverheadAccountant:
             samples * ANALYSIS_COST_PER_SAMPLE
             + len(estimates) * ANALYSIS_COST_PER_ESTIMATE
         )
-        probe_ops = estimator.operations_issued()
+        probe_ops = self.probe_operations if estimator is self._prober else 0
         total_ops = self.production_operations + self.probe_operations
         return OverheadReport(
             estimator=estimator.name,

@@ -269,10 +269,12 @@ def test_a_plan_that_cannot_be_split_is_refused_in_one_line(serial, repro):
 
 #: ``as_dict()`` digests of ``run --duration 20 --seed 3 --hedge-reads``,
 #: captured when ``--hedge-budget-fraction`` reached the stage through a
-#: per-stage ``{"request-hedging": {"budget_fraction": ...}}`` mapping.
+#: per-stage ``{"request-hedging": {"budget_fraction": ...}}`` mapping, and
+#: re-captured when the overhead report began counting resolved probes (its
+#: two probe figures were all that moved).
 HEDGE_FLAG_DIGESTS = {
-    "0.02": "dc33d471fe6abd083500266b3077f9012394225f4c2b30cb849b636f64c5efff",
-    None: "db3513852385c41810ec551fb3310c845d719f9aab743a7a2f1eb8881c768b2c",
+    "0.02": "2ab5ef7ab9f5efbbb90311d44cb8ee62bd95d5d74349734c526bcf0b82d18880",
+    None: "4c53914f265bf6b939bb3f0ffdf6c0976cce249097671232768f7ed9d863b634",
 }
 
 

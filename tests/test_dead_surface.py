@@ -818,7 +818,7 @@ ALLOWED_STATE: Dict[str, Tuple[str, str]] = {
     "OperationResult.replicas_responded": (PIN, "quorum and hedging tests count each operation's answers"),
     "ReadAfterWriteProber.probes_started": (
         PIN,
-        "prober tests count probe writes; operations_issued() also counts reads still in flight",
+        "prober tests count probe writes; probe_operations counts resolved writes and reads",
     ),
 }
 

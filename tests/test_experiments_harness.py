@@ -41,7 +41,7 @@ POINTS = {
 
 GOLDEN = {
     "E1": "defeac4d65edb2faf93fe69a27da220dc8135074272d650f0db0262a1f420ada",
-    "E2": "b83e5beaa4dacf805c02ece06f2249a0880731e97bcc6a8ff4fd441998dfe647",
+    "E2": "0c78beeb9c60a03a9ccbe61be1bba6f0aa85171b8a49ab789ef99c87046548df",
     "E3": "48acad5f0a1ff9508eefb0ebcb86ee73f5c92f1fab7bae26af144e9552863894",
     "E4": "c0a0050d372baaac2679634a340336cfa049b9afb67c49bf75f30cc4a5a3b0f4",
     "E5": "cef3cb907125f921bcf195f2fcdb7f58449b99fb4b0c816dd218184650c63209",

@@ -53,7 +53,8 @@ def test_prober_issues_probes_and_reports_estimates():
     assert prober.probes_started >= 25
     # Every resolved or given-up probe is one sample of some estimate.
     assert sum(estimate.samples for estimate in prober.estimates()) >= 20
-    assert prober.operations_issued() > prober.probes_started
+    # Each probe write is followed by at least one probe read.
+    assert prober.probe_operations > prober.probes_started
     assert len(prober.estimates()) == 6
     assert prober.latest() is not None
 
@@ -80,9 +81,11 @@ def test_piggyback_monitor_sees_stale_reads_without_extra_load():
             return super()._build_estimate(now)
 
     piggyback = Counting(simulator, cluster)
-    start_workload(simulator, cluster, rate=140.0)
+    workload = start_workload(simulator, cluster, rate=140.0)
     simulator.run_until(120.0)
-    assert piggyback.operations_issued() == 0
+    assert cluster.coordinator.reads_started + cluster.coordinator.writes_started == (
+        workload.stats.operations_issued
+    )
     assert sum(compared) + piggyback._recent_reads > 500
     assert len(piggyback.estimates()) == 12
 
@@ -103,7 +106,6 @@ def test_rtt_estimator_scales_with_utilisation():
     start_workload(simulator, cluster, rate=120.0)
     simulator.run_until(240.0)
     high_load = estimator.latest().mean_window
-    assert estimator.operations_issued() == 0
     assert high_load > low_load
 
 
@@ -122,10 +124,14 @@ def test_overhead_accountant_tracks_probe_share():
     assert reports["probe"].probe_load_fraction > 0.0
     assert reports["piggyback"].probe_operations == 0
     assert reports["piggyback"].probe_load_fraction == 0.0
-    # The load it divides by is what resolved: the prober's probes (the
-    # latest may still be in flight) and the workload's outcomes.
-    assert 0 < accountant.probe_operations <= prober.operations_issued()
-    assert reports["probe"].production_operations == workload.stats.operations_resolved > 0
+    # What it counts and divides by is what resolved: the prober's probes
+    # and the workload's outcomes.
+    probe = reports["probe"]
+    assert probe.probe_operations == accountant.probe_operations == prober.probe_operations
+    assert probe.production_operations == workload.stats.operations_resolved > 0
+    assert probe.probe_load_fraction == probe.probe_operations / (
+        probe.probe_operations + probe.production_operations
+    )
     assert reports["probe"].analysis_cpu_seconds >= 0.0
     assert reports["probe"].as_dict()["probe_operations"] > 0
 

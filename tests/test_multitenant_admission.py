@@ -384,7 +384,7 @@ def test_rejections_flow_into_stats_report_rollup_and_cost():
     tiers = rollup.tier_summary()
     assert "gold" in tiers and tiers["gold"]["count"] > 0
     assert tiers["gold"]["read_p99_slo_ms"] == 50.0
-    assert rollup.operations_issued() == 0  # passive: no probe traffic
+    assert report.monitoring_overhead["tenant-rollup"]["probe_operations"] == 0.0
     # Its volumes are the workload's per-tenant tally: one sample per
     # resolved tenant operation.
     assert rollup.estimates()[0].samples == simulation.workload.stats.operations_resolved > 0

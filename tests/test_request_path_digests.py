@@ -76,40 +76,40 @@ STACKS = (
 
 GOLDEN = {
     ("default", "healthy"): (
-        "384a99b43ce1329bf5e39fbd685dcbed958c12ec014c974a0d8a5109e6d68359"
+        "65bbddab77e18685e9ea3c1da08762f76676c7a6f545009d6c7bb5c7d94a1583"
     ),
     ("default", "faulted"): (
-        "a504b36b0302c7c0e200299a6535ff998e148013cabc43b349780ac87cf37a1d"
+        "535fdd6c628477636bad6108f2ec16e48dadede0ca4960c31f0dadf028c3b702"
     ),
     ("latency_aware", "healthy"): (
-        "5f639440ffdbfb181b81033285413a6a0721a27c74eaed9c8bfe82cd991c3435"
+        "a458f5dee9ca4947922be3390b43519ca4191b283e1dc10d289064ee8ca7c00d"
     ),
     ("latency_aware", "faulted"): (
-        "6bd76b56195fb14a26b499bf7eec75c40b227bfd6d951488590676bde2df81ca"
+        "5b639e4da6209a35bb18b65d7439f9069592760fe89d6fafe4c5d2b381c0a323"
     ),
     ("consistency_override", "healthy"): (
-        "feec1016aa1fb0e31ea49500f2fc62764265e084c33b0f4423c35632363f3a7d"
+        "3a9dd7ea224442a081b0940ca847d1a234239d001f0dc639b9fb9ad7e641b4ed"
     ),
     ("consistency_override", "faulted"): (
-        "bc48d3f790ecb472f88b97c6cd6a831582cf8d9973a4d14512f0d3401a37f2e9"
+        "490a56946e4e0440bafd80dee69a7504e61dce42d4a8584e9f21faf36f9043e7"
     ),
     ("hedged", "healthy"): (
-        "cfdaf2e5758f60e0a1e429d5e61c69912585cffa7237bde8eb6ad54787bd3bc2"
+        "dcab6af2738d1883079f91dd1d22737ef900cd0af428424bbc91755787e3cc93"
     ),
     ("hedged", "faulted"): (
-        "fb5d1cf1a9ac732dce0726d583e2ad6f0d554d48a93fb75b43c606fb459dfbdc"
+        "536156e6ec4e39e8554ab454b60e9091f0d3f15d8c974b48515aef70ef55f9a6"
     ),
     ("admission", "healthy"): (
-        "9bc14e93e1fc6022a3e717af07d219f14895315a69b923dae5bdce92bd9fff38"
+        "8b7e74cf3d7a51d82a5f19b765877a1ff2324d91b26fa42a667e6ba64d04dec1"
     ),
     ("admission", "faulted"): (
-        "55c83daaa83d2986c453abe72f6cb6203dc40fe8cc8a3a92cab6d1d9140318ad"
+        "5d4a8de422c9889574e96281c0aa49d5396183638438459c24054531bbf26de5"
     ),
     ("autoscale", "healthy"): (
-        "5ad57e28d1d2f39308b56480b636150a73f94e787089aa93b4f7c42a4725e565"
+        "963e5b8bad19d52bd886a50812366791b7bd901286b3afcd5a8b74b76611592b"
     ),
     ("autoscale", "faulted"): (
-        "f13e1211bc10bc1de7bd534d572b64e664860b6d072880d1b5e595bf4c82d836"
+        "e46d0f5e16f7a0fcc41e3077c6ccde674cc7433efe859a746801ea500528fe65"
     ),
 }
 

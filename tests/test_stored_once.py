@@ -110,6 +110,9 @@ REPORT_WITHOUT_PROBE_FIGURES = (
 
 def test_the_probe_count_moves_only_the_two_overhead_probe_figures():
     report = Simulation(_stale_reads_config()).run().as_dict()
+    # The one probe count: what billing charges is what the overhead reports.
+    probes = report["cost"]["billing.probe_operations"]
+    assert report["monitoring_overhead"]["probe"]["probe_operations"] == probes == 22.0
     for overhead in report["monitoring_overhead"].values():
         del overhead["probe_operations"], overhead["probe_load_fraction"]
     blob = json.dumps(report, sort_keys=True, default=repr)
