@@ -84,7 +84,6 @@ class ReplicaWriteResponse:
     """What a replica returns to a coordinator for a write request."""
 
     node_id: str
-    applied: bool
     applied_at: float
 
 
@@ -225,8 +224,8 @@ class StorageNode:
         demand = self.demand_for(factor)
 
         def _complete(now: float) -> None:
-            applied = self.storage.apply(key, version)
-            on_done(ReplicaWriteResponse(self.node_id, applied, now))
+            self.storage.apply(key, version)
+            on_done(ReplicaWriteResponse(self.node_id, now))
 
         self.server.submit(demand, _complete)
 

@@ -67,11 +67,6 @@ class HashRing:
     # Membership
     # ------------------------------------------------------------------
     @property
-    def nodes(self) -> Tuple[str, ...]:
-        """Physical node ids currently on the ring, sorted."""
-        return tuple(sorted(self._nodes))
-
-    @property
     def size(self) -> int:
         """Number of physical nodes on the ring."""
         return len(self._nodes)

@@ -15,9 +15,9 @@ class in service requests on the node's queueing server.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .versioning import VersionStamp, VersionedValue
+from .versioning import VersionedValue
 
 __all__ = ["StorageEngine", "StorageStats"]
 
@@ -50,15 +50,10 @@ class StorageStats:
 class StorageEngine:
     """Versioned key-value storage for a single node."""
 
-    def __init__(self, node_id: str) -> None:
-        self._node_id = node_id
+    def __init__(self, _node_id: str) -> None:
+        # Callers name the owning node; an engine keeps nothing per node.
         self._data: Dict[str, VersionedValue] = {}
         self.stats = StorageStats()
-
-    @property
-    def node_id(self) -> str:
-        """Identifier of the owning node."""
-        return self._node_id
 
     def __len__(self) -> int:
         return len(self._data)
@@ -122,21 +117,12 @@ class StorageEngine:
         """Like :meth:`get` but without touching read counters (internal use)."""
         return self._data.get(key)
 
-    def digest(self, key: str) -> Optional[VersionStamp]:
-        """The version stamp of the newest local version (for digest reads)."""
-        version = self._data.get(key)
-        return version.stamp if version is not None else None
-
     # ------------------------------------------------------------------
     # Bulk operations (rebalancing, anti-entropy)
     # ------------------------------------------------------------------
     def keys(self) -> Tuple[str, ...]:
         """All keys currently stored (snapshot)."""
         return tuple(self._data.keys())
-
-    def items(self) -> Iterator[Tuple[str, VersionedValue]]:
-        """Iterate over ``(key, newest version)`` pairs (snapshot)."""
-        return iter(list(self._data.items()))
 
     def bytes_stored(self) -> int:
         """Total payload bytes currently stored."""

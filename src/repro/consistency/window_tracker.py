@@ -46,15 +46,12 @@ EARLY_APPLY_RETENTION = 120.0
 class WindowRecord:
     """Lifecycle of one acknowledged write's inconsistency window."""
 
-    key: str
-    stamp: VersionStamp
     ack_time: float
     missing: Set[str]
     """Replicas that can still serve an older version; the window closes when
     the last of them applies this stamp or a newer one."""
 
     closed_at: Optional[float] = None
-    expired: bool = False
 
     @property
     def window(self) -> Optional[float]:
@@ -109,7 +106,7 @@ class InconsistencyWindowTracker(ClusterListener):
                 if newest >= stamp:
                     missing.discard(node_id)
 
-        record = WindowRecord(key, stamp, ack_time, missing)
+        record = WindowRecord(ack_time, missing)
         if not missing:
             # Every replica had already converged when the ack went out
             # (e.g. CL=ALL): the window is zero.
@@ -167,7 +164,6 @@ class InconsistencyWindowTracker(ClusterListener):
             ]
             for stamp in expired:
                 record = records.pop(stamp)
-                record.expired = True
                 self.windows_expired += 1
                 # Censored observation: the window was still open when the
                 # tracker gave up, so it was *at least* this large.  Dropping

@@ -158,16 +158,6 @@ class SetTierQuotaScaleAction(ReconfigurationAction):
         self._tier = tier
         self._scale = check("SetTierQuotaScaleAction", "scale", scale, NON_NEGATIVE)
 
-    @property
-    def tier(self) -> str:
-        """SLO tier whose quota is scaled."""
-        return self._tier
-
-    @property
-    def scale(self) -> float:
-        """Target quota multiplier."""
-        return self._scale
-
     def describe(self) -> str:
         return f"set_tier_quota_scale:{self._tier}:{self._scale:g}"
 

@@ -83,7 +83,6 @@ class AutonomousController:
         config: Optional[ControllerConfig] = None,
         estimators: Optional[Dict[str, ConsistencyEstimator]] = None,
         offered_rate_fn: Optional[Callable[[], float]] = None,
-        tenant_rollup: Optional[object] = None,
     ) -> None:
         self._simulator = simulator
         self._cluster = cluster
@@ -97,7 +96,6 @@ class AutonomousController:
         self.policy: Policy = POLICIES[self.config.policy]
         self._estimators = estimators or {}
         self._offered_rate_fn = offered_rate_fn
-        self._tenant_rollup = tenant_rollup
 
         self.action_log: List[ActionOutcome] = []
         self.rounds = 0
@@ -165,15 +163,10 @@ class AutonomousController:
 
         configuration = self._cluster.configuration_snapshot()
         offered_rate = self._offered_rate_fn() if self._offered_rate_fn else 0.0
-        tier_p99: Dict[str, float] = {}
-        if self._tenant_rollup is not None:
-            tier_p99 = self._tenant_rollup.tier_read_p99_ms()
         return SystemObservation(
             time=self._simulator.now,
             read_p95_latency=snapshot.read_p95_latency,
-            read_p99_latency=snapshot.read_p99_latency,
             write_p95_latency=snapshot.write_p95_latency,
-            write_p99_latency=snapshot.write_p99_latency,
             failure_fraction=snapshot.failure_fraction,
             stale_read_fraction=stale_fraction,
             inconsistency_window_p95=window_p95,
@@ -187,9 +180,6 @@ class AutonomousController:
             replication_factor=int(configuration["replication_factor"]),
             read_consistency=ConsistencyLevel(configuration["read_consistency"]),
             write_consistency=ConsistencyLevel(configuration["write_consistency"]),
-            pending_hints=snapshot.pending_hints,
-            rejected_fraction=snapshot.rejected_fraction,
-            tier_read_p99_ms=tier_p99,
             tier_scales=configuration.get("admission_tier_scales", {}),
         )
 

@@ -38,10 +38,6 @@ __all__ = [
     "default_sla",
 ]
 
-#: The latency percentile a :class:`LatencySLO` bounds: 95 or 99, the two
-#: an observation carries.
-SLO_PERCENTILE = 95.0
-
 
 @dataclass
 class SystemObservation:
@@ -54,9 +50,7 @@ class SystemObservation:
 
     time: float
     read_p95_latency: float = 0.0
-    read_p99_latency: float = 0.0
     write_p95_latency: float = 0.0
-    write_p99_latency: float = 0.0
     failure_fraction: float = 0.0
     stale_read_fraction: float = 0.0
     inconsistency_window_p95: float = 0.0
@@ -70,24 +64,9 @@ class SystemObservation:
     replication_factor: int = 0
     read_consistency: ConsistencyLevel = ConsistencyLevel.ONE
     write_consistency: ConsistencyLevel = ConsistencyLevel.ONE
-    pending_hints: int = 0
-    rejected_fraction: float = 0.0
-    """Fraction of operations shed by admission control (not failures)."""
-    tier_read_p99_ms: Dict[str, float] = field(default_factory=dict)
-    """Per-SLO-tier read p99 (milliseconds) from the tenant rollup, when a
-    multi-tenant workload is running.  Excluded from :meth:`as_dict`."""
     tier_scales: Dict[str, float] = field(default_factory=dict)
     """Admission quota scale per SLO tier (1.0 = configured quota); empty
-    when the request stack has no admission stage.  Excluded from
-    :meth:`as_dict`."""
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat numeric view (levels and per-tier maps omitted)."""
-        out = {}
-        for key, value in self.__dict__.items():
-            if isinstance(value, (int, float)):
-                out[key] = float(value)
-        return out
+    when the request stack has no admission stage."""
 
 
 @dataclass
@@ -124,7 +103,7 @@ class SLO(abc.ABC):
 
 @dataclass
 class LatencySLO(SLO, Settings):
-    """Bound on a latency percentile (seconds)."""
+    """Bound on the 95th-percentile latency of reads or writes (seconds)."""
 
     max_latency: float = non_negative()
     operation: str = "read"
@@ -133,11 +112,13 @@ class LatencySLO(SLO, Settings):
     def __post_init__(self) -> None:
         if self.operation not in ("read", "write"):
             raise ValueError("operation must be 'read' or 'write'")
-        # Also the observation field the objective reads.
-        self.name = f"{self.operation}_p{int(SLO_PERCENTILE)}_latency"
+        self.name = f"{self.operation}_p95_latency"
 
     def evaluate(self, observation: SystemObservation) -> SLOEvaluation:
-        observed = float(getattr(observation, self.name))
+        if self.operation == "read":
+            observed = observation.read_p95_latency
+        else:
+            observed = observation.write_p95_latency
         return self._upper_bound_eval(self.name, observed, self.max_latency)
 
 

@@ -9,7 +9,7 @@ experiment prints directly comparable output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Dict, List, Mapping, Sequence, Union
 
 __all__ = ["ResultTable", "ExperimentResult"]
 
@@ -29,11 +29,6 @@ class ResultTable:
     def add_row(self, row: Mapping[str, Cell]) -> None:
         """Append a row; missing columns render as empty cells."""
         self.rows.append({column: row.get(column, "") for column in self.columns})
-
-    def extend(self, rows: Iterable[Mapping[str, Cell]]) -> None:
-        """Append several rows."""
-        for row in rows:
-            self.add_row(row)
 
     def __len__(self) -> int:
         return len(self.rows)

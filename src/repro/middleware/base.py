@@ -187,11 +187,8 @@ class RequestMiddleware:
         opinion; the cluster then falls back to its round-robin cursor)."""
         return None
 
-    def inspect_read_responses(
-        self, ctx: RequestContext, responses: Sequence[object]
-    ) -> Optional[bool]:
-        """Inspect gathered read responses; return digest-mismatch verdict."""
-        return None
+    def inspect_read_responses(self, ctx: RequestContext, responses: Sequence[object]) -> None:
+        """Inspect gathered read responses (e.g. compare digests, repair)."""
 
     def annotate_read(self, ctx: RequestContext, newest: Optional[object]) -> None:
         """Decorate the read result (e.g. ground-truth staleness fields)."""
@@ -247,21 +244,6 @@ def _any_true(stages: Sequence[_Hook]) -> _Hook:
     return dispatch
 
 
-def _or_merge(stages: Sequence[_Hook]) -> _Hook:
-    """Every stage runs; ``None`` when none had an opinion, else the OR of
-    the opinions given."""
-
-    def dispatch(*args: object) -> Optional[bool]:
-        verdict: Optional[bool] = None
-        for stage in stages:
-            value = stage(*args)
-            if value is not None:
-                verdict = bool(value) if verdict is None else (verdict or bool(value))
-        return verdict
-
-    return dispatch
-
-
 def _last_opinion_else_quorum(stages: Sequence[_Hook]) -> _Hook:
     """Every stage runs and the last non-``None`` answer wins; when no stage
     has an opinion the effective consistency level's own arithmetic applies,
@@ -291,7 +273,7 @@ HOOKS: Mapping[str, Callable[[Sequence[_Hook]], _Hook]] = {
     "hedge_read": _first_opinion,
     "order_write_targets": _first_opinion,
     "preferred_coordinator": _first_opinion,
-    "inspect_read_responses": _or_merge,
+    "inspect_read_responses": _call_each,
     "annotate_read": _call_each,
     "on_complete": _call_each,
 }

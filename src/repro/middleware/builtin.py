@@ -107,10 +107,8 @@ class ReadRepairMiddleware(RequestMiddleware):
     def __init__(self, repairer: "ReadRepairer") -> None:
         self._repairer = repairer
 
-    def inspect_read_responses(
-        self, ctx: RequestContext, responses: Sequence[object]
-    ) -> Optional[bool]:
-        return self._repairer.inspect(ctx.key, responses)
+    def inspect_read_responses(self, ctx: RequestContext, responses: Sequence[object]) -> None:
+        self._repairer.inspect(ctx.key, responses)
 
 
 class StalenessAnnotation(RequestMiddleware):

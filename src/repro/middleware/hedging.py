@@ -160,7 +160,7 @@ class RequestHedging(RequestMiddleware):
     ) -> Optional[Tuple[float, List[str]]]:
         # The spares, next-best first: the live replicas' ranking minus the
         # replicas the read already went to; unknown replicas after sampled.
-        ranked, unknown = self._tracker.ranked(live)
+        ranked, unknown, _ = self._tracker.ranked(live)
         spares = [pair[1] for pair in ranked if pair[1] not in targets]
         if unknown:
             spares += [node_id for node_id in unknown if node_id not in targets]

@@ -39,9 +39,9 @@ __all__ = ["NodeRttTracker", "LatencyAwareReplicaSelection"]
 #: sample).
 RTT_ALPHA = 0.3
 
-#: Relative RTT slack before a replica is considered slow, and how many
-#: avoidances pass between two reads routed to the slowest replica to
-#: re-probe it.
+#: Relative RTT slack before a replica (or a coordinator) is considered slow,
+#: and how many avoidances pass between two reads routed to the slowest
+#: replica to re-probe it.
 BADNESS_THRESHOLD = 0.5
 EXPLORE_EVERY = 32
 
@@ -49,12 +49,11 @@ EXPLORE_EVERY = 32
 class NodeRttTracker:
     """Per-node EWMA round-trip-time estimates fed by replica responses."""
 
-    __slots__ = ("_alpha", "_estimates", "_samples", "_sampled", "_fallback", "_ranking")
+    __slots__ = ("_alpha", "_estimates", "_sampled", "_fallback", "_ranking")
 
     def __init__(self, fallback: Optional[Callable[[], float]] = None) -> None:
         self._alpha = RTT_ALPHA
         self._estimates: Dict[str, float] = {}
-        self._samples: Dict[str, int] = {}
         # How many nodes have an estimate, kept by ``observe`` and ``forget``
         # so that ``ranked`` recognises the full sampled set without a count.
         self._sampled = 0
@@ -77,13 +76,12 @@ class NodeRttTracker:
             self._sampled += 1
         else:
             self._estimates[node_id] = current + self._alpha * (rtt - current)
-        self._samples[node_id] = self._samples.get(node_id, 0) + 1
         self._ranking = None
 
     def ranked(
         self, nodes: Collection[str]
-    ) -> Tuple[List[Tuple[float, str]], List[str]]:
-        """Rank the distinct ``nodes`` handed in: ``(ranked, unknown)``.
+    ) -> Tuple[List[Tuple[float, str]], List[str], int]:
+        """Rank the distinct ``nodes`` handed in: ``(ranked, unknown, slow)``.
 
         ``ranked`` holds an ``(estimate, node_id)`` pair per node with an
         estimate, fastest first, node id breaking ties; ``unknown`` the ids
@@ -96,33 +94,43 @@ class NodeRttTracker:
         fallback it is genuinely unknown.  Callers must treat unknown as
         *unknown*, never as infinitely fast: an unsampled replica ranking
         first would also poison any cutoff computed from the front.
+
+        ``slow`` counts the trailing pairs of ``ranked`` whose estimate is
+        more than ``1 + BADNESS_THRESHOLD`` times the fastest's: the nodes a
+        stage that avoids slow ones skips.  A round trip is never negative,
+        so the fastest is never slow.
         """
         ranking = self._ranking
         estimates = self._estimates
         if ranking is None:
             ranking = self._ranking = sorted(zip(estimates.values(), estimates))
+        unknown: List[str] = []
         # The steady state: every node handed in has been sampled.
         sampled = 0
         for node_id in nodes:
             if node_id not in estimates:
+                ranked = [pair for pair in ranking if pair[1] in nodes]
+                unknown = sorted(node_id for node_id in nodes if node_id not in estimates)
+                if self._fallback is not None:
+                    fallback = float(self._fallback())
+                    ranked += [(fallback, node_id) for node_id in unknown]
+                    ranked.sort()
+                    unknown = []
                 break
             sampled += 1
         else:
             if sampled == self._sampled:
-                return ranking, []
-            return [pair for pair in ranking if pair[1] in nodes], []
-        ranked = [pair for pair in ranking if pair[1] in nodes]
-        unsampled = sorted(node_id for node_id in nodes if node_id not in estimates)
-        if self._fallback is None:
-            return ranked, unsampled
-        fallback = float(self._fallback())
-        ranked += [(fallback, node_id) for node_id in unsampled]
-        ranked.sort()
-        return ranked, []
-
-    def samples(self, node_id: str) -> int:
-        """Number of round trips observed for ``node_id``."""
-        return self._samples.get(node_id, 0)
+                ranked = ranking
+            else:
+                ranked = [pair for pair in ranking if pair[1] in nodes]
+        slow = 0
+        if ranked:
+            cutoff = ranked[0][0] * (1.0 + BADNESS_THRESHOLD)
+            for estimate, _ in reversed(ranked):
+                if estimate <= cutoff:
+                    break
+                slow += 1
+        return ranked, unknown, slow
 
     def snapshot(self) -> Dict[str, float]:
         """Copy of all per-node estimates (for reports and tests)."""
@@ -132,7 +140,6 @@ class NodeRttTracker:
         """Drop a node's estimate (e.g. after decommissioning)."""
         if self._estimates.pop(node_id, None) is not None:
             self._sampled -= 1
-        self._samples.pop(node_id, None)
         self._ranking = None
 
 
@@ -175,17 +182,14 @@ class LatencyAwareReplicaSelection(RequestMiddleware):
         if len(live) <= required:
             return None  # nothing to choose
         self.selections += 1
-        ranked, unknown = self._tracker.ranked(live)
+        ranked, unknown, slow = self._tracker.ranked(live)
         # With no RTT signal for any replica the pool is the sorted live set:
         # never avoid (or prefer) a replica on zero information.
         pool = unknown
         if ranked:
-            cutoff = ranked[0][0] * (1.0 + BADNESS_THRESHOLD)
-            sampled = healthy = len(ranked)
-            while healthy > 1 and ranked[healthy - 1][0] > cutoff:
-                healthy -= 1
             ids = [pair[1] for pair in ranked]
-            if healthy < sampled:
+            healthy = len(ids) - slow
+            if slow:
                 self.avoidances += 1
                 self._since_explore += 1
                 if self._since_explore >= EXPLORE_EVERY:

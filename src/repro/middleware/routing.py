@@ -26,13 +26,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from .base import RequestContext, RequestMiddleware
-from .latency import NodeRttTracker
+from .latency import BADNESS_THRESHOLD, NodeRttTracker
 from .registry import MiddlewareBuildContext, register_middleware
 
 __all__ = ["RttAwareWriteRouting"]
-
-#: Relative RTT slack before a coordinator is considered slow.
-BADNESS_THRESHOLD = 0.5
 
 
 class RttAwareWriteRouting(RequestMiddleware):
@@ -52,22 +49,17 @@ class RttAwareWriteRouting(RequestMiddleware):
     def order_write_targets(
         self, ctx: RequestContext, live: Sequence[str]
     ) -> Optional[List[str]]:
-        ranked, unknown = self._tracker.ranked(live)
+        ranked, unknown, _ = self._tracker.ranked(live)
         self.writes_ordered += 1
         return [pair[1] for pair in ranked] + unknown  # unknown nodes go last
 
     def preferred_coordinator(self, serving: Sequence[str]) -> Optional[str]:
         if len(serving) <= 1:
             return None
-        ranked, unknown = self._tracker.ranked(serving)
-        if not ranked:
-            return None  # no RTT signal at all: leave round-robin alone
-        cutoff = ranked[0][0] * (1.0 + BADNESS_THRESHOLD)
-        sampled = healthy = len(ranked)
-        while healthy > 1 and ranked[healthy - 1][0] > cutoff:
-            healthy -= 1
-        if healthy == sampled:
-            return None  # nobody to avoid: keep the cluster's own rotation
+        ranked, unknown, slow = self._tracker.ranked(serving)
+        if not slow:
+            return None  # no RTT signal, or nobody to avoid: keep round-robin
+        healthy = len(ranked) - slow
         self.coordinators_preferred += 1
         # Unknown nodes stay in the pool (so they keep serving and get
         # sampled); only meaningfully-slow sampled nodes are skipped.

@@ -19,7 +19,7 @@ simulator ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.cluster import Cluster, ClusterListener
@@ -68,8 +68,13 @@ class MetricsSnapshot:
     unavailability."""
 
 
-#: Every field of a snapshot but its time: one gauge series each.
-GAUGES = tuple(field.name for field in fields(MetricsSnapshot))[1:]
+#: Every field of a snapshot but its time, read by name: one gauge series each.
+GAUGES = (
+    "throughput_ops", "read_p95_latency", "read_p99_latency", "write_p95_latency",
+    "write_p99_latency", "failure_fraction", "mean_utilization", "max_utilization",
+    "node_count", "pending_hints", "network_congestion", "stale_read_fraction",
+    "rejected_fraction",
+)
 
 
 class MetricsCollector:
@@ -270,13 +275,6 @@ class TenantMetricsRollup(ClusterListener):
                 entry["slo_met"] = 1.0 if entry["read_p99_ms"] <= slo else 0.0
             summary[tier] = entry
         return summary
-
-    def tier_read_p99_ms(self) -> Dict[str, float]:
-        """Just the per-tier read p99 (ms), for the controller's observation."""
-        return {
-            tier: window.percentile(99) * 1000.0
-            for tier, window in self._tier_read_latencies.items()
-        }
 
     # ------------------------------------------------------------------
     # Monitoring-budget surface (duck-typed like a ConsistencyEstimator)

@@ -33,7 +33,6 @@ __all__ = ["OverheadReport", "MonitoringOverheadAccountant"]
 class OverheadReport:
     """Overhead figures for one estimator."""
 
-    estimator: str
     probe_operations: int
     production_operations: int
     probe_load_fraction: float
@@ -89,7 +88,6 @@ class MonitoringOverheadAccountant:
         probe_ops = self.probe_operations if estimator is self._prober else 0
         total_ops = self.production_operations + self.probe_operations
         return OverheadReport(
-            estimator=estimator.name,
             probe_operations=probe_ops,
             production_operations=self.production_operations,
             probe_load_fraction=(probe_ops / total_ops) if total_ops else 0.0,

@@ -36,28 +36,15 @@ class WindowedPercentiles:
         if window < 1:
             raise ValueError("window must be >= 1")
         self._samples: Deque[float] = deque(maxlen=window)
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        """Total observations seen (not limited to the window)."""
-        return self._count
 
     def observe(self, value: float) -> None:
         """Feed one observation."""
         self._samples.append(float(value))
-        self._count += 1
 
     def percentile(self, q: float) -> float:
         """Percentile over the retained window (0 when empty)."""
         samples = self._samples
         return exact_percentiles(np.fromiter(samples, float, count=len(samples)), (q,))[0]
-
-    def percentiles(self, qs: Iterable[float]) -> List[float]:
-        """Several percentiles from one copy of the window and one sort, each
-        interpolated on its own.  ``np.fromiter`` copies the deque's doubles
-        in order, without ``np.array``'s probing of a sequence."""
-        return exact_percentiles(np.fromiter(self._samples, float, count=len(self._samples)), qs)
 
     def mean(self) -> float:
         """Mean over the retained window (0 when empty)."""
@@ -78,10 +65,6 @@ class WindowedPercentiles:
             "p95": p95,
             "p99": p99,
         }
-
-    def clear(self) -> None:
-        """Drop all retained samples."""
-        self._samples.clear()
 
 
 class MergeableHistogramSketch:

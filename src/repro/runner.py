@@ -275,7 +275,6 @@ class Simulation:
             config=self.config.controller,
             estimators=self.estimators,
             offered_rate_fn=self.workload.current_rate,
-            tenant_rollup=self.tenant_rollup,
         )
 
         self._ran = False

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import chain, repeat, starmap
 from math import exp
-from typing import Callable, Dict, Iterable
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -90,10 +90,6 @@ class RandomStreams:
             generator = np.random.default_rng(child)
             self._generators[name] = generator
         return generator
-
-    def streams(self, names: Iterable[str]) -> Dict[str, np.random.Generator]:
-        """Materialise several streams at once (convenience for components)."""
-        return {name: self.stream(name) for name in names}
 
     def spawn(self, name: str, index: int) -> np.random.Generator:
         """Return a generator for the ``index``-th member of a family.

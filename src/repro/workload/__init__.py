@@ -1,13 +1,6 @@
 """YCSB-style workload generation for the simulated store."""
 
-from .distributions import (
-    HotspotKeys,
-    KeyDistribution,
-    LatestKeys,
-    UniformKeys,
-    ZipfianKeys,
-    make_distribution,
-)
+from .distributions import ZipfianKeys
 from .generator import TenantOpStats, WorkloadGenerator, WorkloadSpec, WorkloadStats
 from .tenants import (
     DEFAULT_TIERS,
@@ -28,12 +21,7 @@ from .load_shapes import (
 from .operations import BALANCED, READ_HEAVY, READ_ONLY, WRITE_HEAVY, OperationMix, RecordSizer
 
 __all__ = [
-    "KeyDistribution",
-    "UniformKeys",
     "ZipfianKeys",
-    "LatestKeys",
-    "HotspotKeys",
-    "make_distribution",
     "LoadShape",
     "ConstantLoad",
     "DiurnalLoad",

@@ -4,7 +4,7 @@ The generator drives the cluster with an open-loop (arrival-rate controlled)
 stream of operations, the standard way to evaluate storage systems: arrivals
 follow a non-homogeneous Poisson process whose intensity is given by the
 spec's :class:`~repro.workload.load_shapes.LoadShape`, keys are drawn from
-the spec's key distribution, and the read/update/insert decision follows the
+a Zipfian key popularity, and the read/update/insert decision follows the
 spec's operation mix.  Arrivals never wait on completions.  Results are
 recorded per operation so the harness can report client-observed latency,
 throughput and error rates alongside the consistency metrics.
@@ -31,7 +31,7 @@ from ..middleware.overrides import CONSISTENCY_HINT
 from ..simulation.engine import Simulator
 from ..simulation.randomness import _CHUNK, RandomStreams, _chunked
 from ..simulation.timeseries import TimeSeries, exact_percentiles
-from .distributions import KeyDistribution, make_distribution
+from .distributions import ZipfianKeys
 from .load_shapes import ConstantLoad, LoadShape
 from . import operations
 from .operations import OperationMix, READ_HEAVY, RecordSizer
@@ -58,10 +58,6 @@ PRELOAD_FRACTION = 1.0
 
 #: Floor on the arrival rate used when the shape returns ~0 ops/s.
 MIN_RATE = 0.1
-
-#: The :func:`~repro.workload.distributions.make_distribution` name keys are
-#: drawn from.
-KEY_DISTRIBUTION = "zipfian"
 
 
 @dataclass
@@ -116,8 +112,8 @@ class WorkloadSpec(Settings):
                 f"expected a subset of {CONSISTENCY_OVERRIDE_KINDS}"
             )
 
-    def build_distribution(self) -> KeyDistribution:
-        """Instantiate the configured key distribution.
+    def build_distribution(self) -> ZipfianKeys:
+        """Instantiate the key distribution.
 
         In tenant mode the distribution spans one tenant's key space
         (``records_per_tenant``); every tenant shares the same popularity
@@ -127,13 +123,13 @@ class WorkloadSpec(Settings):
             self.tenants.records_per_tenant if self.tenants is not None
             else self.record_count
         )
-        return make_distribution(KEY_DISTRIBUTION, record_count)
+        return ZipfianKeys(record_count)
 
     def describe(self) -> Dict[str, object]:
         """Flat description for experiment tables."""
         description: Dict[str, object] = {
             "record_count": self.record_count,
-            "key_distribution": KEY_DISTRIBUTION,
+            "key_distribution": "zipfian",
             "read_fraction": self.operation_mix.read_fraction,
             "update_fraction": self.operation_mix.update_fraction,
             "insert_fraction": self.operation_mix.insert_fraction,
@@ -370,7 +366,7 @@ class _InterleavedDraws:
         streams: RandomStreams,
         base: str,
         mix: OperationMix,
-        distribution: KeyDistribution,
+        distribution: ZipfianKeys,
         sizer: RecordSizer,
     ) -> None:
         rng = streams.stream(base)
@@ -399,7 +395,7 @@ class _ChunkedDraws:
         streams: RandomStreams,
         base: str,
         mix: OperationMix,
-        distribution: KeyDistribution,
+        distribution: ZipfianKeys,
         sizer: RecordSizer,
     ) -> None:
         gap_rng = streams.stream(f"{base}:gap")

@@ -110,7 +110,6 @@ class TenantSpec(Settings):
 class TenantProfile:
     """One tenant's resolved identity: id, tier, and key-space prefix."""
 
-    index: int
     tenant_id: str
     tier: TenantTier
     key_prefix: str
@@ -147,7 +146,6 @@ class TenantPopulation:
             tenant_id = f"{spec.key_prefix}{index:0{width}d}"
             profiles.append(
                 TenantProfile(
-                    index=index,
                     tenant_id=tenant_id,
                     tier=tiers[index],
                     key_prefix=f"{spec.key_prefix}{index}:user",

@@ -31,13 +31,13 @@ def test_replica_write_applies_after_service_delay(make_node):
     simulator = Simulator(seed=0)
     node = make_node(simulator)
     responses = []
-    node.replica_write("k", version(1.0), responses.append)
+    written = version(1.0)
+    node.replica_write("k", written, responses.append)
     simulator.run_until(1.0)
     assert len(responses) == 1
-    assert responses[0].applied
     assert responses[0].node_id == "node-1"
     assert responses[0].applied_at == pytest.approx(0.012, rel=0.05)
-    assert "k" in node.storage
+    assert node.storage.peek("k") is written
 
 
 def test_replica_read_returns_stored_version(make_node):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ConsistencyLevel
 from repro.core import (
     SLA,
     AvailabilitySLO,
@@ -14,7 +13,6 @@ from repro.core import (
     SystemObservation,
     default_sla,
 )
-from repro.core import sla
 
 
 def observation(**overrides):
@@ -51,12 +49,11 @@ def test_latency_slo_validation():
         LatencySLO(max_latency=0.05, operation="delete")
 
 
-def test_latency_slo_write_and_p99(monkeypatch):
-    monkeypatch.setattr(sla, "SLO_PERCENTILE", 99.0)
+def test_latency_slo_bounds_the_write_p95():
     slo = LatencySLO(max_latency=0.05, operation="write")
-    result = slo.evaluate(observation(write_p99_latency=0.04))
-    assert result.satisfied
-    assert slo.name == "write_p99_latency"
+    assert slo.evaluate(observation(read_p95_latency=0.2, write_p95_latency=0.04)).satisfied
+    assert not slo.evaluate(observation(read_p95_latency=0.0, write_p95_latency=0.06)).satisfied
+    assert slo.name == "write_p95_latency"
 
 
 def test_availability_slo():
@@ -109,12 +106,3 @@ def test_evaluation_reports_violated_objectives_and_worst_margin():
     violated = {outcome.name for outcome in evaluation.outcomes if not outcome.satisfied}
     assert {"read_p95_latency", "staleness"} <= violated
     assert min(outcome.margin for outcome in evaluation.outcomes) < 0
-
-
-def test_observation_as_dict_numeric_only():
-    flat = observation(
-        read_consistency=ConsistencyLevel.QUORUM, tier_scales={"bronze": 0.5}
-    ).as_dict()
-    assert "read_p95_latency" in flat
-    assert "read_consistency" not in flat
-    assert "tier_scales" not in flat

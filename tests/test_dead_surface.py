@@ -17,10 +17,12 @@ says so and with no inference:
 * a parameter, variable, dataclass field, ``self.x`` store or property return
   annotated with a class of ``src/repro/`` (``C``, ``"C"``, ``Optional[C]``
   or ``C | None``);
-* a name bound only by constructor calls (``x = C(...)``), or a class's own
-  name;
-* ``self._x`` where ``__init__`` stores ``self._x = C(...)`` and no other
-  store of it builds anything else;
+* a name bound only by constructor calls (``x = C(...)``) or by calls
+  ``recv.m(...)`` of a method annotated ``-> C`` (or ``-> Optional[C]``) on
+  a resolved receiver, or a class's own name;
+* ``self._x`` where ``__init__`` stores ``self._x = C(...)``, or a
+  parameter ``p`` annotated ``C`` (``self._x = p`` or ``p or C(...)``), and
+  no other store of it builds anything else;
 * ``super().m`` inside a class, which resolves to its bases.
 
 A resolved read reaches the first definition in the class's MRO, and the
@@ -110,7 +112,7 @@ import sys
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import pytest
 
@@ -193,6 +195,7 @@ class _Class(NamedTuple):
     init: Optional[Tuple[_Param, ...]]  # its own ``__init__``'s parameters
     methods: FrozenSet[str]  # the functions its body defines
     types: Dict[str, str]  # attribute -> the class the code says it holds
+    returns: Dict[str, str]  # method -> the class its return annotation names
 
 
 def _declared_default(value: ast.expr, keywords: Dict[str, ast.expr]) -> Optional[ast.expr]:
@@ -300,6 +303,18 @@ def _built(value: Optional[ast.expr], known: FrozenSet[str]) -> str:
     return name if name in known else ""
 
 
+def _stored(value: ast.expr, params: Dict[str, str], known: FrozenSet[str]) -> str:
+    """The class ``self.x = value`` stores: ``C(...)``, or a parameter of
+    ``params`` annotated ``C``, alone or as ``p or C(...)``."""
+    if isinstance(value, ast.Name):
+        return params.get(value.id, "")
+    if isinstance(value, ast.BoolOp) and isinstance(value.op, ast.Or) and len(value.values) == 2:
+        first, second = value.values
+        passed = params.get(first.id, "") if isinstance(first, ast.Name) else ""
+        return passed if passed and passed == _built(second, known) else ""
+    return _built(value, known)
+
+
 def _self_attribute(node: ast.AST) -> str:
     """``x`` for ``self.x``; empty for anything else."""
     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
@@ -310,7 +325,9 @@ def _self_attribute(node: ast.AST) -> str:
 def _attribute_types(cls: ast.ClassDef, known: FrozenSet[str]) -> Dict[str, str]:
     """Attribute -> class, where an annotation (of a field, a ``self.x``
     store or a property's return) says so, or where ``__init__`` stores
-    ``self.x = C(...)`` and every other store of ``self.x`` builds a ``C`` too."""
+    ``self.x = C(...)``, or ``self.x = p`` (``p or C(...)``) of a parameter
+    ``p`` annotated ``C``, and every other store of ``self.x`` builds a ``C``
+    too."""
     annotated: Dict[str, str] = {}
     built: Dict[str, Set[str]] = {}
     in_init: Set[str] = set()
@@ -321,6 +338,11 @@ def _attribute_types(cls: ast.ClassDef, known: FrozenSet[str]) -> Dict[str, str]
             continue
         if any(_last_name(decorator) == "property" for decorator in member.decorator_list):
             annotated[member.name] = _annotated(member.returns, known)
+        params: Dict[str, str] = {}
+        if member.name == "__init__":
+            args = member.args
+            every = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params = {arg.arg: _annotated(arg.annotation, known) for arg in every}
         for node in ast.walk(member):
             if isinstance(node, ast.AnnAssign) and _self_attribute(node.target):
                 annotated[_self_attribute(node.target)] = _annotated(node.annotation, known)
@@ -330,7 +352,7 @@ def _attribute_types(cls: ast.ClassDef, known: FrozenSet[str]) -> Dict[str, str]
                         name = _self_attribute(sub)
                         if name and isinstance(sub.ctx, ast.Store):
                             built.setdefault(name, set()).add(
-                                _built(node.value, known) if sub is target else ""
+                                _stored(node.value, params, known) if sub is target else ""
                             )
                             if member.name == "__init__":
                                 in_init.add(name)
@@ -365,6 +387,11 @@ def _class_info(node: ast.ClassDef, where: str, known: FrozenSet[str]) -> _Class
         _init_params(node),
         frozenset(member.name for member in node.body if isinstance(member, _FUNCTION_NODES)),
         _attribute_types(node, known),
+        {
+            member.name: _annotated(member.returns, known)
+            for member in node.body
+            if isinstance(member, _FUNCTION_NODES)
+        },
     )
 
 
@@ -437,9 +464,10 @@ _Scope = Tuple[Dict[str, str], bool]  # name -> class (empty: unresolved), a cla
 class _Resolver:
     """The class of each receiver in one module, where the module says so:
     ``self``/``cls`` in a method, an annotated parameter, a name bound only by
-    ``C(...)`` calls, a class's own name, ``super()``, and an attribute of a
-    resolved receiver whose class annotates it or builds it in ``__init__``.
-    Nothing is inferred beyond that."""
+    ``C(...)`` calls or by calls ``recv.m(...)`` of a method annotated
+    ``-> C`` on a resolved receiver, a class's own name, ``super()``, and an
+    attribute of a resolved receiver whose class annotates it or stores a
+    ``C`` in it in ``__init__``.  Nothing is inferred beyond that."""
 
     def __init__(self, path: Path) -> None:
         tree = _tree(path)
@@ -452,11 +480,40 @@ class _Resolver:
         self._supers: Dict[int, Tuple[str, ...]] = {}  # id of a ``super()`` call -> the bases
         self._mro: Dict[str, Tuple[str, ...]] = {}
         self._subclasses: Dict[str, Tuple[str, ...]] = {}
-        self._walk(tree, [(self._bindings(tree, tree.body, ""), False)], "")
+        self._walk(tree, [(self._bindings(tree, tree.body, "", []), False)], "")
 
-    def _bindings(self, scope: ast.AST, body: List[ast.AST], owner: str) -> Dict[str, str]:
+    def _bindings(
+        self, scope: ast.AST, body: List[ast.AST], owner: str, chain: List[_Scope]
+    ) -> Dict[str, str]:
         """Name -> class for each name ``scope`` binds; empty where any of its
-        bindings says nothing about the class."""
+        bindings says nothing about the class.  ``chain`` holds the scopes
+        ``scope`` sees, which a method call's receiver may come from."""
+        nodes = list(_own_nodes(body))
+        typed: Dict[int, str] = {}
+        calls: Dict[int, ast.Attribute] = {}  # id of a target bound to ``recv.m(...)`` -> ``recv.m``
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                built = _built(node.value, self._known)
+                typed.update((id(target), built) for target in node.targets)
+                if not built and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Attribute):
+                    calls.update((id(target), node.value.func) for target in node.targets)
+            elif isinstance(node, ast.AnnAssign):
+                typed[id(node.target)] = _annotated(node.annotation, self._known)
+        names = self._bound(scope, nodes, owner, typed)
+        if calls:
+
+            def lookup(name: str) -> str:
+                return names[name] if name in names else self._lookup(name, chain)
+
+            for target, method in calls.items():
+                typed[target] = self._returned(self.resolve(method.value, lookup), method.attr)
+            names = self._bound(scope, nodes, owner, typed)
+        return names
+
+    def _bound(
+        self, scope: ast.AST, nodes: List[ast.AST], owner: str, typed: Dict[int, str]
+    ) -> Dict[str, str]:
+        """``_bindings`` with the class of each assignment target in ``typed``."""
         bound: Dict[str, Set[str]] = {}
         if isinstance(scope, (*_FUNCTION_NODES, ast.Lambda)):
             args = scope.args
@@ -466,13 +523,6 @@ class _Resolver:
                 bound.setdefault(arg.arg, set()).add(
                     owner if receiver else _annotated(arg.annotation, self._known)
                 )
-        nodes = list(_own_nodes(body))
-        typed: Dict[int, str] = {}
-        for node in nodes:
-            if isinstance(node, ast.Assign):
-                typed.update((id(target), _built(node.value, self._known)) for target in node.targets)
-            elif isinstance(node, ast.AnnAssign):
-                typed[id(node.target)] = _annotated(node.annotation, self._known)
         for node in nodes:
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
                 names = {node.id: typed.get(id(node), "")}
@@ -502,11 +552,13 @@ class _Resolver:
             if isinstance(child, (*_FUNCTION_NODES, ast.Lambda)):
                 body = [child.body] if isinstance(child, ast.Lambda) else child.body
                 method_of = owner if isinstance(node, ast.ClassDef) else ""
-                scope = self._bindings(child, body, method_of)
                 # A function does not see the class body around it.
-                self._walk(child, [link for link in chain if not link[1]] + [(scope, False)], owner)
+                seen = [link for link in chain if not link[1]]
+                scope = self._bindings(child, body, method_of, seen)
+                self._walk(child, seen + [(scope, False)], owner)
             elif isinstance(child, ast.ClassDef):
-                self._walk(child, chain + [(self._bindings(child, child.body, ""), True)], child.name)
+                scope = self._bindings(child, child.body, "", chain)
+                self._walk(child, chain + [(scope, True)], child.name)
             else:
                 if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
                     self._names[id(child)] = self._lookup(child.id, chain)
@@ -534,13 +586,14 @@ class _Resolver:
             self._mro[name] = tuple(order)
         return self._mro[name]
 
-    def resolve(self, node: ast.expr) -> str:
+    def resolve(self, node: ast.expr, lookup: Optional[Callable[[str], str]] = None) -> str:
         """The class ``node`` holds an instance of (or is); empty where the
-        module does not say."""
+        module does not say.  ``lookup`` resolves a bare name where the walk
+        has not reached it yet."""
         if isinstance(node, ast.Name):
-            return self._names.get(id(node), "")
+            return lookup(node.id) if lookup else self._names.get(id(node), "")
         if isinstance(node, ast.Attribute):
-            owner = self.resolve(node.value)
+            owner = self.resolve(node.value, lookup)
             for cls in self.mro(owner) if owner else ():
                 if node.attr in self.classes[cls].types:
                     return self.classes[cls].types[node.attr]
@@ -575,6 +628,18 @@ class _Resolver:
             if owner:
                 found.add(f"{owner}.{name}")
         return found
+
+    def _returned(self, owner: str, method: str) -> str:
+        """The class a call of ``method`` on a ``owner`` returns, where every
+        definition the call may dispatch to is annotated ``-> C`` or
+        ``-> Optional[C]``; empty otherwise."""
+        if not owner:
+            return ""
+        returns = {
+            self.classes[target.rpartition(".")[0]].returns.get(method, "")
+            for target in self.targets(_Receiver((owner,), False), method)
+        }
+        return returns.pop() if len(returns) == 1 else ""
 
     def holders(self, receiver: _Receiver) -> Set[str]:
         """Every class whose attributes a read through ``receiver`` may load."""
@@ -741,6 +806,7 @@ def test_allow_list_is_current_and_only_shrinks():
 
 
 _C = "class C:\n    def m(self):\n        pass\n"
+_C_AND_D = _C + "\nclass D:\n    def m(self):\n        pass\n"
 
 
 @pytest.mark.parametrize(
@@ -757,6 +823,9 @@ _C = "class C:\n    def m(self):\n        pass\n"
         (_C + "\ndef f(x):\n    x.m()\n", True),
         (_C + "\ndef f():\n    m = 1\n    return m\n", False),
         (_C + "\nclass D:\n    def m(self):\n        pass\n\ndef f(d: D):\n    d.m()\n", False),
+        (_C_AND_D + "\nclass E:\n    def __init__(self, d: D):\n        self._d = d\n\n    def f(self):\n        self._d.m()\n", False),
+        (_C_AND_D + "\nclass E:\n    def __init__(self, d: Optional[D] = None):\n        self._d = d or D()\n\n    def f(self):\n        self._d.m()\n", False),
+        (_C_AND_D + "\nclass F:\n    def make(self) -> 'Optional[D]':\n        return D()\n\ndef f(factory: F):\n    d = factory.make()\n    d.m()\n", False),
     ],
     ids=[
         "self",
@@ -770,6 +839,9 @@ _C = "class C:\n    def m(self):\n        pass\n"
         "unresolved-receiver",
         "local-variable",
         "unrelated-class",
+        "parameter-stored-in-init",
+        "parameter-or-default-stored-in-init",
+        "method-annotated-return",
     ],
 )
 def test_what_the_definitions_pass_counts_as_reading_a_member(tmp_path, snippet, reads):
@@ -803,7 +875,7 @@ ALLOWED_SETTINGS_CEILING = 2
 #: How many settings ``_settings`` counts: ``Class.field`` and
 #: ``function(parameter)`` alike.  Lower it with every setting folded into a
 #: constant; a change that must raise it names the caller beside the number.
-SETTINGS_CEILING = 315
+SETTINGS_CEILING = 307
 
 #: ``Class.attribute`` -> (reason, what reads it).  Only ever remove entries.
 ALLOWED_STATE: Dict[str, Tuple[str, str]] = {

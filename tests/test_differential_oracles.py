@@ -67,7 +67,7 @@ from repro.middleware import (
     RequestHedging,
     RttAwareWriteRouting,
 )
-from repro.middleware import latency, routing
+from repro.middleware import latency
 from repro.experiments.scenarios import diurnal_with_flash_crowd
 from repro.simulation import QueueingServer, ResourceError, Simulator, TimeSeries
 from repro.simulation.randomness import LognormalSampler
@@ -215,7 +215,7 @@ def _drive_placement_oracle(seed, virtual_nodes, ring_type=HashRing):
         for key in keys:
             for replication_factor in range(1, 6):
                 expected = _walked_preference_list(placed_on, key, replication_factor)
-                context = (seed, placed_on.nodes, key, replication_factor)
+                context = (seed, sorted(placed_on._nodes), key, replication_factor)
                 for _miss_then_hit in range(2):
                     answer = placed_on.preference_list(key, replication_factor)
                     assert type(answer) is tuple and answer == expected, context
@@ -867,7 +867,7 @@ def _reference_preferred_coordinator(self, serving):
         return None
     estimate = self._tracker.estimate
     ranked = sorted(known, key=lambda node_id: (estimate(node_id), node_id))
-    cutoff = estimate(ranked[0]) * (1.0 + routing.BADNESS_THRESHOLD)
+    cutoff = estimate(ranked[0]) * (1.0 + latency.BADNESS_THRESHOLD)
     healthy = len(ranked)
     while healthy > 1 and estimate(ranked[healthy - 1]) > cutoff:
         healthy -= 1
@@ -934,9 +934,7 @@ def _drive_ranking_oracle(seed, with_fallback, tracker_type=NodeRttTracker, step
     rng = random.Random(seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(latency, "RTT_ALPHA", rng.choice((0.3, 1.0)))
-        threshold = rng.choice((0.0, 0.5, 2.0))
-        patch.setattr(latency, "BADNESS_THRESHOLD", threshold)
-        patch.setattr(routing, "BADNESS_THRESHOLD", threshold)
+        patch.setattr(latency, "BADNESS_THRESHOLD", rng.choice((0.0, 0.5, 2.0)))
         patch.setattr(latency, "EXPLORE_EVERY", rng.randrange(2, 6))
         return _run_ranking_oracle(rng, with_fallback, tracker_type, steps)
 
@@ -1036,7 +1034,7 @@ def test_ranked_hands_out_the_generation_ranking_for_the_whole_sampled_set_alone
                     nodes = rng.sample(sorted(estimates), len(estimates))
                 else:
                     nodes = _handed_nodes(rng, estimates)
-                ranked, unknown = tracker.ranked(nodes)
+                ranked, unknown, slow = tracker.ranked(nodes)
                 sampled = sorted((estimates[node], node) for node in nodes if node in estimates)
                 unsampled = sorted(node for node in nodes if node not in estimates)
                 if fallback is not None and unsampled:
@@ -1044,6 +1042,12 @@ def test_ranked_hands_out_the_generation_ranking_for_the_whole_sampled_set_alone
                 else:
                     expected = sampled, unsampled
                 assert (ranked, unknown) == expected, (seed, nodes, estimates)
+                # The healthy prefix as each stage used to find it, from the back.
+                slack = 1.0 + latency.BADNESS_THRESHOLD
+                healthy = len(ranked)
+                while healthy > 1 and ranked[healthy - 1][0] > ranked[0][0] * slack:
+                    healthy -= 1
+                assert slow == len(ranked) - healthy, (seed, nodes, estimates)
                 if not unsampled:
                     filtered = [pair for pair in tracker._ranking if pair[1] in nodes]
                     assert ranked == filtered

@@ -15,13 +15,13 @@ import pytest
 from repro.cluster import anti_entropy, coordinator, faults, hinted_handoff, membership, node
 from repro.cluster.errors import FRACTION, NON_NEGATIVE, POSITIVE, POSITIVE_FRACTION, Bound
 from repro.consistency import window_tracker
-from repro.core import forecasting, knowledge, planner, sla, stability
+from repro.core import forecasting, knowledge, planner, stability
 from repro.cost import billing, compensation
 from repro.experiments import e6_predictive, scenarios
-from repro.middleware import admission, hedging, latency, routing
+from repro.middleware import admission, hedging, latency
 from repro.monitoring import estimators, metrics
 from repro.simulation import engine, interference, network
-from repro.workload import distributions, generator, operations
+from repro.workload import generator, operations
 
 #: A count of one or more.
 AT_LEAST_ONE = Bound(1)
@@ -92,8 +92,6 @@ _BOUNDS = [
     (network, "CONGESTION_EXPONENT", POSITIVE),
     (network, "MAX_CONGESTION_FACTOR", Bound(1.0)),
     (network, "CONGESTION_WINDOW", POSITIVE),
-    (distributions, "HOT_FRACTION", POSITIVE_FRACTION),
-    (distributions, "HOT_OPERATION_FRACTION", FRACTION),
     (generator, "PRELOAD_FRACTION", FRACTION),
     (generator, "MIN_RATE", POSITIVE),
     (operations, "RECORD_SIZE_CV", NON_NEGATIVE),
@@ -120,7 +118,6 @@ _BOUNDS = [
     (latency, "RTT_ALPHA", POSITIVE_FRACTION),
     (latency, "BADNESS_THRESHOLD", NON_NEGATIVE),
     (latency, "EXPLORE_EVERY", Bound(2)),
-    (routing, "BADNESS_THRESHOLD", NON_NEGATIVE),
 ]
 
 
@@ -155,13 +152,8 @@ _ORDERINGS = {
     "interference.NODE_MIN_SPEED <= NODE_MAX_SPEED": (
         lambda: interference.NODE_MIN_SPEED <= interference.NODE_MAX_SPEED
     ),
-    # An observation carries the 95th and 99th percentiles only.
-    "sla.SLO_PERCENTILE in (95, 99)": lambda: sla.SLO_PERCENTILE in (95.0, 99.0),
     "faults.CAMPAIGN_KINDS is a non-empty set of fault kinds": (
         lambda: bool(faults.CAMPAIGN_KINDS) and set(faults.CAMPAIGN_KINDS) <= set(faults.FAULT_KINDS)
-    ),
-    "generator.KEY_DISTRIBUTION names a key distribution": (
-        lambda: distributions.make_distribution(generator.KEY_DISTRIBUTION, 10) is not None
     ),
 }
 

@@ -326,7 +326,6 @@ def test_decommission_forgets_rtt_state_for_the_removed_node():
     assert removed in tracker.snapshot()  # still tracked while draining
     simulator.run_until(simulator.now + 120.0)
     assert removed not in tracker.snapshot()
-    assert tracker.samples(removed) == 0
 
 
 def test_hedged_pipeline_shares_one_tracker_across_stages():
@@ -340,7 +339,7 @@ def test_hedged_pipeline_shares_one_tracker_across_stages():
     assert selection._tracker is hedging._tracker is routing._tracker is tracker
 
 
-def _rtt_samples_after_traffic(stack):
+def _rtt_estimates_after_traffic(stack):
     simulator = Simulator(seed=8)
     cluster = make_cluster(simulator, middleware=stack)
     for index in range(30):
@@ -350,16 +349,16 @@ def _rtt_samples_after_traffic(stack):
         cluster.read(f"key-{index}")
     simulator.run_until(simulator.now + 10.0)
     tracker = cluster.coordinator.rtt
-    return tracker.snapshot(), [tracker.samples(node_id) for node_id in cluster.node_ids()]
+    return tracker.snapshot()
 
 
 @pytest.mark.parametrize("twice", HEDGED_PIPELINE[:3])
 def test_a_stage_named_twice_folds_each_response_in_once(twice):
-    once = _rtt_samples_after_traffic(HEDGED_PIPELINE)
+    once = _rtt_estimates_after_traffic(HEDGED_PIPELINE)
     at = HEDGED_PIPELINE.index(twice)
     stack = HEDGED_PIPELINE[: at + 1] + (twice,) + HEDGED_PIPELINE[at + 1 :]
-    assert sum(once[1]) > 0
-    assert _rtt_samples_after_traffic(stack) == once
+    assert once
+    assert _rtt_estimates_after_traffic(stack) == once
 
 
 # ----------------------------------------------------------------------

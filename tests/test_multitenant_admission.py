@@ -285,11 +285,10 @@ def test_planner_sheds_lowest_tier_before_scaling_out_under_overload():
     latency = [Symptom.LATENCY_VIOLATION]
     action = plan(latency, {"bronze": 1.0, "silver": 1.0, "gold": 1.0}, **overload)
     assert isinstance(action, SetTierQuotaScaleAction)
-    assert action.tier == "bronze"
-    assert action.scale == pytest.approx(0.5)
+    assert action.describe() == "set_tier_quota_scale:bronze:0.5"
     # Bronze at the floor: silver goes next.
     action = plan(latency, {"bronze": 0.25, "silver": 1.0, "gold": 1.0}, **overload)
-    assert action.tier == "silver"
+    assert action.describe() == "set_tier_quota_scale:silver:0.5"
     # Everything sheddable at the floor: only then pay for a node.
     action = plan(latency, {"bronze": 0.25, "silver": 0.25, "gold": 1.0}, **overload)
     assert isinstance(action, AddNodeAction)
@@ -312,7 +311,7 @@ def test_planner_sheds_before_adding_nodes_on_availability_emergency():
     emergency = [Symptom.AVAILABILITY_VIOLATION]
     action = plan(emergency, {"bronze": 1.0, "silver": 1.0})
     assert isinstance(action, SetTierQuotaScaleAction)
-    assert action.tier == "bronze"
+    assert action.describe() == "set_tier_quota_scale:bronze:0.5"
     # Without an admission stage the observation carries no scales, and the
     # old behaviour stands.
     assert isinstance(plan(emergency, {}), AddNodeAction)
@@ -323,8 +322,7 @@ def test_planner_restores_quotas_first_under_cost_waste():
     action = plan(waste, {"bronze": 0.25, "silver": 0.5, "gold": 1.0})
     # Highest tier first: silver back towards 1.0 before bronze.
     assert isinstance(action, SetTierQuotaScaleAction)
-    assert action.tier == "silver"
-    assert action.scale == pytest.approx(1.0)
+    assert action.describe() == "set_tier_quota_scale:silver:1"
     # Fully restored: the quota lever stays quiet.
     action = plan(waste, {"bronze": 1.0, "silver": 1.0, "gold": 1.0})
     assert not isinstance(action, SetTierQuotaScaleAction)

@@ -25,12 +25,7 @@ from repro.simulation.randomness import (
     RandomStreams,
     lognormal_from_mean_cv,
 )
-from repro.workload.distributions import (
-    HotspotKeys,
-    LatestKeys,
-    UniformKeys,
-    ZipfianKeys,
-)
+from repro.workload.distributions import ZipfianKeys
 from repro.workload.operations import RecordSizer
 
 SEED = 42
@@ -108,16 +103,30 @@ def test_chunked_generator_draws_equal_sequential(count):
     ] == chunked.lognormal(-6.0, 0.35, size=count).tolist()
 
 
+def _grown_keys() -> ZipfianKeys:
+    distribution = ZipfianKeys(1000)
+    distribution.grow(4321)
+    return distribution
+
+
 @pytest.mark.parametrize(
     "make_distribution",
     [
-        lambda: UniformKeys(10_000),
         lambda: ZipfianKeys(10_000, theta=0.99),
-        lambda: ZipfianKeys(517, theta=0.5, scrambled=False),
-        lambda: LatestKeys(10_000),
-        lambda: HotspotKeys(10_000),
+        lambda: ZipfianKeys(517, theta=0.5),
+        lambda: ZipfianKeys(10_000, theta=0.2),
+        lambda: ZipfianKeys(1),
+        lambda: ZipfianKeys(2),
+        _grown_keys,
     ],
-    ids=["uniform", "zipfian", "zipfian-unscrambled", "latest", "hotspot"],
+    ids=[
+        "zipfian",
+        "zipfian-theta-0.5",
+        "zipfian-theta-0.2",
+        "zipfian-one-record",
+        "zipfian-two-records",
+        "zipfian-grown",
+    ],
 )
 def test_chunked_key_indices_equal_sequential(make_distribution):
     sequential, chunked = _stream_pair()

@@ -1,4 +1,4 @@
-"""Unit tests for key distributions and operation mixes."""
+"""Unit tests for the key distribution and operation mixes."""
 
 from __future__ import annotations
 
@@ -12,28 +12,14 @@ from repro.workload import (
     READ_HEAVY,
     READ_ONLY,
     WRITE_HEAVY,
-    HotspotKeys,
-    LatestKeys,
     OperationMix,
     RecordSizer,
-    UniformKeys,
     ZipfianKeys,
-    make_distribution,
 )
-from repro.workload.distributions import HOT_OPERATION_FRACTION
 
 
 def rng():
     return np.random.default_rng(7)
-
-
-def test_uniform_keys_cover_the_space():
-    distribution = UniformKeys(100)
-    generator = rng()
-    indexes = {distribution.next_index(generator) for _ in range(2000)}
-    assert min(indexes) >= 0
-    assert max(indexes) <= 99
-    assert len(indexes) > 80
 
 
 def test_zipfian_is_skewed_towards_few_keys():
@@ -49,63 +35,70 @@ def test_zipfian_is_skewed_towards_few_keys():
     assert counts.sum() == 20_000
 
 
+def test_zipfian_hottest_key_draws_one_over_zeta_of_the_traffic():
+    distribution = ZipfianKeys(1000, theta=0.99)
+    generator = rng()
+    counts = np.bincount(
+        [distribution.next_index(generator) for _ in range(20_000)], minlength=1000
+    )
+    zeta = sum(1.0 / rank**0.99 for rank in range(1, 1001))
+    assert counts.max() / 20_000 == pytest.approx(1.0 / zeta, abs=0.01)
+
+
 def test_zipfian_scrambling_spreads_hot_keys():
-    scrambled = ZipfianKeys(1000, scrambled=True)
-    unscrambled = ZipfianKeys(1000, scrambled=False)
+    distribution = ZipfianKeys(1000)
     generator = rng()
-    hot_unscrambled = [unscrambled.next_index(generator) for _ in range(1000)]
-    # Without scrambling the most common index is 0 (rank order).
-    assert min(hot_unscrambled) == 0
-    generator2 = rng()
-    hot_scrambled = [scrambled.next_index(generator2) for _ in range(1000)]
-    assert len(set(hot_scrambled)) > len(set(hot_unscrambled)) / 2
+    counts = np.bincount(
+        [distribution.next_index(generator) for _ in range(20_000)], minlength=1000
+    )
+    hottest = np.argsort(counts)[::-1][:10]
+    # Ranked without scrambling, the ten hottest records would be 0..9.
+    assert set(hottest.tolist()) != set(range(10))
+    assert hottest.max() - hottest.min() > 500
 
 
-def test_latest_keys_prefer_recent_records():
-    distribution = LatestKeys(1000)
-    generator = rng()
-    draws = [distribution.next_index(generator) for _ in range(5000)]
-    assert np.mean(draws) > 800
-
-
-def test_latest_keys_follow_growth():
-    distribution = LatestKeys(100)
+def test_zipfian_keys_follow_growth():
+    distribution = ZipfianKeys(100)
     distribution.grow(200)
+    assert distribution.record_count == 200
     generator = rng()
     draws = [distribution.next_index(generator) for _ in range(2000)]
     assert max(draws) > 150
+    assert max(draws) < 200
 
 
-def test_hotspot_fraction_of_traffic():
-    distribution = HotspotKeys(1000)
+def test_zipfian_growth_never_shrinks_the_key_space():
+    distribution = ZipfianKeys(200)
+    distribution.grow(50)
+    assert distribution.record_count == 200
     generator = rng()
-    hot_hits = sum(
-        1 for _ in range(5000) if distribution.next_index(generator) < distribution.hot_set_size
-    )
-    assert hot_hits / 5000 == pytest.approx(HOT_OPERATION_FRACTION, abs=0.03)
+    assert max(distribution.next_index(generator) for _ in range(2000)) > 150
+
+
+@pytest.mark.parametrize("record_count", [1, 2, 3])
+def test_zipfian_draws_stay_inside_a_tiny_key_space(record_count):
+    distribution = ZipfianKeys(record_count)
+    generator = rng()
+    draws = [distribution.next_index(generator) for _ in range(500)]
+    draws += distribution.next_indices(generator, 500).tolist()
+    assert 0 <= min(draws) and max(draws) < record_count
+
+
+def test_chunked_draws_refuse_a_negative_count():
+    with pytest.raises(ValueError):
+        ZipfianKeys(10).next_indices(rng(), -1)
+    assert ZipfianKeys(10).next_indices(rng(), 0).tolist() == []
 
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        UniformKeys(0)
+        ZipfianKeys(0)
     with pytest.raises(ValueError):
         ZipfianKeys(100, theta=1.5)
 
 
-def test_factory_builds_all_kinds():
-    for name, cls in (
-        ("uniform", UniformKeys),
-        ("zipfian", ZipfianKeys),
-        ("latest", LatestKeys),
-        ("hotspot", HotspotKeys),
-    ):
-        assert isinstance(make_distribution(name, 100), cls)
-    with pytest.raises(ValueError):
-        make_distribution("unknown", 100)
-
-
 def test_key_rendering():
-    distribution = UniformKeys(10)
+    distribution = ZipfianKeys(10)
     assert distribution.key_for(3) == "user3"
     assert distribution.key_for(3, prefix="item") == "item3"
 

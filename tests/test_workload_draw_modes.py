@@ -3,10 +3,11 @@
 The generator has four modes — {interleaved draws on one stream, chunked
 draws on per-type streams} × {tenantless, tenant population with burst
 overrides} — and only the interleaved tenantless one is pinned by
-``tests/test_seed_identity.py``.  This matrix pins all four, on two key
-distributions, with a mix that inserts (tenantless inserts grow the shared
-popularity distribution, tenant inserts only their private key space) and a
-consistency override (so hint dicts are part of what is pinned).
+``tests/test_seed_identity.py``.  This matrix pins all four on two mixes,
+one that inserts (tenantless inserts grow the shared popularity
+distribution, tenant inserts only their private key space) and one that
+does not (the key space never grows), with a consistency override (so hint
+dicts are part of what is pinned).
 
 Each digest covers everything the generator hands to the rest of the system:
 the preloaded records, the exact ``(time, kind, key, size, hints)`` sequence
@@ -18,9 +19,11 @@ that did not change an issued operation, still shows).
 The values were captured at commit f91bc59, before the issue paths were
 merged into one, and re-captured once when the ``network`` and ``server:*``
 probes began reading ``normals()`` (the payload without those probes hashes
-as it did); a change to the generator must not move them.  If one moves
-on purpose (a new scenario mode would use new stream names instead —
-PERFORMANCE.md rule 3), re-capture it and say why in the commit.
+as it did).  The ``balanced`` cells were captured at commit 8f4ff0c, before
+the unused key distributions were deleted.  A change to the generator must
+not move them.  If one moves on purpose (a new scenario mode would use new
+stream names instead — PERFORMANCE.md rule 3), re-capture it and say why in
+the commit.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.cluster import Cluster, ClusterConfig, NodeConfig
 from repro.cluster.types import ConsistencyLevel
 from repro.simulation import Simulator
 from repro.workload import (
+    BALANCED,
     WRITE_HEAVY,
     ConstantLoad,
     FlashCrowdLoad,
@@ -45,29 +49,29 @@ from repro.workload import (
 )
 
 GOLDEN = {
-    ("zipfian", "interleaved", "tenantless"): (
+    ("write_heavy", "interleaved", "tenantless"): (
         "c8993a50eca1215ecc036cf6f3a870a1e480bbc1b79f1d08897aacf3b515590a"
     ),
-    ("zipfian", "interleaved", "tenants"): (
+    ("write_heavy", "interleaved", "tenants"): (
         "6e11ecd0f082bb8fbf1d7815d5ffd95f0d6b9e09ee6c42f303f0fb8c8db1febb"
     ),
-    ("zipfian", "chunked", "tenantless"): (
+    ("write_heavy", "chunked", "tenantless"): (
         "094f722d5aaaa880dad05a7154178c4c0f0eb0bdd92cad15d709874edd2aaaeb"
     ),
-    ("zipfian", "chunked", "tenants"): (
+    ("write_heavy", "chunked", "tenants"): (
         "2b34afacb0c3fdf29f64b5c04087b9923f33788b35032488b81f3879ed28869b"
     ),
-    ("hotspot", "interleaved", "tenantless"): (
-        "267715e34c9e26174f6520ebb3674ec6a074748246c4087e255a2b5573e75aff"
+    ("balanced", "interleaved", "tenantless"): (
+        "4a2b245a45a433a9ba848c055a71589d0d1263687304e5a4543e756c68e540f3"
     ),
-    ("hotspot", "interleaved", "tenants"): (
-        "609a753e354c85a1dde92de32f206141015cc9af5b2ff55cbcc12da40254ccd0"
+    ("balanced", "interleaved", "tenants"): (
+        "d8065691bfc30819fd62a20f296eb1df2d0eb654c483c2fbe5ccf8476c7300a0"
     ),
-    ("hotspot", "chunked", "tenantless"): (
-        "9ce2a442d7e54b7185ec1834e855e1a095bdbf1644e29e49c6edac5a66303c4b"
+    ("balanced", "chunked", "tenantless"): (
+        "acd337c56ef8ab8242110636581a0befc21062c173a7c71bd805dd68eedfa4b3"
     ),
-    ("hotspot", "chunked", "tenants"): (
-        "4b49dfaa4b42aff1dc11176891239bcf2693f72ec8d27b0b1a985b39d47415d7"
+    ("balanced", "chunked", "tenants"): (
+        "7558d393151493496da9868dbd662eddad9bfed4431c01e60b86a6b07b4a495e"
     ),
 }
 
@@ -111,14 +115,16 @@ def _next_draw(streams, name: str) -> float:
     return float(streams.stream(name).random())
 
 
-def run_cell(monkeypatch, distribution: str, draws: str, tenancy: str) -> str:
+MIXES = {"write_heavy": WRITE_HEAVY, "balanced": BALANCED}
+
+
+def run_cell(monkeypatch, mix: str, draws: str, tenancy: str) -> str:
     """Run one cell of the matrix and digest everything it emitted.
 
     The cells were recorded with the generator named ``golden`` and three
     quarters of the key space preloaded."""
     monkeypatch.setattr(generator_module, "WORKLOAD_NAME", "golden")
     monkeypatch.setattr(generator_module, "PRELOAD_FRACTION", 0.75)
-    monkeypatch.setattr(generator_module, "KEY_DISTRIBUTION", distribution)
     simulator = Simulator(seed=1234)
     cluster = Cluster(
         simulator,
@@ -146,7 +152,7 @@ def run_cell(monkeypatch, distribution: str, draws: str, tenancy: str) -> str:
 
     spec = WorkloadSpec(
         record_count=300,
-        operation_mix=WRITE_HEAVY,
+        operation_mix=MIXES[mix],
         load_shape=ConstantLoad(60.0),
         consistency_overrides={"update": ConsistencyLevel.QUORUM},
         open_loop=(draws == "chunked"),
@@ -187,9 +193,9 @@ def run_cell(monkeypatch, distribution: str, draws: str, tenancy: str) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("distribution,draws,tenancy", sorted(GOLDEN))
-def test_draw_mode_digest_is_unchanged(monkeypatch, distribution, draws, tenancy):
-    assert run_cell(monkeypatch, distribution, draws, tenancy) == GOLDEN[(distribution, draws, tenancy)]
+@pytest.mark.parametrize("mix,draws,tenancy", sorted(GOLDEN))
+def test_draw_mode_digest_is_unchanged(monkeypatch, mix, draws, tenancy):
+    assert run_cell(monkeypatch, mix, draws, tenancy) == GOLDEN[(mix, draws, tenancy)]
 
 
 def test_matrix_cells_are_distinct():

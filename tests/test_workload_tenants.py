@@ -272,7 +272,7 @@ def test_burst_override_adds_traffic_only_for_its_tenant():
         generator.start()
         simulator.run_until(30.0)
         return {
-            generator.population.profile(i).index: generator.stats.tenant_stats[
+            i: generator.stats.tenant_stats[
                 generator.population.profile(i).tenant_id
             ].operations_issued
             for i in range(5)
