@@ -158,6 +158,16 @@ What each ceiling names:
   objective, and no per-tier p99 per control round on a tenant run); and
   ``core`` on ``ycsb_b_default`` (0.0518, 0.0524 before; 0.065 when last
   set).  Events, schedules, messages and timer arms did not move.
+* A tenant's read latency stored once (PERFORMANCE.md rule 15) lowered
+  ``tenants_admission``'s ``trace.calls_per_op`` to the measurement plus 2%
+  (126.23 measured, 130.45 before) and gave it a ``monitoring`` ceiling
+  (1.93 measured, 6.16 before; 2.15 on ``ycsb_b_default``, whose only
+  listener is the piggyback monitor): the tenant rollup slices the
+  workload's read series by its tenant column at report time, where it took
+  one completion frame per operation and fed a per-tier window.  A listener
+  that keeps tier or tenant samples back in ``monitoring/`` puts it above
+  1.97.  The prober's one probe series adds 0.0015 to ``simulation.misc``.
+  Events, schedules and messages per operation did not move.
 
 A counted call that replaces uncounted work is not a regression in itself
 (the profiler counts ``dict.get`` and ``tolist`` but not a loop iteration, a
@@ -241,11 +251,16 @@ GATES = {
     ),
     "tenants_admission": (
         {
-            # 130.45 measured + 2%: no listener recounts what clients saw, and
-            # the controller takes no per-tier p99 per round.
-            "trace.calls_per_op": 133.07,
+            # 126.23 measured + 2%: no listener recounts what clients saw or
+            # keeps a tier's reads, and the controller takes no per-tier p99
+            # per round.
+            "trace.calls_per_op": 128.75,
             "simulation.engine.calls_per_op": 27.85,
             "middleware.calls_per_op": 9.43,
+            # 1.93 measured + 2%: the tenant rollup slices the workload's
+            # read series; a completion listener in monitoring/ beside the
+            # piggyback monitor puts it back above this.
+            "monitoring.calls_per_op": 1.97,
             "simulation.engine.cancelled_skipped_per_op": 0.02,
             "simulation.engine.peak_pending": 40,
         },

@@ -500,7 +500,7 @@ class Cluster:
             node = self.nodes.get(node_id)
             if node is None or not node.is_up:
                 continue
-            versions[node_id] = node.storage.peek(key)
+            versions[node_id] = node.storage.get(key)
         return versions
 
     # ------------------------------------------------------------------
@@ -688,13 +688,13 @@ class Cluster:
                 replica = self.nodes.get(replica_id)
                 if replica is None or not replica.is_up:
                     continue
-                version = replica.storage.peek(key)
+                version = replica.storage.get(key)
                 if compare_versions(version, newest) > 0:
                     newest = version
                     source = replica_id
             if newest is None or source is None:
                 continue
-            if compare_versions(node.storage.peek(key), newest) < 0:
+            if compare_versions(node.storage.get(key), newest) < 0:
                 per_source.setdefault(source, []).append(key)
         return [
             StreamTask(source=source, target=node_id, keys=keys)

@@ -278,7 +278,7 @@ class StorageNode:
         def _complete(now: float) -> None:
             items = {}
             for key in keys:
-                version = self.storage.peek(key)
+                version = self.storage.get(key)
                 if version is not None:
                     items[key] = version
             on_done(items, now)

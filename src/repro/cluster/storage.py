@@ -26,25 +26,10 @@ __all__ = ["StorageEngine", "StorageStats"]
 class StorageStats:
     """Counters describing one storage engine's activity."""
 
-    keys: int = 0
     bytes_stored: int = 0
     writes_applied: int = 0
     writes_superseded: int = 0
-    reads_served: int = 0
-    read_misses: int = 0
     tombstones: int = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view used by the metric collector."""
-        return {
-            "keys": self.keys,
-            "bytes_stored": self.bytes_stored,
-            "writes_applied": self.writes_applied,
-            "writes_superseded": self.writes_superseded,
-            "reads_served": self.reads_served,
-            "read_misses": self.read_misses,
-            "tombstones": self.tombstones,
-        }
 
 
 class StorageEngine:
@@ -73,14 +58,12 @@ class StorageEngine:
         """
         current = self._data.get(key)
         stats = self.stats
-        if current is None:
-            # The first version of a key (all a bulk load consists of) has
-            # nothing to be compared with.
-            stats.keys += 1
-        elif version.stamp <= current.stamp:
-            stats.writes_superseded += 1
-            return False
-        else:
+        # The first version of a key (all a bulk load consists of) has
+        # nothing to be compared with.
+        if current is not None:
+            if version.stamp <= current.stamp:
+                stats.writes_superseded += 1
+                return False
             stats.bytes_stored -= current.size
             if current.value is None:
                 stats.tombstones -= 1
@@ -96,7 +79,6 @@ class StorageEngine:
         """Physically drop a key (used when streaming data off the node)."""
         current = self._data.pop(key, None)
         if current is not None:
-            self.stats.keys -= 1
             self.stats.bytes_stored -= current.size
             if current.is_tombstone:
                 self.stats.tombstones -= 1
@@ -106,15 +88,6 @@ class StorageEngine:
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[VersionedValue]:
         """Return the newest locally known version of ``key`` (or ``None``)."""
-        version = self._data.get(key)
-        if version is None:
-            self.stats.read_misses += 1
-        else:
-            self.stats.reads_served += 1
-        return version
-
-    def peek(self, key: str) -> Optional[VersionedValue]:
-        """Like :meth:`get` but without touching read counters (internal use)."""
         return self._data.get(key)
 
     # ------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..middleware import ADMISSION_CONTROL_PIPELINE
-from ..runner import Simulation
+from ..runner import Simulation, SimulationConfig
 from ..simulation.timeseries import exact_percentiles
 from ..workload.generator import WorkloadStats
 from .scenarios import build_config, standard_cluster, tenant_workload
@@ -55,6 +55,10 @@ _COLUMNS = [
 ]
 
 _TENANTS = 40
+#: Arrivals per second over the population, and the noisy tenant's burst
+#: on top of them (none in the ``unloaded`` variant).
+_RATE = 170.0
+_BURST_RATE = 420.0
 #: The least popular tenant: guaranteed bronze tier (tiers are assigned by
 #: popularity rank, gold first).
 _NOISY_INDEX = _TENANTS - 1
@@ -67,68 +71,58 @@ _VARIANTS: Dict[str, Optional[Sequence[str]]] = {
 }
 
 
-def _co_tenant_read_p99_ms(stats: WorkloadStats, noisy_id: str) -> float:
-    """Read p99 (ms) pooled over every tenant except the noisy one."""
-    if not stats.tenant_stats:
-        return 0.0
-    arrays = [
-        tenant.read_latencies
-        for tenant_id, tenant in stats.tenant_stats.items()
-        if tenant_id != noisy_id and tenant.read_latencies
-    ]
-    if not arrays:
-        return 0.0
-    return exact_percentiles(np.concatenate(arrays), (99.0,))[0] * 1000.0
+def _read_p99_ms(stats: WorkloadStats, noisy: bool) -> float:
+    """Read p99 (ms) of the noisy tenant, or pooled over every other tenant."""
+    is_noisy = np.arange(_TENANTS) == _NOISY_INDEX
+    latencies = stats.read_latencies_of(is_noisy if noisy else ~is_noisy)
+    return exact_percentiles(latencies, (99.0,))[0] * 1000.0
 
 
-def _run_variant(
-    variant: str,
-    middleware: Optional[Sequence[str]],
-    seed: int,
-    duration: float,
-    rate: float,
-    burst_rate: float,
-    table: ResultTable,
-    baseline_p99_ms: Optional[float],
-) -> float:
+def _config(variant: str, seed: int, duration: float) -> SimulationConfig:
+    """One variant's scenario, ``duration`` seconds long."""
     workload = tenant_workload(
-        rate,
+        _RATE,
         tenants=_TENANTS,
-        noisy_tenant=_NOISY_INDEX if burst_rate > 0.0 else None,
-        burst_rate=burst_rate,
+        noisy_tenant=_NOISY_INDEX,
+        burst_rate=0.0 if variant == "unloaded" else _BURST_RATE,
         burst_start=60.0,
         burst_hold=max(120.0, duration - 180.0),
     )
-    config = build_config(
+    return build_config(
         label=f"e8-{variant}",
         seed=seed,
         duration=duration,
         cluster=standard_cluster(nodes=3, replication_factor=3, ops_capacity=150.0),
         workload=workload,
         policy="static",
-        middleware=middleware,
+        middleware=_VARIANTS[variant],
         enable_interference=False,
     )
-    simulation = Simulation(config)
+
+
+def _run_variant(
+    variant: str,
+    seed: int,
+    duration: float,
+    table: ResultTable,
+    baseline_p99_ms: Optional[float],
+) -> float:
+    simulation = Simulation(_config(variant, seed, duration))
     report = simulation.run()
     stats = simulation.workload.stats
     noisy_id = simulation.workload.population.profile(_NOISY_INDEX).tenant_id
-    noisy_stats = (stats.tenant_stats or {}).get(noisy_id)
-    co_p99 = _co_tenant_read_p99_ms(stats, noisy_id)
+    noisy_stats = stats.tenant_stats[noisy_id]
+    co_p99 = _read_p99_ms(stats, noisy=False)
     summary = report.workload_summary
     table.add_row(
         {
             "variant": variant,
             "co_read_p99_ms": co_p99,
             "isolation_ratio": co_p99 / baseline_p99_ms if baseline_p99_ms else 1.0,
-            "noisy_read_p99_ms": (
-                noisy_stats.read_percentile_ms(99.0) if noisy_stats else 0.0
-            ),
+            "noisy_read_p99_ms": _read_p99_ms(stats, noisy=True),
             "operations_completed": summary["operations_completed"],
             "operations_rejected": summary["operations_rejected"],
-            "noisy_rejected": float(
-                noisy_stats.operations_rejected if noisy_stats else 0
-            ),
+            "noisy_rejected": float(noisy_stats.operations_rejected),
             "failure_fraction": summary["failure_fraction"],
         }
     )
@@ -138,8 +132,6 @@ def _run_variant(
 def run(seed: int = 7, scale: float = 1.0) -> ExperimentResult:
     """Run experiment E8 and return its result tables."""
     duration = max(300.0, 600.0 * scale)
-    rate = 170.0
-    burst_rate = 420.0
 
     result = ExperimentResult(
         experiment="E8",
@@ -154,11 +146,8 @@ def run(seed: int = 7, scale: float = 1.0) -> ExperimentResult:
         ResultTable("E8: co-tenant read tail under a tenant burst", _COLUMNS)
     )
     baseline: Optional[float] = None
-    for variant, middleware in _VARIANTS.items():
-        burst = 0.0 if variant == "unloaded" else burst_rate
-        co_p99 = _run_variant(
-            variant, middleware, seed, duration, rate, burst, table, baseline
-        )
+    for variant in _VARIANTS:
+        co_p99 = _run_variant(variant, seed, duration, table, baseline)
         if variant == "unloaded":
             baseline = co_p99
 

@@ -10,7 +10,6 @@ from .estimators import (
 )
 from .metrics import MetricsCollector, MetricsSnapshot
 from .overhead import MonitoringOverheadAccountant, OverheadReport
-from .percentiles import WindowedPercentiles
 
 __all__ = [
     "MetricsCollector",
@@ -23,5 +22,4 @@ __all__ = [
     "RttEstimator",
     "MonitoringOverheadAccountant",
     "OverheadReport",
-    "WindowedPercentiles",
 ]

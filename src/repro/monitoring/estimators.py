@@ -41,9 +41,8 @@ from ..cluster.types import (
     WriteResult,
 )
 from ..simulation.engine import Simulator
-from ..simulation.timeseries import exact_percentiles
+from ..simulation.timeseries import TimeSeries, exact_percentiles
 from ..workload.generator import WorkloadStats
-from .percentiles import WindowedPercentiles
 
 __all__ = [
     "WindowEstimate",
@@ -127,6 +126,8 @@ PROBE_READ_GAP = 0.05
 PROBE_MAX_READS = 40
 #: Dummy-table key prefix (kept out of the application key space).
 PROBE_KEY_PREFIX = "__consistency_probe__"
+#: Latest probe windows an estimate falls back on when its interval has none.
+PROBE_FALLBACK_WINDOW = 512
 
 
 @dataclass
@@ -153,8 +154,10 @@ class ReadAfterWriteProber(ConsistencyEstimator):
         self._config = config or ProbeConfig()
         super().__init__(simulator)
         self._probe_sequence = itertools.count(1)
-        self._window_samples = WindowedPercentiles(window=512)
-        self._recent_samples: List[float] = []
+        # Every probe window, at the time it was measured; the current
+        # report interval's are those from ``_interval_start`` on.
+        self._windows = TimeSeries("probe_window")
+        self._interval_start = 0
         self.probes_started = 0
         # Probe operations resolved (succeeded or failed): the monitoring
         # share of the cluster's load.
@@ -228,41 +231,38 @@ class ReadAfterWriteProber(ConsistencyEstimator):
             and result.version_timestamp >= version_timestamp
         )
         if fresh:
-            window = max(0.0, self._simulator.now - ack_time - result.latency)
-            self._window_samples.observe(window)
-            self._recent_samples.append(window)
+            now = self._simulator.now
+            self._windows.record(now, max(0.0, now - ack_time - result.latency))
             return
         if attempt + 1 >= PROBE_MAX_READS:
             # Record the censored observation at the probing horizon so the
             # estimator degrades towards "at least this big" rather than
             # silently dropping its worst cases.
-            horizon = PROBE_READ_GAP * PROBE_MAX_READS
-            self._window_samples.observe(horizon)
-            self._recent_samples.append(horizon)
+            self._windows.record(self._simulator.now, PROBE_READ_GAP * PROBE_MAX_READS)
             return
         self._schedule_probe_read(key, version_timestamp, ack_time, attempt + 1)
 
     # -- reporting --------------------------------------------------------
     def _build_estimate(self, now: float) -> WindowEstimate:
-        samples = self._recent_samples
-        if samples:
-            arr = np.asarray(samples, dtype=float)
-            mean_window = float(arr.mean())
-            p95_window = exact_percentiles(arr, (95,))[0]
-            stale_fraction = float(np.mean(arr > PROBE_READ_GAP))
+        windows = self._windows.values
+        samples = windows[self._interval_start :]
+        self._interval_start = windows.size
+        if samples.size:
+            mean_window = float(samples.mean())
+            p95_window = exact_percentiles(samples, (95,))[0]
+            stale_fraction = float(np.mean(samples > PROBE_READ_GAP))
         else:
-            mean_window = self._window_samples.mean()
-            p95_window = self._window_samples.percentile(95)
+            recent = windows[-PROBE_FALLBACK_WINDOW:]
+            mean_window = float(recent.mean()) if recent.size else 0.0
+            p95_window = exact_percentiles(recent, (95,))[0]
             stale_fraction = 0.0
-        estimate = WindowEstimate(
+        return WindowEstimate(
             time=now,
             mean_window=mean_window,
             p95_window=p95_window,
             stale_read_fraction=stale_fraction,
-            samples=len(samples),
+            samples=int(samples.size),
         )
-        self._recent_samples = []
-        return estimate
 
     def stop(self) -> None:
         super().stop()

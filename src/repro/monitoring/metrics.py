@@ -20,14 +20,16 @@ simulator ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from ..cluster.cluster import Cluster, ClusterListener
-from ..cluster.types import OperationResult
+import numpy as np
+
+from ..cluster.cluster import Cluster
 from ..simulation.engine import Simulator
 from ..simulation.timeseries import TimeSeriesBundle, exact_percentiles
 from ..workload.generator import TenantOpStats, WorkloadStats
-from .percentiles import WindowedPercentiles
+from ..workload.tenants import TenantPopulation
 
 __all__ = [
     "MetricsSnapshot",
@@ -37,7 +39,7 @@ __all__ = [
 
 
 #: Recent operations the collector's latency percentiles are taken over, and
-#: each tier's in the tenant rollup.
+#: each tier's reads in the tenant rollup.
 LATENCY_WINDOW = 4096
 TIER_LATENCY_WINDOW = 1024
 
@@ -182,16 +184,17 @@ def _counter_triple(entry: TenantOpStats) -> Tuple[int, int, int]:
     return resolved, rejected, failed
 
 
-class TenantMetricsRollup(ClusterListener):
+class TenantMetricsRollup:
     """Per-tenant metrics rollup: top-K tenants by volume + per-tier latency.
 
     A production multi-tenant store cannot afford a full latency histogram
     per tenant; what operators actually dashboard is (a) who the heavy
     hitters are and (b) whether each *SLO tier* is meeting its latency
-    objective.  The first is read from the workload's per-tenant tally
-    (:class:`~repro.workload.generator.TenantOpStats`); for the second the
-    rollup keeps one :class:`WindowedPercentiles` per tier, the one thing the
-    per-tenant arrays cannot rebuild.
+    objective.  Both are read from the workload's tally
+    (:class:`~repro.workload.generator.WorkloadStats`): the first from its
+    per-tenant counters, the second from the read latencies of each tier's
+    tenants, so the rollup keeps no sample of its own and reads the same
+    numbers whatever request stack runs.
 
     Its compute is charged against the monitoring budget: it exposes the same
     duck-typed surface (``name`` / ``estimates()``) the
@@ -203,38 +206,15 @@ class TenantMetricsRollup(ClusterListener):
 
     name = "tenant-rollup"
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        tenants: Dict[str, TenantOpStats],
-        tier_of: Optional[Dict[str, str]] = None,
-        tier_slos_ms: Optional[Dict[str, float]] = None,
-    ) -> None:
-        """``tenants`` is the workload's per-tenant tally; ``tier_of`` maps
-        tenant id to tier name (e.g.
-        :meth:`~repro.workload.tenants.TenantPopulation.tier_lookup`);
-        ``tier_slos_ms`` optionally carries each tier's read-p99 objective so
-        :meth:`tier_summary` can report attainment."""
-        self._tenants = tenants
-        self._tier_of = dict(tier_of or {})
-        self._tier_slos_ms = dict(tier_slos_ms or {})
-        self._tier_read_latencies: Dict[str, WindowedPercentiles] = {}
-        cluster.add_listener(self)
-
-    # ------------------------------------------------------------------
-    # ClusterListener hook
-    # ------------------------------------------------------------------
-    def on_operation_completed(self, result: OperationResult) -> None:
-        tenant = result.tenant
-        if tenant is None or not result.success or not result.is_read:
-            return
-        tier = self._tier_of.get(tenant, "default")
-        window = self._tier_read_latencies.get(tier)
-        if window is None:
-            window = self._tier_read_latencies[tier] = WindowedPercentiles(
-                TIER_LATENCY_WINDOW
-            )
-        window.observe(result.latency)
+    def __init__(self, stats: WorkloadStats, population: TenantPopulation) -> None:
+        self._stats = stats
+        self._tenants: Dict[str, TenantOpStats] = stats.tenant_stats
+        self._tier_of = population.tier_lookup()
+        # Each tier, in name order, with one mark per tenant index: a member?
+        self._tiers = [
+            (tier, np.array([profile.tier.name == tier.name for profile in population.profiles]))
+            for tier in sorted(population.spec.tiers, key=attrgetter("name"))
+        ]
 
     # ------------------------------------------------------------------
     # Query API
@@ -250,7 +230,7 @@ class TenantMetricsRollup(ClusterListener):
         return [
             {
                 "tenant": tenant,
-                "tier": self._tier_of.get(tenant, "default"),
+                "tier": self._tier_of[tenant],
                 "operations": operations,
                 "rejected": rejected,
                 "failed": failed,
@@ -259,21 +239,24 @@ class TenantMetricsRollup(ClusterListener):
         ]
 
     def tier_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-tier read-latency summary (ms) with SLO attainment when known."""
+        """Per-tier read-latency summary (ms) over each tier's last
+        ``TIER_LATENCY_WINDOW`` reads, with SLO attainment; a tier with no
+        completed read is left out."""
         summary: Dict[str, Dict[str, float]] = {}
-        for tier, window in sorted(self._tier_read_latencies.items()):
-            stats = window.snapshot()
-            entry = {
-                "count": stats["count"],
-                "read_p50_ms": stats["p50"] * 1000.0,
-                "read_p95_ms": stats["p95"] * 1000.0,
-                "read_p99_ms": stats["p99"] * 1000.0,
+        for tier, members in self._tiers:
+            window = self._stats.read_latencies_of(members)[-TIER_LATENCY_WINDOW:]
+            if not window.size:
+                continue
+            p50, p95, p99 = exact_percentiles(window)
+            slo = tier.read_p99_slo_ms
+            summary[tier.name] = {
+                "count": float(window.size),
+                "read_p50_ms": p50 * 1000.0,
+                "read_p95_ms": p95 * 1000.0,
+                "read_p99_ms": p99 * 1000.0,
+                "read_p99_slo_ms": slo,
+                "slo_met": 1.0 if p99 * 1000.0 <= slo else 0.0,
             }
-            slo = self._tier_slos_ms.get(tier)
-            if slo is not None:
-                entry["read_p99_slo_ms"] = slo
-                entry["slo_met"] = 1.0 if entry["read_p99_ms"] <= slo else 0.0
-            summary[tier] = entry
         return summary
 
     # ------------------------------------------------------------------

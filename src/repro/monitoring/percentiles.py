@@ -1,70 +1,30 @@
-"""Streaming percentile estimation.
+"""Mergeable streaming percentiles.
 
-The monitoring subsystem must summarise latency and staleness distributions
-continuously without storing every sample (the paper's first research
-question explicitly counts "the computing power required to process and
-analyse these consistency measurements" as part of the monitoring cost).
-:class:`WindowedPercentiles` keeps a small ring of recent samples for exact
-percentiles over a sliding window where that is affordable.
+Exact percentiles of stored samples all go through
+:func:`repro.simulation.timeseries.exact_percentiles`, over a slice of the
+series that stores them (PERFORMANCE.md rule 15): a window is the series'
+tail, a tier's or a tenant's reads are a mask of the workload's read series.
+What this module keeps is the one summary that needs no stored samples.
 
 :class:`MergeableHistogramSketch` is the sharded-mode workhorse: a fixed-bin
 log-spaced histogram (DDSketch-style) whose merge is *exact* — merging the
 sketches of K shards yields bit-identical counts to one sketch fed the
 concatenated stream, in any order and for any split — while every quantile
-carries a bounded relative error set by the accuracy parameter.  The
-windowed estimator cannot be merged across processes; the sketch can, which
-is what lets ``run_sharded`` combine per-shard latency distributions into one
-deterministic report.
+carries a bounded relative error set by the accuracy parameter.  Stored
+samples cannot be merged across processes without shipping them; the sketch
+can, which is what lets ``run_sharded`` combine per-shard latency
+distributions into one deterministic report.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..simulation.timeseries import exact_percentiles, percentile_fractions
+from ..simulation.timeseries import percentile_fractions
 
-__all__ = ["WindowedPercentiles", "MergeableHistogramSketch"]
-
-
-class WindowedPercentiles:
-    """Exact percentiles over the most recent ``window`` observations."""
-
-    def __init__(self, window: int = 2048) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self._samples: Deque[float] = deque(maxlen=window)
-
-    def observe(self, value: float) -> None:
-        """Feed one observation."""
-        self._samples.append(float(value))
-
-    def percentile(self, q: float) -> float:
-        """Percentile over the retained window (0 when empty)."""
-        samples = self._samples
-        return exact_percentiles(np.fromiter(samples, float, count=len(samples)), (q,))[0]
-
-    def mean(self) -> float:
-        """Mean over the retained window (0 when empty)."""
-        if not self._samples:
-            return 0.0
-        return float(np.mean(np.asarray(self._samples, dtype=float)))
-
-    def snapshot(self) -> Dict[str, float]:
-        """Common summary of the window (one array conversion, not four)."""
-        if not self._samples:
-            return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-        values = np.fromiter(self._samples, float, count=len(self._samples))
-        p50, p95, p99 = exact_percentiles(values)
-        return {
-            "count": float(values.shape[0]),
-            "mean": float(np.mean(values)),
-            "p50": p50,
-            "p95": p95,
-            "p99": p99,
-        }
+__all__ = ["MergeableHistogramSketch"]
 
 
 class MergeableHistogramSketch:
@@ -232,7 +192,7 @@ class MergeableHistogramSketch:
         return result if result is not None else cls()
 
     # ------------------------------------------------------------------
-    # Quantiles (duck-typed like WindowedPercentiles)
+    # Quantiles
     # ------------------------------------------------------------------
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0 when empty; zero region reports 0.0)."""
@@ -268,7 +228,7 @@ class MergeableHistogramSketch:
         return self._sum / self._count
 
     def snapshot(self) -> Dict[str, float]:
-        """Common summary, shaped like :meth:`WindowedPercentiles.snapshot`."""
+        """Count, mean, p50, p95 and p99 of everything observed."""
         if self._count == 0:
             return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
         p50, p95, p99 = self.percentiles((50, 95, 99))

@@ -255,14 +255,7 @@ class Simulation:
                         for tier in tenant_spec.tiers
                     }
                 )
-            self.tenant_rollup = TenantMetricsRollup(
-                self.cluster,
-                stats.tenant_stats,
-                tier_of=self.workload.population.tier_lookup(),
-                tier_slos_ms={
-                    tier.name: tier.read_p99_slo_ms for tier in tenant_spec.tiers
-                },
-            )
+            self.tenant_rollup = TenantMetricsRollup(stats, self.workload.population)
             self.overhead.register(self.tenant_rollup)
 
         # Controller (present even for the static baseline so the SLA is

@@ -21,7 +21,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
+
+import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.errors import Settings, at_least
@@ -30,7 +32,7 @@ from ..middleware.base import TENANT_HINT, TENANT_TIER_HINT
 from ..middleware.overrides import CONSISTENCY_HINT
 from ..simulation.engine import Simulator
 from ..simulation.randomness import _CHUNK, RandomStreams, _chunked
-from ..simulation.timeseries import TimeSeries, exact_percentiles
+from ..simulation.timeseries import TimeSeries
 from .distributions import ZipfianKeys
 from .load_shapes import ConstantLoad, LoadShape
 from . import operations
@@ -145,9 +147,14 @@ class WorkloadSpec(Settings):
 
 
 class TenantOpStats:
-    """Per-tenant operation accounting (multi-tenant workloads only)."""
+    """Per-tenant operation accounting (multi-tenant workloads only).
+
+    A tenant's read latencies are not kept here: they are the entries of the
+    tally's ``read_latency_series`` whose ``read_tenants`` entry is its
+    ``index`` (:meth:`WorkloadStats.read_latencies_of`)."""
 
     __slots__ = (
+        "index",
         "reads_issued",
         "writes_issued",
         "reads_completed",
@@ -156,10 +163,10 @@ class TenantOpStats:
         "writes_rejected",
         "reads_failed",
         "writes_failed",
-        "read_latencies",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, index: int) -> None:
+        self.index = index
         self.reads_issued = 0
         self.writes_issued = 0
         self.reads_completed = 0
@@ -168,7 +175,6 @@ class TenantOpStats:
         self.writes_rejected = 0
         self.reads_failed = 0
         self.writes_failed = 0
-        self.read_latencies = array("d")
 
     @property
     def operations_issued(self) -> int:
@@ -179,10 +185,6 @@ class TenantOpStats:
     def operations_rejected(self) -> int:
         """Total operations admission control shed for this tenant."""
         return self.reads_rejected + self.writes_rejected
-
-    def read_percentile_ms(self, q: float) -> float:
-        """Read latency percentile in milliseconds (0 when no reads)."""
-        return exact_percentiles(self.read_latencies, (q,))[0] * 1000.0
 
 
 class WorkloadStats:
@@ -209,10 +211,20 @@ class WorkloadStats:
         self.staleness_series = TimeSeries("staleness_age")
         # Per-tenant breakdown; stays None (zero-cost) for tenantless runs.
         self.tenant_stats: Optional[Dict[str, TenantOpStats]] = None
+        # On a tenant run, the index of the tenant of each entry of
+        # ``read_latency_series``, in the narrowest unsigned type that holds
+        # every index: ``read_latencies_of`` masks the series with it.
+        self.read_tenants: Optional[array] = None
 
-    def enable_tenant_tracking(self, tenant_ids) -> Dict[str, TenantOpStats]:
-        """Create one :class:`TenantOpStats` per tenant and return the map."""
-        self.tenant_stats = {tenant_id: TenantOpStats() for tenant_id in tenant_ids}
+    def enable_tenant_tracking(self, tenant_ids: Sequence[str]) -> Dict[str, TenantOpStats]:
+        """Create one :class:`TenantOpStats` per tenant, indexed in the order
+        given, and return the map."""
+        self.tenant_stats = {
+            tenant_id: TenantOpStats(index) for index, tenant_id in enumerate(tenant_ids)
+        }
+        self.read_tenants = array(
+            next(code for code in "BHIQ" if len(tenant_ids) <= 256 ** array(code).itemsize)
+        )
         return self.tenant_stats
 
     def record_read(self, result: ReadResult) -> None:
@@ -225,8 +237,7 @@ class WorkloadStats:
             return
         if result.success:
             self.reads_completed += 1
-            latency = result.latency
-            self.read_latency_series.record(result.completed_at, latency)
+            self.read_latency_series.record(result.completed_at, result.latency)
             if result.stale:
                 self.stale_reads += 1
                 self.staleness_series.record(result.completed_at, result.staleness)
@@ -234,7 +245,7 @@ class WorkloadStats:
             if tenants is not None and result.tenant is not None:
                 entry = tenants[result.tenant]
                 entry.reads_completed += 1
-                entry.read_latencies.append(latency)
+                self.read_tenants.append(entry.index)
         else:
             self.reads_failed += 1
             tenants = self.tenant_stats
@@ -324,6 +335,11 @@ class WorkloadStats:
             "write_p95_ms": write.p95 * 1000.0,
             "write_p99_ms": write.p99 * 1000.0,
         }
+
+    def read_latencies_of(self, tenants: np.ndarray) -> np.ndarray:
+        """The latencies of the completed reads of the tenants ``tenants``
+        marks (one boolean per tenant index), in completion order."""
+        return self.read_latency_series.values[tenants[np.asarray(self.read_tenants)]]
 
     def stale_reads_at_least(self, age: float) -> int:
         """Stale reads whose returned data was at least ``age`` seconds old."""
@@ -538,7 +554,7 @@ class WorkloadGenerator:
             self.population = TenantPopulation(tenant_spec)
             profiles = self.population.profiles
             tenant_stats = self.stats.enable_tenant_tracking(
-                profile.tenant_id for profile in profiles
+                [profile.tenant_id for profile in profiles]
             )
             self._issuers = [
                 _Issuer(

@@ -127,7 +127,7 @@ def test_crash_during_traffic_creates_inconsistency_then_recovery_heals():
     for i in range(20):
         key = f"user{i}"
         if nodes[2] in cluster.ring.preference_list(key, 3):
-            version = node.storage.peek(key)
+            version = node.storage.get(key)
             if version is None or version.value != b"updated":
                 stale += 1
     assert stale <= 2
@@ -178,7 +178,7 @@ def test_recover_then_handoff_replay_preserves_newest_version():
     )
     simulator.run_until(300.0)
     assert all(r.success for r in results)
-    version = cluster.nodes[nodes[1]].storage.peek("acct")
+    version = cluster.nodes[nodes[1]].storage.get("acct")
     assert version is not None
     assert version.value == b"v2"
 

@@ -37,7 +37,7 @@ def test_replica_write_applies_after_service_delay(make_node):
     assert len(responses) == 1
     assert responses[0].node_id == "node-1"
     assert responses[0].applied_at == pytest.approx(0.012, rel=0.05)
-    assert node.storage.peek("k") is written
+    assert node.storage.get("k") is written
 
 
 def test_replica_read_returns_stored_version(make_node):

@@ -68,28 +68,14 @@ def test_reapplying_same_version_is_superseded():
     assert not engine.apply("k", v)
 
 
-def test_get_missing_key_counts_miss():
-    engine = StorageEngine("n1")
-    assert engine.get("missing") is None
-    assert engine.stats.read_misses == 1
-
-
-def test_peek_does_not_touch_counters():
-    engine = StorageEngine("n1")
-    engine.apply("k", version(1.0))
-    reads_before = engine.stats.reads_served
-    assert engine.peek("k") is not None
-    assert engine.stats.reads_served == reads_before
-
-
-def test_peek_holds_the_newest_stamp():
+def test_get_holds_the_newest_stamp():
     engine = StorageEngine("n1")
     old = version(1.0, seq=1)
     new = version(4.0, seq=2)
     engine.apply("k", old)
     engine.apply("k", new)
-    assert engine.peek("k").stamp == new.stamp
-    assert engine.peek("missing") is None
+    assert engine.get("k").stamp == new.stamp
+    assert engine.get("missing") is None
 
 
 def test_remove_updates_accounting():

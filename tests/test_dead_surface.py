@@ -875,7 +875,7 @@ ALLOWED_SETTINGS_CEILING = 2
 #: How many settings ``_settings`` counts: ``Class.field`` and
 #: ``function(parameter)`` alike.  Lower it with every setting folded into a
 #: constant; a change that must raise it names the caller beside the number.
-SETTINGS_CEILING = 307
+SETTINGS_CEILING = 301
 
 #: ``Class.attribute`` -> (reason, what reads it).  Only ever remove entries.
 ALLOWED_STATE: Dict[str, Tuple[str, str]] = {
@@ -892,6 +892,12 @@ ALLOWED_STATE: Dict[str, Tuple[str, str]] = {
         PIN,
         "prober tests count probe writes; probe_operations counts resolved writes and reads",
     ),
+    "StorageStats.writes_applied": (OUTSIDE, "ledger worker: applies_per_op"),
+    "StorageStats.writes_superseded": (OUTSIDE, "ledger worker: superseded_frac"),
+    "StorageStats.tombstones": (
+        PIN,
+        "test_differential_oracles' storage oracle compares the engine's counters",
+    ),
 }
 
 #: ``ALLOWED_STATE`` may only shrink: lower this with every entry removed.
@@ -900,8 +906,14 @@ ALLOWED_STATE: Dict[str, Tuple[str, str]] = {
 #: a constant.  Raised from 9 to 10 for ``RequestContext.operation``, which
 #: ``benchmarks/ledger/layers.py`` passes by keyword: nothing in ``src/``
 #: reads it, but ``result.operation`` kept every ``operation`` alive until
-#: loads resolved their receiver.
-ALLOWED_STATE_CEILING = 10
+#: loads resolved their receiver.  Raised from 10 to 13 for three
+#: ``StorageStats`` counters: ``writes_applied`` and ``writes_superseded``,
+#: which the ledger worker reads, and ``tombstones``, which only the storage
+#: oracle of ``tests/test_differential_oracles.py`` compares.  All three were
+#: unread in ``src/`` before too, kept alive only by the dict keys of
+#: ``StorageStats.as_dict``, which nothing called and which went with the two
+#: read counters only tests read.
+ALLOWED_STATE_CEILING = 13
 
 @lru_cache(maxsize=None)
 def _signature(name: str) -> Tuple[Tuple[str, str], ...]:

@@ -134,8 +134,6 @@ class _ReferenceEngine(StorageEngine):
             self.stats.bytes_stored -= current.size
             if current.is_tombstone:
                 self.stats.tombstones -= 1
-        else:
-            self.stats.keys += 1
         self._data[key] = version
         self.stats.bytes_stored += version.size
         self.stats.writes_applied += 1

@@ -1,4 +1,4 @@
-"""Unit tests for percentile estimators and the metrics collector."""
+"""Unit tests for the percentile sketch and the metrics collector."""
 
 from __future__ import annotations
 
@@ -8,50 +8,25 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, NodeConfig
-from repro.monitoring import MetricsCollector, WindowedPercentiles
+from repro.monitoring import MetricsCollector
 from repro.monitoring.metrics import GAUGES
 from repro.monitoring.percentiles import MergeableHistogramSketch
 from repro.simulation import Simulator
 from repro.workload import BALANCED, ConstantLoad, WorkloadGenerator, WorkloadSpec
 
 
-# ----------------------------------------------------------------------
-# Windowed percentiles
-# ----------------------------------------------------------------------
-def test_windowed_percentiles_basic():
-    window = WindowedPercentiles(window=100)
-    for i in range(1, 101):
-        window.observe(float(i))
-    assert window.percentile(50) == pytest.approx(50.5)
-    assert window.mean() == pytest.approx(50.5)
-    snapshot = window.snapshot()
-    assert snapshot["count"] == 100
-    assert snapshot["p99"] >= snapshot["p95"] >= snapshot["p50"]
-
-
-def test_windowed_percentiles_eviction():
-    window = WindowedPercentiles(window=10)
-    assert window.percentile(50) == 0.0
-    for i in range(100):
-        window.observe(float(i))
-    assert window.percentile(0) >= 90.0
-    with pytest.raises(ValueError):
-        WindowedPercentiles(window=0)
-
-
 @pytest.mark.parametrize("q", [150.0, -5.0, float("nan")])
-@pytest.mark.parametrize("summary", [WindowedPercentiles, MergeableHistogramSketch])
-def test_a_percentile_outside_0_to_100_is_refused_with_numpys_error(summary, q):
+def test_a_percentile_outside_0_to_100_is_refused_with_numpys_error(q):
     # The sketch used to answer p150 with its clamp ceiling and p-5 with its
     # first bin, and to fail on a NaN q converting it to an integer.
     with pytest.raises(ValueError) as numpy_refused:
         np.percentile([0.004, 0.010], q)
-    recorder = summary()
+    sketch = MergeableHistogramSketch()
     for samples in ((), (0.004, 0.010)):
         for value in samples:
-            recorder.observe(value)
+            sketch.observe(value)
         with pytest.raises(ValueError) as refused:
-            recorder.percentile(q)
+            sketch.percentile(q)
         assert str(refused.value) == str(numpy_refused.value)
 
 

@@ -15,7 +15,6 @@ from repro.cluster.versioning import compare_versions
 from repro.consistency import StalenessModel
 from repro.core.forecasting import EwmaForecaster, HoltWintersForecaster
 from repro.middleware.builtin import RandomReplicaSelection
-from repro.monitoring import WindowedPercentiles
 from repro.simulation import TimeSeries
 from repro.simulation.timeseries import exact_percentiles
 from repro.simulation.randomness import _CHUNK, LognormalSampler, RandomStreams
@@ -81,7 +80,7 @@ def test_storage_lww_keeps_global_maximum(versions):
     for version in versions:
         engine.apply("k", version)
     newest = max(versions, key=lambda v: v.stamp)
-    assert engine.peek("k").stamp == newest.stamp
+    assert engine.get("k").stamp == newest.stamp
 
 
 @given(a=version_strategy, b=version_strategy)
@@ -271,11 +270,13 @@ _EDGE_SAMPLES = (
 )
 
 
-def _window_array(samples):
-    """What ``WindowedPercentiles`` hands the rule: its deque's doubles,
-    copied in order by ``np.fromiter``."""
-    window = deque(samples)
-    return np.fromiter(window, float, count=len(window))
+def _series_tail(samples):
+    """What a windowed reader hands the rule: the tail of a series' value
+    column, a view into a longer array."""
+    series = TimeSeries("tail")
+    for index, sample in enumerate([0.0, *samples]):
+        series.record(float(index), sample)
+    return series.values[1:]
 
 
 def _same(answer, expected, zeros_of_both_signs):
@@ -298,14 +299,14 @@ def _same(answer, expected, zeros_of_both_signs):
         min_size=1,
         max_size=5,
     ),
-    container=st.sampled_from((list, deque, np.array, _window_array)),
+    container=st.sampled_from((list, deque, np.array, _series_tail)),
 )
 @example(samples=[3.5], qs=[0, 50, 100], container=deque)
 @example(samples=[0.1, 0.7], qs=[50], container=list)
 @example(samples=[1.0, math.inf, 1.0], qs=[25, 100], container=np.array)
 @example(samples=[-1.0, -0.0, -0.0], qs=[100], container=np.array)
 @example(samples=[2.0, math.nan, -1.0], qs=[0, 99], container=deque)
-@example(samples=[-0.0, 7.5, 5e-324, math.inf, 7.5], qs=[0, 50, 99, 100], container=_window_array)
+@example(samples=[-0.0, 7.5, 5e-324, math.inf, 7.5], qs=[0, 50, 99, 100], container=_series_tail)
 @example(samples=[5e-324, -5e-324, -0.0, 0.0, 2.2e-308], qs=[0, 37.5, 100], container=list)
 def test_exact_percentiles_answer_what_np_percentile_answered(samples, qs, container):
     values = container(samples)
@@ -356,23 +357,6 @@ def test_pbs_probability_decreases_over_time(lag, rf):
     samples = [model.stale_probability(t, rf, 1, 1) for t in (0.0, lag, 3 * lag, 10 * lag)]
     for earlier, later in zip(samples, samples[1:]):
         assert later <= earlier + 1e-9
-
-
-# ----------------------------------------------------------------------
-# Streaming percentiles
-# ----------------------------------------------------------------------
-@given(values=st.lists(st.floats(min_value=0.0, max_value=1e4, allow_nan=False), min_size=1, max_size=400))
-def test_windowed_percentiles_bounded_by_min_max(values):
-    window = WindowedPercentiles(window=500)
-    for value in values:
-        window.observe(value)
-    for q in (0, 50, 95, 100):
-        assert min(values) - 1e-9 <= window.percentile(q) <= max(values) + 1e-9
-    # The window's pulls are the rule's answers over the samples it holds.
-    retained = values[-500:]
-    snapshot = window.snapshot()
-    assert [snapshot["p50"], snapshot["p95"], snapshot["p99"]] == exact_percentiles(retained)
-    assert window.mean() == snapshot["mean"] == float(np.mean(retained))
 
 
 # ----------------------------------------------------------------------

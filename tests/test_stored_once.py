@@ -5,30 +5,32 @@ workload's series, a closed or expired window in the tracker's; the metrics
 collector keeps gauges only, and it and the RTT model take their latency
 percentiles from the tail of the workload's series.  A second copy of any of
 them shows here as a length that no longer matches its counter, or as a
-per-operation name among the gauges.  Counts are held to the same rule: what
-a client saw is counted by ``WorkloadStats`` alone, so the completion
-listeners of a stock run are exactly the components that keep something
-else (the piggyback monitor's acknowledged versions, the tenant rollup's
-per-tier read windows), a counting listener that comes back fails here by
-name, and a stack without the ``monitoring-hooks`` stage still shows the
-controller what clients saw.
+per-operation name among the gauges; a tenant run adds one column, each
+read's tenant, aligned with the read series.  Counts are held to the same
+rule: what a client saw is counted by ``WorkloadStats`` alone, so the
+completion listeners of a stock run are exactly the components that keep
+something else (the piggyback monitor's acknowledged versions), a counting
+listener that comes back fails here by name, and a stack without the
+``monitoring-hooks`` stage still shows the controller and the tenant rollup
+what clients saw.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments.scenarios import build_config, standard_cluster, standard_workload
-from repro.middleware import DEFAULT_REQUEST_PIPELINE
+from repro.middleware import ADMISSION_CONTROL_PIPELINE, DEFAULT_REQUEST_PIPELINE
 from repro.monitoring.estimators import PiggybackMonitor
-from repro.monitoring.metrics import GAUGES, TenantMetricsRollup
+from repro.monitoring.metrics import GAUGES
 from repro.runner import Simulation, SimulationConfig
 from repro.workload.operations import BALANCED
 
-from test_request_path_digests import DURATION, _config
+from test_request_path_digests import DURATION, STACKS, _config
 
 
 def _stale_reads_config():
@@ -53,6 +55,10 @@ def test_every_sample_is_stored_once(stack):
     stats = simulation.workload.stats
     assert len(stats.read_latency_series) == stats.reads_completed > 0
     assert len(stats.write_latency_series) == stats.writes_completed > 0
+    if stack == "admission":
+        assert len(stats.read_tenants) == stats.reads_completed
+    else:
+        assert stats.read_tenants is None
 
     assert tuple(simulation.metrics.series._series) == GAUGES
 
@@ -70,15 +76,15 @@ def _completion_listeners(simulation):
     return [type(observer.__self__) for observer in simulation.cluster.completion_observers]
 
 
-def test_only_what_keeps_something_else_listens_to_completions():
-    # The piggyback monitor keeps acknowledged versions and the tenant rollup
-    # its per-tier read windows; the controller's metrics, the RTT model,
-    # staleness, compensation and the monitoring share are read from the
-    # workload's and the prober's counts.
-    assert _completion_listeners(Simulation(_config("default"))) == [PiggybackMonitor]
-    tenants = Simulation(_config("admission"))
-    assert tenants.tenant_rollup is not None
-    assert _completion_listeners(tenants) == [PiggybackMonitor, TenantMetricsRollup]
+@pytest.mark.parametrize("stack", STACKS)
+def test_only_what_keeps_something_else_listens_to_completions(stack):
+    # The piggyback monitor keeps acknowledged versions; the controller's
+    # metrics, the RTT model, the tenant rollup, staleness, compensation and
+    # the monitoring share are read from the workload's and the prober's
+    # counts and series.
+    simulation = Simulation(_config(stack))
+    assert (simulation.tenant_rollup is not None) == (stack == "admission")
+    assert _completion_listeners(simulation) == [PiggybackMonitor]
 
 
 def test_without_the_monitoring_hooks_the_controller_still_sees_the_clients():
@@ -97,6 +103,18 @@ def test_without_the_monitoring_hooks_the_controller_still_sees_the_clients():
     assert latest.write_p95_latency > 0.0
     assert simulation.estimators["rtt"].read_latency_percentile(99) > 0.0
     assert simulation.estimators["rtt"].latest().samples == stats.writes_completed > 0
+
+
+def test_without_the_monitoring_hooks_the_tenant_rollup_still_sees_the_clients():
+    with_hooks = Simulation(_config("admission"))
+    with_hooks.run()
+    stack = tuple(name for name in ADMISSION_CONTROL_PIPELINE if name != "monitoring-hooks")
+    without_hooks = Simulation(replace(_config("admission"), middleware=stack))
+    without_hooks.run()
+    assert without_hooks.workload.stats.reads_completed > 1000
+    tiers = without_hooks.tenant_rollup.tier_summary()
+    assert set(tiers) == {"bronze", "gold", "silver"}
+    assert tiers == with_hooks.tenant_rollup.tier_summary()
 
 
 #: E2's report with each estimator's ``probe_operations`` and
